@@ -1,11 +1,12 @@
 //! Machine-readable quiescence + bounded-memory benchmark for CI.
 //!
-//! Emits `BENCH_quiescence.json` with two sections:
+//! Emits `BENCH_quiescence.json` with the host it ran on (`nproc`, CPU model) and two
+//! sections:
 //!
 //! * `quiescence` — the mean wall-clock time of the same scenario the criterion bench
 //!   `engine_quiescence_n100_k12` measures (one broadcast on an N=100, k=12 random
-//!   regular graph, run to quiescence), so CI can track the hot-path cost of the
-//!   per-event GC bookkeeping as a single number;
+//!   regular graph, run to quiescence), so CI can track the engine + event-loop hot
+//!   path as a single number;
 //! * `memory_curve` — the first/last summed `state_bytes` across a long sequence of
 //!   broadcasts with instance GC off and on. The GC-off endpoints grow linearly with
 //!   the broadcast count; the GC-on endpoints must stay flat.
@@ -19,7 +20,7 @@
 
 use std::time::Instant;
 
-use brb_bench::json::{out_path_from_args, write_and_echo, JsonObject};
+use brb_bench::json::{host, out_path_from_args, write_and_echo, JsonObject};
 
 use brb_core::config::Config;
 use brb_core::gc::GcPolicy;
@@ -114,6 +115,7 @@ fn main() {
         .obj("gc_on", endpoints(on_first, on_last, on_retired));
     let mut doc = JsonObject::new();
     doc.str("bench", "engine_quiescence_n100_k12")
+        .obj("host", host())
         .obj("quiescence", quiescence)
         .obj("memory_curve", curve);
     write_and_echo(&out_path, &doc.render());

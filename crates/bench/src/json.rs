@@ -116,6 +116,24 @@ pub fn out_path_from_args(args: &[String], default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
+/// The host a snapshot was taken on — available cores and CPU model — so a committed
+/// `BENCH_*.json` says what its wall-clock numbers are relative to.
+pub fn host() -> JsonObject {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let mut obj = JsonObject::new();
+    obj.u64("nproc", nproc as u64).str("cpu_model", &cpu_model);
+    obj
+}
+
 /// The shared epilogue: writes `json` to `path`, echoes it to stdout, and prints the
 /// `# written to` marker the smoke script greps for.
 ///
@@ -157,6 +175,17 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(400)
         );
+    }
+
+    #[test]
+    fn host_records_cores_and_cpu_model() {
+        let rendered = host().render();
+        let parsed = brb_trace::parse_json(&rendered).expect("parses");
+        assert!(parsed.get("nproc").and_then(|v| v.as_u64()).is_some());
+        assert!(parsed
+            .get("cpu_model")
+            .and_then(|v| v.as_str())
+            .is_some_and(|model| !model.is_empty()));
     }
 
     #[test]

@@ -50,6 +50,24 @@ struct RoundState {
     aux: BTreeMap<ProcessId, u8>,
 }
 
+/// Rough footprint of an empty [`RoundState`], of one `est_senders` member and of one
+/// `aux` vote, in bytes.
+const ROUND_BYTES: usize = 64;
+const EST_SENDER_BYTES: usize = 8;
+const AUX_VOTE_BYTES: usize = 16;
+
+/// Looks up the bookkeeping of `round`, creating (and counting) it on first use.
+fn round_entry<'a>(
+    rounds: &'a mut BTreeMap<u32, RoundState>,
+    round_bytes: &mut usize,
+    round: u32,
+) -> &'a mut RoundState {
+    rounds.entry(round).or_insert_with(|| {
+        *round_bytes += ROUND_BYTES;
+        RoundState::default()
+    })
+}
+
 /// Pure state machine for one process's binary consensus instance.
 #[derive(Debug)]
 pub struct ConsensusNode {
@@ -68,6 +86,8 @@ pub struct ConsensusNode {
     started: bool,
     decided: Option<Decision>,
     rounds: BTreeMap<u32, RoundState>,
+    /// Running footprint of `rounds` (rounds are never retired, so it only grows).
+    round_bytes: usize,
 }
 
 impl ConsensusNode {
@@ -92,6 +112,7 @@ impl ConsensusNode {
             started: false,
             decided: None,
             rounds: BTreeMap::new(),
+            round_bytes: 0,
         }
     }
 
@@ -112,13 +133,7 @@ impl ConsensusNode {
 
     /// Rough number of bytes of consensus state held (adds to the engine's proxy).
     pub fn state_bytes(&self) -> usize {
-        self.rounds
-            .values()
-            .map(|r| {
-                64 + r.aux.len() * 16 + r.est_senders.iter().map(|s| s.len() * 8).sum::<usize>()
-            })
-            .sum::<usize>()
-            + std::mem::size_of::<Self>()
+        self.round_bytes + std::mem::size_of::<Self>()
     }
 
     /// Applies a harness control operation, returning the round-messages to broadcast.
@@ -136,7 +151,7 @@ impl ConsensusNode {
                 if round != self.round || !self.started {
                     return Vec::new();
                 }
-                let state = self.rounds.entry(round).or_default();
+                let state = round_entry(&mut self.rounds, &mut self.round_bytes, round);
                 if state.sent[2] {
                     return Vec::new();
                 }
@@ -159,7 +174,7 @@ impl ConsensusNode {
                 if round != self.round || !self.started {
                     return Vec::new();
                 }
-                let state = self.rounds.entry(round).or_default();
+                let state = round_entry(&mut self.rounds, &mut self.round_bytes, round);
                 let mut values = BTreeSet::new();
                 let mut validated = 0usize;
                 for (&_sender, &v) in &state.aux {
@@ -197,8 +212,10 @@ impl ConsensusNode {
         match msg {
             RoundMsg::Est { round, value } => {
                 let f = self.f;
-                let state = self.rounds.entry(round).or_default();
-                state.est_senders[value as usize].insert(sender);
+                let state = round_entry(&mut self.rounds, &mut self.round_bytes, round);
+                if state.est_senders[value as usize].insert(sender) {
+                    self.round_bytes += EST_SENDER_BYTES;
+                }
                 let senders = state.est_senders[value as usize].len();
                 // `> 2f` / `> f` are the paper's `>= 2f + 1` / `>= f + 1` thresholds.
                 if senders > 2 * f {
@@ -212,8 +229,11 @@ impl ConsensusNode {
                 Vec::new()
             }
             RoundMsg::Aux { round, value } => {
-                let state = self.rounds.entry(round).or_default();
-                state.aux.entry(sender).or_insert(value);
+                let state = round_entry(&mut self.rounds, &mut self.round_bytes, round);
+                state.aux.entry(sender).or_insert_with(|| {
+                    self.round_bytes += AUX_VOTE_BYTES;
+                    value
+                });
                 Vec::new()
             }
         }
@@ -223,7 +243,7 @@ impl ConsensusNode {
     /// (a flipper swaps the wire value, so its two honest slots map onto the two wire
     /// slots bijectively and no instance id is ever minted twice).
     fn emit_est(&mut self, round: u32, value: u8) -> Vec<RoundMsg> {
-        let state = self.rounds.entry(round).or_default();
+        let state = round_entry(&mut self.rounds, &mut self.round_bytes, round);
         if state.sent[value as usize] {
             return Vec::new();
         }
@@ -255,6 +275,50 @@ mod tests {
 
     fn est(round: u32, value: u8) -> RoundMsg {
         RoundMsg::Est { round, value }
+    }
+
+    /// The walk the running total replaced: every round, vote and sender set.
+    fn walk_state(node: &ConsensusNode) -> usize {
+        node.rounds
+            .values()
+            .map(|r| {
+                64 + r.aux.len() * 16 + r.est_senders.iter().map(|s| s.len() * 8).sum::<usize>()
+            })
+            .sum::<usize>()
+            + std::mem::size_of::<ConsensusNode>()
+    }
+
+    #[test]
+    fn running_state_bytes_match_the_walk_after_every_input() {
+        let n = 4;
+        let mut node = ConsensusNode::new(n, 1, 1, false, 9, 8);
+        assert_eq!(node.state_bytes(), walk_state(&node));
+        node.on_control(ControlOp::Propose);
+        assert_eq!(node.state_bytes(), walk_state(&node));
+        for round in 0..3 {
+            for s in 0..n {
+                // Both values, each sender twice: duplicates must not be re-counted.
+                for value in [1, 1, 0] {
+                    node.on_delivery(s, est(round, value));
+                    assert_eq!(node.state_bytes(), walk_state(&node));
+                }
+            }
+            node.on_control(ControlOp::CloseBv(round));
+            assert_eq!(node.state_bytes(), walk_state(&node));
+            for s in 0..n {
+                // A replayed, different vote from the same sender is ignored.
+                for value in [1, 0] {
+                    node.on_delivery(s, RoundMsg::Aux { round, value });
+                    assert_eq!(node.state_bytes(), walk_state(&node));
+                }
+            }
+            // A delivery for a round not entered yet opens (and counts) its state.
+            node.on_delivery(0, est(round + 5, 0));
+            assert_eq!(node.state_bytes(), walk_state(&node));
+            node.on_control(ControlOp::CloseRound(round));
+            assert_eq!(node.state_bytes(), walk_state(&node));
+        }
+        assert!(node.round() >= 1, "the rounds advanced");
     }
 
     #[test]

@@ -20,6 +20,7 @@ mod state;
 use std::collections::{HashMap, HashSet};
 
 use crate::config::Config;
+use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState, RetiredSet};
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
@@ -56,6 +57,9 @@ pub struct BdProcess {
     /// `pending` forever. Peers allocate local identifiers sequentially, so the markers
     /// compact into a watermark exactly like retired broadcast sequence numbers.
     retired_peer_refs: HashMap<ProcessId, RetiredSet>,
+    /// Running memory proxy: every [`ContentState::footprint`] in `contents` plus the
+    /// wire size of every message queued in `pending`.
+    footprint: Footprint,
     /// Structured-trace handle (disabled by default; one branch per would-be event).
     tracer: brb_trace::Tracer,
 }
@@ -89,6 +93,7 @@ impl BdProcess {
             pending: HashMap::new(),
             gc: GcState::new(config.gc),
             retired_peer_refs: HashMap::new(),
+            footprint: Footprint::ZERO,
             tracer: brb_trace::Tracer::disabled(),
         }
     }
@@ -101,7 +106,13 @@ impl BdProcess {
         for id in self.gc.due() {
             self.tracer
                 .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
-            self.contents.retain(|content, _| content.id != id);
+            self.contents.retain(|content, state| {
+                let keep = content.id != id;
+                if !keep {
+                    self.footprint.remove(state.footprint());
+                }
+                keep
+            });
             self.delivered_ids.remove(&id);
             let mine: Vec<(Content, LocalPayloadId)> = self
                 .my_local_ids
@@ -122,7 +133,7 @@ impl BdProcess {
                 .collect();
             for (peer, local_id) in peers {
                 self.peer_contents.remove(&(peer, local_id));
-                self.pending.remove(&(peer, local_id));
+                self.take_pending(peer, local_id);
                 self.tombstone_peer_ref(peer, local_id);
             }
         }
@@ -156,11 +167,37 @@ impl BdProcess {
     /// Total number of transmission paths currently stored across all Dolev instances
     /// (the quantity dominating memory consumption per Sec. 7.3).
     pub fn stored_paths(&self) -> usize {
-        self.contents
-            .values()
-            .flat_map(|c| c.instances.values())
-            .map(|i| i.tracker.path_count())
-            .sum()
+        self.footprint.paths
+    }
+
+    /// Removes (and un-counts) the messages queued behind a peer's local identifier.
+    fn take_pending(
+        &mut self,
+        peer: ProcessId,
+        local_id: LocalPayloadId,
+    ) -> Option<Vec<WireMessage>> {
+        let queued = self.pending.remove(&(peer, local_id))?;
+        self.footprint.bytes -= queued.iter().map(WireMessage::wire_size).sum::<usize>();
+        Some(queued)
+    }
+
+    /// Takes a content's state out of `contents` (a fresh one if unknown) together with
+    /// the footprint it is currently counted with in the engine total.
+    fn take_content(&mut self, content: &Content) -> (ContentState, Footprint) {
+        match self.contents.remove(content) {
+            Some(state) => {
+                let before = state.footprint();
+                (state, before)
+            }
+            None => (ContentState::new(content.clone()), Footprint::ZERO),
+        }
+    }
+
+    /// Puts a content's state (back) into `contents`, settling the engine total from the
+    /// footprint it had when it was taken out (zero for a new content).
+    fn put_content(&mut self, content: Content, state: ContentState, before: Footprint) {
+        self.footprint.settle(before, state.footprint());
+        self.contents.insert(content, state);
     }
 
     // ------------------------------------------------------------------
@@ -181,7 +218,7 @@ impl BdProcess {
                 // follow it are dropped too instead of queueing forever.
                 if self.gc.is_retired(msg.id) {
                     self.tombstone_peer_ref(from, *local_id);
-                    self.pending.remove(&(from, *local_id));
+                    self.take_pending(from, *local_id);
                     self.tracer.emit(
                         self.id,
                         msg.id.source,
@@ -211,6 +248,7 @@ impl BdProcess {
                     }
                     // The announcement has not arrived yet (asynchronous reordering):
                     // queue the message and process it when the payload is known.
+                    self.footprint.bytes += msg.wire_size();
                     self.pending.entry((from, *local_id)).or_default().push(msg);
                     return;
                 }
@@ -222,7 +260,7 @@ impl BdProcess {
             .filter(|_| matches!(msg.payload, PayloadRef::Announce { .. }));
         self.process_resolved(from, &msg, content, actions);
         if let Some(local_id) = announced_id {
-            if let Some(queued) = self.pending.remove(&(from, local_id)) {
+            if let Some(queued) = self.take_pending(from, local_id) {
                 for queued_msg in queued {
                     self.handle_wire(from, queued_msg, actions);
                 }
@@ -274,10 +312,7 @@ impl BdProcess {
                 }
             }
         }
-        let mut state = self
-            .contents
-            .remove(&content)
-            .unwrap_or_else(|| ContentState::new(content.clone()));
+        let (mut state, before) = self.take_content(&content);
         let mut planned = Vec::new();
         for (phase, originator) in constituents {
             self.handle_dolev(
@@ -290,7 +325,7 @@ impl BdProcess {
                 actions,
             );
         }
-        self.contents.insert(content.clone(), state);
+        self.put_content(content.clone(), state, before);
         self.emit_planned(&content, planned, actions);
     }
 
@@ -314,9 +349,8 @@ impl BdProcess {
         // MBD.9 bookkeeping: count the distinct Ready originators each neighbor relayed
         // with an empty path; 2f+1 of them prove the neighbor BRB-delivered.
         if phase == Phase::Ready && path.is_empty() {
-            let relayed = state.neighbor_empty_readys.entry(from).or_default();
-            relayed.insert(originator);
-            if cfg.mbd.mbd9 && relayed.len() >= cfg.ready_quorum() {
+            let relayed = state.note_empty_ready(from, originator);
+            if cfg.mbd.mbd9 && relayed >= cfg.ready_quorum() {
                 state.neighbors_bd_delivered.insert(from);
             }
         }
@@ -333,78 +367,92 @@ impl BdProcess {
 
         let key = DolevKey { phase, originator };
         let max_combinations = cfg.max_path_combinations;
-        let instance = state
-            .instances
-            .entry(key)
-            .or_insert_with(|| DolevInstance::new(max_combinations));
-
-        // An empty path relayed by a process other than the originator signals that this
-        // neighbor Dolev-delivered the message (MD.2 on its side).
-        if path.is_empty() && from != originator {
-            instance.neighbors_delivered.insert(from);
-        }
-        // MD.4: drop paths going through a neighbor that already delivered.
-        if cfg.md.md4
-            && path
-                .iter()
-                .any(|p| instance.neighbors_delivered.contains(p))
-        {
-            return;
-        }
-
-        // Intermediate nodes of the claimed route: traversed labels plus the relaying
-        // neighbor, minus the originator and ourselves.
-        let mut intermediate = PathSet::from_iter_ids(path.iter().copied());
-        intermediate.insert(from);
-        intermediate.remove(originator);
-        intermediate.remove(self.id);
-        let direct = from == originator;
-
-        // MBD.10: ignore paths that are superpaths of an already received path.
-        if cfg.mbd.mbd10
-            && !direct
-            && !instance.delivered
-            && instance.tracker.has_subpath_of(&intermediate)
-        {
-            return;
-        }
-
-        let was_delivered = instance.delivered;
-        if !was_delivered {
-            if direct {
-                instance.tracker.record_direct();
-            } else {
-                instance.tracker.add_path(intermediate.clone(), from);
+        let instance = state.instances.entry(key).or_insert_with(|| {
+            let fresh = DolevInstance::new(max_combinations);
+            state.instances_footprint.add(fresh.footprint());
+            fresh
+        });
+        let before = instance.footprint();
+        // Everything that changes the instance's footprint happens in this block, so it
+        // is settled once after it: yields whether the instance was already delivered, or
+        // `None` when MD.4 / MBD.10 discard the path.
+        let absorbed = 'absorb: {
+            // An empty path relayed by a process other than the originator signals that
+            // this neighbor Dolev-delivered the message (MD.2 on its side).
+            if path.is_empty() && from != originator {
+                instance.neighbors_delivered.insert(from);
             }
-            self.tracer.emit(
-                self.id,
-                state.content.id.source,
-                state.content.id.seq,
-                brb_trace::TraceEventKind::PathAccumulated {
-                    paths: instance.tracker.path_count(),
-                },
-            );
-            let threshold_met = instance.tracker.reaches(cfg.dolev_threshold());
-            if threshold_met {
+            // MD.4: drop paths going through a neighbor that already delivered.
+            if cfg.md.md4
+                && path
+                    .iter()
+                    .any(|p| instance.neighbors_delivered.contains(p))
+            {
+                break 'absorb None;
+            }
+
+            // Intermediate nodes of the claimed route: traversed labels plus the relaying
+            // neighbor, minus the originator and ourselves.
+            let mut intermediate = PathSet::from_iter_ids(path.iter().copied());
+            intermediate.insert(from);
+            intermediate.remove(originator);
+            intermediate.remove(self.id);
+            let direct = from == originator;
+
+            // MBD.10: ignore paths that are superpaths of an already received path.
+            if cfg.mbd.mbd10
+                && !direct
+                && !instance.delivered
+                && instance.tracker.has_subpath_of(&intermediate)
+            {
+                break 'absorb None;
+            }
+
+            let was_delivered = instance.delivered;
+            if !was_delivered {
+                if direct {
+                    instance.tracker.record_direct();
+                } else {
+                    instance.tracker.add_path(intermediate, from);
+                }
                 self.tracer.emit(
                     self.id,
                     state.content.id.source,
                     state.content.id.seq,
-                    brb_trace::TraceEventKind::DisjointReached {
-                        disjoint: cfg.dolev_threshold(),
+                    brb_trace::TraceEventKind::PathAccumulated {
+                        paths: instance.tracker.path_count(),
                     },
                 );
-            }
-            // MD.1 delivers on direct reception; single-hop Sends (MBD.2) are only ever
-            // received directly, so they are validated the same way.
-            let direct_delivery = direct && (cfg.md.md1 || (cfg.mbd.mbd2 && phase == Phase::Send));
-            if threshold_met || direct_delivery {
-                instance.delivered = true;
-                if cfg.md.md2 {
-                    instance.tracker.clear_paths();
+                let threshold_met = instance.tracker.reaches(cfg.dolev_threshold());
+                if threshold_met {
+                    self.tracer.emit(
+                        self.id,
+                        state.content.id.source,
+                        state.content.id.seq,
+                        brb_trace::TraceEventKind::DisjointReached {
+                            disjoint: cfg.dolev_threshold(),
+                        },
+                    );
+                }
+                // MD.1 delivers on direct reception; single-hop Sends (MBD.2) are only
+                // ever received directly, so they are validated the same way.
+                let direct_delivery =
+                    direct && (cfg.md.md1 || (cfg.mbd.mbd2 && phase == Phase::Send));
+                if threshold_met || direct_delivery {
+                    instance.delivered = true;
+                    if cfg.md.md2 {
+                        instance.tracker.clear_paths();
+                    }
                 }
             }
-        }
+            Some(was_delivered)
+        };
+        state
+            .instances_footprint
+            .settle(before, instance.footprint());
+        let Some(was_delivered) = absorbed else {
+            return;
+        };
         let inst_delivered = instance.delivered;
         let inst_relayed_empty = instance.relayed_empty;
         let inst_neighbors_delivered = instance.neighbors_delivered.clone();
@@ -552,7 +600,7 @@ impl BdProcess {
             if want_echo {
                 state.sent_echo = true;
                 state.echo_origins.insert(self.id);
-                state.instances.insert(
+                state.insert_own_instance(
                     DolevKey {
                         phase: Phase::Echo,
                         originator: self.id,
@@ -590,7 +638,7 @@ impl BdProcess {
                 if cfg.mbd.mbd2 {
                     state.echo_origins.insert(self.id);
                 }
-                state.instances.insert(
+                state.insert_own_instance(
                     DolevKey {
                         phase: Phase::Ready,
                         originator: self.id,
@@ -833,13 +881,10 @@ impl BdProcess {
         self.tracer
             .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Injected);
         let content = Content::new(id, payload);
-        let mut state = self
-            .contents
-            .remove(&content)
-            .unwrap_or_else(|| ContentState::new(content.clone()));
+        let (mut state, before) = self.take_content(&content);
         let mut planned = Vec::new();
         // The source's own SEND instance is trivially Dolev-delivered.
-        state.instances.insert(
+        state.insert_own_instance(
             DolevKey {
                 phase: Phase::Send,
                 originator: self.id,
@@ -850,7 +895,7 @@ impl BdProcess {
         // Being the source, the Send is validated: this creates our Echo (and possibly
         // more, e.g. for tiny systems).
         self.bracha_transitions(&mut state, &mut planned, actions);
-        self.contents.insert(content.clone(), state);
+        self.put_content(content.clone(), state, before);
         self.emit_planned(&content, planned, actions);
     }
 }
@@ -916,18 +961,7 @@ impl Protocol for BdProcess {
     }
 
     fn state_bytes(&self) -> usize {
-        let content_bytes: usize = self
-            .contents
-            .values()
-            .map(|c| c.approx_memory_bytes())
-            .sum();
-        let pending_bytes: usize = self
-            .pending
-            .values()
-            .flat_map(|msgs| msgs.iter())
-            .map(|m| m.wire_size())
-            .sum();
-        content_bytes + pending_bytes
+        self.footprint.bytes
     }
 
     fn stored_paths(&self) -> usize {

@@ -3,6 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::disjoint::DisjointPathTracker;
+use crate::footprint::Footprint;
 use crate::types::{Content, ProcessId};
 use crate::wire::MessageKind;
 
@@ -68,6 +69,15 @@ impl DolevInstance {
             ..Self::new(max_combinations)
         }
     }
+
+    /// Memory proxy of this instance: the tracker's paths and combinations, the
+    /// delivered-neighbor set and the two flags.
+    pub(crate) fn footprint(&self) -> Footprint {
+        Footprint::new(
+            self.tracker.approx_memory_bytes() + 8 * self.neighbors_delivered.len() + 2,
+            self.tracker.path_count(),
+        )
+    }
 }
 
 /// Bracha + Dolev state for one broadcast content.
@@ -88,10 +98,16 @@ pub(crate) struct ContentState {
     pub(crate) ready_origins: BTreeSet<ProcessId>,
     /// Dolev dissemination instances, one per Bracha-layer message.
     pub(crate) instances: HashMap<DolevKey, DolevInstance>,
+    /// Sum of [`DolevInstance::footprint`] over `instances`. Whoever creates, replaces
+    /// or mutates an instance settles the difference here.
+    pub(crate) instances_footprint: Footprint,
     /// Neighbors whose READY has been Dolev-delivered (MBD.8: no further Echo to them).
     pub(crate) ready_neighbors: BTreeSet<ProcessId>,
     /// Per neighbor, the set of READY originators it relayed with an empty path (MBD.9).
+    /// Grows only through [`ContentState::note_empty_ready`].
     pub(crate) neighbor_empty_readys: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
+    /// Number of `(neighbor, originator)` pairs in `neighbor_empty_readys`.
+    empty_ready_pairs: usize,
     /// Neighbors known to have BRB-delivered the content (MBD.9: no further message).
     pub(crate) neighbors_bd_delivered: BTreeSet<ProcessId>,
 }
@@ -106,8 +122,10 @@ impl ContentState {
             echo_origins: BTreeSet::new(),
             ready_origins: BTreeSet::new(),
             instances: HashMap::new(),
+            instances_footprint: Footprint::ZERO,
             ready_neighbors: BTreeSet::new(),
             neighbor_empty_readys: BTreeMap::new(),
+            empty_ready_pairs: 0,
             neighbors_bd_delivered: BTreeSet::new(),
         }
     }
@@ -134,23 +152,40 @@ impl ContentState {
             .unwrap_or(false)
     }
 
-    /// Approximate number of bytes of protocol state held for this content.
-    pub(crate) fn approx_memory_bytes(&self) -> usize {
-        let instance_bytes: usize = self
+    /// Inserts an instance this process created itself (its own SEND, ECHO or READY),
+    /// replacing — and un-counting — an instance relayed paths may already have opened
+    /// under the same key.
+    pub(crate) fn insert_own_instance(&mut self, key: DolevKey, instance: DolevInstance) {
+        let after = instance.footprint();
+        let before = self
             .instances
-            .values()
-            .map(|i| i.tracker.approx_memory_bytes() + 8 * i.neighbors_delivered.len() + 2)
-            .sum();
-        instance_bytes
-            + 8 * (self.echo_origins.len() + self.ready_origins.len())
-            + 8 * self.ready_neighbors.len()
-            + 8 * self.neighbors_bd_delivered.len()
-            + self
-                .neighbor_empty_readys
-                .values()
-                .map(|s| 8 * s.len())
-                .sum::<usize>()
-            + self.content.payload.len()
+            .insert(key, instance)
+            .map_or(Footprint::ZERO, |replaced| replaced.footprint());
+        self.instances_footprint.settle(before, after);
+    }
+
+    /// Records that `neighbor` relayed `originator`'s READY with an empty path (MBD.9)
+    /// and returns how many distinct originators it has relayed that way.
+    pub(crate) fn note_empty_ready(&mut self, neighbor: ProcessId, originator: ProcessId) -> usize {
+        let relayed = self.neighbor_empty_readys.entry(neighbor).or_default();
+        if relayed.insert(originator) {
+            self.empty_ready_pairs += 1;
+        }
+        relayed.len()
+    }
+
+    /// Memory proxy of this content: its instances, the quorum and neighbor sets (8 bytes
+    /// per member) and the buffered payload. Constant time.
+    pub(crate) fn footprint(&self) -> Footprint {
+        let set_members = self.echo_origins.len()
+            + self.ready_origins.len()
+            + self.ready_neighbors.len()
+            + self.neighbors_bd_delivered.len()
+            + self.empty_ready_pairs;
+        Footprint::new(
+            self.instances_footprint.bytes + 8 * set_members + self.content.payload.len(),
+            self.instances_footprint.paths,
+        )
     }
 }
 
@@ -227,17 +262,24 @@ mod tests {
     #[test]
     fn memory_estimate_grows_with_state() {
         let mut s = ContentState::new(content());
-        let before = s.approx_memory_bytes();
+        let before = s.footprint();
+        assert_eq!(before, Footprint::new(1, 0), "the one-byte payload");
         s.echo_origins.insert(1);
         s.echo_origins.insert(2);
-        s.instances.insert(
-            DolevKey {
-                phase: Phase::Echo,
-                originator: 1,
-            },
-            DolevInstance::new(16),
-        );
-        assert!(s.approx_memory_bytes() > before);
+        let key = DolevKey {
+            phase: Phase::Echo,
+            originator: 1,
+        };
+        // An empty tracker memoizes the empty combination (24 B) next to the two flags.
+        s.insert_own_instance(key, DolevInstance::new(16));
+        assert_eq!(s.footprint(), Footprint::new(1 + 16 + 26, 0));
+        // Replacing the instance replaces its share instead of adding a second one.
+        s.insert_own_instance(key, DolevInstance::self_delivered(16));
+        assert_eq!(s.footprint(), Footprint::new(1 + 16 + 26, 0));
+        assert_eq!(s.note_empty_ready(3, 4), 1);
+        assert_eq!(s.note_empty_ready(3, 4), 1, "duplicates are not re-counted");
+        assert_eq!(s.note_empty_ready(3, 5), 2);
+        assert_eq!(s.footprint(), Footprint::new(1 + 16 + 26 + 16, 0));
     }
 
     #[test]

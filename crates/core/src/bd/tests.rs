@@ -7,8 +7,39 @@ use brb_graph::{generate, Graph};
 
 use super::*;
 use crate::config::Config;
+use crate::footprint::check::{Checked, WalkState};
 use crate::types::{Action, BroadcastId, Payload};
 use crate::wire::{MessageKind, PayloadRef, WireMessage};
+
+/// The walk the engine's running totals replaced: every content, Dolev instance, stored
+/// path and queued message.
+impl WalkState for BdProcess {
+    fn walk_state(&self) -> (usize, usize) {
+        let mut bytes = 0usize;
+        let mut paths = 0usize;
+        for c in self.contents.values() {
+            for i in c.instances.values() {
+                bytes += i.tracker.walk_memory_bytes() + 8 * i.neighbors_delivered.len() + 2;
+                paths += i.tracker.path_count();
+            }
+            bytes += 8 * (c.echo_origins.len() + c.ready_origins.len())
+                + 8 * c.ready_neighbors.len()
+                + 8 * c.neighbors_bd_delivered.len()
+                + c.neighbor_empty_readys
+                    .values()
+                    .map(|s| 8 * s.len())
+                    .sum::<usize>()
+                + c.content.payload.len();
+        }
+        bytes += self
+            .pending
+            .values()
+            .flat_map(|msgs| msgs.iter())
+            .map(|m| m.wire_size())
+            .sum::<usize>();
+        (bytes, paths)
+    }
+}
 
 /// A tiny synchronous test network: FIFO per link, no delays, all messages delivered.
 struct TestNet {
@@ -34,7 +65,7 @@ impl TestNet {
     /// Runs a full broadcast from `source` to quiescence. `drop_to` lists crashed/silent
     /// processes whose inbound messages are discarded (they also never send anything).
     fn broadcast(&mut self, source: usize, payload: Payload, drop_to: &[usize]) {
-        let actions = self.processes[source].broadcast(payload);
+        let actions = self.processes[source].broadcast_checked(payload);
         let mut queue: VecDeque<(usize, Action<WireMessage>)> =
             actions.into_iter().map(|a| (source, a)).collect();
         let mut steps = 0usize;
@@ -47,10 +78,14 @@ impl TestNet {
                 if drop_to.contains(&to) || drop_to.contains(&sender) {
                     continue;
                 }
-                for a in self.processes[to].handle_message(sender, message) {
+                for a in self.processes[to].handle_checked(sender, message) {
                     queue.push_back((to, a));
                 }
             }
+        }
+        // A clone carries the totals with it.
+        for p in &self.processes {
+            p.clone().assert_totals();
         }
     }
 
@@ -290,7 +325,7 @@ fn equivocating_source_never_splits_correct_processes() {
         } else {
             make_send("payload-B")
         };
-        for a in processes[neighbor].handle_message(byz, msg) {
+        for a in processes[neighbor].handle_checked(byz, msg) {
             queue.push_back((neighbor, a));
         }
     }
@@ -303,7 +338,7 @@ fn equivocating_source_never_splits_correct_processes() {
             if to == byz {
                 continue;
             }
-            for a in processes[to].handle_message(sender, message) {
+            for a in processes[to].handle_checked(sender, message) {
                 queue.push_back((to, a));
             }
         }
@@ -353,7 +388,7 @@ fn forged_echo_floods_cannot_force_delivery() {
                 path: vec![forged_originator % 10],
                 fields: Default::default(),
             };
-            victim.handle_message(1, msg);
+            victim.handle_checked(1, msg);
         }
     }
     assert!(victim.deliveries().is_empty());
@@ -378,7 +413,7 @@ fn byzantine_cannot_forge_disjoint_paths_through_itself() {
             path: vec![7, 4 + (fake % 3)],
             fields: Default::default(),
         };
-        victim.handle_message(1, msg);
+        victim.handle_checked(1, msg);
     }
     assert!(victim.deliveries().is_empty());
 }
@@ -399,7 +434,7 @@ fn mbd1_payload_is_announced_once_per_link() {
     // 2 * |E| = 30.
     // We re-run while counting, because TestNet does not keep per-message history.
     let mut net = TestNet::new(&graph, Config::bdopt_mbd1(10, 1));
-    let actions = net.processes[0].broadcast(payload.clone());
+    let actions = net.processes[0].broadcast_checked(payload.clone());
     let mut queue: VecDeque<(usize, Action<WireMessage>)> =
         actions.into_iter().map(|a| (0, a)).collect();
     let mut full_payload_msgs = 0usize;
@@ -408,7 +443,7 @@ fn mbd1_payload_is_announced_once_per_link() {
             if message.payload.payload().is_some() {
                 full_payload_msgs += 1;
             }
-            for a in net.processes[to].handle_message(sender, message) {
+            for a in net.processes[to].handle_checked(sender, message) {
                 queue.push_back((to, a));
             }
         }
@@ -436,11 +471,13 @@ fn mbd1_reordered_local_id_messages_are_queued_and_processed() {
         path: vec![5],
         fields: Default::default(),
     };
-    let actions = p.handle_message(1, early);
+    let queued_bytes = early.wire_size();
+    let actions = p.handle_checked(1, early);
     assert!(
         actions.is_empty(),
         "message with unknown local id must be buffered"
     );
+    assert_eq!(p.state_bytes(), queued_bytes, "only the queued frame");
     // The announcement then arrives on the same link: both messages are processed.
     let announce = WireMessage {
         kind: MessageKind::Ready,
@@ -454,12 +491,50 @@ fn mbd1_reordered_local_id_messages_are_queued_and_processed() {
         path: vec![5],
         fields: Default::default(),
     };
-    let actions = p.handle_message(1, announce);
+    let actions = p.handle_checked(1, announce);
     assert!(
         !actions.is_empty(),
         "announcement must unblock the queued message"
     );
     assert!(p.state_bytes() > 0);
+    assert!(
+        p.pending.is_empty(),
+        "the queue drained (and was un-counted)"
+    );
+}
+
+#[test]
+fn own_echo_replaces_an_instance_opened_by_relayed_paths() {
+    // A (forged) Echo naming this process as originator opens the (Echo, self) instance
+    // and stores a path in it; creating our real Echo then replaces that instance, and
+    // the totals must drop the replaced one's share.
+    let config = Config::bdopt(10, 1);
+    let mut p = BdProcess::new(0, config, vec![1, 5, 6]);
+    let id = BroadcastId::new(5, 0);
+    let payload = Payload::from("m");
+    let forged = WireMessage {
+        kind: MessageKind::Echo,
+        id,
+        originator: 0,
+        originator2: None,
+        payload: PayloadRef::Inline(payload.clone()),
+        path: vec![7],
+        fields: Default::default(),
+    };
+    p.handle_checked(1, forged);
+    assert_eq!(p.stored_paths(), 1);
+    let send = WireMessage {
+        kind: MessageKind::Send,
+        id,
+        originator: 5,
+        originator2: None,
+        payload: PayloadRef::Inline(payload),
+        path: vec![],
+        fields: Default::default(),
+    };
+    let actions = p.handle_checked(5, send);
+    assert!(!actions.is_empty(), "the direct Send makes us echo");
+    assert_eq!(p.stored_paths(), 0, "the replaced instance's path is gone");
 }
 
 #[test]
@@ -482,7 +557,7 @@ fn mbd1_local_ids_from_different_neighbors_do_not_collide() {
             path: vec![id.source],
             fields: Default::default(),
         };
-        p.handle_message(neighbor, announce);
+        p.handle_checked(neighbor, announce);
     }
     // Follow-up messages with local id 0 resolve to the per-link content.
     for (neighbor, id) in [(1usize, id_a), (2usize, id_b)] {
@@ -495,7 +570,7 @@ fn mbd1_local_ids_from_different_neighbors_do_not_collide() {
             path: vec![id.source],
             fields: Default::default(),
         };
-        let actions = p.handle_message(neighbor, follow);
+        let actions = p.handle_checked(neighbor, follow);
         // Resolved (not queued): the engine relays or reacts, never silently buffers.
         assert!(!actions.is_empty() || p.stored_paths() > 0);
     }
@@ -510,7 +585,7 @@ fn mbd2_send_messages_are_single_hop_and_pathless() {
     let graph = generate::figure1_example();
     let config = Config::bdopt_mbd1(10, 1).with_mbd(&[2]);
     let mut source = BdProcess::new(0, config, graph.neighbors_vec(0));
-    let actions = source.broadcast(Payload::from("m"));
+    let actions = source.broadcast_checked(Payload::from("m"));
     let sends: Vec<&WireMessage> = actions
         .iter()
         .filter_map(|a| match a {
@@ -533,7 +608,7 @@ fn mbd5_elides_sender_field_of_newly_created_messages() {
     let graph = generate::figure1_example();
     let config = Config::bdopt_mbd1(10, 1).with_mbd(&[5]);
     let mut source = BdProcess::new(0, config, graph.neighbors_vec(0));
-    let actions = source.broadcast(Payload::from("m"));
+    let actions = source.broadcast_checked(Payload::from("m"));
     for a in &actions {
         if let Action::Send { message, .. } = a {
             if message.kind == MessageKind::Echo {
@@ -562,7 +637,7 @@ fn mbd8_suppresses_echos_to_neighbors_whose_ready_was_delivered() {
         path: vec![],
         fields: Default::default(),
     };
-    p.handle_message(1, ready);
+    p.handle_checked(1, ready);
     // Now an Echo arrives from neighbor 2 and is relayed: it must not be sent to 1.
     let echo = WireMessage {
         kind: MessageKind::Echo,
@@ -573,7 +648,7 @@ fn mbd8_suppresses_echos_to_neighbors_whose_ready_was_delivered() {
         path: vec![7],
         fields: Default::default(),
     };
-    let actions = p.handle_message(2, echo);
+    let actions = p.handle_checked(2, echo);
     for a in &actions {
         if let Action::Send { to, message } = a {
             if matches!(message.kind, MessageKind::Echo | MessageKind::EchoEcho) {
@@ -605,7 +680,7 @@ fn mbd9_suppresses_all_messages_to_neighbors_that_delivered() {
             path: vec![],
             fields: Default::default(),
         };
-        p.handle_message(1, ready);
+        p.handle_checked(1, ready);
     }
     assert_eq!(2 * f + 1, 3);
     // Any further activity must avoid neighbor 1 entirely.
@@ -618,7 +693,7 @@ fn mbd9_suppresses_all_messages_to_neighbors_that_delivered() {
         path: vec![8],
         fields: Default::default(),
     };
-    let actions = p.handle_message(2, echo);
+    let actions = p.handle_checked(2, echo);
     for a in &actions {
         if let Action::Send { to, .. } = a {
             assert_ne!(*to, 1, "MBD.9: no message to a neighbor that delivered");
@@ -641,10 +716,10 @@ fn mbd10_ignores_superpaths() {
         path,
         fields: Default::default(),
     };
-    let first = p.handle_message(1, mk(vec![5, 7]));
+    let first = p.handle_checked(1, mk(vec![5, 7]));
     assert!(!first.is_empty(), "the first path is relayed");
     // The same route plus extra hops is a superpath: ignored, nothing relayed.
-    let superpath = p.handle_message(1, mk(vec![5, 7, 8]));
+    let superpath = p.handle_checked(1, mk(vec![5, 7, 8]));
     assert!(
         superpath.is_empty(),
         "superpaths must be ignored under MBD.10"
@@ -684,7 +759,7 @@ fn mbd12_limits_fanout_of_created_messages() {
     let graph = generate::complete(n);
     let config = Config::bdopt_mbd1(n, 1).with_mbd(&[12]);
     let mut source = BdProcess::new(0, config, graph.neighbors_vec(0));
-    let actions = source.broadcast(Payload::from("m"));
+    let actions = source.broadcast_checked(Payload::from("m"));
     let send_targets: Vec<usize> = actions
         .iter()
         .filter_map(|a| match a {
@@ -702,7 +777,7 @@ fn merged_messages_appear_when_mbd3_mbd4_enabled() {
     let mut net = TestNet::new(&graph, config);
     let payload = Payload::filled(4, 64);
     // Count merged messages on the wire.
-    let actions = net.processes[0].broadcast(payload.clone());
+    let actions = net.processes[0].broadcast_checked(payload.clone());
     let mut queue: VecDeque<(usize, Action<WireMessage>)> =
         actions.into_iter().map(|a| (0, a)).collect();
     let mut merged = 0usize;
@@ -711,7 +786,7 @@ fn merged_messages_appear_when_mbd3_mbd4_enabled() {
             if matches!(message.kind, MessageKind::EchoEcho | MessageKind::ReadyEcho) {
                 merged += 1;
             }
-            for a in net.processes[to].handle_message(sender, message) {
+            for a in net.processes[to].handle_checked(sender, message) {
                 queue.push_back((to, a));
             }
         }
@@ -777,7 +852,7 @@ fn gc_retires_delivered_instances_across_the_network_and_drops_replays() {
     for i in graph.neighbors_vec(0) {
         let deliveries_before = net.processes[i].deliveries().len();
         let bytes_before = net.processes[i].state_bytes();
-        let actions = net.processes[i].handle_message(0, replay.clone());
+        let actions = net.processes[i].handle_checked(0, replay.clone());
         assert!(
             actions.is_empty(),
             "process {i} reacted to a retired replay"
@@ -810,7 +885,7 @@ fn replayed_local_refs_for_retired_instances_are_dropped_not_queued() {
         path: vec![],
         fields: Default::default(),
     };
-    p.handle_message(5, announce.clone());
+    p.handle_checked(5, announce.clone());
     let inline_ready = |originator: usize| WireMessage {
         kind: MessageKind::Ready,
         id,
@@ -820,7 +895,7 @@ fn replayed_local_refs_for_retired_instances_are_dropped_not_queued() {
         path: vec![],
         fields: Default::default(),
     };
-    p.handle_message(6, inline_ready(6));
+    p.handle_checked(6, inline_ready(6));
     assert_eq!(p.deliveries().len(), 1, "2f+1 Readys incl. our own deliver");
     // Unrelated traffic elapses the 2-event retention window.
     let pad = WireMessage {
@@ -832,8 +907,8 @@ fn replayed_local_refs_for_retired_instances_are_dropped_not_queued() {
         path: vec![],
         fields: Default::default(),
     };
-    p.handle_message(6, pad.clone());
-    p.handle_message(6, pad);
+    p.handle_checked(6, pad.clone());
+    p.handle_checked(6, pad);
     assert_eq!(p.gc_retired(), 1);
     let baseline = p.state_bytes();
     // A late Local ref from the announcing peer must not queue in `pending` (whose
@@ -847,10 +922,10 @@ fn replayed_local_refs_for_retired_instances_are_dropped_not_queued() {
         path: vec![],
         fields: Default::default(),
     };
-    assert!(p.handle_message(5, late_ref).is_empty());
+    assert!(p.handle_checked(5, late_ref).is_empty());
     assert_eq!(p.state_bytes(), baseline, "Local replay must not buffer");
     // A replayed announcement must not re-enter `peer_contents` either.
-    assert!(p.handle_message(5, announce).is_empty());
+    assert!(p.handle_checked(5, announce).is_empty());
     assert_eq!(
         p.state_bytes(),
         baseline,

@@ -59,6 +59,15 @@ struct BrachaState {
     readys: BTreeSet<ProcessId>,
 }
 
+impl BrachaState {
+    /// Memory proxy of one tracked content (Sec. 7.3 accounting, kept comparable with
+    /// the other stacks): the buffered payload bytes (the [`Content`] key owns a copy
+    /// until retirement), the quorum membership sets, and the three booleans.
+    fn state_bytes(&self, content: &Content) -> usize {
+        content.payload.len() + 8 * (self.echos.len() + self.readys.len()) + 3
+    }
+}
+
 /// One process running Bracha's protocol on a fully connected network.
 #[derive(Debug, Clone)]
 pub struct BrachaProcess {
@@ -66,6 +75,8 @@ pub struct BrachaProcess {
     n: usize,
     f: usize,
     states: HashMap<Content, BrachaState>,
+    /// Running sum of [`BrachaState::state_bytes`] over `states`.
+    state_bytes: usize,
     delivered_ids: HashSet<BroadcastId>,
     deliveries: Vec<Delivery>,
     next_seq: u32,
@@ -90,6 +101,7 @@ impl BrachaProcess {
             n,
             f,
             states: HashMap::new(),
+            state_bytes: 0,
             delivered_ids: HashSet::new(),
             deliveries: Vec::new(),
             next_seq: 0,
@@ -103,7 +115,13 @@ impl BrachaProcess {
     /// what preserves BRB-No duplication after the prune).
     fn run_gc(&mut self) {
         for id in self.gc.due() {
-            self.states.retain(|content, _| content.id != id);
+            self.states.retain(|content, state| {
+                let keep = content.id != id;
+                if !keep {
+                    self.state_bytes -= state.state_bytes(content);
+                }
+                keep
+            });
             self.delivered_ids.remove(&id);
             self.tracer
                 .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
@@ -153,7 +171,12 @@ impl BrachaProcess {
             return;
         }
         let content = Content::new(message.id, message.payload.clone());
-        let state = self.states.entry(content.clone()).or_default();
+        let state = self.states.entry(content.clone()).or_insert_with(|| {
+            let fresh = BrachaState::default();
+            self.state_bytes += fresh.state_bytes(&content);
+            fresh
+        });
+        let before = state.state_bytes(&content);
         let mut send_echo = false;
         let mut send_ready = false;
         let mut deliver = false;
@@ -199,6 +222,7 @@ impl BrachaProcess {
                 }
             }
         }
+        self.state_bytes = self.state_bytes + state.state_bytes(&content) - before;
         if send_ready {
             self.tracer.emit(
                 self.id,
@@ -316,13 +340,7 @@ impl Protocol for BrachaProcess {
     }
 
     fn state_bytes(&self) -> usize {
-        // Per tracked content: the buffered payload bytes (the [`Content`] key owns a
-        // copy until quiescence), the quorum membership sets, and the three booleans
-        // (Sec. 7.3 memory-proxy accounting, kept comparable with the other stacks).
-        self.states
-            .iter()
-            .map(|(content, s)| content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3)
-            .sum()
+        self.state_bytes
     }
 
     fn stored_paths(&self) -> usize {
@@ -352,6 +370,21 @@ impl Protocol for BrachaProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::check::{Checked, WalkState};
+
+    /// The walk the running total replaced: every tracked content.
+    impl WalkState for BrachaProcess {
+        fn walk_state(&self) -> (usize, usize) {
+            let bytes = self
+                .states
+                .iter()
+                .map(|(content, s)| {
+                    content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3
+                })
+                .sum();
+            (bytes, 0)
+        }
+    }
 
     /// Drives a set of Bracha processes to quiescence by synchronously delivering every
     /// sent message (a minimal in-test network with no Byzantine behaviour).
@@ -362,11 +395,14 @@ mod tests {
         let mut queue: Vec<(ProcessId, Action<BrachaMessage>)> = initial;
         while let Some((sender, action)) = queue.pop() {
             if let Action::Send { to, message } = action {
-                let actions = processes[to].handle_message(sender, message);
+                let actions = processes[to].handle_checked(sender, message);
                 for a in actions {
                     queue.push((to, a));
                 }
             }
+        }
+        for p in processes.iter() {
+            p.clone().assert_totals();
         }
     }
 
@@ -378,7 +414,7 @@ mod tests {
     fn all_correct_processes_deliver_a_correct_broadcast() {
         let n = 7;
         let mut processes = new_system(n, 2);
-        let actions = processes[0].broadcast(Payload::from("hello"));
+        let actions = processes[0].broadcast_checked(Payload::from("hello"));
         let initial: Vec<_> = actions.into_iter().map(|a| (0, a)).collect();
         run_to_quiescence(&mut processes, initial);
         for p in &processes {
@@ -398,7 +434,8 @@ mod tests {
         let n = 4;
         let mut processes = new_system(n, 1);
         for round in 0..2 {
-            let actions = processes[1].broadcast(Payload::from(format!("m{round}").as_str()));
+            let actions =
+                processes[1].broadcast_checked(Payload::from(format!("m{round}").as_str()));
             let initial: Vec<_> = actions.into_iter().map(|a| (1, a)).collect();
             run_to_quiescence(&mut processes, initial);
         }
@@ -418,7 +455,7 @@ mod tests {
             payload: Payload::from("forged"),
         };
         // Process 3 forwards a SEND claiming to originate at process 0: ignored.
-        let actions = p.handle_message(3, msg);
+        let actions = p.handle_checked(3, msg);
         assert!(actions.is_empty());
     }
 
@@ -431,11 +468,11 @@ mod tests {
             id: BroadcastId::new(3, 0),
             payload: Payload::from("m"),
         };
-        assert!(p.handle_message(1, mk(BrachaKind::Ready)).is_empty());
+        assert!(p.handle_checked(1, mk(BrachaKind::Ready)).is_empty());
         // Second ready triggers the amplification: our own Ready is sent to everyone, and
         // since our own Ready also counts towards the quorum (1 + 2 remote = 3 = 2f+1),
         // the content is delivered at the same event.
-        let actions = p.handle_message(2, mk(BrachaKind::Ready));
+        let actions = p.handle_checked(2, mk(BrachaKind::Ready));
         let sends: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -447,7 +484,7 @@ mod tests {
         assert!(sends.iter().all(|(_, k)| *k == BrachaKind::Ready));
         assert!(actions.iter().any(|a| a.as_delivery().is_some()));
         // A third ready must not produce a duplicate delivery (BRB-No duplication).
-        let actions = p.handle_message(3, mk(BrachaKind::Ready));
+        let actions = p.handle_checked(3, mk(BrachaKind::Ready));
         assert!(actions.iter().all(|a| a.as_delivery().is_none()));
         assert_eq!(p.deliveries().len(), 1);
     }
@@ -474,7 +511,7 @@ mod tests {
         // Byzantine process 3 equivocates towards 0/1 (m1) and 2 (m2).
         let mut queue: Vec<(ProcessId, Action<BrachaMessage>)> = Vec::new();
         for (target, msg) in [(0usize, m1.clone()), (1, m1), (2, m2)] {
-            for a in processes[target].handle_message(3, msg) {
+            for a in processes[target].handle_checked(3, msg) {
                 queue.push((target, a));
             }
         }
@@ -484,7 +521,7 @@ mod tests {
                 if to == 3 {
                     continue;
                 }
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
@@ -516,7 +553,7 @@ mod tests {
     fn state_bytes_grow_with_activity() {
         let mut p = BrachaProcess::new(0, 4, 1);
         let before = p.state_bytes();
-        p.handle_message(
+        p.handle_checked(
             1,
             BrachaMessage {
                 kind: BrachaKind::Echo,
@@ -534,7 +571,7 @@ mod tests {
         for p in &mut processes {
             p.set_gc_policy(GcPolicy::after_events(2));
         }
-        let actions = processes[0].broadcast(Payload::from("gc"));
+        let actions = processes[0].broadcast_checked(Payload::from("gc"));
         let initial: Vec<_> = actions.into_iter().map(|a| (0, a)).collect();
         run_to_quiescence(&mut processes, initial);
         assert!(processes.iter().all(|p| p.deliveries().len() == 1));
@@ -546,7 +583,7 @@ mod tests {
         };
         for p in &mut processes {
             for seq in 10..14 {
-                p.handle_message(2, unrelated(seq));
+                p.handle_checked(2, unrelated(seq));
             }
             assert!(p.gc_retired() >= 1, "the delivered instance must retire");
         }
@@ -555,7 +592,7 @@ mod tests {
         // Replaying the full READY quorum of the retired broadcast must neither
         // re-deliver nor recreate state.
         for from in 0..3 {
-            let actions = p.handle_message(
+            let actions = p.handle_checked(
                 from,
                 BrachaMessage {
                     kind: BrachaKind::Ready,

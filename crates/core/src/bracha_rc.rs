@@ -45,6 +45,14 @@ struct BrachaState {
     readys: HashSet<ProcessId>,
 }
 
+impl BrachaState {
+    /// Memory proxy of one tracked content: the payload copy the `Content` key buffers,
+    /// the quorum sets and the three booleans.
+    fn state_bytes(&self, content: &Content) -> usize {
+        content.payload.len() + 8 * (self.echos.len() + self.readys.len()) + 3
+    }
+}
+
 /// Bracha's double-echo broadcast running on top of an arbitrary reliable-communication
 /// substrate.
 #[derive(Debug, Clone)]
@@ -54,6 +62,9 @@ pub struct BrachaOverRc<T> {
     f: usize,
     transport: T,
     states: HashMap<Content, BrachaState>,
+    /// Running sum of [`BrachaState::state_bytes`] over `states` (the Bracha layer's own
+    /// share; the substrate reports its state on top).
+    bracha_bytes: usize,
     delivered_ids: HashSet<BroadcastId>,
     deliveries: Vec<Delivery>,
     next_seq: u32,
@@ -84,6 +95,7 @@ impl<T: RcTransport> BrachaOverRc<T> {
             f,
             transport,
             states: HashMap::new(),
+            bracha_bytes: 0,
             delivered_ids: HashSet::new(),
             deliveries: Vec::new(),
             next_seq: 0,
@@ -99,7 +111,13 @@ impl<T: RcTransport> BrachaOverRc<T> {
         for id in self.gc.due() {
             self.tracer
                 .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
-            self.states.retain(|content, _| content.id != id);
+            self.states.retain(|content, state| {
+                let keep = content.id != id;
+                if !keep {
+                    self.bracha_bytes -= state.state_bytes(content);
+                }
+                keep
+            });
             self.delivered_ids.remove(&id);
         }
     }
@@ -158,7 +176,12 @@ impl<T: RcTransport> BrachaOverRc<T> {
             return;
         }
         let content = Content::new(message.id, message.payload.clone());
-        let state = self.states.entry(content.clone()).or_default();
+        let state = self.states.entry(content.clone()).or_insert_with(|| {
+            let fresh = BrachaState::default();
+            self.bracha_bytes += fresh.state_bytes(&content);
+            fresh
+        });
+        let before = state.state_bytes(&content);
         let mut send_echo = false;
         let mut send_ready = false;
         let mut deliver = false;
@@ -205,6 +228,7 @@ impl<T: RcTransport> BrachaOverRc<T> {
                 }
             }
         }
+        self.bracha_bytes = self.bracha_bytes + state.state_bytes(&content) - before;
         if send_echo {
             self.originate_bracha(
                 &BrachaMessage {
@@ -331,14 +355,7 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
     }
 
     fn state_bytes(&self) -> usize {
-        // The Bracha layer buffers one payload copy per tracked content (the `Content`
-        // key) next to its quorum sets; the substrate reports its own state on top.
-        let bracha: usize = self
-            .states
-            .iter()
-            .map(|(content, s)| content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3)
-            .sum();
-        bracha + self.transport.state_bytes()
+        self.bracha_bytes + self.transport.state_bytes()
     }
 
     fn stored_paths(&self) -> usize {
@@ -427,6 +444,27 @@ pub(crate) fn decode_bracha_frame(bytes: &[u8]) -> Option<BrachaMessage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::check::{Checked, WalkState};
+
+    /// The walk the running total replaced: every content the Bracha layer tracks, on
+    /// top of the substrate's own walk (whose totals are checked on the way). Paths are
+    /// whatever the substrate reports as an RC transport (CPA reports none).
+    impl<T: RcTransport + WalkState> WalkState for BrachaOverRc<T> {
+        fn walk_state(&self) -> (usize, usize) {
+            self.transport.assert_totals();
+            let bracha: usize = self
+                .states
+                .iter()
+                .map(|(content, s)| {
+                    content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3
+                })
+                .sum();
+            (
+                bracha + self.transport.walk_state().0,
+                RcTransport::stored_paths(&self.transport),
+            )
+        }
+    }
     use brb_graph::{generate, Graph};
 
     fn routed_system(graph: &Graph, f: usize) -> Vec<BrachaRoutedDolev> {
@@ -443,14 +481,14 @@ mod tests {
     }
 
     /// Synchronously drives processes to quiescence, dropping messages from/to `byzantine`.
-    fn run<P: Protocol>(
+    fn run<P: WalkState + Clone>(
         processes: &mut [P],
         source: ProcessId,
         payload: Payload,
         byzantine: &[ProcessId],
     ) {
         let mut queue: Vec<(ProcessId, Action<P::Message>)> = processes[source]
-            .broadcast(payload)
+            .broadcast_checked(payload)
             .into_iter()
             .map(|a| (source, a))
             .collect();
@@ -459,10 +497,13 @@ mod tests {
                 if byzantine.contains(&sender) || byzantine.contains(&to) {
                     continue;
                 }
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
+        }
+        for p in processes.iter() {
+            p.clone().assert_totals();
         }
     }
 
@@ -526,7 +567,7 @@ mod tests {
             route: vec![2, 1],
             position: 1,
         };
-        let actions = p.handle_message(2, msg);
+        let actions = p.handle_checked(2, msg);
         // The RC layer delivers (origin 2 sent directly), but Bracha discards the SEND, so
         // no echo is originated and nothing is delivered.
         assert!(actions.iter().all(|a| a.as_delivery().is_none()));
@@ -544,7 +585,7 @@ mod tests {
             route: vec![0, 1],
             position: 1,
         };
-        let actions = p.handle_message(0, msg);
+        let actions = p.handle_checked(0, msg);
         assert!(actions.iter().all(|a| a.as_delivery().is_none()));
         assert!(p.deliveries().is_empty());
     }
@@ -602,7 +643,7 @@ mod tests {
             .map(|(o, s)| ready(o, s))
             .collect();
         for m in replays.clone() {
-            p.handle_message(m.origin, m);
+            p.handle_checked(m.origin, m);
         }
         assert_eq!(p.deliveries().len(), 1);
         // Unrelated malformed RC traffic elapses the 2-event retention window.
@@ -614,7 +655,7 @@ mod tests {
                 route: vec![2, 1],
                 position: 1,
             };
-            p.handle_message(2, pad);
+            p.handle_checked(2, pad);
         }
         assert!(
             <BrachaOverRc<RoutedDolev> as Protocol>::gc_retired(&p) >= 1,
@@ -623,7 +664,7 @@ mod tests {
         let baseline = p.state_bytes();
         // Replaying the entire READY quorum resurrects nothing and re-delivers nothing.
         for m in replays {
-            let actions = p.handle_message(m.origin, m);
+            let actions = p.handle_checked(m.origin, m);
             assert!(actions.iter().all(|a| a.as_delivery().is_none()));
         }
         assert_eq!(p.deliveries().len(), 1, "no duplicate delivery");

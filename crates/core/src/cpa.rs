@@ -21,6 +21,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
+use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::protocol::{ActionBuf, Protocol};
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
@@ -49,6 +50,33 @@ struct CpaState {
     relayed: bool,
 }
 
+impl CpaState {
+    /// Memory proxy of one tracked content — the CPA analogue of the Sec. 7.3 figures:
+    /// the buffered payload bytes (held by the `Content` key), the witness set and the
+    /// two booleans. CPA never stores multi-hop paths; each witness certifies one
+    /// length-one transmission path from a neighbor, so the witnesses are what the path
+    /// counter reports.
+    fn footprint(&self, content: &Content) -> Footprint {
+        Footprint::new(
+            content.payload.len() + 8 * self.witnesses.len() + 2,
+            self.witnesses.len(),
+        )
+    }
+}
+
+/// Looks up the state of `content`, creating (and counting) it on first sight.
+fn state_entry<'a>(
+    states: &'a mut HashMap<Content, CpaState>,
+    total: &mut Footprint,
+    content: &Content,
+) -> &'a mut CpaState {
+    states.entry(content.clone()).or_insert_with(|| {
+        let fresh = CpaState::default();
+        total.add(fresh.footprint(content));
+        fresh
+    })
+}
+
 /// One process running the Certified Propagation Algorithm in the `t`-locally bounded
 /// fault model.
 #[derive(Debug, Clone)]
@@ -58,6 +86,8 @@ pub struct CpaProcess {
     t_local: usize,
     neighbors: Vec<ProcessId>,
     states: HashMap<Content, CpaState>,
+    /// Running sum of [`CpaState::footprint`] over `states`.
+    footprint: Footprint,
     deliveries: Vec<Delivery>,
     next_seq: u32,
     gc: GcState,
@@ -72,6 +102,7 @@ impl CpaProcess {
             t_local,
             neighbors,
             states: HashMap::new(),
+            footprint: Footprint::ZERO,
             deliveries: Vec::new(),
             next_seq: 0,
             gc: GcState::new(GcPolicy::DISABLED),
@@ -84,7 +115,13 @@ impl CpaProcess {
     /// marker alone keeps rejecting late frames for the retired id.
     fn run_gc(&mut self) {
         for id in self.gc.due() {
-            self.states.retain(|content, _| content.id != id);
+            self.states.retain(|content, state| {
+                let keep = content.id != id;
+                if !keep {
+                    self.footprint.remove(state.footprint(content));
+                }
+                keep
+            });
             self.tracer
                 .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
         }
@@ -104,7 +141,7 @@ impl CpaProcess {
         if self.gc.is_retired(content.id) {
             return;
         }
-        let state = self.states.entry(content.clone()).or_default();
+        let state = state_entry(&mut self.states, &mut self.footprint, content);
         if !state.delivered {
             state.delivered = true;
             self.tracer.emit(
@@ -167,7 +204,7 @@ impl CpaProcess {
             );
             return;
         }
-        let state = self.states.entry(content.clone()).or_default();
+        let state = state_entry(&mut self.states, &mut self.footprint, &content);
         if state.delivered {
             return;
         }
@@ -176,7 +213,9 @@ impl CpaProcess {
             self.deliver_and_relay(&content, actions);
             return;
         }
+        let before = state.footprint(&content);
         state.witnesses.insert(from);
+        self.footprint.settle(before, state.footprint(&content));
         if state.witnesses.len() > self.t_local {
             self.deliver_and_relay(&content, actions);
         }
@@ -240,20 +279,11 @@ impl Protocol for CpaProcess {
     }
 
     fn state_bytes(&self) -> usize {
-        // Per tracked content: the buffered payload bytes (held by the `Content` key),
-        // the witness set, and the two booleans — the CPA analogue of the Sec. 7.3
-        // memory proxy.
-        self.states
-            .iter()
-            .map(|(content, s)| content.payload.len() + 8 * s.witnesses.len() + 2)
-            .sum()
+        self.footprint.bytes
     }
 
     fn stored_paths(&self) -> usize {
-        // CPA never stores multi-hop paths; its per-content witness records play the
-        // same memory role (each witness certifies one length-one transmission path from
-        // a neighbor), so they are what the Sec. 7.3 path counter reports.
-        self.states.values().map(|s| s.witnesses.len()).sum()
+        self.footprint.paths
     }
 
     fn set_gc_policy(&mut self, policy: GcPolicy) {
@@ -276,6 +306,20 @@ impl Protocol for CpaProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::check::{Checked, WalkState};
+
+    /// The walk the running totals replaced: every tracked content and its witnesses.
+    impl WalkState for CpaProcess {
+        fn walk_state(&self) -> (usize, usize) {
+            let bytes = self
+                .states
+                .iter()
+                .map(|(content, s)| content.payload.len() + 8 * s.witnesses.len() + 2)
+                .sum();
+            let paths = self.states.values().map(|s| s.witnesses.len()).sum();
+            (bytes, paths)
+        }
+    }
     use brb_graph::{generate, Graph};
 
     fn run_broadcast(
@@ -289,7 +333,7 @@ mod tests {
             .map(|i| CpaProcess::new(i, t, graph.neighbors_vec(i)))
             .collect();
         let mut queue: Vec<(ProcessId, Action<CpaMessage>)> = processes[source]
-            .broadcast(Payload::from("cpa"))
+            .broadcast_checked(Payload::from("cpa"))
             .into_iter()
             .map(|a| (source, a))
             .collect();
@@ -298,10 +342,13 @@ mod tests {
                 if byzantine.contains(&to) || byzantine.contains(&sender) {
                     continue;
                 }
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
+        }
+        for p in &processes {
+            p.clone().assert_totals();
         }
         processes
     }
@@ -332,11 +379,11 @@ mod tests {
         let mut p = CpaProcess::new(0, 2, vec![1, 2, 3, 4]);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
         let msg = CpaMessage { content };
-        assert!(p.handle_message(1, msg.clone()).is_empty());
-        assert!(p.handle_message(2, msg.clone()).is_empty());
+        assert!(p.handle_checked(1, msg.clone()).is_empty());
+        assert!(p.handle_checked(2, msg.clone()).is_empty());
         // Repeated witness does not count twice.
-        assert!(p.handle_message(2, msg.clone()).is_empty());
-        let actions = p.handle_message(3, msg);
+        assert!(p.handle_checked(2, msg.clone()).is_empty());
+        let actions = p.handle_checked(3, msg);
         assert!(actions.iter().any(|a| a.as_delivery().is_some()));
         assert_eq!(p.deliveries().len(), 1);
         assert_eq!(p.witness_threshold(), 3);
@@ -346,7 +393,7 @@ mod tests {
     fn direct_reception_from_source_delivers_immediately() {
         let mut p = CpaProcess::new(1, 3, vec![0, 2]);
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
-        let actions = p.handle_message(0, CpaMessage { content });
+        let actions = p.handle_checked(0, CpaMessage { content });
         assert!(actions.iter().any(|a| a.as_delivery().is_some()));
         // Relays to all neighbors exactly once.
         let sends = actions.iter().filter(|a| a.as_delivery().is_none()).count();
@@ -358,20 +405,20 @@ mod tests {
         let mut p = CpaProcess::new(0, 2, vec![1, 2, 3, 4]);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("forged"));
         // Only t = 2 Byzantine neighbors vouch for a content the source never sent.
-        p.handle_message(
+        p.handle_checked(
             1,
             CpaMessage {
                 content: content.clone(),
             },
         );
-        p.handle_message(2, CpaMessage { content });
+        p.handle_checked(2, CpaMessage { content });
         assert!(p.deliveries().is_empty());
     }
 
     #[test]
     fn source_delivers_its_own_broadcast_and_relays_once() {
         let mut p = CpaProcess::new(3, 1, vec![0, 1]);
-        let actions = p.broadcast(Payload::from("a"));
+        let actions = p.broadcast_checked(Payload::from("a"));
         assert_eq!(
             actions.iter().filter(|a| a.as_delivery().is_some()).count(),
             1
@@ -398,7 +445,7 @@ mod tests {
         p.set_gc_policy(GcPolicy::after_events(1));
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // Direct reception from the source: delivered, retention window opens.
-        p.handle_message(
+        p.handle_checked(
             0,
             CpaMessage {
                 content: content.clone(),
@@ -407,13 +454,13 @@ mod tests {
         assert_eq!(p.deliveries().len(), 1);
         // One further event elapses the window (the pad is an undelivered witness).
         let pad = Content::new(BroadcastId::new(2, 0), Payload::from("pad"));
-        p.handle_message(3, CpaMessage { content: pad });
+        p.handle_checked(3, CpaMessage { content: pad });
         assert_eq!(p.gc_retired(), 1);
         let base = p.state_bytes();
         // A full witness quorum replayed for the retired id must not re-deliver or
         // recreate witness state.
         for from in [2, 3] {
-            let actions = p.handle_message(
+            let actions = p.handle_checked(
                 from,
                 CpaMessage {
                     content: content.clone(),
@@ -430,7 +477,7 @@ mod tests {
         let mut p = CpaProcess::new(0, 5, vec![1, 2, 3]);
         let before = p.state_bytes();
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
-        p.handle_message(1, CpaMessage { content });
+        p.handle_checked(1, CpaMessage { content });
         assert!(p.state_bytes() > before);
         assert_eq!(p.t_local(), 5);
     }

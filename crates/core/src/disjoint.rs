@@ -39,6 +39,9 @@ pub struct DisjointPathTracker {
     combos: HashMap<PathSet, usize>,
     /// All distinct paths received so far (used to avoid re-adding duplicates).
     paths: Vec<PathSet>,
+    /// Running footprint of `paths` (see [`path_footprint`]), so the memory proxy never
+    /// re-walks them.
+    path_bytes: usize,
     /// Paths received per relaying neighbor (kept for introspection / statistics).
     per_neighbor: HashMap<ProcessId, usize>,
     /// Best number of pairwise disjoint paths found so far.
@@ -70,6 +73,7 @@ impl DisjointPathTracker {
         Self {
             combos,
             paths: Vec::new(),
+            path_bytes: 0,
             per_neighbor: HashMap::new(),
             best: 0,
             direct: false,
@@ -137,6 +141,7 @@ impl DisjointPathTracker {
             return self.best_disjoint();
         }
         *self.per_neighbor.entry(via).or_insert(0) += 1;
+        self.path_bytes += path_footprint(&path);
         self.paths.push(path.clone());
 
         // Combine the new path with every memoized combination it is disjoint from.
@@ -174,22 +179,31 @@ impl DisjointPathTracker {
     pub fn clear_paths(&mut self) {
         self.paths.clear();
         self.paths.shrink_to_fit();
+        self.path_bytes = 0;
         self.combos.clear();
         self.combos.shrink_to_fit();
         self.per_neighbor.clear();
     }
 
     /// Approximate number of bytes of protocol state held by this tracker (used by the
-    /// Sec. 7.3 memory-consumption proxy).
+    /// Sec. 7.3 memory-consumption proxy). Constant time: the path share is a running
+    /// total.
     pub fn approx_memory_bytes(&self) -> usize {
-        let path_bytes: usize = self
-            .paths
-            .iter()
-            .map(|p| 8 * ((p.to_vec().len() / 64) + 1))
-            .sum();
-        let combo_bytes = self.combos.len() * 24;
-        path_bytes + combo_bytes
+        self.path_bytes + 24 * self.combos.len()
     }
+
+    /// Reference for [`DisjointPathTracker::approx_memory_bytes`]: the same figure
+    /// recomputed from every stored path.
+    #[cfg(test)]
+    pub(crate) fn walk_memory_bytes(&self) -> usize {
+        self.paths.iter().map(path_footprint).sum::<usize>() + 24 * self.combos.len()
+    }
+}
+
+/// Bytes one stored path accounts for in the memory proxy: one 64-bit word per 64
+/// members, rounded up past the last full word.
+fn path_footprint(path: &PathSet) -> usize {
+    8 * (path.len() / 64 + 1)
 }
 
 #[cfg(test)]
@@ -306,6 +320,31 @@ mod tests {
         // Even when saturated, reported counts never exceed the true optimum.
         assert!(t.best_disjoint() <= 3);
         assert!(t.best_disjoint() >= 1);
+    }
+
+    #[test]
+    fn running_memory_total_matches_the_per_path_walk() {
+        let mut t = DisjointPathTracker::with_max_combinations(2);
+        assert_eq!(t.approx_memory_bytes(), t.walk_memory_bytes());
+        // Adds (one path spanning a second 64-bit word), a duplicate, and saturation of
+        // the combination memo at the third distinct path.
+        for (path, via) in [
+            (ps(&[1]), 1),
+            (ps(&[2, 70, 130]), 2),
+            (ps(&[1]), 1),
+            (ps(&[3]), 3),
+            (PathSet::from_iter_ids(0..64), 9),
+        ] {
+            t.add_path(path, via);
+            assert_eq!(t.approx_memory_bytes(), t.walk_memory_bytes());
+        }
+        assert!(t.is_saturated());
+        assert_eq!(t.path_count(), 4);
+        assert_eq!(t.approx_memory_bytes(), 8 + 8 + 8 + 16 + 24 * 2);
+        assert_eq!(t.clone().approx_memory_bytes(), t.approx_memory_bytes());
+        t.clear_paths();
+        assert_eq!(t.approx_memory_bytes(), 0);
+        assert_eq!(t.walk_memory_bytes(), 0);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::MdFlags;
 use crate::disjoint::DisjointPathTracker;
+use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
@@ -68,6 +69,28 @@ impl InstanceState {
             neighbors_delivered: BTreeSet::new(),
         }
     }
+
+    /// Memory proxy of this instance: the tracker's paths and combinations plus the
+    /// delivered-neighbor set.
+    fn footprint(&self) -> Footprint {
+        Footprint::new(
+            self.tracker.approx_memory_bytes() + 8 * self.neighbors_delivered.len(),
+            self.tracker.path_count(),
+        )
+    }
+}
+
+/// Looks up the instance of `content`, creating (and counting) it on first sight.
+fn instance_entry<'a>(
+    instances: &'a mut HashMap<Content, InstanceState>,
+    total: &mut Footprint,
+    content: &Content,
+) -> &'a mut InstanceState {
+    instances.entry(content.clone()).or_insert_with(|| {
+        let fresh = InstanceState::new();
+        total.add(fresh.footprint());
+        fresh
+    })
 }
 
 /// One process running Dolev's reliable-communication protocol on an unknown topology.
@@ -78,6 +101,8 @@ pub struct DolevProcess {
     neighbors: Vec<ProcessId>,
     md: MdFlags,
     instances: HashMap<Content, InstanceState>,
+    /// Running sum of [`InstanceState::footprint`] over `instances`.
+    footprint: Footprint,
     deliveries: Vec<Delivery>,
     next_seq: u32,
     gc: GcState,
@@ -93,6 +118,7 @@ impl DolevProcess {
             neighbors,
             md,
             instances: HashMap::new(),
+            footprint: Footprint::ZERO,
             deliveries: Vec::new(),
             next_seq: 0,
             gc: GcState::new(GcPolicy::DISABLED),
@@ -103,7 +129,13 @@ impl DolevProcess {
     /// Prunes the state of every instance whose retention window elapsed.
     fn run_gc(&mut self) {
         for id in self.gc.due() {
-            self.instances.retain(|content, _| content.id != id);
+            self.instances.retain(|content, state| {
+                let keep = content.id != id;
+                if !keep {
+                    self.footprint.remove(state.footprint());
+                }
+                keep
+            });
             self.tracer
                 .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
         }
@@ -121,10 +153,7 @@ impl DolevProcess {
 
     /// Number of paths currently stored across all contents (memory proxy, Sec. 7.3).
     pub fn stored_paths(&self) -> usize {
-        self.instances
-            .values()
-            .map(|i| i.tracker.path_count())
-            .sum()
+        self.footprint.paths
     }
 
     fn deliver(
@@ -162,10 +191,7 @@ impl DolevProcess {
             ));
         }
         // The source delivers its own message immediately (Algorithm 2, lines 12–13).
-        let state = self
-            .instances
-            .entry(content.clone())
-            .or_insert_with(InstanceState::new);
+        let state = instance_entry(&mut self.instances, &mut self.footprint, &content);
         Self::deliver(&content, state, &mut self.deliveries, actions);
         state.relayed_empty = true;
         self.gc.on_delivered(id);
@@ -193,69 +219,77 @@ impl DolevProcess {
             );
             return;
         }
-        let state = self
-            .instances
-            .entry(content.clone())
-            .or_insert_with(InstanceState::new);
-
-        // An empty path received from a process other than the source signals that this
-        // neighbor has delivered the content (it applied MD.2).
-        if message.path.is_empty() && from != source {
-            state.neighbors_delivered.insert(from);
-        }
-
-        // MD.4: ignore paths that contain the label of a neighbor known to have delivered.
-        if self.md.md4
-            && message
-                .path
-                .iter()
-                .any(|p| state.neighbors_delivered.contains(p))
-        {
-            return;
-        }
-
-        // Intermediate nodes of the claimed route: traversed labels plus the relaying
-        // neighbor, minus the source and ourselves.
-        let mut intermediate = PathSet::from_iter_ids(message.path.iter().copied());
-        intermediate.insert(from);
-        intermediate.remove(source);
-        intermediate.remove(self.id);
-        let direct = from == source;
-
-        let was_delivered = state.delivered;
-        if !was_delivered {
-            if direct {
-                state.tracker.record_direct();
-            } else {
-                state.tracker.add_path(intermediate.clone(), from);
+        let state = instance_entry(&mut self.instances, &mut self.footprint, &content);
+        let before = state.footprint();
+        // Everything that changes the instance's footprint happens in this block, so it
+        // is settled once after it: yields whether the instance was already delivered, or
+        // `None` when MD.4 discards the path.
+        let absorbed = 'absorb: {
+            // An empty path received from a process other than the source signals that
+            // this neighbor has delivered the content (it applied MD.2).
+            if message.path.is_empty() && from != source {
+                state.neighbors_delivered.insert(from);
             }
-            self.tracer.emit(
-                self.id,
-                content.id.source,
-                content.id.seq,
-                brb_trace::TraceEventKind::PathAccumulated {
-                    paths: state.tracker.path_count(),
-                },
-            );
-            let threshold_met = state.tracker.reaches(self.f + 1);
-            let md1_delivery = self.md.md1 && direct;
-            if threshold_met {
+
+            // MD.4: ignore paths that contain the label of a neighbor known to have
+            // delivered.
+            if self.md.md4
+                && message
+                    .path
+                    .iter()
+                    .any(|p| state.neighbors_delivered.contains(p))
+            {
+                break 'absorb None;
+            }
+
+            // Intermediate nodes of the claimed route: traversed labels plus the relaying
+            // neighbor, minus the source and ourselves.
+            let mut intermediate = PathSet::from_iter_ids(message.path.iter().copied());
+            intermediate.insert(from);
+            intermediate.remove(source);
+            intermediate.remove(self.id);
+            let direct = from == source;
+
+            let was_delivered = state.delivered;
+            if !was_delivered {
+                if direct {
+                    state.tracker.record_direct();
+                } else {
+                    state.tracker.add_path(intermediate, from);
+                }
                 self.tracer.emit(
                     self.id,
                     content.id.source,
                     content.id.seq,
-                    brb_trace::TraceEventKind::DisjointReached {
-                        disjoint: self.f + 1,
+                    brb_trace::TraceEventKind::PathAccumulated {
+                        paths: state.tracker.path_count(),
                     },
                 );
-            }
-            if threshold_met || md1_delivery {
-                Self::deliver(&content, state, &mut self.deliveries, actions);
-                if self.md.md2 {
-                    state.tracker.clear_paths();
+                let threshold_met = state.tracker.reaches(self.f + 1);
+                let md1_delivery = self.md.md1 && direct;
+                if threshold_met {
+                    self.tracer.emit(
+                        self.id,
+                        content.id.source,
+                        content.id.seq,
+                        brb_trace::TraceEventKind::DisjointReached {
+                            disjoint: self.f + 1,
+                        },
+                    );
+                }
+                if threshold_met || md1_delivery {
+                    Self::deliver(&content, state, &mut self.deliveries, actions);
+                    if self.md.md2 {
+                        state.tracker.clear_paths();
+                    }
                 }
             }
-        }
+            Some(was_delivered)
+        };
+        self.footprint.settle(before, state.footprint());
+        let Some(was_delivered) = absorbed else {
+            return;
+        };
 
         // Relay logic.
         let newly_delivered = state.delivered && !was_delivered;
@@ -378,10 +412,7 @@ impl Protocol for DolevProcess {
     }
 
     fn state_bytes(&self) -> usize {
-        self.instances
-            .values()
-            .map(|i| i.tracker.approx_memory_bytes() + 8 * i.neighbors_delivered.len())
-            .sum()
+        self.footprint.bytes
     }
 
     fn stored_paths(&self) -> usize {
@@ -408,7 +439,25 @@ impl Protocol for DolevProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::check::{Checked, WalkState};
     use brb_graph::{generate, Graph};
+
+    /// The walk the running totals replaced: every instance and every stored path.
+    impl WalkState for DolevProcess {
+        fn walk_state(&self) -> (usize, usize) {
+            let bytes = self
+                .instances
+                .values()
+                .map(|i| i.tracker.walk_memory_bytes() + 8 * i.neighbors_delivered.len())
+                .sum();
+            let paths = self
+                .instances
+                .values()
+                .map(|i| i.tracker.path_count())
+                .sum();
+            (bytes, paths)
+        }
+    }
 
     /// Synchronously floods all messages between processes built on `graph`, starting from
     /// a broadcast by `source`, with no Byzantine processes.
@@ -418,7 +467,7 @@ mod tests {
             .map(|i| DolevProcess::new(i, f, graph.neighbors_vec(i), md))
             .collect();
         let mut queue: Vec<(ProcessId, Action<DolevMessage>)> = processes[source]
-            .broadcast(Payload::from("payload"))
+            .broadcast_checked(Payload::from("payload"))
             .into_iter()
             .map(|a| (source, a))
             .collect();
@@ -430,10 +479,13 @@ mod tests {
                 "message explosion: protocol did not quiesce"
             );
             if let Action::Send { to, message } = action {
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
+        }
+        for p in &processes {
+            p.clone().assert_totals();
         }
         processes
     }
@@ -472,7 +524,7 @@ mod tests {
                 .map(|i| DolevProcess::new(i, 1, g.neighbors_vec(i), md))
                 .collect();
             let mut queue: Vec<(ProcessId, Action<DolevMessage>)> = processes[0]
-                .broadcast(Payload::from("m"))
+                .broadcast_checked(Payload::from("m"))
                 .into_iter()
                 .map(|a| (0, a))
                 .collect();
@@ -480,7 +532,7 @@ mod tests {
             while let Some((sender, action)) = queue.pop() {
                 if let Action::Send { to, message } = action {
                     messages += 1;
-                    for a in processes[to].handle_message(sender, message) {
+                    for a in processes[to].handle_checked(sender, message) {
                         queue.push((to, a));
                     }
                 }
@@ -499,7 +551,7 @@ mod tests {
     fn direct_reception_with_md1_delivers_immediately() {
         let mut p = DolevProcess::new(1, 2, vec![0, 2], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
-        let actions = p.handle_message(
+        let actions = p.handle_checked(
             0,
             DolevMessage {
                 content: content.clone(),
@@ -514,7 +566,7 @@ mod tests {
     fn direct_reception_without_md1_does_not_suffice_when_f_positive() {
         let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::none());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
-        let actions = p.handle_message(
+        let actions = p.handle_checked(
             0,
             DolevMessage {
                 content: content.clone(),
@@ -523,7 +575,7 @@ mod tests {
         );
         assert!(actions.iter().all(|a| a.as_delivery().is_none()));
         // A second, disjoint path completes the f+1 = 2 requirement.
-        let actions = p.handle_message(
+        let actions = p.handle_checked(
             2,
             DolevMessage {
                 content,
@@ -542,7 +594,7 @@ mod tests {
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("forged"));
         for fake in 0..20 {
             for byz in [5usize, 6] {
-                p.handle_message(
+                p.handle_checked(
                     byz,
                     DolevMessage {
                         content: content.clone(),
@@ -559,7 +611,7 @@ mod tests {
         let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // Neighbor 2 tells us it delivered (empty path, not the source).
-        p.handle_message(
+        p.handle_checked(
             2,
             DolevMessage {
                 content: content.clone(),
@@ -567,7 +619,7 @@ mod tests {
             },
         );
         // Now a relayed path arrives from 3; the relays must avoid neighbor 2.
-        let actions = p.handle_message(
+        let actions = p.handle_checked(
             3,
             DolevMessage {
                 content: content.clone(),
@@ -585,14 +637,14 @@ mod tests {
     fn md4_ignores_paths_containing_delivered_neighbors() {
         let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
-        p.handle_message(
+        p.handle_checked(
             2,
             DolevMessage {
                 content: content.clone(),
                 path: vec![],
             },
         );
-        let actions = p.handle_message(
+        let actions = p.handle_checked(
             3,
             DolevMessage {
                 content,
@@ -611,7 +663,7 @@ mod tests {
         <DolevProcess as Protocol>::set_gc_policy(&mut p, GcPolicy::after_events(2));
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // MD.1 direct reception delivers immediately and opens the retention window.
-        p.handle_message(
+        p.handle_checked(
             0,
             DolevMessage {
                 content: content.clone(),
@@ -622,7 +674,7 @@ mod tests {
         // Unrelated traffic elapses the 2-event window and retires the instance.
         let other = Content::new(BroadcastId::new(2, 5), Payload::from("pad"));
         for _ in 0..2 {
-            p.handle_message(
+            p.handle_checked(
                 3,
                 DolevMessage {
                     content: other.clone(),
@@ -634,7 +686,7 @@ mod tests {
         let baseline = <DolevProcess as Protocol>::state_bytes(&p);
         // Replayed frames for the retired instance are dropped without any effect.
         for from in [0usize, 2, 3] {
-            let actions = p.handle_message(
+            let actions = p.handle_checked(
                 from,
                 DolevMessage {
                     content: content.clone(),
@@ -661,7 +713,7 @@ mod tests {
             BroadcastId::new(0, 0),
             processes[0].deliveries()[0].payload.clone(),
         );
-        let actions = processes[5].handle_message(
+        let actions = processes[5].handle_checked(
             6,
             DolevMessage {
                 content,
@@ -674,9 +726,9 @@ mod tests {
     #[test]
     fn source_delivers_its_own_broadcast_once() {
         let mut p = DolevProcess::new(4, 1, vec![0, 1], MdFlags::all());
-        let a1 = p.broadcast(Payload::from("a"));
+        let a1 = p.broadcast_checked(Payload::from("a"));
         assert_eq!(a1.iter().filter(|a| a.as_delivery().is_some()).count(), 1);
-        let a2 = p.broadcast(Payload::from("b"));
+        let a2 = p.broadcast_checked(Payload::from("b"));
         assert_eq!(a2.iter().filter(|a| a.as_delivery().is_some()).count(), 1);
         assert_eq!(p.deliveries().len(), 2);
         assert_eq!(p.deliveries()[0].id, BroadcastId::new(4, 0));
@@ -700,7 +752,7 @@ mod tests {
         assert_eq!(p.stored_paths(), 0);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
         for via in 1..6 {
-            p.handle_message(
+            p.handle_checked(
                 via,
                 DolevMessage {
                     content: content.clone(),

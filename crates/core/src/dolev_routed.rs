@@ -27,6 +27,7 @@ use std::sync::Arc;
 use brb_graph::paths::k_disjoint_routes;
 use brb_graph::Graph;
 
+use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::protocol::{ActionBuf, Protocol};
 use crate::rc::{RcDelivery, RcTransport};
@@ -79,6 +80,16 @@ struct RouteInstance {
     delivered: bool,
 }
 
+impl RouteInstance {
+    /// Memory proxy of this instance: each candidate payload and, per route that
+    /// carried it, one 8-byte vote (the routed analogue of a stored path).
+    fn footprint(&self) -> Footprint {
+        let votes: usize = self.votes.values().map(BTreeSet::len).sum();
+        let payloads: usize = self.votes.keys().map(Payload::len).sum();
+        Footprint::new(payloads + 8 * votes, votes)
+    }
+}
+
 /// One process running the known-topology (routed) variant of Dolev's protocol.
 #[derive(Debug, Clone)]
 pub struct RoutedDolev {
@@ -92,6 +103,9 @@ pub struct RoutedDolev {
     /// deterministic on the shared topology.
     routes: HashMap<(ProcessId, ProcessId), Vec<Vec<ProcessId>>>,
     instances: HashMap<(ProcessId, u32), RouteInstance>,
+    /// Running memory proxy: [`RouteInstance::footprint`] over `instances`, plus 8 bytes
+    /// per hop of every route cached in `routes`.
+    footprint: Footprint,
     next_seq: u32,
     deliveries: Vec<Delivery>,
     gc: GcState,
@@ -113,6 +127,7 @@ impl RoutedDolev {
             graph,
             routes: HashMap::new(),
             instances: HashMap::new(),
+            footprint: Footprint::ZERO,
             next_seq: 0,
             deliveries: Vec::new(),
             gc: GcState::new(GcPolicy::DISABLED),
@@ -123,7 +138,9 @@ impl RoutedDolev {
     /// `routes` cache is topology-static (bounded by the node count), so it is kept.
     fn run_gc(&mut self) {
         for id in self.gc.due() {
-            self.instances.remove(&(id.source, id.seq));
+            if let Some(retired) = self.instances.remove(&(id.source, id.seq)) {
+                self.footprint.remove(retired.footprint());
+            }
         }
     }
 
@@ -140,10 +157,13 @@ impl RoutedDolev {
     /// The predefined routes from `origin` to `destination` (computed on first use).
     fn routes_for(&mut self, origin: ProcessId, destination: ProcessId) -> Vec<Vec<ProcessId>> {
         let k = self.routes_per_destination();
-        let graph = &self.graph;
         self.routes
             .entry((origin, destination))
-            .or_insert_with(|| k_disjoint_routes(graph, origin, destination, k))
+            .or_insert_with(|| {
+                let routes = k_disjoint_routes(&self.graph, origin, destination, k);
+                self.footprint.bytes += routes.iter().map(|r| 8 * r.len()).sum::<usize>();
+                routes
+            })
             .clone()
     }
 
@@ -247,27 +267,11 @@ impl RcTransport for RoutedDolev {
     }
 
     fn state_bytes(&self) -> usize {
-        let votes: usize = self
-            .instances
-            .values()
-            .flat_map(|i| i.votes.iter())
-            .map(|(payload, routes)| payload.len() + 8 * routes.len())
-            .sum();
-        let routes: usize = self
-            .routes
-            .values()
-            .flat_map(|rs| rs.iter())
-            .map(|r| 8 * r.len())
-            .sum();
-        votes + routes
+        self.footprint.bytes
     }
 
     fn stored_paths(&self) -> usize {
-        self.instances
-            .values()
-            .flat_map(|i| i.votes.values())
-            .map(BTreeSet::len)
-            .sum()
+        self.footprint.paths
     }
 
     fn set_gc_policy(&mut self, policy: GcPolicy) {
@@ -332,8 +336,19 @@ impl RoutedDolev {
         if instance.delivered {
             return Vec::new();
         }
-        let votes = instance.votes.entry(message.payload.clone()).or_default();
-        votes.insert(route_index);
+        let mut grown = Footprint::ZERO;
+        let votes = instance
+            .votes
+            .entry(message.payload.clone())
+            .or_insert_with(|| {
+                grown.bytes += message.payload.len();
+                BTreeSet::new()
+            });
+        if votes.insert(route_index) {
+            grown.bytes += 8;
+            grown.paths += 1;
+        }
+        self.footprint.add(grown);
         if votes.len() >= threshold {
             return self
                 .record_delivery(message.origin, message.seq, message.payload)
@@ -444,6 +459,33 @@ impl Protocol for RoutedDolev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::check::{Checked, WalkState};
+
+    /// The walk the running totals replaced: every vote of every instance plus the
+    /// cached route table.
+    impl WalkState for RoutedDolev {
+        fn walk_state(&self) -> (usize, usize) {
+            let votes: usize = self
+                .instances
+                .values()
+                .flat_map(|i| i.votes.iter())
+                .map(|(payload, routes)| payload.len() + 8 * routes.len())
+                .sum();
+            let routes: usize = self
+                .routes
+                .values()
+                .flat_map(|rs| rs.iter())
+                .map(|r| 8 * r.len())
+                .sum();
+            let paths = self
+                .instances
+                .values()
+                .flat_map(|i| i.votes.values())
+                .map(BTreeSet::len)
+                .sum();
+            (votes + routes, paths)
+        }
+    }
     use brb_graph::generate;
 
     /// Synchronously drives a set of routed-Dolev processes to quiescence, dropping every
@@ -458,8 +500,15 @@ mod tests {
         let mut processes: Vec<RoutedDolev> = (0..n)
             .map(|i| RoutedDolev::new(i, f, graph.clone()))
             .collect();
+        drive(&mut processes, source, byzantine);
+        processes
+    }
+
+    /// Broadcasts from `source` and floods to quiescence, checking every process's
+    /// running totals against the walk after each event.
+    fn drive(processes: &mut [RoutedDolev], source: ProcessId, byzantine: &[ProcessId]) {
         let mut queue: Vec<(ProcessId, Action<RoutedDolevMessage>)> = processes[source]
-            .broadcast(Payload::from("routed"))
+            .broadcast_checked(Payload::from("routed"))
             .into_iter()
             .map(|a| (source, a))
             .collect();
@@ -468,12 +517,35 @@ mod tests {
                 if byzantine.contains(&sender) || byzantine.contains(&to) {
                     continue;
                 }
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
         }
-        processes
+        for p in processes.iter() {
+            p.clone().assert_totals();
+        }
+    }
+
+    #[test]
+    fn gc_retirement_returns_the_votes_of_the_retired_instance() {
+        let g = generate::figure1_example();
+        let mut processes: Vec<RoutedDolev> = (0..g.node_count())
+            .map(|i| RoutedDolev::new(i, 1, g.clone()))
+            .collect();
+        for p in &mut processes {
+            <RoutedDolev as RcTransport>::set_gc_policy(p, GcPolicy::after_events(4));
+        }
+        drive(&mut processes, 0, &[]);
+        let votes_after_first: usize = processes.iter().map(Protocol::stored_paths).sum();
+        assert!(
+            votes_after_first > 0,
+            "non-neighbors delivered through votes"
+        );
+        // The second broadcast's traffic elapses the first one's retention windows.
+        drive(&mut processes, 3, &[]);
+        assert!(processes.iter().all(|p| Protocol::gc_retired(p) >= 1));
+        assert!(processes.iter().all(|p| p.deliveries().len() == 2));
     }
 
     #[test]
@@ -518,6 +590,9 @@ mod tests {
         let delivered = dest.on_message(3, forged, &mut actions);
         assert!(delivered.is_empty());
         assert!(dest.deliveries().is_empty());
+        // Looking the route up cached (and counted) the predefined routes 0 -> 2.
+        assert!(Protocol::state_bytes(&dest) > 0);
+        dest.assert_totals();
     }
 
     #[test]
@@ -600,14 +675,14 @@ mod tests {
         let mut processes: Vec<RoutedDolev> =
             (0..n).map(|i| RoutedDolev::new(i, 1, g.clone())).collect();
         let mut queue: Vec<(ProcessId, Action<RoutedDolevMessage>)> = processes[0]
-            .broadcast(Payload::filled(0, 16))
+            .broadcast_checked(Payload::filled(0, 16))
             .into_iter()
             .map(|a| (0, a))
             .collect();
         while let Some((sender, action)) = queue.pop() {
             if let Action::Send { to, message } = action {
                 total_messages += 1;
-                for a in processes[to].handle_message(sender, message) {
+                for a in processes[to].handle_checked(sender, message) {
                     queue.push((to, a));
                 }
             }
@@ -625,8 +700,8 @@ mod tests {
     fn repeated_broadcasts_use_increasing_sequence_numbers() {
         let g = generate::complete(4);
         let mut p = RoutedDolev::new(0, 1, g);
-        let _ = p.broadcast(Payload::from("a"));
-        let _ = p.broadcast(Payload::from("b"));
+        let _ = p.broadcast_checked(Payload::from("a"));
+        let _ = p.broadcast_checked(Payload::from("b"));
         assert_eq!(p.deliveries()[0].id, BroadcastId::new(0, 0));
         assert_eq!(p.deliveries()[1].id, BroadcastId::new(0, 1));
     }
@@ -675,6 +750,7 @@ mod tests {
         assert!(actions.is_empty(), "retired frames are not relayed");
         assert_eq!(p.deliveries().len(), 1, "no duplicate delivery");
         assert_eq!(<RoutedDolev as RcTransport>::state_bytes(&p), baseline);
+        p.assert_totals();
     }
 
     #[test]

@@ -78,6 +78,7 @@ pub mod cpa;
 pub mod disjoint;
 pub mod dolev;
 pub mod dolev_routed;
+mod footprint;
 pub mod gc;
 pub mod pathset;
 pub mod protocol;

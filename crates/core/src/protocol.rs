@@ -209,6 +209,10 @@ pub trait Protocol {
     /// Approximate number of bytes of protocol state currently held (stored paths,
     /// memoized path combinations, buffered payloads). Used as the memory-consumption
     /// proxy of Sec. 7.3.
+    ///
+    /// Hosts read this (and [`Protocol::stored_paths`]) after every event, so
+    /// implementations answer from running totals in constant time rather than by
+    /// walking their state.
     fn state_bytes(&self) -> usize {
         0
     }

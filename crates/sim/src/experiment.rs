@@ -374,28 +374,14 @@ where
     };
     let latency_ms =
         (stats.injected > 0 && stats.completed == stats.injected).then_some(stats.duration_ms);
-    let peak_stored_paths = sim
-        .processes()
-        .iter()
-        .map(|p| Protocol::stored_paths(p))
-        .max()
-        .unwrap_or(0)
-        .max(sim.metrics().peak_stored_paths);
-    let peak_state_bytes = sim
-        .processes()
-        .iter()
-        .map(|p| p.state_bytes())
-        .max()
-        .unwrap_or(0)
-        .max(sim.metrics().peak_state_bytes);
     let result = ExperimentResult {
         latency_ms,
         bytes: sim.metrics().bytes_sent,
         messages: sim.metrics().messages_sent,
         delivered,
         correct: correct.len(),
-        peak_state_bytes,
-        peak_stored_paths,
+        peak_state_bytes: sim.metrics().peak_state_bytes,
+        peak_stored_paths: sim.metrics().peak_stored_paths,
         gc_retired: sim.metrics().gc_retired,
         retained_bytes: sim.metrics().retained_bytes,
         workload: params.workload.is_some().then_some(stats),

@@ -14,7 +14,9 @@
 //! * [`churn::ChurnSpec`] — seeded, serializable churn timelines (link flaps,
 //!   partition/heal, node restart with state loss, per-link asymmetric delay and loss
 //!   overrides) compiled to ordered event lists shared with the live backends;
-//! * [`metrics::RunMetrics`] — latency, network consumption and memory proxies;
+//! * [`metrics::RunMetrics`] — latency, network consumption and memory proxies (the
+//!   Sec. 7.3 peaks are exact: engines answer `state_bytes()` / `stored_paths()` in
+//!   constant time, so the simulator reads them after every handled event);
 //! * [`invariants`] — checkers for the four BRB properties over finished executions, used
 //!   by the integration and property tests of every protocol stack;
 //! * [`experiment`] — the high-level runner the benchmark harnesses use to regenerate the

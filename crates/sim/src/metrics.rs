@@ -6,7 +6,8 @@
 //! * **network consumption** — the total number of bytes put on the links (Table 3
 //!   field accounting);
 //! * **memory consumption** — dominated by the transmission paths stored for disjoint-path
-//!   verification (Sec. 7.3), which the simulator tracks as a peak value.
+//!   verification (Sec. 7.3), which the simulator tracks as a peak value, sampled after
+//!   every handled event.
 //!
 //! All per-kind and per-process tables are ordered maps, so two [`RunMetrics`] values that
 //! compare equal also render to identical [`RunMetrics::canonical_text`] snapshots — the

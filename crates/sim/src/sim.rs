@@ -125,19 +125,6 @@ where
     /// Safety bound on processed events (guards against configuration mistakes that would
     /// otherwise loop forever, e.g. the unoptimized protocol on large dense graphs).
     max_events: usize,
-    /// Sampling stride of the Sec. 7.3 memory proxies: a process's `state_bytes` /
-    /// `stored_paths` are re-measured every `memory_sampling`-th event it is involved
-    /// in. 1 (the default) samples after every event — exact peaks, the single-broadcast
-    /// golden behaviour. Walking a process's whole state per event is `O(in-flight
-    /// broadcasts)`, which under sustained multi-broadcast load dominates the run
-    /// (~7x end to end at 20-60 in-flight), so the workload driver raises the stride;
-    /// peaks stay deterministic, they are just sampled on a coarser (per-process) grid.
-    memory_sampling: usize,
-    /// Per-process event counters driving the sampling grid.
-    events_per_process: Vec<usize>,
-    /// Last `gc_retired` count observed per process: a change forces a memory sample
-    /// regardless of the stride, so GC-driven state drops land on the curve.
-    gc_retired_seen: Vec<u64>,
     /// Compiled churn schedule ([`crate::churn::ChurnSpec::compile`]), consumed in order:
     /// the third event source of [`Simulation::step_batch`], applied *before* same-time
     /// injections and message events (the network reconfigures at the start of the
@@ -198,9 +185,6 @@ where
             metrics: RunMetrics::default(),
             kind_labels: HashMap::new(),
             max_events: 50_000_000,
-            memory_sampling: 1,
-            events_per_process: vec![0; n],
-            gc_retired_seen: vec![0; n],
             churn_events: Vec::new(),
             next_churn: 0,
             link_state: LinkState::new(),
@@ -314,14 +298,6 @@ where
     /// Overrides the event-count safety bound.
     pub fn set_max_events(&mut self, max_events: usize) {
         self.max_events = max_events;
-    }
-
-    /// Overrides the sampling stride of the memory-proxy peaks (see the field docs):
-    /// `1` re-measures a process after every event (exact peaks), `k` after every `k`-th
-    /// event the process is involved in. Peaks remain fully deterministic for any
-    /// stride.
-    pub fn set_memory_sampling(&mut self, every_n_events: usize) {
-        self.memory_sampling = every_n_events.max(1);
     }
 
     /// Identifiers of the processes with [`Behavior::Correct`].
@@ -540,11 +516,8 @@ where
     }
 
     /// Refreshes the end-of-run GC counters in the metrics: total instances retired and
-    /// total protocol-state bytes still retained across all processes.
-    ///
-    /// Walking every process's state is `O(processes x live instances)`, so this runs
-    /// only at quiescence (and wherever a long-running host wants a curve point), never
-    /// on the per-event hot path.
+    /// total protocol-state bytes still retained across all processes. Runs at
+    /// quiescence (and wherever a long-running host wants a curve point).
     pub fn collect_gc_metrics(&mut self) {
         self.metrics.gc_retired = self.processes.iter().map(|p| p.gc_retired()).sum();
         self.metrics.retained_bytes = self.processes.iter().map(|p| p.state_bytes()).sum();
@@ -619,16 +592,12 @@ where
         self.processes[event.to].handle_message_into(event.from, message, &mut actions);
         self.schedule_actions(event.to, &mut actions);
         self.actions = actions;
-        // A GC retirement forces a sample so the state drop lands on the memory curve
-        // even between stride points.
-        let retired = self.processes[event.to].gc_retired();
-        let gc_fired = retired != self.gc_retired_seen[event.to];
-        self.gc_retired_seen[event.to] = retired;
-        self.update_memory_peaks(event.to, gc_fired);
     }
 
+    /// Carries out the actions process `from` produced for one handled event (a message
+    /// or an injection), then samples its memory proxies: the one sample site, so the
+    /// peaks are exact on every run.
     fn schedule_actions(&mut self, from: ProcessId, actions: &mut ActionBuf<P::Message>) {
-        let mut delivered = false;
         for action in actions.drain() {
             match action {
                 Action::Send { to, message } => {
@@ -714,29 +683,12 @@ where
                         delivery.id.seq,
                         brb_trace::TraceEventKind::Delivered,
                     );
-                    delivered = true;
                 }
             }
         }
-        // A delivery is where an instance's state is at its largest: force a sample so
-        // strided sampling never misses the peak (the stride only thins out the
-        // in-between measurements).
-        self.update_memory_peaks(from, delivered);
-    }
-
-    fn update_memory_peaks(&mut self, process: ProcessId, force: bool) {
-        self.events_per_process[process] += 1;
-        if !force && !self.events_per_process[process].is_multiple_of(self.memory_sampling) {
-            return;
-        }
-        let state = self.processes[process].state_bytes();
-        if state > self.metrics.peak_state_bytes {
-            self.metrics.peak_state_bytes = state;
-        }
-        let paths = self.processes[process].stored_paths();
-        if paths > self.metrics.peak_stored_paths {
-            self.metrics.peak_stored_paths = paths;
-        }
+        let process = &self.processes[from];
+        self.metrics.peak_state_bytes = self.metrics.peak_state_bytes.max(process.state_bytes());
+        self.metrics.peak_stored_paths = self.metrics.peak_stored_paths.max(process.stored_paths());
     }
 }
 

@@ -17,12 +17,6 @@ use crate::metrics::RunMetrics;
 use crate::sim::Simulation;
 use crate::time::SimTime;
 
-/// Memory-proxy sampling stride of workload runs: with dozens of broadcasts in flight,
-/// measuring a process's whole state after every event is `O(in-flight)` and dominates
-/// the run (~7x end to end); sampling every 32nd event per process keeps the peaks
-/// deterministic and representative at a fraction of the cost.
-const WORKLOAD_MEMORY_SAMPLING: usize = 32;
-
 /// Runs a full injection schedule through the simulation until quiescence, honoring the
 /// loop mode. Returns the number of injections plus message events processed.
 ///
@@ -31,10 +25,6 @@ const WORKLOAD_MEMORY_SAMPLING: usize = 32;
 /// the broadcast (a crashed source) do not occupy the window. If a broadcast never
 /// completes — an adversarial run losing liveness — admission stalls and the remaining
 /// arrivals are never injected, exactly as a blocked client pool would behave.
-///
-/// Workload runs sample the Sec. 7.3 memory proxies on a stride of
-/// [`WORKLOAD_MEMORY_SAMPLING`] events per process (see
-/// [`Simulation::set_memory_sampling`]).
 pub fn run_workload<P: Protocol>(
     sim: &mut Simulation<P>,
     schedule: &[Injection],
@@ -43,7 +33,6 @@ pub fn run_workload<P: Protocol>(
 where
     P::Message: Eq,
 {
-    sim.set_memory_sampling(WORKLOAD_MEMORY_SAMPLING);
     match mode {
         LoopMode::Open => {
             for injection in schedule {
@@ -228,6 +217,59 @@ mod tests {
         };
         assert_eq!(render(9), render(9));
         assert_ne!(render(9), render(10), "delay seed still matters");
+    }
+
+    #[test]
+    fn workload_peaks_are_the_exact_per_event_maxima() {
+        let spec = WorkloadSpec::poisson(10_000, 16).with_payload_bytes(32);
+        let schedule = spec.schedule(10, 21);
+        let build = || {
+            let graph = generate::figure1_example();
+            let index = NeighborIndex::new(&graph);
+            let config =
+                Config::bdopt_mbd1(10, 1).with_gc(brb_core::gc::GcPolicy::after_events(64));
+            let processes: Vec<BdProcess> = (0..graph.node_count())
+                .map(|i| BdProcess::new(i, config, index.neighbors(i).to_vec()))
+                .collect();
+            // Delays spread over a range wide enough that no two events share an instant.
+            let delay = DelayModel::Uniform {
+                min_micros: 1_000,
+                max_micros: 100_000_000_000,
+            };
+            Simulation::new(processes, delay, 9)
+        };
+        let mut sim = build();
+        run_workload(&mut sim, &schedule, spec.mode);
+        assert!(sim.metrics().gc_retired > 0, "GC ran during the workload");
+
+        // Twin run, stepped from outside: every batch is one event, so reading every
+        // process after each batch observes the state after every single event.
+        let mut twin = build();
+        for injection in &schedule {
+            twin.schedule_broadcast(
+                SimTime::from_micros(injection.at_micros),
+                injection.source,
+                injection.payload.clone(),
+            );
+        }
+        let (mut peak_bytes, mut peak_paths) = (0usize, 0usize);
+        loop {
+            let step = twin.step_batch();
+            if step == 0 {
+                break;
+            }
+            assert_eq!(step, 1, "one event per instant");
+            for p in twin.processes() {
+                peak_bytes = peak_bytes.max(p.state_bytes());
+                peak_paths = peak_paths.max(p.stored_paths());
+            }
+        }
+        assert_eq!(
+            twin.metrics().events_processed,
+            sim.metrics().events_processed
+        );
+        assert_eq!(sim.metrics().peak_state_bytes, peak_bytes);
+        assert_eq!(sim.metrics().peak_stored_paths, peak_paths);
     }
 
     #[test]

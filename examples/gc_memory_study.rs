@@ -10,9 +10,9 @@
 //! behind per-source watermarks, so the residual state is a function of the in-flight
 //! window only — doubling `B` leaves it flat.
 //!
-//! The numbers in the README's "Bounded memory" section come from `--full` (about
-//! five minutes of wall clock, most of it the live backends); the default scale
-//! finishes in seconds and shows the same shape.
+//! The numbers in the README's "Bounded memory" section come from `--full` (under two
+//! minutes of wall clock, most of it the TCP backend); the default scale finishes in
+//! seconds and shows the same shape.
 //!
 //! Run with: `cargo run --release --example gc_memory_study [-- --full]`
 

@@ -28,6 +28,10 @@
 # knee study with batching + sharding on vs off is the separate bench_saturation
 # binary checked below).
 #
+# Last, it builds the out-of-workspace benchmark package (benchmark/, BENCHMARK.json)
+# against the working tree and runs its contract / count / observer tests, so a crate
+# API change that breaks the benchmark fails here rather than in the benchmark pipeline.
+#
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
 
@@ -228,3 +232,14 @@ timeout 600 cargo run --release -p brb-bench --bin trace_validate -- \
     > "$out/stdout_trace_validate.txt"
 
 echo "OK: trace_study causal sequences identical across backends; emitted trace artifacts validate"
+
+# The benchmark package lives outside the workspace (tier-1 neither builds nor tests it)
+# but path-depends on crates/*: build it against the working tree and run the tests that
+# pin BENCHMARK.json to its registries, the simulated workloads' exact counts and the
+# observer-effect freedom of its Timed* wrappers (which implement Protocol / DynEngine
+# by hand, so a changed trait breaks them first).
+timeout 900 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+timeout 900 cargo test --offline --manifest-path benchmark/Cargo.toml \
+    --test contract --test sim_counts --test observer > "$out/stdout_benchmark_tests.txt"
+
+echo "OK: benchmark package builds against the working tree; contract, sim_counts and observer tests pass"

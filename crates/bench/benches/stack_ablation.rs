@@ -81,7 +81,7 @@ fn bench_cpa_stack(c: &mut Criterion) {
     c.bench_function("stack_ablation_bracha_cpa_complete", |b| {
         b.iter(|| {
             let processes: Vec<BrachaOverRc<CpaProcess>> = (0..N)
-                .map(|i| BrachaOverRc::new(N, F, CpaProcess::new(i, F, graph.neighbors_vec(i))))
+                .map(|i| BrachaOverRc::new(N, F, CpaProcess::new(i, N, F, graph.neighbors_vec(i))))
                 .collect();
             let mut sim = Simulation::new(processes, DelayModel::synchronous(), 1);
             sim.broadcast(0, Payload::filled(1, PAYLOAD));

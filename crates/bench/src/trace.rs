@@ -45,7 +45,7 @@ pub struct TraceDropPoint {
     /// Scenario name, the CSV `behavior` column.
     pub scenario: &'static str,
     /// Drop cause label (`loss`, `churn_gate`, `behavior`, `gc_retired`,
-    /// `non_neighbor`).
+    /// `non_neighbor`, `malformed`).
     pub cause: &'static str,
     /// Frames dropped for this cause, summed over all nodes.
     pub dropped: u64,

@@ -30,15 +30,27 @@ use crate::wire::{FieldPresence, MessageKind, PayloadRef, WireMessage};
 
 use state::{ContentState, DolevInstance, DolevKey, Phase, PlannedSend};
 
-/// One process running the (modified) Bracha–Dolev protocol combination.
+/// The part of a process that per-content processing works with besides the content's
+/// own [`ContentState`]: identity, configuration and the delivery log. Split from
+/// [`BdProcess`] so the Dolev and Bracha layers run on a content's state borrowed in
+/// place from `contents`.
 #[derive(Debug, Clone)]
-pub struct BdProcess {
+struct Node {
     id: ProcessId,
     neighbors: Vec<ProcessId>,
     config: Config,
-    contents: HashMap<Content, ContentState>,
     delivered_ids: HashSet<BroadcastId>,
     deliveries: Vec<Delivery>,
+    gc: GcState,
+    /// Structured-trace handle (disabled by default; one branch per would-be event).
+    tracer: brb_trace::Tracer,
+}
+
+/// One process running the (modified) Bracha–Dolev protocol combination.
+#[derive(Debug, Clone)]
+pub struct BdProcess {
+    node: Node,
+    contents: HashMap<Content, ContentState>,
     next_seq: u32,
     // --- MBD.1 link-local payload identifier state ---
     /// Local identifier chosen by this process for each known content.
@@ -51,7 +63,6 @@ pub struct BdProcess {
     /// Messages referencing a still-unknown local identifier, waiting for the announcement.
     pending: HashMap<(ProcessId, LocalPayloadId), Vec<WireMessage>>,
     // --- instance GC state ---
-    gc: GcState,
     /// Per-peer local identifiers whose content has been retired: a late
     /// [`PayloadRef::Local`] naming one of them is dropped instead of queueing in
     /// `pending` forever. Peers allocate local identifiers sequentially, so the markers
@@ -60,8 +71,10 @@ pub struct BdProcess {
     /// Running memory proxy: every [`ContentState::footprint`] in `contents` plus the
     /// wire size of every message queued in `pending`.
     footprint: Footprint,
-    /// Structured-trace handle (disabled by default; one branch per would-be event).
-    tracer: brb_trace::Tracer,
+    /// Reusable buffers (empty between events): the sends one event plans, and the
+    /// group of them going to one destination while [`BdProcess::emit_planned`] merges it.
+    planned: Vec<PlannedSend>,
+    group: Vec<PlannedSend>,
 }
 
 impl BdProcess {
@@ -79,22 +92,26 @@ impl BdProcess {
             config.n
         );
         Self {
-            id,
-            neighbors,
-            config,
+            node: Node {
+                id,
+                neighbors,
+                config,
+                delivered_ids: HashSet::new(),
+                deliveries: Vec::new(),
+                gc: GcState::new(config.gc),
+                tracer: brb_trace::Tracer::disabled(),
+            },
             contents: HashMap::new(),
-            delivered_ids: HashSet::new(),
-            deliveries: Vec::new(),
             next_seq: 0,
             my_local_ids: HashMap::new(),
             next_local_id: 0,
             announced: HashSet::new(),
             peer_contents: HashMap::new(),
             pending: HashMap::new(),
-            gc: GcState::new(config.gc),
             retired_peer_refs: HashMap::new(),
             footprint: Footprint::ZERO,
-            tracer: brb_trace::Tracer::disabled(),
+            planned: Vec::new(),
+            group: Vec::new(),
         }
     }
 
@@ -103,9 +120,13 @@ impl BdProcess {
     /// delivery marker (safe to drop — the GC watermark keeps rejecting the id), and the
     /// MBD.1 link-local identifier bookkeeping on both sides of every link.
     fn run_gc(&mut self) {
-        for id in self.gc.due() {
-            self.tracer
-                .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
+        for id in self.node.gc.due() {
+            self.node.tracer.emit(
+                self.node.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::Retired,
+            );
             self.contents.retain(|content, state| {
                 let keep = content.id != id;
                 if !keep {
@@ -113,7 +134,7 @@ impl BdProcess {
                 }
                 keep
             });
-            self.delivered_ids.remove(&id);
+            self.node.delivered_ids.remove(&id);
             let mine: Vec<(Content, LocalPayloadId)> = self
                 .my_local_ids
                 .iter()
@@ -141,7 +162,7 @@ impl BdProcess {
 
     /// Marks a peer's local identifier as belonging to a retired instance.
     fn tombstone_peer_ref(&mut self, peer: ProcessId, local_id: LocalPayloadId) {
-        let max_retired = self.gc.policy().max_retired;
+        let max_retired = self.node.gc.policy().max_retired;
         let set = self.retired_peer_refs.entry(peer).or_default();
         set.insert(local_id);
         if set.len() > max_retired {
@@ -151,17 +172,17 @@ impl BdProcess {
 
     /// The configuration this process runs with.
     pub fn config(&self) -> &Config {
-        &self.config
+        &self.node.config
     }
 
     /// The direct neighbors of this process.
     pub fn neighbors(&self) -> &[ProcessId] {
-        &self.neighbors
+        &self.node.neighbors
     }
 
     /// Whether this process has BRB-delivered the broadcast identified by `id`.
     pub fn has_delivered(&self, id: BroadcastId) -> bool {
-        self.delivered_ids.contains(&id)
+        self.node.delivered_ids.contains(&id)
     }
 
     /// Total number of transmission paths currently stored across all Dolev instances
@@ -181,28 +202,63 @@ impl BdProcess {
         Some(queued)
     }
 
-    /// Takes a content's state out of `contents` (a fresh one if unknown) together with
-    /// the footprint it is currently counted with in the engine total.
-    fn take_content(&mut self, content: &Content) -> (ContentState, Footprint) {
-        match self.contents.remove(content) {
+    /// Runs `process` on the state of `content`, borrowed in place from `contents`
+    /// (created on first sight), then settles the engine total by what it changed.
+    fn with_content(
+        &mut self,
+        content: &Content,
+        process: impl FnOnce(&mut Node, &mut ContentState),
+    ) {
+        let (state, before) = match self.contents.get_mut(content) {
             Some(state) => {
                 let before = state.footprint();
                 (state, before)
             }
-            None => (ContentState::new(content.clone()), Footprint::ZERO),
-        }
+            None => {
+                let fresh = ContentState::new(content.clone(), self.node.config.n);
+                let state = self.contents.entry(content.clone()).or_insert(fresh);
+                (state, Footprint::ZERO)
+            }
+        };
+        process(&mut self.node, state);
+        self.footprint.settle(before, state.footprint());
     }
 
-    /// Puts a content's state (back) into `contents`, settling the engine total from the
-    /// footprint it had when it was taken out (zero for a new content).
-    fn put_content(&mut self, content: Content, state: ContentState, before: Footprint) {
-        self.footprint.settle(before, state.footprint());
-        self.contents.insert(content, state);
+    /// Whether every process label of a received message names one of the `n` processes.
+    /// Anything else comes from a faulty neighbor and is refused before it can size a
+    /// set or index a table.
+    fn well_formed(&self, from: ProcessId, msg: &WireMessage) -> bool {
+        let n = self.node.config.n;
+        from < n
+            && msg.id.source < n
+            && msg.originator < n
+            && msg.originator2.is_none_or(|embedded| embedded < n)
+            && msg.path.iter().all(|&label| label < n)
     }
 
     // ------------------------------------------------------------------
     // Payload resolution (MBD.1)
     // ------------------------------------------------------------------
+
+    /// Ingress: refuses a message naming a label outside `0..n`, hands everything else
+    /// to [`BdProcess::handle_wire`].
+    fn receive(
+        &mut self,
+        from: ProcessId,
+        msg: WireMessage,
+        actions: &mut Vec<Action<WireMessage>>,
+    ) {
+        if self.well_formed(from, &msg) {
+            self.handle_wire(from, msg, actions);
+        } else {
+            self.node.tracer.frame_refused(
+                self.node.id,
+                msg.id.source,
+                msg.id.seq,
+                brb_trace::DropCause::Malformed,
+            );
+        }
+    }
 
     fn handle_wire(
         &mut self,
@@ -216,15 +272,15 @@ impl BdProcess {
                 // A replayed announcement for a retired instance must not re-enter
                 // `peer_contents`; tombstone the identifier so the Local refs that may
                 // follow it are dropped too instead of queueing forever.
-                if self.gc.is_retired(msg.id) {
+                if self.node.gc.is_retired(msg.id) {
                     self.tombstone_peer_ref(from, *local_id);
                     self.take_pending(from, *local_id);
-                    self.tracer.emit(
-                        self.id,
+                    self.node.tracer.emit(
+                        self.node.id,
                         msg.id.source,
                         msg.id.seq,
                         brb_trace::TraceEventKind::FrameDropped {
-                            to: self.id,
+                            to: self.node.id,
                             cause: brb_trace::DropCause::GcRetired,
                         },
                     );
@@ -280,13 +336,13 @@ impl BdProcess {
         actions: &mut Vec<Action<WireMessage>>,
     ) {
         // Frames of a retired instance are dropped before they can recreate state.
-        if self.gc.is_retired(content.id) {
-            self.tracer.emit(
-                self.id,
+        if self.node.gc.is_retired(content.id) {
+            self.node.tracer.emit(
+                self.node.id,
                 content.id.source,
                 content.id.seq,
                 brb_trace::TraceEventKind::FrameDropped {
-                    to: self.id,
+                    to: self.node.id,
                     cause: brb_trace::DropCause::GcRetired,
                 },
             );
@@ -294,41 +350,34 @@ impl BdProcess {
         }
         // A merged message (MBD.3/MBD.4) decomposes into the two Bracha-layer messages it
         // carries; both follow the same received path.
-        let mut constituents: Vec<(Phase, ProcessId)> = Vec::new();
-        match msg.kind {
-            MessageKind::Send => constituents.push((Phase::Send, content.id.source)),
-            MessageKind::Echo => constituents.push((Phase::Echo, msg.originator)),
-            MessageKind::Ready => constituents.push((Phase::Ready, msg.originator)),
-            MessageKind::EchoEcho => {
-                constituents.push((Phase::Echo, msg.originator));
-                if let Some(embedded) = msg.originator2 {
-                    constituents.push((Phase::Echo, embedded));
-                }
+        let embedded = msg.originator2.map(|originator| (Phase::Echo, originator));
+        let constituents = match msg.kind {
+            MessageKind::Send => [Some((Phase::Send, content.id.source)), None],
+            MessageKind::Echo => [Some((Phase::Echo, msg.originator)), None],
+            MessageKind::Ready => [Some((Phase::Ready, msg.originator)), None],
+            MessageKind::EchoEcho => [Some((Phase::Echo, msg.originator)), embedded],
+            MessageKind::ReadyEcho => [Some((Phase::Ready, msg.originator)), embedded],
+        };
+        let mut planned = std::mem::take(&mut self.planned);
+        self.with_content(&content, |node, state| {
+            for (phase, originator) in constituents.into_iter().flatten() {
+                node.handle_dolev(
+                    from,
+                    state,
+                    phase,
+                    originator,
+                    &msg.path,
+                    &mut planned,
+                    actions,
+                );
             }
-            MessageKind::ReadyEcho => {
-                constituents.push((Phase::Ready, msg.originator));
-                if let Some(embedded) = msg.originator2 {
-                    constituents.push((Phase::Echo, embedded));
-                }
-            }
-        }
-        let (mut state, before) = self.take_content(&content);
-        let mut planned = Vec::new();
-        for (phase, originator) in constituents {
-            self.handle_dolev(
-                from,
-                &mut state,
-                phase,
-                originator,
-                &msg.path,
-                &mut planned,
-                actions,
-            );
-        }
-        self.put_content(content.clone(), state, before);
-        self.emit_planned(&content, planned, actions);
+        });
+        self.emit_planned(&content, &mut planned, actions);
+        self.planned = planned;
     }
+}
 
+impl Node {
     // ------------------------------------------------------------------
     // Dolev layer
     // ------------------------------------------------------------------
@@ -366,12 +415,22 @@ impl BdProcess {
         }
 
         let key = DolevKey { phase, originator };
-        let max_combinations = cfg.max_path_combinations;
-        let instance = state.instances.entry(key).or_insert_with(|| {
-            let fresh = DolevInstance::new(max_combinations);
-            state.instances_footprint.add(fresh.footprint());
-            fresh
-        });
+        let index = state.instance_index_or_new(key, cfg.max_path_combinations);
+        let instance = &mut state.instances[index];
+
+        // Late message: the instance is Dolev-delivered and its empty path announced, so
+        // nothing can be absorbed (no path is tracked after delivery) and nothing is
+        // relayed: under MD.2 the empty path subsumes any further path, and MD.5 stops
+        // relaying outright. All the message can still tell us is that its sender
+        // delivered too (MD.3/MD.4).
+        if instance.delivered && instance.relayed_empty && (cfg.md.md2 || cfg.md.md5) {
+            let announces_delivery = path.is_empty() && from != originator;
+            if announces_delivery && instance.neighbors_delivered.insert(from) {
+                state.instances_footprint.bytes += 8;
+            }
+            return;
+        }
+
         let before = instance.footprint();
         // Everything that changes the instance's footprint happens in this block, so it
         // is settled once after it: yields whether the instance was already delivered, or
@@ -386,7 +445,7 @@ impl BdProcess {
             if cfg.md.md4
                 && path
                     .iter()
-                    .any(|p| instance.neighbors_delivered.contains(p))
+                    .any(|&p| instance.neighbors_delivered.contains(p))
             {
                 break 'absorb None;
             }
@@ -453,10 +512,8 @@ impl BdProcess {
         let Some(was_delivered) = absorbed else {
             return;
         };
-        let inst_delivered = instance.delivered;
-        let inst_relayed_empty = instance.relayed_empty;
-        let inst_neighbors_delivered = instance.neighbors_delivered.clone();
-        let newly_delivered = inst_delivered && !was_delivered;
+        let instance = &state.instances[index];
+        let newly_delivered = instance.delivered && !was_delivered;
 
         // ---- Dolev relay of the received message ----
         // Single-hop Sends (MBD.2) are never relayed; the Echo extracted from them carries
@@ -470,7 +527,7 @@ impl BdProcess {
                     if q == originator {
                         continue;
                     }
-                    if cfg.md.md3 && inst_neighbors_delivered.contains(&q) {
+                    if cfg.md.md3 && instance.neighbors_delivered.contains(q) {
                         continue;
                     }
                     if self.excluded_by_mbd(state, phase, q) {
@@ -484,22 +541,17 @@ impl BdProcess {
                         newly_created: false,
                     });
                 }
-                if let Some(instance) = state.instances.get_mut(&key) {
-                    instance.relayed_empty = true;
-                }
-            } else if inst_delivered && cfg.md.md2 && inst_relayed_empty {
-                // Already announced delivery with an empty path: any further path we could
-                // relay is subsumed (this also implements MD.5).
-            } else if !(cfg.md.md5 && inst_delivered && inst_relayed_empty) {
+                state.instances[index].relayed_empty = true;
+            } else {
                 // Plain Dolev relay: extend the path with the relaying neighbor and flood
-                // to every neighbor not already on the path.
-                let mut extended = path.to_vec();
-                extended.push(from);
+                // to every neighbor not already on the path. The targets are planned
+                // first so the extended path is built once, and only if someone gets it.
+                let first = planned.len();
                 for &q in &self.neighbors {
-                    if q == from || q == originator || extended.contains(&q) {
+                    if q == from || q == originator || path.contains(&q) {
                         continue;
                     }
-                    if cfg.md.md3 && inst_neighbors_delivered.contains(&q) {
+                    if cfg.md.md3 && instance.neighbors_delivered.contains(q) {
                         continue;
                     }
                     if self.excluded_by_mbd(state, phase, q) {
@@ -509,9 +561,18 @@ impl BdProcess {
                         to: q,
                         phase,
                         originator,
-                        path: extended.clone(),
+                        path: Vec::new(),
                         newly_created: false,
                     });
+                }
+                if let Some((last, others)) = planned[first..].split_last_mut() {
+                    let mut extended = Vec::with_capacity(path.len() + 1);
+                    extended.extend_from_slice(path);
+                    extended.push(from);
+                    for send in others {
+                        send.path = extended.clone();
+                    }
+                    last.path = extended;
                 }
             }
         }
@@ -524,10 +585,10 @@ impl BdProcess {
 
     /// MBD.8 / MBD.9 destination exclusions.
     fn excluded_by_mbd(&self, state: &ContentState, phase: Phase, neighbor: ProcessId) -> bool {
-        if self.config.mbd.mbd9 && state.neighbors_bd_delivered.contains(&neighbor) {
+        if self.config.mbd.mbd9 && state.neighbors_bd_delivered.contains(neighbor) {
             return true;
         }
-        if self.config.mbd.mbd8 && phase == Phase::Echo && state.ready_neighbors.contains(&neighbor)
+        if self.config.mbd.mbd8 && phase == Phase::Echo && state.ready_neighbors.contains(neighbor)
         {
             return true;
         }
@@ -716,27 +777,36 @@ impl BdProcess {
             });
         }
     }
+}
 
+impl BdProcess {
     // ------------------------------------------------------------------
     // MBD.3 / MBD.4 merging and wire-format materialization
     // ------------------------------------------------------------------
 
+    /// Turns the sends one event planned into wire messages, leaving `planned` empty.
     fn emit_planned(
         &mut self,
         content: &Content,
-        planned: Vec<PlannedSend>,
+        planned: &mut Vec<PlannedSend>,
         actions: &mut Vec<Action<WireMessage>>,
     ) {
-        let cfg = self.config;
-        // Group planned sends by destination to find merge opportunities.
-        let mut by_destination: HashMap<ProcessId, Vec<PlannedSend>> = HashMap::new();
-        for send in planned {
-            by_destination.entry(send.to).or_default().push(send);
+        // Nine messages in ten change nothing worth sending.
+        if planned.is_empty() {
+            return;
         }
-        let mut destinations: Vec<ProcessId> = by_destination.keys().copied().collect();
-        destinations.sort_unstable();
-        for to in destinations {
-            let mut sends = by_destination.remove(&to).unwrap_or_default();
+        let cfg = self.node.config;
+        // Group planned sends by destination to find merge opportunities: destinations
+        // in increasing order, each one's sends in planning order.
+        planned.sort_by_key(|send| send.to);
+        let mut planned = planned.drain(..).peekable();
+        let mut sends = std::mem::take(&mut self.group);
+        while let Some(first) = planned.next() {
+            let to = first.to;
+            sends.push(first);
+            while let Some(next) = planned.next_if(|send| send.to == to) {
+                sends.push(next);
+            }
             // MBD.4: merge a Ready with an Echo sharing the same path into a Ready_Echo.
             if cfg.mbd.mbd4 {
                 self.merge_pair(
@@ -761,7 +831,7 @@ impl BdProcess {
                     actions,
                 );
             }
-            for send in sends {
+            for send in sends.drain(..) {
                 let message = self.make_message(
                     to,
                     send.phase.kind(),
@@ -774,6 +844,7 @@ impl BdProcess {
                 actions.push(Action::Send { to, message });
             }
         }
+        self.group = sends;
     }
 
     /// Extracts (at most) one pair of plannable sends of phases `outer`/`inner` with equal
@@ -835,14 +906,17 @@ impl BdProcess {
         path: Vec<ProcessId>,
         newly_created: bool,
     ) -> WireMessage {
-        let cfg = self.config;
+        let cfg = self.node.config;
         let payload = if cfg.mbd.mbd1 {
-            let next = &mut self.next_local_id;
-            let local_id = *self.my_local_ids.entry(content.clone()).or_insert_with(|| {
-                let id = *next;
-                *next = next.wrapping_add(1);
-                id
-            });
+            let local_id = match self.my_local_ids.get(content) {
+                Some(&local_id) => local_id,
+                None => {
+                    let local_id = self.next_local_id;
+                    self.next_local_id = local_id.wrapping_add(1);
+                    self.my_local_ids.insert(content.clone(), local_id);
+                    local_id
+                }
+            };
             if self.announced.insert((to, local_id)) {
                 PayloadRef::Announce {
                     local_id,
@@ -876,27 +950,32 @@ impl BdProcess {
     /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`]: initiates a
     /// broadcast, pushing the resulting actions onto `actions`.
     fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<WireMessage>>) {
-        let id = BroadcastId::new(self.id, self.next_seq);
+        let id = BroadcastId::new(self.node.id, self.next_seq);
         self.next_seq += 1;
-        self.tracer
-            .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Injected);
-        let content = Content::new(id, payload);
-        let (mut state, before) = self.take_content(&content);
-        let mut planned = Vec::new();
-        // The source's own SEND instance is trivially Dolev-delivered.
-        state.insert_own_instance(
-            DolevKey {
-                phase: Phase::Send,
-                originator: self.id,
-            },
-            DolevInstance::self_delivered(self.config.max_path_combinations),
+        self.node.tracer.emit(
+            self.node.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
         );
-        self.plan_own(&state, Phase::Send, &mut planned);
-        // Being the source, the Send is validated: this creates our Echo (and possibly
-        // more, e.g. for tiny systems).
-        self.bracha_transitions(&mut state, &mut planned, actions);
-        self.put_content(content.clone(), state, before);
-        self.emit_planned(&content, planned, actions);
+        let content = Content::new(id, payload);
+        let mut planned = std::mem::take(&mut self.planned);
+        self.with_content(&content, |node, state| {
+            // The source's own SEND instance is trivially Dolev-delivered.
+            state.insert_own_instance(
+                DolevKey {
+                    phase: Phase::Send,
+                    originator: node.id,
+                },
+                DolevInstance::self_delivered(node.config.max_path_combinations),
+            );
+            node.plan_own(state, Phase::Send, &mut planned);
+            // Being the source, the Send is validated: this creates our Echo (and possibly
+            // more, e.g. for tiny systems).
+            node.bracha_transitions(state, &mut planned, actions);
+        });
+        self.emit_planned(&content, &mut planned, actions);
+        self.planned = planned;
     }
 }
 
@@ -904,7 +983,7 @@ impl Protocol for BdProcess {
     type Message = WireMessage;
 
     fn process_id(&self) -> ProcessId {
-        self.id
+        self.node.id
     }
 
     fn next_seq(&self) -> u32 {
@@ -916,7 +995,7 @@ impl Protocol for BdProcess {
     }
 
     fn broadcast(&mut self, payload: Payload) -> Vec<Action<WireMessage>> {
-        self.gc.on_event();
+        self.node.gc.on_event();
         let mut actions = Vec::new();
         self.broadcast_inner(payload, &mut actions);
         self.run_gc();
@@ -928,15 +1007,15 @@ impl Protocol for BdProcess {
         from: ProcessId,
         message: WireMessage,
     ) -> Vec<Action<WireMessage>> {
-        self.gc.on_event();
+        self.node.gc.on_event();
         let mut actions = Vec::new();
-        self.handle_wire(from, message, &mut actions);
+        self.receive(from, message, &mut actions);
         self.run_gc();
         actions
     }
 
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<WireMessage>) {
-        self.gc.on_event();
+        self.node.gc.on_event();
         self.broadcast_inner(payload, out.as_mut_vec());
         self.run_gc();
     }
@@ -947,13 +1026,13 @@ impl Protocol for BdProcess {
         message: WireMessage,
         out: &mut ActionBuf<WireMessage>,
     ) {
-        self.gc.on_event();
-        self.handle_wire(from, message, out.as_mut_vec());
+        self.node.gc.on_event();
+        self.receive(from, message, out.as_mut_vec());
         self.run_gc();
     }
 
     fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
+        &self.node.deliveries
     }
 
     fn message_size(message: &WireMessage) -> usize {
@@ -969,19 +1048,19 @@ impl Protocol for BdProcess {
     }
 
     fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.gc.set_policy(policy);
+        self.node.gc.set_policy(policy);
     }
 
     fn note_time(&mut self, now_ms: u64) {
-        self.gc.note_time(now_ms);
+        self.node.gc.note_time(now_ms);
     }
 
     fn gc_retired(&self) -> u64 {
-        self.gc.retired_count()
+        self.node.gc.retired_count()
     }
 
     fn set_tracer(&mut self, tracer: brb_trace::Tracer) {
-        self.tracer = tracer;
+        self.node.tracer = tracer;
     }
 }
 

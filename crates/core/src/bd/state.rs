@@ -1,9 +1,10 @@
 //! Internal per-content state of the Bracha–Dolev engine.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use crate::disjoint::DisjointPathTracker;
 use crate::footprint::Footprint;
+use crate::pathset::PathSet;
 use crate::types::{Content, ProcessId};
 use crate::wire::MessageKind;
 
@@ -31,10 +32,17 @@ impl Phase {
 
 /// Identifies one Dolev dissemination instance inside a broadcast: the Bracha-layer
 /// message of `originator` in a given phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DolevKey {
     pub(crate) phase: Phase,
     pub(crate) originator: ProcessId,
+}
+
+impl DolevKey {
+    /// Position of this key in a content's instance table.
+    fn slot(self) -> usize {
+        3 * self.originator + self.phase as usize
+    }
 }
 
 /// State of one Dolev dissemination instance (one Bracha-layer message).
@@ -48,7 +56,7 @@ pub(crate) struct DolevInstance {
     pub(crate) relayed_empty: bool,
     /// Neighbors that relayed this instance with an empty path, i.e. that Dolev-delivered
     /// it themselves (MD.3/MD.4).
-    pub(crate) neighbors_delivered: BTreeSet<ProcessId>,
+    pub(crate) neighbors_delivered: PathSet,
 }
 
 impl DolevInstance {
@@ -57,7 +65,7 @@ impl DolevInstance {
             tracker: DisjointPathTracker::with_max_combinations(max_combinations),
             delivered: false,
             relayed_empty: false,
-            neighbors_delivered: BTreeSet::new(),
+            neighbors_delivered: PathSet::new(),
         }
     }
 
@@ -81,6 +89,10 @@ impl DolevInstance {
 }
 
 /// Bracha + Dolev state for one broadcast content.
+///
+/// Every set of process identifiers here is a [`PathSet`] bitset and the Dolev instances
+/// sit in a table indexed by `(originator, phase)`: the engine refuses frames naming a
+/// label outside `0..n` at ingress, so identifiers are dense and bounded.
 #[derive(Debug, Clone)]
 pub(crate) struct ContentState {
     /// The content (broadcast identifier and payload).
@@ -93,63 +105,93 @@ pub(crate) struct ContentState {
     pub(crate) delivered: bool,
     /// Originators whose ECHO message has been Dolev-delivered (plus this process once it
     /// echoes).
-    pub(crate) echo_origins: BTreeSet<ProcessId>,
+    pub(crate) echo_origins: PathSet,
     /// Originators whose READY message has been Dolev-delivered.
-    pub(crate) ready_origins: BTreeSet<ProcessId>,
-    /// Dolev dissemination instances, one per Bracha-layer message.
-    pub(crate) instances: HashMap<DolevKey, DolevInstance>,
+    pub(crate) ready_origins: PathSet,
+    /// Dolev dissemination instances, one per Bracha-layer message, in creation order.
+    pub(crate) instances: Vec<DolevInstance>,
+    /// Per [`DolevKey::slot`], one more than the instance's position in `instances`
+    /// (0: no such instance yet). `3 * n` entries.
+    slots: Vec<u32>,
     /// Sum of [`DolevInstance::footprint`] over `instances`. Whoever creates, replaces
     /// or mutates an instance settles the difference here.
     pub(crate) instances_footprint: Footprint,
     /// Neighbors whose READY has been Dolev-delivered (MBD.8: no further Echo to them).
-    pub(crate) ready_neighbors: BTreeSet<ProcessId>,
+    pub(crate) ready_neighbors: PathSet,
     /// Per neighbor, the set of READY originators it relayed with an empty path (MBD.9).
     /// Grows only through [`ContentState::note_empty_ready`].
-    pub(crate) neighbor_empty_readys: BTreeMap<ProcessId, BTreeSet<ProcessId>>,
+    pub(crate) neighbor_empty_readys: BTreeMap<ProcessId, PathSet>,
     /// Number of `(neighbor, originator)` pairs in `neighbor_empty_readys`.
     empty_ready_pairs: usize,
     /// Neighbors known to have BRB-delivered the content (MBD.9: no further message).
-    pub(crate) neighbors_bd_delivered: BTreeSet<ProcessId>,
+    pub(crate) neighbors_bd_delivered: PathSet,
 }
 
 impl ContentState {
-    pub(crate) fn new(content: Content) -> Self {
+    /// Fresh state for `content` in a system of `n` processes.
+    pub(crate) fn new(content: Content, n: usize) -> Self {
         Self {
             content,
             sent_echo: false,
             sent_ready: false,
             delivered: false,
-            echo_origins: BTreeSet::new(),
-            ready_origins: BTreeSet::new(),
-            instances: HashMap::new(),
+            echo_origins: PathSet::new(),
+            ready_origins: PathSet::new(),
+            instances: Vec::new(),
+            slots: vec![0; 3 * n],
             instances_footprint: Footprint::ZERO,
-            ready_neighbors: BTreeSet::new(),
+            ready_neighbors: PathSet::new(),
             neighbor_empty_readys: BTreeMap::new(),
             empty_ready_pairs: 0,
-            neighbors_bd_delivered: BTreeSet::new(),
+            neighbors_bd_delivered: PathSet::new(),
         }
+    }
+
+    /// Position in `instances` of the instance of `key`, if it exists.
+    pub(crate) fn instance_index(&self, key: DolevKey) -> Option<usize> {
+        (self.slots[key.slot()] as usize).checked_sub(1)
+    }
+
+    /// Position in `instances` of the instance of `key`, created (and counted) on first
+    /// sight.
+    pub(crate) fn instance_index_or_new(
+        &mut self,
+        key: DolevKey,
+        max_combinations: usize,
+    ) -> usize {
+        self.instance_index(key).unwrap_or_else(|| {
+            let fresh = DolevInstance::new(max_combinations);
+            self.instances_footprint.add(fresh.footprint());
+            self.push_instance(key, fresh)
+        })
+    }
+
+    fn push_instance(&mut self, key: DolevKey, instance: DolevInstance) -> usize {
+        self.instances.push(instance);
+        self.slots[key.slot()] = self.instances.len() as u32;
+        self.instances.len() - 1
+    }
+
+    /// Whether the instance of `key` exists and has been Dolev-delivered.
+    fn instance_delivered(&self, key: DolevKey) -> bool {
+        self.instance_index(key)
+            .is_some_and(|index| self.instances[index].delivered)
     }
 
     /// Whether the SEND instance of the broadcast source has been Dolev-delivered.
     pub(crate) fn send_validated(&self) -> bool {
-        self.instances
-            .get(&DolevKey {
-                phase: Phase::Send,
-                originator: self.content.id.source,
-            })
-            .map(|i| i.delivered)
-            .unwrap_or(false)
+        self.instance_delivered(DolevKey {
+            phase: Phase::Send,
+            originator: self.content.id.source,
+        })
     }
 
     /// Whether the READY instance of `originator` has been Dolev-delivered (MBD.6).
     pub(crate) fn ready_delivered(&self, originator: ProcessId) -> bool {
-        self.instances
-            .get(&DolevKey {
-                phase: Phase::Ready,
-                originator,
-            })
-            .map(|i| i.delivered)
-            .unwrap_or(false)
+        self.instance_delivered(DolevKey {
+            phase: Phase::Ready,
+            originator,
+        })
     }
 
     /// Inserts an instance this process created itself (its own SEND, ECHO or READY),
@@ -157,10 +199,13 @@ impl ContentState {
     /// under the same key.
     pub(crate) fn insert_own_instance(&mut self, key: DolevKey, instance: DolevInstance) {
         let after = instance.footprint();
-        let before = self
-            .instances
-            .insert(key, instance)
-            .map_or(Footprint::ZERO, |replaced| replaced.footprint());
+        let before = match self.instance_index(key) {
+            Some(index) => std::mem::replace(&mut self.instances[index], instance).footprint(),
+            None => {
+                self.push_instance(key, instance);
+                Footprint::ZERO
+            }
+        };
         self.instances_footprint.settle(before, after);
     }
 
@@ -225,9 +270,9 @@ mod tests {
 
     #[test]
     fn send_validated_reflects_send_instance() {
-        let mut s = ContentState::new(content());
+        let mut s = ContentState::new(content(), 5);
         assert!(!s.send_validated());
-        s.instances.insert(
+        s.insert_own_instance(
             DolevKey {
                 phase: Phase::Send,
                 originator: 2,
@@ -239,29 +284,34 @@ mod tests {
 
     #[test]
     fn ready_delivered_lookup() {
-        let mut s = ContentState::new(content());
+        let mut s = ContentState::new(content(), 5);
         assert!(!s.ready_delivered(4));
-        s.instances.insert(
-            DolevKey {
-                phase: Phase::Ready,
-                originator: 4,
-            },
-            DolevInstance::new(16),
+        let key = DolevKey {
+            phase: Phase::Ready,
+            originator: 4,
+        };
+        let index = s.instance_index_or_new(key, 16);
+        assert_eq!(
+            s.instance_index_or_new(key, 16),
+            index,
+            "found, not re-created"
         );
         assert!(!s.ready_delivered(4));
-        s.instances
-            .get_mut(&DolevKey {
-                phase: Phase::Ready,
+        // The same originator's ECHO is a different instance.
+        assert_eq!(
+            s.instance_index(DolevKey {
+                phase: Phase::Echo,
                 originator: 4,
-            })
-            .unwrap()
-            .delivered = true;
+            }),
+            None
+        );
+        s.instances[index].delivered = true;
         assert!(s.ready_delivered(4));
     }
 
     #[test]
     fn memory_estimate_grows_with_state() {
-        let mut s = ContentState::new(content());
+        let mut s = ContentState::new(content(), 5);
         let before = s.footprint();
         assert_eq!(before, Footprint::new(1, 0), "the one-byte payload");
         s.echo_origins.insert(1);

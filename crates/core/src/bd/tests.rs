@@ -8,6 +8,8 @@ use brb_graph::{generate, Graph};
 use super::*;
 use crate::config::Config;
 use crate::footprint::check::{Checked, WalkState};
+use crate::footprint::Footprint;
+use crate::pathset::PathSet;
 use crate::types::{Action, BroadcastId, Payload};
 use crate::wire::{MessageKind, PayloadRef, WireMessage};
 
@@ -18,7 +20,7 @@ impl WalkState for BdProcess {
         let mut bytes = 0usize;
         let mut paths = 0usize;
         for c in self.contents.values() {
-            for i in c.instances.values() {
+            for i in &c.instances {
                 bytes += i.tracker.walk_memory_bytes() + 8 * i.neighbors_delivered.len() + 2;
                 paths += i.tracker.path_count();
             }
@@ -365,6 +367,203 @@ fn equivocating_source_never_splits_correct_processes() {
             "correct processes disagreed"
         );
     }
+}
+
+#[test]
+fn equivocated_payloads_under_one_id_are_tracked_apart() {
+    // Two payloads under one broadcast id are two contents: each has its own state (and
+    // hash bucket: the cached payload digests differ), and an Echo for one never counts
+    // towards the other.
+    let config = Config::bdopt(10, 1);
+    let mut p = BdProcess::new(3, config, vec![0, 1, 2]);
+    let id = BroadcastId::new(0, 0);
+    let echo = |payload: &str, originator: usize| WireMessage {
+        kind: MessageKind::Echo,
+        id,
+        originator,
+        originator2: None,
+        payload: PayloadRef::Inline(Payload::from(payload)),
+        path: vec![],
+        fields: Default::default(),
+    };
+    p.handle_checked(1, echo("payload-A", 1));
+    p.handle_checked(2, echo("payload-B", 2));
+    p.handle_checked(2, echo("payload-A", 2));
+    assert_eq!(p.contents.len(), 2);
+    let echoes = |payload: &str| {
+        let content = Content::new(id, Payload::from(payload));
+        p.contents[&content].echo_origins.to_vec()
+    };
+    assert_eq!(echoes("payload-A"), vec![1, 2]);
+    assert_eq!(echoes("payload-B"), vec![2]);
+    assert!(p.deliveries().is_empty());
+}
+
+/// The engine's state with every delivered-neighbor set emptied and the running totals
+/// (and the GC's event clock, which ticks on every message) zeroed: what a late message
+/// must leave exactly as it was.
+fn state_besides_delivered_neighbors(p: &BdProcess) -> String {
+    let mut p = p.clone();
+    p.node.gc = GcState::new(p.node.config.gc);
+    for content in p.contents.values_mut() {
+        for instance in &mut content.instances {
+            instance.neighbors_delivered = PathSet::new();
+        }
+        content.instances_footprint = Footprint::ZERO;
+    }
+    p.footprint = Footprint::ZERO;
+    format!("{p:?}")
+}
+
+#[test]
+fn late_messages_only_record_that_their_sender_delivered() {
+    use crate::config::MdFlags;
+    let graph = generate::figure1_example();
+    let (n, me) = (graph.node_count(), 7);
+    let mut configs = all_individual_configs(n, 1);
+    for i in 1..=5 {
+        let md = MdFlags {
+            md1: i == 1,
+            md2: i == 2,
+            md3: i == 3,
+            md4: i == 4,
+            md5: i == 5,
+        };
+        configs.push((format!("md{i}"), Config::plain(n, 1).with_md(md)));
+    }
+    for (name, config) in configs {
+        let mut net = TestNet::new(&graph, config);
+        let payload = Payload::filled(3, 16);
+        net.broadcast(0, payload.clone(), &[]);
+        let sink = std::sync::Arc::new(brb_trace::VecSink::new());
+        let p = &mut net.processes[me];
+        p.set_tracer(brb_trace::Tracer::new(
+            brb_trace::Backend::Sim,
+            brb_trace::Clock::virtual_clock().0,
+            sink.clone(),
+        ));
+        // An Echo instance this process Dolev-delivered and announced with an empty
+        // path (another process's where there is one, else its own).
+        let content = Content::new(BroadcastId::new(0, 0), payload.clone());
+        let state = &p.contents[&content];
+        let originator = (0..n)
+            .rev()
+            .filter(|&o| o != me)
+            .chain([me])
+            .find(|&originator| {
+                let key = DolevKey {
+                    phase: Phase::Echo,
+                    originator,
+                };
+                state.instance_index(key).is_some_and(|index| {
+                    let instance = &state.instances[index];
+                    instance.delivered && instance.relayed_empty
+                })
+            })
+            .unwrap_or_else(|| panic!("{name}: no announced Echo instance"));
+        let from = *p
+            .neighbors()
+            .iter()
+            .find(|&&q| q != originator)
+            .expect("three neighbors");
+        let late = |path: Vec<usize>| WireMessage {
+            kind: MessageKind::Echo,
+            id: content.id,
+            originator,
+            originator2: None,
+            payload: PayloadRef::Inline(payload.clone()),
+            path,
+            fields: Default::default(),
+        };
+        if !(config.md.md2 || config.md.md5) {
+            // Without MD.2 / MD.5 a delivered instance keeps relaying: the message must
+            // not be swallowed.
+            assert!(
+                !p.handle_checked(from, late(vec![originator])).is_empty(),
+                "{name}"
+            );
+            continue;
+        }
+        for path in [vec![originator, 1], vec![], vec![]] {
+            let before = state_besides_delivered_neighbors(p);
+            let (bytes, paths) = (p.state_bytes(), p.stored_paths());
+            let actions = p.handle_checked(from, late(path.clone()));
+            assert!(actions.is_empty(), "{name}: {actions:?}");
+            assert!(sink.events().is_empty(), "{name}: {:?}", sink.events());
+            assert_eq!(state_besides_delivered_neighbors(p), before, "{name}");
+            assert_eq!(p.stored_paths(), paths, "{name}");
+            let grew = p.state_bytes() - bytes;
+            assert!(
+                grew == 0 || (grew == 8 && path.is_empty()),
+                "{name}: +{grew} B"
+            );
+        }
+    }
+}
+
+#[test]
+fn malformed_labels_are_refused_before_any_state_exists() {
+    // One 48-byte Echo naming process 4 000 000 000 on its path used to size a path set
+    // of 62.5 M words (1.5 GB) and was relayed on; every label field is now bounded by n.
+    let config = Config::bdopt(10, 1);
+    let mut p = BdProcess::new(0, config, vec![1, 5, 6]);
+    let echo = WireMessage {
+        kind: MessageKind::Echo,
+        id: BroadcastId::new(5, 0),
+        originator: 2,
+        originator2: None,
+        payload: PayloadRef::Inline(Payload::from("m")),
+        path: vec![2],
+        fields: Default::default(),
+    };
+    let wild = 4_000_000_000usize;
+    let frame = WireMessage {
+        path: vec![wild],
+        ..echo.clone()
+    };
+    let decoded = WireMessage::decode(&frame.encode()).expect("a well-framed message");
+    let malformed = vec![
+        (1, decoded),
+        (wild, echo.clone()),
+        (
+            1,
+            WireMessage {
+                originator: 10,
+                ..echo.clone()
+            },
+        ),
+        (
+            1,
+            WireMessage {
+                originator2: Some(10),
+                kind: MessageKind::EchoEcho,
+                ..echo.clone()
+            },
+        ),
+        (
+            1,
+            WireMessage {
+                id: BroadcastId::new(10, 0),
+                ..echo.clone()
+            },
+        ),
+        (
+            1,
+            WireMessage {
+                path: vec![2, 3, 10],
+                ..echo.clone()
+            },
+        ),
+    ];
+    for (from, message) in malformed {
+        let actions = p.handle_checked(from, message.clone());
+        assert!(actions.is_empty(), "{message:?}");
+        assert_eq!((p.state_bytes(), p.stored_paths()), (0, 0), "{message:?}");
+        assert!(p.contents.is_empty() && p.peer_contents.is_empty());
+    }
+    // The same message with every label in range is processed.
+    assert!(!p.handle_checked(1, echo).is_empty());
+    assert_eq!(p.stored_paths(), 1);
 }
 
 #[test]

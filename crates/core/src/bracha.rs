@@ -156,6 +156,17 @@ impl BrachaProcess {
         message: BrachaMessage,
         actions: &mut Vec<Action<BrachaMessage>>,
     ) {
+        // A label outside `0..n` comes from a faulty process: refuse the frame before it
+        // creates state for a process that does not exist.
+        if from >= self.n || message.id.source >= self.n {
+            self.tracer.frame_refused(
+                self.id,
+                message.id.source,
+                message.id.seq,
+                brb_trace::DropCause::Malformed,
+            );
+            return;
+        }
         // Frames for a retired instance are dropped deterministically: recreating the
         // entry below would resurrect pruned state (and could re-deliver).
         if self.gc.is_retired(message.id) {
@@ -616,5 +627,23 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_id() {
         BrachaProcess::new(9, 4, 1);
+    }
+
+    #[test]
+    fn labels_outside_the_system_are_refused_before_any_state_exists() {
+        let mut p = BrachaProcess::new(1, 4, 1);
+        let wild = 4_000_000_000usize;
+        let echo = |source: ProcessId| BrachaMessage {
+            kind: BrachaKind::Echo,
+            id: BroadcastId::new(source, 0),
+            payload: Payload::from("m"),
+        };
+        for (from, message) in [(2, echo(wild)), (2, echo(4)), (wild, echo(0))] {
+            assert!(p.handle_checked(from, message).is_empty());
+            assert_eq!(p.state_bytes(), 0);
+            assert!(p.states.is_empty());
+        }
+        p.handle_checked(2, echo(3));
+        assert!(p.state_bytes() > 0);
     }
 }

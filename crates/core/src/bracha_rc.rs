@@ -162,6 +162,18 @@ impl<T: RcTransport> BrachaOverRc<T> {
         actions: &mut Vec<Action<T::Message>>,
         pending: &mut Vec<(ProcessId, BrachaMessage)>,
     ) {
+        // The Bracha message rides inside the RC payload, so its labels are whatever the
+        // origin wrote: refuse one naming a process outside `0..n` before it creates
+        // state.
+        if origin >= self.n || message.id.source >= self.n {
+            self.tracer.frame_refused(
+                self.id,
+                message.id.source,
+                message.id.seq,
+                brb_trace::DropCause::Malformed,
+            );
+            return;
+        }
         // RC deliveries for a retired instance are dropped before they can recreate state.
         if self.gc.is_retired(message.id) {
             self.tracer.emit(
@@ -476,7 +488,9 @@ mod tests {
 
     fn cpa_system(graph: &Graph, n: usize, f: usize, t_local: usize) -> Vec<BrachaCpa> {
         (0..n)
-            .map(|i| BrachaOverRc::new(n, f, CpaProcess::new(i, t_local, graph.neighbors_vec(i))))
+            .map(|i| {
+                BrachaOverRc::new(n, f, CpaProcess::new(i, n, t_local, graph.neighbors_vec(i)))
+            })
             .collect()
     }
 
@@ -713,5 +727,32 @@ mod tests {
         .to_vec();
         bytes.pop();
         assert_eq!(decode_bracha(&Payload::new(bytes)), None);
+    }
+
+    #[test]
+    fn bracha_labels_outside_the_system_are_refused_before_any_state_exists() {
+        // The RC layer certifies the origin; the Bracha message inside the payload still
+        // names whatever source its (Byzantine) origin wrote.
+        let g = generate::complete(4);
+        let mut p = BrachaOverRc::new(4, 1, RoutedDolev::new(1, 1, g));
+        let echo_for = |source: ProcessId| crate::dolev_routed::RoutedDolevMessage {
+            origin: 2,
+            seq: source as u32,
+            payload: encode_bracha(&BrachaMessage {
+                kind: BrachaKind::Echo,
+                id: BroadcastId::new(source, 0),
+                payload: Payload::from("m"),
+            }),
+            route: vec![2, 1],
+            position: 1,
+        };
+        for source in [4, u32::MAX as ProcessId] {
+            let actions = p.handle_checked(2, echo_for(source));
+            assert!(actions.is_empty());
+            assert!(p.states.is_empty());
+            assert_eq!(p.bracha_bytes, 0);
+        }
+        p.handle_checked(2, echo_for(3));
+        assert_eq!(p.states.len(), 1);
     }
 }

@@ -82,6 +82,8 @@ fn state_entry<'a>(
 #[derive(Debug, Clone)]
 pub struct CpaProcess {
     id: ProcessId,
+    /// System size: the labels a well-formed message may carry are `0..n`.
+    n: usize,
     /// Maximum number of Byzantine processes among any process's neighbors.
     t_local: usize,
     neighbors: Vec<ProcessId>,
@@ -95,10 +97,12 @@ pub struct CpaProcess {
 }
 
 impl CpaProcess {
-    /// Creates a CPA process given its locally bounded fault threshold and neighborhood.
-    pub fn new(id: ProcessId, t_local: usize, neighbors: Vec<ProcessId>) -> Self {
+    /// Creates a CPA process of a system of `n` processes given its locally bounded
+    /// fault threshold and neighborhood.
+    pub fn new(id: ProcessId, n: usize, t_local: usize, neighbors: Vec<ProcessId>) -> Self {
         Self {
             id,
+            n,
             t_local,
             neighbors,
             states: HashMap::new(),
@@ -191,6 +195,17 @@ impl CpaProcess {
         actions: &mut Vec<Action<CpaMessage>>,
     ) {
         let content = message.content;
+        // A label outside `0..n` comes from a faulty neighbor: refuse the frame before it
+        // creates state for a process that does not exist.
+        if from >= self.n || content.id.source >= self.n {
+            self.tracer.frame_refused(
+                self.id,
+                content.id.source,
+                content.id.seq,
+                brb_trace::DropCause::Malformed,
+            );
+            return;
+        }
         // Replayed frames for a retired instance must not recreate its witness state.
         if self.gc.is_retired(content.id) {
             self.tracer.emit(
@@ -330,7 +345,7 @@ mod tests {
     ) -> Vec<CpaProcess> {
         let n = graph.node_count();
         let mut processes: Vec<CpaProcess> = (0..n)
-            .map(|i| CpaProcess::new(i, t, graph.neighbors_vec(i)))
+            .map(|i| CpaProcess::new(i, graph.node_count(), t, graph.neighbors_vec(i)))
             .collect();
         let mut queue: Vec<(ProcessId, Action<CpaMessage>)> = processes[source]
             .broadcast_checked(Payload::from("cpa"))
@@ -376,7 +391,7 @@ mod tests {
 
     #[test]
     fn indirect_delivery_needs_t_plus_one_witnesses() {
-        let mut p = CpaProcess::new(0, 2, vec![1, 2, 3, 4]);
+        let mut p = CpaProcess::new(0, 10, 2, vec![1, 2, 3, 4]);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
         let msg = CpaMessage { content };
         assert!(p.handle_checked(1, msg.clone()).is_empty());
@@ -391,7 +406,7 @@ mod tests {
 
     #[test]
     fn direct_reception_from_source_delivers_immediately() {
-        let mut p = CpaProcess::new(1, 3, vec![0, 2]);
+        let mut p = CpaProcess::new(1, 10, 3, vec![0, 2]);
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         let actions = p.handle_checked(0, CpaMessage { content });
         assert!(actions.iter().any(|a| a.as_delivery().is_some()));
@@ -402,7 +417,7 @@ mod tests {
 
     #[test]
     fn byzantine_neighbors_below_threshold_cannot_force_delivery() {
-        let mut p = CpaProcess::new(0, 2, vec![1, 2, 3, 4]);
+        let mut p = CpaProcess::new(0, 10, 2, vec![1, 2, 3, 4]);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("forged"));
         // Only t = 2 Byzantine neighbors vouch for a content the source never sent.
         p.handle_checked(
@@ -417,7 +432,7 @@ mod tests {
 
     #[test]
     fn source_delivers_its_own_broadcast_and_relays_once() {
-        let mut p = CpaProcess::new(3, 1, vec![0, 1]);
+        let mut p = CpaProcess::new(3, 10, 1, vec![0, 1]);
         let actions = p.broadcast_checked(Payload::from("a"));
         assert_eq!(
             actions.iter().filter(|a| a.as_delivery().is_some()).count(),
@@ -441,7 +456,7 @@ mod tests {
 
     #[test]
     fn gc_retired_instance_rejects_replayed_witnesses() {
-        let mut p = CpaProcess::new(1, 1, vec![0, 2, 3]);
+        let mut p = CpaProcess::new(1, 10, 1, vec![0, 2, 3]);
         p.set_gc_policy(GcPolicy::after_events(1));
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // Direct reception from the source: delivered, retention window opens.
@@ -474,11 +489,31 @@ mod tests {
 
     #[test]
     fn state_bytes_grow_with_witnesses() {
-        let mut p = CpaProcess::new(0, 5, vec![1, 2, 3]);
+        let mut p = CpaProcess::new(0, 10, 5, vec![1, 2, 3]);
         let before = p.state_bytes();
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
         p.handle_checked(1, CpaMessage { content });
         assert!(p.state_bytes() > before);
         assert_eq!(p.t_local(), 5);
+    }
+
+    #[test]
+    fn labels_outside_the_system_are_refused_before_any_state_exists() {
+        let mut p = CpaProcess::new(1, 10, 1, vec![0, 2, 3]);
+        let wild = 4_000_000_000usize;
+        let from_source = |source: ProcessId| CpaMessage {
+            content: Content::new(BroadcastId::new(source, 0), Payload::from("m")),
+        };
+        for (from, message) in [
+            (2, from_source(wild)),
+            (2, from_source(10)),
+            (wild, from_source(0)),
+        ] {
+            assert!(p.handle_checked(from, message).is_empty());
+            assert_eq!((p.state_bytes(), p.stored_paths()), (0, 0));
+            assert!(p.states.is_empty());
+        }
+        assert!(p.handle_checked(2, from_source(9)).is_empty());
+        assert_eq!(p.stored_paths(), 1, "an in-range source gets its witness");
     }
 }

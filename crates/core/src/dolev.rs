@@ -12,7 +12,7 @@
 //! the Bracha–Dolev combination in [`crate::bd`] embeds its own Dolev instances to benefit
 //! from the cross-layer modifications MBD.1–12.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +57,7 @@ struct InstanceState {
     /// Whether the empty path has been forwarded after delivery (MD.2 / MD.5).
     relayed_empty: bool,
     /// Neighbors that sent us an empty path, i.e. that already delivered (MD.3 / MD.4).
-    neighbors_delivered: BTreeSet<ProcessId>,
+    neighbors_delivered: PathSet,
 }
 
 impl InstanceState {
@@ -66,7 +66,7 @@ impl InstanceState {
             tracker: DisjointPathTracker::new(),
             delivered: false,
             relayed_empty: false,
-            neighbors_delivered: BTreeSet::new(),
+            neighbors_delivered: PathSet::new(),
         }
     }
 
@@ -97,6 +97,8 @@ fn instance_entry<'a>(
 #[derive(Debug, Clone)]
 pub struct DolevProcess {
     id: ProcessId,
+    /// System size: the labels a well-formed message may carry are `0..n`.
+    n: usize,
     f: usize,
     neighbors: Vec<ProcessId>,
     md: MdFlags,
@@ -110,10 +112,12 @@ pub struct DolevProcess {
 }
 
 impl DolevProcess {
-    /// Creates a Dolev process given its direct neighborhood.
-    pub fn new(id: ProcessId, f: usize, neighbors: Vec<ProcessId>, md: MdFlags) -> Self {
+    /// Creates a Dolev process of a system of `n` processes given its direct
+    /// neighborhood (the rest of the topology stays unknown to it).
+    pub fn new(id: ProcessId, n: usize, f: usize, neighbors: Vec<ProcessId>, md: MdFlags) -> Self {
         Self {
             id,
+            n,
             f,
             neighbors,
             md,
@@ -206,6 +210,17 @@ impl DolevProcess {
     ) {
         let content = message.content.clone();
         let source = content.id.source;
+        // A label outside `0..n` comes from a faulty neighbor: refuse the frame before it
+        // can size a path set.
+        if from >= self.n || source >= self.n || message.path.iter().any(|&p| p >= self.n) {
+            self.tracer.frame_refused(
+                self.id,
+                source,
+                content.id.seq,
+                brb_trace::DropCause::Malformed,
+            );
+            return;
+        }
         // Frames of a retired instance are dropped before they can recreate state.
         if self.gc.is_retired(content.id) {
             self.tracer.emit(
@@ -220,6 +235,17 @@ impl DolevProcess {
             return;
         }
         let state = instance_entry(&mut self.instances, &mut self.footprint, &content);
+        // Late message: delivered and announced, so nothing can be absorbed, and nothing
+        // is relayed: under MD.2 the empty path subsumes any further path, and MD.5 stops
+        // relaying outright. It can only tell us that its sender delivered too
+        // (MD.3/MD.4).
+        if state.delivered && state.relayed_empty && (self.md.md2 || self.md.md5) {
+            let announces_delivery = message.path.is_empty() && from != source;
+            if announces_delivery && state.neighbors_delivered.insert(from) {
+                self.footprint.bytes += 8;
+            }
+            return;
+        }
         let before = state.footprint();
         // Everything that changes the instance's footprint happens in this block, so it
         // is settled once after it: yields whether the instance was already delivered, or
@@ -237,7 +263,7 @@ impl DolevProcess {
                 && message
                     .path
                     .iter()
-                    .any(|p| state.neighbors_delivered.contains(p))
+                    .any(|&p| state.neighbors_delivered.contains(p))
             {
                 break 'absorb None;
             }
@@ -296,37 +322,26 @@ impl DolevProcess {
         if newly_delivered {
             self.gc.on_delivered(content.id);
         }
-        if state.delivered {
-            if self.md.md2 && !state.relayed_empty {
-                // MD.2: forward the content with an empty path to all neighbors (skipping
-                // the ones that already delivered when MD.3 is enabled).
-                state.relayed_empty = true;
-                for &q in &self.neighbors {
-                    if q == from && !newly_delivered {
-                        continue;
-                    }
-                    if self.md.md3 && state.neighbors_delivered.contains(&q) {
-                        continue;
-                    }
-                    actions.push(Action::send(
-                        q,
-                        DolevMessage {
-                            content: content.clone(),
-                            path: Vec::new(),
-                        },
-                    ));
+        if state.delivered && self.md.md2 && !state.relayed_empty {
+            // MD.2: forward the content with an empty path to all neighbors (skipping
+            // the ones that already delivered when MD.3 is enabled).
+            state.relayed_empty = true;
+            for &q in &self.neighbors {
+                if q == from && !newly_delivered {
+                    continue;
                 }
-                return;
+                if self.md.md3 && state.neighbors_delivered.contains(q) {
+                    continue;
+                }
+                actions.push(Action::send(
+                    q,
+                    DolevMessage {
+                        content: content.clone(),
+                        path: Vec::new(),
+                    },
+                ));
             }
-            if self.md.md5 && state.relayed_empty {
-                // MD.5: stop relaying once delivered and the empty path has been forwarded.
-                return;
-            }
-            if self.md.md2 && state.relayed_empty {
-                // Already announced delivery with an empty path; nothing more to add even
-                // without MD.5 (the empty path subsumes any further path we could relay).
-                return;
-            }
+            return;
         }
 
         // Plain Dolev relay: forward the message with the extended path to every neighbor
@@ -337,7 +352,7 @@ impl DolevProcess {
             if q == from || q == source || extended.contains(&q) {
                 continue;
             }
-            if self.md.md3 && state.neighbors_delivered.contains(&q) {
+            if self.md.md3 && state.neighbors_delivered.contains(q) {
                 continue;
             }
             actions.push(Action::send(
@@ -464,7 +479,7 @@ mod tests {
     fn run_broadcast(graph: &Graph, f: usize, md: MdFlags, source: ProcessId) -> Vec<DolevProcess> {
         let n = graph.node_count();
         let mut processes: Vec<DolevProcess> = (0..n)
-            .map(|i| DolevProcess::new(i, f, graph.neighbors_vec(i), md))
+            .map(|i| DolevProcess::new(i, n, f, graph.neighbors_vec(i), md))
             .collect();
         let mut queue: Vec<(ProcessId, Action<DolevMessage>)> = processes[source]
             .broadcast_checked(Payload::from("payload"))
@@ -521,7 +536,7 @@ mod tests {
         let count = |md: MdFlags| {
             let n = g.node_count();
             let mut processes: Vec<DolevProcess> = (0..n)
-                .map(|i| DolevProcess::new(i, 1, g.neighbors_vec(i), md))
+                .map(|i| DolevProcess::new(i, g.node_count(), 1, g.neighbors_vec(i), md))
                 .collect();
             let mut queue: Vec<(ProcessId, Action<DolevMessage>)> = processes[0]
                 .broadcast_checked(Payload::from("m"))
@@ -549,7 +564,7 @@ mod tests {
 
     #[test]
     fn direct_reception_with_md1_delivers_immediately() {
-        let mut p = DolevProcess::new(1, 2, vec![0, 2], MdFlags::all());
+        let mut p = DolevProcess::new(1, 10, 2, vec![0, 2], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         let actions = p.handle_checked(
             0,
@@ -564,7 +579,7 @@ mod tests {
 
     #[test]
     fn direct_reception_without_md1_does_not_suffice_when_f_positive() {
-        let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::none());
+        let mut p = DolevProcess::new(1, 10, 1, vec![0, 2, 3], MdFlags::none());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         let actions = p.handle_checked(
             0,
@@ -590,7 +605,7 @@ mod tests {
         // f = 2: delivery needs 3 disjoint paths. Byzantine neighbors 5 and 6 forge many
         // paths, but all their paths go through themselves (the authenticated link appends
         // their label), so at most 2 disjoint paths can ever be formed.
-        let mut p = DolevProcess::new(0, 2, vec![5, 6], MdFlags::none());
+        let mut p = DolevProcess::new(0, 10, 2, vec![5, 6], MdFlags::none());
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("forged"));
         for fake in 0..20 {
             for byz in [5usize, 6] {
@@ -608,7 +623,7 @@ mod tests {
 
     #[test]
     fn md3_avoids_sending_to_delivered_neighbors() {
-        let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::all());
+        let mut p = DolevProcess::new(1, 10, 1, vec![0, 2, 3], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // Neighbor 2 tells us it delivered (empty path, not the source).
         p.handle_checked(
@@ -635,7 +650,7 @@ mod tests {
 
     #[test]
     fn md4_ignores_paths_containing_delivered_neighbors() {
-        let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::all());
+        let mut p = DolevProcess::new(1, 10, 1, vec![0, 2, 3], MdFlags::all());
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         p.handle_checked(
             2,
@@ -659,7 +674,7 @@ mod tests {
 
     #[test]
     fn gc_retires_delivered_instances_and_drops_replayed_paths() {
-        let mut p = DolevProcess::new(1, 1, vec![0, 2, 3], MdFlags::all());
+        let mut p = DolevProcess::new(1, 10, 1, vec![0, 2, 3], MdFlags::all());
         <DolevProcess as Protocol>::set_gc_policy(&mut p, GcPolicy::after_events(2));
         let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
         // MD.1 direct reception delivers immediately and opens the retention window.
@@ -725,7 +740,7 @@ mod tests {
 
     #[test]
     fn source_delivers_its_own_broadcast_once() {
-        let mut p = DolevProcess::new(4, 1, vec![0, 1], MdFlags::all());
+        let mut p = DolevProcess::new(4, 10, 1, vec![0, 1], MdFlags::all());
         let a1 = p.broadcast_checked(Payload::from("a"));
         assert_eq!(a1.iter().filter(|a| a.as_delivery().is_some()).count(), 1);
         let a2 = p.broadcast_checked(Payload::from("b"));
@@ -748,7 +763,7 @@ mod tests {
 
     #[test]
     fn state_bytes_and_stored_paths_grow() {
-        let mut p = DolevProcess::new(0, 5, vec![1, 2, 3, 4, 5, 6, 7], MdFlags::none());
+        let mut p = DolevProcess::new(0, 30, 5, vec![1, 2, 3, 4, 5, 6, 7], MdFlags::none());
         assert_eq!(p.stored_paths(), 0);
         let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
         for via in 1..6 {
@@ -762,5 +777,32 @@ mod tests {
         }
         assert!(p.stored_paths() >= 5);
         assert!(p.state_bytes() > 0);
+    }
+
+    #[test]
+    fn labels_outside_the_system_are_refused_before_any_state_exists() {
+        let mut p = DolevProcess::new(1, 10, 1, vec![0, 2, 3], MdFlags::all());
+        let wild = 4_000_000_000usize;
+        let content = Content::new(BroadcastId::new(0, 0), Payload::from("m"));
+        let through = |path: Vec<ProcessId>| DolevMessage {
+            content: content.clone(),
+            path,
+        };
+        let forged_source = DolevMessage {
+            content: Content::new(BroadcastId::new(wild, 0), Payload::from("m")),
+            path: vec![],
+        };
+        for (from, message) in [
+            (2, through(vec![0, wild])),
+            (2, through(vec![10])),
+            (wild, through(vec![0])),
+            (2, forged_source),
+        ] {
+            assert!(p.handle_checked(from, message).is_empty());
+            assert_eq!((p.state_bytes(), p.stored_paths()), (0, 0));
+            assert!(p.instances.is_empty());
+        }
+        assert!(!p.handle_checked(2, through(vec![0, 9])).is_empty());
+        assert_eq!(p.stored_paths(), 1);
     }
 }

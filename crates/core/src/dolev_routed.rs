@@ -195,10 +195,14 @@ impl RoutedDolev {
     }
 
     /// Validates the fields a relay or destination can check locally against the
-    /// authenticated link: the route starts at the claimed origin, addresses this process
-    /// at `position`, and the previous hop matches the link the message arrived on.
+    /// authenticated link: every hop of the route is a node of the topology, the route
+    /// starts at the claimed origin, addresses this process at `position`, and the
+    /// previous hop matches the link the message arrived on (which bounds `origin` and
+    /// `from` too: both are hops of the route).
     fn plausible(&self, from: ProcessId, message: &RoutedDolevMessage) -> bool {
-        message.position >= 1
+        let n = self.graph.node_count();
+        message.route.iter().all(|&hop| hop < n)
+            && message.position >= 1
             && message.position < message.route.len()
             && message.route[message.position] == self.id
             && message.route[message.position - 1] == from
@@ -759,5 +763,36 @@ mod tests {
         let p = RoutedDolev::new(0, 2, g);
         assert_eq!(p.routes_per_destination(), 5);
         assert_eq!(p.delivery_threshold(), 3);
+    }
+
+    #[test]
+    fn routes_through_labels_outside_the_topology_are_dropped() {
+        // A hop, an origin or a sender that is not a node of the known topology used to
+        // index the adjacency structure (origin) or be handed to the host as a
+        // destination (next hop).
+        let g = generate::complete(4);
+        let mut p = RoutedDolev::new(1, 1, g);
+        let wild = 4_000_000_000usize;
+        let via = |origin: ProcessId, route: Vec<ProcessId>, position: usize| RoutedDolevMessage {
+            origin,
+            seq: 0,
+            payload: Payload::from("m"),
+            route,
+            position,
+        };
+        let mut actions = Vec::new();
+        for (from, message) in [
+            (0, via(0, vec![0, 1, wild], 1)),
+            (wild, via(wild, vec![wild, 1], 1)),
+            (0, via(4, vec![4, 0, 1], 2)),
+        ] {
+            assert!(p.on_message(from, message, &mut actions).is_empty());
+            assert!(actions.is_empty());
+            assert_eq!(
+                (Protocol::state_bytes(&p), Protocol::stored_paths(&p)),
+                (0, 0)
+            );
+            p.assert_totals();
+        }
     }
 }

@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn cpa_transport_originates_and_delivers_locally() {
-        let mut cpa = CpaProcess::new(2, 1, vec![0, 1, 3]);
+        let mut cpa = CpaProcess::new(2, 10, 1, vec![0, 1, 3]);
         let mut actions = Vec::new();
         let deliveries = cpa.originate(Payload::from("x"), &mut actions);
         assert_eq!(deliveries.len(), 1);
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn cpa_transport_delivers_direct_reception_from_origin() {
-        let mut cpa = CpaProcess::new(1, 1, vec![0, 2]);
+        let mut cpa = CpaProcess::new(1, 10, 1, vec![0, 2]);
         let mut actions = Vec::new();
         let msg = crate::cpa::CpaMessage {
             content: Content::new(BroadcastId::new(0, 7), Payload::from("m")),

@@ -821,12 +821,13 @@ impl StackSpec {
                 SinkEngine::new(BrachaOverRc::new(
                     config.n,
                     config.f,
-                    CpaProcess::new(id, config.f, graph.neighbors_vec(id)),
+                    CpaProcess::new(id, config.n, config.f, graph.neighbors_vec(id)),
                 ))
                 .with_peek(peek_bracha_over_rc),
             ),
             StackSpec::Dolev => Box::new(SinkEngine::new(DolevProcess::new(
                 id,
+                config.n,
                 config.f,
                 graph.neighbors_vec(id),
                 config.md,
@@ -836,6 +837,7 @@ impl StackSpec {
             }
             StackSpec::Cpa => Box::new(SinkEngine::new(CpaProcess::new(
                 id,
+                config.n,
                 config.f,
                 graph.neighbors_vec(id),
             ))),

@@ -1,6 +1,7 @@
 //! Core identifiers and payload types shared by every protocol layer.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -95,46 +96,78 @@ impl fmt::Display for BroadcastId {
 /// The protocols never interpret payload bytes; they only move them around and compare
 /// them for equality (no cryptographic digests are used, matching the paper's goal of
 /// tolerating computationally unbounded adversaries).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Payload(Arc<Vec<u8>>);
+///
+/// Every engine keys its per-broadcast state by [`Content`], so a payload is hashed on
+/// every received message. The bytes are therefore digested **once**, at construction:
+/// [`Hash`] writes the cached 64-bit digest and equality (and the ordering, which is by
+/// digest first and is only good for set membership) looks at the digest before the
+/// bytes. A lookup costs the same for a 16 B and a 1 KiB payload, and the payloads an
+/// equivocating source attaches to one [`BroadcastId`] still spread over hash buckets.
+/// The digest is a lookup accelerator only: equality is always decided by the bytes.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[serde(from = "Vec<u8>", into = "Vec<u8>")]
+pub struct Payload {
+    digest: u64,
+    bytes: Arc<Vec<u8>>,
+}
 
 impl Payload {
     /// Creates a payload from raw bytes.
     pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
-        Self(Arc::new(bytes.into()))
+        let bytes = bytes.into();
+        // SipHash with the standard library's fixed keys: deterministic across runs,
+        // and map hashers re-key it, so no table's bucket choice is predictable.
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        hasher.write(&bytes);
+        Self {
+            digest: hasher.finish(),
+            bytes: Arc::new(bytes),
+        }
     }
 
     /// Creates a payload of `len` identical bytes (handy for the 16 B / 1024 B workloads
     /// of the evaluation).
     pub fn filled(byte: u8, len: usize) -> Self {
-        Self(Arc::new(vec![byte; len]))
+        Self::new(vec![byte; len])
     }
 
     /// Payload length in bytes (the `payloadSize` wire field).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.bytes.len()
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bytes.is_empty()
     }
 
     /// Raw bytes of the payload.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes
+    }
+}
+
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Payload({} bytes)", self.0.len())
+        write!(f, "Payload({} bytes)", self.bytes.len())
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Self {
         Payload::new(v)
+    }
+}
+
+impl From<Payload> for Vec<u8> {
+    fn from(p: Payload) -> Self {
+        Arc::try_unwrap(p.bytes).unwrap_or_else(|shared| (*shared).clone())
     }
 }
 

@@ -89,6 +89,7 @@ pub mod delay;
 pub mod experiment;
 pub mod invariants;
 pub mod metrics;
+mod queue;
 pub mod sim;
 pub mod sweep;
 pub mod time;

@@ -1,9 +1,9 @@
 //! The discrete-event network simulator.
 //!
-//! The simulator owns one protocol instance per process, a virtual clock and a priority
-//! queue of in-flight messages. Sending a message schedules its reception after a delay
-//! drawn from the configured [`DelayModel`]; receptions are processed in timestamp order,
-//! which reproduces the synchronous and asynchronous regimes of the paper's evaluation
+//! The simulator owns one protocol instance per process, a virtual clock and a queue of
+//! in-flight messages. Sending a message schedules its reception after a delay drawn from
+//! the configured [`DelayModel`]; receptions are processed in timestamp order, which
+//! reproduces the synchronous and asynchronous regimes of the paper's evaluation
 //! (asynchronous delays reorder messages exactly as described in Sec. 7.6).
 //!
 //! Determinism: for a fixed seed, topology and protocol configuration, a run is perfectly
@@ -13,15 +13,24 @@
 //!
 //! # Engine internals
 //!
-//! Three structural choices keep the per-event cost low enough for large parameter sweeps:
+//! Four structural choices keep the per-event cost low enough for large parameter sweeps:
 //!
 //! * in-flight messages are reference-counted ([`Arc`]): scheduling `c` copies of a
 //!   message performs `c` pointer clones instead of `c` deep clones, and the deep value is
 //!   recovered without copying when the last copy is dispatched;
-//! * same-timestamp events are drained in one pass ([`Simulation::step_batch`]) into a
-//!   reusable batch buffer — an event pool whose allocation is recycled across batches;
+//! * the queue keeps one vector per timestamp, appended to in scheduling order and sorted
+//!   by `(from, to, seq)` only when the clock reaches it; a binary heap takes just the
+//!   sends that land before the newest timestamp (asynchronous delays). Under constant
+//!   delays a send is one `Vec::push` and a whole wave costs one sort;
+//! * same-timestamp events are drained in one pass ([`Simulation::step_batch`]): the
+//!   drained bucket becomes the batch buffer and the previous batch buffer becomes a
+//!   later bucket, so the steady state allocates no queue storage, and every handled
+//!   event writes its actions into one reusable sink;
 //! * per-kind diagnostic labels are interned per message discriminant, so the hot send
 //!   path never formats a message's `Debug` representation more than once per kind.
+//!
+//! What is left per event is the `Arc` of each message sent and whatever the engine
+//! allocates; `tests/alloc_budget.rs` holds the two together to a committed budget.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -38,33 +47,8 @@ use crate::behavior::Behavior;
 use crate::churn::{ChurnAction, ChurnEvent, LinkState};
 use crate::delay::DelayModel;
 use crate::metrics::RunMetrics;
+use crate::queue::{Event, EventQueue};
 use crate::time::SimTime;
-
-/// An in-flight message. The payload is reference-counted so that fan-out (behaviour
-/// duplication, flooding) shares one allocation across all scheduled copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event<M> {
-    at: SimTime,
-    from: ProcessId,
-    to: ProcessId,
-    seq: u64,
-    message: Arc<M>,
-}
-
-impl<M: Eq> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Ties on the timestamp are broken by the link (from, to) *before* the insertion
-        // sequence number, so batched draining processes same-time events in a canonical
-        // per-link order rather than in whatever order they happened to be scheduled.
-        (self.at, self.from, self.to, self.seq).cmp(&(other.at, other.from, other.to, other.seq))
-    }
-}
-
-impl<M: Eq> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A broadcast scheduled to enter the system at a future virtual time (the workload
 /// engine's injection events). Ordered by `(at, seq)`: same-time injections run in
@@ -102,13 +86,13 @@ where
     /// engines' own per-source sequence numbering so the metrics can attribute
     /// injections to [`BroadcastId`]s without decoding messages.
     injected_per_source: Vec<u32>,
-    queue: BinaryHeap<Reverse<Event<P::Message>>>,
+    queue: EventQueue<P::Message>,
     /// Scheduled broadcast injections (the workload engine's mid-run arrivals), drained
     /// by [`Simulation::step_batch`] ahead of same-time message events.
     injections: BinaryHeap<Reverse<ScheduledInjection>>,
     next_injection_seq: u64,
     /// Reusable batch buffer: [`Simulation::step_batch`] drains same-time events into this
-    /// vector, whose allocation is recycled across batches (the event pool).
+    /// vector and trades its allocation for the drained bucket's (the event pool).
     batch: Vec<Event<P::Message>>,
     /// Reusable action sink: every protocol event writes its actions into this buffer via
     /// [`Protocol::handle_message_into`] / [`Protocol::broadcast_into`], so the hot
@@ -173,7 +157,7 @@ where
             behaviors: vec![Behavior::Correct; n],
             sent_per_process: vec![0; n],
             injected_per_source: vec![0; n],
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             injections: BinaryHeap::new(),
             next_injection_seq: 0,
             batch: Vec::new(),
@@ -428,7 +412,7 @@ where
     ///
     /// Panics if the event bound is exceeded, which indicates a diverging configuration.
     pub fn step_batch(&mut self) -> usize {
-        let next_event = self.queue.peek().map(|Reverse(event)| event.at);
+        let next_event = self.queue.next_at();
         let next_injection = self
             .injections
             .peek()
@@ -450,12 +434,10 @@ where
         // Move the pooled buffer out so the queue and the processes can be borrowed
         // mutably while iterating it; its capacity is given back at the end.
         let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        while let Some(Reverse(event)) = self.queue.peek() {
-            if event.at != batch_at {
-                break;
-            }
-            batch.push(self.queue.pop().expect("peeked event exists").0);
+        if next_event == Some(batch_at) {
+            self.queue.pop_batch(&mut batch);
+        } else {
+            batch.clear();
         }
         self.now = batch_at;
         self.sync_trace_clock();
@@ -529,7 +511,7 @@ where
     pub fn run_until(&mut self, deadline: SimTime) -> usize {
         let mut processed = 0usize;
         loop {
-            let event_due = matches!(self.queue.peek(), Some(Reverse(e)) if e.at <= deadline);
+            let event_due = self.queue.next_at().is_some_and(|at| at <= deadline);
             let injection_due =
                 matches!(self.injections.peek(), Some(Reverse(i)) if i.at <= deadline);
             let churn_due = self
@@ -666,7 +648,7 @@ where
                             message: Arc::clone(&message),
                         };
                         self.next_seq += 1;
-                        self.queue.push(Reverse(event));
+                        self.queue.push(event);
                     }
                 }
                 Action::Deliver(delivery) => {

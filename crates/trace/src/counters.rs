@@ -11,7 +11,7 @@ use crate::event::DropCause;
 /// Plain (non-atomic) drop tally, indexed by [`DropCause`]. Used directly by
 /// the single-threaded simulator and as the snapshot type in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DropCounts(pub [u64; 5]);
+pub struct DropCounts(pub [u64; DropCause::ALL.len()]);
 
 impl DropCounts {
     /// All-zero tally.
@@ -67,7 +67,7 @@ impl std::fmt::Display for DropCounts {
 #[derive(Debug, Default)]
 pub struct NodeCounters {
     sends: AtomicU64,
-    drops: [AtomicU64; 5],
+    drops: [AtomicU64; DropCause::ALL.len()],
     queue_depth_peak: AtomicU64,
 }
 

@@ -46,16 +46,20 @@ pub enum DropCause {
     GcRetired,
     /// Destination is not a neighbor of the sending process.
     NonNeighbor,
+    /// The frame names a process label outside `0..n`; refused at engine ingress
+    /// before any state is created (the sender is necessarily faulty).
+    Malformed,
 }
 
 impl DropCause {
     /// Every cause, in counter-array order.
-    pub const ALL: [DropCause; 5] = [
+    pub const ALL: [DropCause; 6] = [
         DropCause::Loss,
         DropCause::ChurnGate,
         DropCause::Behavior,
         DropCause::GcRetired,
         DropCause::NonNeighbor,
+        DropCause::Malformed,
     ];
 
     /// Stable lower-snake-case label used by the exporters and the CSV.
@@ -66,6 +70,7 @@ impl DropCause {
             DropCause::Behavior => "behavior",
             DropCause::GcRetired => "gc_retired",
             DropCause::NonNeighbor => "non_neighbor",
+            DropCause::Malformed => "malformed",
         }
     }
 
@@ -77,6 +82,7 @@ impl DropCause {
             DropCause::Behavior => 2,
             DropCause::GcRetired => 3,
             DropCause::NonNeighbor => 4,
+            DropCause::Malformed => 5,
         }
     }
 }

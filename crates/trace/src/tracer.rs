@@ -4,7 +4,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::event::{Backend, NodeId, TraceEvent, TraceEventKind};
+use crate::counters::NodeCounters;
+use crate::event::{Backend, DropCause, NodeId, TraceEvent, TraceEventKind};
 use crate::sink::TraceSink;
 
 /// Event timestamp source. Virtual in the simulator (the scheduler advances the
@@ -51,6 +52,10 @@ struct Shared {
 #[derive(Clone, Default)]
 pub struct Tracer {
     shared: Option<Arc<Shared>>,
+    /// The hosting node's always-on counter registry, when a host attached one
+    /// ([`Tracer::with_counters`]): engine-side refusals are tallied there whether or
+    /// not a sink is attached.
+    counters: Option<Arc<NodeCounters>>,
 }
 
 impl Tracer {
@@ -67,7 +72,16 @@ impl Tracer {
                 clock,
                 backend,
             })),
+            counters: None,
         }
+    }
+
+    /// The same tracer, additionally tallying [`Tracer::frame_refused`] calls in the
+    /// hosting node's counter registry.
+    #[must_use]
+    pub fn with_counters(mut self, counters: Arc<NodeCounters>) -> Self {
+        self.counters = Some(counters);
+        self
     }
 
     /// Whether a sink is attached.
@@ -95,6 +109,21 @@ impl Tracer {
                 kind,
             });
         }
+    }
+
+    /// Records that the engine at `node` refused an inbound frame of instance
+    /// `(source, seq)`: bumps the node's per-cause counter when a registry is attached
+    /// and emits [`TraceEventKind::FrameDropped`] when a sink is.
+    pub fn frame_refused(&self, node: NodeId, source: NodeId, seq: u32, cause: DropCause) {
+        if let Some(counters) = &self.counters {
+            counters.record_drop(cause);
+        }
+        self.emit(
+            node,
+            source,
+            seq,
+            TraceEventKind::FrameDropped { to: node, cause },
+        );
     }
 
     /// Emit an event not tied to a broadcast instance (frame/queue events at

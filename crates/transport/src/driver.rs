@@ -339,9 +339,10 @@ pub struct NodeReport {
     /// Number of [`Command::Restart`]s the node carried out.
     pub restarts: u64,
     /// Frames the node's link decorators discarded, broken down by cause (churn
-    /// gating, loss overrides, Byzantine behavior, non-neighbor sends). Engines'
-    /// GC-retired ingress drops surface only in the trace, not here — they are
-    /// receive-side.
+    /// gating, loss overrides, Byzantine behavior, non-neighbor sends), plus the inbound
+    /// frames its engines refused for naming a label outside the system
+    /// ([`brb_trace::DropCause::Malformed`]). Engines' GC-retired ingress drops surface
+    /// only in the trace, not here.
     pub drops_by_cause: DropCounts,
     /// Peak occupancy of the node's delay line (0 without a [`LinkDelay`] that queues).
     pub queue_depth_peak: u64,
@@ -551,8 +552,8 @@ impl NodeDriver {
             engine.set_gc_policy(gc);
         }
         let tracer = options.tracer();
-        engine.set_tracer(tracer.clone());
         let counters = Arc::new(NodeCounters::default());
+        engine.set_tracer(tracer.clone().with_counters(counters.clone()));
         let observer = LinkObserver::new(id, counters.clone(), tracer.clone());
         let (shard_out_tx, shard_out_rx) = unbounded();
         Self {
@@ -580,6 +581,13 @@ impl NodeDriver {
         }
     }
 
+    /// The tracer handed to this node's engines: the node's own, plus its counter
+    /// registry so frames an engine refuses at ingress show up in
+    /// [`NodeReport::drops_by_cause`] even in untraced runs.
+    fn engine_tracer(&self) -> Tracer {
+        self.tracer.clone().with_counters(self.counters.clone())
+    }
+
     /// Installs the extra engines of a sharded node ([`DriverOptions::shard_workers`]
     /// `> 1`): the deployment builds them with the *same* constructor (and process
     /// identity) as the primary engine, and `run` moves each onto its own worker
@@ -592,7 +600,7 @@ impl NodeDriver {
             if let Some(gc) = self.gc {
                 engine.set_gc_policy(gc);
             }
-            engine.set_tracer(self.tracer.clone());
+            engine.set_tracer(self.engine_tracer());
             self.shard_extras.push(engine);
         }
         self
@@ -630,7 +638,7 @@ impl NodeDriver {
         if let Some(gc) = self.gc {
             fresh.set_gc_policy(gc);
         }
-        fresh.set_tracer(self.tracer.clone());
+        fresh.set_tracer(self.engine_tracer());
         self.actions.clear();
         self.engine = fresh;
         self.restarts += 1;
@@ -1179,6 +1187,56 @@ mod tests {
         let reports = shutdown(&commands, handles);
         assert!(reports.iter().all(|r| r.deliveries.len() == 1));
         assert!(reports.iter().map(|r| r.messages_sent).sum::<usize>() > 0);
+    }
+
+    #[test]
+    fn frames_naming_labels_outside_the_system_are_counted_as_malformed() {
+        use brb_core::types::BroadcastId;
+        use brb_core::wire::{MessageKind, PayloadRef, WireMessage};
+        let graph = generate::ring(4);
+        let config = Config::bdopt(4, 1);
+        let (mut mailboxes, senders) = build_links(4, &graph.edges());
+        let (delivery_tx, _delivery_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = unbounded();
+        // Only node 1 runs; its neighbor 0's link feeds it hand-made frames.
+        let mailbox = mailboxes.remove(1);
+        let driver = NodeDriver::new(
+            StackSpec::Bd.build(&config, &graph, 1),
+            Box::new(ChannelTransport::new(mailbox, senders[1].clone())),
+            cmd_rx,
+            delivery_tx,
+            &DriverOptions::default(),
+        );
+        let handle = std::thread::spawn(move || driver.run());
+        let echo_through = |label: usize| {
+            WireMessage {
+                kind: MessageKind::Echo,
+                id: BroadcastId::new(2, 0),
+                originator: 3,
+                originator2: None,
+                payload: PayloadRef::Inline(Payload::from("m")),
+                path: vec![label],
+                fields: Default::default(),
+            }
+            .encode()
+        };
+        let link = &senders[0][0];
+        assert_eq!(link.peer(), 1);
+        assert!(link.send(echo_through(4_000_000_000)));
+        assert!(link.send(echo_through(4)));
+        assert!(link.send(echo_through(3)));
+        // The link is FIFO: once node 2 sees the relay of the third frame, node 1 has
+        // handled all three.
+        let relayed = mailboxes[1]
+            .receiver()
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the well-formed Echo is relayed to node 2");
+        assert_eq!(relayed.from, 1);
+        let reports = shutdown(&[cmd_tx], vec![handle]);
+        let drops = reports[0].drops_by_cause;
+        assert_eq!(drops.get(brb_trace::DropCause::Malformed), 2);
+        assert_eq!(drops.total(), 2);
+        assert_eq!(reports[0].messages_sent, 1);
     }
 
     #[test]

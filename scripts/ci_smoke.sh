@@ -32,11 +32,21 @@
 # against the working tree and runs its contract / count / observer tests, so a crate
 # API change that breaks the benchmark fails here rather than in the benchmark pipeline.
 #
+# Before any of that it runs the two host-independent gates of the hot path: the
+# allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing) and
+# `clippy -D warnings` on the crates that are clean (brb-net and brb-bench still fail it
+# and stay out until they are fixed).
+#
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
 
 out="${1:-target/smoke}"
 mkdir -p "$out"
+
+timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
+timeout 900 cargo clippy --offline -p brb-core -p brb-sim -p brb-consensus --all-targets -- -D warnings
+
+echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.
@@ -118,11 +128,11 @@ if [ "$trace_rows" -lt 3 ]; then
     echo "FAIL: expected >= 3 trace breakdown rows (one per scenario), found $trace_rows — did --trace run?" >&2
     exit 1
 fi
-if [ "$trace_drop_rows" -lt 15 ]; then
-    echo "FAIL: expected >= 15 trace_drops rows (3 scenarios x 5 causes), found $trace_drop_rows" >&2
+if [ "$trace_drop_rows" -lt 18 ]; then
+    echo "FAIL: expected >= 18 trace_drops rows (3 scenarios x 6 causes), found $trace_drop_rows" >&2
     exit 1
 fi
-for cause in loss churn_gate behavior gc_retired non_neighbor; do
+for cause in loss churn_gate behavior gc_retired non_neighbor malformed; do
     if ! grep -q "^trace_drops,.*,$cause," "$out/sweep_w1.csv"; then
         echo "FAIL: no trace_drops row for cause $cause" >&2
         exit 1

@@ -27,7 +27,7 @@ fn routed_processes(graph: &Graph, f: usize) -> Vec<BrachaRoutedDolev> {
 fn cpa_processes(graph: &Graph, f: usize, t_local: usize) -> Vec<BrachaCpa> {
     let n = graph.node_count();
     (0..n)
-        .map(|i| BrachaOverRc::new(n, f, CpaProcess::new(i, t_local, graph.neighbors_vec(i))))
+        .map(|i| BrachaOverRc::new(n, f, CpaProcess::new(i, n, t_local, graph.neighbors_vec(i))))
         .collect()
 }
 

@@ -1,32 +1,32 @@
 //! Machine-readable saturation study: the wall-clock knee of the live backends, with
-//! frame batching + instance sharding on vs off.
+//! instance sharding on vs off.
 //!
-//! For every `stack x backend x transport-mode` combination the binary ramps an
-//! open-loop constant-rate workload (descending inter-arrival intervals, real-time
-//! paced) against a fresh deployment and detects the **knee**: the highest offered
-//! arrival rate that still completes every broadcast with a p99 completion latency
-//! under the ramp's cap (8x the classic mode's lowest-rate p99, floored at 25 ms
-//! against scheduler noise — the same [`brb_bench::saturation::knee_index`] rule the
-//! deterministic simulator section uses). The first ramp point is deliberately far
-//! below any stack's capacity (50 broadcasts/s) so the cap is anchored to a genuinely
-//! unloaded baseline, and both modes of one stack x backend combination are judged
-//! against the **same** cap (the classic ramp's), so the knee comparison is
-//! apples-to-apples. The ramp stops at the first collapsed point, so an overload run
-//! truncated by the timeout can never be mistaken for a healthy one.
+//! For every `stack x backend x mode` combination the binary ramps an open-loop
+//! constant-rate workload (descending inter-arrival intervals, real-time paced) against
+//! a fresh deployment and detects the **knee**: the highest offered arrival rate that
+//! still completes every broadcast with a p99 completion latency under the ramp's cap
+//! (8x the single-engine mode's lowest-rate p99, floored at 25 ms against scheduler
+//! noise — the same [`brb_bench::saturation::knee_index`] rule the deterministic
+//! simulator section uses). The first ramp point is deliberately far below any stack's
+//! capacity (50 broadcasts/s) so the cap is anchored to a genuinely unloaded baseline,
+//! and both modes of one stack x backend combination are judged against the **same**
+//! cap (the single-engine ramp's), so the knee comparison is apples-to-apples. The ramp
+//! stops at the first collapsed point, so an overload run truncated by the timeout can
+//! never be mistaken for a healthy one.
 //!
 //! The combinations:
 //!
 //! * stacks — `bd` (the paper's Bracha–Dolev on the Fig. 1 topology) and `bracha`
-//!   (plain double-echo on a complete graph, the classic fully-connected baseline);
+//!   (plain double-echo on a complete graph, the fully-connected baseline);
 //! * backends — the in-process channel runtime and the TCP socket deployment;
-//! * modes — `classic` ([`DriverOptions::default`]: one channel op/syscall per frame,
-//!   single engine per node) vs `batched_sharded`
-//!   ([`DriverOptions::with_batching`] + [`DriverOptions::with_shards`]: per-burst
-//!   destination batching and an instance-sharded engine pool per node, pool width
-//!   scaled to the host's cores and recorded in the JSON).
+//! * modes — `single_engine` ([`DriverOptions::default`]: one engine per node) vs
+//!   `sharded` ([`DriverOptions::with_shards`]: an instance-sharded engine pool per
+//!   node, pool width scaled to the host's cores and recorded in the JSON). Both send
+//!   through the driver's one burst path (frames grouped per destination, one channel
+//!   op / syscall per group).
 //!
-//! Emits `BENCH_saturation.json` with one `knee_offered_per_sec` per combination — the
-//! number the batching/sharding work moves — plus the per-point curves. Wall-clock
+//! Emits `BENCH_saturation.json` with the host it ran on and one
+//! `knee_offered_per_sec` per combination, plus the per-point curves. Wall-clock
 //! results vary with the host, so nothing here participates in byte-equality diffs;
 //! the CI smoke job only greps the expected fields.
 //!
@@ -34,7 +34,7 @@
 
 use std::time::{Duration, Instant};
 
-use brb_bench::json::{out_path_from_args, write_and_echo, JsonObject};
+use brb_bench::json::{host, out_path_from_args, write_and_echo, JsonObject};
 use brb_bench::saturation::{knee_index, KneeObservation};
 use brb_bench::Scale;
 use brb_core::config::Config;
@@ -45,7 +45,7 @@ use brb_runtime::{Deployment, DriverOptions, Pacing};
 use brb_transport::DeploymentReport;
 use brb_workload::WorkloadSpec;
 
-/// Shard pool width of the `batched_sharded` mode: scales with the host's cores
+/// Shard pool width of the `sharded` mode: scales with the host's cores
 /// (clamped to [2, 4] so sharding is always genuinely exercised, while a small box is
 /// not oversubscribed with idle worker threads — each of the 10 nodes runs its own
 /// pool). The emitted JSON records the width used.
@@ -74,7 +74,7 @@ struct Point {
 
 /// Percentile over the run's per-broadcast completion latencies (microseconds in,
 /// milliseconds out; nearest-rank on the sorted latencies).
-fn percentile_ms(latencies_us: &mut Vec<u64>, q: f64) -> f64 {
+fn percentile_ms(latencies_us: &mut [u64], q: f64) -> f64 {
     if latencies_us.is_empty() {
         return f64::NAN;
     }
@@ -83,17 +83,25 @@ fn percentile_ms(latencies_us: &mut Vec<u64>, q: f64) -> f64 {
     latencies_us[rank - 1] as f64 / 1_000.0
 }
 
-/// Runs one ramp point on one backend: start a fresh deployment, replay the schedule in
-/// real time, shut down. Returns the measured point.
-fn run_point(
-    backend: &str,
-    graph: &Graph,
+/// One `stack x backend x mode` combination of the study.
+struct Combo<'a> {
+    backend: &'a str,
+    graph: &'a Graph,
     config: Config,
     stack: StackSpec,
-    options: &DriverOptions,
-    interval_micros: u64,
-    broadcasts: u32,
-) -> Point {
+    options: &'a DriverOptions,
+}
+
+/// Runs one ramp point on one backend: start a fresh deployment, replay the schedule in
+/// real time, shut down. Returns the measured point.
+fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
+    let Combo {
+        backend,
+        graph,
+        config,
+        stack,
+        options,
+    } = *combo;
     let n = graph.node_count();
     let correct: Vec<usize> = (0..n).collect();
     let spec = WorkloadSpec::constant_rate(interval_micros, broadcasts).with_payload_bytes(64);
@@ -155,14 +163,10 @@ fn run_point(
 ///
 /// `cap_override` pins the cap instead of deriving it from this ramp's baseline
 /// point: both modes of one stack x backend combination are judged against the
-/// **same** latency bound (the classic mode's), so a mode with a lower unloaded
+/// **same** latency bound (the single-engine mode's), so a mode with a lower unloaded
 /// baseline is not punished with a tighter cap when comparing knees.
 fn run_ramp(
-    backend: &str,
-    graph: &Graph,
-    config: Config,
-    stack: StackSpec,
-    options: &DriverOptions,
+    combo: &Combo,
     intervals: &[u64],
     broadcasts: u32,
     cap_override: Option<f64>,
@@ -170,13 +174,12 @@ fn run_ramp(
     let mut points: Vec<Point> = Vec::new();
     let mut cap = cap_override.unwrap_or(f64::INFINITY);
     for &interval in intervals {
-        let point = run_point(
-            backend, graph, config, stack, options, interval, broadcasts,
-        );
+        let point = run_point(combo, interval, broadcasts);
         if points.is_empty() && cap_override.is_none() {
             cap = (P99_CAP_FACTOR * point.p99_ms).max(P99_CAP_FLOOR_MS);
         }
-        let collapsed = point.completed < point.effective || !(point.p99_ms <= cap);
+        let collapsed =
+            point.completed < point.effective || point.p99_ms.is_nan() || point.p99_ms > cap;
         println!(
             "#   {:>6} us  offered {:>8.1}/s  thr {:>8.1}/s  p50 {:>7.1} ms  p99 {:>7.1} ms  {}/{}{}",
             point.interval_micros,
@@ -276,19 +279,21 @@ fn main() {
         ),
     ];
     let modes: Vec<(&str, DriverOptions)> = vec![
-        ("classic", DriverOptions::default()),
+        ("single_engine", DriverOptions::default()),
         (
-            "batched_sharded",
-            DriverOptions::default()
-                .with_batching()
-                .with_shards(shard_workers()),
+            "sharded",
+            DriverOptions::default().with_shards(shard_workers()),
         ),
     ];
 
     let mut doc = JsonObject::new();
-    doc.str("bench", "saturation").str(
+    doc.str("bench", "saturation").obj("host", host()).str(
         "scale",
-        if scale == Scale::Quick { "quick" } else { "paper" },
+        if scale == Scale::Quick {
+            "quick"
+        } else {
+            "paper"
+        },
     );
     doc.u64("broadcasts_per_point", u64::from(broadcasts))
         .u64("shard_workers", shard_workers() as u64);
@@ -297,17 +302,21 @@ fn main() {
         let mut stack_obj = JsonObject::new();
         for backend in ["channel", "tcp"] {
             let mut backend_obj = JsonObject::new();
-            // The classic ramp runs first and donates its baseline-derived p99 cap to
-            // the batched_sharded ramp, so both knees answer the same question: "how
-            // far can the offered rate climb before p99 exceeds 8x the classic
+            // The single-engine ramp runs first and donates its baseline-derived p99
+            // cap to the sharded ramp, so both knees answer the same question: "how
+            // far can the offered rate climb before p99 exceeds 8x the single-engine
             // unloaded latency?"
             let mut shared_cap: Option<f64> = None;
             for (mode_name, options) in &modes {
                 println!("# saturation: stack={stack_name} backend={backend} mode={mode_name}");
-                let (points, knee, cap) = run_ramp(
-                    backend, graph, *config, *stack, options, intervals, broadcasts,
-                    shared_cap,
-                );
+                let combo = Combo {
+                    backend,
+                    graph,
+                    config: *config,
+                    stack: *stack,
+                    options,
+                };
+                let (points, knee, cap) = run_ramp(&combo, intervals, broadcasts, shared_cap);
                 shared_cap.get_or_insert(cap);
                 match knee {
                     Some(i) => println!(

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::connectivity::vertex_connectivity;
+use crate::connectivity::is_k_connected;
 use crate::graph::{Graph, ProcessId};
 use crate::traversal::is_connected;
 
@@ -220,7 +220,7 @@ pub fn random_regular_connected<R: Rng + ?Sized>(
     const MAX_ATTEMPTS: usize = 64;
     for _ in 0..MAX_ATTEMPTS {
         let g = random_regular_graph(n, degree, rng)?;
-        if vertex_connectivity(&g) >= min_connectivity {
+        if is_k_connected(&g, min_connectivity) {
             return Ok(g);
         }
     }
@@ -246,6 +246,7 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connectivity::vertex_connectivity;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -89,7 +89,7 @@ pub fn read_frame_burst<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<By
     }
     let mut staging = vec![0u8; len];
     reader.read_exact(&mut staging)?;
-    let mut marks = vec![0..len];
+    let mut marks = vec![(0, len)];
 
     // Drain: take every complete frame already buffered, never touching the socket.
     loop {
@@ -97,19 +97,23 @@ pub fn read_frame_burst<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<By
         if buffered.len() < 4 {
             break;
         }
-        let next = u32::from_be_bytes([buffered[0], buffered[1], buffered[2], buffered[3]]) as usize;
+        let next =
+            u32::from_be_bytes([buffered[0], buffered[1], buffered[2], buffered[3]]) as usize;
         if next > MAX_FRAME_BYTES || buffered.len() < 4 + next {
             // Oversized or incomplete: leave it for the next (blocking) call.
             break;
         }
         let start = staging.len();
         staging.extend_from_slice(&buffered[4..4 + next]);
-        marks.push(start..staging.len());
+        marks.push((start, staging.len()));
         reader.consume(4 + next);
     }
 
     let pooled = Bytes::from(staging);
-    Ok(marks.into_iter().map(|r| pooled.slice(r)).collect())
+    Ok(marks
+        .into_iter()
+        .map(|(start, end)| pooled.slice(start..end))
+        .collect())
 }
 
 /// Writes the connection handshake: magic byte plus the connecting process's identifier.

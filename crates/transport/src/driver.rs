@@ -87,25 +87,14 @@ pub enum Command {
 
 /// Options of a live deployment, shared by the channel runtime and the TCP backend.
 ///
-/// This replaces the former `RuntimeOptions` / `TcpOptions` pair, whose separately
-/// maintained `Default` impls had already started to drift apart in spirit. On top of
-/// the old knobs it carries the
-/// [`LinkPolicy`] vocabulary: per-process Byzantine [`Behavior`]s and a wall-clock-scaled
-/// [`brb_sim::DelayModel`], so the simulator's scenario configurations run identically on
-/// the live backends.
+/// They say *what* a deployment runs — idle shutdown, seeds, the [`LinkPolicy`]
+/// vocabulary (per-process Byzantine [`Behavior`]s and a wall-clock-scaled
+/// [`brb_sim::DelayModel`], so the simulator's scenario configurations run identically
+/// on the live backends), churn, GC, tracing and the shard pool width — never *how* the
+/// driver moves frames: every node drains its inbound backlog and sends each engine
+/// event's frames as one [`Transport::send_batch`] burst per destination, traced or not.
 #[derive(Debug, Clone)]
 pub struct DriverOptions {
-    /// Legacy artificial per-frame transmission delay: `Some((mean, jitter))` delays
-    /// each outbound frame by `mean + uniform(0..=jitter)`, `None` transmits
-    /// immediately. The field is kept so code written against the old options structs
-    /// compiles unchanged, but the delay is now applied through the non-blocking
-    /// [`crate::policy::DelayedLink`] delay line: frames overlap in flight instead of
-    /// serializing the node loop with sleeps, so wall-clock latencies come out lower
-    /// than under the old implementation (and closer to the simulator's, which is the
-    /// point). Prefer [`DriverOptions::link_delay`], which expresses the same regime as
-    /// [`LinkDelay::MeanJitter`] and the paper's distributions as [`LinkDelay::Scaled`].
-    /// When set, it takes precedence over `link_delay`.
-    pub delay: Option<(Duration, Duration)>,
     /// How long a node waits without any traffic before it considers the broadcast
     /// quiesced and checks for shutdown. [`DriverOptions::default`] uses 300 ms.
     pub idle_shutdown: Duration,
@@ -117,7 +106,9 @@ pub struct DriverOptions {
     /// spawns the node but makes it deaf and mute, indistinguishable from a process that
     /// crashed at start-up.
     pub behaviors: Vec<(ProcessId, Behavior)>,
-    /// Per-frame transmission delay applied on every node's outbound links.
+    /// Per-frame transmission delay applied on every node's outbound links
+    /// ([`LinkDelay::MeanJitter`] for a fixed `mean + uniform(0..=jitter)`,
+    /// [`LinkDelay::Scaled`] for the paper's distributions).
     pub link_delay: LinkDelay,
     /// Instance-GC retention policy installed on every node's engine. `None` (the
     /// default) leaves whatever the engine's [`brb_core::config::Config`] seeded —
@@ -134,16 +125,8 @@ pub struct DriverOptions {
     /// wall-clock microseconds since the config's epoch. `None` — the default — keeps
     /// tracing disabled (a single branch per would-be event).
     pub trace: Option<TraceConfig>,
-    /// Whether the driver coalesces the same-destination frames of one engine event
-    /// into [`crate::transport::Transport::send_batch`] bursts (one channel op / one
-    /// syscall per destination instead of one per frame). Off by default. Byte and
-    /// copy accounting is identical either way — the transport's
-    /// [`crate::transport::SendReceipt`] reports exactly what the frame-at-a-time path
-    /// would; with tracing enabled the driver falls back to per-frame sends so every
-    /// transmitted copy still gets its own `FrameSent` event.
-    pub batch_sends: bool,
-    /// Number of engine shards per node (`1` — the default — keeps the classic single
-    /// engine). With `W > 1` the deployment builds `W - 1` extra engines per node
+    /// Number of engine shards per node (`1` — the default — keeps a single engine).
+    /// With `W > 1` the deployment builds `W - 1` extra engines per node
     /// ([`NodeDriver::with_shard_engines`]) and the driver partitions concurrent
     /// broadcast *instances* across them by a deterministic hash of the
     /// [`brb_core::types::BroadcastId`] peeked off each inbound frame
@@ -159,7 +142,6 @@ impl Default for DriverOptions {
     /// shutdown, seed 1), now stated once, plus all-correct behaviors and no link delay.
     fn default() -> Self {
         Self {
-            delay: None,
             idle_shutdown: Duration::from_millis(300),
             seed: 1,
             behaviors: Vec::new(),
@@ -167,7 +149,6 @@ impl Default for DriverOptions {
             gc: None,
             churn: None,
             trace: None,
-            batch_sends: false,
             shard_workers: 1,
         }
     }
@@ -212,13 +193,6 @@ impl DriverOptions {
         self
     }
 
-    /// Returns a copy with same-destination frame coalescing enabled (see
-    /// [`DriverOptions::batch_sends`]).
-    pub fn with_batching(mut self) -> Self {
-        self.batch_sends = true;
-        self
-    }
-
     /// Returns a copy with broadcast instances sharded across `workers` engines per
     /// node (see [`DriverOptions::shard_workers`]; values below 1 are treated as 1).
     pub fn with_shards(mut self, workers: usize) -> Self {
@@ -246,17 +220,11 @@ impl DriverOptions {
     }
 
     /// The [`LinkPolicy`] this options set resolves to for `process`: its assigned
-    /// behavior plus the deployment-wide link delay (the legacy
-    /// [`DriverOptions::delay`] field, when set, wins over
-    /// [`DriverOptions::link_delay`]).
+    /// behavior plus the deployment-wide [`DriverOptions::link_delay`].
     pub fn policy_of(&self, process: ProcessId) -> LinkPolicy {
-        let delay = match self.delay {
-            Some((mean, jitter)) => LinkDelay::MeanJitter { mean, jitter },
-            None => self.link_delay.clone(),
-        };
         LinkPolicy {
             behavior: self.behavior_of(process),
-            delay,
+            delay: self.link_delay.clone(),
         }
     }
 
@@ -268,7 +236,8 @@ impl DriverOptions {
     /// ([`DelayedLink`], always present so the per-link delay overrides have a line to
     /// ride even under [`LinkDelay::None`]) — the exact order the simulator applies per
     /// `Send` action, so a gated frame advances no behavior counter and samples no
-    /// delay.
+    /// delay. An observed stack also taps the delay line's input, emitting one
+    /// `FrameSent` per transmitted copy.
     pub fn decorate(&self, process: ProcessId, base: Box<dyn Transport>) -> Box<dyn Transport> {
         self.decorate_observed(process, base, None)
     }
@@ -288,11 +257,15 @@ impl DriverOptions {
                 .decorate_observed(base, seed, observer);
         };
         let policy = self.policy_of(process);
-        let line = match &observer {
-            Some(obs) => DelayedLink::observed(base, policy.delay.clone(), seed, obs.clone()),
-            None => DelayedLink::new(base, policy.delay.clone(), seed),
+        let mut transport: Box<dyn Transport> = match &observer {
+            Some(obs) => obs.traced(Box::new(
+                DelayedLink::observed(base, policy.delay.clone(), seed, obs.clone())
+                    .churned(handle.clone(), process),
+            )),
+            None => Box::new(
+                DelayedLink::new(base, policy.delay.clone(), seed).churned(handle.clone(), process),
+            ),
         };
-        let mut transport: Box<dyn Transport> = Box::new(line.churned(handle.clone(), process));
         if policy.behavior.is_byzantine() {
             // The same distinct stream LinkPolicy::decorate derives, so a behavior's
             // drop decisions do not move when churn is enabled.
@@ -397,12 +370,6 @@ enum ShardJob {
         payload: Payload,
         now_ms: u64,
     },
-    /// Handle one inbound frame of an instance owned by this shard.
-    Frame {
-        from: ProcessId,
-        bytes: Bytes,
-        now_ms: u64,
-    },
     /// Handle a burst of frames owned by this shard (the shard-routed slice of one
     /// ingest cycle, each part tagged with its authenticated sender): one channel op
     /// and one worker wake-up for the whole group instead of one per frame, which is
@@ -440,14 +407,6 @@ fn run_shard_worker(
                 engine.note_time(now_ms);
                 engine.broadcast_wire_seq(seq, payload, &mut buf);
             }
-            ShardJob::Frame {
-                from,
-                bytes,
-                now_ms,
-            } => {
-                engine.note_time(now_ms);
-                engine.handle_frame(from, &bytes, &mut buf);
-            }
             ShardJob::Frames { parts, now_ms } => {
                 engine.note_time(now_ms);
                 for (from, bytes) in &parts {
@@ -467,11 +426,13 @@ fn run_shard_worker(
 /// One node of a live deployment: a boxed protocol engine, its (decorated) transport, a
 /// reusable action sink, and the command/delivery channels back to the deployment.
 ///
-/// The driver's event loop is byte-for-byte the behavior the two per-backend loops used
-/// to implement: wake on a command or an inbound frame, feed the engine, dispatch the
-/// resulting [`WireAction`]s (frames to the transport, deliveries to the shared
-/// channel), and shut down once the shutdown command arrived and the inbound stream
-/// drained — with the idle timeout bounding how long quiescence detection waits.
+/// The event loop wakes on a command or an inbound frame, drains the inbound backlog
+/// (up to `DRAIN_BUDGET` frames) into the engine, dispatches the resulting
+/// [`WireAction`]s — frames to the transport as one [`Transport::send_batch`] burst per
+/// destination, deliveries to the shared channel — and shuts down once the shutdown
+/// command arrived and the inbound stream drained, with the idle timeout bounding how
+/// long quiescence detection waits. A burst of one frame is the frame-at-a-time case;
+/// there is no other send path, traced or not.
 pub struct NodeDriver {
     engine: Box<dyn DynEngine>,
     actions: WireActionBuf,
@@ -504,16 +465,13 @@ pub struct NodeDriver {
     counters: Arc<NodeCounters>,
     /// The node's tracer (disabled unless [`DriverOptions::trace`] was set).
     tracer: Tracer,
-    /// Whether dispatch coalesces same-destination frames into `send_batch` bursts
-    /// (see [`DriverOptions::batch_sends`]).
-    batch_sends: bool,
-    /// Reusable per-destination staging of one batched dispatch: destination slots are
-    /// created on first use and their `Vec` capacity is retained across dispatches, so
-    /// the steady-state batched path allocates nothing per event.
+    /// Reusable per-destination staging of one dispatch: destination slots are created
+    /// on first use and their `Vec` capacity is retained across dispatches, so the
+    /// steady-state loop allocates nothing per event.
     out_batches: Vec<(ProcessId, Vec<OutFrame>)>,
     /// Extra shard engines installed by the deployment
     /// ([`NodeDriver::with_shard_engines`]); `run` moves each onto its own worker
-    /// thread. Empty in the classic single-engine configuration.
+    /// thread. Empty in the single-engine configuration.
     shard_extras: Vec<Box<dyn DynEngine>>,
     /// Worker → driver return channel for shard action buffers. The driver keeps the
     /// sender alive so the select arm stays quiet (never disconnects) when unsharded.
@@ -526,12 +484,16 @@ pub struct NodeDriver {
     next_client_seq: u32,
 }
 
+/// Inbound frames (channel messages, not batch parts) one ingest cycle consumes, so a
+/// saturated queue cannot starve command processing or delay deliveries unboundedly.
+const DRAIN_BUDGET: usize = 128;
+
 /// The shard owning `id` in a pool of `workers` engines: a deterministic multiplicative
 /// hash over (source, seq), identical on every backend and every run. Shard `0` is the
 /// driver's inline engine; shards `1..workers` live on worker threads.
 fn shard_of(id: BroadcastId, workers: usize) -> usize {
-    (((id.source as u64).wrapping_mul(0x9E37_79B9)).wrapping_add(id.seq as u64)
-        % workers as u64) as usize
+    (((id.source as u64).wrapping_mul(0x9E37_79B9)).wrapping_add(id.seq as u64) % workers as u64)
+        as usize
 }
 
 impl NodeDriver {
@@ -572,7 +534,6 @@ impl NodeDriver {
             restarts: 0,
             counters,
             tracer,
-            batch_sends: options.batch_sends,
             out_batches: Vec::new(),
             shard_extras: Vec::new(),
             shard_out_tx,
@@ -655,7 +616,7 @@ impl NodeDriver {
         let mut messages_sent = 0usize;
         let mut bytes_sent = 0usize;
         let mut shutting_down = false;
-        // Spawn the shard workers — none in the classic single-engine configuration.
+        // Spawn the shard workers — none on a single-engine node.
         let workers: Vec<ShardWorker> = self
             .shard_extras
             .drain(..)
@@ -740,31 +701,7 @@ impl NodeDriver {
                     // interprets protocol bytes itself (batch framing is transport
                     // framing, not protocol bytes).
                     if self.receives {
-                        if self.batch_sends && !self.tracer.is_enabled() {
-                            // Batching mode: drain the inbound backlog into one
-                            // ingest/dispatch cycle (see `ingest_drained`).
-                            self.ingest_drained(frame, now_ms, &workers, shards, &mut in_flight);
-                        } else if frame.batch {
-                            if let Some(parts) = split_batch(&frame.bytes) {
-                                self.ingest_burst(
-                                    frame.from,
-                                    parts,
-                                    now_ms,
-                                    &workers,
-                                    shards,
-                                    &mut in_flight,
-                                );
-                            }
-                        } else {
-                            self.ingest(
-                                frame.from,
-                                frame.bytes,
-                                now_ms,
-                                &workers,
-                                shards,
-                                &mut in_flight,
-                            );
-                        }
+                        self.ingest_drained(frame, now_ms, &workers, &mut in_flight);
                         self.dispatch(&mut messages_sent, &mut bytes_sent);
                     }
                 }
@@ -844,104 +781,35 @@ impl NodeDriver {
         }
     }
 
-    /// Routes one inbound protocol frame: to the owning shard's worker when the node is
-    /// sharded and the instance hashes off the primary, inline otherwise. Frames whose
-    /// instance cannot be peeked (decorator engines, malformed bytes) stay on the
-    /// primary, which preserves the classic behavior exactly.
-    fn ingest(
-        &mut self,
-        from: ProcessId,
-        bytes: Bytes,
-        now_ms: u64,
-        workers: &[ShardWorker],
-        shards: usize,
-        in_flight: &mut usize,
-    ) {
-        if shards > 1 {
-            let shard = self
-                .engine
-                .frame_broadcast_id(&bytes)
-                .map(|bid| shard_of(bid, shards))
-                .unwrap_or(0);
-            if shard != 0 {
-                if workers[shard - 1]
-                    .jobs
-                    .send(ShardJob::Frame {
-                        from,
-                        bytes,
-                        now_ms,
-                    })
-                    .is_ok()
-                {
-                    *in_flight += 1;
-                }
-                return;
-            }
-        }
-        self.engine.handle_frame(from, &bytes, &mut self.actions);
-    }
-
-    /// Routes one decoded batch frame's parts. On a sharded node the parts are grouped
-    /// by owning shard and each off-primary group ships as a single [`ShardJob::Frames`]
-    /// — one channel op and one worker wake-up per shard per burst, instead of one per
-    /// frame. That amortization is what makes the pool pay for itself under saturation:
-    /// the hand-off cost scales with the number of shards touched, not the burst size.
-    fn ingest_burst(
-        &mut self,
-        from: ProcessId,
-        parts: Vec<Bytes>,
-        now_ms: u64,
-        workers: &[ShardWorker],
-        shards: usize,
-        in_flight: &mut usize,
-    ) {
-        if shards <= 1 {
-            for bytes in &parts {
-                self.engine.handle_frame(from, bytes, &mut self.actions);
-            }
-            return;
-        }
-        let mut per_shard: Vec<Vec<(ProcessId, Bytes)>> = vec![Vec::new(); shards];
-        for bytes in parts {
-            self.route_part(from, bytes, shards, &mut per_shard);
-        }
-        self.flush_shard_groups(per_shard, now_ms, workers, in_flight);
-    }
-
-    /// Batching-mode ingest: starting from the frame that woke the loop, greedily
-    /// drain the inbound queue (bounded by a fixed budget) and feed the whole backlog
-    /// into **one** ingest/dispatch cycle. This is where frame batching earns its
-    /// saturation headroom: per-destination outbound bursts scale with the drained
-    /// backlog (so the per-op cost amortizes exactly when the node is loaded), and on
-    /// a sharded node the hand-off collapses to at most one job per shard per cycle
-    /// regardless of how many frames arrived. Under light load the queue is empty and
-    /// the cycle degenerates to the classic frame-at-a-time path.
+    /// Starting from the frame that woke the loop, drains the inbound queue (up to
+    /// `DRAIN_BUDGET` frames) into **one** ingest/dispatch cycle, so outbound bursts
+    /// scale with the backlog and the per-op cost amortizes exactly when the node is
+    /// loaded. Under light load the queue is empty and the cycle handles one frame.
+    ///
+    /// Frames the primary engine owns — all of them on an unsharded node, plus those
+    /// whose instance cannot be peeked (decorator engines, malformed bytes) — are
+    /// handled inline as they are drained. The rest are grouped by owning shard and
+    /// each group ships as a single [`ShardJob::Frames`]: one channel op and one worker
+    /// wake-up per shard per cycle, so the hand-off cost scales with the number of
+    /// shards touched, not the burst size.
     fn ingest_drained(
         &mut self,
         first: Frame,
         now_ms: u64,
         workers: &[ShardWorker],
-        shards: usize,
         in_flight: &mut usize,
     ) {
-        /// Frames (channel messages, not batch parts) consumed per cycle, so a
-        /// saturated queue cannot starve command processing or delay deliveries
-        /// unboundedly.
-        const DRAIN_BUDGET: usize = 128;
-        let mut per_shard: Vec<Vec<(ProcessId, Bytes)>> = vec![Vec::new(); shards];
+        let mut off_primary: Vec<Vec<(ProcessId, Bytes)>> = Vec::new();
+        off_primary.resize_with(workers.len(), Vec::new);
         let mut frame = first;
-        let mut drained = 0usize;
-        loop {
+        for drained in 1.. {
             if frame.batch {
-                if let Some(parts) = split_batch(&frame.bytes) {
-                    for bytes in parts {
-                        self.route_part(frame.from, bytes, shards, &mut per_shard);
-                    }
+                for bytes in split_batch(&frame.bytes).unwrap_or_default() {
+                    self.route(frame.from, bytes, &mut off_primary);
                 }
             } else {
-                self.route_part(frame.from, frame.bytes, shards, &mut per_shard);
+                self.route(frame.from, frame.bytes, &mut off_primary);
             }
-            drained += 1;
             if drained >= DRAIN_BUDGET {
                 break;
             }
@@ -950,71 +818,44 @@ impl NodeDriver {
                 Err(_) => break,
             }
         }
-        self.flush_shard_groups(per_shard, now_ms, workers, in_flight);
-    }
-
-    /// Appends one decoded frame to its owning shard's group (shard 0 for unsharded
-    /// nodes and for frames whose instance cannot be peeked).
-    fn route_part(
-        &mut self,
-        from: ProcessId,
-        bytes: Bytes,
-        shards: usize,
-        per_shard: &mut [Vec<(ProcessId, Bytes)>],
-    ) {
-        let shard = if shards > 1 {
-            self.engine
-                .frame_broadcast_id(&bytes)
-                .map(|bid| shard_of(bid, shards))
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        per_shard[shard].push((from, bytes));
-    }
-
-    /// Runs the primary shard's group inline and ships every other non-empty group as
-    /// one [`ShardJob::Frames`], bumping the in-flight counter once per job sent.
-    fn flush_shard_groups(
-        &mut self,
-        per_shard: Vec<Vec<(ProcessId, Bytes)>>,
-        now_ms: u64,
-        workers: &[ShardWorker],
-        in_flight: &mut usize,
-    ) {
-        for (shard, group) in per_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if shard == 0 {
-                for (from, bytes) in &group {
-                    self.engine.handle_frame(*from, bytes, &mut self.actions);
-                }
-                continue;
-            }
-            if workers[shard - 1]
-                .jobs
-                .send(ShardJob::Frames {
-                    parts: group,
-                    now_ms,
-                })
-                .is_ok()
-            {
+        for (worker, parts) in workers.iter().zip(off_primary) {
+            if !parts.is_empty() && worker.jobs.send(ShardJob::Frames { parts, now_ms }).is_ok() {
                 *in_flight += 1;
             }
         }
     }
 
-    /// Executes the actions buffered by the last engine event: pre-encoded frames go to
-    /// the transport (which applies the link policy and reports how many copies it put
-    /// on the wire), deliveries to the shared channel. The buffer is drained in place,
-    /// so the steady-state loop reuses its action buffers instead of allocating per
-    /// event.
-    fn dispatch(&mut self, messages_sent: &mut usize, bytes_sent: &mut usize) {
-        if self.batch_sends && !self.tracer.is_enabled() {
-            self.dispatch_batched(messages_sent, bytes_sent);
-            return;
+    /// Handles one decoded frame inline when the primary engine owns its instance, or
+    /// appends it to its owning shard's group (`off_primary[shard - 1]`).
+    fn route(
+        &mut self,
+        from: ProcessId,
+        bytes: Bytes,
+        off_primary: &mut [Vec<(ProcessId, Bytes)>],
+    ) {
+        let shards = off_primary.len() + 1;
+        let shard = match shards {
+            1 => 0,
+            _ => self
+                .engine
+                .frame_broadcast_id(&bytes)
+                .map_or(0, |bid| shard_of(bid, shards)),
+        };
+        match shard {
+            0 => self.engine.handle_frame(from, &bytes, &mut self.actions),
+            _ => off_primary[shard - 1].push((from, bytes)),
         }
+    }
+
+    /// Executes the actions buffered by the last engine event. Deliveries go to the
+    /// shared channel. `Send`s are grouped by destination (first-seen destination
+    /// order, original frame order within each destination — per-link FIFO is
+    /// preserved, which is all the protocols assume) and each group leaves through one
+    /// [`Transport::send_batch`] call; its receipt — the copies the link policy actually
+    /// put on the wire — feeds the Table 3 accounting. The action buffer is drained in
+    /// place and the per-destination staging keeps its capacity, so the steady-state
+    /// loop allocates nothing per event.
+    fn dispatch(&mut self, messages_sent: &mut usize, bytes_sent: &mut usize) {
         for action in self.actions.drain() {
             match action {
                 WireAction::Send {
@@ -1022,22 +863,14 @@ impl NodeDriver {
                     frame,
                     wire_size,
                 } => {
-                    let copies = self.transport.send(to, &frame, wire_size);
-                    *messages_sent += copies;
-                    *bytes_sent += wire_size * copies;
-                    self.counters.record_sends(copies as u64);
-                    if self.tracer.is_enabled() {
-                        let id = self.engine.process_id();
-                        for _ in 0..copies {
-                            self.tracer.emit_frame(
-                                id,
-                                TraceEventKind::FrameSent {
-                                    to,
-                                    bytes: wire_size,
-                                },
-                            );
+                    let slot = match self.out_batches.iter().position(|(d, _)| *d == to) {
+                        Some(i) => &mut self.out_batches[i].1,
+                        None => {
+                            self.out_batches.push((to, Vec::new()));
+                            &mut self.out_batches.last_mut().expect("just pushed").1
                         }
-                    }
+                    };
+                    slot.push(OutFrame::new(frame, wire_size));
                 }
                 WireAction::Deliver(delivery) => {
                     // A rebuilt engine may re-deliver an instance the node already
@@ -1057,50 +890,7 @@ impl NodeDriver {
                 }
             }
         }
-    }
-
-    /// The batched dispatch path ([`DriverOptions::batch_sends`]): the `Send` actions
-    /// of one engine event are grouped by destination (first-seen destination order,
-    /// original frame order within each destination — per-link FIFO is preserved, which
-    /// is all the protocols assume) and each group leaves through one
-    /// [`Transport::send_batch`] call. The per-destination staging and its `Vec`
-    /// capacities are retained across dispatches, so this path allocates nothing per
-    /// event at steady state; accounting comes from the transport's receipt and is
-    /// identical to the frame-at-a-time totals.
-    fn dispatch_batched(&mut self, messages_sent: &mut usize, bytes_sent: &mut usize) {
-        for action in self.actions.drain() {
-            match action {
-                WireAction::Send {
-                    to,
-                    frame,
-                    wire_size,
-                } => {
-                    let slot = match self.out_batches.iter().position(|(d, _)| *d == to) {
-                        Some(i) => &mut self.out_batches[i].1,
-                        None => {
-                            self.out_batches.push((to, Vec::new()));
-                            &mut self.out_batches.last_mut().expect("just pushed").1
-                        }
-                    };
-                    slot.push(OutFrame::new(frame, wire_size));
-                }
-                WireAction::Deliver(delivery) => {
-                    if self.memory.suppresses(delivery.id) {
-                        continue;
-                    }
-                    let id = self.engine.process_id();
-                    self.tracer.emit(
-                        id,
-                        delivery.id.source,
-                        delivery.id.seq,
-                        TraceEventKind::Delivered,
-                    );
-                    let _ = self.deliveries.send((id, delivery));
-                }
-            }
-        }
-        for i in 0..self.out_batches.len() {
-            let (to, frames) = &mut self.out_batches[i];
+        for (to, frames) in &mut self.out_batches {
             if frames.is_empty() {
                 continue;
             }
@@ -1267,28 +1057,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_dispatch_delivers_and_accounts_like_the_classic_path() {
+    /// One broadcast on the Figure 1 graph with a replayer (node 4) and a node silent
+    /// towards two of its three neighbors (node 7), traced into `trace` when given.
+    fn byzantine_broadcast(trace: Option<TraceConfig>) -> Vec<NodeReport> {
         let graph = generate::figure1_example();
-        let config = Config::bdopt_mbd1(10, 1);
         let options = DriverOptions {
             idle_shutdown: Duration::from_millis(100),
+            trace,
             ..DriverOptions::default()
         }
-        .with_batching();
-        let (commands, deliveries, handles) = spawn_drivers(&graph, config, &options);
+        .with_behaviors(vec![
+            (4, Behavior::Replayer),
+            (7, Behavior::SilentTowards(vec![2, 9])),
+        ]);
+        let (commands, deliveries, handles) =
+            spawn_drivers(&graph, Config::bdopt_mbd1(10, 1), &options);
         commands[0]
-            .send(Command::Broadcast(Payload::from("coalesced hello")))
+            .send(Command::Broadcast(Payload::from("traced or not")))
             .unwrap();
         for _ in 0..10 {
             deliveries.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        let reports = shutdown(&commands, handles);
-        assert!(reports.iter().all(|r| r.deliveries.len() == 1));
-        // Accounting flows from the transport receipts: a BD broadcast on the Figure 1
-        // graph moves a known-positive number of frames and bytes.
-        assert!(reports.iter().map(|r| r.messages_sent).sum::<usize>() > 0);
-        assert!(reports.iter().map(|r| r.bytes_sent).sum::<usize>() > 0);
+        shutdown(&commands, handles)
+    }
+
+    #[test]
+    fn frame_sent_events_account_every_transmitted_copy() {
+        let sink = Arc::new(brb_trace::VecSink::new());
+        let traced = byzantine_broadcast(Some(TraceConfig::new(
+            brb_trace::Backend::Runtime,
+            sink.clone(),
+        )));
+        let events = sink.take();
+        for report in &traced {
+            let sent: Vec<usize> = events
+                .iter()
+                .filter(|e| e.node == report.id)
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::FrameSent { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                sent.len(),
+                report.messages_sent,
+                "node {} copies",
+                report.id
+            );
+            assert_eq!(
+                sent.iter().sum::<usize>(),
+                report.bytes_sent,
+                "node {} bytes",
+                report.id
+            );
+        }
+        // Both behaviors were exercised: the silent node dropped, the replayer doubled.
+        assert!(traced[7].drops_by_cause.get(brb_trace::DropCause::Behavior) > 0);
+        assert!(traced[4].messages_sent > 0 && traced[4].messages_sent.is_multiple_of(2));
+
+        let untraced = byzantine_broadcast(None);
+        let delivered = |r: &NodeReport| -> std::collections::BTreeSet<(BroadcastId, Payload)> {
+            r.deliveries
+                .iter()
+                .map(|d| (d.id, d.payload.clone()))
+                .collect()
+        };
+        for (t, u) in traced.iter().zip(&untraced) {
+            assert_eq!(delivered(t).len(), 1, "process {} delivers", t.id);
+            assert_eq!(delivered(t), delivered(u), "process {} delivery set", t.id);
+        }
     }
 
     #[test]
@@ -1301,8 +1138,7 @@ mod tests {
         let options = DriverOptions {
             idle_shutdown: Duration::from_millis(100),
             ..DriverOptions::default()
-        }
-        .with_batching();
+        };
         let n = graph.node_count();
         let (mailboxes, senders) = build_links(n, &graph.edges());
         let (delivery_tx, delivery_rx) = unbounded();
@@ -1367,25 +1203,6 @@ mod tests {
             .with_behaviors(vec![(2, Behavior::Crash), (2, Behavior::Replayer)]);
         assert_eq!(options.behavior_of(2), Behavior::Replayer);
         assert_eq!(options.behavior_of(0), Behavior::Correct);
-    }
-
-    #[test]
-    fn legacy_delay_field_wins_over_link_delay() {
-        let options = DriverOptions {
-            delay: Some((Duration::from_millis(1), Duration::ZERO)),
-            ..DriverOptions::default()
-        }
-        .with_link_delay(LinkDelay::Scaled {
-            model: brb_sim::DelayModel::synchronous(),
-            scale: 1.0,
-        });
-        assert_eq!(
-            options.policy_of(0).delay,
-            LinkDelay::MeanJitter {
-                mean: Duration::from_millis(1),
-                jitter: Duration::ZERO
-            }
-        );
     }
 
     #[test]

@@ -8,30 +8,31 @@
 //!   one [`link::AuthenticatedSender`] per directed edge); the [`link::Frame`] type is
 //!   the common inbound currency of every transport;
 //! * [`Transport`] — send/receive encoded frames: implemented by the in-process
-//!   [`ChannelTransport`] here and by the TCP endpoints in `brb-net`. Besides the
-//!   per-frame [`Transport::send`], the trait carries a batch path:
+//!   [`ChannelTransport`] here and by the TCP endpoints in `brb-net`.
 //!   [`Transport::send_batch`] takes a same-destination burst of [`OutFrame`]s and
 //!   returns a [`SendReceipt`] whose copy/byte accounting is *identical* to sending
-//!   the frames one at a time — the channel backend forwards the burst as one
-//!   channel operation (batch framing, split zero-copy by the receiving driver), the
-//!   TCP backend as one `write_all` + flush of standard length-prefixed frames. The
-//!   default trait implementation simply loops [`Transport::send`], so decorators
-//!   that need per-frame semantics (delay sampling) inherit correctness for free;
+//!   the frames one at a time with [`Transport::send`] — the channel backend forwards
+//!   the burst as one channel operation (batch framing, split zero-copy by the
+//!   receiving driver), the TCP backend as one `write_all` + flush of standard
+//!   length-prefixed frames. The default trait implementation simply loops
+//!   [`Transport::send`], so decorators that need per-frame semantics (delay sampling)
+//!   inherit correctness for free;
 //! * [`NodeDriver`] — the *single* node event loop both `brb_runtime::Deployment` and
-//!   `brb_net::TcpDeployment` spawn per process, replacing their two forked loops; it
-//!   drives a boxed [`brb_core::stack::DynEngine`] and performs the Table 3 byte
-//!   accounting;
+//!   `brb_net::TcpDeployment` spawn per process; it drives a boxed
+//!   [`brb_core::stack::DynEngine`] and performs the Table 3 byte accounting. Batching
+//!   is how it works, not an option: every wake drains the inbound backlog into the
+//!   engine and sends the resulting frames as one [`Transport::send_batch`] burst per
+//!   destination, with tracing on or off (a burst of one frame is the
+//!   frame-at-a-time case);
 //! * [`policy`] — composable transport decorators bringing the simulator's scenario
 //!   vocabulary to live backends: frame-level [`brb_sim::Behavior`] injection
 //!   ([`policy::FaultyLink`]) and wall-clock-scaled [`brb_sim::DelayModel`]s
 //!   ([`policy::DelayedLink`], [`LinkDelay::Scaled`]);
 //! * [`DriverOptions`] — the one options struct of every live deployment (it replaced
 //!   the former `RuntimeOptions` / `TcpOptions` pair), which resolves a per-process
-//!   [`LinkPolicy`] and decorates the transport accordingly. Two saturation knobs
-//!   live here as well: [`DriverOptions::with_batching`] turns the driver's dispatch
-//!   into destination-grouped [`Transport::send_batch`] bursts, and
-//!   [`DriverOptions::with_shards`] gives every node a pool of identical engines with
-//!   broadcast instances partitioned across them by id hash (see
+//!   [`LinkPolicy`] and decorates the transport accordingly. One saturation knob lives
+//!   here as well: [`DriverOptions::with_shards`] gives every node a pool of identical
+//!   engines with broadcast instances partitioned across them by id hash (see
 //!   [`NodeDriver::with_shard_engines`]).
 //!
 //! # Quickstart: a two-node deployment from the driver alone

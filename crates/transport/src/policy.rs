@@ -10,7 +10,7 @@
 //!   it asks [`Behavior::outbound_copies`] — the *same* decision procedure the simulator
 //!   uses — how many copies to put on the wire (0 drops, 2 replays, `n` floods);
 //! * [`DelayedLink`] applies a per-frame transmission delay through a background *delay
-//!   line*: either the legacy `mean ± uniform(jitter)` regime of the old node loops, or
+//!   line*: either a fixed `mean + uniform(jitter)` regime, or
 //!   a [`DelayModel`] sampled per copy and scaled to wall-clock time —
 //!   `Scaled { model, scale }` with `scale = 1.0` replays the paper's 50 ms / 50 ± 50 ms
 //!   regimes in real time, without blocking the sending node (delays act on the links in
@@ -87,6 +87,60 @@ impl LinkObserver {
         self.tracer
             .emit_frame(self.node, TraceEventKind::QueueDepth { depth });
     }
+
+    /// Wraps the layer that reports copies — the base transport or the delay line, below
+    /// every decorator that drops or amplifies — so each frame copy it accepts emits one
+    /// [`TraceEventKind::FrameSent`] with that copy's wire size. A node's `FrameSent`
+    /// events therefore add up to its `NodeReport::messages_sent` / `bytes_sent` through
+    /// any behavior. The tap sits in every observed stack, traced or not.
+    pub(crate) fn traced(&self, inner: Box<dyn Transport>) -> Box<dyn Transport> {
+        Box::new(TracedLink {
+            inner,
+            observer: self.clone(),
+        })
+    }
+}
+
+/// See [`LinkObserver::traced`].
+struct TracedLink {
+    inner: Box<dyn Transport>,
+    observer: LinkObserver,
+}
+
+impl TracedLink {
+    fn sent(&self, to: ProcessId, wire_sizes: impl Iterator<Item = usize>) {
+        if self.observer.tracer.is_enabled() {
+            for bytes in wire_sizes {
+                self.observer
+                    .tracer
+                    .emit_frame(self.observer.node, TraceEventKind::FrameSent { to, bytes });
+            }
+        }
+    }
+}
+
+impl Transport for TracedLink {
+    fn inbound(&self) -> &Receiver<Frame> {
+        self.inner.inbound()
+    }
+
+    fn peers(&self) -> Vec<ProcessId> {
+        self.inner.peers()
+    }
+
+    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
+        let copies = self.inner.send(to, frame, wire_size);
+        self.sent(to, std::iter::repeat_n(wire_size, copies));
+        copies
+    }
+
+    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
+        // The layers below take or refuse a burst whole (a destination has a link or not),
+        // so the frames sent are the burst's first `copies`.
+        let receipt = self.inner.send_batch(to, frames);
+        self.sent(to, frames.iter().take(receipt.copies).map(|f| f.wire_size));
+        receipt
+    }
 }
 
 /// Per-frame transmission delay applied by a [`DelayedLink`].
@@ -95,8 +149,7 @@ pub enum LinkDelay {
     /// Transmit immediately (the usual setting for tests).
     #[default]
     None,
-    /// The legacy regime of the old per-backend node loops: sleep for
-    /// `mean + uniform(0..=jitter)` before each outbound frame.
+    /// Delay each outbound frame by `mean + uniform(0..=jitter)`.
     MeanJitter {
         /// Mean transmission delay.
         mean: Duration,
@@ -150,7 +203,8 @@ impl LinkPolicy {
 
     /// [`LinkPolicy::decorate`] with the decorators' drop/occupancy accounting routed
     /// into `observer` (what [`crate::NodeDriver`] installs, so a `NodeReport` can
-    /// break drops down by cause).
+    /// break drops down by cause), plus a tap between the delay line and the behavior
+    /// that emits one `FrameSent` per transmitted copy.
     pub fn decorate_observed(
         &self,
         base: Box<dyn Transport>,
@@ -165,6 +219,9 @@ impl LinkPolicy {
                 }
                 None => DelayedLink::new(transport, self.delay.clone(), seed),
             });
+        }
+        if let Some(obs) = &observer {
+            transport = obs.traced(transport);
         }
         if self.behavior.is_byzantine() {
             // A distinct stream from the jitter RNG, so enabling a delay model does not

@@ -15,6 +15,7 @@ use brb_core::stack::StackSpec;
 use brb_core::types::Payload;
 use brb_graph::{connectivity, generate};
 use brb_net::{run_tcp_broadcast, DriverOptions, TcpDeployment};
+use brb_transport::LinkDelay;
 
 fn main() -> std::io::Result<()> {
     let (n, f) = (13, 1);
@@ -59,10 +60,10 @@ fn main() -> std::io::Result<()> {
     // sockets, with an artificial 5 ms per-message delay to make the wall-clock latency
     // visible (the paper uses 50 ms; scaled down to keep the example fast).
     println!("\n[2] Long-lived deployment, three broadcasts, 5 ms per-message delay:");
-    let options = DriverOptions {
-        delay: Some((Duration::from_millis(5), Duration::from_millis(2))),
-        ..DriverOptions::default()
-    };
+    let options = DriverOptions::default().with_link_delay(LinkDelay::MeanJitter {
+        mean: Duration::from_millis(5),
+        jitter: Duration::from_millis(2),
+    });
     let deployment = TcpDeployment::start(
         &graph,
         Config::latency_preset(n, f),

@@ -25,8 +25,8 @@
 # from the brb-trace event stream on the simulator's virtual clock, and the open-loop
 # saturation ramp (--saturation), so it also covers the offered-rate / throughput /
 # latency-percentile / knee rows of the deterministic simulator ramp (the wall-clock
-# knee study with batching + sharding on vs off is the separate bench_saturation
-# binary checked below).
+# knee study with sharding on vs off is the separate bench_saturation binary checked
+# below).
 #
 # Last, it builds the out-of-workspace benchmark package (benchmark/, BENCHMARK.json)
 # against the working tree and runs its contract / count / observer tests, so a crate
@@ -34,8 +34,7 @@
 #
 # Before any of that it runs the two host-independent gates of the hot path: the
 # allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing) and
-# `clippy -D warnings` on the crates that are clean (brb-net and brb-bench still fail it
-# and stay out until they are fixed).
+# `clippy -D warnings` on the library crates and the bench binaries.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
@@ -44,9 +43,10 @@ out="${1:-target/smoke}"
 mkdir -p "$out"
 
 timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
-timeout 900 cargo clippy --offline -p brb-core -p brb-sim -p brb-consensus --all-targets -- -D warnings
+timeout 900 cargo clippy --offline -p brb-core -p brb-sim -p brb-consensus -p brb-net \
+    -p brb-transport -p brb-runtime -p brb-graph -p brb-bench --all-targets -- -D warnings
 
-echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus"
+echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus, brb-net, brb-transport, brb-runtime, brb-graph, brb-bench"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.
@@ -217,20 +217,20 @@ done
 echo "OK: BENCH_consensus.json written (consensus invariants asserted by the benchmark binary)"
 
 # Saturation study: the wall-clock knee of the live backends (bd + bracha stacks,
-# channel + TCP, classic vs batched+sharded transport). Wall-clock numbers vary with
+# channel + TCP, single engine vs sharded pool per node). Wall-clock numbers vary with
 # the host, so no byte-diff here — only that the quick-scale ramp runs and the JSON
-# carries every combination's knee fields.
+# carries the host and every combination's knee fields.
 timeout 600 cargo run --release -p brb-bench --bin bench_saturation -- \
     --quick --out "$out/BENCH_saturation.json" > "$out/stdout_bench_saturation.txt"
-for field in knee_offered_per_sec knee_throughput_per_sec knee_p99_ms curve \
-    classic batched_sharded channel tcp bd bracha; do
+for field in host nproc cpu_model knee_offered_per_sec knee_throughput_per_sec knee_p99_ms \
+    curve single_engine sharded channel tcp bd bracha; do
     if ! grep -q "\"$field\"" "$out/BENCH_saturation.json"; then
         echo "FAIL: BENCH_saturation.json is missing field \"$field\"" >&2
         exit 1
     fi
 done
 
-echo "OK: BENCH_saturation.json written (live knee study: batching+sharding on vs off)"
+echo "OK: BENCH_saturation.json written (live knee study: sharding on vs off)"
 
 # Structured-trace study: the same seeded adversarial scenario on the simulator, the
 # channel runtime and TCP must produce identical order-normalized causal event

@@ -171,11 +171,15 @@ fn sharded_workers_preserve_delivery_sets_across_backends() {
     let reference: Vec<BTreeSet<(BroadcastId, Payload)>> =
         sim_logs.iter().map(|log| delivery_set(log)).collect();
     for (p, set) in reference.iter().enumerate() {
-        assert_eq!(set.len(), 64, "process {p} delivers all 64 in the simulator");
+        assert_eq!(
+            set.len(),
+            64,
+            "process {p} delivers all 64 in the simulator"
+        );
     }
 
     for workers in [1usize, 2, 4] {
-        let options = DriverOptions::default().with_batching().with_shards(workers);
+        let options = DriverOptions::default().with_shards(workers);
 
         let deployment = Deployment::start(&graph, config, StackSpec::Bd, options.clone(), &[]);
         let threaded_run = deployment.run_workload(
@@ -244,7 +248,7 @@ fn sharded_composed_stack_keeps_bracha_instances_whole() {
     let schedule = spec.schedule(n, seed);
 
     let sim_logs = simulate_workload(StackSpec::BrachaRoutedDolev, &spec, seed);
-    let options = DriverOptions::default().with_batching().with_shards(4);
+    let options = DriverOptions::default().with_shards(4);
     let deployment = Deployment::start(&graph, config, StackSpec::BrachaRoutedDolev, options, &[]);
     let run = deployment.run_workload(
         &schedule,

@@ -6,6 +6,12 @@
 //! disseminated through its own Dolev instance, and Dolev deliveries drive Bracha's state
 //! machine.
 //!
+//! Each Dolev instance is a `dolev::DolevInstance`, the rule the standalone
+//! [`crate::dolev::DolevProcess`] runs too. This engine adds what crosses the layers: it
+//! keys instances by `(phase, originator)`, passes direct delivery for single-hop Sends
+//! (MBD.2), the MBD.10 superpath filter and the MBD.8/9 destination exclusions as
+//! arguments, keeps the MBD.6/7/9 bookkeeping, and reacts to each Dolev delivery.
+//!
 //! The engine is configured by [`Config`], which toggles:
 //!
 //! * Bonomi et al.'s Dolev-layer modifications **MD.1–5** (Sec. 4.2 of the paper), and
@@ -19,7 +25,8 @@ mod state;
 
 use std::collections::{HashMap, HashSet};
 
-use crate::config::Config;
+use crate::config::{Config, MbdFlags};
+use crate::dolev::{DolevInstance, Hop, Local};
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState, RetiredSet};
 use crate::pathset::PathSet;
@@ -28,7 +35,7 @@ use crate::quorum;
 use crate::types::{Action, BroadcastId, Content, Delivery, LocalPayloadId, Payload, ProcessId};
 use crate::wire::{FieldPresence, MessageKind, PayloadRef, WireMessage};
 
-use state::{ContentState, DolevInstance, DolevKey, Phase, PlannedSend};
+use state::{ContentState, DolevKey, Phase, PlannedSend};
 
 /// The part of a process that per-content processing works with besides the content's
 /// own [`ContentState`]: identity, configuration and the delivery log. Split from
@@ -416,183 +423,54 @@ impl Node {
 
         let key = DolevKey { phase, originator };
         let index = state.instance_index_or_new(key, cfg.max_path_combinations);
-        let instance = &mut state.instances[index];
-
-        // Late message: the instance is Dolev-delivered and its empty path announced, so
-        // nothing can be absorbed (no path is tracked after delivery) and nothing is
-        // relayed: under MD.2 the empty path subsumes any further path, and MD.5 stops
-        // relaying outright. All the message can still tell us is that its sender
-        // delivered too (MD.3/MD.4).
-        if instance.delivered && instance.relayed_empty && (cfg.md.md2 || cfg.md.md5) {
-            let announces_delivery = path.is_empty() && from != originator;
-            if announces_delivery && instance.neighbors_delivered.insert(from) {
-                state.instances_footprint.bytes += 8;
-            }
-            return;
-        }
-
-        let before = instance.footprint();
-        // Everything that changes the instance's footprint happens in this block, so it
-        // is settled once after it: yields whether the instance was already delivered, or
-        // `None` when MD.4 / MBD.10 discard the path.
-        let absorbed = 'absorb: {
-            // An empty path relayed by a process other than the originator signals that
-            // this neighbor Dolev-delivered the message (MD.2 on its side).
-            if path.is_empty() && from != originator {
-                instance.neighbors_delivered.insert(from);
-            }
-            // MD.4: drop paths going through a neighbor that already delivered.
-            if cfg.md.md4
-                && path
-                    .iter()
-                    .any(|&p| instance.neighbors_delivered.contains(p))
-            {
-                break 'absorb None;
-            }
-
-            // Intermediate nodes of the claimed route: traversed labels plus the relaying
-            // neighbor, minus the originator and ourselves.
-            let mut intermediate = PathSet::from_iter_ids(path.iter().copied());
-            intermediate.insert(from);
-            intermediate.remove(originator);
-            intermediate.remove(self.id);
-            let direct = from == originator;
-
-            // MBD.10: ignore paths that are superpaths of an already received path.
-            if cfg.mbd.mbd10
-                && !direct
-                && !instance.delivered
-                && instance.tracker.has_subpath_of(&intermediate)
-            {
-                break 'absorb None;
-            }
-
-            let was_delivered = instance.delivered;
-            if !was_delivered {
-                if direct {
-                    instance.tracker.record_direct();
-                } else {
-                    instance.tracker.add_path(intermediate, from);
-                }
-                self.tracer.emit(
-                    self.id,
-                    state.content.id.source,
-                    state.content.id.seq,
-                    brb_trace::TraceEventKind::PathAccumulated {
-                        paths: instance.tracker.path_count(),
-                    },
-                );
-                let threshold_met = instance.tracker.reaches(cfg.dolev_threshold());
-                if threshold_met {
-                    self.tracer.emit(
-                        self.id,
-                        state.content.id.source,
-                        state.content.id.seq,
-                        brb_trace::TraceEventKind::DisjointReached {
-                            disjoint: cfg.dolev_threshold(),
-                        },
-                    );
-                }
-                // MD.1 delivers on direct reception; single-hop Sends (MBD.2) are only
-                // ever received directly, so they are validated the same way.
-                let direct_delivery =
-                    direct && (cfg.md.md1 || (cfg.mbd.mbd2 && phase == Phase::Send));
-                if threshold_met || direct_delivery {
-                    instance.delivered = true;
-                    if cfg.md.md2 {
-                        instance.tracker.clear_paths();
-                    }
-                }
-            }
-            Some(was_delivered)
+        let at = Local {
+            id: self.id,
+            config: &self.config,
+            neighbors: &self.neighbors,
+            tracer: &self.tracer,
         };
-        state
-            .instances_footprint
-            .settle(before, instance.footprint());
-        let Some(was_delivered) = absorbed else {
+        let hop = Hop {
+            id: state.content.id,
+            originator,
+            from,
+            path,
+        };
+        // MD.1 delivers on direct reception; single-hop Sends (MBD.2) are only ever
+        // received directly, so they are validated the same way.
+        let single_hop = cfg.mbd.mbd2 && phase == Phase::Send;
+        let Some(newly_delivered) = state.instances[index].receive(
+            at,
+            hop,
+            cfg.md.md1 || single_hop,
+            cfg.mbd.mbd10,
+            &mut state.instances_footprint,
+        ) else {
             return;
         };
-        let instance = &state.instances[index];
-        let newly_delivered = instance.delivered && !was_delivered;
-
-        // ---- Dolev relay of the received message ----
-        // Single-hop Sends (MBD.2) are never relayed; the Echo extracted from them carries
-        // the same information.
-        let relay_allowed = !(cfg.mbd.mbd2 && phase == Phase::Send);
-        if relay_allowed {
-            if newly_delivered && cfg.md.md2 {
-                // MD.2: forward the content with an empty path to every neighbor (minus
-                // the exclusions of MD.3 / MBD.8 / MBD.9).
-                for &q in &self.neighbors {
-                    if q == originator {
-                        continue;
-                    }
-                    if cfg.md.md3 && instance.neighbors_delivered.contains(q) {
-                        continue;
-                    }
-                    if self.excluded_by_mbd(state, phase, q) {
-                        continue;
-                    }
-                    planned.push(PlannedSend {
-                        to: q,
-                        phase,
-                        originator,
-                        path: Vec::new(),
-                        newly_created: false,
-                    });
-                }
-                state.instances[index].relayed_empty = true;
-            } else {
-                // Plain Dolev relay: extend the path with the relaying neighbor and flood
-                // to every neighbor not already on the path. The targets are planned
-                // first so the extended path is built once, and only if someone gets it.
-                let first = planned.len();
-                for &q in &self.neighbors {
-                    if q == from || q == originator || path.contains(&q) {
-                        continue;
-                    }
-                    if cfg.md.md3 && instance.neighbors_delivered.contains(q) {
-                        continue;
-                    }
-                    if self.excluded_by_mbd(state, phase, q) {
-                        continue;
-                    }
-                    planned.push(PlannedSend {
-                        to: q,
-                        phase,
-                        originator,
-                        path: Vec::new(),
-                        newly_created: false,
-                    });
-                }
-                if let Some((last, others)) = planned[first..].split_last_mut() {
-                    let mut extended = Vec::with_capacity(path.len() + 1);
-                    extended.extend_from_slice(path);
-                    extended.push(from);
-                    for send in others {
-                        send.path = extended.clone();
-                    }
-                    last.path = extended;
-                }
-            }
+        // Single-hop Sends are never relayed; the Echo extracted from them carries the
+        // same information.
+        if !single_hop {
+            let excluded = mbd_exclusions(
+                cfg.mbd,
+                phase,
+                &state.ready_neighbors,
+                &state.neighbors_bd_delivered,
+            );
+            state.instances[index].relay(at, hop, newly_delivered, excluded, |to, path| {
+                planned.push(PlannedSend {
+                    to,
+                    phase,
+                    originator,
+                    path,
+                    newly_created: false,
+                });
+            });
         }
 
         // ---- Bracha layer reaction to a Dolev delivery ----
         if newly_delivered {
             self.on_dolev_delivered(state, phase, originator, planned, actions);
         }
-    }
-
-    /// MBD.8 / MBD.9 destination exclusions.
-    fn excluded_by_mbd(&self, state: &ContentState, phase: Phase, neighbor: ProcessId) -> bool {
-        if self.config.mbd.mbd9 && state.neighbors_bd_delivered.contains(neighbor) {
-            return true;
-        }
-        if self.config.mbd.mbd8 && phase == Phase::Echo && state.ready_neighbors.contains(neighbor)
-        {
-            return true;
-        }
-        false
     }
 
     // ------------------------------------------------------------------
@@ -743,11 +621,17 @@ impl Node {
     /// reduction.
     fn plan_own(&self, state: &ContentState, phase: Phase, planned: &mut Vec<PlannedSend>) {
         let cfg = self.config;
+        let excluded = mbd_exclusions(
+            cfg.mbd,
+            phase,
+            &state.ready_neighbors,
+            &state.neighbors_bd_delivered,
+        );
         let mut targets: Vec<ProcessId> = self
             .neighbors
             .iter()
             .copied()
-            .filter(|&q| !self.excluded_by_mbd(state, phase, q))
+            .filter(|&q| !excluded(q))
             .collect();
         if cfg.mbd.mbd12 {
             let limit = cfg.ready_quorum();
@@ -776,6 +660,21 @@ impl Node {
                 newly_created: true,
             });
         }
+    }
+}
+
+/// The MBD.8 / MBD.9 destination exclusions for one content's messages of `phase`. It
+/// borrows only the two neighbor sets, so it can run while one of the content's Dolev
+/// instances is borrowed mutably.
+fn mbd_exclusions<'a>(
+    mbd: MbdFlags,
+    phase: Phase,
+    ready_neighbors: &'a PathSet,
+    bd_delivered: &'a PathSet,
+) -> impl Fn(ProcessId) -> bool + 'a {
+    move |q| {
+        (mbd.mbd9 && bd_delivered.contains(q))
+            || (mbd.mbd8 && phase == Phase::Echo && ready_neighbors.contains(q))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::disjoint::DisjointPathTracker;
+use crate::dolev::DolevInstance;
 use crate::footprint::Footprint;
 use crate::pathset::PathSet;
 use crate::types::{Content, ProcessId};
@@ -42,49 +42,6 @@ impl DolevKey {
     /// Position of this key in a content's instance table.
     fn slot(self) -> usize {
         3 * self.originator + self.phase as usize
-    }
-}
-
-/// State of one Dolev dissemination instance (one Bracha-layer message).
-#[derive(Debug, Clone)]
-pub(crate) struct DolevInstance {
-    /// Disjoint-path tracker for this instance.
-    pub(crate) tracker: DisjointPathTracker,
-    /// Whether this process Dolev-delivered the instance.
-    pub(crate) delivered: bool,
-    /// Whether the empty path has already been forwarded after delivery (MD.2/MD.5).
-    pub(crate) relayed_empty: bool,
-    /// Neighbors that relayed this instance with an empty path, i.e. that Dolev-delivered
-    /// it themselves (MD.3/MD.4).
-    pub(crate) neighbors_delivered: PathSet,
-}
-
-impl DolevInstance {
-    pub(crate) fn new(max_combinations: usize) -> Self {
-        Self {
-            tracker: DisjointPathTracker::with_max_combinations(max_combinations),
-            delivered: false,
-            relayed_empty: false,
-            neighbors_delivered: PathSet::new(),
-        }
-    }
-
-    /// Creates an instance for a message this process created itself (trivially delivered).
-    pub(crate) fn self_delivered(max_combinations: usize) -> Self {
-        Self {
-            delivered: true,
-            relayed_empty: true,
-            ..Self::new(max_combinations)
-        }
-    }
-
-    /// Memory proxy of this instance: the tracker's paths and combinations, the
-    /// delivered-neighbor set and the two flags.
-    pub(crate) fn footprint(&self) -> Footprint {
-        Footprint::new(
-            self.tracker.approx_memory_bytes() + 8 * self.neighbors_delivered.len() + 2,
-            self.tracker.path_count(),
-        )
     }
 }
 
@@ -330,13 +287,5 @@ mod tests {
         assert_eq!(s.note_empty_ready(3, 4), 1, "duplicates are not re-counted");
         assert_eq!(s.note_empty_ready(3, 5), 2);
         assert_eq!(s.footprint(), Footprint::new(1 + 16 + 26 + 16, 0));
-    }
-
-    #[test]
-    fn self_delivered_instance_is_marked_relayed() {
-        let i = DolevInstance::self_delivered(8);
-        assert!(i.delivered);
-        assert!(i.relayed_empty);
-        assert!(!DolevInstance::new(8).delivered);
     }
 }

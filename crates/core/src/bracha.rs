@@ -123,8 +123,12 @@ impl BrachaProcess {
                 keep
             });
             self.delivered_ids.remove(&id);
-            self.tracer
-                .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
+            self.tracer.emit(
+                self.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::Retired,
+            );
         }
     }
 
@@ -277,8 +281,12 @@ impl BrachaProcess {
     fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<BrachaMessage>>) {
         let id = BroadcastId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        self.tracer
-            .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Injected);
+        self.tracer.emit(
+            self.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
+        );
         self.send_to_all(
             BrachaMessage {
                 kind: BrachaKind::Send,

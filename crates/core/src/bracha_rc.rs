@@ -109,8 +109,12 @@ impl<T: RcTransport> BrachaOverRc<T> {
     /// retired ids forever, preserving BRB-No duplication).
     fn run_gc(&mut self) {
         for id in self.gc.due() {
-            self.tracer
-                .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
+            self.tracer.emit(
+                self.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::Retired,
+            );
             self.states.retain(|content, state| {
                 let keep = content.id != id;
                 if !keep {
@@ -311,8 +315,12 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
         self.gc.on_event();
         let id = BroadcastId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        self.tracer
-            .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Injected);
+        self.tracer.emit(
+            self.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
+        );
         let mut actions = Vec::new();
         let mut pending = Vec::new();
         self.originate_bracha(

@@ -126,8 +126,12 @@ impl CpaProcess {
                 }
                 keep
             });
-            self.tracer
-                .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Retired);
+            self.tracer.emit(
+                self.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::Retired,
+            );
         }
     }
 
@@ -181,8 +185,12 @@ impl CpaProcess {
     fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<CpaMessage>>) {
         let id = BroadcastId::new(self.id, self.next_seq);
         self.next_seq += 1;
-        self.tracer
-            .emit(self.id, id.source, id.seq, brb_trace::TraceEventKind::Injected);
+        self.tracer.emit(
+            self.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
+        );
         let content = Content::new(id, payload);
         self.deliver_and_relay(&content, actions);
     }

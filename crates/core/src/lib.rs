@@ -8,7 +8,8 @@
 //!   BRB protocol for asynchronous **fully connected** networks (Algorithm 1);
 //! * [`dolev::DolevProcess`] — Dolev's reliable communication protocol for **unknown,
 //!   partially connected** topologies of vertex connectivity at least `2f+1`
-//!   (Algorithm 2), together with Bonomi et al.'s practical modifications MD.1–5;
+//!   (Algorithm 2), together with Bonomi et al.'s practical modifications MD.1–5; its
+//!   per-instance receive-and-relay rule is the Dolev layer of [`bd::BdProcess`] too;
 //! * [`dolev_routed::RoutedDolev`] — Dolev's **known-topology** variant, which routes
 //!   every content along `2f+1` predefined internally node-disjoint paths instead of
 //!   flooding;

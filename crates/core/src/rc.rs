@@ -16,7 +16,8 @@
 //! [`crate::bracha_rc::BrachaOverRc`] is the generic combination built on this trait;
 //! [`crate::dolev_routed::RoutedDolev`] and [`crate::cpa::CpaProcess`] are the two
 //! substrates implementing it in this crate. The flooding Bracha–Dolev combination of the
-//! paper keeps its dedicated, heavily cross-optimised implementation in [`crate::bd`].
+//! paper keeps its dedicated, heavily cross-optimised implementation in [`crate::bd`]; the
+//! tests hold it against `BrachaOverRc<DolevProcess>`, an RC substrate only they build.
 
 use crate::cpa::CpaProcess;
 use crate::protocol::Protocol;
@@ -168,7 +169,206 @@ fn split_protocol_actions<M>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{BroadcastId, Content};
+    use crate::bd::BdProcess;
+    use crate::bracha::BrachaKind;
+    use crate::bracha_rc::{decode_bracha, BrachaOverRc};
+    use crate::config::{Config, MdFlags};
+    use crate::dolev::{DolevMessage, DolevProcess};
+    use crate::types::{BroadcastId, Content, Delivery};
+    use crate::wire::{MessageKind, WireMessage};
+    use brb_graph::{generate, Graph};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Dolev's flooding protocol as an RC substrate. `BrachaOverRc<DolevProcess>` is then
+    /// the paper's unmodified Bracha–Dolev written independently of [`crate::bd`]: a
+    /// second implementation to hold `bd` against, built by no stack.
+    impl RcTransport for DolevProcess {
+        type Message = <DolevProcess as Protocol>::Message;
+
+        fn local_id(&self) -> ProcessId {
+            self.process_id()
+        }
+
+        fn originate(
+            &mut self,
+            payload: Payload,
+            actions: &mut Vec<Action<Self::Message>>,
+        ) -> Vec<RcDelivery> {
+            split_protocol_actions(self.broadcast(payload), actions)
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            message: Self::Message,
+            actions: &mut Vec<Action<Self::Message>>,
+        ) -> Vec<RcDelivery> {
+            split_protocol_actions(self.handle_message(from, message), actions)
+        }
+
+        fn wire_size(message: &Self::Message) -> usize {
+            <DolevProcess as Protocol>::message_size(message)
+        }
+
+        fn state_bytes(&self) -> usize {
+            <DolevProcess as Protocol>::state_bytes(self)
+        }
+
+        fn stored_paths(&self) -> usize {
+            <DolevProcess as Protocol>::stored_paths(self)
+        }
+
+        fn set_gc_policy(&mut self, policy: crate::gc::GcPolicy) {
+            <DolevProcess as Protocol>::set_gc_policy(self, policy);
+        }
+
+        fn note_time(&mut self, now_ms: u64) {
+            <DolevProcess as Protocol>::note_time(self, now_ms);
+        }
+
+        fn gc_retired(&self) -> u64 {
+            <DolevProcess as Protocol>::gc_retired(self)
+        }
+    }
+
+    /// What frames of both implementations agree on: Bracha phase (0 Send, 1 Echo,
+    /// 2 Ready), originator and path.
+    type FrameKey = (u8, ProcessId, Vec<ProcessId>);
+
+    /// One broadcast as [`lockstep`] saw it.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// Per process: its deliveries, and the round of the first one.
+        deliveries: Vec<(Vec<Delivery>, Option<usize>)>,
+        /// Frames sent in all rounds.
+        frames: usize,
+    }
+
+    /// Runs one broadcast by `source` in lockstep rounds: the frames sent in round `r`
+    /// are handled in round `r + 1`, in increasing `(receiver, sender, key)` order, so two
+    /// implementations that send the same frames see the same schedule.
+    fn lockstep<P: Protocol>(
+        processes: &mut [P],
+        source: ProcessId,
+        key: impl Fn(&P::Message) -> FrameKey,
+    ) -> Outcome {
+        fn sends<M>(from: ProcessId, actions: Vec<Action<M>>, round: &mut Vec<(usize, usize, M)>) {
+            for action in actions {
+                if let Action::Send { to, message } = action {
+                    round.push((to, from, message));
+                }
+            }
+        }
+        let mut first_delivery = vec![None; processes.len()];
+        let mut frames = 0;
+        let mut round = Vec::new();
+        sends(
+            source,
+            processes[source].broadcast(Payload::from("differential")),
+            &mut round,
+        );
+        for r in 0.. {
+            for (p, first) in processes.iter().zip(&mut first_delivery) {
+                if first.is_none() && !p.deliveries().is_empty() {
+                    *first = Some(r);
+                }
+            }
+            if round.is_empty() {
+                break;
+            }
+            frames += round.len();
+            round.sort_by_cached_key(|(to, from, message)| (*to, *from, key(message)));
+            let mut next = Vec::new();
+            for (to, from, message) in round {
+                sends(to, processes[to].handle_message(from, message), &mut next);
+            }
+            round = next;
+        }
+        Outcome {
+            deliveries: processes
+                .iter()
+                .zip(first_delivery)
+                .map(|(p, first)| (p.deliveries().to_vec(), first))
+                .collect(),
+            frames,
+        }
+    }
+
+    fn bd_key(message: &WireMessage) -> FrameKey {
+        let phase = match message.kind {
+            MessageKind::Send => 0,
+            MessageKind::Echo => 1,
+            MessageKind::Ready => 2,
+            merged => panic!("{merged:?} needs MBD.3/4"),
+        };
+        (phase, message.originator, message.path.clone())
+    }
+
+    fn rc_key(message: &DolevMessage) -> FrameKey {
+        let bracha = decode_bracha(&message.content.payload).expect("a Bracha message");
+        let phase = match bracha.kind {
+            BrachaKind::Send => 0,
+            BrachaKind::Echo => 1,
+            BrachaKind::Ready => 2,
+        };
+        (phase, message.content.id.source, message.path.clone())
+    }
+
+    /// Asserts that `bd` with every MBD modification off and `BrachaOverRc<DolevProcess>`
+    /// deliver the same payloads at the same processes in the same rounds, sending the
+    /// same number of frames.
+    fn assert_same_broadcast(graph: &Graph, config: Config, source: ProcessId) {
+        let neighbors = |i| graph.neighbors_vec(i);
+        let mut bd: Vec<BdProcess> = graph
+            .nodes()
+            .map(|i| BdProcess::new(i, config, neighbors(i)))
+            .collect();
+        let mut rc: Vec<BrachaOverRc<DolevProcess>> = graph
+            .nodes()
+            .map(|i| {
+                BrachaOverRc::new(
+                    config.n,
+                    config.f,
+                    DolevProcess::new(i, config, neighbors(i)),
+                )
+            })
+            .collect();
+        let bd = lockstep(&mut bd, source, bd_key);
+        let rc = lockstep(&mut rc, source, rc_key);
+        assert!(
+            bd.deliveries.iter().all(|(d, _)| d.len() == 1),
+            "{:?}: not everyone delivered",
+            config.md
+        );
+        assert_eq!(bd, rc, "{:?}, source {source}", config.md);
+    }
+
+    /// The oracle for `bd`'s Dolev and Bracha layers: an independent implementation of
+    /// the same protocol must agree on who delivers, when, and at what frame cost. Fig. 1
+    /// with f = 1 from every source under all 32 MD subsets, and the paper's headline
+    /// point (N = 31, k = 10, f = 4) under MD.1–5. The frame counts are equal for every subset: the Dolev layer
+    /// is one code path, and both Bracha layers send each created message to every
+    /// neighbor.
+    #[test]
+    fn bd_without_mbd_matches_bracha_over_standalone_dolev() {
+        let figure1 = generate::figure1_example();
+        for subset in 0..32u8 {
+            let md = MdFlags {
+                md1: subset & 1 != 0,
+                md2: subset & 2 != 0,
+                md3: subset & 4 != 0,
+                md4: subset & 8 != 0,
+                md5: subset & 16 != 0,
+            };
+            for source in figure1.nodes() {
+                assert_same_broadcast(&figure1, Config::plain(10, 1).with_md(md), source);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(31_010);
+        let headline = generate::random_regular_connected(31, 10, 9, &mut rng).unwrap();
+        assert_same_broadcast(&headline, Config::bdopt(31, 4), 0);
+    }
 
     #[test]
     fn cpa_transport_originates_and_delivers_locally() {

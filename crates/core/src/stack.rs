@@ -827,10 +827,8 @@ impl StackSpec {
             ),
             StackSpec::Dolev => Box::new(SinkEngine::new(DolevProcess::new(
                 id,
-                config.n,
-                config.f,
+                *config,
                 graph.neighbors_vec(id),
-                config.md,
             ))),
             StackSpec::Bracha => {
                 Box::new(SinkEngine::new(BrachaProcess::new(id, config.n, config.f)))
@@ -1230,6 +1228,39 @@ mod tests {
         let engines = run_boxed(StackSpec::Bracha, 0);
         assert!(engines.iter().any(|e| e.state_bytes() > 0));
         assert!(engines.iter().all(|e| e.stored_paths() == 0));
+    }
+
+    #[test]
+    fn dolev_stack_bounds_its_memo_by_the_configured_combinations() {
+        // Process 0 receives from neighbor 1 every path of source 9 through a nonempty
+        // subset of {2..8}: 127 pairwise-intersecting paths, so an unbounded memo holds
+        // 128 unions (each path's plus the empty one) and nothing delivers at f = 1.
+        let config = Config {
+            max_path_combinations: 16,
+            ..Config::plain(10, 1)
+        };
+        let mut engine = StackSpec::Dolev.build(&config, &generate::figure1_example(), 0);
+        let mut out = WireActionBuf::new();
+        let content = Content::new(BroadcastId::new(9, 0), Payload::from("m"));
+        for subset in 1u32..1 << 7 {
+            let labels = (2..=8).filter(|label| subset & (1 << (label - 2)) != 0);
+            let message = DolevMessage {
+                content: content.clone(),
+                path: std::iter::once(9).chain(labels).collect(),
+            };
+            engine.handle_frame(1, &message.encode_wire(), &mut out);
+            out.drain().for_each(drop);
+        }
+        assert!(engine.deliveries().is_empty());
+        assert_eq!(engine.stored_paths(), 127);
+        // Each stored path is one 8-byte word, each memoized union 24 B, plus the
+        // instance's two flag bytes.
+        let memo_bytes = engine.state_bytes() - 8 * 127 - 2;
+        assert!(
+            memo_bytes <= 24 * 16,
+            "memo holds {} unions",
+            memo_bytes / 24
+        );
     }
 
     #[test]

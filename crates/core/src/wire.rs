@@ -349,10 +349,7 @@ impl WireMessage {
 /// An empty slice encodes to the 4-byte `count = 0` batch, and a single-frame batch is
 /// a valid (if pointless) degenerate case — both round-trip through [`split_batch`].
 pub fn encode_batch(frames: &[Bytes]) -> Bytes {
-    let total = 4 + frames
-        .iter()
-        .map(|frame| 4 + frame.len())
-        .sum::<usize>();
+    let total = 4 + frames.iter().map(|frame| 4 + frame.len()).sum::<usize>();
     let mut buf = Vec::with_capacity(total);
     buf.put_u32(frames.len() as u32);
     for frame in frames {
@@ -435,11 +432,7 @@ impl WireArena {
         let data = Bytes::from(std::mem::take(&mut self.staging));
         let mut frames = Vec::with_capacity(self.marks.len());
         for (i, &start) in self.marks.iter().enumerate() {
-            let end = self
-                .marks
-                .get(i + 1)
-                .copied()
-                .unwrap_or_else(|| data.len());
+            let end = self.marks.get(i + 1).copied().unwrap_or_else(|| data.len());
             frames.push(data.slice(start..end));
         }
         self.marks.clear();

@@ -33,8 +33,9 @@
 # API change that breaks the benchmark fails here rather than in the benchmark pipeline.
 #
 # Before any of that it runs the two host-independent gates of the hot path: the
-# allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing) and
-# `clippy -D warnings` on the library crates and the bench binaries.
+# allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing),
+# `clippy -D warnings` on the library crates and the bench binaries, and `rustfmt
+# --check` on brb-core.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
@@ -45,8 +46,9 @@ mkdir -p "$out"
 timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
 timeout 900 cargo clippy --offline -p brb-core -p brb-sim -p brb-consensus -p brb-net \
     -p brb-transport -p brb-runtime -p brb-graph -p brb-bench --all-targets -- -D warnings
+timeout 300 cargo fmt -p brb-core --check
 
-echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus, brb-net, brb-transport, brb-runtime, brb-graph, brb-bench"
+echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus, brb-net, brb-transport, brb-runtime, brb-graph, brb-bench; brb-core rustfmt-clean"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.

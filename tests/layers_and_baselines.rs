@@ -3,7 +3,7 @@
 //! exercised through the public crate APIs.
 
 use brb_core::bracha::BrachaProcess;
-use brb_core::config::MdFlags;
+use brb_core::config::Config;
 use brb_core::dolev::DolevProcess;
 use brb_core::protocol::Protocol;
 use brb_core::types::{BroadcastId, Payload};
@@ -38,7 +38,7 @@ fn dolev_standalone_reliable_communication_with_crashes() {
     let mut rng = StdRng::seed_from_u64(3);
     let graph = generate::random_regular_connected(n, k, 2 * f + 1, &mut rng).unwrap();
     let processes: Vec<DolevProcess> = (0..n)
-        .map(|i| DolevProcess::new(i, n, f, graph.neighbors_vec(i), MdFlags::all()))
+        .map(|i| DolevProcess::new(i, Config::bdopt(n, f), graph.neighbors_vec(i)))
         .collect();
     let mut sim = Simulation::new(processes, DelayModel::synchronous(), 5);
     sim.set_behavior(9, Behavior::Crash);
@@ -59,7 +59,7 @@ fn dolev_latency_reflects_multi_hop_dissemination() {
     // hop suffices for direct delivery with MD.1.
     let sparse = generate::figure1_example();
     let processes: Vec<DolevProcess> = (0..10)
-        .map(|i| DolevProcess::new(i, 10, 1, sparse.neighbors_vec(i), MdFlags::all()))
+        .map(|i| DolevProcess::new(i, Config::bdopt(10, 1), sparse.neighbors_vec(i)))
         .collect();
     let mut sim = Simulation::new(processes, DelayModel::synchronous(), 1);
     sim.broadcast(0, Payload::from("x"));
@@ -71,7 +71,7 @@ fn dolev_latency_reflects_multi_hop_dissemination() {
 
     let complete = generate::complete(10);
     let processes: Vec<DolevProcess> = (0..10)
-        .map(|i| DolevProcess::new(i, 10, 1, complete.neighbors_vec(i), MdFlags::all()))
+        .map(|i| DolevProcess::new(i, Config::bdopt(10, 1), complete.neighbors_vec(i)))
         .collect();
     let mut sim = Simulation::new(processes, DelayModel::synchronous(), 1);
     sim.broadcast(0, Payload::from("x"));

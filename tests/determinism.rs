@@ -102,6 +102,44 @@ fn determinism_bracha_complete_graph_matches_golden() {
     check_golden("bracha_complete_n7", &sim.metrics().canonical_text());
 }
 
+/// The Bracha-only stacks under asynchronous delays, each on the topology its
+/// `cross_backend` matrix row uses: `bracha` on the complete graph with f = 3, Bracha over
+/// routed Dolev on Fig. 1 with f = 1, Bracha over CPA on Fig. 1 with t = f = 0. Two
+/// overlapping broadcasts per stack, so reordering between phases shows.
+#[test]
+fn determinism_bracha_stacks_asynchronous_match_golden() {
+    let n = 10;
+    let mut rendered = String::new();
+    for (stack, graph, config) in [
+        (
+            StackSpec::Bracha,
+            generate::complete(n),
+            Config::plain(n, 3),
+        ),
+        (
+            StackSpec::BrachaRoutedDolev,
+            generate::figure1_example(),
+            Config::bdopt_mbd1(n, 1),
+        ),
+        (
+            StackSpec::BrachaCpa,
+            generate::figure1_example(),
+            Config::plain(n, 0),
+        ),
+    ] {
+        let processes: Vec<_> = (0..n)
+            .map(|i| stack.build_protocol(&config, &graph, i))
+            .collect();
+        let mut sim = Simulation::new(processes, DelayModel::asynchronous(), 19);
+        sim.broadcast(0, Payload::filled(5, 64));
+        sim.broadcast(3, Payload::filled(6, 64));
+        sim.run_to_quiescence();
+        rendered.push_str(&format!("=== {stack}\n"));
+        rendered.push_str(&sim.metrics().canonical_text());
+    }
+    check_golden("bracha_stacks_async", &rendered);
+}
+
 #[test]
 fn determinism_bd_with_crashes_matches_golden() {
     let params = ExperimentParams {

@@ -61,8 +61,8 @@ use std::fmt::Write as _;
 
 use brb_bench::{
     async_from_args, behaviors, behaviors_from_args, churn, churn_from_args, consensus,
-    consensus_from_args, figures, saturation, saturation_from_args, stack_from_args, table1,
-    trace, trace_from_args, workers_from_args, workload, workload_from_args, Scale,
+    consensus_from_args, figures, saturation, saturation_from_args, stack_from_args, table1, trace,
+    trace_from_args, workers_from_args, workload, workload_from_args, Scale,
 };
 
 /// Fixed-format float rendering used for every CSV cell, so the file is a pure function

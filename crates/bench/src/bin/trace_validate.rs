@@ -32,8 +32,8 @@ fn main() {
     }
 
     if let Some(path) = jsonl_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         match validate_jsonl(&text) {
             Ok(events) => println!("OK: {path}: {events} events validate against the schema"),
             Err(e) => {
@@ -43,8 +43,8 @@ fn main() {
         }
     }
     if let Some(path) = chrome_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
         match validate_chrome_trace(&text) {
             Ok(entries) => println!("OK: {path}: {entries} well-formed trace entries"),
             Err(e) => {

@@ -167,7 +167,10 @@ mod tests {
             panic!("top level must be an object");
         };
         assert_eq!(fields.len(), 4);
-        assert_eq!(parsed.get("bench").and_then(|v| v.as_str()), Some("demo \"quoted\""));
+        assert_eq!(
+            parsed.get("bench").and_then(|v| v.as_str()),
+            Some("demo \"quoted\"")
+        );
         assert_eq!(
             parsed
                 .get("curve")

@@ -170,7 +170,13 @@ fn print_points(title: &str, points: &[SaturationPoint]) {
     println!("# {title}");
     println!(
         "{:<18} {:>14} {:>12} {:>10} {:>10} {:>10} {:>6}",
-        "interval (us)", "offered (bc/s)", "thr (bc/s)", "p50 (ms)", "p99 (ms)", "completed", "knee"
+        "interval (us)",
+        "offered (bc/s)",
+        "thr (bc/s)",
+        "p50 (ms)",
+        "p99 (ms)",
+        "completed",
+        "knee"
     );
     for p in points {
         println!(

@@ -23,8 +23,8 @@ use brb_core::stack::{DynEngine, StackSpec};
 use brb_core::types::{Delivery, Payload, ProcessId};
 use brb_graph::Graph;
 use brb_transport::{
-    Command, DeploymentReport, DriverOptions, Frame, NodeDriver, NodeReport, OutFrame,
-    SendReceipt, Transport,
+    Command, DeploymentReport, DriverOptions, Frame, NodeDriver, NodeReport, OutFrame, SendReceipt,
+    Transport,
 };
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -492,7 +492,10 @@ mod tests {
             per_frame.record(1, f.wire_size); // send() returns 1 per linked neighbor
         }
         let receipt = t0.send_batch(1, &frames);
-        assert_eq!(receipt, per_frame, "batched receipt equals per-frame totals");
+        assert_eq!(
+            receipt, per_frame,
+            "batched receipt equals per-frame totals"
+        );
         for f in &frames {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(got.from, 0);

@@ -258,8 +258,7 @@ impl Parser<'_> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             // Surrogate pairs are accepted but replaced; emitted
                             // traces never contain them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));

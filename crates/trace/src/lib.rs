@@ -65,9 +65,7 @@ pub mod json;
 mod sink;
 mod tracer;
 
-pub use analysis::{
-    causal_sequence, latency_breakdown, render_causal_sequence, LatencyBreakdown,
-};
+pub use analysis::{causal_sequence, latency_breakdown, render_causal_sequence, LatencyBreakdown};
 pub use counters::{DropCounts, NodeCounters};
 pub use event::{Backend, DropCause, NodeId, TraceEvent, TraceEventKind};
 pub use export::{chrome_trace_json, to_jsonl, validate_chrome_trace, validate_jsonl};

@@ -56,7 +56,10 @@ impl VecSink {
 
 impl TraceSink for VecSink {
     fn record(&self, event: TraceEvent) {
-        self.events.lock().expect("trace buffer poisoned").push(event);
+        self.events
+            .lock()
+            .expect("trace buffer poisoned")
+            .push(event);
     }
 }
 

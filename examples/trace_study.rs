@@ -151,7 +151,12 @@ fn main() {
         println!(
             "breakdown: bc({}, {}): injection={}us first_hop={:?}us threshold={:?}us \
              delivery={:?}us deliveries={}",
-            b.source, b.seq, b.injection_us, b.first_hop_us, b.threshold_us, b.delivery_us,
+            b.source,
+            b.seq,
+            b.injection_us,
+            b.first_hop_us,
+            b.threshold_us,
+            b.delivery_us,
             b.deliveries
         );
     }

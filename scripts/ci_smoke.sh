@@ -32,10 +32,10 @@
 # against the working tree and runs its contract / count / observer tests, so a crate
 # API change that breaks the benchmark fails here rather than in the benchmark pipeline.
 #
-# Before any of that it runs the two host-independent gates of the hot path: the
+# Before any of that it runs the host-independent gates: the
 # allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing),
-# `clippy -D warnings` on the library crates and the bench binaries, and `rustfmt
-# --check` on brb-core.
+# and the two lint steps of the CI `build-and-test` job, verbatim: `cargo fmt --all
+# --check` and workspace-wide `clippy -D warnings`.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
@@ -44,11 +44,10 @@ out="${1:-target/smoke}"
 mkdir -p "$out"
 
 timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
-timeout 900 cargo clippy --offline -p brb-core -p brb-sim -p brb-consensus -p brb-net \
-    -p brb-transport -p brb-runtime -p brb-graph -p brb-bench --all-targets -- -D warnings
-timeout 300 cargo fmt -p brb-core --check
+timeout 300 cargo fmt --all --check
+timeout 900 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "OK: allocations per handled event within budget; clippy clean on brb-core, brb-sim, brb-consensus, brb-net, brb-transport, brb-runtime, brb-graph, brb-bench; brb-core rustfmt-clean"
+echo "OK: allocations per handled event within budget; workspace rustfmt-clean and clippy-clean"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.

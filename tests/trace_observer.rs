@@ -293,7 +293,7 @@ fn tracing_is_invisible_to_workload_goldens() {
             let mut params = ExperimentParams::new(n, k, f, Config::bdopt_mbd1(n, f));
             params.payload_size = 64;
             params.seed = 31 + run;
-            params.workload = Some(workload.clone());
+            params.workload = Some(workload);
             sections.push((format!("workload/{tag}/run={run}"), 6_000 + run, params));
         }
     }
@@ -302,8 +302,7 @@ fn tracing_is_invisible_to_workload_goldens() {
 
 #[test]
 fn bd_fig1_causal_trace_matches_golden() {
-    let (_, events) =
-        bd_fig1_traced(Config::bdopt_mbd1(10, 1), DelayModel::synchronous(), 1, 16);
+    let (_, events) = bd_fig1_traced(Config::bdopt_mbd1(10, 1), DelayModel::synchronous(), 1, 16);
     let rendered = render_causal_sequence(&causal_sequence(&events));
     check_golden("bd_fig1_trace", &rendered);
 }

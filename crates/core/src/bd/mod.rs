@@ -25,6 +25,7 @@ mod state;
 
 use std::collections::{HashMap, HashSet};
 
+use crate::bracha::{self, BrachaKind, IdRecord, Triggers};
 use crate::config::{Config, MbdFlags};
 use crate::dolev::{DolevInstance, Hop, Local};
 use crate::footprint::Footprint;
@@ -35,7 +36,7 @@ use crate::quorum;
 use crate::types::{Action, BroadcastId, Content, Delivery, LocalPayloadId, Payload, ProcessId};
 use crate::wire::{FieldPresence, MessageKind, PayloadRef, WireMessage};
 
-use state::{ContentState, DolevKey, Phase, PlannedSend};
+use state::{ContentState, DolevKey, PlannedSend};
 
 /// The part of a process that per-content processing works with besides the content's
 /// own [`ContentState`]: identity, configuration and the delivery log. Split from
@@ -46,7 +47,7 @@ struct Node {
     id: ProcessId,
     neighbors: Vec<ProcessId>,
     config: Config,
-    delivered_ids: HashSet<BroadcastId>,
+    ids: IdRecord,
     deliveries: Vec<Delivery>,
     gc: GcState,
     /// Structured-trace handle (disabled by default; one branch per would-be event).
@@ -103,7 +104,7 @@ impl BdProcess {
                 id,
                 neighbors,
                 config,
-                delivered_ids: HashSet::new(),
+                ids: IdRecord::default(),
                 deliveries: Vec::new(),
                 gc: GcState::new(config.gc),
                 tracer: brb_trace::Tracer::disabled(),
@@ -141,7 +142,7 @@ impl BdProcess {
                 }
                 keep
             });
-            self.node.delivered_ids.remove(&id);
+            self.node.ids.retire(id);
             let mine: Vec<(Content, LocalPayloadId)> = self
                 .my_local_ids
                 .iter()
@@ -189,7 +190,7 @@ impl BdProcess {
 
     /// Whether this process has BRB-delivered the broadcast identified by `id`.
     pub fn has_delivered(&self, id: BroadcastId) -> bool {
-        self.node.delivered_ids.contains(&id)
+        self.node.ids.has_delivered(id)
     }
 
     /// Total number of transmission paths currently stored across all Dolev instances
@@ -357,13 +358,15 @@ impl BdProcess {
         }
         // A merged message (MBD.3/MBD.4) decomposes into the two Bracha-layer messages it
         // carries; both follow the same received path.
-        let embedded = msg.originator2.map(|originator| (Phase::Echo, originator));
+        let embedded = msg
+            .originator2
+            .map(|originator| (BrachaKind::Echo, originator));
         let constituents = match msg.kind {
-            MessageKind::Send => [Some((Phase::Send, content.id.source)), None],
-            MessageKind::Echo => [Some((Phase::Echo, msg.originator)), None],
-            MessageKind::Ready => [Some((Phase::Ready, msg.originator)), None],
-            MessageKind::EchoEcho => [Some((Phase::Echo, msg.originator)), embedded],
-            MessageKind::ReadyEcho => [Some((Phase::Ready, msg.originator)), embedded],
+            MessageKind::Send => [Some((BrachaKind::Send, content.id.source)), None],
+            MessageKind::Echo => [Some((BrachaKind::Echo, msg.originator)), None],
+            MessageKind::Ready => [Some((BrachaKind::Ready, msg.originator)), None],
+            MessageKind::EchoEcho => [Some((BrachaKind::Echo, msg.originator)), embedded],
+            MessageKind::ReadyEcho => [Some((BrachaKind::Ready, msg.originator)), embedded],
         };
         let mut planned = std::mem::take(&mut self.planned);
         self.with_content(&content, |node, state| {
@@ -394,7 +397,7 @@ impl Node {
         &mut self,
         from: ProcessId,
         state: &mut ContentState,
-        phase: Phase,
+        phase: BrachaKind,
         originator: ProcessId,
         path: &[ProcessId],
         planned: &mut Vec<PlannedSend>,
@@ -404,7 +407,7 @@ impl Node {
 
         // MBD.9 bookkeeping: count the distinct Ready originators each neighbor relayed
         // with an empty path; 2f+1 of them prove the neighbor BRB-delivered.
-        if phase == Phase::Ready && path.is_empty() {
+        if phase == BrachaKind::Ready && path.is_empty() {
             let relayed = state.note_empty_ready(from, originator);
             if cfg.mbd.mbd9 && relayed >= cfg.ready_quorum() {
                 state.neighbors_bd_delivered.insert(from);
@@ -413,11 +416,11 @@ impl Node {
 
         // MBD.6: an Echo from a process whose Ready has been Dolev-delivered carries no
         // new information.
-        if cfg.mbd.mbd6 && phase == Phase::Echo && state.ready_delivered(originator) {
+        if cfg.mbd.mbd6 && phase == BrachaKind::Echo && state.ready_delivered(originator) {
             return;
         }
         // MBD.7: once the content has been BRB-delivered, Echo messages are useless.
-        if cfg.mbd.mbd7 && phase == Phase::Echo && state.delivered {
+        if cfg.mbd.mbd7 && phase == BrachaKind::Echo && state.bracha.delivered {
             return;
         }
 
@@ -437,7 +440,7 @@ impl Node {
         };
         // MD.1 delivers on direct reception; single-hop Sends (MBD.2) are only ever
         // received directly, so they are validated the same way.
-        let single_hop = cfg.mbd.mbd2 && phase == Phase::Send;
+        let single_hop = cfg.mbd.mbd2 && phase == BrachaKind::Send;
         let Some(newly_delivered) = state.instances[index].receive(
             at,
             hop,
@@ -480,35 +483,25 @@ impl Node {
     fn on_dolev_delivered(
         &mut self,
         state: &mut ContentState,
-        phase: Phase,
+        phase: BrachaKind,
         originator: ProcessId,
         planned: &mut Vec<PlannedSend>,
         actions: &mut Vec<Action<WireMessage>>,
     ) {
-        match phase {
-            Phase::Send => {
-                // The SEND instance's `delivered` flag (checked via `send_validated`)
-                // drives the Echo transition in `bracha_transitions`.
-            }
-            Phase::Echo => {
-                state.echo_origins.insert(originator);
-            }
-            Phase::Ready => {
-                state.ready_origins.insert(originator);
-                if self.config.mbd.mbd2 {
-                    // A Ready implies its sender echoed: count it (Sec. 6.2 amplification).
-                    state.echo_origins.insert(originator);
-                }
-                if self.config.mbd.mbd8 && self.neighbors.contains(&originator) {
-                    state.ready_neighbors.insert(originator);
-                }
-            }
+        // Under MBD.2 a Ready implies its sender echoed: it counts as an Echo too (Sec.
+        // 6.2 amplification).
+        state.bracha.count(phase, originator, self.config.mbd.mbd2);
+        if phase == BrachaKind::Ready
+            && self.config.mbd.mbd8
+            && self.neighbors.contains(&originator)
+        {
+            state.ready_neighbors.insert(originator);
         }
         self.bracha_transitions(state, planned, actions);
     }
 
-    /// Applies Bracha's phase transitions until a fixpoint: create our Echo, create our
-    /// Ready, deliver.
+    /// Runs the Bracha layer's fixpoint with this engine's triggers, then opens and plans
+    /// what it created and delivers.
     fn bracha_transitions(
         &mut self,
         state: &mut ContentState,
@@ -517,109 +510,61 @@ impl Node {
     ) {
         let cfg = self.config;
         let source = state.content.id.source;
-        loop {
-            let mut progress = false;
-
-            // MBD.11 role restriction: only the designated processes create Echo/Ready.
-            // Under MBD.2 a direct recipient of the single-hop SEND must still be allowed
-            // to echo, otherwise the payload could not leave the source's neighborhood.
-            let can_echo = !cfg.mbd.mbd11
+        let send_validated = state.send_validated();
+        // MBD.11 role restriction: only the designated processes create Echo/Ready.
+        // Under MBD.2 a direct recipient of the single-hop SEND must still be allowed
+        // to echo, otherwise the payload could not leave the source's neighborhood.
+        let triggers = Triggers {
+            send_validated,
+            can_echo: !cfg.mbd.mbd11
                 || quorum::is_echoer(cfg.n, cfg.f, source, self.id)
-                || (cfg.mbd.mbd2 && state.send_validated());
-            let can_ready = !cfg.mbd.mbd11 || quorum::is_readier(cfg.n, cfg.f, source, self.id);
-
-            let echo_trigger = state.send_validated()
-                || (cfg.mbd.mbd2 && state.echo_origins.len() >= cfg.echo_amplification());
-            let want_echo = !state.sent_echo && can_echo && echo_trigger;
-
-            let ready_trigger = state.echo_origins.len() >= cfg.echo_quorum()
-                || state.ready_origins.len() >= cfg.ready_amplification();
-            let want_ready = !state.sent_ready && can_ready && ready_trigger;
-
-            if want_echo {
-                state.sent_echo = true;
-                state.echo_origins.insert(self.id);
-                state.insert_own_instance(
-                    DolevKey {
-                        phase: Phase::Echo,
-                        originator: self.id,
-                    },
-                    DolevInstance::self_delivered(cfg.max_path_combinations),
-                );
-                progress = true;
-            }
-            if want_ready {
-                state.sent_ready = true;
-                if state.echo_origins.len() >= cfg.echo_quorum() {
-                    self.tracer.emit(
-                        self.id,
-                        state.content.id.source,
-                        state.content.id.seq,
-                        brb_trace::TraceEventKind::EchoThreshold {
-                            echoes: state.echo_origins.len(),
-                        },
-                    );
-                } else {
-                    self.tracer.emit(
-                        self.id,
-                        state.content.id.source,
-                        state.content.id.seq,
-                        brb_trace::TraceEventKind::ReadyAmplified,
-                    );
-                }
-                self.tracer.emit(
-                    self.id,
-                    state.content.id.source,
-                    state.content.id.seq,
-                    brb_trace::TraceEventKind::ReadySent,
-                );
-                state.ready_origins.insert(self.id);
-                if cfg.mbd.mbd2 {
-                    state.echo_origins.insert(self.id);
-                }
-                state.insert_own_instance(
-                    DolevKey {
-                        phase: Phase::Ready,
-                        originator: self.id,
-                    },
-                    DolevInstance::self_delivered(cfg.max_path_combinations),
-                );
-                progress = true;
-            }
-            // When both an Echo and a Ready become creatable at the same event, only the
-            // Ready is transmitted (Sec. 6.2); this suppression is part of the MBD.2
-            // amplification machinery.
-            if want_echo && !(want_ready && cfg.mbd.mbd2) {
-                self.plan_own(state, Phase::Echo, planned);
-            }
-            if want_ready {
-                self.plan_own(state, Phase::Ready, planned);
-            }
-
-            if !state.delivered && state.ready_origins.len() >= cfg.ready_quorum() {
-                state.delivered = true;
-                progress = true;
-                if self.delivered_ids.insert(state.content.id) {
-                    self.gc.on_delivered(state.content.id);
-                    let delivery = Delivery {
-                        id: state.content.id,
-                        payload: state.content.payload.clone(),
-                    };
-                    self.deliveries.push(delivery.clone());
-                    actions.push(Action::Deliver(delivery));
-                }
-            }
-
-            if !progress {
-                break;
-            }
+                || (cfg.mbd.mbd2 && send_validated),
+            can_ready: !cfg.mbd.mbd11 || quorum::is_readier(cfg.n, cfg.f, source, self.id),
+            echo_amplification: cfg.mbd.mbd2,
+        };
+        let at = bracha::Local {
+            id: self.id,
+            n: cfg.n,
+            f: cfg.f,
+            tracer: &self.tracer,
+        };
+        let step = state
+            .bracha
+            .step(at, state.content.id, triggers, &mut self.ids);
+        for phase in step.created() {
+            let key = DolevKey {
+                phase,
+                originator: self.id,
+            };
+            state.insert_own_instance(
+                key,
+                DolevInstance::self_delivered(cfg.max_path_combinations),
+            );
+        }
+        // When both an Echo and a Ready become creatable at the same event, only the
+        // Ready is transmitted (Sec. 6.2); this suppression is part of the MBD.2
+        // amplification machinery.
+        if step.echo && !(step.together && cfg.mbd.mbd2) {
+            self.plan_own(state, BrachaKind::Echo, planned);
+        }
+        if step.ready {
+            self.plan_own(state, BrachaKind::Ready, planned);
+        }
+        if step.deliver {
+            self.gc.on_delivered(state.content.id);
+            let delivery = Delivery {
+                id: state.content.id,
+                payload: state.content.payload.clone(),
+            };
+            self.deliveries.push(delivery.clone());
+            actions.push(Action::Deliver(delivery));
         }
     }
 
     /// Plans the transmission of a newly created message of this process (its own SEND,
     /// ECHO or READY), applying the MBD.8/9 destination exclusions and the MBD.12 fanout
     /// reduction.
-    fn plan_own(&self, state: &ContentState, phase: Phase, planned: &mut Vec<PlannedSend>) {
+    fn plan_own(&self, state: &ContentState, phase: BrachaKind, planned: &mut Vec<PlannedSend>) {
         let cfg = self.config;
         let excluded = mbd_exclusions(
             cfg.mbd,
@@ -668,13 +613,13 @@ impl Node {
 /// instances is borrowed mutably.
 fn mbd_exclusions<'a>(
     mbd: MbdFlags,
-    phase: Phase,
+    phase: BrachaKind,
     ready_neighbors: &'a PathSet,
     bd_delivered: &'a PathSet,
 ) -> impl Fn(ProcessId) -> bool + 'a {
     move |q| {
         (mbd.mbd9 && bd_delivered.contains(q))
-            || (mbd.mbd8 && phase == Phase::Echo && ready_neighbors.contains(q))
+            || (mbd.mbd8 && phase == BrachaKind::Echo && ready_neighbors.contains(q))
     }
 }
 
@@ -710,8 +655,8 @@ impl BdProcess {
             if cfg.mbd.mbd4 {
                 self.merge_pair(
                     &mut sends,
-                    Phase::Ready,
-                    Phase::Echo,
+                    BrachaKind::Ready,
+                    BrachaKind::Echo,
                     MessageKind::ReadyEcho,
                     content,
                     to,
@@ -722,8 +667,8 @@ impl BdProcess {
             if cfg.mbd.mbd3 {
                 self.merge_pair(
                     &mut sends,
-                    Phase::Echo,
-                    Phase::Echo,
+                    BrachaKind::Echo,
+                    BrachaKind::Echo,
                     MessageKind::EchoEcho,
                     content,
                     to,
@@ -733,7 +678,7 @@ impl BdProcess {
             for send in sends.drain(..) {
                 let message = self.make_message(
                     to,
-                    send.phase.kind(),
+                    send.phase.wire_kind(),
                     content,
                     send.originator,
                     None,
@@ -752,8 +697,8 @@ impl BdProcess {
     fn merge_pair(
         &mut self,
         sends: &mut Vec<PlannedSend>,
-        outer: Phase,
-        inner: Phase,
+        outer: BrachaKind,
+        inner: BrachaKind,
         merged_kind: MessageKind,
         content: &Content,
         to: ProcessId,
@@ -863,12 +808,12 @@ impl BdProcess {
             // The source's own SEND instance is trivially Dolev-delivered.
             state.insert_own_instance(
                 DolevKey {
-                    phase: Phase::Send,
+                    phase: BrachaKind::Send,
                     originator: node.id,
                 },
                 DolevInstance::self_delivered(node.config.max_path_combinations),
             );
-            node.plan_own(state, Phase::Send, &mut planned);
+            node.plan_own(state, BrachaKind::Send, &mut planned);
             // Being the source, the Send is validated: this creates our Echo (and possibly
             // more, e.g. for tiny systems).
             node.bracha_transitions(state, &mut planned, actions);

@@ -2,30 +2,20 @@
 
 use std::collections::BTreeMap;
 
+use crate::bracha::{BrachaInstance, BrachaKind};
 use crate::dolev::DolevInstance;
 use crate::footprint::Footprint;
 use crate::pathset::PathSet;
 use crate::types::{Content, ProcessId};
 use crate::wire::MessageKind;
 
-/// The three Bracha phases whose messages are disseminated by a Dolev instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum Phase {
-    /// SEND message of the broadcast source.
-    Send,
-    /// ECHO message of some witness process.
-    Echo,
-    /// READY message of some process.
-    Ready,
-}
-
-impl Phase {
-    /// The plain wire message kind corresponding to this phase.
-    pub(crate) fn kind(self) -> MessageKind {
+impl BrachaKind {
+    /// The plain wire message kind of this phase.
+    pub(crate) fn wire_kind(self) -> MessageKind {
         match self {
-            Phase::Send => MessageKind::Send,
-            Phase::Echo => MessageKind::Echo,
-            Phase::Ready => MessageKind::Ready,
+            BrachaKind::Send => MessageKind::Send,
+            BrachaKind::Echo => MessageKind::Echo,
+            BrachaKind::Ready => MessageKind::Ready,
         }
     }
 }
@@ -34,7 +24,7 @@ impl Phase {
 /// message of `originator` in a given phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DolevKey {
-    pub(crate) phase: Phase,
+    pub(crate) phase: BrachaKind,
     pub(crate) originator: ProcessId,
 }
 
@@ -54,17 +44,9 @@ impl DolevKey {
 pub(crate) struct ContentState {
     /// The content (broadcast identifier and payload).
     pub(crate) content: Content,
-    /// Whether this process already created its own ECHO message.
-    pub(crate) sent_echo: bool,
-    /// Whether this process already created its own READY message.
-    pub(crate) sent_ready: bool,
-    /// Whether this process BRB-delivered the content.
-    pub(crate) delivered: bool,
-    /// Originators whose ECHO message has been Dolev-delivered (plus this process once it
-    /// echoes).
-    pub(crate) echo_origins: PathSet,
-    /// Originators whose READY message has been Dolev-delivered.
-    pub(crate) ready_origins: PathSet,
+    /// The Bracha layer: originators whose Echo / Ready has been Dolev-delivered (plus
+    /// this process once it creates its own), and the flags.
+    pub(crate) bracha: BrachaInstance,
     /// Dolev dissemination instances, one per Bracha-layer message, in creation order.
     pub(crate) instances: Vec<DolevInstance>,
     /// Per [`DolevKey::slot`], one more than the instance's position in `instances`
@@ -89,11 +71,7 @@ impl ContentState {
     pub(crate) fn new(content: Content, n: usize) -> Self {
         Self {
             content,
-            sent_echo: false,
-            sent_ready: false,
-            delivered: false,
-            echo_origins: PathSet::new(),
-            ready_origins: PathSet::new(),
+            bracha: BrachaInstance::default(),
             instances: Vec::new(),
             slots: vec![0; 3 * n],
             instances_footprint: Footprint::ZERO,
@@ -138,7 +116,7 @@ impl ContentState {
     /// Whether the SEND instance of the broadcast source has been Dolev-delivered.
     pub(crate) fn send_validated(&self) -> bool {
         self.instance_delivered(DolevKey {
-            phase: Phase::Send,
+            phase: BrachaKind::Send,
             originator: self.content.id.source,
         })
     }
@@ -146,7 +124,7 @@ impl ContentState {
     /// Whether the READY instance of `originator` has been Dolev-delivered (MBD.6).
     pub(crate) fn ready_delivered(&self, originator: ProcessId) -> bool {
         self.instance_delivered(DolevKey {
-            phase: Phase::Ready,
+            phase: BrachaKind::Ready,
             originator,
         })
     }
@@ -179,13 +157,13 @@ impl ContentState {
     /// Memory proxy of this content: its instances, the quorum and neighbor sets (8 bytes
     /// per member) and the buffered payload. Constant time.
     pub(crate) fn footprint(&self) -> Footprint {
-        let set_members = self.echo_origins.len()
-            + self.ready_origins.len()
-            + self.ready_neighbors.len()
-            + self.neighbors_bd_delivered.len()
-            + self.empty_ready_pairs;
+        let set_members =
+            self.ready_neighbors.len() + self.neighbors_bd_delivered.len() + self.empty_ready_pairs;
         Footprint::new(
-            self.instances_footprint.bytes + 8 * set_members + self.content.payload.len(),
+            self.instances_footprint.bytes
+                + self.bracha.bytes()
+                + 8 * set_members
+                + self.content.payload.len(),
             self.instances_footprint.paths,
         )
     }
@@ -198,7 +176,7 @@ pub(crate) struct PlannedSend {
     /// Destination neighbor.
     pub(crate) to: ProcessId,
     /// Phase of the Bracha-layer message.
-    pub(crate) phase: Phase,
+    pub(crate) phase: BrachaKind,
     /// Originator of the Bracha-layer message.
     pub(crate) originator: ProcessId,
     /// Dissemination path to transmit.
@@ -220,9 +198,9 @@ mod tests {
 
     #[test]
     fn phase_kinds() {
-        assert_eq!(Phase::Send.kind(), MessageKind::Send);
-        assert_eq!(Phase::Echo.kind(), MessageKind::Echo);
-        assert_eq!(Phase::Ready.kind(), MessageKind::Ready);
+        assert_eq!(BrachaKind::Send.wire_kind(), MessageKind::Send);
+        assert_eq!(BrachaKind::Echo.wire_kind(), MessageKind::Echo);
+        assert_eq!(BrachaKind::Ready.wire_kind(), MessageKind::Ready);
     }
 
     #[test]
@@ -231,7 +209,7 @@ mod tests {
         assert!(!s.send_validated());
         s.insert_own_instance(
             DolevKey {
-                phase: Phase::Send,
+                phase: BrachaKind::Send,
                 originator: 2,
             },
             DolevInstance::self_delivered(16),
@@ -244,7 +222,7 @@ mod tests {
         let mut s = ContentState::new(content(), 5);
         assert!(!s.ready_delivered(4));
         let key = DolevKey {
-            phase: Phase::Ready,
+            phase: BrachaKind::Ready,
             originator: 4,
         };
         let index = s.instance_index_or_new(key, 16);
@@ -257,7 +235,7 @@ mod tests {
         // The same originator's ECHO is a different instance.
         assert_eq!(
             s.instance_index(DolevKey {
-                phase: Phase::Echo,
+                phase: BrachaKind::Echo,
                 originator: 4,
             }),
             None
@@ -271,10 +249,10 @@ mod tests {
         let mut s = ContentState::new(content(), 5);
         let before = s.footprint();
         assert_eq!(before, Footprint::new(1, 0), "the one-byte payload");
-        s.echo_origins.insert(1);
-        s.echo_origins.insert(2);
+        s.bracha.echo_origins.insert(1);
+        s.bracha.echo_origins.insert(2);
         let key = DolevKey {
-            phase: Phase::Echo,
+            phase: BrachaKind::Echo,
             originator: 1,
         };
         // An empty tracker memoizes the empty combination (24 B) next to the two flags.

@@ -24,7 +24,7 @@ impl WalkState for BdProcess {
                 bytes += i.tracker.walk_memory_bytes() + 8 * i.neighbors_delivered.len() + 2;
                 paths += i.tracker.path_count();
             }
-            bytes += 8 * (c.echo_origins.len() + c.ready_origins.len())
+            bytes += 8 * (c.bracha.echo_origins.len() + c.bracha.ready_origins.len())
                 + 8 * c.ready_neighbors.len()
                 + 8 * c.neighbors_bd_delivered.len()
                 + c.neighbor_empty_readys
@@ -392,7 +392,7 @@ fn equivocated_payloads_under_one_id_are_tracked_apart() {
     assert_eq!(p.contents.len(), 2);
     let echoes = |payload: &str| {
         let content = Content::new(id, Payload::from(payload));
-        p.contents[&content].echo_origins.to_vec()
+        p.contents[&content].bracha.echo_origins.to_vec()
     };
     assert_eq!(echoes("payload-A"), vec![1, 2]);
     assert_eq!(echoes("payload-B"), vec![2]);
@@ -452,7 +452,7 @@ fn late_messages_only_record_that_their_sender_delivered() {
             .chain([me])
             .find(|&originator| {
                 let key = DolevKey {
-                    phase: Phase::Echo,
+                    phase: BrachaKind::Echo,
                     originator,
                 };
                 state.instance_index(key).is_some_and(|index| {
@@ -942,11 +942,11 @@ fn mbd11_non_participants_do_not_create_echo_or_ready() {
         .next()
         .expect("process 9 observed the broadcast");
     assert!(
-        !state.sent_echo,
+        !state.bracha.sent_echo,
         "process 9 must not create an Echo under MBD.11"
     );
     assert!(
-        !state.sent_ready,
+        !state.bracha.sent_ready,
         "process 9 must not create a Ready under MBD.11"
     );
 }

@@ -8,12 +8,27 @@
 //! The protocol has three phases. The source sends `SEND(m)` to every process. On the
 //! first `SEND(m)`, a process sends `ECHO(m)` to every process. On `⌈(N+f+1)/2⌉` ECHOs
 //! (or `f+1` READYs), a process sends `READY(m)`. On `2f+1` READYs, it delivers `m`.
+//!
+//! The quorum rule lives in one place, `BrachaInstance`: one content's flags and Echo /
+//! Ready origin sets, and a fixpoint `step` that creates this process's Echo and Ready,
+//! counts them at once, and decides delivery. Three engines drive it:
+//!
+//! * [`BrachaProcess`], the protocol on a complete graph, sends what a step creates to
+//!   every other process;
+//! * [`crate::bracha_rc::BrachaOverRc`] RC-broadcasts it over a reliable-communication
+//!   substrate (Sec. 4.3);
+//! * [`crate::bd`] disseminates it through Dolev instances and passes its cross-layer
+//!   differences as arguments: MBD.2 echo amplification and MBD.11's role restrictions.
+//!
+//! The first two also share their per-content layer, `BrachaLayer`: the ingress
+//! refusals, the instances keyed by content, the per-id record, the delivery log and GC.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
 use crate::gc::{GcPolicy, GcState};
+use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::quorum;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
@@ -48,49 +63,192 @@ impl BrachaMessage {
     }
 }
 
-/// Per-content protocol state (Algorithm 1's `sentEcho`, `sentReady`, `delivered`,
-/// `echos`, `readys`).
-#[derive(Debug, Default, Clone)]
-struct BrachaState {
-    sent_echo: bool,
-    sent_ready: bool,
-    delivered: bool,
-    echos: BTreeSet<ProcessId>,
-    readys: BTreeSet<ProcessId>,
+/// The process running a Bracha instance, as [`BrachaInstance::step`] sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct Local<'a> {
+    pub(crate) id: ProcessId,
+    pub(crate) n: usize,
+    pub(crate) f: usize,
+    pub(crate) tracer: &'a brb_trace::Tracer,
 }
 
-impl BrachaState {
-    /// Memory proxy of one tracked content (Sec. 7.3 accounting, kept comparable with
-    /// the other stacks): the buffered payload bytes (the [`Content`] key owns a copy
-    /// until retirement), the quorum membership sets, and the three booleans.
-    fn state_bytes(&self, content: &Content) -> usize {
-        content.payload.len() + 8 * (self.echos.len() + self.readys.len()) + 3
+/// What the engine knows about a content that its origin sets do not.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triggers {
+    /// The source's Send is validated: received on the source's own link (or RC-delivered
+    /// from it), or Dolev-delivered in [`crate::bd`].
+    pub(crate) send_validated: bool,
+    /// Whether this process may create its Echo (MBD.11 restricts it to echoers).
+    pub(crate) can_echo: bool,
+    /// Whether this process may create its Ready (MBD.11 restricts it to readiers).
+    pub(crate) can_ready: bool,
+    /// MBD.2: `f+1` Echos trigger this process's Echo, and a Ready counts as an Echo of
+    /// its originator.
+    pub(crate) echo_amplification: bool,
+}
+
+/// What one [`BrachaInstance::step`] decided.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// This process created its Echo.
+    pub(crate) echo: bool,
+    /// This process created its Ready.
+    pub(crate) ready: bool,
+    /// The Echo and the Ready became creatable in the same round of the fixpoint, before
+    /// either was counted (MBD.2 then transmits only the Ready).
+    pub(crate) together: bool,
+    /// The content reached the delivery quorum and no content of its id was delivered
+    /// before: deliver it.
+    pub(crate) deliver: bool,
+}
+
+impl Step {
+    /// The kinds of the messages this step created, Echo first.
+    pub(crate) fn created(self) -> impl Iterator<Item = BrachaKind> {
+        [
+            (self.echo, BrachaKind::Echo),
+            (self.ready, BrachaKind::Ready),
+        ]
+        .into_iter()
+        .filter_map(|(created, kind)| created.then_some(kind))
     }
 }
 
-/// One process running Bracha's protocol on a fully connected network.
-#[derive(Debug, Clone)]
-pub struct BrachaProcess {
-    id: ProcessId,
-    n: usize,
-    f: usize,
-    states: HashMap<Content, BrachaState>,
-    /// Running sum of [`BrachaState::state_bytes`] over `states`.
-    state_bytes: usize,
-    delivered_ids: HashSet<BroadcastId>,
-    deliveries: Vec<Delivery>,
-    next_seq: u32,
-    gc: GcState,
-    tracer: brb_trace::Tracer,
+/// What this process did under each broadcast id, whichever contents were sent under it.
+/// Pruned with the id's instances by GC, and not counted in `state_bytes`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdRecord {
+    delivered: HashSet<BroadcastId>,
 }
 
-impl BrachaProcess {
-    /// Creates a Bracha process.
-    ///
+impl IdRecord {
+    /// Whether some content of `id` was delivered.
+    pub(crate) fn has_delivered(&self, id: BroadcastId) -> bool {
+        self.delivered.contains(&id)
+    }
+
+    /// Forgets `id`; the GC watermark keeps rejecting it, which preserves BRB-No
+    /// duplication after the prune.
+    pub(crate) fn retire(&mut self, id: BroadcastId) {
+        self.delivered.remove(&id);
+    }
+}
+
+/// Algorithm 1's state for one content: `sentEcho`, `sentReady`, `delivered` and the
+/// origins of the counted Echos and Readys. Every engine refuses labels `>= n` at ingress,
+/// so the origin sets are dense [`PathSet`]s.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BrachaInstance {
+    pub(crate) sent_echo: bool,
+    pub(crate) sent_ready: bool,
+    /// The content reached the delivery quorum (delivered, unless another content of its
+    /// id was delivered first).
+    pub(crate) delivered: bool,
+    pub(crate) echo_origins: PathSet,
+    pub(crate) ready_origins: PathSet,
+}
+
+impl BrachaInstance {
+    /// Counts a validated Echo or Ready of `origin`. A Send counts nothing: its validation
+    /// is a trigger. With `echo_amplification` (MBD.2) a Ready also counts as its
+    /// originator's Echo.
+    pub(crate) fn count(&mut self, kind: BrachaKind, origin: ProcessId, echo_amplification: bool) {
+        match kind {
+            BrachaKind::Send => {}
+            BrachaKind::Echo => {
+                self.echo_origins.insert(origin);
+            }
+            BrachaKind::Ready => {
+                self.ready_origins.insert(origin);
+                if echo_amplification {
+                    self.echo_origins.insert(origin);
+                }
+            }
+        }
+    }
+
+    /// Applies the phase transitions until a fixpoint: create this process's Echo, create
+    /// its Ready, deliver. A created message counts at once for its creator, the way
+    /// Algorithm 1's send-to-all includes the sender; the engine transmits it to the
+    /// others.
+    pub(crate) fn step(
+        &mut self,
+        at: Local<'_>,
+        id: BroadcastId,
+        t: Triggers,
+        ids: &mut IdRecord,
+    ) -> Step {
+        let trace = |kind| at.tracer.emit(at.id, id.source, id.seq, kind);
+        let echo_quorum = quorum::echo_quorum(at.n, at.f);
+        let mut step = Step::default();
+        loop {
+            let echo_trigger = t.send_validated
+                || (t.echo_amplification
+                    && self.echo_origins.len() >= quorum::echo_amplification(at.f));
+            let want_echo = !self.sent_echo && t.can_echo && echo_trigger;
+            let ready_trigger = self.echo_origins.len() >= echo_quorum
+                || self.ready_origins.len() >= quorum::ready_amplification(at.f);
+            let want_ready = !self.sent_ready && t.can_ready && ready_trigger;
+            if want_echo {
+                self.sent_echo = true;
+                self.echo_origins.insert(at.id);
+            }
+            if want_ready {
+                self.sent_ready = true;
+                let echoes = self.echo_origins.len();
+                trace(if echoes >= echo_quorum {
+                    brb_trace::TraceEventKind::EchoThreshold { echoes }
+                } else {
+                    brb_trace::TraceEventKind::ReadyAmplified
+                });
+                trace(brb_trace::TraceEventKind::ReadySent);
+                self.count(BrachaKind::Ready, at.id, t.echo_amplification);
+            }
+            let reached = !self.delivered && self.ready_origins.len() >= quorum::ready_quorum(at.f);
+            if reached {
+                self.delivered = true;
+                step.deliver = ids.delivered.insert(id);
+            }
+            step.echo |= want_echo;
+            step.ready |= want_ready;
+            step.together |= want_echo && want_ready;
+            if !(want_echo || want_ready || reached) {
+                return step;
+            }
+        }
+    }
+
+    /// Memory proxy of the origin sets: 8 bytes per member. The flags are the engines' to
+    /// count or not.
+    pub(crate) fn bytes(&self) -> usize {
+        8 * (self.echo_origins.len() + self.ready_origins.len())
+    }
+}
+
+/// The per-content layer of an engine that runs Algorithm 1 on its own: one
+/// [`BrachaInstance`] per content, the per-id record, the delivery log and GC. The
+/// engine adds its send primitive.
+#[derive(Debug, Clone)]
+pub(crate) struct BrachaLayer {
+    pub(crate) id: ProcessId,
+    n: usize,
+    f: usize,
+    instances: HashMap<Content, BrachaInstance>,
+    /// Running sum of [`BrachaLayer::content_bytes`] over `instances`.
+    bytes: usize,
+    ids: IdRecord,
+    pub(crate) deliveries: Vec<Delivery>,
+    pub(crate) next_seq: u32,
+    pub(crate) gc: GcState,
+    /// Structured-trace handle (disabled by default; one branch per would-be event).
+    pub(crate) tracer: brb_trace::Tracer,
+}
+
+impl BrachaLayer {
     /// # Panics
     ///
     /// Panics if `f` is not smaller than `n / 3` or if `id >= n`.
-    pub fn new(id: ProcessId, n: usize, f: usize) -> Self {
+    pub(crate) fn new(id: ProcessId, n: usize, f: usize) -> Self {
         assert!(id < n, "process id {id} out of range for n = {n}");
         assert!(
             f <= quorum::max_faults(n),
@@ -100,9 +258,9 @@ impl BrachaProcess {
             id,
             n,
             f,
-            states: HashMap::new(),
-            state_bytes: 0,
-            delivered_ids: HashSet::new(),
+            instances: HashMap::new(),
+            bytes: 0,
+            ids: IdRecord::default(),
             deliveries: Vec::new(),
             next_seq: 0,
             gc: GcState::new(GcPolicy::DISABLED),
@@ -110,175 +268,20 @@ impl BrachaProcess {
         }
     }
 
-    /// Retires every instance whose retention window elapsed: quorum state and the
-    /// delivered-id marker are pruned (the GC watermark keeps rejecting the id, which is
-    /// what preserves BRB-No duplication after the prune).
-    fn run_gc(&mut self) {
-        for id in self.gc.due() {
-            self.states.retain(|content, state| {
-                let keep = content.id != id;
-                if !keep {
-                    self.state_bytes -= state.state_bytes(content);
-                }
-                keep
-            });
-            self.delivered_ids.remove(&id);
-            self.tracer.emit(
-                self.id,
-                id.source,
-                id.seq,
-                brb_trace::TraceEventKind::Retired,
-            );
-        }
+    /// Memory proxy of one tracked content (Sec. 7.3 accounting, kept comparable with the
+    /// other stacks): the payload copy the [`Content`] key buffers until retirement, the
+    /// origin sets, and the three flags.
+    fn content_bytes(content: &Content, instance: &BrachaInstance) -> usize {
+        content.payload.len() + instance.bytes() + 3
     }
 
-    /// ECHO quorum size.
-    pub fn echo_quorum(&self) -> usize {
-        quorum::echo_quorum(self.n, self.f)
+    /// The engine's memory proxy: the sum of [`BrachaLayer::content_bytes`].
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
     }
 
-    /// READY delivery quorum size.
-    pub fn ready_quorum(&self) -> usize {
-        quorum::ready_quorum(self.f)
-    }
-
-    /// Sends `message` to every other process and processes it locally, accumulating the
-    /// resulting actions (Bracha's sends are all-to-all, including the sender itself).
-    fn send_to_all(&mut self, message: BrachaMessage, actions: &mut Vec<Action<BrachaMessage>>) {
-        for q in 0..self.n {
-            if q != self.id {
-                actions.push(Action::send(q, message.clone()));
-            }
-        }
-        // Local copy: a process also counts its own Echo/Ready and handles its own Send.
-        self.handle_internal(self.id, message, actions);
-    }
-
-    fn handle_internal(
-        &mut self,
-        from: ProcessId,
-        message: BrachaMessage,
-        actions: &mut Vec<Action<BrachaMessage>>,
-    ) {
-        // A label outside `0..n` comes from a faulty process: refuse the frame before it
-        // creates state for a process that does not exist.
-        if from >= self.n || message.id.source >= self.n {
-            self.tracer.frame_refused(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::DropCause::Malformed,
-            );
-            return;
-        }
-        // Frames for a retired instance are dropped deterministically: recreating the
-        // entry below would resurrect pruned state (and could re-deliver).
-        if self.gc.is_retired(message.id) {
-            self.tracer.emit(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::TraceEventKind::FrameDropped {
-                    to: self.id,
-                    cause: brb_trace::DropCause::GcRetired,
-                },
-            );
-            return;
-        }
-        let content = Content::new(message.id, message.payload.clone());
-        let state = self.states.entry(content.clone()).or_insert_with(|| {
-            let fresh = BrachaState::default();
-            self.state_bytes += fresh.state_bytes(&content);
-            fresh
-        });
-        let before = state.state_bytes(&content);
-        let mut send_echo = false;
-        let mut send_ready = false;
-        let mut deliver = false;
-        match message.kind {
-            BrachaKind::Send => {
-                // Only the claimed source may originate a SEND; the authenticated link
-                // exposes the actual sender, so a SEND relayed by someone else is ignored.
-                if from == message.id.source && !state.sent_echo {
-                    state.sent_echo = true;
-                    send_echo = true;
-                }
-            }
-            BrachaKind::Echo => {
-                state.echos.insert(from);
-                if state.echos.len() >= quorum::echo_quorum(self.n, self.f) && !state.sent_ready {
-                    state.sent_ready = true;
-                    send_ready = true;
-                    self.tracer.emit(
-                        self.id,
-                        message.id.source,
-                        message.id.seq,
-                        brb_trace::TraceEventKind::EchoThreshold {
-                            echoes: state.echos.len(),
-                        },
-                    );
-                }
-            }
-            BrachaKind::Ready => {
-                state.readys.insert(from);
-                if state.readys.len() >= quorum::ready_amplification(self.f) && !state.sent_ready {
-                    state.sent_ready = true;
-                    send_ready = true;
-                    self.tracer.emit(
-                        self.id,
-                        message.id.source,
-                        message.id.seq,
-                        brb_trace::TraceEventKind::ReadyAmplified,
-                    );
-                }
-                if state.readys.len() >= quorum::ready_quorum(self.f) && !state.delivered {
-                    state.delivered = true;
-                    deliver = true;
-                }
-            }
-        }
-        self.state_bytes = self.state_bytes + state.state_bytes(&content) - before;
-        if send_ready {
-            self.tracer.emit(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::TraceEventKind::ReadySent,
-            );
-        }
-        if send_echo {
-            self.send_to_all(
-                BrachaMessage {
-                    kind: BrachaKind::Echo,
-                    id: message.id,
-                    payload: message.payload.clone(),
-                },
-                actions,
-            );
-        }
-        if send_ready {
-            self.send_to_all(
-                BrachaMessage {
-                    kind: BrachaKind::Ready,
-                    id: message.id,
-                    payload: message.payload.clone(),
-                },
-                actions,
-            );
-        }
-        if deliver && self.delivered_ids.insert(content.id) {
-            self.gc.on_delivered(content.id);
-            let delivery = Delivery {
-                id: content.id,
-                payload: content.payload,
-            };
-            self.deliveries.push(delivery.clone());
-            actions.push(Action::Deliver(delivery));
-        }
-    }
-
-    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`].
-    fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<BrachaMessage>>) {
+    /// Mints the identifier of this process's next broadcast.
+    pub(crate) fn next_id(&mut self) -> BroadcastId {
         let id = BroadcastId::new(self.id, self.next_seq);
         self.next_seq += 1;
         self.tracer.emit(
@@ -287,14 +290,175 @@ impl BrachaProcess {
             id.seq,
             brb_trace::TraceEventKind::Injected,
         );
-        self.send_to_all(
-            BrachaMessage {
-                kind: BrachaKind::Send,
+        id
+    }
+
+    /// Runs a Bracha message received from `origin` (the authenticated link's sender, or
+    /// the RC origin) through its content's instance: hands each message the step creates
+    /// to the engine's `send` primitive, Echo first, and returns the delivery it makes. A
+    /// refused message does nothing.
+    pub(crate) fn receive(
+        &mut self,
+        origin: ProcessId,
+        message: BrachaMessage,
+        mut send: impl FnMut(&BrachaMessage),
+    ) -> Option<Delivery> {
+        let id = message.id;
+        // A label outside `0..n` comes from a faulty process: refuse the message before
+        // it creates state for a process that does not exist.
+        if origin >= self.n || id.source >= self.n {
+            self.tracer
+                .frame_refused(self.id, id.source, id.seq, brb_trace::DropCause::Malformed);
+            return None;
+        }
+        // Messages for a retired instance are dropped deterministically: recreating the
+        // entry below would resurrect pruned state (and could re-deliver).
+        if self.gc.is_retired(id) {
+            self.tracer.emit(
+                self.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::FrameDropped {
+                    to: self.id,
+                    cause: brb_trace::DropCause::GcRetired,
+                },
+            );
+            return None;
+        }
+        let content = Content::new(id, message.payload.clone());
+        let instance = self.instances.entry(content).or_insert_with_key(|content| {
+            let fresh = BrachaInstance::default();
+            self.bytes += Self::content_bytes(content, &fresh);
+            fresh
+        });
+        let before = instance.bytes();
+        instance.count(message.kind, origin, false);
+        // Only the claimed source may originate a Send: the link (or the RC layer)
+        // certifies the sender, so a Send relayed by anyone else validates nothing.
+        let send_validated = message.kind == BrachaKind::Send && origin == id.source;
+        let at = Local {
+            id: self.id,
+            n: self.n,
+            f: self.f,
+            tracer: &self.tracer,
+        };
+        let triggers = Triggers {
+            send_validated,
+            can_echo: true,
+            can_ready: true,
+            echo_amplification: false,
+        };
+        let step = instance.step(at, id, triggers, &mut self.ids);
+        self.bytes = self.bytes + instance.bytes() - before;
+        for kind in step.created() {
+            send(&BrachaMessage {
+                kind,
                 id,
-                payload,
-            },
-            actions,
-        );
+                payload: message.payload.clone(),
+            });
+        }
+        if !step.deliver {
+            return None;
+        }
+        self.gc.on_delivered(id);
+        let delivery = Delivery {
+            id,
+            payload: message.payload,
+        };
+        self.deliveries.push(delivery.clone());
+        Some(delivery)
+    }
+
+    /// Retires every instance whose retention window elapsed: the contents of its id and
+    /// its per-id record are pruned.
+    pub(crate) fn run_gc(&mut self) {
+        for id in self.gc.due() {
+            self.tracer.emit(
+                self.id,
+                id.source,
+                id.seq,
+                brb_trace::TraceEventKind::Retired,
+            );
+            self.instances.retain(|content, instance| {
+                let keep = content.id != id;
+                if !keep {
+                    self.bytes -= Self::content_bytes(content, instance);
+                }
+                keep
+            });
+            self.ids.retire(id);
+        }
+    }
+}
+
+/// One process running Bracha's protocol on a fully connected network.
+#[derive(Debug, Clone)]
+pub struct BrachaProcess {
+    layer: BrachaLayer,
+}
+
+impl BrachaProcess {
+    /// Creates a Bracha process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is not smaller than `n / 3` or if `id >= n`.
+    pub fn new(id: ProcessId, n: usize, f: usize) -> Self {
+        Self {
+            layer: BrachaLayer::new(id, n, f),
+        }
+    }
+
+    /// Runs one received message: sends what it creates to all, then delivers.
+    fn receive(
+        &mut self,
+        from: ProcessId,
+        message: BrachaMessage,
+        actions: &mut Vec<Action<BrachaMessage>>,
+    ) {
+        let (me, n) = (self.layer.id, self.layer.n);
+        let delivery = self.layer.receive(from, message, |created| {
+            send_to_all(me, n, created, actions);
+        });
+        actions.extend(delivery.map(Action::Deliver));
+    }
+
+    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`].
+    fn handle(
+        &mut self,
+        from: ProcessId,
+        message: BrachaMessage,
+        actions: &mut Vec<Action<BrachaMessage>>,
+    ) {
+        self.layer.gc.on_event();
+        self.receive(from, message, actions);
+        self.layer.run_gc();
+    }
+
+    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`].
+    fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<BrachaMessage>>) {
+        self.layer.gc.on_event();
+        let send = BrachaMessage {
+            kind: BrachaKind::Send,
+            id: self.layer.next_id(),
+            payload,
+        };
+        send_to_all(self.layer.id, self.layer.n, &send, actions);
+        self.receive(self.layer.id, send, actions);
+        self.layer.run_gc();
+    }
+}
+
+/// Sends `message` to every process but `me`: Bracha's sends are all-to-all, and the
+/// sender's own copy was counted by the step that created the message.
+fn send_to_all(
+    me: ProcessId,
+    n: usize,
+    message: &BrachaMessage,
+    actions: &mut Vec<Action<BrachaMessage>>,
+) {
+    for q in (0..n).filter(|&q| q != me) {
+        actions.push(Action::send(q, message.clone()));
     }
 }
 
@@ -302,22 +466,20 @@ impl Protocol for BrachaProcess {
     type Message = BrachaMessage;
 
     fn process_id(&self) -> ProcessId {
-        self.id
+        self.layer.id
     }
 
     fn next_seq(&self) -> u32 {
-        self.next_seq
+        self.layer.next_seq
     }
 
     fn set_next_seq(&mut self, seq: u32) {
-        self.next_seq = seq;
+        self.layer.next_seq = seq;
     }
 
     fn broadcast(&mut self, payload: Payload) -> Vec<Action<BrachaMessage>> {
         let mut actions = Vec::new();
-        self.gc.on_event();
         self.broadcast_inner(payload, &mut actions);
-        self.run_gc();
         actions
     }
 
@@ -327,16 +489,12 @@ impl Protocol for BrachaProcess {
         message: BrachaMessage,
     ) -> Vec<Action<BrachaMessage>> {
         let mut actions = Vec::new();
-        self.gc.on_event();
-        self.handle_internal(from, message, &mut actions);
-        self.run_gc();
+        self.handle(from, message, &mut actions);
         actions
     }
 
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<BrachaMessage>) {
-        self.gc.on_event();
         self.broadcast_inner(payload, out.as_mut_vec());
-        self.run_gc();
     }
 
     fn handle_message_into(
@@ -345,13 +503,11 @@ impl Protocol for BrachaProcess {
         message: BrachaMessage,
         out: &mut ActionBuf<BrachaMessage>,
     ) {
-        self.gc.on_event();
-        self.handle_internal(from, message, out.as_mut_vec());
-        self.run_gc();
+        self.handle(from, message, out.as_mut_vec());
     }
 
     fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
+        &self.layer.deliveries
     }
 
     fn message_size(message: &BrachaMessage) -> usize {
@@ -359,7 +515,7 @@ impl Protocol for BrachaProcess {
     }
 
     fn state_bytes(&self) -> usize {
-        self.state_bytes
+        self.layer.bytes()
     }
 
     fn stored_paths(&self) -> usize {
@@ -370,19 +526,19 @@ impl Protocol for BrachaProcess {
     }
 
     fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.gc.set_policy(policy);
+        self.layer.gc.set_policy(policy);
     }
 
     fn note_time(&mut self, now_ms: u64) {
-        self.gc.note_time(now_ms);
+        self.layer.gc.note_time(now_ms);
     }
 
     fn gc_retired(&self) -> u64 {
-        self.gc.retired_count()
+        self.layer.gc.retired_count()
     }
 
     fn set_tracer(&mut self, tracer: brb_trace::Tracer) {
-        self.tracer = tracer;
+        self.layer.tracer = tracer;
     }
 }
 
@@ -391,17 +547,152 @@ mod tests {
     use super::*;
     use crate::footprint::check::{Checked, WalkState};
 
-    /// The walk the running total replaced: every tracked content.
-    impl WalkState for BrachaProcess {
-        fn walk_state(&self) -> (usize, usize) {
-            let bytes = self
-                .states
+    impl BrachaLayer {
+        /// Number of tracked contents.
+        pub(crate) fn contents(&self) -> usize {
+            self.instances.len()
+        }
+
+        /// The walk the running total replaced: every tracked content.
+        pub(crate) fn walk_bytes(&self) -> usize {
+            self.instances
                 .iter()
                 .map(|(content, s)| {
-                    content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3
+                    content.payload.len() + 8 * (s.echo_origins.len() + s.ready_origins.len()) + 3
                 })
-                .sum();
-            (bytes, 0)
+                .sum()
+        }
+    }
+
+    impl WalkState for BrachaProcess {
+        fn walk_state(&self) -> (usize, usize) {
+            (self.layer.walk_bytes(), 0)
+        }
+    }
+
+    /// Algorithm 1 written out, as the independent reference for [`BrachaInstance::step`]:
+    /// membership as `Vec<bool>`, thresholds spelled out rather than taken from
+    /// `quorum::`. `mbd2` makes a Ready count as an Echo and lets `f+1` Echos trigger an
+    /// Echo; `can_echo` / `can_ready` are MBD.11's role restrictions.
+    struct Reference {
+        n: usize,
+        f: usize,
+        me: ProcessId,
+        source: ProcessId,
+        mbd2: bool,
+        can_echo: bool,
+        can_ready: bool,
+        send_seen: bool,
+        echoed: Vec<bool>,
+        readied: Vec<bool>,
+        sent_echo: bool,
+        sent_ready: bool,
+        delivered: bool,
+    }
+
+    impl Reference {
+        /// Handles one message and returns `(echo created, ready created, delivered)`.
+        fn on(&mut self, kind: BrachaKind, origin: ProcessId) -> (bool, bool, bool) {
+            match kind {
+                BrachaKind::Send => self.send_seen |= origin == self.source,
+                BrachaKind::Echo => self.echoed[origin] = true,
+                BrachaKind::Ready => {
+                    self.readied[origin] = true;
+                    self.echoed[origin] |= self.mbd2;
+                }
+            }
+            let members = |set: &[bool]| set.iter().filter(|&&member| member).count();
+            let mut out = (false, false, false);
+            loop {
+                let echo = !self.sent_echo
+                    && self.can_echo
+                    && (self.send_seen || (self.mbd2 && members(&self.echoed) > self.f));
+                // ⌈(N+f+1)/2⌉ Echos (twice the Echos exceed N+f), or f+1 Readys.
+                let ready = !self.sent_ready
+                    && self.can_ready
+                    && (2 * members(&self.echoed) > self.n + self.f
+                        || members(&self.readied) > self.f);
+                if echo {
+                    self.sent_echo = true;
+                    self.echoed[self.me] = true;
+                }
+                if ready {
+                    self.sent_ready = true;
+                    self.readied[self.me] = true;
+                    self.echoed[self.me] |= self.mbd2;
+                }
+                let deliver = !self.delivered && members(&self.readied) > 2 * self.f;
+                self.delivered |= deliver;
+                out = (out.0 | echo, out.1 | ready, out.2 | deliver);
+                if !(echo || ready || deliver) {
+                    return out;
+                }
+            }
+        }
+    }
+
+    /// `BrachaInstance::step` against Algorithm 1 written out, after every event of
+    /// seeded random `(kind, origin)` sequences: n in {4, 7, 10, 31}, every tolerable f,
+    /// with and without MBD.2, under each MBD.11 role.
+    #[test]
+    fn step_matches_algorithm_1_written_out() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1_987);
+        let tracer = brb_trace::Tracer::disabled();
+        let kinds = [BrachaKind::Send, BrachaKind::Echo, BrachaKind::Ready];
+        for n in [4, 7, 10, 31] {
+            for f in 0..=(n - 1) / 3 {
+                for variant in 0..8 {
+                    let (mbd2, can_echo, can_ready) =
+                        (variant & 1 != 0, variant & 2 == 0, variant & 4 == 0);
+                    for _ in 0..8 {
+                        let (me, source) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                        let mut reference = Reference {
+                            n,
+                            f,
+                            me,
+                            source,
+                            mbd2,
+                            can_echo,
+                            can_ready,
+                            send_seen: false,
+                            echoed: vec![false; n],
+                            readied: vec![false; n],
+                            sent_echo: false,
+                            sent_ready: false,
+                            delivered: false,
+                        };
+                        let mut instance = BrachaInstance::default();
+                        let mut ids = IdRecord::default();
+                        let at = Local {
+                            id: me,
+                            n,
+                            f,
+                            tracer: &tracer,
+                        };
+                        let id = BroadcastId::new(source, 0);
+                        for event in 0..4 * n {
+                            let kind = kinds[rng.gen_range(0..3usize)];
+                            let origin = rng.gen_range(0..n);
+                            let expected = reference.on(kind, origin);
+                            instance.count(kind, origin, mbd2);
+                            let triggers = Triggers {
+                                send_validated: reference.send_seen,
+                                can_echo,
+                                can_ready,
+                                echo_amplification: mbd2,
+                            };
+                            let step = instance.step(at, id, triggers, &mut ids);
+                            assert_eq!(
+                                (step.echo, step.ready, step.deliver),
+                                expected,
+                                "n={n} f={f} variant={variant} event {event}: {kind:?} from {origin}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -649,7 +940,7 @@ mod tests {
         for (from, message) in [(2, echo(wild)), (2, echo(4)), (wild, echo(0))] {
             assert!(p.handle_checked(from, message).is_empty());
             assert_eq!(p.state_bytes(), 0);
-            assert!(p.states.is_empty());
+            assert_eq!(p.layer.contents(), 0);
         }
         p.handle_checked(2, echo(3));
         assert!(p.state_bytes() > 0);

@@ -13,20 +13,20 @@
 //!   substrate (the extension listed as future work in the paper's conclusion; see
 //!   footnote 2 of the paper for the stronger topology condition this requires).
 //!
-//! The combination is deliberately the *plain* one: none of the MBD.1–12 cross-layer
-//! optimisations apply here, which also makes these stacks useful baselines when measuring
-//! how much the paper's optimisations win.
+//! The Bracha side is the per-content layer [`crate::bracha`] shares with
+//! [`crate::bracha::BrachaProcess`], RC origins playing the role of link-level senders;
+//! this engine adds only its send primitive, an RC broadcast. The combination is
+//! deliberately the *plain* one: none of the MBD.1–12 cross-layer optimisations apply here,
+//! which also makes these stacks useful baselines when measuring how much the paper's
+//! optimisations win.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::bracha::{BrachaKind, BrachaMessage};
+use crate::bracha::{BrachaKind, BrachaLayer, BrachaMessage};
 use crate::cpa::CpaProcess;
 use crate::dolev_routed::RoutedDolev;
-use crate::gc::{GcPolicy, GcState};
+use crate::gc::GcPolicy;
 use crate::protocol::{ActionBuf, Protocol};
-use crate::quorum;
-use crate::rc::{RcDelivery, RcTransport};
-use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
+use crate::rc::RcTransport;
+use crate::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
 
 /// BRB on a known partially connected topology: Bracha over routed Dolev.
 pub type BrachaRoutedDolev = BrachaOverRc<RoutedDolev>;
@@ -34,45 +34,15 @@ pub type BrachaRoutedDolev = BrachaOverRc<RoutedDolev>;
 /// BRB in the `t`-locally bounded fault model: Bracha over CPA.
 pub type BrachaCpa = BrachaOverRc<CpaProcess>;
 
-/// Per-content Bracha state (Algorithm 1's `sentEcho`, `sentReady`, `delivered`, `echos`,
-/// `readys`), counted over RC origins.
-#[derive(Debug, Default, Clone)]
-struct BrachaState {
-    sent_echo: bool,
-    sent_ready: bool,
-    delivered: bool,
-    echos: HashSet<ProcessId>,
-    readys: HashSet<ProcessId>,
-}
-
-impl BrachaState {
-    /// Memory proxy of one tracked content: the payload copy the `Content` key buffers,
-    /// the quorum sets and the three booleans.
-    fn state_bytes(&self, content: &Content) -> usize {
-        content.payload.len() + 8 * (self.echos.len() + self.readys.len()) + 3
-    }
-}
-
 /// Bracha's double-echo broadcast running on top of an arbitrary reliable-communication
 /// substrate.
 #[derive(Debug, Clone)]
 pub struct BrachaOverRc<T> {
-    id: ProcessId,
-    n: usize,
-    f: usize,
+    /// The Bracha layer's own per-content state, retired by its own GC tracker; the
+    /// substrate keeps its own tracker, retires its RC instances independently, and
+    /// reports its state on top.
+    layer: BrachaLayer,
     transport: T,
-    states: HashMap<Content, BrachaState>,
-    /// Running sum of [`BrachaState::state_bytes`] over `states` (the Bracha layer's own
-    /// share; the substrate reports its state on top).
-    bracha_bytes: usize,
-    delivered_ids: HashSet<BroadcastId>,
-    deliveries: Vec<Delivery>,
-    next_seq: u32,
-    /// Retirement tracker for the Bracha layer's own per-content state; the substrate
-    /// keeps its own tracker and retires its RC instances independently.
-    gc: GcState,
-    /// Structured-trace handle (disabled by default; one branch per would-be event).
-    tracer: brb_trace::Tracer,
 }
 
 impl<T: RcTransport> BrachaOverRc<T> {
@@ -83,46 +53,9 @@ impl<T: RcTransport> BrachaOverRc<T> {
     ///
     /// Panics if `f >= n/3` or if the transport's local identity is not `< n`.
     pub fn new(n: usize, f: usize, transport: T) -> Self {
-        let id = transport.local_id();
-        assert!(id < n, "process id {id} out of range for n = {n}");
-        assert!(
-            f <= quorum::max_faults(n),
-            "f = {f} violates f < N/3 for N = {n}"
-        );
         Self {
-            id,
-            n,
-            f,
+            layer: BrachaLayer::new(transport.local_id(), n, f),
             transport,
-            states: HashMap::new(),
-            bracha_bytes: 0,
-            delivered_ids: HashSet::new(),
-            deliveries: Vec::new(),
-            next_seq: 0,
-            gc: GcState::new(GcPolicy::DISABLED),
-            tracer: brb_trace::Tracer::disabled(),
-        }
-    }
-
-    /// Prunes the Bracha-layer state of every instance whose retention window elapsed
-    /// (dropping `delivered_ids` markers is safe: the GC watermark keeps rejecting the
-    /// retired ids forever, preserving BRB-No duplication).
-    fn run_gc(&mut self) {
-        for id in self.gc.due() {
-            self.tracer.emit(
-                self.id,
-                id.source,
-                id.seq,
-                brb_trace::TraceEventKind::Retired,
-            );
-            self.states.retain(|content, state| {
-                let keep = content.id != id;
-                if !keep {
-                    self.bracha_bytes -= state.state_bytes(content);
-                }
-                keep
-            });
-            self.delivered_ids.remove(&id);
         }
     }
 
@@ -131,168 +64,37 @@ impl<T: RcTransport> BrachaOverRc<T> {
         &self.transport
     }
 
-    /// ECHO quorum size `⌈(N+f+1)/2⌉`.
-    pub fn echo_quorum(&self) -> usize {
-        quorum::echo_quorum(self.n, self.f)
-    }
-
-    /// READY delivery quorum size `2f+1`.
-    pub fn ready_quorum(&self) -> usize {
-        quorum::ready_quorum(self.f)
-    }
-
-    /// RC-broadcasts `message` and feeds the locally triggered RC deliveries (our own copy)
-    /// back into the Bracha handlers, exactly like the send-to-all of Algorithm 1 includes
-    /// the sender itself.
-    fn originate_bracha(
-        &mut self,
-        message: &BrachaMessage,
-        actions: &mut Vec<Action<T::Message>>,
-        pending: &mut Vec<(ProcessId, BrachaMessage)>,
-    ) {
-        let local = self.transport.originate(encode_bracha(message), actions);
-        for delivery in local {
-            if let Some(decoded) = decode_bracha(&delivery.payload) {
-                pending.push((delivery.origin, decoded));
-            }
-        }
-    }
-
-    /// Core of Algorithm 1, with RC origins playing the role of link-level senders.
-    fn handle_bracha(
+    /// Runs one RC-delivered Bracha message: RC-broadcasts what it creates, then
+    /// delivers.
+    fn receive(
         &mut self,
         origin: ProcessId,
         message: BrachaMessage,
         actions: &mut Vec<Action<T::Message>>,
-        pending: &mut Vec<(ProcessId, BrachaMessage)>,
     ) {
-        // The Bracha message rides inside the RC payload, so its labels are whatever the
-        // origin wrote: refuse one naming a process outside `0..n` before it creates
-        // state.
-        if origin >= self.n || message.id.source >= self.n {
-            self.tracer.frame_refused(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::DropCause::Malformed,
-            );
-            return;
-        }
-        // RC deliveries for a retired instance are dropped before they can recreate state.
-        if self.gc.is_retired(message.id) {
-            self.tracer.emit(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::TraceEventKind::FrameDropped {
-                    to: self.id,
-                    cause: brb_trace::DropCause::GcRetired,
-                },
-            );
-            return;
-        }
-        let content = Content::new(message.id, message.payload.clone());
-        let state = self.states.entry(content.clone()).or_insert_with(|| {
-            let fresh = BrachaState::default();
-            self.bracha_bytes += fresh.state_bytes(&content);
-            fresh
+        let transport = &mut self.transport;
+        let delivery = self.layer.receive(origin, message, |created| {
+            originate_bracha(transport, created, actions);
         });
-        let before = state.state_bytes(&content);
-        let mut send_echo = false;
-        let mut send_ready = false;
-        let mut deliver = false;
-        match message.kind {
-            BrachaKind::Send => {
-                // Only the claimed source may originate a SEND: the RC layer certifies the
-                // origin, so a SEND whose RC origin differs from the broadcast source is
-                // discarded (BRB-Integrity).
-                if origin == message.id.source && !state.sent_echo {
-                    state.sent_echo = true;
-                    send_echo = true;
-                }
-            }
-            BrachaKind::Echo => {
-                state.echos.insert(origin);
-                if state.echos.len() >= quorum::echo_quorum(self.n, self.f) && !state.sent_ready {
-                    state.sent_ready = true;
-                    send_ready = true;
-                    self.tracer.emit(
-                        self.id,
-                        message.id.source,
-                        message.id.seq,
-                        brb_trace::TraceEventKind::EchoThreshold {
-                            echoes: state.echos.len(),
-                        },
-                    );
-                }
-            }
-            BrachaKind::Ready => {
-                state.readys.insert(origin);
-                if state.readys.len() >= quorum::ready_amplification(self.f) && !state.sent_ready {
-                    state.sent_ready = true;
-                    send_ready = true;
-                    self.tracer.emit(
-                        self.id,
-                        message.id.source,
-                        message.id.seq,
-                        brb_trace::TraceEventKind::ReadyAmplified,
-                    );
-                }
-                if state.readys.len() >= quorum::ready_quorum(self.f) && !state.delivered {
-                    state.delivered = true;
-                    deliver = true;
-                }
-            }
-        }
-        self.bracha_bytes = self.bracha_bytes + state.state_bytes(&content) - before;
-        if send_echo {
-            self.originate_bracha(
-                &BrachaMessage {
-                    kind: BrachaKind::Echo,
-                    id: message.id,
-                    payload: message.payload.clone(),
-                },
-                actions,
-                pending,
-            );
-        }
-        if send_ready {
-            self.tracer.emit(
-                self.id,
-                message.id.source,
-                message.id.seq,
-                brb_trace::TraceEventKind::ReadySent,
-            );
-            self.originate_bracha(
-                &BrachaMessage {
-                    kind: BrachaKind::Ready,
-                    id: message.id,
-                    payload: message.payload.clone(),
-                },
-                actions,
-                pending,
-            );
-        }
-        if deliver && self.delivered_ids.insert(content.id) {
-            self.gc.on_delivered(content.id);
-            let delivery = Delivery {
-                id: content.id,
-                payload: content.payload,
-            };
-            self.deliveries.push(delivery.clone());
-            actions.push(Action::Deliver(delivery));
-        }
+        actions.extend(delivery.map(Action::Deliver));
     }
 
-    /// Drains the queue of RC-delivered Bracha messages until no more are produced.
-    fn drain(
+    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`]:
+    /// the RC deliveries a link message triggers, last one first.
+    fn handle(
         &mut self,
-        mut pending: Vec<(ProcessId, BrachaMessage)>,
+        from: ProcessId,
+        message: T::Message,
         actions: &mut Vec<Action<T::Message>>,
     ) {
-        while let Some((origin, message)) = pending.pop() {
-            self.handle_bracha(origin, message, actions, &mut pending);
+        self.layer.gc.on_event();
+        let rc_deliveries = self.transport.on_message(from, message, actions);
+        for delivery in rc_deliveries.into_iter().rev() {
+            if let Some(decoded) = decode_bracha(&delivery.payload) {
+                self.receive(delivery.origin, decoded, actions);
+            }
         }
+        self.layer.run_gc();
     }
 }
 
@@ -300,53 +102,34 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
     type Message = T::Message;
 
     fn process_id(&self) -> ProcessId {
-        self.id
+        self.layer.id
     }
 
     fn next_seq(&self) -> u32 {
-        self.next_seq
+        self.layer.next_seq
     }
 
     fn set_next_seq(&mut self, seq: u32) {
-        self.next_seq = seq;
+        self.layer.next_seq = seq;
     }
 
     fn broadcast(&mut self, payload: Payload) -> Vec<Action<T::Message>> {
-        self.gc.on_event();
-        let id = BroadcastId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        self.tracer.emit(
-            self.id,
-            id.source,
-            id.seq,
-            brb_trace::TraceEventKind::Injected,
-        );
+        self.layer.gc.on_event();
         let mut actions = Vec::new();
-        let mut pending = Vec::new();
-        self.originate_bracha(
-            &BrachaMessage {
-                kind: BrachaKind::Send,
-                id,
-                payload,
-            },
-            &mut actions,
-            &mut pending,
-        );
-        self.drain(pending, &mut actions);
-        self.run_gc();
+        let send = BrachaMessage {
+            kind: BrachaKind::Send,
+            id: self.layer.next_id(),
+            payload,
+        };
+        originate_bracha(&mut self.transport, &send, &mut actions);
+        self.receive(self.layer.id, send, &mut actions);
+        self.layer.run_gc();
         actions
     }
 
     fn handle_message(&mut self, from: ProcessId, message: T::Message) -> Vec<Action<T::Message>> {
-        self.gc.on_event();
         let mut actions = Vec::new();
-        let rc_deliveries = self.transport.on_message(from, message, &mut actions);
-        let pending: Vec<(ProcessId, BrachaMessage)> = rc_deliveries
-            .into_iter()
-            .filter_map(|d: RcDelivery| decode_bracha(&d.payload).map(|m| (d.origin, m)))
-            .collect();
-        self.drain(pending, &mut actions);
-        self.run_gc();
+        self.handle(from, message, &mut actions);
         actions
     }
 
@@ -356,18 +139,11 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
         message: T::Message,
         out: &mut ActionBuf<T::Message>,
     ) {
-        self.gc.on_event();
-        let rc_deliveries = self.transport.on_message(from, message, out.as_mut_vec());
-        let pending: Vec<(ProcessId, BrachaMessage)> = rc_deliveries
-            .into_iter()
-            .filter_map(|d: RcDelivery| decode_bracha(&d.payload).map(|m| (d.origin, m)))
-            .collect();
-        self.drain(pending, out.as_mut_vec());
-        self.run_gc();
+        self.handle(from, message, out.as_mut_vec());
     }
 
     fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
+        &self.layer.deliveries
     }
 
     fn message_size(message: &T::Message) -> usize {
@@ -375,7 +151,7 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
     }
 
     fn state_bytes(&self) -> usize {
-        self.bracha_bytes + self.transport.state_bytes()
+        self.layer.bytes() + self.transport.state_bytes()
     }
 
     fn stored_paths(&self) -> usize {
@@ -383,22 +159,33 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
     }
 
     fn set_gc_policy(&mut self, policy: GcPolicy) {
-        self.gc.set_policy(policy);
+        self.layer.gc.set_policy(policy);
         self.transport.set_gc_policy(policy);
     }
 
     fn note_time(&mut self, now_ms: u64) {
-        self.gc.note_time(now_ms);
+        self.layer.gc.note_time(now_ms);
         self.transport.note_time(now_ms);
     }
 
     fn gc_retired(&self) -> u64 {
-        self.gc.retired_count() + self.transport.gc_retired()
+        self.layer.gc.retired_count() + self.transport.gc_retired()
     }
 
     fn set_tracer(&mut self, tracer: brb_trace::Tracer) {
-        self.tracer = tracer;
+        self.layer.tracer = tracer;
     }
+}
+
+/// RC-broadcasts `message` over `transport`, the template's send primitive. The origin
+/// RC-delivers its own broadcast at once; the step that created the message already
+/// counted this process, so that copy is dropped.
+fn originate_bracha<T: RcTransport>(
+    transport: &mut T,
+    message: &BrachaMessage,
+    actions: &mut Vec<Action<T::Message>>,
+) {
+    transport.originate(encode_bracha(message), actions);
 }
 
 /// Encodes a Bracha message as an opaque RC payload:
@@ -472,15 +259,8 @@ mod tests {
     impl<T: RcTransport + WalkState> WalkState for BrachaOverRc<T> {
         fn walk_state(&self) -> (usize, usize) {
             self.transport.assert_totals();
-            let bracha: usize = self
-                .states
-                .iter()
-                .map(|(content, s)| {
-                    content.payload.len() + 8 * (s.echos.len() + s.readys.len()) + 3
-                })
-                .sum();
             (
-                bracha + self.transport.walk_state().0,
+                self.layer.walk_bytes() + self.transport.walk_state().0,
                 RcTransport::stored_paths(&self.transport),
             )
         }
@@ -626,11 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn quorum_accessors_match_the_quorum_module() {
+    fn routed_dolev_uses_2f_plus_1_routes_per_destination() {
         let g = generate::complete(10);
         let p = BrachaOverRc::new(10, 3, RoutedDolev::new(0, 3, g));
-        assert_eq!(p.echo_quorum(), quorum::echo_quorum(10, 3));
-        assert_eq!(p.ready_quorum(), 7);
         assert_eq!(p.transport().routes_per_destination(), 7);
     }
 
@@ -757,10 +535,10 @@ mod tests {
         for source in [4, u32::MAX as ProcessId] {
             let actions = p.handle_checked(2, echo_for(source));
             assert!(actions.is_empty());
-            assert!(p.states.is_empty());
-            assert_eq!(p.bracha_bytes, 0);
+            assert_eq!(p.layer.contents(), 0);
+            assert_eq!(p.layer.bytes(), 0);
         }
         p.handle_checked(2, echo_for(3));
-        assert_eq!(p.states.len(), 1);
+        assert_eq!(p.layer.contents(), 1);
     }
 }

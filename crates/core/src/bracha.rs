@@ -22,8 +22,25 @@
 //!
 //! The first two also share their per-content layer, `BrachaLayer`: the ingress
 //! refusals, the instances keyed by content, the per-id record, the delivery log and GC.
+//!
+//! **A correct process echoes at most one content per broadcast id.** The engines keep
+//! one instance per *content*, so a faulty source can send two Sends with one id; the
+//! per-id record (`IdRecord`, next to the delivered ids) lets a process echo only the
+//! first, whether its Echo is triggered by a Send or by MBD.2 amplification. That is
+//! what makes BRB-Agreement hold:
+//!
+//! * two Echo quorums of `⌈(N+f+1)/2⌉` intersect in at least `f+1` processes, so at
+//!   least one correct process is in both;
+//! * a correct process echoes one content per id, so only one content per id can reach
+//!   an Echo quorum;
+//! * Ready amplification needs `f+1` Readys, so at least one comes from a correct
+//!   process, and that Ready traces back to that one quorum. (Under MBD.2 a Ready also
+//!   counts as an Echo; by induction over the correct Readys in the order they are sent,
+//!   each is for that same content, so no second quorum forms.)
+//!
+//! `tests/equivocation.rs` runs the attack against every engine.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -114,23 +131,30 @@ impl Step {
     }
 }
 
-/// What this process did under each broadcast id, whichever contents were sent under it.
-/// Pruned with the id's instances by GC, and not counted in `state_bytes`.
+/// What this process did under each broadcast id, whichever contents a faulty source sent
+/// under it: echo at most one of them, deliver at most one. Pruned with the id's instances
+/// by GC, and not counted in `state_bytes`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdRecord {
-    delivered: HashSet<BroadcastId>,
+    acted: HashMap<BroadcastId, Acted>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Acted {
+    echoed: bool,
+    delivered: bool,
 }
 
 impl IdRecord {
     /// Whether some content of `id` was delivered.
     pub(crate) fn has_delivered(&self, id: BroadcastId) -> bool {
-        self.delivered.contains(&id)
+        self.acted.get(&id).is_some_and(|acted| acted.delivered)
     }
 
     /// Forgets `id`; the GC watermark keeps rejecting it, which preserves BRB-No
-    /// duplication after the prune.
+    /// duplication (and the single Echo) after the prune.
     pub(crate) fn retire(&mut self, id: BroadcastId) {
-        self.delivered.remove(&id);
+        self.acted.remove(&id);
     }
 }
 
@@ -185,12 +209,16 @@ impl BrachaInstance {
             let echo_trigger = t.send_validated
                 || (t.echo_amplification
                     && self.echo_origins.len() >= quorum::echo_amplification(at.f));
-            let want_echo = !self.sent_echo && t.can_echo && echo_trigger;
+            let want_echo = !self.sent_echo
+                && t.can_echo
+                && echo_trigger
+                && !ids.acted.get(&id).is_some_and(|acted| acted.echoed);
             let ready_trigger = self.echo_origins.len() >= echo_quorum
                 || self.ready_origins.len() >= quorum::ready_amplification(at.f);
             let want_ready = !self.sent_ready && t.can_ready && ready_trigger;
             if want_echo {
                 self.sent_echo = true;
+                ids.acted.entry(id).or_default().echoed = true;
                 self.echo_origins.insert(at.id);
             }
             if want_ready {
@@ -207,7 +235,8 @@ impl BrachaInstance {
             let reached = !self.delivered && self.ready_origins.len() >= quorum::ready_quorum(at.f);
             if reached {
                 self.delivered = true;
-                step.deliver = ids.delivered.insert(id);
+                let acted = ids.acted.entry(id).or_default();
+                step.deliver = !std::mem::replace(&mut acted.delivered, true);
             }
             step.echo |= want_echo;
             step.ready |= want_ready;

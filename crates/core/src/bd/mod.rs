@@ -7,10 +7,15 @@
 //! machine.
 //!
 //! Each Dolev instance is a `dolev::DolevInstance`, the rule the standalone
-//! [`crate::dolev::DolevProcess`] runs too. This engine adds what crosses the layers: it
-//! keys instances by `(phase, originator)`, passes direct delivery for single-hop Sends
-//! (MBD.2), the MBD.10 superpath filter and the MBD.8/9 destination exclusions as
-//! arguments, keeps the MBD.6/7/9 bookkeeping, and reacts to each Dolev delivery.
+//! [`crate::dolev::DolevProcess`] runs too, and each content's Bracha state is a
+//! `bracha::BrachaInstance`, the quorum rule of [`crate::bracha::BrachaProcess`] and
+//! [`crate::bracha_rc::BrachaOverRc`]. This engine adds what crosses the layers: it keys
+//! Dolev instances by `(phase, originator)`, passes direct delivery for single-hop Sends
+//! (MBD.2), the MBD.10 superpath filter and the MBD.8/9 destination exclusions to the
+//! Dolev rule, passes MBD.2 echo amplification and the MBD.11 roles to the Bracha rule,
+//! keeps the MBD.6/7/8/9 bookkeeping, opens an instance for each message it creates, and
+//! under MBD.2 transmits only the Ready when its Echo and Ready become creatable
+//! together.
 //!
 //! The engine is configured by [`Config`], which toggles:
 //!

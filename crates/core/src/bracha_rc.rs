@@ -80,7 +80,8 @@ impl<T: RcTransport> BrachaOverRc<T> {
     }
 
     /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`]:
-    /// the RC deliveries a link message triggers, last one first.
+    /// the RC deliveries a link message triggers, last one first (the order the goldens
+    /// pin).
     fn handle(
         &mut self,
         from: ProcessId,

@@ -16,8 +16,11 @@
 //! [`crate::bracha_rc::BrachaOverRc`] is the generic combination built on this trait;
 //! [`crate::dolev_routed::RoutedDolev`] and [`crate::cpa::CpaProcess`] are the two
 //! substrates implementing it in this crate. The flooding Bracha–Dolev combination of the
-//! paper keeps its dedicated, heavily cross-optimised implementation in [`crate::bd`]; the
-//! tests hold it against `BrachaOverRc<DolevProcess>`, an RC substrate only they build.
+//! paper, [`crate::bd`], is not built on the trait: it runs the same two rules (Dolev's
+//! `dolev::DolevInstance`, Bracha's `bracha::BrachaInstance`) and adds the cross-layer
+//! modifications between them. The tests hold it against `BrachaOverRc<DolevProcess>`, an
+//! RC substrate only they build, which checks how `bd` wires the layers together; the
+//! rules themselves are checked against their own references.
 
 use crate::cpa::CpaProcess;
 use crate::protocol::Protocol;
@@ -181,8 +184,9 @@ mod tests {
     use rand::SeedableRng;
 
     /// Dolev's flooding protocol as an RC substrate. `BrachaOverRc<DolevProcess>` is then
-    /// the paper's unmodified Bracha–Dolev written independently of [`crate::bd`]: a
-    /// second implementation to hold `bd` against, built by no stack.
+    /// the paper's unmodified Bracha–Dolev assembled by the generic template instead of
+    /// [`crate::bd`]'s cross-layer engine: a second wiring to hold `bd` against, built by
+    /// no stack.
     impl RcTransport for DolevProcess {
         type Message = <DolevProcess as Protocol>::Message;
 
@@ -344,8 +348,10 @@ mod tests {
         assert_eq!(bd, rc, "{:?}, source {source}", config.md);
     }
 
-    /// The oracle for `bd`'s Dolev and Bracha layers: an independent implementation of
-    /// the same protocol must agree on who delivers, when, and at what frame cost. Fig. 1
+    /// The oracle for how `bd` wires its Dolev and Bracha layers: the generic template
+    /// over the same two rules must agree on who delivers, when, and at what frame cost.
+    /// Both sides run the same `BrachaInstance`, so the quorum rule itself is checked by
+    /// `bracha::tests::step_matches_algorithm_1_written_out`. Fig. 1
     /// with f = 1 from every source under all 32 MD subsets, and the paper's headline
     /// point (N = 31, k = 10, f = 4) under MD.1–5. The frame counts are equal for every subset: the Dolev layer
     /// is one code path, and both Bracha layers send each created message to every

@@ -1,29 +1,21 @@
-//! Machine-readable saturation study: the wall-clock knee of the live backends, with
-//! instance sharding on vs off.
+//! Machine-readable saturation study: the wall-clock knee of the live backends.
 //!
-//! For every `stack x backend x mode` combination the binary ramps an open-loop
-//! constant-rate workload (descending inter-arrival intervals, real-time paced) against
-//! a fresh deployment and detects the **knee**: the highest offered arrival rate that
-//! still completes every broadcast with a p99 completion latency under the ramp's cap
-//! (8x the single-engine mode's lowest-rate p99, floored at 25 ms against scheduler
-//! noise — the same [`brb_bench::saturation::knee_index`] rule the deterministic
-//! simulator section uses). The first ramp point is deliberately far below any stack's
-//! capacity (50 broadcasts/s) so the cap is anchored to a genuinely unloaded baseline,
-//! and both modes of one stack x backend combination are judged against the **same**
-//! cap (the single-engine ramp's), so the knee comparison is apples-to-apples. The ramp
-//! stops at the first collapsed point, so an overload run truncated by the timeout can
-//! never be mistaken for a healthy one.
+//! For every `stack x backend` combination the binary ramps an open-loop constant-rate
+//! workload (descending inter-arrival intervals, real-time paced) against a fresh
+//! deployment with [`DriverOptions::default`] (one engine per node) and detects the
+//! **knee**: the highest offered arrival rate that still completes every broadcast with
+//! a p99 completion latency under the ramp's cap (8x its own lowest-rate p99, floored at
+//! 25 ms against scheduler noise — the same [`brb_bench::saturation::knee_index`] rule
+//! the deterministic simulator section uses). The first ramp point is deliberately far
+//! below any stack's capacity (50 broadcasts/s) so the cap is anchored to a genuinely
+//! unloaded baseline. The ramp stops at the first collapsed point, so an overload run
+//! truncated by the timeout can never be mistaken for a healthy one.
 //!
 //! The combinations:
 //!
 //! * stacks — `bd` (the paper's Bracha–Dolev on the Fig. 1 topology) and `bracha`
 //!   (plain double-echo on a complete graph, the fully-connected baseline);
-//! * backends — the in-process channel runtime and the TCP socket deployment;
-//! * modes — `single_engine` ([`DriverOptions::default`]: one engine per node) vs
-//!   `sharded` ([`DriverOptions::with_shards`]: an instance-sharded engine pool per
-//!   node, pool width scaled to the host's cores and recorded in the JSON). Both send
-//!   through the driver's one burst path (frames grouped per destination, one channel
-//!   op / syscall per group).
+//! * backends — the in-process channel runtime and the TCP socket deployment.
 //!
 //! Emits `BENCH_saturation.json` with the host it ran on and one
 //! `knee_offered_per_sec` per combination, plus the per-point curves. Wall-clock
@@ -45,16 +37,6 @@ use brb_runtime::{Deployment, DriverOptions, Pacing};
 use brb_transport::DeploymentReport;
 use brb_workload::WorkloadSpec;
 
-/// Shard pool width of the `sharded` mode: scales with the host's cores
-/// (clamped to [2, 4] so sharding is always genuinely exercised, while a small box is
-/// not oversubscribed with idle worker threads — each of the 10 nodes runs its own
-/// pool). The emitted JSON records the width used.
-fn shard_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 4)
-}
 /// Knee rule: a point collapses when its p99 exceeds this multiple of the baseline p99.
 const P99_CAP_FACTOR: f64 = 8.0;
 /// Knee rule: absolute floor of the p99 cap, so a sub-millisecond baseline does not
@@ -83,13 +65,12 @@ fn percentile_ms(latencies_us: &mut [u64], q: f64) -> f64 {
     latencies_us[rank - 1] as f64 / 1_000.0
 }
 
-/// One `stack x backend x mode` combination of the study.
+/// One `stack x backend` combination of the study.
 struct Combo<'a> {
     backend: &'a str,
     graph: &'a Graph,
     config: Config,
     stack: StackSpec,
-    options: &'a DriverOptions,
 }
 
 /// Runs one ramp point on one backend: start a fresh deployment, replay the schedule in
@@ -100,7 +81,6 @@ fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
         graph,
         config,
         stack,
-        options,
     } = *combo;
     let n = graph.node_count();
     let correct: Vec<usize> = (0..n).collect();
@@ -114,7 +94,7 @@ fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
     let started = Instant::now();
     let (run, _report): (brb_runtime::WorkloadRun, DeploymentReport) = match backend {
         "channel" => {
-            let deployment = Deployment::start(graph, config, stack, options.clone(), &[]);
+            let deployment = Deployment::start(graph, config, stack, DriverOptions::default(), &[]);
             let run = deployment.run_workload(
                 &schedule,
                 spec.mode,
@@ -125,8 +105,9 @@ fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
             (run, deployment.shutdown())
         }
         "tcp" => {
-            let deployment = TcpDeployment::start(graph, config, stack, options.clone(), &[])
-                .expect("TCP deployment starts");
+            let deployment =
+                TcpDeployment::start(graph, config, stack, DriverOptions::default(), &[])
+                    .expect("TCP deployment starts");
             let run = deployment.run_workload(
                 &schedule,
                 spec.mode,
@@ -159,23 +140,14 @@ fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
 }
 
 /// Runs one full ramp (stopping after the first collapsed point) and returns the
-/// measured points, the knee index, and the p99 cap the ramp was judged against.
-///
-/// `cap_override` pins the cap instead of deriving it from this ramp's baseline
-/// point: both modes of one stack x backend combination are judged against the
-/// **same** latency bound (the single-engine mode's), so a mode with a lower unloaded
-/// baseline is not punished with a tighter cap when comparing knees.
-fn run_ramp(
-    combo: &Combo,
-    intervals: &[u64],
-    broadcasts: u32,
-    cap_override: Option<f64>,
-) -> (Vec<Point>, Option<usize>, f64) {
+/// measured points, the knee index, and the p99 cap the ramp was judged against (derived
+/// from the ramp's own baseline point).
+fn run_ramp(combo: &Combo, intervals: &[u64], broadcasts: u32) -> (Vec<Point>, Option<usize>, f64) {
     let mut points: Vec<Point> = Vec::new();
-    let mut cap = cap_override.unwrap_or(f64::INFINITY);
+    let mut cap = f64::INFINITY;
     for &interval in intervals {
         let point = run_point(combo, interval, broadcasts);
-        if points.is_empty() && cap_override.is_none() {
+        if points.is_empty() {
             cap = (P99_CAP_FACTOR * point.p99_ms).max(P99_CAP_FLOOR_MS);
         }
         let collapsed =
@@ -278,13 +250,6 @@ fn main() {
             Config::plain(10, 3),
         ),
     ];
-    let modes: Vec<(&str, DriverOptions)> = vec![
-        ("single_engine", DriverOptions::default()),
-        (
-            "sharded",
-            DriverOptions::default().with_shards(shard_workers()),
-        ),
-    ];
 
     let mut doc = JsonObject::new();
     doc.str("bench", "saturation").obj("host", host()).str(
@@ -295,39 +260,27 @@ fn main() {
             "paper"
         },
     );
-    doc.u64("broadcasts_per_point", u64::from(broadcasts))
-        .u64("shard_workers", shard_workers() as u64);
+    doc.u64("broadcasts_per_point", u64::from(broadcasts));
 
     for (stack_name, stack, graph, config) in &stacks {
         let mut stack_obj = JsonObject::new();
         for backend in ["channel", "tcp"] {
-            let mut backend_obj = JsonObject::new();
-            // The single-engine ramp runs first and donates its baseline-derived p99
-            // cap to the sharded ramp, so both knees answer the same question: "how
-            // far can the offered rate climb before p99 exceeds 8x the single-engine
-            // unloaded latency?"
-            let mut shared_cap: Option<f64> = None;
-            for (mode_name, options) in &modes {
-                println!("# saturation: stack={stack_name} backend={backend} mode={mode_name}");
-                let combo = Combo {
-                    backend,
-                    graph,
-                    config: *config,
-                    stack: *stack,
-                    options,
-                };
-                let (points, knee, cap) = run_ramp(&combo, intervals, broadcasts, shared_cap);
-                shared_cap.get_or_insert(cap);
-                match knee {
-                    Some(i) => println!(
-                        "#   knee: {:.1} broadcasts/s (p99 {:.1} ms, cap {:.1} ms)",
-                        points[i].offered_per_sec, points[i].p99_ms, cap
-                    ),
-                    None => println!("#   knee: none (collapsed at the lowest rate)"),
-                }
-                backend_obj.obj(mode_name, ramp_json(&points, knee, cap));
+            println!("# saturation: stack={stack_name} backend={backend}");
+            let combo = Combo {
+                backend,
+                graph,
+                config: *config,
+                stack: *stack,
+            };
+            let (points, knee, cap) = run_ramp(&combo, intervals, broadcasts);
+            match knee {
+                Some(i) => println!(
+                    "#   knee: {:.1} broadcasts/s (p99 {:.1} ms, cap {:.1} ms)",
+                    points[i].offered_per_sec, points[i].p99_ms, cap
+                ),
+                None => println!("#   knee: none (collapsed at the lowest rate)"),
             }
-            stack_obj.obj(backend, backend_obj);
+            stack_obj.obj(backend, ramp_json(&points, knee, cap));
         }
         doc.obj(stack_name, stack_obj);
     }

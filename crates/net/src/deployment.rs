@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -30,6 +31,9 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::endpoint::{bind_endpoints, connect_mesh, send_frame, spawn_link_reader};
+
+/// Builds the engine of one process; a churned deployment rebuilds from it on restart.
+type EngineFactory = dyn Fn(ProcessId) -> Box<dyn DynEngine> + Send + Sync;
 
 /// The loopback-socket transport of one process: TCP write halves keyed by neighbor,
 /// plus the mailbox its per-link reader threads feed ([`spawn_link_reader`]).
@@ -142,71 +146,19 @@ impl TcpDeployment {
         options: DriverOptions,
         crashed: &[ProcessId],
     ) -> std::io::Result<Self> {
-        let n = graph.node_count();
         // Topology-aware stacks (routed Dolev) share one copy of the graph.
-        let shared_graph = std::sync::Arc::new(graph.clone());
-        let endpoints = bind_endpoints(n)?;
-        let links = connect_mesh(graph, &endpoints)?;
-        let (delivery_tx, delivery_rx) = unbounded();
-        let mut commands = Vec::with_capacity(n);
-        let mut handles = Vec::new();
-        let mut all_streams = Vec::new();
-
-        for (id, node_links) in links.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            for stream in node_links.writers.values() {
-                if let Ok(clone) = stream.try_clone() {
-                    all_streams.push(clone);
-                }
-            }
-            if crashed.contains(&id) {
-                // Keep the sockets open but run no protocol: a crash fault.
-                continue;
-            }
-            let (mailbox_tx, mailbox_rx) = unbounded();
-            for (peer, stream) in node_links.readers {
-                spawn_link_reader(peer, stream, mailbox_tx.clone());
-            }
-            let mut driver = NodeDriver::new(
-                stack.build_shared(&config, &shared_graph, id),
-                Box::new(TcpTransport::new(node_links.writers, mailbox_rx)),
-                cmd_rx,
-                delivery_tx.clone(),
-                &options,
-            );
-            if options.churn.is_some() {
-                // NodeRestart events rebuild the engine with the same constructor the
-                // node started from (same identity and topology view, fresh state);
-                // the sockets and reader threads are untouched — only protocol state
-                // is lost, like a process crash-recovering on a machine whose kernel
-                // keeps the connections alive. Sharding is clamped off under churn: a
-                // restart rebuilds one engine, not a pool.
-                let shared_graph = shared_graph.clone();
-                driver = driver
-                    .with_engine_factory(move || stack.build_shared(&config, &shared_graph, id));
-            } else if options.shard_workers > 1 {
-                // Extra shard engines: same constructor, same identity; the driver
-                // partitions broadcast instances across them by id hash.
-                let extras = (1..options.shard_workers)
-                    .map(|_| stack.build_shared(&config, &shared_graph, id))
-                    .collect();
-                driver = driver.with_shard_engines(extras);
-            }
-            handles.push(std::thread::spawn(move || driver.run()));
-        }
-        if let Some(churn) = &options.churn {
-            // The pacer outlives this constructor; its schedule starts now. The join
-            // handle is dropped — the thread exits once the schedule is exhausted.
-            let _ = churn.spawn_pacer(commands.clone());
-        }
-        Ok(Self {
-            handles,
-            commands,
-            deliveries: delivery_rx,
-            all_streams,
-            n,
-        })
+        let shared_graph = Arc::new(graph.clone());
+        let build = move |id| stack.build_shared(&config, &shared_graph, id);
+        let engines = (0..graph.node_count()).map(&build).collect();
+        // NodeRestart events rebuild the engine with the same constructor the node
+        // started from (same identity and topology view, fresh state); the sockets and
+        // reader threads are untouched — only protocol state is lost, like a process
+        // crash-recovering on a machine whose kernel keeps the connections alive.
+        let restart = options
+            .churn
+            .is_some()
+            .then(|| Arc::new(build) as Arc<EngineFactory>);
+        Self::spawn(graph, engines, restart, options, crashed)
     }
 
     /// Binds the endpoints, establishes the TCP mesh of `graph`, and spawns one driver
@@ -224,6 +176,20 @@ impl TcpDeployment {
     pub fn start_with_engines(
         graph: &Graph,
         engines: Vec<Box<dyn DynEngine>>,
+        options: DriverOptions,
+        crashed: &[ProcessId],
+    ) -> std::io::Result<Self> {
+        Self::spawn(graph, engines, None, options, crashed)
+    }
+
+    /// The one spawn loop behind both constructors: binds and connects the mesh, then
+    /// starts the link readers and a driver per non-crashed process over its engine
+    /// (with the restart factory, when given) and the churn pacer, when a schedule is
+    /// set.
+    fn spawn(
+        graph: &Graph,
+        engines: Vec<Box<dyn DynEngine>>,
+        restart: Option<Arc<EngineFactory>>,
         options: DriverOptions,
         crashed: &[ProcessId],
     ) -> std::io::Result<Self> {
@@ -252,16 +218,22 @@ impl TcpDeployment {
             for (peer, stream) in node_links.readers {
                 spawn_link_reader(peer, stream, mailbox_tx.clone());
             }
-            let driver = NodeDriver::new(
+            let mut driver = NodeDriver::new(
                 engine,
                 Box::new(TcpTransport::new(node_links.writers, mailbox_rx)),
                 cmd_rx,
                 delivery_tx.clone(),
                 &options,
             );
+            if let Some(build) = &restart {
+                let build = build.clone();
+                driver = driver.with_engine_factory(move || build(id));
+            }
             handles.push(std::thread::spawn(move || driver.run()));
         }
         if let Some(churn) = &options.churn {
+            // The pacer outlives this constructor; its schedule starts now. The join
+            // handle is dropped — the thread exits once the schedule is exhausted.
             let _ = churn.spawn_pacer(commands.clone());
         }
         Ok(Self {

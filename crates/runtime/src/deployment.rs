@@ -8,6 +8,7 @@
 //! wall-clock-scaled [`brb_sim::DelayModel`] are applied as transport decorators, the
 //! same scenario vocabulary the discrete-event simulator uses.
 
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -20,6 +21,9 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 pub use brb_transport::{DeploymentReport, NodeReport};
+
+/// Builds the engine of one process; a churned deployment rebuilds from it on restart.
+type EngineFactory = dyn Fn(ProcessId) -> Box<dyn DynEngine> + Send + Sync;
 
 /// A running thread-per-process deployment.
 pub struct Deployment {
@@ -43,55 +47,17 @@ impl Deployment {
         options: DriverOptions,
         crashed: &[ProcessId],
     ) -> Self {
-        let n = graph.node_count();
         // Topology-aware stacks (routed Dolev) share one copy of the graph.
-        let shared_graph = std::sync::Arc::new(graph.clone());
-        let (mailboxes, senders) = build_links(n, &graph.edges());
-        let (delivery_tx, delivery_rx) = unbounded();
-        let mut commands = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for (id, (mailbox, links)) in mailboxes.into_iter().zip(senders).enumerate() {
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            if crashed.contains(&id) {
-                continue;
-            }
-            let mut driver = NodeDriver::new(
-                stack.build_shared(&config, &shared_graph, id),
-                Box::new(ChannelTransport::new(mailbox, links)),
-                cmd_rx,
-                delivery_tx.clone(),
-                &options,
-            );
-            if options.churn.is_some() {
-                // NodeRestart events rebuild the engine with the same constructor the
-                // node started from (same identity and topology view, fresh state).
-                // Sharding is clamped off under churn: a restart rebuilds one engine,
-                // not a pool.
-                let shared_graph = shared_graph.clone();
-                driver = driver
-                    .with_engine_factory(move || stack.build_shared(&config, &shared_graph, id));
-            } else if options.shard_workers > 1 {
-                // Extra shard engines: same constructor, same identity; the driver
-                // partitions broadcast instances across them by id hash.
-                let extras = (1..options.shard_workers)
-                    .map(|_| stack.build_shared(&config, &shared_graph, id))
-                    .collect();
-                driver = driver.with_shard_engines(extras);
-            }
-            handles.push(std::thread::spawn(move || driver.run()));
-        }
-        if let Some(churn) = &options.churn {
-            // The pacer outlives this constructor; its schedule starts now. The join
-            // handle is dropped — the thread exits once the schedule is exhausted.
-            let _ = churn.spawn_pacer(commands.clone());
-        }
-        Self {
-            handles,
-            commands,
-            deliveries: delivery_rx,
-            n,
-        }
+        let shared_graph = Arc::new(graph.clone());
+        let build = move |id| stack.build_shared(&config, &shared_graph, id);
+        let engines = (0..graph.node_count()).map(&build).collect();
+        // NodeRestart events rebuild the engine with the same constructor the node
+        // started from (same identity and topology view, fresh state).
+        let restart = options
+            .churn
+            .is_some()
+            .then(|| Arc::new(build) as Arc<EngineFactory>);
+        Self::spawn(graph, engines, restart, options, crashed)
     }
 
     /// Spawns one thread per process over caller-built engines — the hook decorator
@@ -110,6 +76,19 @@ impl Deployment {
         options: DriverOptions,
         crashed: &[ProcessId],
     ) -> Self {
+        Self::spawn(graph, engines, None, options, crashed)
+    }
+
+    /// The one spawn loop behind both constructors: wires the channel links, starts a
+    /// driver per non-crashed process over its engine (with the restart factory, when
+    /// given) and the churn pacer, when a schedule is set.
+    fn spawn(
+        graph: &Graph,
+        engines: Vec<Box<dyn DynEngine>>,
+        restart: Option<Arc<EngineFactory>>,
+        options: DriverOptions,
+        crashed: &[ProcessId],
+    ) -> Self {
         let n = graph.node_count();
         assert_eq!(engines.len(), n, "one engine per process required");
         let (mailboxes, senders) = build_links(n, &graph.edges());
@@ -124,16 +103,22 @@ impl Deployment {
             if crashed.contains(&id) {
                 continue;
             }
-            let driver = NodeDriver::new(
+            let mut driver = NodeDriver::new(
                 engine,
                 Box::new(ChannelTransport::new(mailbox, links)),
                 cmd_rx,
                 delivery_tx.clone(),
                 &options,
             );
+            if let Some(build) = &restart {
+                let build = build.clone();
+                driver = driver.with_engine_factory(move || build(id));
+            }
             handles.push(std::thread::spawn(move || driver.run()));
         }
         if let Some(churn) = &options.churn {
+            // The pacer outlives this constructor; its schedule starts now. The join
+            // handle is dropped — the thread exits once the schedule is exhausted.
             let _ = churn.spawn_pacer(commands.clone());
         }
         Self {

@@ -58,13 +58,13 @@ where
 {
     let ids = predicted_ids(schedule);
     let correct = sim.correct_processes();
-    let mut in_flight: Vec<BroadcastId> = Vec::new();
+    let mut outstanding: Vec<BroadcastId> = Vec::new();
     let mut next = 0usize;
     let mut processed = 0usize;
     loop {
         // Admit arrivals while the window has room. Deferred arrivals inject at the
         // current instant (schedule_broadcast clamps past times forward).
-        while next < schedule.len() && in_flight.len() < window {
+        while next < schedule.len() && outstanding.len() < window {
             let injection = &schedule[next];
             sim.schedule_broadcast(
                 SimTime::from_micros(injection.at_micros),
@@ -72,7 +72,7 @@ where
                 injection.payload.clone(),
             );
             if sim.behavior(injection.source).receives() {
-                in_flight.push(ids[next]);
+                outstanding.push(ids[next]);
             }
             next += 1;
         }
@@ -81,7 +81,7 @@ where
             break;
         }
         processed += step;
-        in_flight.retain(|id| sim.metrics().delivered_count(*id, &correct) < correct.len());
+        outstanding.retain(|id| sim.metrics().delivered_count(*id, &correct) < correct.len());
     }
     sim.collect_gc_metrics();
     processed

@@ -12,13 +12,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use brb_core::stack::{DynEngine, WireAction, WireActionBuf};
-use brb_core::types::{BroadcastId, BroadcastSeq, Delivery, Payload, ProcessId};
+use brb_core::types::{Delivery, Payload, ProcessId};
 use brb_core::wire::split_batch;
 use brb_sim::churn::RestartMemory;
 use brb_sim::Behavior;
 use brb_trace::{DropCounts, NodeCounters, TraceEventKind, TraceSink, Tracer};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 
 use crate::churn::{ChurnHandle, ChurnLink};
 use crate::link::Frame;
@@ -90,8 +89,8 @@ pub enum Command {
 /// They say *what* a deployment runs — idle shutdown, seeds, the [`LinkPolicy`]
 /// vocabulary (per-process Byzantine [`Behavior`]s and a wall-clock-scaled
 /// [`brb_sim::DelayModel`], so the simulator's scenario configurations run identically
-/// on the live backends), churn, GC, tracing and the shard pool width — never *how* the
-/// driver moves frames: every node drains its inbound backlog and sends each engine
+/// on the live backends), churn, GC and tracing — never *how* the driver moves frames:
+/// every node runs one engine, drains its inbound backlog into it and sends each engine
 /// event's frames as one [`Transport::send_batch`] burst per destination, traced or not.
 #[derive(Debug, Clone)]
 pub struct DriverOptions {
@@ -125,16 +124,6 @@ pub struct DriverOptions {
     /// wall-clock microseconds since the config's epoch. `None` — the default — keeps
     /// tracing disabled (a single branch per would-be event).
     pub trace: Option<TraceConfig>,
-    /// Number of engine shards per node (`1` — the default — keeps a single engine).
-    /// With `W > 1` the deployment builds `W - 1` extra engines per node
-    /// ([`NodeDriver::with_shard_engines`]) and the driver partitions concurrent
-    /// broadcast *instances* across them by a deterministic hash of the
-    /// [`brb_core::types::BroadcastId`] peeked off each inbound frame
-    /// ([`DynEngine::frame_broadcast_id`]), so independent instances decode and
-    /// process in parallel while every frame of one instance always reaches the same
-    /// engine. Deployments clamp this to `1` when restarts are scheduled (a restart
-    /// rebuilds one engine, not a pool) and for caller-built decorator engines.
-    pub shard_workers: usize,
 }
 
 impl Default for DriverOptions {
@@ -149,7 +138,6 @@ impl Default for DriverOptions {
             gc: None,
             churn: None,
             trace: None,
-            shard_workers: 1,
         }
     }
 }
@@ -190,13 +178,6 @@ impl DriverOptions {
     /// [`TraceConfig`]).
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Returns a copy with broadcast instances sharded across `workers` engines per
-    /// node (see [`DriverOptions::shard_workers`]; values below 1 are treated as 1).
-    pub fn with_shards(mut self, workers: usize) -> Self {
-        self.shard_workers = workers.max(1);
         self
     }
 
@@ -356,71 +337,7 @@ impl DeploymentReport {
 enum Wake {
     Command(Option<Command>),
     Frame(Option<crate::link::Frame>),
-    Shard(Option<Vec<WireAction>>),
     Idle,
-}
-
-/// One unit of work handed to a shard worker: the engine event plus the driver's clock
-/// reading at hand-off (workers feed it to [`DynEngine::note_time`] before the event, so
-/// time-based GC retention sees the same clock the inline engine does).
-enum ShardJob {
-    /// Initiate a broadcast under the driver-minted client sequence number.
-    Broadcast {
-        seq: BroadcastSeq,
-        payload: Payload,
-        now_ms: u64,
-    },
-    /// Handle a burst of frames owned by this shard (the shard-routed slice of one
-    /// ingest cycle, each part tagged with its authenticated sender): one channel op
-    /// and one worker wake-up for the whole group instead of one per frame, which is
-    /// what keeps the pool from drowning in hand-off overhead under saturation
-    /// traffic.
-    Frames {
-        parts: Vec<(ProcessId, Bytes)>,
-        now_ms: u64,
-    },
-}
-
-/// A running shard worker: its job queue and the join handle that returns the engine
-/// (with its delivered log, state bytes and GC counters) at shutdown.
-struct ShardWorker {
-    jobs: Sender<ShardJob>,
-    handle: std::thread::JoinHandle<Box<dyn DynEngine>>,
-}
-
-/// The loop of one shard worker thread: run the owned engine on each job and ship the
-/// resulting actions back to the driver thread (which owns the transport, so frames of
-/// every shard leave through one decorated link stack, exactly like unsharded traffic).
-fn run_shard_worker(
-    mut engine: Box<dyn DynEngine>,
-    jobs: Receiver<ShardJob>,
-    out: Sender<Vec<WireAction>>,
-) -> Box<dyn DynEngine> {
-    let mut buf = WireActionBuf::new();
-    while let Ok(job) = jobs.recv() {
-        match job {
-            ShardJob::Broadcast {
-                seq,
-                payload,
-                now_ms,
-            } => {
-                engine.note_time(now_ms);
-                engine.broadcast_wire_seq(seq, payload, &mut buf);
-            }
-            ShardJob::Frames { parts, now_ms } => {
-                engine.note_time(now_ms);
-                for (from, bytes) in &parts {
-                    engine.handle_frame(*from, bytes, &mut buf);
-                }
-            }
-        }
-        // Every job gets exactly one reply (possibly empty): the driver's in-flight
-        // counter pairs them up to gate shutdown.
-        if out.send(buf.drain().collect()).is_err() {
-            break;
-        }
-    }
-    engine
 }
 
 /// One node of a live deployment: a boxed protocol engine, its (decorated) transport, a
@@ -469,32 +386,11 @@ pub struct NodeDriver {
     /// on first use and their `Vec` capacity is retained across dispatches, so the
     /// steady-state loop allocates nothing per event.
     out_batches: Vec<(ProcessId, Vec<OutFrame>)>,
-    /// Extra shard engines installed by the deployment
-    /// ([`NodeDriver::with_shard_engines`]); `run` moves each onto its own worker
-    /// thread. Empty in the single-engine configuration.
-    shard_extras: Vec<Box<dyn DynEngine>>,
-    /// Worker → driver return channel for shard action buffers. The driver keeps the
-    /// sender alive so the select arm stays quiet (never disconnects) when unsharded.
-    shard_out_tx: Sender<Vec<WireAction>>,
-    shard_out_rx: Receiver<Vec<WireAction>>,
-    /// Next client-namespace local sequence number. Only the sharded configuration
-    /// mints broadcast ids here (the driver must know the id to pick the owning shard
-    /// before any engine runs); unsharded drivers leave minting to the engine's own
-    /// counter, exactly as before.
-    next_client_seq: u32,
 }
 
 /// Inbound frames (channel messages, not batch parts) one ingest cycle consumes, so a
 /// saturated queue cannot starve command processing or delay deliveries unboundedly.
 const DRAIN_BUDGET: usize = 128;
-
-/// The shard owning `id` in a pool of `workers` engines: a deterministic multiplicative
-/// hash over (source, seq), identical on every backend and every run. Shard `0` is the
-/// driver's inline engine; shards `1..workers` live on worker threads.
-fn shard_of(id: BroadcastId, workers: usize) -> usize {
-    (((id.source as u64).wrapping_mul(0x9E37_79B9)).wrapping_add(id.seq as u64) % workers as u64)
-        as usize
-}
 
 impl NodeDriver {
     /// Builds the driver for `process`: decorates `transport` with the fault/delay
@@ -517,7 +413,6 @@ impl NodeDriver {
         let counters = Arc::new(NodeCounters::default());
         engine.set_tracer(tracer.clone().with_counters(counters.clone()));
         let observer = LinkObserver::new(id, counters.clone(), tracer.clone());
-        let (shard_out_tx, shard_out_rx) = unbounded();
         Self {
             engine,
             actions: WireActionBuf::new(),
@@ -535,36 +430,7 @@ impl NodeDriver {
             counters,
             tracer,
             out_batches: Vec::new(),
-            shard_extras: Vec::new(),
-            shard_out_tx,
-            shard_out_rx,
-            next_client_seq: 0,
         }
-    }
-
-    /// The tracer handed to this node's engines: the node's own, plus its counter
-    /// registry so frames an engine refuses at ingress show up in
-    /// [`NodeReport::drops_by_cause`] even in untraced runs.
-    fn engine_tracer(&self) -> Tracer {
-        self.tracer.clone().with_counters(self.counters.clone())
-    }
-
-    /// Installs the extra engines of a sharded node ([`DriverOptions::shard_workers`]
-    /// `> 1`): the deployment builds them with the *same* constructor (and process
-    /// identity) as the primary engine, and `run` moves each onto its own worker
-    /// thread. The driver applies the node's GC policy and tracer to every shard, as
-    /// it did to the primary. Not compatible with an engine factory (restarts rebuild
-    /// one engine, not a pool) — deployments clamp sharding off under restart churn.
-    #[must_use]
-    pub fn with_shard_engines(mut self, extras: Vec<Box<dyn DynEngine>>) -> Self {
-        for mut engine in extras {
-            if let Some(gc) = self.gc {
-                engine.set_gc_policy(gc);
-            }
-            engine.set_tracer(self.engine_tracer());
-            self.shard_extras.push(engine);
-        }
-        self
     }
 
     /// Installs the engine factory [`Command::Restart`] rebuilds from: a deployment
@@ -599,7 +465,7 @@ impl NodeDriver {
         if let Some(gc) = self.gc {
             fresh.set_gc_policy(gc);
         }
-        fresh.set_tracer(self.engine_tracer());
+        fresh.set_tracer(self.tracer.clone().with_counters(self.counters.clone()));
         self.actions.clear();
         self.engine = fresh;
         self.restarts += 1;
@@ -610,90 +476,33 @@ impl NodeDriver {
     /// Runs the node to completion (shutdown command or channel disconnection) and
     /// reports what it delivered and transmitted. Deployments call this on a dedicated
     /// thread, one per process.
+    ///
+    /// After the shutdown command the loop keeps ingesting until the inbound queue is
+    /// empty, so a backlog that needs several drain cycles is handled in full.
     pub fn run(mut self) -> NodeReport {
         let id = self.engine.process_id();
         let started = std::time::Instant::now();
         let mut messages_sent = 0usize;
         let mut bytes_sent = 0usize;
         let mut shutting_down = false;
-        // Spawn the shard workers — none on a single-engine node.
-        let workers: Vec<ShardWorker> = self
-            .shard_extras
-            .drain(..)
-            .map(|engine| {
-                let (jobs, job_rx) = unbounded();
-                let out = self.shard_out_tx.clone();
-                ShardWorker {
-                    jobs,
-                    handle: std::thread::spawn(move || run_shard_worker(engine, job_rx, out)),
-                }
-            })
-            .collect();
-        let shards = workers.len() + 1;
-        // Jobs handed to workers whose action buffers have not come back yet; shutdown
-        // waits for zero, so no engine event is ever lost to the pool.
-        let mut in_flight = 0usize;
-        // Backstop for the wait: a worker that died mid-job (panicked engine) can never
-        // reply, so a shutdown that sees no in-flight movement for a full stall window
-        // abandons the stragglers instead of hanging the deployment forever.
-        let stall_window = self.idle_shutdown.max(Duration::from_secs(1));
-        let mut last_progress = std::time::Instant::now();
         loop {
             let wake = crossbeam::channel::select! {
                 recv(self.commands) -> cmd => Wake::Command(cmd.ok()),
                 recv(self.transport.inbound()) -> frame => Wake::Frame(frame.ok()),
-                recv(self.shard_out_rx) -> actions => Wake::Shard(actions.ok()),
                 default(self.idle_shutdown) => Wake::Idle,
             };
             // Live backends feed wall-clock milliseconds since start-up, so
             // time-based retention windows measure real elapsed time.
-            let now_ms = started.elapsed().as_millis() as u64;
-            self.engine.note_time(now_ms);
-            let in_flight_before = in_flight;
+            self.engine.note_time(started.elapsed().as_millis() as u64);
             match wake {
                 Wake::Command(Some(Command::Broadcast(payload))) => {
                     if self.receives {
-                        if shards > 1 {
-                            // The driver mints the client id so it can pick the owning
-                            // shard before any engine runs; shard engines never touch
-                            // their own counters, so ids stay collision-free and
-                            // identical to the unsharded run's.
-                            let seq = brb_core::types::namespaced_seq(
-                                brb_core::types::NAMESPACE_CLIENT,
-                                self.next_client_seq,
-                            );
-                            self.next_client_seq += 1;
-                            let shard = shard_of(BroadcastId { source: id, seq }, shards);
-                            if shard == 0 {
-                                self.engine
-                                    .broadcast_wire_seq(seq, payload, &mut self.actions);
-                                self.dispatch(&mut messages_sent, &mut bytes_sent);
-                            } else if workers[shard - 1]
-                                .jobs
-                                .send(ShardJob::Broadcast {
-                                    seq,
-                                    payload,
-                                    now_ms,
-                                })
-                                .is_ok()
-                            {
-                                in_flight += 1;
-                            }
-                        } else {
-                            self.engine.broadcast_wire(payload, &mut self.actions);
-                            self.dispatch(&mut messages_sent, &mut bytes_sent);
-                        }
+                        self.engine.broadcast_wire(payload, &mut self.actions);
+                        self.dispatch(&mut messages_sent, &mut bytes_sent);
                     }
                 }
-                Wake::Command(Some(Command::Restart)) => {
-                    // Restarting a sharded node is unsupported (deployments clamp
-                    // sharding off when restarts are scheduled); ignore rather than
-                    // rebuild only the primary of a pool.
-                    if workers.is_empty() {
-                        self.restart();
-                    }
-                }
-                Wake::Command(Some(Command::Shutdown)) | Wake::Command(None) => {
+                Wake::Command(Some(Command::Restart)) => self.restart(),
+                Wake::Command(Some(Command::Shutdown) | None) | Wake::Frame(None) => {
                     shutting_down = true;
                 }
                 Wake::Frame(Some(frame)) => {
@@ -701,51 +510,20 @@ impl NodeDriver {
                     // interprets protocol bytes itself (batch framing is transport
                     // framing, not protocol bytes).
                     if self.receives {
-                        self.ingest_drained(frame, now_ms, &workers, &mut in_flight);
+                        self.ingest_drained(frame);
                         self.dispatch(&mut messages_sent, &mut bytes_sent);
                     }
                 }
-                Wake::Frame(None) => shutting_down = true,
-                Wake::Shard(Some(actions)) => {
-                    in_flight = in_flight.saturating_sub(1);
-                    for action in actions {
-                        self.actions.push(action);
-                    }
-                    self.dispatch(&mut messages_sent, &mut bytes_sent);
-                }
-                Wake::Shard(None) => {}
-                Wake::Idle => {
-                    if shutting_down && in_flight == 0 {
-                        break;
-                    }
-                }
+                Wake::Idle => {}
             }
-            if in_flight != in_flight_before {
-                last_progress = std::time::Instant::now();
-            }
-            if shutting_down && in_flight == 0 && self.transport.inbound().is_empty() {
-                break;
-            }
-            if shutting_down && in_flight > 0 && last_progress.elapsed() >= stall_window {
+            if shutting_down && self.transport.inbound().is_empty() {
                 break;
             }
         }
-        // Wind the shard pool down: close the job queues and take each engine back for
-        // the report (in_flight reached zero — so every action buffer was dispatched —
-        // unless the stall backstop abandoned a dead worker's stragglers).
-        let shard_engines: Vec<Box<dyn DynEngine>> = workers
-            .into_iter()
-            .filter_map(|w| {
-                drop(w.jobs);
-                w.handle.join().ok()
-            })
-            .collect();
         // The report's delivery log spans restarts: the durable pre-restart
         // deliveries first (their original order), then what the current engine
         // delivered — minus re-deliveries of durable ids, which no-duplication
-        // across crashes suppresses. A sharded node appends each shard engine's log in
-        // shard order (instances are partitioned, so the logs are disjoint; the
-        // deployment-level delivery *stream* saw them in true temporal order).
+        // across crashes suppresses.
         let mut deliveries = std::mem::take(&mut self.durable);
         deliveries.extend(
             self.engine
@@ -754,26 +532,13 @@ impl NodeDriver {
                 .filter(|d| !self.memory.suppresses(d.id))
                 .cloned(),
         );
-        let mut state_bytes = self.engine.state_bytes();
-        let mut gc_retired = self.retired_before + self.engine.gc_retired();
-        for engine in &shard_engines {
-            deliveries.extend(
-                engine
-                    .deliveries()
-                    .iter()
-                    .filter(|d| !self.memory.suppresses(d.id))
-                    .cloned(),
-            );
-            state_bytes += engine.state_bytes();
-            gc_retired += engine.gc_retired();
-        }
         NodeReport {
             id,
             deliveries,
             messages_sent,
             bytes_sent,
-            state_bytes,
-            gc_retired,
+            state_bytes: self.engine.state_bytes(),
+            gc_retired: self.retired_before + self.engine.gc_retired(),
             restarts: self.restarts,
             drops_by_cause: self.counters.drops(),
             queue_depth_peak: self.counters.queue_depth_peak(),
@@ -785,30 +550,17 @@ impl NodeDriver {
     /// `DRAIN_BUDGET` frames) into **one** ingest/dispatch cycle, so outbound bursts
     /// scale with the backlog and the per-op cost amortizes exactly when the node is
     /// loaded. Under light load the queue is empty and the cycle handles one frame.
-    ///
-    /// Frames the primary engine owns — all of them on an unsharded node, plus those
-    /// whose instance cannot be peeked (decorator engines, malformed bytes) — are
-    /// handled inline as they are drained. The rest are grouped by owning shard and
-    /// each group ships as a single [`ShardJob::Frames`]: one channel op and one worker
-    /// wake-up per shard per cycle, so the hand-off cost scales with the number of
-    /// shards touched, not the burst size.
-    fn ingest_drained(
-        &mut self,
-        first: Frame,
-        now_ms: u64,
-        workers: &[ShardWorker],
-        in_flight: &mut usize,
-    ) {
-        let mut off_primary: Vec<Vec<(ProcessId, Bytes)>> = Vec::new();
-        off_primary.resize_with(workers.len(), Vec::new);
+    fn ingest_drained(&mut self, first: Frame) {
         let mut frame = first;
         for drained in 1.. {
             if frame.batch {
                 for bytes in split_batch(&frame.bytes).unwrap_or_default() {
-                    self.route(frame.from, bytes, &mut off_primary);
+                    self.engine
+                        .handle_frame(frame.from, &bytes, &mut self.actions);
                 }
             } else {
-                self.route(frame.from, frame.bytes, &mut off_primary);
+                self.engine
+                    .handle_frame(frame.from, &frame.bytes, &mut self.actions);
             }
             if drained >= DRAIN_BUDGET {
                 break;
@@ -817,33 +569,6 @@ impl NodeDriver {
                 Ok(next) => frame = next,
                 Err(_) => break,
             }
-        }
-        for (worker, parts) in workers.iter().zip(off_primary) {
-            if !parts.is_empty() && worker.jobs.send(ShardJob::Frames { parts, now_ms }).is_ok() {
-                *in_flight += 1;
-            }
-        }
-    }
-
-    /// Handles one decoded frame inline when the primary engine owns its instance, or
-    /// appends it to its owning shard's group (`off_primary[shard - 1]`).
-    fn route(
-        &mut self,
-        from: ProcessId,
-        bytes: Bytes,
-        off_primary: &mut [Vec<(ProcessId, Bytes)>],
-    ) {
-        let shards = off_primary.len() + 1;
-        let shard = match shards {
-            1 => 0,
-            _ => self
-                .engine
-                .frame_broadcast_id(&bytes)
-                .map_or(0, |bid| shard_of(bid, shards)),
-        };
-        match shard {
-            0 => self.engine.handle_frame(from, &bytes, &mut self.actions),
-            _ => off_primary[shard - 1].push((from, bytes)),
         }
     }
 
@@ -910,6 +635,7 @@ mod tests {
     use crate::transport::ChannelTransport;
     use brb_core::config::Config;
     use brb_core::stack::StackSpec;
+    use brb_core::types::BroadcastId;
     use brb_graph::generate;
     use crossbeam::channel::unbounded;
 
@@ -979,37 +705,52 @@ mod tests {
         assert!(reports.iter().map(|r| r.messages_sent).sum::<usize>() > 0);
     }
 
-    #[test]
-    fn frames_naming_labels_outside_the_system_are_counted_as_malformed() {
-        use brb_core::types::BroadcastId;
+    /// A hand-made `bd` Echo of broadcast (2, 0) whose path names `label`.
+    fn echo_through(label: usize) -> bytes::Bytes {
         use brb_core::wire::{MessageKind, PayloadRef, WireMessage};
+        WireMessage {
+            kind: MessageKind::Echo,
+            id: BroadcastId::new(2, 0),
+            originator: 3,
+            originator2: None,
+            payload: PayloadRef::Inline(Payload::from("m")),
+            path: vec![label],
+            fields: Default::default(),
+        }
+        .encode()
+    }
+
+    /// Node 1 of `ring(4)` running `bd` alone: its driver (not yet running), its command
+    /// sender, the links of every node (`senders[0][0]` is neighbour 0's link into node
+    /// 1) and the mailboxes of the other three nodes.
+    fn lone_ring_node() -> (
+        NodeDriver,
+        Sender<Command>,
+        Vec<Vec<crate::link::AuthenticatedSender>>,
+        Vec<crate::link::Mailbox>,
+    ) {
         let graph = generate::ring(4);
-        let config = Config::bdopt(4, 1);
         let (mut mailboxes, senders) = build_links(4, &graph.edges());
         let (delivery_tx, _delivery_rx) = unbounded();
         let (cmd_tx, cmd_rx) = unbounded();
-        // Only node 1 runs; its neighbor 0's link feeds it hand-made frames.
-        let mailbox = mailboxes.remove(1);
         let driver = NodeDriver::new(
-            StackSpec::Bd.build(&config, &graph, 1),
-            Box::new(ChannelTransport::new(mailbox, senders[1].clone())),
+            StackSpec::Bd.build(&Config::bdopt(4, 1), &graph, 1),
+            Box::new(ChannelTransport::new(
+                mailboxes.remove(1),
+                senders[1].clone(),
+            )),
             cmd_rx,
             delivery_tx,
             &DriverOptions::default(),
         );
+        (driver, cmd_tx, senders, mailboxes)
+    }
+
+    #[test]
+    fn frames_naming_labels_outside_the_system_are_counted_as_malformed() {
+        // Only node 1 runs; its neighbor 0's link feeds it hand-made frames.
+        let (driver, cmd_tx, senders, mailboxes) = lone_ring_node();
         let handle = std::thread::spawn(move || driver.run());
-        let echo_through = |label: usize| {
-            WireMessage {
-                kind: MessageKind::Echo,
-                id: BroadcastId::new(2, 0),
-                originator: 3,
-                originator2: None,
-                payload: PayloadRef::Inline(Payload::from("m")),
-                path: vec![label],
-                fields: Default::default(),
-            }
-            .encode()
-        };
         let link = &senders[0][0];
         assert_eq!(link.peer(), 1);
         assert!(link.send(echo_through(4_000_000_000)));
@@ -1027,6 +768,27 @@ mod tests {
         assert_eq!(drops.get(brb_trace::DropCause::Malformed), 2);
         assert_eq!(drops.total(), 2);
         assert_eq!(reports[0].messages_sent, 1);
+    }
+
+    #[test]
+    fn shutdown_drains_a_backlog_longer_than_one_ingest_cycle() {
+        // 300 frames and the shutdown command are queued before the node starts, so
+        // the loop may see the command first: it must keep ingesting, one
+        // DRAIN_BUDGET-sized cycle after another, until the queue is empty.
+        const BACKLOG: usize = 300;
+        const { assert!(BACKLOG > 2 * DRAIN_BUDGET) };
+        let (driver, cmd_tx, senders, _mailboxes) = lone_ring_node();
+        let link = &senders[0][0];
+        assert_eq!(link.peer(), 1);
+        for _ in 0..BACKLOG {
+            assert!(link.send(echo_through(4)));
+        }
+        cmd_tx.send(Command::Shutdown).unwrap();
+        let report = driver.run();
+        let drops = report.drops_by_cause;
+        assert_eq!(drops.get(brb_trace::DropCause::Malformed), BACKLOG as u64);
+        assert_eq!(drops.total(), BACKLOG as u64);
+        assert_eq!(report.messages_sent, 0);
     }
 
     #[test]
@@ -1126,75 +888,6 @@ mod tests {
             assert_eq!(delivered(t).len(), 1, "process {} delivers", t.id);
             assert_eq!(delivered(t), delivered(u), "process {} delivery set", t.id);
         }
-    }
-
-    #[test]
-    fn sharded_drivers_deliver_every_instance_exactly_once() {
-        // Three concurrent broadcasts from different sources, instances partitioned
-        // across 3 engines per node: every process must deliver all three exactly once
-        // (frames of one instance always reach its owning shard).
-        let graph = generate::figure1_example();
-        let config = Config::bdopt_mbd1(10, 1);
-        let options = DriverOptions {
-            idle_shutdown: Duration::from_millis(100),
-            ..DriverOptions::default()
-        };
-        let n = graph.node_count();
-        let (mailboxes, senders) = build_links(n, &graph.edges());
-        let (delivery_tx, delivery_rx) = unbounded();
-        let mut commands = Vec::new();
-        let mut handles = Vec::new();
-        for (id, (mailbox, links)) in mailboxes.into_iter().zip(senders).enumerate() {
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            let extras = (1..3)
-                .map(|_| StackSpec::Bd.build(&config, &graph, id))
-                .collect();
-            let driver = NodeDriver::new(
-                StackSpec::Bd.build(&config, &graph, id),
-                Box::new(ChannelTransport::new(mailbox, links)),
-                cmd_rx,
-                delivery_tx.clone(),
-                &options,
-            )
-            .with_shard_engines(extras);
-            handles.push(std::thread::spawn(move || driver.run()));
-        }
-        for source in [0usize, 3, 7] {
-            commands[source]
-                .send(Command::Broadcast(Payload::from(
-                    format!("from {source}").as_str(),
-                )))
-                .unwrap();
-        }
-        for _ in 0..30 {
-            delivery_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        }
-        let reports = shutdown(&commands, handles);
-        for r in &reports {
-            assert_eq!(r.deliveries.len(), 3, "process {} delivery count", r.id);
-            let mut ids: Vec<_> = r.deliveries.iter().map(|d| d.id).collect();
-            ids.sort();
-            ids.dedup();
-            assert_eq!(ids.len(), 3, "process {} no duplicates", r.id);
-        }
-    }
-
-    #[test]
-    fn shard_hash_is_deterministic_and_spreads_instances() {
-        let mut hits = vec![0usize; 4];
-        for source in 0..8 {
-            for seq in 0..32 {
-                let id = BroadcastId::new(source, seq);
-                let shard = shard_of(id, 4);
-                assert_eq!(shard, shard_of(id, 4), "same id, same shard");
-                hits[shard] += 1;
-            }
-        }
-        assert!(
-            hits.iter().all(|&h| h > 0),
-            "all shards take work: {hits:?}"
-        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 # from the brb-trace event stream on the simulator's virtual clock, and the open-loop
 # saturation ramp (--saturation), so it also covers the offered-rate / throughput /
 # latency-percentile / knee rows of the deterministic simulator ramp (the wall-clock
-# knee study with sharding on vs off is the separate bench_saturation binary checked
+# knee study of the live backends is the separate bench_saturation binary checked
 # below).
 #
 # Last, it builds the out-of-workspace benchmark package (benchmark/, BENCHMARK.json)
@@ -218,20 +218,20 @@ done
 echo "OK: BENCH_consensus.json written (consensus invariants asserted by the benchmark binary)"
 
 # Saturation study: the wall-clock knee of the live backends (bd + bracha stacks,
-# channel + TCP, single engine vs sharded pool per node). Wall-clock numbers vary with
-# the host, so no byte-diff here — only that the quick-scale ramp runs and the JSON
-# carries the host and every combination's knee fields.
+# channel + TCP, one engine per node). Wall-clock numbers vary with the host, so no
+# byte-diff here — only that the quick-scale ramp runs and the JSON carries the host
+# and every combination's knee fields.
 timeout 600 cargo run --release -p brb-bench --bin bench_saturation -- \
     --quick --out "$out/BENCH_saturation.json" > "$out/stdout_bench_saturation.txt"
 for field in host nproc cpu_model knee_offered_per_sec knee_throughput_per_sec knee_p99_ms \
-    curve single_engine sharded channel tcp bd bracha; do
+    curve channel tcp bd bracha; do
     if ! grep -q "\"$field\"" "$out/BENCH_saturation.json"; then
         echo "FAIL: BENCH_saturation.json is missing field \"$field\"" >&2
         exit 1
     fi
 done
 
-echo "OK: BENCH_saturation.json written (live knee study: sharding on vs off)"
+echo "OK: BENCH_saturation.json written (live knee study of both backends)"
 
 # Structured-trace study: the same seeded adversarial scenario on the simulator, the
 # channel runtime and TCP must produce identical order-normalized causal event

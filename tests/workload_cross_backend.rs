@@ -50,24 +50,33 @@ fn simulate_workload(stack: StackSpec, spec: &WorkloadSpec, seed: u64) -> Vec<Ve
 #[test]
 fn same_workload_spec_agrees_across_all_three_backends() {
     let n = 10;
-    let seed = 2026;
     // 24 broadcasts arriving 4 ms apart (well under the per-broadcast completion time,
     // so many are in flight at once), round-robin over all ten sources.
-    let spec = WorkloadSpec::constant_rate(4_000, 24).with_payload_bytes(96);
-    let schedule = spec.schedule(n, seed);
-    let ids = predicted_ids(&schedule);
+    let round_robin = WorkloadSpec::constant_rate(4_000, 24).with_payload_bytes(96);
+    // 64 broadcasts 2 ms apart whose sources follow a Zipf law, so a few nodes run many
+    // of their own instances concurrently.
+    let zipf = WorkloadSpec::constant_rate(2_000, 64)
+        .with_payload_bytes(72)
+        .with_sources(SourceSelection::Zipf { exponent: 1.1 });
     let everyone: Vec<ProcessId> = (0..n).collect();
-    let broadcasts: Vec<BroadcastRecord> = schedule
-        .iter()
-        .zip(&ids)
-        .map(|(injection, &id)| {
-            BroadcastRecord::new(injection.source, id, injection.payload.clone())
-        })
-        .collect();
 
-    for stack in [StackSpec::Bd, StackSpec::BrachaRoutedDolev] {
+    for (stack, spec, seed) in [
+        (StackSpec::Bd, round_robin, 2026),
+        (StackSpec::BrachaRoutedDolev, round_robin, 2026),
+        (StackSpec::Bd, zipf, 31337),
+    ] {
         let graph = generate::figure1_example();
         let config = Config::bdopt_mbd1(n, 1);
+        let schedule = spec.schedule(n, seed);
+        let ids = predicted_ids(&schedule);
+        let broadcasts: Vec<BroadcastRecord> = schedule
+            .iter()
+            .zip(&ids)
+            .map(|(injection, &id)| {
+                BroadcastRecord::new(injection.source, id, injection.payload.clone())
+            })
+            .collect();
+        let case = format!("{stack} seed {seed}");
 
         // 1. Discrete-event simulator.
         let sim_logs = simulate_workload(stack, &spec, seed);
@@ -82,7 +91,7 @@ fn same_workload_spec_agrees_across_all_three_backends() {
             &[],
             Duration::from_secs(60),
         );
-        assert!(threaded_run.all_completed(), "{stack}: {threaded_run:?}");
+        assert!(threaded_run.all_completed(), "{case}: {threaded_run:?}");
 
         // 3. TCP sockets over loopback, same driver.
         let (tcp, tcp_run) = run_tcp_workload(
@@ -95,25 +104,25 @@ fn same_workload_spec_agrees_across_all_three_backends() {
             Duration::from_secs(60),
         )
         .expect("TCP deployment starts");
-        assert!(tcp_run.all_completed(), "{stack}: {tcp_run:?}");
+        assert!(tcp_run.all_completed(), "{case}: {tcp_run:?}");
 
         // Identical per-process delivery sets, backend by backend.
         for (p, sim_log) in sim_logs.iter().enumerate() {
             let sim_set = delivery_set(sim_log);
             assert_eq!(
                 sim_set.len(),
-                24,
-                "{stack}: process {p} must deliver all 24 broadcasts in the simulator"
+                schedule.len(),
+                "{case}: process {p} must deliver every broadcast in the simulator"
             );
             assert_eq!(
                 sim_set,
                 delivery_set(&threaded.nodes[p].deliveries),
-                "{stack}: sim and channel runtime disagree at process {p}"
+                "{case}: sim and channel runtime disagree at process {p}"
             );
             assert_eq!(
                 sim_set,
                 delivery_set(&tcp.nodes[p].deliveries),
-                "{stack}: sim and TCP disagree at process {p}"
+                "{case}: sim and TCP disagree at process {p}"
             );
         }
 
@@ -135,138 +144,8 @@ fn same_workload_spec_agrees_across_all_three_backends() {
         ] {
             let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
             check_brb(&slices, &everyone, &broadcasts)
-                .unwrap_or_else(|v| panic!("{stack} on {backend}: {v}"));
+                .unwrap_or_else(|v| panic!("{case} on {backend}: {v}"));
         }
-    }
-}
-
-#[test]
-fn sharded_workers_preserve_delivery_sets_across_backends() {
-    // Instance sharding conformance: the same seeded 64-broadcast Zipf workload, run
-    // with worker pools of 1, 2 and 4 engines per node on both live backends (with
-    // frame batching on), must produce per-process delivery sets identical to the
-    // single-engine discrete-event simulator — sharding partitions instances, it must
-    // never change what anyone delivers. All four BRB invariants are re-checked on
-    // every backend × worker-count combination.
-    let n = 10;
-    let seed = 31337;
-    let spec = WorkloadSpec::constant_rate(2_000, 64)
-        .with_payload_bytes(72)
-        .with_sources(SourceSelection::Zipf { exponent: 1.1 });
-    let graph = generate::figure1_example();
-    let config = Config::bdopt_mbd1(n, 1);
-    let everyone: Vec<ProcessId> = (0..n).collect();
-    let schedule = spec.schedule(n, seed);
-    let ids = predicted_ids(&schedule);
-    let broadcasts: Vec<BroadcastRecord> = schedule
-        .iter()
-        .zip(&ids)
-        .map(|(injection, &id)| {
-            BroadcastRecord::new(injection.source, id, injection.payload.clone())
-        })
-        .collect();
-
-    // Reference: the simulator's per-process delivery sets.
-    let sim_logs = simulate_workload(StackSpec::Bd, &spec, seed);
-    let reference: Vec<BTreeSet<(BroadcastId, Payload)>> =
-        sim_logs.iter().map(|log| delivery_set(log)).collect();
-    for (p, set) in reference.iter().enumerate() {
-        assert_eq!(
-            set.len(),
-            64,
-            "process {p} delivers all 64 in the simulator"
-        );
-    }
-
-    for workers in [1usize, 2, 4] {
-        let options = DriverOptions::default().with_shards(workers);
-
-        let deployment = Deployment::start(&graph, config, StackSpec::Bd, options.clone(), &[]);
-        let threaded_run = deployment.run_workload(
-            &schedule,
-            spec.mode,
-            Pacing::Unpaced,
-            &everyone,
-            Duration::from_secs(60),
-        );
-        let threaded = deployment.shutdown();
-        assert!(
-            threaded_run.all_completed(),
-            "runtime W={workers}: {threaded_run:?}"
-        );
-
-        let deployment = TcpDeployment::start(&graph, config, StackSpec::Bd, options, &[])
-            .expect("TCP deployment starts");
-        let tcp_run = deployment.run_workload(
-            &schedule,
-            spec.mode,
-            Pacing::Unpaced,
-            &everyone,
-            Duration::from_secs(60),
-        );
-        let tcp = deployment.shutdown();
-        assert!(tcp_run.all_completed(), "tcp W={workers}: {tcp_run:?}");
-
-        for (p, expected) in reference.iter().enumerate() {
-            assert_eq!(
-                expected,
-                &delivery_set(&threaded.nodes[p].deliveries),
-                "W={workers}: sim and channel runtime disagree at process {p}"
-            );
-            assert_eq!(
-                expected,
-                &delivery_set(&tcp.nodes[p].deliveries),
-                "W={workers}: sim and TCP disagree at process {p}"
-            );
-        }
-
-        for (backend, report) in [("runtime", &threaded), ("tcp", &tcp)] {
-            let logs: Vec<Vec<Delivery>> = report
-                .nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect();
-            let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
-            check_brb(&slices, &everyone, &broadcasts)
-                .unwrap_or_else(|v| panic!("sharded {backend} W={workers}: {v}"));
-        }
-    }
-}
-
-#[test]
-fn sharded_composed_stack_keeps_bracha_instances_whole() {
-    // The composed Bracha-over-routed-Dolev stack is the sharding stress case: every
-    // Bracha SEND/ECHO/READY rides its own RC sub-instance, so the shard router must
-    // peek the *client-level* Bracha id out of each RC frame (not the sub-instance id)
-    // or one instance's echo threshold would be split across engines and never met.
-    let n = 10;
-    let seed = 4099;
-    let spec = WorkloadSpec::constant_rate(4_000, 16).with_payload_bytes(48);
-    let graph = generate::figure1_example();
-    let config = Config::bdopt_mbd1(n, 1);
-    let everyone: Vec<ProcessId> = (0..n).collect();
-    let schedule = spec.schedule(n, seed);
-
-    let sim_logs = simulate_workload(StackSpec::BrachaRoutedDolev, &spec, seed);
-    let options = DriverOptions::default().with_shards(4);
-    let deployment = Deployment::start(&graph, config, StackSpec::BrachaRoutedDolev, options, &[]);
-    let run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        Pacing::Unpaced,
-        &everyone,
-        Duration::from_secs(60),
-    );
-    let threaded = deployment.shutdown();
-    assert!(run.all_completed(), "{run:?}");
-    for (p, sim_log) in sim_logs.iter().enumerate() {
-        let expected = delivery_set(sim_log);
-        assert_eq!(expected.len(), 16);
-        assert_eq!(
-            expected,
-            delivery_set(&threaded.nodes[p].deliveries),
-            "sharded composed stack disagrees with the simulator at process {p}"
-        );
     }
 }
 

@@ -44,8 +44,8 @@
 //! inter-arrival intervals on the simulator; see `brb_bench::saturation`), emitting
 //! per-point offered rate, throughput, `p50`/`p99` latency, completion counts and the
 //! knee flag in the `saturation` CSV section. Virtual time never collapses, so the
-//! section pins the ramp's shape deterministically; the wall-clock knee comparison
-//! (batching + sharding on vs off) lives in the `bench_saturation` binary.
+//! section pins the ramp's shape deterministically; the wall-clock knee of the live
+//! backends lives in the `bench_saturation` binary.
 //!
 //! `--stack NAME` selects the protocol stack every harness sweeps (default `bd`, the
 //! paper's Bracha–Dolev combination; see `brb_core::stack::StackSpec` for the other

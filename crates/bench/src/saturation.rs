@@ -1,6 +1,6 @@
 //! The saturation-throughput axis: an open-loop arrival-rate ramp with knee detection.
 //!
-//! The batching/sharding/buffer-pool work on the live transports is motivated by one
+//! The batching and buffer-pool work on the live transports is motivated by one
 //! question: *at what offered load does the system stop keeping up?* This module holds
 //! the two halves of the answer:
 //!

@@ -102,8 +102,8 @@ pub trait WireCodec: Sized {
     fn decode_wire(frame: &[u8]) -> Option<Self>;
 
     /// Reads just the [`BroadcastId`] an encoded frame refers to, without a full
-    /// decode — the instance-sharding router's partition key. Returns `None` for frames
-    /// too short to carry the identifier (a full decode would reject them anyway).
+    /// decode — what the benchmark's codec replay times per frame. Returns `None` for
+    /// frames too short to carry the identifier (a full decode would reject them anyway).
     fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId>;
 }
 
@@ -419,10 +419,10 @@ pub trait DynEngine: Send {
     fn set_tracer(&mut self, _tracer: brb_trace::Tracer) {}
 
     /// Reads just the [`BroadcastId`] an inbound frame refers to, without mutating the
-    /// engine or fully decoding the frame — the partition key a sharding host hashes to
-    /// route independent broadcast instances to worker engines.
+    /// engine or fully decoding the frame — how the benchmark attributes each frame an
+    /// engine handles or sends to the broadcast request it serves.
     ///
-    /// **Defaulted** to `None` (route everything to the primary engine), so decorator
+    /// **Defaulted** to `None` (the frame is attributed to no broadcast), so decorator
     /// engines outside this crate keep compiling; the stacks built by
     /// [`StackSpec::build`] answer through their codec's
     /// [`WireCodec::peek_broadcast_id`].
@@ -536,11 +536,11 @@ struct SinkEngine<P: Protocol> {
     /// Encoded actions of the current burst, kept in emit order while the arena stages
     /// the frame bytes (reused across calls, like `scratch`).
     staged: Vec<StagedAction>,
-    /// How to peek a frame's *instance-level* [`BroadcastId`] (the sharding partition
-    /// key). Defaults to the link-level codec's peek; composed stacks override it —
-    /// a Bracha-over-RC frame's outer id names the RC sub-instance, but all RC
-    /// sub-instances of one Bracha broadcast must land on the same shard, so those
-    /// stacks peek the Bracha id embedded in the RC payload instead.
+    /// How to peek a frame's *instance-level* [`BroadcastId`] (the benchmark's request
+    /// attribution key). Defaults to the link-level codec's peek; composed stacks
+    /// override it — a Bracha-over-RC frame's outer id names the RC sub-instance, but
+    /// every RC sub-instance of one Bracha broadcast serves the same client broadcast,
+    /// so those stacks peek the Bracha id embedded in the RC payload instead.
     peek: fn(&[u8]) -> Option<BroadcastId>,
 }
 
@@ -1355,7 +1355,7 @@ mod tests {
     #[test]
     fn peeked_broadcast_ids_match_full_decodes_on_every_stack() {
         // Every frame any stack puts on a link peeks to the same BroadcastId a full
-        // decode recovers — the sharding router's correctness condition.
+        // decode recovers — what the benchmark's request attribution relies on.
         for stack in StackSpec::ALL {
             let graph = stack_graph(stack);
             let config = stack_config(stack, graph.node_count());

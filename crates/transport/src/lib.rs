@@ -18,7 +18,7 @@
 //!   [`Transport::send`], so decorators that need per-frame semantics (delay sampling)
 //!   inherit correctness for free;
 //! * [`NodeDriver`] — the *single* node event loop both `brb_runtime::Deployment` and
-//!   `brb_net::TcpDeployment` spawn per process; it drives a boxed
+//!   `brb_net::TcpDeployment` spawn per process; it drives exactly one boxed
 //!   [`brb_core::stack::DynEngine`] and performs the Table 3 byte accounting. Batching
 //!   is how it works, not an option: every wake drains the inbound backlog into the
 //!   engine and sends the resulting frames as one [`Transport::send_batch`] burst per
@@ -30,10 +30,7 @@
 //!   ([`policy::DelayedLink`], [`LinkDelay::Scaled`]);
 //! * [`DriverOptions`] — the one options struct of every live deployment (it replaced
 //!   the former `RuntimeOptions` / `TcpOptions` pair), which resolves a per-process
-//!   [`LinkPolicy`] and decorates the transport accordingly. One saturation knob lives
-//!   here as well: [`DriverOptions::with_shards`] gives every node a pool of identical
-//!   engines with broadcast instances partitioned across them by id hash (see
-//!   [`NodeDriver::with_shard_engines`]).
+//!   [`LinkPolicy`] and decorates the transport accordingly.
 //!
 //! # Quickstart: a two-node deployment from the driver alone
 //!

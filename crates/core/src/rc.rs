@@ -135,6 +135,10 @@ impl RcTransport for CpaProcess {
         <CpaProcess as Protocol>::state_bytes(self)
     }
 
+    fn stored_paths(&self) -> usize {
+        <CpaProcess as Protocol>::stored_paths(self)
+    }
+
     fn set_gc_policy(&mut self, policy: crate::gc::GcPolicy) {
         <CpaProcess as Protocol>::set_gc_policy(self, policy);
     }

@@ -796,8 +796,8 @@ impl BdProcess {
         }
     }
 
-    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`]: initiates a
-    /// broadcast, pushing the resulting actions onto `actions`.
+    /// Body of [`Protocol::broadcast_into`]: initiates a broadcast, pushing the resulting
+    /// actions onto `actions`.
     fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<WireMessage>>) {
         let id = BroadcastId::new(self.node.id, self.next_seq);
         self.next_seq += 1;
@@ -841,26 +841,6 @@ impl Protocol for BdProcess {
 
     fn set_next_seq(&mut self, seq: u32) {
         self.next_seq = seq;
-    }
-
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<WireMessage>> {
-        self.node.gc.on_event();
-        let mut actions = Vec::new();
-        self.broadcast_inner(payload, &mut actions);
-        self.run_gc();
-        actions
-    }
-
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: WireMessage,
-    ) -> Vec<Action<WireMessage>> {
-        self.node.gc.on_event();
-        let mut actions = Vec::new();
-        self.receive(from, message, &mut actions);
-        self.run_gc();
-        actions
     }
 
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<WireMessage>) {

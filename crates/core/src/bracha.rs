@@ -451,31 +451,6 @@ impl BrachaProcess {
         });
         actions.extend(delivery.map(Action::Deliver));
     }
-
-    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`].
-    fn handle(
-        &mut self,
-        from: ProcessId,
-        message: BrachaMessage,
-        actions: &mut Vec<Action<BrachaMessage>>,
-    ) {
-        self.layer.gc.on_event();
-        self.receive(from, message, actions);
-        self.layer.run_gc();
-    }
-
-    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`].
-    fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<BrachaMessage>>) {
-        self.layer.gc.on_event();
-        let send = BrachaMessage {
-            kind: BrachaKind::Send,
-            id: self.layer.next_id(),
-            payload,
-        };
-        send_to_all(self.layer.id, self.layer.n, &send, actions);
-        self.receive(self.layer.id, send, actions);
-        self.layer.run_gc();
-    }
 }
 
 /// Sends `message` to every process but `me`: Bracha's sends are all-to-all, and the
@@ -506,24 +481,16 @@ impl Protocol for BrachaProcess {
         self.layer.next_seq = seq;
     }
 
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<BrachaMessage>> {
-        let mut actions = Vec::new();
-        self.broadcast_inner(payload, &mut actions);
-        actions
-    }
-
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: BrachaMessage,
-    ) -> Vec<Action<BrachaMessage>> {
-        let mut actions = Vec::new();
-        self.handle(from, message, &mut actions);
-        actions
-    }
-
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<BrachaMessage>) {
-        self.broadcast_inner(payload, out.as_mut_vec());
+        self.layer.gc.on_event();
+        let send = BrachaMessage {
+            kind: BrachaKind::Send,
+            id: self.layer.next_id(),
+            payload,
+        };
+        send_to_all(self.layer.id, self.layer.n, &send, out.as_mut_vec());
+        self.receive(self.layer.id, send, out.as_mut_vec());
+        self.layer.run_gc();
     }
 
     fn handle_message_into(
@@ -532,7 +499,9 @@ impl Protocol for BrachaProcess {
         message: BrachaMessage,
         out: &mut ActionBuf<BrachaMessage>,
     ) {
-        self.handle(from, message, out.as_mut_vec());
+        self.layer.gc.on_event();
+        self.receive(from, message, out.as_mut_vec());
+        self.layer.run_gc();
     }
 
     fn deliveries(&self) -> &[Delivery] {

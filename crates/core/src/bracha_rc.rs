@@ -5,13 +5,20 @@
 //! an RC broadcast, and to feed every RC delivery (tagged with its originator) back into
 //! Bracha's handlers. The paper instantiates this template with Dolev's flooding protocol
 //! and then cross-optimises the two layers ([`crate::bd`]); this module keeps the template
-//! itself generic over the [`RcTransport`] so that the repository also provides:
+//! itself generic over the substrate, any [`Protocol`] engine, so that the repository also
+//! provides:
 //!
 //! * [`BrachaRoutedDolev`] — BRB on **known** partially connected topologies in the global
 //!   fault model, using Dolev's predefined-routes variant as the substrate;
 //! * [`BrachaCpa`] — BRB under the **`t`-locally bounded** fault model, using CPA as the
 //!   substrate (the extension listed as future work in the paper's conclusion; see
 //!   footnote 2 of the paper for the stronger topology condition this requires).
+//!
+//! The substrate runs on the host's own output buffer. An RC broadcast is the
+//! substrate's [`Protocol::broadcast_into`] of an encoded Bracha message, and an RC
+//! delivery is an [`Action::Deliver`] it pushes: the template takes those out of the
+//! output, reads the originator from the delivery's [`BroadcastId`], and hands the decoded
+//! message to the Bracha layer. The substrate's link sends stay in the output in order.
 //!
 //! The Bracha side is the per-content layer [`crate::bracha`] shares with
 //! [`crate::bracha::BrachaProcess`], RC origins playing the role of link-level senders;
@@ -25,7 +32,6 @@ use crate::cpa::CpaProcess;
 use crate::dolev_routed::RoutedDolev;
 use crate::gc::GcPolicy;
 use crate::protocol::{ActionBuf, Protocol};
-use crate::rc::RcTransport;
 use crate::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
 
 /// BRB on a known partially connected topology: Bracha over routed Dolev.
@@ -45,7 +51,7 @@ pub struct BrachaOverRc<T> {
     transport: T,
 }
 
-impl<T: RcTransport> BrachaOverRc<T> {
+impl<T: Protocol> BrachaOverRc<T> {
     /// Creates the combination for a system of `n` processes with at most `f` Byzantine
     /// ones, on top of `transport`.
     ///
@@ -54,7 +60,7 @@ impl<T: RcTransport> BrachaOverRc<T> {
     /// Panics if `f >= n/3` or if the transport's local identity is not `< n`.
     pub fn new(n: usize, f: usize, transport: T) -> Self {
         Self {
-            layer: BrachaLayer::new(transport.local_id(), n, f),
+            layer: BrachaLayer::new(transport.process_id(), n, f),
             transport,
         }
     }
@@ -70,36 +76,17 @@ impl<T: RcTransport> BrachaOverRc<T> {
         &mut self,
         origin: ProcessId,
         message: BrachaMessage,
-        actions: &mut Vec<Action<T::Message>>,
+        out: &mut ActionBuf<T::Message>,
     ) {
         let transport = &mut self.transport;
         let delivery = self.layer.receive(origin, message, |created| {
-            originate_bracha(transport, created, actions);
+            originate_bracha(transport, created, out);
         });
-        actions.extend(delivery.map(Action::Deliver));
-    }
-
-    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`]:
-    /// the RC deliveries a link message triggers, last one first (the order the goldens
-    /// pin).
-    fn handle(
-        &mut self,
-        from: ProcessId,
-        message: T::Message,
-        actions: &mut Vec<Action<T::Message>>,
-    ) {
-        self.layer.gc.on_event();
-        let rc_deliveries = self.transport.on_message(from, message, actions);
-        for delivery in rc_deliveries.into_iter().rev() {
-            if let Some(decoded) = decode_bracha(&delivery.payload) {
-                self.receive(delivery.origin, decoded, actions);
-            }
-        }
-        self.layer.run_gc();
+        out.extend(delivery.map(Action::Deliver));
     }
 }
 
-impl<T: RcTransport> Protocol for BrachaOverRc<T> {
+impl<T: Protocol> Protocol for BrachaOverRc<T> {
     type Message = T::Message;
 
     fn process_id(&self) -> ProcessId {
@@ -114,33 +101,35 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
         self.layer.next_seq = seq;
     }
 
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<T::Message>> {
+    fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<T::Message>) {
         self.layer.gc.on_event();
-        let mut actions = Vec::new();
         let send = BrachaMessage {
             kind: BrachaKind::Send,
             id: self.layer.next_id(),
             payload,
         };
-        originate_bracha(&mut self.transport, &send, &mut actions);
-        self.receive(self.layer.id, send, &mut actions);
+        originate_bracha(&mut self.transport, &send, out);
+        self.receive(self.layer.id, send, out);
         self.layer.run_gc();
-        actions
     }
 
-    fn handle_message(&mut self, from: ProcessId, message: T::Message) -> Vec<Action<T::Message>> {
-        let mut actions = Vec::new();
-        self.handle(from, message, &mut actions);
-        actions
-    }
-
+    /// Feeds the RC deliveries a link message triggers to the Bracha layer, last one
+    /// first (the order the goldens pin).
     fn handle_message_into(
         &mut self,
         from: ProcessId,
         message: T::Message,
         out: &mut ActionBuf<T::Message>,
     ) {
-        self.handle(from, message, out.as_mut_vec());
+        self.layer.gc.on_event();
+        let start = out.len();
+        self.transport.handle_message_into(from, message, out);
+        for delivery in take_deliveries(out, start).into_iter().rev() {
+            if let Some(decoded) = decode_bracha(&delivery.payload) {
+                self.receive(delivery.id.source, decoded, out);
+            }
+        }
+        self.layer.run_gc();
     }
 
     fn deliveries(&self) -> &[Delivery] {
@@ -148,7 +137,7 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
     }
 
     fn message_size(message: &T::Message) -> usize {
-        T::wire_size(message)
+        T::message_size(message)
     }
 
     fn state_bytes(&self) -> usize {
@@ -180,13 +169,27 @@ impl<T: RcTransport> Protocol for BrachaOverRc<T> {
 
 /// RC-broadcasts `message` over `transport`, the template's send primitive. The origin
 /// RC-delivers its own broadcast at once; the step that created the message already
-/// counted this process, so that copy is dropped.
-fn originate_bracha<T: RcTransport>(
+/// counted this process, so that delivery is dropped.
+fn originate_bracha<T: Protocol>(
     transport: &mut T,
     message: &BrachaMessage,
-    actions: &mut Vec<Action<T::Message>>,
+    out: &mut ActionBuf<T::Message>,
 ) {
-    transport.originate(encode_bracha(message), actions);
+    let start = out.len();
+    transport.broadcast_into(encode_bracha(message), out);
+    take_deliveries(out, start);
+}
+
+/// Takes the deliveries pushed at or after `start` out of `out`, in push order; the
+/// sends stay where they are, in order.
+fn take_deliveries<M>(out: &mut ActionBuf<M>, start: usize) -> Vec<Delivery> {
+    out.as_mut_vec()
+        .extract_if(start.., |action| matches!(action, Action::Deliver(_)))
+        .filter_map(|action| match action {
+            Action::Deliver(delivery) => Some(delivery),
+            Action::Send { .. } => None,
+        })
+        .collect()
 }
 
 /// Encodes a Bracha message as an opaque RC payload:
@@ -256,14 +259,12 @@ mod tests {
 
     /// The walk the running total replaced: every content the Bracha layer tracks, on
     /// top of the substrate's own walk (whose totals are checked on the way). Paths are
-    /// whatever the substrate reports as an RC transport (CPA reports none).
-    impl<T: RcTransport + WalkState> WalkState for BrachaOverRc<T> {
+    /// the substrate's.
+    impl<T: WalkState> WalkState for BrachaOverRc<T> {
         fn walk_state(&self) -> (usize, usize) {
             self.transport.assert_totals();
-            (
-                self.layer.walk_bytes() + self.transport.walk_state().0,
-                RcTransport::stored_paths(&self.transport),
-            )
+            let (bytes, paths) = self.transport.walk_state();
+            (self.layer.walk_bytes() + bytes, paths)
         }
     }
     use brb_graph::{generate, Graph};

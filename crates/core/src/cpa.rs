@@ -181,21 +181,8 @@ impl CpaProcess {
         }
     }
 
-    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`].
-    fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<CpaMessage>>) {
-        let id = BroadcastId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        self.tracer.emit(
-            self.id,
-            id.source,
-            id.seq,
-            brb_trace::TraceEventKind::Injected,
-        );
-        let content = Content::new(id, payload);
-        self.deliver_and_relay(&content, actions);
-    }
-
-    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`].
+    /// Body of [`Protocol::handle_message_into`], split out so the GC bookkeeping wraps
+    /// every return path once.
     fn handle_message_inner(
         &mut self,
         from: ProcessId,
@@ -260,25 +247,17 @@ impl Protocol for CpaProcess {
         self.next_seq = seq;
     }
 
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<CpaMessage>> {
-        let mut actions = Vec::new();
-        self.gc.on_event();
-        self.broadcast_inner(payload, &mut actions);
-        self.run_gc();
-        actions
-    }
-
-    fn handle_message(&mut self, from: ProcessId, message: CpaMessage) -> Vec<Action<CpaMessage>> {
-        let mut actions = Vec::new();
-        self.gc.on_event();
-        self.handle_message_inner(from, message, &mut actions);
-        self.run_gc();
-        actions
-    }
-
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<CpaMessage>) {
         self.gc.on_event();
-        self.broadcast_inner(payload, out.as_mut_vec());
+        let id = BroadcastId::new(self.id, self.next_seq);
+        self.next_seq += 1;
+        self.tracer.emit(
+            self.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
+        );
+        self.deliver_and_relay(&Content::new(id, payload), out.as_mut_vec());
         self.run_gc();
     }
 

@@ -339,38 +339,8 @@ impl DolevProcess {
         self.footprint.paths
     }
 
-    /// Shared body of [`Protocol::broadcast`] / [`Protocol::broadcast_into`].
-    fn broadcast_inner(&mut self, payload: Payload, actions: &mut Vec<Action<DolevMessage>>) {
-        let id = BroadcastId::new(self.id, self.next_seq);
-        self.next_seq += 1;
-        self.tracer.emit(
-            self.id,
-            id.source,
-            id.seq,
-            brb_trace::TraceEventKind::Injected,
-        );
-        let content = Content::new(id, payload);
-        for &q in &self.neighbors {
-            actions.push(Action::send(
-                q,
-                DolevMessage {
-                    content: content.clone(),
-                    path: Vec::new(),
-                },
-            ));
-        }
-        // The source delivers its own message immediately (Algorithm 2, lines 12–13),
-        // replacing whatever forged paths may have opened under its id.
-        let own = DolevInstance::self_delivered(self.config.max_path_combinations);
-        self.footprint.add(own.footprint());
-        if let Some(forged) = self.instances.insert(content.clone(), own) {
-            self.footprint.remove(forged.footprint());
-        }
-        self.gc.on_delivered(id);
-        log_delivery(&mut self.deliveries, &content, actions);
-    }
-
-    /// Shared body of [`Protocol::handle_message`] / [`Protocol::handle_message_into`].
+    /// Body of [`Protocol::handle_message_into`], split out so the GC bookkeeping wraps
+    /// every return path once.
     fn handle_message_inner(
         &mut self,
         from: ProcessId,
@@ -462,29 +432,36 @@ impl Protocol for DolevProcess {
         self.next_seq = seq;
     }
 
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<DolevMessage>> {
-        self.gc.on_event();
-        let mut actions = Vec::new();
-        self.broadcast_inner(payload, &mut actions);
-        self.run_gc();
-        actions
-    }
-
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: DolevMessage,
-    ) -> Vec<Action<DolevMessage>> {
-        self.gc.on_event();
-        let mut actions = Vec::new();
-        self.handle_message_inner(from, message, &mut actions);
-        self.run_gc();
-        actions
-    }
-
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<DolevMessage>) {
         self.gc.on_event();
-        self.broadcast_inner(payload, out.as_mut_vec());
+        let actions = out.as_mut_vec();
+        let id = BroadcastId::new(self.id, self.next_seq);
+        self.next_seq += 1;
+        self.tracer.emit(
+            self.id,
+            id.source,
+            id.seq,
+            brb_trace::TraceEventKind::Injected,
+        );
+        let content = Content::new(id, payload);
+        for &q in &self.neighbors {
+            actions.push(Action::send(
+                q,
+                DolevMessage {
+                    content: content.clone(),
+                    path: Vec::new(),
+                },
+            ));
+        }
+        // The source delivers its own message immediately (Algorithm 2, lines 12–13),
+        // replacing whatever forged paths may have opened under its id.
+        let own = DolevInstance::self_delivered(self.config.max_path_combinations);
+        self.footprint.add(own.footprint());
+        if let Some(forged) = self.instances.insert(content.clone(), own) {
+            self.footprint.remove(forged.footprint());
+        }
+        self.gc.on_delivered(id);
+        log_delivery(&mut self.deliveries, &content, actions);
         self.run_gc();
     }
 

@@ -17,9 +17,9 @@
 //! `routed_vs_flooding` quantifies this trade-off; the paper's protocols deliberately do
 //! not assume topology knowledge, which is why the flooding variant remains the reference.
 //!
-//! [`RoutedDolev`] implements both [`crate::rc::RcTransport`] (so it can serve as the RC
-//! substrate under a Bracha layer, see [`crate::bracha_rc`]) and [`crate::protocol::Protocol`]
-//! (so it can be driven directly by the simulator and the threaded runtime).
+//! [`RoutedDolev`] is a plain [`crate::protocol::Protocol`] engine: the simulator and the
+//! deployments drive it directly, and [`crate::bracha_rc::BrachaOverRc`] drives it as the
+//! RC substrate under a Bracha layer, reading its [`Action::Deliver`]s as RC deliveries.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -30,8 +30,7 @@ use brb_graph::Graph;
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::protocol::{ActionBuf, Protocol};
-use crate::rc::{RcDelivery, RcTransport};
-use crate::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
+use crate::types::{BroadcastId, Delivery, Payload, ProcessId};
 use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
 
 /// A message of the routed Dolev protocol.
@@ -167,31 +166,26 @@ impl RoutedDolev {
             .clone()
     }
 
+    /// Delivers `id` unless it already was (or was retired), pushing the delivery onto
+    /// `out`.
     fn record_delivery(
         &mut self,
-        origin: ProcessId,
-        seq: u32,
+        id: BroadcastId,
         payload: Payload,
-    ) -> Option<RcDelivery> {
-        let id = BroadcastId::new(origin, seq);
+        out: &mut ActionBuf<RoutedDolevMessage>,
+    ) {
         if self.gc.is_retired(id) {
-            return None;
+            return;
         }
-        let instance = self.instances.entry((origin, seq)).or_default();
+        let instance = self.instances.entry((id.source, id.seq)).or_default();
         if instance.delivered {
-            return None;
+            return;
         }
         instance.delivered = true;
-        self.deliveries.push(Delivery {
-            id,
-            payload: payload.clone(),
-        });
+        let delivery = Delivery { id, payload };
+        self.deliveries.push(delivery.clone());
         self.gc.on_delivered(id);
-        Some(RcDelivery {
-            origin,
-            seq,
-            payload,
-        })
+        out.deliver(delivery);
     }
 
     /// Validates the fields a relay or destination can check locally against the
@@ -208,20 +202,86 @@ impl RoutedDolev {
             && message.route[message.position - 1] == from
             && message.route[0] == message.origin
     }
+
+    /// Body of [`Protocol::handle_message_into`], split out so the GC bookkeeping wraps
+    /// every return path once.
+    fn receive(
+        &mut self,
+        from: ProcessId,
+        message: RoutedDolevMessage,
+        out: &mut ActionBuf<RoutedDolevMessage>,
+    ) {
+        if !self.plausible(from, &message) {
+            return;
+        }
+        // Frames of a retired instance are dropped (not even relayed) before they can
+        // recreate state.
+        let id = BroadcastId::new(message.origin, message.seq);
+        if self.gc.is_retired(id) {
+            return;
+        }
+        if !message.at_destination() {
+            // Relay to the next hop on the fixed route.
+            let next = message.route[message.position + 1];
+            let mut forwarded = message;
+            forwarded.position += 1;
+            out.send(next, forwarded);
+            return;
+        }
+        // Destination: direct reception from the origin is certified by the authenticated
+        // link (the analogue of MD.1); otherwise count predefined disjoint routes.
+        if from == message.origin {
+            self.record_delivery(id, message.payload, out);
+            return;
+        }
+        let expected = self.routes_for(message.origin, self.id);
+        let Some(route_index) = expected.iter().position(|r| *r == message.route) else {
+            // Not one of the predefined routes: a forged or stale route, ignore it.
+            return;
+        };
+        let threshold = self.delivery_threshold();
+        let instance = self
+            .instances
+            .entry((message.origin, message.seq))
+            .or_default();
+        if instance.delivered {
+            return;
+        }
+        let mut grown = Footprint::ZERO;
+        let votes = instance
+            .votes
+            .entry(message.payload.clone())
+            .or_insert_with(|| {
+                grown.bytes += message.payload.len();
+                BTreeSet::new()
+            });
+        if votes.insert(route_index) {
+            grown.bytes += 8;
+            grown.paths += 1;
+        }
+        self.footprint.add(grown);
+        if votes.len() >= threshold {
+            self.record_delivery(id, message.payload, out);
+        }
+    }
 }
 
-impl RcTransport for RoutedDolev {
+impl Protocol for RoutedDolev {
     type Message = RoutedDolevMessage;
 
-    fn local_id(&self) -> ProcessId {
+    fn process_id(&self) -> ProcessId {
         self.id
     }
 
-    fn originate(
-        &mut self,
-        payload: Payload,
-        actions: &mut Vec<Action<RoutedDolevMessage>>,
-    ) -> Vec<RcDelivery> {
+    fn next_seq(&self) -> u32 {
+        self.next_seq
+    }
+
+    fn set_next_seq(&mut self, seq: u32) {
+        self.next_seq = seq;
+    }
+
+    fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<RoutedDolevMessage>) {
         self.gc.on_event();
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -233,7 +293,7 @@ impl RcTransport for RoutedDolev {
                 if route.len() < 2 {
                     continue;
                 }
-                actions.push(Action::send(
+                out.send(
                     route[1],
                     RoutedDolevMessage {
                         origin: self.id,
@@ -242,31 +302,30 @@ impl RcTransport for RoutedDolev {
                         route,
                         position: 1,
                     },
-                ));
+                );
             }
         }
         // An origin RC-delivers its own broadcast immediately (Algorithm 2, line 13).
-        let out: Vec<RcDelivery> = self
-            .record_delivery(self.id, seq, payload)
-            .into_iter()
-            .collect();
+        self.record_delivery(BroadcastId::new(self.id, seq), payload, out);
         self.run_gc();
-        out
     }
 
-    fn on_message(
+    fn handle_message_into(
         &mut self,
         from: ProcessId,
         message: RoutedDolevMessage,
-        actions: &mut Vec<Action<RoutedDolevMessage>>,
-    ) -> Vec<RcDelivery> {
+        out: &mut ActionBuf<RoutedDolevMessage>,
+    ) {
         self.gc.on_event();
-        let out = self.on_message_inner(from, message, actions);
+        self.receive(from, message, out);
         self.run_gc();
-        out
     }
 
-    fn wire_size(message: &RoutedDolevMessage) -> usize {
+    fn deliveries(&self) -> &[Delivery] {
+        &self.deliveries
+    }
+
+    fn message_size(message: &RoutedDolevMessage) -> usize {
         message.wire_size()
     }
 
@@ -291,179 +350,11 @@ impl RcTransport for RoutedDolev {
     }
 }
 
-impl RoutedDolev {
-    /// Body of [`RcTransport::on_message`] (split out so the GC event/prune bookkeeping
-    /// wraps every return path exactly once).
-    fn on_message_inner(
-        &mut self,
-        from: ProcessId,
-        message: RoutedDolevMessage,
-        actions: &mut Vec<Action<RoutedDolevMessage>>,
-    ) -> Vec<RcDelivery> {
-        if !self.plausible(from, &message) {
-            return Vec::new();
-        }
-        // Frames of a retired instance are dropped (not even relayed) before they can
-        // recreate state.
-        if self
-            .gc
-            .is_retired(BroadcastId::new(message.origin, message.seq))
-        {
-            return Vec::new();
-        }
-        if !message.at_destination() {
-            // Relay to the next hop on the fixed route.
-            let next = message.route[message.position + 1];
-            let mut forwarded = message;
-            forwarded.position += 1;
-            actions.push(Action::send(next, forwarded));
-            return Vec::new();
-        }
-        // Destination: direct reception from the origin is certified by the authenticated
-        // link (the analogue of MD.1); otherwise count predefined disjoint routes.
-        if from == message.origin {
-            return self
-                .record_delivery(message.origin, message.seq, message.payload)
-                .into_iter()
-                .collect();
-        }
-        let expected = self.routes_for(message.origin, self.id);
-        let Some(route_index) = expected.iter().position(|r| *r == message.route) else {
-            // Not one of the predefined routes: a forged or stale route, ignore it.
-            return Vec::new();
-        };
-        let threshold = self.delivery_threshold();
-        let instance = self
-            .instances
-            .entry((message.origin, message.seq))
-            .or_default();
-        if instance.delivered {
-            return Vec::new();
-        }
-        let mut grown = Footprint::ZERO;
-        let votes = instance
-            .votes
-            .entry(message.payload.clone())
-            .or_insert_with(|| {
-                grown.bytes += message.payload.len();
-                BTreeSet::new()
-            });
-        if votes.insert(route_index) {
-            grown.bytes += 8;
-            grown.paths += 1;
-        }
-        self.footprint.add(grown);
-        if votes.len() >= threshold {
-            return self
-                .record_delivery(message.origin, message.seq, message.payload)
-                .into_iter()
-                .collect();
-        }
-        Vec::new()
-    }
-}
-
-impl Protocol for RoutedDolev {
-    type Message = RoutedDolevMessage;
-
-    fn process_id(&self) -> ProcessId {
-        self.id
-    }
-
-    fn next_seq(&self) -> u32 {
-        self.next_seq
-    }
-
-    fn set_next_seq(&mut self, seq: u32) {
-        self.next_seq = seq;
-    }
-
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<RoutedDolevMessage>> {
-        let mut actions = Vec::new();
-        let deliveries = self.originate(payload, &mut actions);
-        actions.extend(deliveries.into_iter().map(|d| {
-            Action::Deliver(Delivery {
-                id: BroadcastId::new(d.origin, d.seq),
-                payload: d.payload,
-            })
-        }));
-        actions
-    }
-
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: RoutedDolevMessage,
-    ) -> Vec<Action<RoutedDolevMessage>> {
-        let mut actions = Vec::new();
-        let deliveries = self.on_message(from, message, &mut actions);
-        actions.extend(deliveries.into_iter().map(|d| {
-            Action::Deliver(Delivery {
-                id: BroadcastId::new(d.origin, d.seq),
-                payload: d.payload,
-            })
-        }));
-        actions
-    }
-
-    fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<RoutedDolevMessage>) {
-        let deliveries = self.originate(payload, out.as_mut_vec());
-        for d in deliveries {
-            out.deliver(Delivery {
-                id: BroadcastId::new(d.origin, d.seq),
-                payload: d.payload,
-            });
-        }
-    }
-
-    fn handle_message_into(
-        &mut self,
-        from: ProcessId,
-        message: RoutedDolevMessage,
-        out: &mut ActionBuf<RoutedDolevMessage>,
-    ) {
-        let deliveries = self.on_message(from, message, out.as_mut_vec());
-        for d in deliveries {
-            out.deliver(Delivery {
-                id: BroadcastId::new(d.origin, d.seq),
-                payload: d.payload,
-            });
-        }
-    }
-
-    fn deliveries(&self) -> &[Delivery] {
-        &self.deliveries
-    }
-
-    fn message_size(message: &RoutedDolevMessage) -> usize {
-        message.wire_size()
-    }
-
-    fn state_bytes(&self) -> usize {
-        <RoutedDolev as RcTransport>::state_bytes(self)
-    }
-
-    fn stored_paths(&self) -> usize {
-        <RoutedDolev as RcTransport>::stored_paths(self)
-    }
-
-    fn set_gc_policy(&mut self, policy: GcPolicy) {
-        <RoutedDolev as RcTransport>::set_gc_policy(self, policy);
-    }
-
-    fn note_time(&mut self, now_ms: u64) {
-        <RoutedDolev as RcTransport>::note_time(self, now_ms);
-    }
-
-    fn gc_retired(&self) -> u64 {
-        <RoutedDolev as RcTransport>::gc_retired(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::footprint::check::{Checked, WalkState};
+    use crate::types::Action;
 
     /// The walk the running totals replaced: every vote of every instance plus the
     /// cached route table.
@@ -538,7 +429,7 @@ mod tests {
             .map(|i| RoutedDolev::new(i, 1, g.clone()))
             .collect();
         for p in &mut processes {
-            <RoutedDolev as RcTransport>::set_gc_policy(p, GcPolicy::after_events(4));
+            p.set_gc_policy(GcPolicy::after_events(4));
         }
         drive(&mut processes, 0, &[]);
         let votes_after_first: usize = processes.iter().map(Protocol::stored_paths).sum();
@@ -590,9 +481,7 @@ mod tests {
             route: vec![0, 4, 3, 2], // a valid-looking path but not a predefined route
             position: 3,
         };
-        let mut actions = Vec::new();
-        let delivered = dest.on_message(3, forged, &mut actions);
-        assert!(delivered.is_empty());
+        assert!(dest.handle_message(3, forged).is_empty());
         assert!(dest.deliveries().is_empty());
         // Looking the route up cached (and counted) the predefined routes 0 -> 2.
         assert!(Protocol::state_bytes(&dest) > 0);
@@ -603,7 +492,6 @@ mod tests {
     fn implausible_messages_are_dropped() {
         let g = generate::complete(4);
         let mut p = RoutedDolev::new(1, 1, g);
-        let mut actions = Vec::new();
         // Wrong position: route does not address this process at the claimed index.
         let bad_position = RoutedDolevMessage {
             origin: 0,
@@ -612,7 +500,7 @@ mod tests {
             route: vec![0, 2, 1],
             position: 1,
         };
-        assert!(p.on_message(0, bad_position, &mut actions).is_empty());
+        assert!(p.handle_message(0, bad_position).is_empty());
         // Previous hop does not match the authenticated link the message arrived on.
         let bad_prev = RoutedDolevMessage {
             origin: 0,
@@ -621,8 +509,8 @@ mod tests {
             route: vec![0, 2, 1],
             position: 2,
         };
-        assert!(p.on_message(3, bad_prev, &mut actions).is_empty());
-        assert!(actions.is_empty());
+        assert!(p.handle_message(3, bad_prev).is_empty());
+        assert!(p.deliveries().is_empty());
     }
 
     #[test]
@@ -636,10 +524,8 @@ mod tests {
             route: vec![0, 1, 2, 3],
             position: 1,
         };
-        let mut actions = Vec::new();
-        let delivered = relay.on_message(0, msg, &mut actions);
-        assert!(delivered.is_empty());
-        assert_eq!(actions.len(), 1);
+        let actions = relay.handle_message(0, msg);
+        assert_eq!(actions.len(), 1, "one relay, no delivery");
         match &actions[0] {
             Action::Send { to, message } => {
                 assert_eq!(*to, 2);
@@ -661,10 +547,10 @@ mod tests {
             route: vec![0, 1],
             position: 1,
         };
-        let mut actions = Vec::new();
-        let delivered = p.on_message(0, msg, &mut actions);
+        let actions = p.handle_message(0, msg);
+        let delivered: Vec<_> = actions.iter().filter_map(Action::as_delivery).collect();
         assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].seq, 3);
+        assert_eq!(delivered[0].id, BroadcastId::new(0, 3));
         assert_eq!(p.deliveries().len(), 1);
     }
 
@@ -726,7 +612,7 @@ mod tests {
     fn gc_retires_delivered_instances_and_drops_replayed_route_copies() {
         let g = generate::complete(4);
         let mut p = RoutedDolev::new(1, 1, g);
-        <RoutedDolev as RcTransport>::set_gc_policy(&mut p, GcPolicy::after_events(1));
+        p.set_gc_policy(GcPolicy::after_events(1));
         // Direct reception from the origin delivers and opens the retention window.
         let direct = RoutedDolevMessage {
             origin: 0,
@@ -735,8 +621,8 @@ mod tests {
             route: vec![0, 1],
             position: 1,
         };
-        let mut actions = Vec::new();
-        assert_eq!(p.on_message(0, direct.clone(), &mut actions).len(), 1);
+        let actions = p.handle_message(0, direct.clone());
+        assert_eq!(actions.iter().filter_map(Action::as_delivery).count(), 1);
         // One unrelated relay event elapses the window and retires the instance.
         let relay = RoutedDolevMessage {
             origin: 2,
@@ -745,15 +631,16 @@ mod tests {
             route: vec![2, 1, 3],
             position: 1,
         };
-        let _ = p.on_message(2, relay, &mut actions);
-        assert_eq!(<RoutedDolev as RcTransport>::gc_retired(&p), 1);
-        let baseline = <RoutedDolev as RcTransport>::state_bytes(&p);
+        let _ = p.handle_message(2, relay);
+        assert_eq!(p.gc_retired(), 1);
+        let baseline = p.state_bytes();
         // Replays of the retired instance deliver nothing, relay nothing, create nothing.
-        actions.clear();
-        assert!(p.on_message(0, direct, &mut actions).is_empty());
-        assert!(actions.is_empty(), "retired frames are not relayed");
+        assert!(
+            p.handle_message(0, direct).is_empty(),
+            "retired frames are not delivered or relayed"
+        );
         assert_eq!(p.deliveries().len(), 1, "no duplicate delivery");
-        assert_eq!(<RoutedDolev as RcTransport>::state_bytes(&p), baseline);
+        assert_eq!(p.state_bytes(), baseline);
         p.assert_totals();
     }
 
@@ -780,14 +667,12 @@ mod tests {
             route,
             position,
         };
-        let mut actions = Vec::new();
         for (from, message) in [
             (0, via(0, vec![0, 1, wild], 1)),
             (wild, via(wild, vec![wild, 1], 1)),
             (0, via(4, vec![4, 0, 1], 2)),
         ] {
-            assert!(p.on_message(from, message, &mut actions).is_empty());
-            assert!(actions.is_empty());
+            assert!(p.handle_message(from, message).is_empty());
             assert_eq!(
                 (Protocol::state_bytes(&p), Protocol::stored_paths(&p)),
                 (0, 0)

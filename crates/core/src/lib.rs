@@ -20,14 +20,17 @@
 //!   networks, with the paper's twelve cross-layer modifications MBD.1–12, each
 //!   individually toggleable through [`config::Config`];
 //! * [`bracha_rc::BrachaOverRc`] — the plain, un-optimised Bracha-over-RC template of
-//!   Sec. 4.3, generic over the [`rc::RcTransport`] substrate; its instantiations
-//!   [`bracha_rc::BrachaRoutedDolev`] and [`bracha_rc::BrachaCpa`] provide BRB on known
-//!   topologies and under the locally bounded fault model respectively.
+//!   Sec. 4.3, generic over any [`protocol::Protocol`] engine as its substrate (see
+//!   [`rc`]); its instantiations [`bracha_rc::BrachaRoutedDolev`] and
+//!   [`bracha_rc::BrachaCpa`] provide BRB on known topologies and under the locally
+//!   bounded fault model respectively.
 //!
 //! All protocols are written as deterministic, event-driven state machines behind the
 //! [`protocol::Protocol`] trait, so that the same code runs unchanged inside the
 //! discrete-event simulator (`brb-sim`) used by the experiment harnesses and inside the
-//! thread-per-process runtime (`brb-runtime`).
+//! thread-per-process runtime (`brb-runtime`). An engine writes one event form, the sink
+//! methods `broadcast_into` / `handle_message_into`; the trait provides `Vec`-returning
+//! shims over them.
 //!
 //! The [`stack`] module erases the per-stack message types behind the object-safe
 //! [`stack::DynEngine`] interface (encoded wire bytes in and out): a [`stack::StackSpec`]
@@ -95,7 +98,6 @@ pub use config::{Config, MbdFlags, MdFlags};
 pub use dolev_routed::RoutedDolev;
 pub use gc::{GcPolicy, GcState};
 pub use protocol::{ActionBuf, Protocol};
-pub use rc::{RcDelivery, RcTransport};
 pub use stack::{DynEngine, DynStack, EncodedFrame, StackSpec, WireAction, WireActionBuf};
 pub use types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
 pub use wire::{MessageKind, WireMessage};

@@ -2,19 +2,12 @@
 //! crate exposes, and that both the discrete-event simulator (`brb-sim`) and the threaded
 //! runtime (`brb-runtime`) drive.
 //!
-//! Two event APIs coexist on the trait:
-//!
-//! * the original `Vec`-returning methods ([`Protocol::broadcast`],
-//!   [`Protocol::handle_message`]), convenient for tests and one-off drivers;
-//! * the sink-based methods ([`Protocol::broadcast_into`],
-//!   [`Protocol::handle_message_into`]), which write into a caller-owned, reusable
-//!   [`ActionBuf`] so that hot loops (the simulator's dispatch path, the deployments'
-//!   node loops) process millions of events without one `Vec` allocation per event.
-//!
-//! The sink methods default to shims over the `Vec` methods, so existing protocols work
-//! unchanged; the protocols on the experiment hot paths ([`crate::bd::BdProcess`],
-//! [`crate::dolev::DolevProcess`], [`crate::bracha::BrachaProcess`], …) override them
-//! natively and implement the `Vec` methods as thin wrappers instead.
+//! Engines implement one event form: the sink methods [`Protocol::broadcast_into`] and
+//! [`Protocol::handle_message_into`], which push into a caller-owned, reusable
+//! [`ActionBuf`] so that hot loops (the simulator's dispatch path, the deployments' node
+//! loops) process millions of events without one `Vec` allocation per event. The
+//! `Vec`-returning [`Protocol::broadcast`] and [`Protocol::handle_message`] are provided
+//! one-line shims over them, for tests and one-off drivers.
 
 use crate::types::{Action, Delivery, Payload, ProcessId};
 
@@ -22,8 +15,7 @@ use crate::types::{Action, Delivery, Payload, ProcessId};
 ///
 /// Drivers keep one `ActionBuf` alive across events: the protocol pushes the actions of
 /// the current event into it, the driver drains them, and the allocation is recycled for
-/// the next event. This removes the per-event `Vec` allocation of the original
-/// [`Protocol::handle_message`] API from the hot path.
+/// the next event, so the hot path allocates no output `Vec` per event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionBuf<M> {
     actions: Vec<Action<M>>,
@@ -133,38 +125,34 @@ pub trait Protocol {
     /// Identifier of the process running this instance.
     fn process_id(&self) -> ProcessId;
 
-    /// Initiates the broadcast of `payload` and returns the resulting actions.
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<Self::Message>>;
+    /// Initiates the broadcast of `payload`, pushing the resulting actions into `out`.
+    fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<Self::Message>);
 
-    /// Handles a message received from direct neighbor `from` over the authenticated link
-    /// and returns the resulting actions.
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: Self::Message,
-    ) -> Vec<Action<Self::Message>>;
-
-    /// Sink-based variant of [`Protocol::broadcast`]: pushes the resulting actions into
-    /// `out` instead of allocating a fresh `Vec`.
-    ///
-    /// The default implementation shims over [`Protocol::broadcast`]; protocols on hot
-    /// paths override it natively.
-    fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<Self::Message>) {
-        out.extend(self.broadcast(payload));
-    }
-
-    /// Sink-based variant of [`Protocol::handle_message`]: pushes the resulting actions
-    /// into `out` instead of allocating a fresh `Vec`.
-    ///
-    /// The default implementation shims over [`Protocol::handle_message`]; protocols on
-    /// hot paths override it natively.
+    /// Handles a message received from direct neighbor `from` over the authenticated link,
+    /// pushing the resulting actions into `out`.
     fn handle_message_into(
         &mut self,
         from: ProcessId,
         message: Self::Message,
         out: &mut ActionBuf<Self::Message>,
-    ) {
-        out.extend(self.handle_message(from, message));
+    );
+
+    /// [`Protocol::broadcast_into`] into a fresh `Vec`.
+    fn broadcast(&mut self, payload: Payload) -> Vec<Action<Self::Message>> {
+        let mut out = ActionBuf::new();
+        self.broadcast_into(payload, &mut out);
+        out.into_vec()
+    }
+
+    /// [`Protocol::handle_message_into`] into a fresh `Vec`.
+    fn handle_message(
+        &mut self,
+        from: ProcessId,
+        message: Self::Message,
+    ) -> Vec<Action<Self::Message>> {
+        let mut out = ActionBuf::new();
+        self.handle_message_into(from, message, &mut out);
+        out.into_vec()
     }
 
     /// The sequence number the next plain [`Protocol::broadcast`] will mint.
@@ -256,8 +244,8 @@ mod tests {
     use super::*;
     use crate::types::BroadcastId;
 
-    /// A trivial protocol used to check that the trait is object-safe enough for tests and
-    /// that default methods behave.
+    /// A trivial protocol used to check that default methods behave: a broadcast
+    /// delivers at once, a message is echoed back to its sender.
     struct Loopback {
         id: ProcessId,
         deliveries: Vec<Delivery>,
@@ -270,17 +258,22 @@ mod tests {
             self.id
         }
 
-        fn broadcast(&mut self, payload: Payload) -> Vec<Action<Payload>> {
+        fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<Payload>) {
             let d = Delivery {
                 id: BroadcastId::new(self.id, 0),
                 payload,
             };
             self.deliveries.push(d.clone());
-            vec![Action::Deliver(d)]
+            out.deliver(d);
         }
 
-        fn handle_message(&mut self, _from: ProcessId, _m: Payload) -> Vec<Action<Payload>> {
-            Vec::new()
+        fn handle_message_into(
+            &mut self,
+            from: ProcessId,
+            m: Payload,
+            out: &mut ActionBuf<Payload>,
+        ) {
+            out.send(from, m);
         }
 
         fn deliveries(&self) -> &[Delivery] {
@@ -306,27 +299,33 @@ mod tests {
     }
 
     #[test]
-    fn default_sink_methods_shim_over_the_vec_methods() {
-        let mut p = Loopback {
+    fn provided_vec_methods_return_what_the_sink_methods_push() {
+        let loopback = || Loopback {
             id: 3,
             deliveries: vec![],
         };
+        let (mut sink, mut vec) = (loopback(), loopback());
+        // The sink appends after whatever the buffer already holds.
         let mut buf: ActionBuf<Payload> = ActionBuf::with_capacity(4);
-        p.broadcast_into(Payload::from("a"), &mut buf);
-        assert_eq!(buf.len(), 1);
-        assert!(buf.as_slice()[0].as_delivery().is_some());
-        p.handle_message_into(0, Payload::from("b"), &mut buf);
-        assert_eq!(buf.len(), 1, "loopback ignores incoming messages");
-        let drained: Vec<_> = buf.drain().collect();
-        assert_eq!(drained.len(), 1);
+        buf.send(9, Payload::from("earlier"));
+        sink.broadcast_into(Payload::from("a"), &mut buf);
+        sink.handle_message_into(0, Payload::from("b"), &mut buf);
+        let pushed: Vec<_> = buf.drain().skip(1).collect();
         assert!(buf.is_empty());
+        let mut returned = vec.broadcast(Payload::from("a"));
+        returned.extend(vec.handle_message(0, Payload::from("b")));
+        assert_eq!(pushed, returned);
+        assert_eq!(
+            returned,
+            [
+                Action::Deliver(vec.deliveries()[0].clone()),
+                Action::send(0, Payload::from("b"))
+            ]
+        );
+        assert_eq!(sink.deliveries(), vec.deliveries());
         // The allocation survives draining; pushing again reuses it.
         buf.send(1, Payload::from("m"));
-        buf.deliver(Delivery {
-            id: BroadcastId::new(3, 0),
-            payload: Payload::from("x"),
-        });
-        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.len(), 1);
         buf.clear();
         assert!(buf.is_empty());
     }

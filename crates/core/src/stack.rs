@@ -11,10 +11,11 @@
 //!   extending the framing that [`crate::wire::WireMessage`] already provided for the
 //!   Bracha–Dolev combination to every stack in the crate;
 //! * [`DynEngine`] — an **object-safe** engine interface that speaks encoded wire bytes
-//!   in and out (plus deliveries and the Sec. 7.3 memory proxies), with a blanket
-//!   implementation for every [`Protocol`] whose message type has a [`WireCodec`];
+//!   in and out (plus deliveries and the Sec. 7.3 memory proxies);
 //! * [`StackSpec`] — a serializable name for each protocol stack of the crate, with a
 //!   builder that constructs a boxed [`DynEngine`] from `(Config, Graph, ProcessId)`.
+//!   Every built engine is one typed [`Protocol`] behind the one adapter that turns its
+//!   sink methods into encoded frames.
 //!
 //! Drivers that want to stay on the typed fast path (the simulator's hot loop) can wrap a
 //! boxed engine in [`DynStack`], which implements [`Protocol`] over [`EncodedFrame`]
@@ -361,9 +362,7 @@ impl WireActionBuf {
 ///
 /// This is the interface the deployment backends (`brb-runtime`, `brb-net`) drive: they
 /// move opaque frames between mailboxes and sockets and never need to know which protocol
-/// stack produced them. Every [`Protocol`] whose message type implements [`WireCodec`]
-/// gets this interface for free through the blanket implementation below, which is what
-/// makes [`StackSpec::build`] able to box any stack of the crate.
+/// stack produced them. [`StackSpec::build`] boxes any stack of the crate behind it.
 pub trait DynEngine: Send {
     /// Identifier of the process running this engine.
     fn process_id(&self) -> ProcessId;
@@ -431,100 +430,9 @@ pub trait DynEngine: Send {
     }
 }
 
-impl<P> DynEngine for P
-where
-    P: Protocol + Send,
-    P::Message: WireCodec,
-{
-    fn process_id(&self) -> ProcessId {
-        Protocol::process_id(self)
-    }
-
-    fn broadcast_wire(&mut self, payload: Payload, out: &mut WireActionBuf) {
-        let mut buf = ActionBuf::new();
-        self.broadcast_into(payload, &mut buf);
-        for action in buf.drain() {
-            out.push(encode_action::<P>(action));
-        }
-    }
-
-    fn broadcast_wire_seq(
-        &mut self,
-        seq: crate::types::BroadcastSeq,
-        payload: Payload,
-        out: &mut WireActionBuf,
-    ) {
-        let mut buf = ActionBuf::new();
-        self.broadcast_with_seq_into(seq, payload, &mut buf);
-        for action in buf.drain() {
-            out.push(encode_action::<P>(action));
-        }
-    }
-
-    fn handle_frame(&mut self, from: ProcessId, frame: &[u8], out: &mut WireActionBuf) {
-        let Some(message) = P::Message::decode_wire(frame) else {
-            return;
-        };
-        let mut buf = ActionBuf::new();
-        self.handle_message_into(from, message, &mut buf);
-        for action in buf.drain() {
-            out.push(encode_action::<P>(action));
-        }
-    }
-
-    fn deliveries(&self) -> &[Delivery] {
-        Protocol::deliveries(self)
-    }
-
-    fn state_bytes(&self) -> usize {
-        Protocol::state_bytes(self)
-    }
-
-    fn stored_paths(&self) -> usize {
-        Protocol::stored_paths(self)
-    }
-
-    fn set_gc_policy(&mut self, policy: crate::gc::GcPolicy) {
-        Protocol::set_gc_policy(self, policy)
-    }
-
-    fn note_time(&mut self, now_ms: u64) {
-        Protocol::note_time(self, now_ms)
-    }
-
-    fn gc_retired(&self) -> u64 {
-        Protocol::gc_retired(self)
-    }
-
-    fn set_tracer(&mut self, tracer: brb_trace::Tracer) {
-        Protocol::set_tracer(self, tracer)
-    }
-
-    fn frame_broadcast_id(&self, frame: &[u8]) -> Option<BroadcastId> {
-        P::Message::peek_broadcast_id(frame)
-    }
-}
-
-/// Encodes one typed action into its wire form.
-fn encode_action<P>(action: Action<P::Message>) -> WireAction
-where
-    P: Protocol,
-    P::Message: WireCodec,
-{
-    match action {
-        Action::Send { to, message } => WireAction::Send {
-            to,
-            wire_size: P::message_size(&message),
-            frame: message.encode_wire(),
-        },
-        Action::Deliver(delivery) => WireAction::Deliver(delivery),
-    }
-}
-
-/// Pairs a typed protocol with a **persistent** typed action sink: the engines built by
-/// [`StackSpec::build`] are wrapped in this adapter, so their steady-state event path
-/// reuses one buffer across events (the bare blanket `DynEngine` impl above must create a
-/// fresh buffer per call, since it has nowhere to keep one).
+/// The one [`DynEngine`] adapter: a typed protocol paired with a **persistent** typed
+/// action sink. The engines built by [`StackSpec::build`] are wrapped in it, so their
+/// steady-state event path reuses one buffer across events.
 ///
 /// Outbound frames are staged through a persistent [`WireArena`]: one engine step's
 /// burst of sends encodes into a single shared allocation, and each [`WireAction::Send`]
@@ -935,8 +843,7 @@ pub struct EncodedFrame {
 /// Adapter implementing [`Protocol`] over a boxed [`DynEngine`], with [`EncodedFrame`]
 /// messages.
 ///
-/// This is the bridge in the opposite direction of the blanket [`DynEngine`] impl: it
-/// lets hosts written against the typed [`Protocol`] interface (most importantly
+/// It lets hosts written against the typed [`Protocol`] interface (most importantly
 /// `brb_sim::Simulation`) drive *any* stack chosen at runtime. Messages cross the adapter
 /// in encoded form, so a simulation over `DynStack` also exercises the exact codec path
 /// of the socket deployments.
@@ -992,22 +899,6 @@ impl Protocol for DynStack {
 
     fn process_id(&self) -> ProcessId {
         self.engine.process_id()
-    }
-
-    fn broadcast(&mut self, payload: Payload) -> Vec<Action<EncodedFrame>> {
-        let mut out = ActionBuf::new();
-        self.broadcast_into(payload, &mut out);
-        out.into_vec()
-    }
-
-    fn handle_message(
-        &mut self,
-        from: ProcessId,
-        message: EncodedFrame,
-    ) -> Vec<Action<EncodedFrame>> {
-        let mut out = ActionBuf::new();
-        self.handle_message_into(from, message, &mut out);
-        out.into_vec()
     }
 
     fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<EncodedFrame>) {

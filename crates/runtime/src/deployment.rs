@@ -18,7 +18,6 @@ use brb_core::types::{Delivery, Payload, ProcessId};
 use brb_graph::Graph;
 use brb_transport::{build_links, ChannelTransport, Command, DriverOptions, NodeDriver};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 
 pub use brb_transport::{DeploymentReport, NodeReport};
 
@@ -261,29 +260,6 @@ pub fn run_threaded_workload(
     (deployment.shutdown(), run)
 }
 
-/// Shared collector used by examples that want to observe deliveries as they happen.
-#[derive(Debug, Default)]
-pub struct DeliveryLog {
-    entries: Mutex<Vec<(ProcessId, Delivery)>>,
-}
-
-impl DeliveryLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one delivery.
-    pub fn record(&self, process: ProcessId, delivery: Delivery) {
-        self.entries.lock().push((process, delivery));
-    }
-
-    /// Snapshot of the log.
-    pub fn snapshot(&self) -> Vec<(ProcessId, Delivery)> {
-        self.entries.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,19 +429,5 @@ mod tests {
         // Nine effective broadcasts, each delivered by every correct process.
         assert!(report.all_delivered(&correct, 9));
         assert!(report.nodes[6].deliveries.is_empty());
-    }
-
-    #[test]
-    fn delivery_log_collects_entries() {
-        let log = DeliveryLog::new();
-        assert!(log.snapshot().is_empty());
-        log.record(
-            3,
-            Delivery {
-                id: brb_core::types::BroadcastId::new(0, 0),
-                payload: Payload::from("x"),
-            },
-        );
-        assert_eq!(log.snapshot().len(), 1);
     }
 }

@@ -304,6 +304,10 @@ impl TcpDeployment {
     }
 
     /// Shuts every node down, closes the sockets, and collects the per-node reports.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a node thread once every other node is joined.
     pub fn shutdown(self) -> DeploymentReport {
         for tx in &self.commands {
             let _ = tx.send(Command::Shutdown);
@@ -322,15 +326,26 @@ impl TcpDeployment {
                 decision: None,
             })
             .collect();
+        // A panicked node is an engine bug, not a node that delivered nothing: join the
+        // others, then re-raise the first panic.
+        let mut panicked = None;
         for handle in self.handles {
-            if let Ok(report) = handle.join() {
-                let id = report.id;
-                nodes[id] = report;
+            match handle.join() {
+                Ok(report) => {
+                    let id = report.id;
+                    nodes[id] = report;
+                }
+                Err(panic) => {
+                    panicked.get_or_insert(panic);
+                }
             }
         }
         // Unblock any reader thread still parked on a socket.
         for stream in &self.all_streams {
             let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        if let Some(panic) = panicked {
+            std::panic::resume_unwind(panic);
         }
         DeploymentReport { nodes }
     }

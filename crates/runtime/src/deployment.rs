@@ -187,6 +187,10 @@ impl Deployment {
     }
 
     /// Shuts every node down and collects the per-node reports.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a node thread once every other node is joined.
     pub fn shutdown(self) -> DeploymentReport {
         for tx in &self.commands {
             let _ = tx.send(Command::Shutdown);
@@ -205,11 +209,22 @@ impl Deployment {
                 decision: None,
             })
             .collect();
+        // A panicked node is an engine bug, not a node that delivered nothing: join the
+        // others, then re-raise the first panic.
+        let mut panicked = None;
         for handle in self.handles {
-            if let Ok(report) = handle.join() {
-                let id = report.id;
-                nodes[id] = report;
+            match handle.join() {
+                Ok(report) => {
+                    let id = report.id;
+                    nodes[id] = report;
+                }
+                Err(panic) => {
+                    panicked.get_or_insert(panic);
+                }
             }
+        }
+        if let Some(panic) = panicked {
+            std::panic::resume_unwind(panic);
         }
         DeploymentReport { nodes }
     }

@@ -14,12 +14,14 @@
 use std::time::Duration;
 
 use brb_core::config::Config;
-use brb_core::stack::{DynStack, StackSpec};
-use brb_core::types::{BroadcastId, Delivery, Payload};
+use brb_core::gc::GcPolicy;
+use brb_core::stack::{DynEngine, DynStack, StackSpec, WireActionBuf};
+use brb_core::types::{BroadcastId, BroadcastSeq, Delivery, Payload, ProcessId};
 use brb_core::{BdProcess, Protocol};
 use brb_graph::{generate, Graph};
-use brb_net::run_tcp_broadcast;
+use brb_net::{run_tcp_broadcast, TcpDeployment};
 use brb_runtime::deployment::run_threaded_broadcast;
+use brb_runtime::{Deployment, DriverOptions};
 use brb_sim::invariants::{check_brb, BroadcastRecord};
 use brb_sim::{DelayModel, Simulation};
 use rand::rngs::StdRng;
@@ -240,4 +242,77 @@ fn tcp_backend_tolerates_a_crashed_process_like_the_simulator() {
     assert!(report.all_delivered(&correct, 1));
     assert!(report.nodes[6].deliveries.is_empty());
     assert!(report.total_bytes() > 0);
+}
+
+/// An engine whose broadcast panics, standing in for an engine bug.
+struct PanicsOnBroadcast(ProcessId);
+
+impl DynEngine for PanicsOnBroadcast {
+    fn process_id(&self) -> ProcessId {
+        self.0
+    }
+
+    fn broadcast_wire(&mut self, _payload: Payload, _out: &mut WireActionBuf) {
+        panic!("engine bug in broadcast_wire");
+    }
+
+    fn broadcast_wire_seq(&mut self, _seq: BroadcastSeq, _p: Payload, _out: &mut WireActionBuf) {}
+
+    fn handle_frame(&mut self, _from: ProcessId, _frame: &[u8], _out: &mut WireActionBuf) {}
+
+    fn deliveries(&self) -> &[Delivery] {
+        &[]
+    }
+
+    fn state_bytes(&self) -> usize {
+        0
+    }
+
+    fn stored_paths(&self) -> usize {
+        0
+    }
+
+    fn set_gc_policy(&mut self, _policy: GcPolicy) {}
+
+    fn note_time(&mut self, _now_ms: u64) {}
+
+    fn gc_retired(&self) -> u64 {
+        0
+    }
+}
+
+fn panicking_engines(graph: &Graph) -> Vec<Box<dyn DynEngine>> {
+    graph
+        .nodes()
+        .map(|id| Box::new(PanicsOnBroadcast(id)) as Box<dyn DynEngine>)
+        .collect()
+}
+
+#[test]
+#[should_panic(expected = "engine bug in broadcast_wire")]
+fn channel_shutdown_reraises_a_node_panic() {
+    let graph = generate::figure1_example();
+    let deployment = Deployment::start_with_engines(
+        &graph,
+        panicking_engines(&graph),
+        DriverOptions::default(),
+        &[],
+    );
+    deployment.broadcast(0, Payload::from("m"));
+    deployment.shutdown();
+}
+
+#[test]
+#[should_panic(expected = "engine bug in broadcast_wire")]
+fn tcp_shutdown_reraises_a_node_panic() {
+    let graph = generate::figure1_example();
+    let deployment = TcpDeployment::start_with_engines(
+        &graph,
+        panicking_engines(&graph),
+        DriverOptions::default(),
+        &[],
+    )
+    .expect("TCP deployment starts");
+    deployment.broadcast(0, Payload::from("m"));
+    deployment.shutdown();
 }

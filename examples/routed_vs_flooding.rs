@@ -79,11 +79,14 @@ fn main() {
         "{:<30} {:>12} {:>14} {:>10}",
         "stack", "latency (ms)", "network (kB)", "messages"
     );
+    let mut undelivered = Vec::new();
     for (label, latency, kilobytes, messages) in rows {
-        println!(
-            "{label:<30} {:>12.1} {kilobytes:>14.1} {messages:>10}",
-            latency.unwrap_or(f64::NAN),
-        );
+        let Some(latency) = latency else {
+            println!("{label:<30} {:>12} {kilobytes:>14.1} {messages:>10}", "-");
+            undelivered.push(label.trim_end());
+            continue;
+        };
+        println!("{label:<30} {latency:>12.1} {kilobytes:>14.1} {messages:>10}");
     }
     println!(
         "\nThe unoptimised flooding stack pays for topology ignorance with message volume. \
@@ -93,4 +96,8 @@ fn main() {
          complementary: MBD.1-style local IDs could be applied to the routed variant as \
          well."
     );
+    if !undelivered.is_empty() {
+        eprintln!("\nsome correct process did not deliver under: {undelivered:?}");
+        std::process::exit(1);
+    }
 }

@@ -5,7 +5,7 @@
 //! given topology: Dolev's flooding protocol (the main subject of the paper), Dolev's
 //! known-topology variant with predefined routes, CPA under the locally bounded fault
 //! model, or topology-specific protocols. In this crate an RC substrate is a plain
-//! [`crate::protocol::Protocol`] engine, with no second trait:
+//! [`crate::protocol::Protocol`] engine:
 //!
 //! * its [`crate::protocol::Protocol::broadcast_into`] **originates** an RC broadcast of an
 //!   opaque payload (an origin RC-delivers its own broadcast at once);

@@ -190,6 +190,12 @@ impl DisjointPathTracker {
         self.path_bytes + 24 * self.combos.len()
     }
 
+    /// The memo as `(union, count)` pairs in memo order.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> Vec<(PathSet, u32)> {
+        self.combos.clone()
+    }
+
     /// Reference for [`DisjointPathTracker::approx_memory_bytes`]: the same figure
     /// recomputed from every stored path.
     #[cfg(test)]
@@ -207,6 +213,8 @@ fn path_footprint(path: &PathSet) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn ps(ids: &[ProcessId]) -> PathSet {
         PathSet::from_iter_ids(ids.iter().copied())
@@ -336,40 +344,200 @@ mod tests {
             .collect()
     }
 
+    /// The memo as a map from union to best count, updated path by path — what the
+    /// sorted memo replaced. Exact, with no bound.
+    struct MapReference {
+        memo: HashMap<PathSet, u32>,
+        seen: Vec<PathSet>,
+    }
+
+    impl MapReference {
+        fn new() -> Self {
+            Self {
+                memo: HashMap::from([(PathSet::new(), 0)]),
+                seen: Vec::new(),
+            }
+        }
+
+        fn add(&mut self, path: &PathSet) {
+            if self.seen.contains(path) {
+                return;
+            }
+            self.seen.push(path.clone());
+            let additions: Vec<(PathSet, u32)> = self
+                .memo
+                .iter()
+                .filter(|(union, _)| union.is_disjoint(path))
+                .map(|(union, count)| (union.union(path), count + 1))
+                .collect();
+            for (union, count) in additions {
+                let known = self.memo.entry(union).or_insert(0);
+                *known = (*known).max(count);
+            }
+        }
+
+        fn best(&self) -> usize {
+            *self
+                .memo
+                .values()
+                .max()
+                .expect("the empty union is always there") as usize
+        }
+
+        /// Asserts `tracker`'s memo holds exactly these unions and counts, in strictly
+        /// increasing [`PathSet::cmp_numeric`] order.
+        fn assert_matches(&self, tracker: &DisjointPathTracker) {
+            let memo = tracker.memo();
+            assert_eq!(tracker.combination_count(), self.memo.len());
+            assert_eq!(memo.len(), self.memo.len());
+            assert!(memo.windows(2).all(|w| w[0].0.cmp_numeric(&w[1].0).is_lt()));
+            for (union, count) in &memo {
+                assert_eq!(self.memo.get(union), Some(count), "{union:?}");
+            }
+        }
+    }
+
+    /// The saturation rule of [`DEFAULT_MAX_COMBINATIONS`] written as plainly as
+    /// possible: every candidate union, in increasing [`PathSet::cmp_numeric`] order,
+    /// raises the memoized union equal to it, or joins the memo while it holds fewer than
+    /// `bound` unions. Returns the largest candidate count, which is what the tracker's
+    /// best count grows to.
+    fn spec_add(memo: &mut Vec<(PathSet, u32)>, path: &PathSet, bound: usize) -> usize {
+        let mut candidates: Vec<(PathSet, u32)> = memo
+            .iter()
+            .filter(|(union, _)| union.is_disjoint(path))
+            .map(|(union, count)| (union.union(path), count + 1))
+            .collect();
+        candidates.sort_by(|a, b| a.0.cmp_numeric(&b.0));
+        let mut best = 0;
+        for (union, count) in candidates {
+            best = best.max(count as usize);
+            if let Some((_, known)) = memo.iter_mut().find(|(known, _)| *known == union) {
+                *known = (*known).max(count);
+            } else if memo.len() < bound {
+                memo.push((union, count));
+            }
+        }
+        memo.sort_by(|a, b| a.0.cmp_numeric(&b.0));
+        best
+    }
+
+    /// The most pairwise node-disjoint paths among `paths`, by exhaustive search over
+    /// their subsets.
+    fn max_packing(paths: &[PathSet], used: &PathSet) -> usize {
+        let Some((first, rest)) = paths.split_first() else {
+            return 0;
+        };
+        let without = max_packing(rest, used);
+        if first.is_disjoint(used) {
+            without.max(1 + max_packing(rest, &used.union(first)))
+        } else {
+            without
+        }
+    }
+
     #[test]
     fn memo_matches_the_hash_map_formulation_below_saturation() {
-        use std::collections::HashMap;
-        // The memo as a map from union to best count, updated path by path — what the
-        // sorted vector replaced. Ids up to 139 mix one-, two- and three-word sets.
-        let mut reference = HashMap::from([(PathSet::new(), 0u32)]);
-        let mut seen: Vec<PathSet> = Vec::new();
+        // Ids up to 139 mix one-, two- and three-word sets.
+        let mut reference = MapReference::new();
         let mut t = DisjointPathTracker::with_max_combinations(usize::MAX);
         for path in pseudo_random_paths(24, 140, 11) {
-            if !seen.contains(&path) {
-                seen.push(path.clone());
-                let additions: Vec<(PathSet, u32)> = reference
-                    .iter()
-                    .filter(|(union, _)| union.is_disjoint(&path))
-                    .map(|(union, count)| (union.union(&path), count + 1))
-                    .collect();
-                for (union, count) in additions {
-                    let known = reference.entry(union).or_insert(0);
-                    *known = (*known).max(count);
-                }
-            }
+            reference.add(&path);
             let best = t.add_path(path, 0);
-            assert_eq!(best, *reference.values().max().unwrap() as usize);
-            assert_eq!(t.combination_count(), reference.len());
-            assert!(t
-                .combos
-                .windows(2)
-                .all(|w| w[0].0.cmp_numeric(&w[1].0).is_lt()));
-            for (union, count) in &t.combos {
-                assert_eq!(reference.get(union), Some(count), "{union:?}");
-            }
+            assert_eq!(best, reference.best());
+            reference.assert_matches(&t);
         }
         assert!(!t.is_saturated());
         assert!(t.combination_count() > 1_000, "a non-trivial memo");
+    }
+
+    /// One step of a generated path sequence: a fresh path, or a repeat of an earlier
+    /// one (the tracker must ignore it).
+    #[derive(Debug, Clone)]
+    enum Step {
+        Fresh(PathSet),
+        Repeat(usize),
+    }
+
+    /// A fresh path of 0..=4 ids drawn around the one-, two- and three-word boundaries.
+    /// A nonzero `widen` id is inserted and removed again: the members stay, the set is
+    /// wider, and it is a different stored path.
+    fn fresh_path() -> impl Strategy<Value = Step> {
+        let id = prop_oneof![0usize..8, 60usize..68, 126usize..134];
+        let widen = prop_oneof![Just(0usize), Just(0usize), 64usize..200];
+        (proptest::collection::vec(id, 0..5), widen).prop_map(|(ids, widen)| {
+            let mut path = PathSet::from_iter_ids(ids);
+            if widen != 0 && path.insert(widen) {
+                path.remove(widen);
+            }
+            Step::Fresh(path)
+        })
+    }
+
+    /// Sequences of up to 13 steps, one in three a repeat.
+    fn path_sequences() -> impl Strategy<Value = Vec<Step>> {
+        let repeat = (0usize..13).prop_map(Step::Repeat);
+        proptest::collection::vec(prop_oneof![fresh_path(), fresh_path(), repeat], 0..14)
+    }
+
+    fn paths_of(steps: Vec<Step>) -> Vec<PathSet> {
+        let mut paths: Vec<PathSet> = Vec::new();
+        for step in steps {
+            match step {
+                Step::Fresh(path) => paths.push(path),
+                Step::Repeat(i) if !paths.is_empty() => paths.push(paths[i % paths.len()].clone()),
+                Step::Repeat(_) => {}
+            }
+        }
+        paths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256)
+            .with_rng_seed(0xD15_0147_0AC1E)
+            .with_failure_persistence(FileFailurePersistence::SourceParallel("proptest-regressions")))]
+
+        /// After every `add_path` the unbounded memo holds exactly the hash-map
+        /// formulation's unions and counts, and its best count is the exhaustive maximum
+        /// packing of the distinct paths seen so far.
+        #[test]
+        fn memo_is_exact_against_brute_force_packing(steps in path_sequences()) {
+            let mut tracker = DisjointPathTracker::new();
+            let mut reference = MapReference::new();
+            for path in paths_of(steps) {
+                reference.add(&path);
+                let best = tracker.add_path(path, 0);
+                prop_assert!(!tracker.is_saturated());
+                prop_assert_eq!(tracker.path_count(), reference.seen.len());
+                prop_assert_eq!(best, max_packing(&reference.seen, &PathSet::new()));
+                prop_assert_eq!(best, reference.best());
+                reference.assert_matches(&tracker);
+            }
+        }
+
+        /// Under small bounds the memo follows the saturation rule exactly, so it is one
+        /// lower bound, the same on every replay.
+        #[test]
+        fn small_bounds_give_one_replayable_lower_bound(steps in path_sequences()) {
+            let paths = paths_of(steps);
+            for bound in [1, 2, 3, 5, 8] {
+                let mut tracker = DisjointPathTracker::with_max_combinations(bound);
+                let mut spec = vec![(PathSet::new(), 0u32)];
+                let mut spec_best = 0;
+                let mut seen: Vec<PathSet> = Vec::new();
+                for path in &paths {
+                    if !seen.contains(path) {
+                        seen.push(path.clone());
+                        spec_best = spec_best.max(spec_add(&mut spec, path, bound));
+                    }
+                    let best = tracker.add_path(path.clone(), 0);
+                    prop_assert_eq!(best, spec_best);
+                    prop_assert!(best <= max_packing(&seen, &PathSet::new()));
+                    prop_assert_eq!(&tracker.memo(), &spec);
+                    prop_assert!(tracker.combination_count() <= bound);
+                }
+            }
+        }
     }
 
     #[test]
@@ -407,7 +575,7 @@ mod tests {
         assert_eq!(t.add_path(ps(&[2]), 2), 2);
         assert!(t.is_saturated());
         assert_eq!(
-            t.combos,
+            t.memo(),
             vec![(ps(&[]), 0), (ps(&[1]), 1), (ps(&[1, 2]), 2)]
         );
     }

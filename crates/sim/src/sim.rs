@@ -15,22 +15,23 @@
 //!
 //! Four structural choices keep the per-event cost low enough for large parameter sweeps:
 //!
-//! * in-flight messages are reference-counted ([`Arc`]): scheduling `c` copies of a
-//!   message performs `c` pointer clones instead of `c` deep clones, and the deep value is
-//!   recovered without copying when the last copy is dispatched;
-//! * the queue keeps one vector per timestamp, appended to in scheduling order and sorted
-//!   by `(from, to, seq)` only when the clock reaches it; a binary heap takes just the
-//!   sends that land before the newest timestamp (asynchronous delays). Under constant
-//!   delays a send is one `Vec::push` and a whole wave costs one sort;
-//! * same-timestamp events are drained in one pass ([`Simulation::step_batch`]): the
-//!   drained bucket becomes the batch buffer and the previous batch buffer becomes a
-//!   later bucket, so the steady state allocates no queue storage, and every handled
-//!   event writes its actions into one reusable sink;
+//! * in-flight messages are held by value: scheduling a send moves the engine's message
+//!   into the queue and dispatching moves it into the destination engine, so a frame
+//!   costs no allocation of its own; only a duplicating behaviour's extra copies clone;
+//! * the queue keeps one vector per timestamp, appended to in scheduling order and put in
+//!   `(from, to, seq)` order only when the clock reaches it, by a stable counting sort of
+//!   its indices (linear in the wave plus its range of ids); a binary heap takes just the
+//!   sends that land before the newest timestamp (asynchronous delays), and its events
+//!   for the instant are merged in. Under constant delays a send is one `Vec::push`;
+//! * same-timestamp events are drained in one pass ([`Simulation::step_batch`]) into a
+//!   reused batch buffer, and drained buckets are kept for later timestamps, so the
+//!   steady state allocates no queue storage, and every handled event writes its actions
+//!   into one reusable sink;
 //! * per-kind diagnostic labels are interned per message discriminant, so the hot send
 //!   path never formats a message's `Debug` representation more than once per kind.
 //!
-//! What is left per event is the `Arc` of each message sent and whatever the engine
-//! allocates; `tests/alloc_budget.rs` holds the two together to a committed budget.
+//! What is left per event is whatever the engine allocates; `tests/alloc_budget.rs` holds
+//! it to a committed budget.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -565,13 +566,10 @@ where
         if !self.behaviors[event.to].receives() {
             return;
         }
-        // Recover the message without copying when this is the last scheduled copy; only
-        // fan-out destinations that actually receive pay for a deep clone.
-        let message = Arc::try_unwrap(event.message).unwrap_or_else(|shared| (*shared).clone());
         let mut actions = std::mem::take(&mut self.actions);
         actions.clear();
         self.processes[event.to].note_time(self.now.as_micros() / 1_000);
-        self.processes[event.to].handle_message_into(event.from, message, &mut actions);
+        self.processes[event.to].handle_message_into(event.from, event.message, &mut actions);
         self.schedule_actions(event.to, &mut actions);
         self.actions = actions;
     }
@@ -631,11 +629,12 @@ where
                         .kind_labels
                         .entry(discriminant(&message))
                         .or_insert_with(|| kind_label(&message));
-                    let message = Arc::new(message);
                     // Per-directed-link delay override: the extra rides on top of every
                     // sampled copy delay, matching the live ChurnLink's extra delay line.
                     let extra = SimTime::from_micros(self.link_state.extra_delay_micros(from, to));
-                    for _ in 0..copies {
+                    // The last copy is the message itself: only a duplicating behaviour's
+                    // extra copies clone it.
+                    for message in std::iter::repeat_n(message, copies) {
                         self.metrics.record_send(label, bytes);
                         self.tracer
                             .emit_frame(from, brb_trace::TraceEventKind::FrameSent { to, bytes });
@@ -645,7 +644,7 @@ where
                             from,
                             to,
                             seq: self.next_seq,
-                            message: Arc::clone(&message),
+                            message,
                         };
                         self.next_seq += 1;
                         self.queue.push(event);
@@ -776,6 +775,57 @@ mod tests {
         assert_eq!(sim.metrics().delivered_count(id, &correct), correct.len());
     }
 
+    /// Sends every broadcast payload to process 1, and records what it receives.
+    struct Recorder {
+        id: ProcessId,
+        received: Vec<(ProcessId, Payload)>,
+    }
+
+    impl Protocol for Recorder {
+        type Message = Payload;
+
+        fn process_id(&self) -> ProcessId {
+            self.id
+        }
+
+        fn broadcast_into(&mut self, payload: Payload, out: &mut ActionBuf<Payload>) {
+            out.send(1, payload);
+        }
+
+        fn handle_message_into(&mut self, from: ProcessId, m: Payload, _: &mut ActionBuf<Payload>) {
+            self.received.push((from, m));
+        }
+
+        fn deliveries(&self) -> &[Delivery] {
+            &[]
+        }
+
+        fn message_size(message: &Payload) -> usize {
+            message.len()
+        }
+    }
+
+    #[test]
+    fn replayer_copies_both_arrive_with_equal_messages() {
+        let processes = (0..2)
+            .map(|id| Recorder {
+                id,
+                received: Vec::new(),
+            })
+            .collect();
+        let mut sim = Simulation::new(processes, DelayModel::synchronous(), 5);
+        sim.set_behavior(0, Behavior::Replayer);
+        let payload = Payload::from("replayed");
+        sim.broadcast(0, payload.clone());
+        assert_eq!(sim.pending_events(), 2, "one send, two copies in flight");
+        sim.run_to_quiescence();
+        assert_eq!(sim.metrics().messages_sent, 2);
+        assert_eq!(
+            sim.processes()[1].received,
+            vec![(0, payload.clone()), (0, payload)]
+        );
+    }
+
     #[test]
     fn deterministic_for_fixed_seed() {
         let config = Config::bandwidth_preset(10, 1);
@@ -864,7 +914,7 @@ mod tests {
             from,
             to,
             seq,
-            message: Arc::new(0u8),
+            message: 0u8,
         }
     }
 

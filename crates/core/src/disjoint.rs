@@ -13,6 +13,15 @@
 //! A message received **directly from the source** over the authenticated link is a path
 //! with an empty set of intermediate nodes; it is disjoint from every other path and, when
 //! modification MD.1 is enabled, short-circuits the whole computation.
+//!
+//! **Memo layout.** The memo is one flat `u64` array sorted by [`PathSet::cmp_numeric`],
+//! a fixed number of words per entry: the union's words, as many as the widest path seen
+//! (zero past the union's own width), then one word holding the union's width and its
+//! count. The width is kept because [`PathSet`] equality sees it: a union that once held
+//! a high identifier is a different union from the narrower one with the same members,
+//! exactly as a map keyed by [`PathSet`] would tell them apart. Adding a path reads the
+//! memo once and writes the merged memo into a second buffer the tracker owns, then
+//! swaps the two, so a call allocates nothing once the buffers have grown.
 
 use crate::pathset::PathSet;
 use crate::types::ProcessId;
@@ -41,7 +50,9 @@ pub const DEFAULT_MAX_COMBINATIONS: usize = 50_000;
 pub struct DisjointPathTracker {
     /// Memoized combinations: union of intermediate nodes and the maximum number of
     /// disjoint paths achieving exactly that union, sorted by [`PathSet::cmp_numeric`].
-    combos: Vec<(PathSet, u32)>,
+    memo: Memo,
+    /// The buffers the next merge writes into; swapped with `memo` after each merge.
+    spare: Memo,
     /// All distinct paths received so far (used to avoid re-adding duplicates).
     paths: Vec<PathSet>,
     /// Running footprint of `paths` (see [`path_footprint`]), so the memory proxy never
@@ -51,10 +62,103 @@ pub struct DisjointPathTracker {
     best: usize,
     /// Whether the content was received directly from its source.
     direct: bool,
-    /// Bound on `combos` size before the tracker degrades to greedy extension.
+    /// Bound on the memo's size before the tracker degrades to greedy extension.
     max_combinations: usize,
     /// Whether the bound was hit at least once (statistics / debugging).
     saturated: bool,
+}
+
+/// The memo in one flat word array, `stride + 1` words per entry: a union's words, zero
+/// past its own width, then one word holding that width (a [`PathSet`]'s word count,
+/// which its equality and order see) in the high half and the union's count in the low
+/// half.
+#[derive(Debug, Clone)]
+struct Memo {
+    /// Words per union: the widest union or path seen so far, at least one.
+    stride: usize,
+    slots: Vec<u64>,
+}
+
+impl Memo {
+    fn empty(stride: usize) -> Self {
+        Self {
+            stride,
+            slots: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() / (self.stride + 1)
+    }
+
+    fn union(&self, i: usize) -> &[u64] {
+        &self.slots[i * (self.stride + 1)..][..self.stride]
+    }
+
+    fn tag(&self, i: usize) -> u64 {
+        self.slots[i * (self.stride + 1) + self.stride]
+    }
+
+    fn tag_of(width: u32, count: u32) -> u64 {
+        (u64::from(width) << 32) | u64::from(count)
+    }
+
+    fn width(&self, i: usize) -> u32 {
+        (self.tag(i) >> 32) as u32
+    }
+
+    fn count(&self, i: usize) -> u32 {
+        self.tag(i) as u32
+    }
+
+    /// Raises union `i`'s count to at least `count`.
+    fn raise(&mut self, i: usize, count: u32) {
+        let raised = Self::tag_of(self.width(i), self.count(i).max(count));
+        self.slots[i * (self.stride + 1) + self.stride] = raised;
+    }
+
+    /// Appends `a ∪ b` as `width` words wide, reached by `count` paths. `b` may be
+    /// narrower than the stride.
+    fn push_union(&mut self, a: &[u64], b: &[u64], width: u32, count: u32) {
+        self.slots
+            .extend((0..self.stride).map(|k| word(a, k) | word(b, k)));
+        self.slots.push(Self::tag_of(width, count));
+    }
+
+    /// Appends `from`'s union `i` (of the same stride), reached by `count` paths.
+    fn push_entry(&mut self, from: &Memo, i: usize, count: u32) {
+        self.slots.extend_from_slice(from.union(i));
+        self.slots.push(Self::tag_of(from.width(i), count));
+    }
+
+    /// Empties the memo and sets its stride, keeping its allocation.
+    fn reset(&mut self, stride: usize) {
+        self.stride = stride;
+        self.slots.clear();
+    }
+}
+
+/// Word `k` of a set stored as `words`, zero past its end.
+fn word(words: &[u64], k: usize) -> u64 {
+    words.get(k).copied().unwrap_or(0)
+}
+
+/// [`PathSet::cmp_numeric`] between the stored union `a` (`a_width` words wide) and the
+/// union of `b` and `p` (`union_width` words wide), without building the latter.
+fn cmp_with_union(
+    a: &[u64],
+    a_width: u32,
+    b: &[u64],
+    p: &[u64],
+    union_width: u32,
+) -> std::cmp::Ordering {
+    for k in (0..a.len()).rev() {
+        let union = b[k] | word(p, k);
+        if a[k] != union {
+            return a[k].cmp(&union);
+        }
+    }
+    a_width.cmp(&union_width)
 }
 
 impl Default for DisjointPathTracker {
@@ -71,8 +175,11 @@ impl DisjointPathTracker {
 
     /// Creates a tracker with a custom combination bound.
     pub fn with_max_combinations(max_combinations: usize) -> Self {
+        let mut memo = Memo::empty(1);
+        memo.push_union(&[], &[], 0, 0);
         Self {
-            combos: vec![(PathSet::new(), 0)],
+            memo,
+            spare: Memo::empty(1),
             paths: Vec::new(),
             path_bytes: 0,
             best: 0,
@@ -96,7 +203,7 @@ impl DisjointPathTracker {
     /// Number of memoized combinations currently stored (a proxy for the verification
     /// memory the paper measures in Sec. 7.3).
     pub fn combination_count(&self) -> usize {
-        self.combos.len()
+        self.memo.len()
     }
 
     /// Whether the combination bound was reached (the result may then be a lower bound).
@@ -138,41 +245,75 @@ impl DisjointPathTracker {
             return self.best_disjoint();
         }
         self.path_bytes += path_footprint(&path);
-
-        // Combine the new path with every memoized combination it is disjoint from. The
-        // memo is sorted and a disjoint union is an integer sum, so the candidates come
-        // out sorted too (equal ones adjacent): one linear merge folds them back in.
-        let candidates: Vec<(PathSet, u32)> = self
-            .combos
-            .iter()
-            .filter(|(union, _)| union.is_disjoint(&path))
-            .map(|(union, count)| (union.union(&path), count + 1))
-            .collect();
+        if path.words().len() > self.memo.stride {
+            self.widen(path.words().len());
+        }
+        self.merge(path.words());
         self.paths.push(path);
-        let memoized = std::mem::take(&mut self.combos);
-        let mut size = memoized.len();
-        let mut merged: Vec<(PathSet, u32)> = Vec::with_capacity(size + candidates.len());
-        let mut memoized = memoized.into_iter().peekable();
-        for (union, count) in candidates {
-            while let Some(entry) = memoized.next_if(|(known, _)| known.cmp_numeric(&union).is_le())
-            {
-                merged.push(entry);
+        self.best_disjoint()
+    }
+
+    /// Combines `path` with every memoized union it is disjoint from, in one pass.
+    ///
+    /// The memo is sorted and a disjoint union is an integer sum, so the candidates come
+    /// out sorted too, equal ones adjacent: each is merged into the output right after
+    /// the memoized unions below it. A candidate equal to a memoized union or to the
+    /// candidate before it raises that one's count; a new one joins while the memo holds
+    /// fewer than the bound.
+    fn merge(&mut self, path: &[u64]) {
+        let path_width = u32::try_from(path.len()).expect("a path set's width fits in u32");
+        let (memo, out) = (&self.memo, &mut self.spare);
+        out.reset(memo.stride);
+        let mut size = memo.len();
+        let mut copied = 0;
+        for j in 0..memo.len() {
+            let base = memo.union(j);
+            if base.iter().zip(path).any(|(a, b)| a & b != 0) {
+                continue;
             }
+            let width = memo.width(j).max(path_width);
+            let count = memo.count(j) + 1;
             self.best = self.best.max(count as usize);
-            match merged.last_mut() {
-                Some((last, known)) if *last == union => *known = (*known).max(count),
-                _ if size < self.max_combinations => {
-                    merged.push((union, count));
-                    size += 1;
-                }
+            let last = out.len().wrapping_sub(1);
+            if out.len() > 0
+                && cmp_with_union(out.union(last), out.width(last), base, path, width).is_eq()
+            {
+                out.raise(last, count);
+                continue;
+            }
+            while copied < memo.len()
+                && cmp_with_union(memo.union(copied), memo.width(copied), base, path, width).is_lt()
+            {
+                out.push_entry(memo, copied, memo.count(copied));
+                copied += 1;
+            }
+            if copied < memo.len()
+                && cmp_with_union(memo.union(copied), memo.width(copied), base, path, width).is_eq()
+            {
+                out.push_entry(memo, copied, memo.count(copied).max(count));
+                copied += 1;
+            } else if size < self.max_combinations {
+                out.push_union(base, path, width, count);
+                size += 1;
+            } else {
                 // Greedy fallback: the best count is tracked even though the union is
                 // not memoized.
-                _ => self.saturated = true,
+                self.saturated = true;
             }
         }
-        merged.extend(memoized);
-        self.combos = merged;
-        self.best_disjoint()
+        let tail = copied * (memo.stride + 1);
+        out.slots.extend_from_slice(&memo.slots[tail..]);
+        std::mem::swap(&mut self.memo, &mut self.spare);
+    }
+
+    /// Re-lays the memo out `stride` words per union.
+    fn widen(&mut self, stride: usize) {
+        let (memo, out) = (&self.memo, &mut self.spare);
+        out.reset(stride);
+        for i in 0..memo.len() {
+            out.push_union(memo.union(i), &[], memo.width(i), memo.count(i));
+        }
+        std::mem::swap(&mut self.memo, &mut self.spare);
     }
 
     /// Drops all memoized state (used by MD.2: once delivered, the stored paths are no
@@ -180,27 +321,41 @@ impl DisjointPathTracker {
     pub fn clear_paths(&mut self) {
         self.paths = Vec::new();
         self.path_bytes = 0;
-        self.combos = Vec::new();
+        self.memo = Memo::empty(self.memo.stride);
+        self.spare = Memo::empty(self.memo.stride);
     }
 
     /// Approximate number of bytes of protocol state held by this tracker (used by the
     /// Sec. 7.3 memory-consumption proxy). Constant time: the path share is a running
     /// total.
     pub fn approx_memory_bytes(&self) -> usize {
-        self.path_bytes + 24 * self.combos.len()
+        self.path_bytes + 24 * self.memo.len()
     }
 
     /// The memo as `(union, count)` pairs in memo order.
     #[cfg(test)]
     pub(crate) fn memo(&self) -> Vec<(PathSet, u32)> {
-        self.combos.clone()
+        (0..self.memo.len())
+            .map(|i| {
+                let words = self.memo.union(i);
+                let mut union = PathSet::from_iter_ids(
+                    (0..64 * words.len()).filter(|&id| words[id / 64] & (1 << (id % 64)) != 0),
+                );
+                // Widen to the stored width: PathSet equality sees it.
+                let width = self.memo.width(i) as usize;
+                if width > 0 && union.insert(64 * width - 1) {
+                    union.remove(64 * width - 1);
+                }
+                (union, self.memo.count(i))
+            })
+            .collect()
     }
 
     /// Reference for [`DisjointPathTracker::approx_memory_bytes`]: the same figure
     /// recomputed from every stored path.
     #[cfg(test)]
     pub(crate) fn walk_memory_bytes(&self) -> usize {
-        self.paths.iter().map(path_footprint).sum::<usize>() + 24 * self.combos.len()
+        self.paths.iter().map(path_footprint).sum::<usize>() + 24 * self.memo.len()
     }
 }
 

@@ -60,8 +60,9 @@ impl PathSet {
         s
     }
 
+    /// The set's words, identifier 0 in bit 0 of word 0; as many as its width.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match &self.0 {
             Words::Inline { len, words } => &words[..usize::from(*len)],
             Words::Heap(words) => words,

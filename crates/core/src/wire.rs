@@ -40,6 +40,10 @@ pub const FIELD_PAYLOAD_SIZE: usize = 4;
 /// Size in bytes of the `pathLen` field.
 pub const FIELD_PATH_LEN: usize = 2;
 
+/// Length of a binary frame's fixed header: tag and presence bytes, then `s`, `bid`,
+/// `erId1`, `erId2`, the local payload ID and `payloadSize`, four bytes each.
+const HEADER_LEN: usize = 2 + 6 * 4;
+
 /// Message types exchanged by the Bracha–Dolev combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MessageKind {
@@ -221,7 +225,6 @@ impl WireMessage {
     /// Appends the frame encoding of [`WireMessage::encode`] to an existing buffer —
     /// the arena-backed path, staging a whole burst of frames in one allocation.
     pub fn encode_into(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.kind.tag());
         let mut mask = 0u8;
         if self.fields.source {
             mask |= 1;
@@ -238,35 +241,40 @@ impl WireMessage {
         if self.fields.path {
             mask |= 1 << 4;
         }
-        match &self.payload {
-            PayloadRef::Inline(_) => mask |= 1 << 5,
-            PayloadRef::Announce { .. } => mask |= 1 << 6,
-            PayloadRef::Local(_) => mask |= 1 << 7,
-        }
-        buf.put_u8(mask);
-        // The logical identifiers are always encoded so that decoding does not need any
-        // out-of-band context; `wire_size` (not the encoded length) is what the experiment
-        // harness accounts.
-        buf.put_u32(self.id.source as u32);
-        buf.put_u32(self.id.seq);
-        buf.put_u32(self.originator as u32);
-        buf.put_u32(self.originator2.map(|p| p as u32).unwrap_or(u32::MAX));
-        match &self.payload {
+        let (local_id, payload) = match &self.payload {
             PayloadRef::Inline(p) => {
-                buf.put_u32(0);
-                buf.put_u32(p.len() as u32);
-                buf.put_slice(p.as_bytes());
+                mask |= 1 << 5;
+                (0, Some(p))
             }
             PayloadRef::Announce { local_id, payload } => {
-                buf.put_u32(*local_id);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload.as_bytes());
+                mask |= 1 << 6;
+                (*local_id, Some(payload))
             }
             PayloadRef::Local(id) => {
-                buf.put_u32(*id);
-                buf.put_u32(0);
+                mask |= 1 << 7;
+                (*id, None)
             }
+        };
+        let payload = payload.map(Payload::as_bytes).unwrap_or_default();
+        // The logical identifiers are always encoded so that decoding does not need any
+        // out-of-band context; `wire_size` (not the encoded length) is what the experiment
+        // harness accounts. The fixed header goes out as one block.
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = self.kind.tag();
+        header[1] = mask;
+        let fields = [
+            self.id.source as u32,
+            self.id.seq,
+            self.originator as u32,
+            self.originator2.map(|p| p as u32).unwrap_or(u32::MAX),
+            local_id,
+            payload.len() as u32,
+        ];
+        for (slot, field) in header[2..].chunks_exact_mut(4).zip(fields) {
+            slot.copy_from_slice(&field.to_be_bytes());
         }
+        buf.put_slice(&header);
+        buf.put_slice(payload);
         buf.put_u16(self.path.len() as u16);
         for &p in &self.path {
             buf.put_u32(p as u32);
@@ -276,21 +284,20 @@ impl WireMessage {
     /// Decodes a frame produced by [`WireMessage::encode`].
     ///
     /// Returns `None` if the frame is malformed.
-    pub fn decode(mut frame: &[u8]) -> Option<Self> {
-        if frame.remaining() < 2 {
-            return None;
-        }
-        let kind = MessageKind::from_tag(frame.get_u8())?;
-        let mask = frame.get_u8();
-        if frame.remaining() < 4 * 4 + 4 + 4 {
-            return None;
-        }
-        let source = frame.get_u32() as ProcessId;
-        let seq = frame.get_u32();
-        let originator = frame.get_u32() as ProcessId;
-        let originator2_raw = frame.get_u32();
-        let local_id = frame.get_u32();
-        let payload_len = frame.get_u32() as usize;
+    pub fn decode(frame: &[u8]) -> Option<Self> {
+        let (header, mut frame) = frame.split_first_chunk::<HEADER_LEN>()?;
+        let kind = MessageKind::from_tag(header[0])?;
+        let mask = header[1];
+        let field = |i: usize| {
+            let at = 2 + 4 * i;
+            u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+        };
+        let source = field(0) as ProcessId;
+        let seq = field(1);
+        let originator = field(2) as ProcessId;
+        let originator2_raw = field(3);
+        let local_id = field(4);
+        let payload_len = field(5) as usize;
         if frame.remaining() < payload_len {
             return None;
         }
@@ -567,6 +574,28 @@ mod tests {
                 assert_eq!(decoded, m);
             }
         }
+    }
+
+    #[test]
+    fn frame_layout_is_pinned_byte_for_byte() {
+        let mut expected = vec![1, 0b0011_0111];
+        for field in [3u32, 7, 5, u32::MAX, 0, 16] {
+            expected.extend(field.to_be_bytes());
+        }
+        expected.extend([1; 16]);
+        expected.extend([0, 2, 0, 0, 0, 2, 0, 0, 0, 9]);
+        assert_eq!(sample_message().encode().to_vec(), expected);
+        let mut local = sample_message();
+        local.kind = MessageKind::ReadyEcho;
+        local.originator2 = Some(4);
+        local.payload = PayloadRef::Local(6);
+        local.path.clear();
+        let mut expected = vec![4, 0b1001_1111];
+        for field in [3u32, 7, 5, 4, 6, 0] {
+            expected.extend(field.to_be_bytes());
+        }
+        expected.extend([0, 0]);
+        assert_eq!(local.encode().to_vec(), expected);
     }
 
     #[test]

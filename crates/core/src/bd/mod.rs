@@ -28,13 +28,12 @@
 
 mod state;
 
-use std::collections::{HashMap, HashSet};
-
 use crate::bracha::{self, BrachaKind, IdRecord, Triggers};
 use crate::config::{Config, MbdFlags};
 use crate::dolev::{DolevInstance, Hop, Local};
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState, RetiredSet};
+use crate::hash::{WordMap, WordSet};
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::quorum;
@@ -63,24 +62,24 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct BdProcess {
     node: Node,
-    contents: HashMap<Content, ContentState>,
+    contents: WordMap<Content, ContentState>,
     next_seq: u32,
     // --- MBD.1 link-local payload identifier state ---
     /// Local identifier chosen by this process for each known content.
-    my_local_ids: HashMap<Content, LocalPayloadId>,
+    my_local_ids: WordMap<Content, LocalPayloadId>,
     next_local_id: LocalPayloadId,
     /// Links on which a given local identifier has already been announced.
-    announced: HashSet<(ProcessId, LocalPayloadId)>,
+    announced: WordSet<(ProcessId, LocalPayloadId)>,
     /// Contents announced by each neighbor under each of its local identifiers.
-    peer_contents: HashMap<(ProcessId, LocalPayloadId), Content>,
+    peer_contents: WordMap<(ProcessId, LocalPayloadId), Content>,
     /// Messages referencing a still-unknown local identifier, waiting for the announcement.
-    pending: HashMap<(ProcessId, LocalPayloadId), Vec<WireMessage>>,
+    pending: WordMap<(ProcessId, LocalPayloadId), Vec<WireMessage>>,
     // --- instance GC state ---
     /// Per-peer local identifiers whose content has been retired: a late
     /// [`PayloadRef::Local`] naming one of them is dropped instead of queueing in
     /// `pending` forever. Peers allocate local identifiers sequentially, so the markers
     /// compact into a watermark exactly like retired broadcast sequence numbers.
-    retired_peer_refs: HashMap<ProcessId, RetiredSet>,
+    retired_peer_refs: WordMap<ProcessId, RetiredSet>,
     /// Running memory proxy: every [`ContentState::footprint`] in `contents` plus the
     /// wire size of every message queued in `pending`.
     footprint: Footprint,
@@ -114,14 +113,14 @@ impl BdProcess {
                 gc: GcState::new(config.gc),
                 tracer: brb_trace::Tracer::disabled(),
             },
-            contents: HashMap::new(),
+            contents: WordMap::default(),
             next_seq: 0,
-            my_local_ids: HashMap::new(),
+            my_local_ids: WordMap::default(),
             next_local_id: 0,
-            announced: HashSet::new(),
-            peer_contents: HashMap::new(),
-            pending: HashMap::new(),
-            retired_peer_refs: HashMap::new(),
+            announced: WordSet::default(),
+            peer_contents: WordMap::default(),
+            pending: WordMap::default(),
+            retired_peer_refs: WordMap::default(),
             footprint: Footprint::ZERO,
             planned: Vec::new(),
             group: Vec::new(),

@@ -40,11 +40,10 @@
 //!
 //! `tests/equivocation.rs` runs the attack against every engine.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::gc::{GcPolicy, GcState};
+use crate::hash::WordMap;
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::quorum;
@@ -136,7 +135,7 @@ impl Step {
 /// by GC, and not counted in `state_bytes`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct IdRecord {
-    acted: HashMap<BroadcastId, Acted>,
+    acted: WordMap<BroadcastId, Acted>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -262,7 +261,7 @@ pub(crate) struct BrachaLayer {
     pub(crate) id: ProcessId,
     n: usize,
     f: usize,
-    instances: HashMap<Content, BrachaInstance>,
+    instances: WordMap<Content, BrachaInstance>,
     /// Running sum of [`BrachaLayer::content_bytes`] over `instances`.
     bytes: usize,
     ids: IdRecord,
@@ -287,7 +286,7 @@ impl BrachaLayer {
             id,
             n,
             f,
-            instances: HashMap::new(),
+            instances: WordMap::default(),
             bytes: 0,
             ids: IdRecord::default(),
             deliveries: Vec::new(),

@@ -17,12 +17,13 @@
 //! itself, but it can replace Dolev's layer under a Bracha combination when the local
 //! fault assumption holds.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
+use crate::hash::WordMap;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
 use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
@@ -66,7 +67,7 @@ impl CpaState {
 
 /// Looks up the state of `content`, creating (and counting) it on first sight.
 fn state_entry<'a>(
-    states: &'a mut HashMap<Content, CpaState>,
+    states: &'a mut WordMap<Content, CpaState>,
     total: &mut Footprint,
     content: &Content,
 ) -> &'a mut CpaState {
@@ -87,7 +88,7 @@ pub struct CpaProcess {
     /// Maximum number of Byzantine processes among any process's neighbors.
     t_local: usize,
     neighbors: Vec<ProcessId>,
-    states: HashMap<Content, CpaState>,
+    states: WordMap<Content, CpaState>,
     /// Running sum of [`CpaState::footprint`] over `states`.
     footprint: Footprint,
     deliveries: Vec<Delivery>,
@@ -105,7 +106,7 @@ impl CpaProcess {
             n,
             t_local,
             neighbors,
-            states: HashMap::new(),
+            states: WordMap::default(),
             footprint: Footprint::ZERO,
             deliveries: Vec::new(),
             next_seq: 0,

@@ -14,8 +14,8 @@
 //! with an empty set of intermediate nodes; it is disjoint from every other path and, when
 //! modification MD.1 is enabled, short-circuits the whole computation.
 //!
-//! **Memo layout.** The memo is one flat `u64` array sorted by [`PathSet::cmp_numeric`],
-//! a fixed number of words per entry: the union's words, as many as the widest path seen
+//! **Memo layout.** The memo is one flat `u64` array sorted in the numeric order of
+//! [`DEFAULT_MAX_COMBINATIONS`], a fixed number of words per entry: the union's words, as many as the widest path seen
 //! (zero past the union's own width), then one word holding the union's width and its
 //! count. The width is kept because [`PathSet`] equality sees it: a union that once held
 //! a high identifier is a different union from the narrower one with the same members,
@@ -49,7 +49,8 @@ pub const DEFAULT_MAX_COMBINATIONS: usize = 50_000;
 #[derive(Debug, Clone)]
 pub struct DisjointPathTracker {
     /// Memoized combinations: union of intermediate nodes and the maximum number of
-    /// disjoint paths achieving exactly that union, sorted by [`PathSet::cmp_numeric`].
+    /// disjoint paths achieving exactly that union, in increasing numeric order (see
+    /// [`DEFAULT_MAX_COMBINATIONS`]).
     memo: Memo,
     /// The buffers the next merge writes into; swapped with `memo` after each merge.
     spare: Memo,
@@ -143,8 +144,9 @@ fn word(words: &[u64], k: usize) -> u64 {
     words.get(k).copied().unwrap_or(0)
 }
 
-/// [`PathSet::cmp_numeric`] between the stored union `a` (`a_width` words wide) and the
-/// union of `b` and `p` (`union_width` words wide), without building the latter.
+/// The memo's numeric order (`PathSet::cmp_numeric`) between the stored union `a`
+/// (`a_width` words wide) and the union of `b` and `p` (`union_width` words wide),
+/// without building the latter.
 fn cmp_with_union(
     a: &[u64],
     a_width: u32,

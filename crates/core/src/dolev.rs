@@ -17,14 +17,13 @@
 //!   differences as arguments: direct delivery for single-hop Sends (MBD.2), the MBD.10
 //!   superpath filter, and the MBD.8/9 destination exclusions.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::config::Config;
 use crate::disjoint::DisjointPathTracker;
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
+use crate::hash::WordMap;
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
@@ -279,7 +278,7 @@ pub struct DolevProcess {
     /// `gc` the initial retention policy; the MBD flags are unused.
     config: Config,
     neighbors: Vec<ProcessId>,
-    instances: HashMap<Content, DolevInstance>,
+    instances: WordMap<Content, DolevInstance>,
     /// Running sum of [`DolevInstance::footprint`] over `instances`.
     footprint: Footprint,
     deliveries: Vec<Delivery>,
@@ -296,7 +295,7 @@ impl DolevProcess {
             id,
             config,
             neighbors,
-            instances: HashMap::new(),
+            instances: WordMap::default(),
             footprint: Footprint::ZERO,
             deliveries: Vec::new(),
             next_seq: 0,

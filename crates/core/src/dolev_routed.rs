@@ -21,7 +21,7 @@
 //! deployments drive it directly, and [`crate::bracha_rc::BrachaOverRc`] drives it as the
 //! RC substrate under a Bracha layer, reading its [`Action::Deliver`]s as RC deliveries.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use brb_graph::paths::k_disjoint_routes;
@@ -29,6 +29,7 @@ use brb_graph::Graph;
 
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
+use crate::hash::WordMap;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::types::{BroadcastId, Delivery, Payload, ProcessId};
 use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
@@ -75,7 +76,7 @@ impl RoutedDolevMessage {
 #[derive(Debug, Default, Clone)]
 struct RouteInstance {
     /// For each candidate payload, the set of predefined-route indices that carried it.
-    votes: HashMap<Payload, BTreeSet<usize>>,
+    votes: WordMap<Payload, BTreeSet<usize>>,
     delivered: bool,
 }
 
@@ -100,8 +101,8 @@ pub struct RoutedDolev {
     /// Routes from `origin` to `destination`, computed lazily and cached. Every process
     /// computes the same routes for a given pair because the route-selection algorithm is
     /// deterministic on the shared topology.
-    routes: HashMap<(ProcessId, ProcessId), Vec<Vec<ProcessId>>>,
-    instances: HashMap<(ProcessId, u32), RouteInstance>,
+    routes: WordMap<(ProcessId, ProcessId), Vec<Vec<ProcessId>>>,
+    instances: WordMap<(ProcessId, u32), RouteInstance>,
     /// Running memory proxy: [`RouteInstance::footprint`] over `instances`, plus 8 bytes
     /// per hop of every route cached in `routes`.
     footprint: Footprint,
@@ -124,8 +125,8 @@ impl RoutedDolev {
             id,
             f,
             graph,
-            routes: HashMap::new(),
-            instances: HashMap::new(),
+            routes: WordMap::default(),
+            instances: WordMap::default(),
             footprint: Footprint::ZERO,
             next_seq: 0,
             deliveries: Vec::new(),

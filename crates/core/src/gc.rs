@@ -46,10 +46,11 @@
 //! assert_eq!(gc.retired_count(), 1);
 //! ```
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
+use crate::hash::WordMap;
 use crate::types::{seq_local, seq_namespace, BroadcastId, BroadcastSeq, ProcessId};
 
 /// When a delivered broadcast instance may be retired.
@@ -188,7 +189,7 @@ pub struct GcState {
     /// not-yet-delivered namespace-0 instance of that source in one stroke. Each
     /// namespace is sequential on its own, so per-namespace sets keep the compactness
     /// the watermark design assumes.
-    retired: HashMap<(ProcessId, u32), RetiredSet>,
+    retired: WordMap<(ProcessId, u32), RetiredSet>,
     retired_count: u64,
 }
 
@@ -201,7 +202,7 @@ impl GcState {
             events: 0,
             now_ms: 0,
             pending: VecDeque::new(),
-            retired: HashMap::new(),
+            retired: WordMap::default(),
             retired_count: 0,
         }
     }

@@ -84,6 +84,7 @@ pub mod dolev;
 pub mod dolev_routed;
 mod footprint;
 pub mod gc;
+mod hash;
 pub mod pathset;
 pub mod protocol;
 pub mod quorum;

@@ -160,10 +160,12 @@ impl PathSet {
         union
     }
 
-    /// Total order used by the disjoint-path memo: by value as one big integer (word 0
-    /// least significant), then by word count. For disjoint `a`, `p` the union is the
-    /// integer sum, so `a < b` implies `a ∪ p <= b ∪ p`: combining a sorted sequence
-    /// with one path keeps it sorted.
+    /// Total order of the disjoint-path memo: by value as one big integer (word 0 least
+    /// significant), then by word count. For disjoint `a`, `p` the union is the integer
+    /// sum, so `a < b` implies `a ∪ p <= b ∪ p`: combining a sorted sequence with one
+    /// path keeps it sorted. The memo compares its flat words this way; this is the
+    /// reference its tests hold it to.
+    #[cfg(test)]
     pub(crate) fn cmp_numeric(&self, other: &PathSet) -> std::cmp::Ordering {
         let (a, b) = (self.words(), other.words());
         for i in (0..a.len().max(b.len())).rev() {

@@ -386,6 +386,16 @@ fn replayed_frames_of_retired_instances_agree_and_stay_bounded_across_backends()
         );
     }
 
+    // `run_workload` waits only for the correct sources' broadcasts. The comparison
+    // below covers the Replayer source's too, so each live backend also waits until it
+    // has streamed every delivery the simulator made before it shuts down.
+    let sim_deliveries: usize = sim_logs.iter().map(Vec::len).sum();
+    let rest_of = |run: &brb_runtime::WorkloadRun| {
+        sim_deliveries
+            .checked_sub(run.deliveries_seen)
+            .expect("a live backend delivers no more than the simulator")
+    };
+
     // 2. Channel runtime, GC flowing through the same `Config`.
     let options = DriverOptions::default().with_behaviors(behaviors.clone());
     let deployment = Deployment::start(&graph, config_gc, StackSpec::Bd, options.clone(), &[]);
@@ -396,8 +406,14 @@ fn replayed_frames_of_retired_instances_agree_and_stay_bounded_across_backends()
         &correct,
         Duration::from_secs(60),
     );
+    let rest = rest_of(&threaded_run);
+    let threaded_rest = deployment.await_deliveries(rest, Duration::from_secs(60));
     let threaded = deployment.shutdown();
     assert!(threaded_run.all_completed(), "{threaded_run:?}");
+    assert_eq!(
+        threaded_rest, rest,
+        "channel runtime: deliveries after the workload"
+    );
 
     // 3. TCP sockets over loopback.
     let deployment = TcpDeployment::start(&graph, config_gc, StackSpec::Bd, options, &[])
@@ -409,8 +425,11 @@ fn replayed_frames_of_retired_instances_agree_and_stay_bounded_across_backends()
         &correct,
         Duration::from_secs(60),
     );
+    let rest = rest_of(&tcp_run);
+    let tcp_rest = deployment.await_deliveries(rest, Duration::from_secs(60));
     let tcp = deployment.shutdown();
     assert!(tcp_run.all_completed(), "{tcp_run:?}");
+    assert_eq!(tcp_rest, rest, "TCP: deliveries after the workload");
 
     for (backend, report) in [("runtime", &threaded), ("tcp", &tcp)] {
         let retired: u64 = report.nodes.iter().map(|node| node.gc_retired).sum();

@@ -30,7 +30,9 @@
 #
 # Last, it builds the out-of-workspace benchmark package (benchmark/, BENCHMARK.json)
 # against the working tree and runs its contract / count / observer tests, so a crate
-# API change that breaks the benchmark fails here rather than in the benchmark pipeline.
+# API change that breaks the benchmark fails here rather than in the benchmark pipeline,
+# and then runs both simulated workloads at their historical seeds, which fail on a
+# drift of the flagship's pinned counts or on a BRB violation.
 #
 # Before any of that it runs the host-independent gates: the
 # allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing),
@@ -254,3 +256,14 @@ timeout 900 cargo test --offline --manifest-path benchmark/Cargo.toml \
     --test contract --test sim_counts --test observer > "$out/stdout_benchmark_tests.txt"
 
 echo "OK: benchmark package builds against the working tree; contract, sim_counts and observer tests pass"
+
+# The two simulated workloads as the benchmark runs them, at their historical seeds (no
+# --seed). The flagship's run fails on any drift from its pinned (events, messages,
+# bytes, peak_state_bytes) = (591 134, 591 134, 16 172 362, 143 982); both fail on a BRB
+# violation or a broadcast a correct process did not deliver.
+for workload in sim_bd_n100_k12_1k sim_bd_n31_k10_16b_x24; do
+    timeout 600 benchmark/target/release/brb-benchmark run --workload "$workload" \
+        --seconds 1 --trace 0 --out "$out/benchmark" > "$out/stdout_$workload.txt"
+done
+
+echo "OK: both simulated workloads reproduce their historical counts and keep every BRB property"

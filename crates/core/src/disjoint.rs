@@ -651,7 +651,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256)
-            .with_rng_seed(0xD15_0147_0AC1E)
+            .with_rng_seed(0xD150_1470_AC1E)
             .with_failure_persistence(FileFailurePersistence::SourceParallel("proptest-regressions")))]
 
         /// After every `add_path` the unbounded memo holds exactly the hash-map

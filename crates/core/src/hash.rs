@@ -190,17 +190,4 @@ mod tests {
             );
         }
     }
-
-    #[test]
-    fn maps_and_sets_work_with_it() {
-        let mut map: WordMap<(usize, u32), u32> = WordMap::default();
-        let mut set: WordSet<usize> = WordSet::default();
-        for i in 0..1_000u32 {
-            map.insert((i as usize % 7, i), i);
-            set.insert(i as usize);
-        }
-        assert_eq!(map.len(), 1_000);
-        assert_eq!(map.get(&(3, 10)), Some(&10));
-        assert!(set.contains(&999) && !set.contains(&1_000));
-    }
 }

@@ -52,7 +52,7 @@ pub struct DisjointPathTracker {
     /// disjoint paths achieving exactly that union, in increasing numeric order (see
     /// [`DEFAULT_MAX_COMBINATIONS`]).
     memo: Memo,
-    /// The buffers the next merge writes into; swapped with `memo` after each merge.
+    /// The buffer the next merge writes into; swapped with `memo` after each merge.
     spare: Memo,
     /// All distinct paths received so far (used to avoid re-adding duplicates).
     paths: Vec<PathSet>,
@@ -276,10 +276,9 @@ impl DisjointPathTracker {
             let width = memo.width(j).max(path_width);
             let count = memo.count(j) + 1;
             self.best = self.best.max(count as usize);
-            let last = out.len().wrapping_sub(1);
-            if out.len() > 0
-                && cmp_with_union(out.union(last), out.width(last), base, path, width).is_eq()
-            {
+            if let Some(last) = out.len().checked_sub(1).filter(|&last| {
+                cmp_with_union(out.union(last), out.width(last), base, path, width).is_eq()
+            }) {
                 out.raise(last, count);
                 continue;
             }

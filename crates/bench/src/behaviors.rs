@@ -19,7 +19,7 @@ use std::time::Duration;
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_core::types::{Payload, ProcessId};
-use brb_net::TcpDeployment;
+use brb_net::BACKENDS;
 use brb_runtime::Deployment;
 use brb_sim::{run_sweep, Behavior, DelayModel, ExperimentSpec};
 use brb_transport::DriverOptions;
@@ -125,10 +125,20 @@ pub fn run_behavior_matrix(
         let options = DriverOptions::default().with_behaviors(behaviors);
         // One measurement procedure for both live backends: broadcast, await the
         // deterministic delivery count, and report how many correct processes delivered.
-        let measure_live =
-            |backend: &'static str, report: brb_runtime::DeploymentReport| BehaviorPoint {
+        for (backend, wire) in BACKENDS {
+            let links = wire(&graph, &[]).expect("live backend wires its links");
+            let deployment = Deployment::start_on(links, &graph, config, stack, options.clone());
+            deployment.broadcast(0, Payload::filled(0xAB, payload));
+            deployment.await_deliveries(expected, Duration::from_secs(60));
+            let report = deployment.shutdown();
+            points.push(BehaviorPoint {
                 scenario: name.to_string(),
-                backend,
+                // The CSV's historical name of the channel backend.
+                backend: if backend == "channel" {
+                    "runtime"
+                } else {
+                    backend
+                },
                 n,
                 delivered: correct
                     .iter()
@@ -137,18 +147,8 @@ pub fn run_behavior_matrix(
                 correct: correct.len(),
                 messages: None,
                 bytes: None,
-            };
-
-        let deployment = Deployment::start(&graph, config, stack, options.clone(), &[]);
-        deployment.broadcast(0, Payload::filled(0xAB, payload));
-        deployment.await_deliveries(expected, Duration::from_secs(60));
-        points.push(measure_live("runtime", deployment.shutdown()));
-
-        let deployment = TcpDeployment::start(&graph, config, stack, options, &[])
-            .expect("TCP deployment starts");
-        deployment.broadcast(0, Payload::filled(0xAB, payload));
-        deployment.await_deliveries(expected, Duration::from_secs(60));
-        points.push(measure_live("tcp", deployment.shutdown()));
+            });
+        }
     }
 
     print_points(

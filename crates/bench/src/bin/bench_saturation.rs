@@ -32,9 +32,8 @@ use brb_bench::Scale;
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_graph::{generate, Graph};
-use brb_net::TcpDeployment;
+use brb_net::{Wiring, BACKENDS};
 use brb_runtime::{Deployment, DriverOptions, Pacing};
-use brb_transport::DeploymentReport;
 use brb_workload::WorkloadSpec;
 
 /// Knee rule: a point collapses when its p99 exceeds this multiple of the baseline p99.
@@ -67,7 +66,7 @@ fn percentile_ms(latencies_us: &mut [u64], q: f64) -> f64 {
 
 /// One `stack x backend` combination of the study.
 struct Combo<'a> {
-    backend: &'a str,
+    wire: Wiring,
     graph: &'a Graph,
     config: Config,
     stack: StackSpec,
@@ -77,7 +76,7 @@ struct Combo<'a> {
 /// real time, shut down. Returns the measured point.
 fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
     let Combo {
-        backend,
+        wire,
         graph,
         config,
         stack,
@@ -92,33 +91,10 @@ fn run_point(combo: &Combo, interval_micros: u64, broadcasts: u32) -> Point {
         Duration::from_micros(interval_micros * u64::from(broadcasts)) + Duration::from_secs(10);
 
     let started = Instant::now();
-    let (run, _report): (brb_runtime::WorkloadRun, DeploymentReport) = match backend {
-        "channel" => {
-            let deployment = Deployment::start(graph, config, stack, DriverOptions::default(), &[]);
-            let run = deployment.run_workload(
-                &schedule,
-                spec.mode,
-                Pacing::Scaled(1.0),
-                &correct,
-                timeout,
-            );
-            (run, deployment.shutdown())
-        }
-        "tcp" => {
-            let deployment =
-                TcpDeployment::start(graph, config, stack, DriverOptions::default(), &[])
-                    .expect("TCP deployment starts");
-            let run = deployment.run_workload(
-                &schedule,
-                spec.mode,
-                Pacing::Scaled(1.0),
-                &correct,
-                timeout,
-            );
-            (run, deployment.shutdown())
-        }
-        other => panic!("unknown backend {other}"),
-    };
+    let links = wire(graph, &[]).expect("live backend wires its links");
+    let deployment = Deployment::start_on(links, graph, config, stack, DriverOptions::default());
+    let run = deployment.run_workload(&schedule, spec.mode, Pacing::Scaled(1.0), &correct, timeout);
+    deployment.shutdown();
     let elapsed = started.elapsed().as_secs_f64();
 
     let mut latencies: Vec<u64> = run.broadcast_latencies.iter().map(|&(_, us)| us).collect();
@@ -264,10 +240,10 @@ fn main() {
 
     for (stack_name, stack, graph, config) in &stacks {
         let mut stack_obj = JsonObject::new();
-        for backend in ["channel", "tcp"] {
+        for (backend, wire) in BACKENDS {
             println!("# saturation: stack={stack_name} backend={backend}");
             let combo = Combo {
-                backend,
+                wire,
                 graph,
                 config: *config,
                 stack: *stack,

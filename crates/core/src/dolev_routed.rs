@@ -19,7 +19,8 @@
 //!
 //! [`RoutedDolev`] is a plain [`crate::protocol::Protocol`] engine: the simulator and the
 //! deployments drive it directly, and [`crate::bracha_rc::BrachaOverRc`] drives it as the
-//! RC substrate under a Bracha layer, reading its [`Action::Deliver`]s as RC deliveries.
+//! RC substrate under a Bracha layer, reading its [`crate::types::Action::Deliver`]s as
+//! RC deliveries.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -1,39 +1,26 @@
-//! TCP deployment of any [`StackSpec`]-selected engine: one protocol thread per process,
-//! real loopback sockets as authenticated links.
-//!
-//! This is the closest in-repository analogue of the paper's testbed (Sec. 7.1): the paper
-//! runs one node per Docker container on a single desktop and connects them with TCP
-//! sockets; we run one node per thread in a single OS process and connect them with TCP
-//! sockets over the loopback interface. The node threads are the shared
-//! [`brb_transport::NodeDriver`] — the exact event loop the channel runtime spawns — over
-//! a [`TcpTransport`] (socket write halves + the reader threads' mailbox), so the
-//! protocol engines, wire formats, byte accounting, fault decorators and delay models are
-//! identical across the discrete-event simulator (`brb-sim`), the channel runtime
-//! (`brb-runtime`) and this backend; the reports reuse the shared
-//! [`NodeReport`] / [`DeploymentReport`] types for that reason.
+//! The TCP backend of [`Deployment`]: one real loopback TCP connection per edge of the
+//! communication graph, the closest in-repository analogue of the paper's testbed
+//! (Sec. 7.1). [`tcp_links`] wires the sockets into one [`TcpTransport`] (socket write
+//! halves + the reader threads' mailbox) per running process; everything else — the node
+//! drivers, engines, wire formats, byte accounting, fault decorators, delay models and
+//! reports — is the one [`Deployment`] the channel backend runs too.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::ops::Deref;
 
 use brb_core::config::Config;
 use brb_core::stack::{DynEngine, StackSpec};
-use brb_core::types::{Delivery, Payload, ProcessId};
+use brb_core::types::ProcessId;
 use brb_graph::Graph;
-use brb_transport::{
-    Command, DeploymentReport, DriverOptions, Frame, NodeDriver, NodeReport, OutFrame, SendReceipt,
-    Transport,
-};
+use brb_runtime::{Deployment, DeploymentReport, Links};
+use brb_transport::{DriverOptions, Frame, OutFrame, SendReceipt, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 
-use crate::endpoint::{bind_endpoints, connect_mesh, send_frame, spawn_link_reader};
-
-/// Builds the engine of one process; a churned deployment rebuilds from it on restart.
-type EngineFactory = dyn Fn(ProcessId) -> Box<dyn DynEngine> + Send + Sync;
+use crate::endpoint::{bind_endpoints, connect_mesh, spawn_link_reader};
+use crate::frame::{write_frame, MAX_FRAME_BYTES};
 
 /// The loopback-socket transport of one process: TCP write halves keyed by neighbor,
 /// plus the mailbox its per-link reader threads feed ([`spawn_link_reader`]).
@@ -73,7 +60,7 @@ impl Transport for TcpTransport {
         if let Some(stream) = self.writers.get_mut(&to) {
             // A failed write means the peer crashed or shut down, which the protocols
             // tolerate; the frame still counts as transmitted.
-            let _ = send_frame(stream, frame);
+            let _ = write_frame(stream, frame);
             1
         } else {
             0
@@ -88,7 +75,7 @@ impl Transport for TcpTransport {
         match frames {
             [] => {}
             [only] => {
-                let _ = send_frame(stream, &only.frame);
+                let _ = write_frame(stream, &only.frame);
                 receipt.record(1, only.wire_size);
             }
             burst => {
@@ -100,7 +87,7 @@ impl Transport for TcpTransport {
                 self.staging.clear();
                 for f in burst {
                     receipt.record(1, f.wire_size);
-                    if f.frame.len() > crate::frame::MAX_FRAME_BYTES {
+                    if f.frame.len() > MAX_FRAME_BYTES {
                         // write_frame would refuse it; account it like a failed write.
                         continue;
                     }
@@ -117,24 +104,61 @@ impl Transport for TcpTransport {
     }
 }
 
-/// A running TCP deployment.
-pub struct TcpDeployment {
-    handles: Vec<JoinHandle<NodeReport>>,
-    commands: Vec<Sender<Command>>,
-    deliveries: Receiver<(ProcessId, Delivery)>,
-    /// One write-half clone per established link, used to shut the sockets down and
-    /// unblock reader threads at the end of the run.
-    all_streams: Vec<TcpStream>,
-    n: usize,
+/// Binds one endpoint per process of `graph`, establishes its TCP mesh, and wires a
+/// [`TcpTransport`] (with its link reader threads) for every process not in `crashed`.
+/// Crashed processes keep their sockets open but get no readers and no transport, so
+/// their neighbors see an established connection that never speaks, as for a process
+/// that crashes right after start-up. Closing the links shuts every socket down.
+///
+/// # Errors
+///
+/// Returns any socket error raised while binding or connecting.
+pub fn tcp_links(graph: &Graph, crashed: &[ProcessId]) -> io::Result<Links> {
+    let endpoints = bind_endpoints(graph.node_count())?;
+    let mut streams = Vec::new();
+    let mut transports = Vec::with_capacity(graph.node_count());
+    for (id, links) in connect_mesh(graph, &endpoints)?.into_iter().enumerate() {
+        for stream in links.writers.values() {
+            streams.push(stream.try_clone()?);
+        }
+        if crashed.contains(&id) {
+            transports.push(None);
+            continue;
+        }
+        let (mailbox_tx, mailbox_rx) = unbounded();
+        for (peer, stream) in links.readers {
+            spawn_link_reader(peer, stream, mailbox_tx.clone());
+        }
+        let transport = TcpTransport::new(links.writers, mailbox_rx);
+        transports.push(Some(Box::new(transport) as Box<dyn Transport>));
+    }
+    Ok(Links {
+        transports,
+        close: Box::new(move || {
+            for stream in &streams {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+        }),
+    })
 }
 
+/// How a live backend wires the links of a deployment.
+pub type Wiring = fn(&Graph, &[ProcessId]) -> io::Result<Links>;
+
+/// The two live backends, by name: crossbeam channels and loopback TCP sockets.
+pub const BACKENDS: [(&str, Wiring); 2] = [
+    ("channel", |graph, crashed| {
+        Ok(Links::channels(graph, crashed))
+    }),
+    ("tcp", tcp_links),
+];
+
+/// A running TCP deployment: the one [`Deployment`] over [`tcp_links`], which it
+/// dereferences to.
+pub struct TcpDeployment(Deployment);
+
 impl TcpDeployment {
-    /// Binds the endpoints, establishes the TCP mesh of `graph`, and spawns one shared
-    /// [`NodeDriver`] per process, each running the `stack` engine built from the given
-    /// configuration. `crashed` processes get endpoints and links (so their neighbors
-    /// see an established connection, as for a process that crashes right after start-up)
-    /// but no protocol thread; for a crash that keeps the protocol thread alive, assign
-    /// [`brb_sim::Behavior::Crash`] through [`DriverOptions::behaviors`] instead.
+    /// [`Deployment::start_on`] over [`tcp_links`]`(graph, crashed)`.
     ///
     /// # Errors
     ///
@@ -145,30 +169,13 @@ impl TcpDeployment {
         stack: StackSpec,
         options: DriverOptions,
         crashed: &[ProcessId],
-    ) -> std::io::Result<Self> {
-        // Topology-aware stacks (routed Dolev) share one copy of the graph.
-        let shared_graph = Arc::new(graph.clone());
-        let build = move |id| stack.build_shared(&config, &shared_graph, id);
-        let engines = (0..graph.node_count()).map(&build).collect();
-        // NodeRestart events rebuild the engine with the same constructor the node
-        // started from (same identity and topology view, fresh state); the sockets and
-        // reader threads are untouched — only protocol state is lost, like a process
-        // crash-recovering on a machine whose kernel keeps the connections alive.
-        let restart = options
-            .churn
-            .is_some()
-            .then(|| Arc::new(build) as Arc<EngineFactory>);
-        Self::spawn(graph, engines, restart, options, crashed)
+    ) -> io::Result<Self> {
+        let links = tcp_links(graph, crashed)?;
+        let deployment = Deployment::start_on(links, graph, config, stack, options);
+        Ok(Self(deployment))
     }
 
-    /// Binds the endpoints, establishes the TCP mesh of `graph`, and spawns one driver
-    /// per process over caller-built engines — how decorator engines (e.g.
-    /// [`brb_consensus::ConsensusEngine`]) run on real sockets: the caller constructs
-    /// one boxed [`DynEngine`] per process (index = process id, exactly
-    /// `graph.node_count()` of them), keeps its side handles, and hands the engines
-    /// over. No engine factory is installed, so a restart command is a no-op
-    /// (rebuilding a decorator engine would discard its volatile state mid-protocol);
-    /// churn schedules still pace their link events.
+    /// [`Deployment::start_with_engines_on`] over [`tcp_links`]`(graph, crashed)`.
     ///
     /// # Errors
     ///
@@ -178,283 +185,303 @@ impl TcpDeployment {
         engines: Vec<Box<dyn DynEngine>>,
         options: DriverOptions,
         crashed: &[ProcessId],
-    ) -> std::io::Result<Self> {
-        Self::spawn(graph, engines, None, options, crashed)
+    ) -> io::Result<Self> {
+        let links = tcp_links(graph, crashed)?;
+        let deployment = Deployment::start_with_engines_on(links, engines, options);
+        Ok(Self(deployment))
     }
 
-    /// The one spawn loop behind both constructors: binds and connects the mesh, then
-    /// starts the link readers and a driver per non-crashed process over its engine
-    /// (with the restart factory, when given) and the churn pacer, when a schedule is
-    /// set.
-    fn spawn(
-        graph: &Graph,
-        engines: Vec<Box<dyn DynEngine>>,
-        restart: Option<Arc<EngineFactory>>,
-        options: DriverOptions,
-        crashed: &[ProcessId],
-    ) -> std::io::Result<Self> {
-        let n = graph.node_count();
-        assert_eq!(engines.len(), n, "one engine per process required");
-        let endpoints = bind_endpoints(n)?;
-        let links = connect_mesh(graph, &endpoints)?;
-        let (delivery_tx, delivery_rx) = unbounded();
-        let mut commands = Vec::with_capacity(n);
-        let mut handles = Vec::new();
-        let mut all_streams = Vec::new();
-
-        for ((id, node_links), engine) in links.into_iter().enumerate().zip(engines) {
-            let (cmd_tx, cmd_rx) = unbounded();
-            commands.push(cmd_tx);
-            for stream in node_links.writers.values() {
-                if let Ok(clone) = stream.try_clone() {
-                    all_streams.push(clone);
-                }
-            }
-            if crashed.contains(&id) {
-                // Keep the sockets open but run no protocol: a crash fault.
-                continue;
-            }
-            let (mailbox_tx, mailbox_rx) = unbounded();
-            for (peer, stream) in node_links.readers {
-                spawn_link_reader(peer, stream, mailbox_tx.clone());
-            }
-            let mut driver = NodeDriver::new(
-                engine,
-                Box::new(TcpTransport::new(node_links.writers, mailbox_rx)),
-                cmd_rx,
-                delivery_tx.clone(),
-                &options,
-            );
-            if let Some(build) = &restart {
-                let build = build.clone();
-                driver = driver.with_engine_factory(move || build(id));
-            }
-            handles.push(std::thread::spawn(move || driver.run()));
-        }
-        if let Some(churn) = &options.churn {
-            // The pacer outlives this constructor; its schedule starts now. The join
-            // handle is dropped — the thread exits once the schedule is exhausted.
-            let _ = churn.spawn_pacer(commands.clone());
-        }
-        Ok(Self {
-            handles,
-            commands,
-            deliveries: delivery_rx,
-            all_streams,
-            n,
-        })
-    }
-
-    /// Number of processes in the deployment (including crashed ones).
-    pub fn process_count(&self) -> usize {
-        self.n
-    }
-
-    /// Asks `source` to broadcast `payload`.
-    pub fn broadcast(&self, source: ProcessId, payload: Payload) {
-        let _ = self.commands[source].send(Command::Broadcast(payload));
-    }
-
-    /// The shared delivery stream of the deployment, for drivers that track
-    /// completion themselves (see `brb_runtime::consensus::drive_consensus`).
-    pub fn deliveries(&self) -> &Receiver<(ProcessId, Delivery)> {
-        &self.deliveries
-    }
-
-    /// Waits until at least `expected` deliveries have been observed in total, or until
-    /// `timeout` elapses. Returns the number of deliveries observed.
-    pub fn await_deliveries(&self, expected: usize, timeout: Duration) -> usize {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut seen = 0usize;
-        while seen < expected {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            match self.deliveries.recv_timeout(remaining) {
-                Ok(_) => seen += 1,
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        seen
-    }
-
-    /// Replays a workload schedule against the running TCP deployment through the
-    /// generator driver shared with the channel runtime
-    /// (`brb_runtime::workload::drive_workload`): a generator thread fires the
-    /// injections (honoring the closed-loop window), this thread tracks per-broadcast
-    /// completion over the delivery stream.
-    pub fn run_workload(
-        &self,
-        schedule: &[brb_workload::Injection],
-        mode: brb_workload::LoopMode,
-        pacing: brb_runtime::Pacing,
-        correct: &[ProcessId],
-        timeout: Duration,
-    ) -> brb_runtime::WorkloadRun {
-        brb_runtime::drive_workload(
-            |source, payload| self.broadcast(source, payload),
-            &self.deliveries,
-            schedule,
-            mode,
-            pacing,
-            correct,
-            timeout,
-        )
-    }
-
-    /// Shuts every node down, closes the sockets, and collects the per-node reports.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of a node thread once every other node is joined.
+    /// [`Deployment::shutdown`].
     pub fn shutdown(self) -> DeploymentReport {
-        for tx in &self.commands {
-            let _ = tx.send(Command::Shutdown);
-        }
-        let mut nodes: Vec<NodeReport> = (0..self.n)
-            .map(|id| NodeReport {
-                id,
-                deliveries: Vec::new(),
-                messages_sent: 0,
-                bytes_sent: 0,
-                state_bytes: 0,
-                gc_retired: 0,
-                restarts: 0,
-                drops_by_cause: brb_trace::DropCounts::new(),
-                queue_depth_peak: 0,
-                decision: None,
-            })
-            .collect();
-        // A panicked node is an engine bug, not a node that delivered nothing: join the
-        // others, then re-raise the first panic.
-        let mut panicked = None;
-        for handle in self.handles {
-            match handle.join() {
-                Ok(report) => {
-                    let id = report.id;
-                    nodes[id] = report;
-                }
-                Err(panic) => {
-                    panicked.get_or_insert(panic);
-                }
-            }
-        }
-        // Unblock any reader thread still parked on a socket.
-        for stream in &self.all_streams {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(panic) = panicked {
-            std::panic::resume_unwind(panic);
-        }
-        DeploymentReport { nodes }
+        self.0.shutdown()
     }
 }
 
-/// Convenience wrapper: runs one broadcast of the given stack over TCP on `graph` and
-/// returns the deployment report once every correct process delivered (or the timeout
-/// expired).
-///
-/// # Errors
-///
-/// Returns any socket error raised while setting the deployment up.
-pub fn run_tcp_broadcast(
-    graph: &Graph,
-    config: Config,
-    stack: StackSpec,
-    payload: Payload,
-    source: ProcessId,
-    crashed: &[ProcessId],
-    timeout: Duration,
-) -> std::io::Result<DeploymentReport> {
-    let deployment = TcpDeployment::start(graph, config, stack, DriverOptions::default(), crashed)?;
-    deployment.broadcast(source, payload);
-    let expected = graph.node_count() - crashed.len();
-    deployment.await_deliveries(expected, timeout);
-    Ok(deployment.shutdown())
-}
+impl Deref for TcpDeployment {
+    type Target = Deployment;
 
-/// Convenience wrapper: runs one seeded consensus instance of the given stack over
-/// real TCP sockets and returns the deployment report (with
-/// [`NodeReport::decision`] patched in from the decision handles) together with what
-/// the phase driver observed. The phase schedule, quiescence rule and decision logic
-/// are the exact code the channel runtime runs
-/// (`brb_runtime::consensus::drive_consensus`), so a fixed `(graph, config, stack,
-/// spec)` tuple decides the same value in the same round on both live backends — and
-/// on the simulator.
-///
-/// # Errors
-///
-/// Returns any socket error raised while setting the deployment up.
-#[allow(clippy::too_many_arguments)]
-pub fn run_tcp_consensus(
-    graph: &Graph,
-    config: Config,
-    stack: StackSpec,
-    spec: &brb_consensus::ConsensusSpec,
-    f: usize,
-    options: DriverOptions,
-    crashed: &[ProcessId],
-    timeout: Duration,
-) -> std::io::Result<(DeploymentReport, brb_runtime::ConsensusRun)> {
-    let n = graph.node_count();
-    let grace = options.idle_shutdown;
-    let (engines, handles) = brb_runtime::build_consensus_engines(graph, &config, stack, spec, f);
-    let receiving = brb_runtime::receiving_processes(n, &options, crashed);
-    let honest = brb_sim::honest_processes(&receiving, spec);
-    let deployment = TcpDeployment::start_with_engines(graph, engines, options, crashed)?;
-    let run = brb_runtime::drive_consensus(
-        |source, payload| deployment.broadcast(source, payload),
-        deployment.deliveries(),
-        spec,
-        &handles,
-        &honest,
-        receiving.len(),
-        grace,
-        timeout,
-    );
-    let mut report = deployment.shutdown();
-    for (id, handle) in handles.iter().enumerate() {
-        report.nodes[id].decision = handle.get();
+    fn deref(&self) -> &Deployment {
+        &self.0
     }
-    Ok((report, run))
-}
-
-/// Convenience wrapper: expands `spec` into its seeded schedule, firehoses the TCP
-/// deployment with it (unpaced), and returns the deployment report together with what
-/// the driver observed.
-///
-/// # Errors
-///
-/// Returns any socket error raised while setting the deployment up.
-pub fn run_tcp_workload(
-    graph: &Graph,
-    config: Config,
-    stack: StackSpec,
-    spec: &brb_workload::WorkloadSpec,
-    seed: u64,
-    crashed: &[ProcessId],
-    timeout: Duration,
-) -> std::io::Result<(DeploymentReport, brb_runtime::WorkloadRun)> {
-    let n = graph.node_count();
-    let deployment = TcpDeployment::start(graph, config, stack, DriverOptions::default(), crashed)?;
-    let schedule = spec.schedule(n, seed);
-    let correct: Vec<ProcessId> = (0..n).filter(|p| !crashed.contains(p)).collect();
-    let run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        brb_runtime::Pacing::Unpaced,
-        &correct,
-        timeout,
-    );
-    Ok((deployment.shutdown(), run))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brb_core::types::Payload;
     use brb_graph::generate;
+    use brb_runtime::{run_broadcast, run_workload};
     use brb_sim::Behavior;
+    use brb_transport::LinkDelay;
+    use std::time::Duration;
+
+    /// Wires `graph` on `backend`.
+    fn wire(backend: Wiring, graph: &Graph, crashed: &[ProcessId]) -> Links {
+        backend(graph, crashed).expect("links wire")
+    }
+
+    /// The deployment lifecycle cases, each run once per backend:
+    /// `case: channel test, TCP test;`.
+    macro_rules! per_backend {
+        ($($case:ident: $channel:ident, $tcp:ident;)*) => {$(
+            #[test]
+            fn $channel() {
+                $case(BACKENDS[0].1);
+            }
+
+            #[test]
+            fn $tcp() {
+                $case(BACKENDS[1].1);
+            }
+        )*};
+    }
+
+    per_backend! {
+        broadcast_delivers_everywhere:
+            threaded_broadcast_delivers_everywhere, tcp_broadcast_delivers_everywhere;
+        broadcast_with_a_crashed_process:
+            threaded_broadcast_with_crashed_process,
+            tcp_broadcast_with_crashed_process_still_delivers;
+        broadcast_runs_non_bd_stacks:
+            threaded_broadcast_runs_non_bd_stacks, tcp_broadcast_runs_non_bd_stacks;
+        behavior_decorators_inject_faults:
+            behavior_decorators_inject_faults_into_the_live_deployment,
+            behavior_decorators_run_over_real_sockets;
+        scaled_delay_model_runs:
+            scaled_delay_model_runs_on_the_live_deployment,
+            tcp_scaled_delay_model_runs_on_the_live_deployment;
+        workload_firehoses_every_source:
+            threaded_workload_firehoses_every_source, tcp_workload_firehoses_the_socket_deployment;
+        closed_loop_workload_with_a_crashed_source_completes:
+            threaded_closed_loop_workload_with_a_crashed_source_completes,
+            tcp_closed_loop_workload_with_a_crashed_source_completes;
+        shutdown_without_broadcast:
+            threaded_deployment_reports_process_count_and_handles_shutdown_without_broadcast,
+            deployment_reports_process_count_and_handles_shutdown_without_broadcast;
+    }
+
+    fn broadcast_delivers_everywhere(backend: Wiring) {
+        let graph = generate::figure1_example();
+        let report = run_broadcast(
+            wire(backend, &graph, &[]),
+            &graph,
+            Config::bdopt_mbd1(10, 1),
+            StackSpec::Bd,
+            Payload::from("live hello"),
+            0,
+            Duration::from_secs(20),
+        );
+        let everyone: Vec<ProcessId> = (0..10).collect();
+        assert!(
+            report.all_delivered(&everyone, 1),
+            "every process must deliver"
+        );
+        assert!(report.total_messages() > 0);
+        assert!(report.total_bytes() > 0);
+        for node in &report.nodes {
+            assert_eq!(node.deliveries[0].payload, Payload::from("live hello"));
+        }
+    }
+
+    fn broadcast_with_a_crashed_process(backend: Wiring) {
+        let graph = generate::circulant(13, 2); // 4-regular, supports f = 1
+        for (config, crashed, payload, source) in [
+            (Config::latency_preset(13, 1), 7, Payload::filled(5, 128), 2),
+            (
+                Config::bandwidth_preset(13, 1),
+                4,
+                Payload::filled(7, 256),
+                0,
+            ),
+        ] {
+            let report = run_broadcast(
+                wire(backend, &graph, &[crashed]),
+                &graph,
+                config,
+                StackSpec::Bd,
+                payload,
+                source,
+                Duration::from_secs(20),
+            );
+            let correct: Vec<ProcessId> = (0..13).filter(|&p| p != crashed).collect();
+            assert!(report.all_delivered(&correct, 1));
+            assert!(report.nodes[crashed].deliveries.is_empty());
+        }
+    }
+
+    fn broadcast_runs_non_bd_stacks(backend: Wiring) {
+        // The routed-Dolev-based BRB stack and Dolev's flooding protocol: one broadcast
+        // must deliver at every node despite real interleavings.
+        let graph = generate::figure1_example();
+        for (stack, config) in [
+            (StackSpec::BrachaRoutedDolev, Config::plain(10, 1)),
+            (StackSpec::Dolev, Config::bdopt(10, 1)),
+        ] {
+            let report = run_broadcast(
+                wire(backend, &graph, &[]),
+                &graph,
+                config,
+                stack,
+                Payload::from("not only bd"),
+                0,
+                Duration::from_secs(20),
+            );
+            let everyone: Vec<ProcessId> = (0..10).collect();
+            assert!(report.all_delivered(&everyone, 1), "{stack}");
+            assert!(report.total_bytes() > 0, "{stack}");
+        }
+    }
+
+    fn behavior_decorators_inject_faults(backend: Wiring) {
+        // The sim's scenario vocabulary through the FaultyLink decorators. First, one
+        // process replays every frame and another drops everything: every correct
+        // process still delivers (the replayer also delivers, its inbound links are
+        // intact).
+        let graph = generate::figure1_example();
+        let config = Config::bdopt_mbd1(10, 1);
+        let options = DriverOptions::default()
+            .with_behaviors(vec![(4, Behavior::Replayer), (7, Behavior::Crash)]);
+        let deployment = Deployment::start_on(
+            wire(backend, &graph, &[]),
+            &graph,
+            config,
+            StackSpec::Bd,
+            options,
+        );
+        deployment.broadcast(0, Payload::from("faulted"));
+        deployment.await_deliveries(9, Duration::from_secs(20));
+        let report = deployment.shutdown();
+        let correct: Vec<ProcessId> = (0..10).filter(|&p| p != 4 && p != 7).collect();
+        assert!(report.all_delivered(&correct, 1));
+        assert!(
+            report.nodes[7].deliveries.is_empty(),
+            "behavior-crashed node delivers nothing"
+        );
+        assert_eq!(report.nodes[7].messages_sent, 0);
+        assert!(
+            report.nodes[4].messages_sent > 0,
+            "the replayer transmits (twice per frame)"
+        );
+
+        // Second, a SilentTowards adversary drops every frame addressed to its victims,
+        // who still deliver through their other neighbors.
+        let options =
+            DriverOptions::default().with_behaviors(vec![(3, Behavior::SilentTowards(vec![2, 6]))]);
+        let deployment = Deployment::start_on(
+            wire(backend, &graph, &[]),
+            &graph,
+            config,
+            StackSpec::Bd,
+            options,
+        );
+        deployment.broadcast(0, Payload::from("targeted"));
+        deployment.await_deliveries(10, Duration::from_secs(20));
+        let report = deployment.shutdown();
+        let correct: Vec<ProcessId> = (0..10).filter(|&p| p != 3).collect();
+        assert!(report.all_delivered(&correct, 1));
+    }
+
+    fn scaled_delay_model_runs(backend: Wiring) {
+        // The paper's 50 ms synchronous regime compressed 100x: frames take ~0.5 ms per
+        // hop, so the broadcast completes but measurably slower than the undelayed run.
+        let graph = generate::figure1_example();
+        let options = DriverOptions::default().with_link_delay(LinkDelay::Scaled {
+            model: brb_sim::DelayModel::synchronous(),
+            scale: 0.01,
+        });
+        let deployment = Deployment::start_on(
+            wire(backend, &graph, &[]),
+            &graph,
+            Config::bdopt_mbd1(10, 1),
+            StackSpec::Bd,
+            options,
+        );
+        let start = std::time::Instant::now();
+        deployment.broadcast(0, Payload::from("paced"));
+        let seen = deployment.await_deliveries(10, Duration::from_secs(30));
+        let elapsed = start.elapsed();
+        let report = deployment.shutdown();
+        assert_eq!(seen, 10);
+        let everyone: Vec<ProcessId> = (0..10).collect();
+        assert!(report.all_delivered(&everyone, 1));
+        assert!(
+            elapsed >= Duration::from_millis(1),
+            "two 0.5 ms hops minimum, got {elapsed:?}"
+        );
+    }
+
+    fn workload_firehoses_every_source(backend: Wiring) {
+        let graph = generate::figure1_example();
+        let open = brb_workload::WorkloadSpec::constant_rate(1_000, 20).with_payload_bytes(48);
+        let closed = brb_workload::WorkloadSpec::constant_rate(1_000, 16)
+            .with_payload_bytes(32)
+            .closed_loop(8);
+        for (spec, seed, count) in [(open, 7, 20), (closed, 11, 16)] {
+            let (report, run) = run_workload(
+                wire(backend, &graph, &[]),
+                &graph,
+                Config::bdopt_mbd1(10, 1),
+                StackSpec::Bd,
+                &spec,
+                seed,
+                Duration::from_secs(30),
+            );
+            assert_eq!(run.injected, count);
+            assert_eq!(run.effective, count);
+            assert!(run.all_completed(), "{run:?}");
+            assert_eq!(
+                run.broadcast_latencies.len(),
+                count,
+                "every completed broadcast reports a wall-clock latency"
+            );
+            let everyone: Vec<ProcessId> = (0..10).collect();
+            // Every process delivers every broadcast.
+            assert!(report.all_delivered(&everyone, count));
+            assert!(report.total_bytes() > 0);
+        }
+    }
+
+    fn closed_loop_workload_with_a_crashed_source_completes(backend: Wiring) {
+        let graph = generate::figure1_example();
+        // Window 3, one crashed process among the round-robin sources: its injections
+        // are no-ops and must not clog the window.
+        let spec = brb_workload::WorkloadSpec::constant_rate(0, 10).closed_loop(3);
+        let (report, run) = run_workload(
+            wire(backend, &graph, &[6]),
+            &graph,
+            Config::bdopt_mbd1(10, 1),
+            StackSpec::Bd,
+            &spec,
+            3,
+            Duration::from_secs(30),
+        );
+        assert_eq!(run.injected, 10);
+        assert_eq!(run.effective, 9, "source 6's injection cannot complete");
+        assert!(run.all_completed(), "{run:?}");
+        let correct: Vec<ProcessId> = (0..10).filter(|&p| p != 6).collect();
+        // Nine effective broadcasts, each delivered by every correct process.
+        assert!(report.all_delivered(&correct, 9));
+        assert!(report.nodes[6].deliveries.is_empty());
+    }
+
+    fn shutdown_without_broadcast(backend: Wiring) {
+        let graph = generate::ring(4);
+        let deployment = Deployment::start_on(
+            wire(backend, &graph, &[]),
+            &graph,
+            Config::plain(4, 0),
+            StackSpec::Bd,
+            DriverOptions::default(),
+        );
+        assert_eq!(deployment.process_count(), 4);
+        // No broadcast: awaiting deliveries times out at zero.
+        assert_eq!(
+            deployment.await_deliveries(1, Duration::from_millis(100)),
+            0
+        );
+        let report = deployment.shutdown();
+        assert_eq!(report.total_messages(), 0);
+    }
 
     #[test]
     fn tcp_batched_send_accounts_identically_and_arrives_intact() {
@@ -491,129 +518,5 @@ mod tests {
         }
         // And a batch to a process without a link accounts zero, like send().
         assert_eq!(t0.send_batch(7, &frames), SendReceipt::default());
-    }
-
-    #[test]
-    fn tcp_workload_firehoses_the_socket_deployment() {
-        let graph = generate::figure1_example();
-        let config = Config::bdopt_mbd1(10, 1);
-        let spec = brb_workload::WorkloadSpec::constant_rate(1_000, 16)
-            .with_payload_bytes(32)
-            .closed_loop(8);
-        let (report, run) = run_tcp_workload(
-            &graph,
-            config,
-            StackSpec::Bd,
-            &spec,
-            11,
-            &[],
-            Duration::from_secs(30),
-        )
-        .expect("deployment starts");
-        assert_eq!(run.injected, 16);
-        assert!(run.all_completed(), "{run:?}");
-        let everyone: Vec<ProcessId> = (0..10).collect();
-        assert!(report.all_delivered(&everyone, 16));
-        assert!(report.total_bytes() > 0);
-    }
-
-    #[test]
-    fn tcp_broadcast_delivers_everywhere() {
-        let graph = generate::figure1_example();
-        let config = Config::bdopt_mbd1(10, 1);
-        let report = run_tcp_broadcast(
-            &graph,
-            config,
-            StackSpec::Bd,
-            Payload::from("tcp hello"),
-            0,
-            &[],
-            Duration::from_secs(20),
-        )
-        .expect("deployment starts");
-        let everyone: Vec<ProcessId> = (0..10).collect();
-        assert!(
-            report.all_delivered(&everyone, 1),
-            "every process must deliver"
-        );
-        assert!(report.total_messages() > 0);
-        assert!(report.total_bytes() > 0);
-        for node in &report.nodes {
-            assert_eq!(node.deliveries[0].payload, Payload::from("tcp hello"));
-        }
-    }
-
-    #[test]
-    fn tcp_broadcast_with_crashed_process_still_delivers() {
-        let graph = generate::circulant(13, 2); // 4-regular, supports f = 1
-        let config = Config::bandwidth_preset(13, 1);
-        let crashed = [4usize];
-        let report = run_tcp_broadcast(
-            &graph,
-            config,
-            StackSpec::Bd,
-            Payload::filled(7, 256),
-            0,
-            &crashed,
-            Duration::from_secs(20),
-        )
-        .expect("deployment starts");
-        let correct: Vec<ProcessId> = (0..13).filter(|p| !crashed.contains(p)).collect();
-        assert!(report.all_delivered(&correct, 1));
-        assert!(report.nodes[4].deliveries.is_empty());
-    }
-
-    #[test]
-    fn deployment_reports_process_count_and_handles_shutdown_without_broadcast() {
-        let graph = generate::ring(4);
-        let config = Config::plain(4, 0);
-        let deployment =
-            TcpDeployment::start(&graph, config, StackSpec::Bd, DriverOptions::default(), &[])
-                .unwrap();
-        assert_eq!(deployment.process_count(), 4);
-        // No broadcast: awaiting deliveries times out at zero.
-        assert_eq!(
-            deployment.await_deliveries(1, Duration::from_millis(100)),
-            0
-        );
-        let report = deployment.shutdown();
-        assert_eq!(report.total_messages(), 0);
-    }
-
-    #[test]
-    fn tcp_broadcast_runs_non_bd_stacks() {
-        // Dolev's flooding protocol over real sockets: every node must RC-deliver the
-        // broadcast of process 0 despite TCP-level interleavings.
-        let graph = generate::figure1_example();
-        let config = Config::bdopt(10, 1);
-        let report = run_tcp_broadcast(
-            &graph,
-            config,
-            StackSpec::Dolev,
-            Payload::from("dolev over tcp"),
-            0,
-            &[],
-            Duration::from_secs(20),
-        )
-        .expect("deployment starts");
-        let everyone: Vec<ProcessId> = (0..10).collect();
-        assert!(report.all_delivered(&everyone, 1));
-    }
-
-    #[test]
-    fn behavior_decorators_run_over_real_sockets() {
-        // A SilentTowards adversary on real TCP links: process 3 drops every frame
-        // addressed to its victims, who still deliver through their other neighbors.
-        let graph = generate::figure1_example();
-        let config = Config::bdopt_mbd1(10, 1);
-        let options =
-            DriverOptions::default().with_behaviors(vec![(3, Behavior::SilentTowards(vec![2, 6]))]);
-        let deployment = TcpDeployment::start(&graph, config, StackSpec::Bd, options, &[])
-            .expect("deployment starts");
-        deployment.broadcast(0, Payload::from("targeted over tcp"));
-        deployment.await_deliveries(10, Duration::from_secs(20));
-        let report = deployment.shutdown();
-        let correct: Vec<ProcessId> = (0..10).filter(|&p| p != 3).collect();
-        assert!(report.all_delivered(&correct, 1));
     }
 }

@@ -19,7 +19,20 @@ use brb_graph::Graph;
 use brb_transport::Frame;
 use crossbeam::channel::Sender;
 
-use crate::frame::{read_frame_burst, read_handshake, write_frame, write_handshake};
+use crate::frame::{read_frame_burst, read_handshake, write_handshake};
+
+/// How long either side of a link waits for the other's handshake, so a stray or
+/// silent connection to a listener fails [`connect_mesh`] instead of hanging it.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Reads a handshake within [`HANDSHAKE_TIMEOUT`], then clears the timeout: the link
+/// readers exit on any read error, so a leftover timeout would cut an idle link.
+fn read_handshake_bounded(stream: &mut TcpStream) -> io::Result<ProcessId> {
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let peer = read_handshake(stream)?;
+    stream.set_read_timeout(None)?;
+    Ok(peer)
+}
 
 /// A bound, not yet connected endpoint of one process.
 #[derive(Debug)]
@@ -68,8 +81,9 @@ pub struct NodeLinks {
 ///
 /// # Errors
 ///
-/// Returns any socket error, or [`io::ErrorKind::InvalidData`] if a handshake announces an
-/// identity that is not an expected neighbor.
+/// Returns any socket error, [`io::ErrorKind::InvalidData`] if a handshake announces an
+/// identity that is not an expected neighbor, and a timeout error if a handshake does not
+/// arrive within [`HANDSHAKE_TIMEOUT`] (a stray connection to a listener).
 pub fn connect_mesh(graph: &Graph, endpoints: &[Endpoint]) -> io::Result<Vec<NodeLinks>> {
     let n = graph.node_count();
     assert_eq!(endpoints.len(), n, "one endpoint per process");
@@ -92,7 +106,7 @@ pub fn connect_mesh(graph: &Graph, endpoints: &[Endpoint]) -> io::Result<Vec<Nod
                 while !remaining.is_empty() {
                     let (mut stream, _) = listener.accept()?;
                     stream.set_nodelay(true)?;
-                    let peer = read_handshake(&mut stream)?;
+                    let peer = read_handshake_bounded(&mut stream)?;
                     let Some(pos) = remaining.iter().position(|&p| p == peer) else {
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
@@ -116,7 +130,7 @@ pub fn connect_mesh(graph: &Graph, endpoints: &[Endpoint]) -> io::Result<Vec<Nod
         let mut stream = TcpStream::connect(endpoints[hi].addr)?;
         stream.set_nodelay(true)?;
         write_handshake(&mut stream, lo)?;
-        let acked = read_handshake(&mut stream)?;
+        let acked = read_handshake_bounded(&mut stream)?;
         if acked != hi {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -166,20 +180,10 @@ pub fn spawn_link_reader(
     })
 }
 
-/// Writes one frame to a neighbor's stream, returning whether the write succeeded (a
-/// failed write means the peer crashed or shut down, which the protocol tolerates).
-pub fn send_frame(stream: &mut TcpStream, bytes: &[u8]) -> bool {
-    write_frame(stream, bytes).is_ok()
-}
-
-/// Sets a read timeout used while draining links during shutdown.
-pub fn set_drain_timeout(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
-    stream.set_read_timeout(Some(timeout))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_frame;
     use brb_graph::generate;
     use crossbeam::channel::unbounded;
 
@@ -212,14 +216,8 @@ mod tests {
             spawn_link_reader(peer, stream, tx.clone());
         }
         // Node 0 and node 1 each send one frame to node 2.
-        assert!(send_frame(
-            links[0].writers.get_mut(&2).unwrap(),
-            b"from zero"
-        ));
-        assert!(send_frame(
-            links[1].writers.get_mut(&2).unwrap(),
-            b"from one"
-        ));
+        write_frame(links[0].writers.get_mut(&2).unwrap(), b"from zero").unwrap();
+        write_frame(links[1].writers.get_mut(&2).unwrap(), b"from one").unwrap();
 
         let mut received: Vec<(ProcessId, Vec<u8>)> = vec![
             rx.recv_timeout(Duration::from_secs(5))
@@ -246,5 +244,33 @@ mod tests {
         links[0] = NodeLinks::default();
         handle.join().unwrap();
         assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn stray_connections_fail_the_mesh_in_bounded_time() {
+        // A connection that never writes, and one announcing an identity outside the
+        // graph: each reaches endpoint 1 before the real link does. `connect_mesh` runs
+        // on a helper thread, so a hang fails here instead of blocking the suite.
+        for (kind, announced) in [("silent", None), ("foreign id", Some(7))] {
+            let endpoints = bind_endpoints(2).unwrap();
+            let mut stray = TcpStream::connect(endpoints[1].addr).unwrap();
+            if let Some(id) = announced {
+                write_handshake(&mut stray, id).unwrap();
+            }
+            let (tx, rx) = unbounded();
+            std::thread::spawn(move || {
+                let outcome = connect_mesh(&generate::complete(2), &endpoints).map(|_| ());
+                let _ = tx.send(outcome);
+            });
+            let outcome = rx
+                .recv_timeout(3 * HANDSHAKE_TIMEOUT)
+                .unwrap_or_else(|_| panic!("{kind} stray: connect_mesh hangs"));
+            assert!(
+                outcome.is_err(),
+                "{kind} stray: the real link cannot complete"
+            );
+            // Held open until here, so the acceptor meets a live stray.
+            drop(stray);
+        }
     }
 }

@@ -77,19 +77,9 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
 /// [`io::ErrorKind::InvalidData`] when an announced length exceeds [`MAX_FRAME_BYTES`].
 /// An oversized length seen mid-drain is left unconsumed and surfaces on the next call.
 pub fn read_frame_burst<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<Bytes>> {
-    // First frame: block until it arrives, exactly like read_frame.
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len} byte frame, above the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    let mut staging = vec![0u8; len];
-    reader.read_exact(&mut staging)?;
-    let mut marks = vec![(0, len)];
+    // First frame: block until it arrives.
+    let mut staging = read_frame(reader)?;
+    let mut marks = vec![(0, staging.len())];
 
     // Drain: take every complete frame already buffered, never touching the socket.
     loop {

@@ -7,18 +7,14 @@
 //! Rust reproduction: one protocol thread per process inside a single OS process, and one
 //! real TCP connection over the loopback interface per edge of the communication graph.
 //!
-//! The deployment is **stack-generic** and **transport-generic**: [`TcpDeployment::start`]
-//! takes a [`brb_core::stack::StackSpec`] and spawns one shared
-//! [`brb_transport::NodeDriver`] per process over a [`deployment::TcpTransport`] — the
-//! exact event loop the channel runtime (`brb-runtime`) spawns over crossbeam links — so
-//! every protocol stack of `brb-core` runs over real sockets with the same engines, wire
-//! formats, byte accounting, Byzantine fault decorators and wall-clock delay models used
-//! by the other backends (configure them through [`brb_transport::DriverOptions`]).
+//! This crate is only that wiring: [`tcp_links`] connects the mesh and wraps each
+//! process's sockets in a [`TcpTransport`], which the one [`brb_runtime::Deployment`]
+//! runs its node drivers over; [`TcpDeployment`] is that deployment.
 //!
 //! * [`frame`] — length-prefixed framing and the connection handshake;
 //! * [`endpoint`] — listener/connection establishment and per-link reader threads;
-//! * [`deployment`] — the [`TcpDeployment`] driver and the [`run_tcp_broadcast`]
-//!   convenience wrapper.
+//! * [`deployment`] — [`TcpTransport`], [`tcp_links`], [`TcpDeployment`] and the
+//!   [`BACKENDS`] table both live backends are looped over.
 //!
 //! # Example
 //!
@@ -26,19 +22,20 @@
 //! use std::time::Duration;
 //! use brb_core::{config::Config, stack::StackSpec, types::Payload};
 //! use brb_graph::generate;
-//! use brb_net::run_tcp_broadcast;
+//! use brb_net::tcp_links;
+//! use brb_runtime::run_broadcast;
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let graph = generate::figure1_example();
-//! let report = run_tcp_broadcast(
+//! let report = run_broadcast(
+//!     tcp_links(&graph, &[])?,
 //!     &graph,
 //!     Config::bdopt_mbd1(10, 1),
 //!     StackSpec::Bd,
 //!     Payload::from("over real sockets"),
 //!     0,
-//!     &[],
 //!     Duration::from_secs(10),
-//! )?;
+//! );
 //! assert!(report.all_delivered(&(0..10).collect::<Vec<_>>(), 1));
 //! # Ok(())
 //! # }
@@ -52,7 +49,5 @@ pub mod endpoint;
 pub mod frame;
 
 pub use brb_transport::DriverOptions;
-pub use deployment::{
-    run_tcp_broadcast, run_tcp_consensus, run_tcp_workload, TcpDeployment, TcpTransport,
-};
+pub use deployment::{tcp_links, TcpDeployment, TcpTransport, Wiring, BACKENDS};
 pub use endpoint::{bind_endpoints, connect_mesh, Endpoint, NodeLinks};

@@ -12,12 +12,11 @@
 //! Quiescence is detected over the deployment's delivery stream: a phase is considered
 //! closed once the stream has been silent for a full grace window *and* every BRB
 //! instance observed in the consensus namespace has been delivered by every receiving
-//! process. The driver is shared by the channel runtime
-//! ([`crate::Deployment`] + [`run_threaded_consensus`]) and the TCP deployment
-//! (`brb_net::run_tcp_consensus`), so "the same schedule on every backend" is one code
-//! path.
+//! process. [`run_consensus`] runs it on a [`crate::Deployment`] over any backend's
+//! [`Links`], so "the same schedule on every backend" is one code path.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use brb_consensus::{
@@ -33,7 +32,7 @@ use brb_graph::Graph;
 use brb_transport::DriverOptions;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 
-use crate::deployment::{Deployment, DeploymentReport};
+use crate::deployment::{Deployment, DeploymentReport, Links};
 
 /// What the consensus driver observed on a live backend: the honest processes'
 /// decisions plus the shape of the run, in the form the [`brb_consensus::checks`]
@@ -145,64 +144,43 @@ where
     }
 }
 
-/// Builds one [`ConsensusEngine`]-wrapped engine of the given stack per process and
-/// returns the boxed engines plus one decision handle per process — the construction
-/// step shared by the channel and TCP consensus wrappers.
-pub fn build_consensus_engines(
-    graph: &Graph,
-    config: &Config,
-    stack: StackSpec,
-    spec: &ConsensusSpec,
-    f: usize,
-) -> (Vec<Box<dyn DynEngine>>, Vec<DecisionHandle>) {
-    let n = graph.node_count();
-    let shared = std::sync::Arc::new(graph.clone());
-    let mut handles = Vec::with_capacity(n);
-    let engines = (0..n)
-        .map(|id| {
-            let inner = stack.build_shared(config, &shared, id);
-            let engine = ConsensusEngine::new(inner, n, f, spec);
-            handles.push(engine.decision_handle());
-            Box::new(engine) as Box<dyn DynEngine>
-        })
-        .collect();
-    (engines, handles)
-}
-
-/// The processes of a consensus deployment that deliver BRB traffic at all: everyone
-/// except the `crashed` list and the [`brb_sim::Behavior::Crash`]-assigned (deaf)
-/// processes.
-pub fn receiving_processes(
-    n: usize,
-    options: &DriverOptions,
-    crashed: &[ProcessId],
-) -> Vec<ProcessId> {
-    (0..n)
-        .filter(|p| !crashed.contains(p) && options.policy_of(*p).behavior.receives())
-        .collect()
-}
-
-/// Convenience wrapper: runs one seeded consensus instance of the given stack on the
-/// threaded channel deployment and returns the deployment report (with
-/// [`crate::NodeReport::decision`] patched in from the decision handles) together with
-/// what the phase driver observed.
+/// Convenience wrapper: runs one seeded consensus instance of the given stack over
+/// `links` and returns the deployment report (with [`crate::NodeReport::decision`]
+/// patched in from the decision handles) together with what the phase driver observed.
+/// Every backend runs this one phase schedule, quiescence rule and decision logic, so a
+/// fixed `(graph, config, stack, spec)` tuple decides the same value in the same round
+/// on every live backend — and on the simulator.
 #[allow(clippy::too_many_arguments)]
-pub fn run_threaded_consensus(
+pub fn run_consensus(
+    links: Links,
     graph: &Graph,
     config: Config,
     stack: StackSpec,
     spec: &ConsensusSpec,
     f: usize,
     options: DriverOptions,
-    crashed: &[ProcessId],
     timeout: Duration,
 ) -> (DeploymentReport, ConsensusRun) {
     let n = graph.node_count();
-    let grace = options.idle_shutdown;
-    let (engines, handles) = build_consensus_engines(graph, &config, stack, spec, f);
-    let receiving = receiving_processes(n, &options, crashed);
+    let shared = Arc::new(graph.clone());
+    let mut handles = Vec::with_capacity(n);
+    let engines = (0..n)
+        .map(|id| {
+            let engine = ConsensusEngine::new(stack.build_shared(&config, &shared, id), n, f, spec);
+            handles.push(engine.decision_handle());
+            Box::new(engine) as Box<dyn DynEngine>
+        })
+        .collect();
+    // The processes that deliver BRB traffic at all: the running ones, minus those
+    // assigned the deaf `Behavior::Crash`.
+    let receiving: Vec<ProcessId> = links
+        .running()
+        .into_iter()
+        .filter(|&p| options.policy_of(p).behavior.receives())
+        .collect();
     let honest = brb_sim::honest_processes(&receiving, spec);
-    let deployment = Deployment::start_with_engines(graph, engines, options, crashed);
+    let grace = options.idle_shutdown;
+    let deployment = Deployment::start_with_engines_on(links, engines, options);
     let run = drive_consensus(
         |source, payload| deployment.broadcast(source, payload),
         deployment.deliveries(),

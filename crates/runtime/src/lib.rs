@@ -1,21 +1,16 @@
-//! Thread-per-process deployment of the PBRB protocols.
+//! The live deployment of the PBRB protocols: one thread per process, over any backend.
 //!
 //! The paper evaluates a real C++ deployment in which every process runs in its own Docker
-//! container and communicates over TCP sockets acting as authenticated channels. This
-//! crate provides the equivalent *concurrent* deployment for the Rust reproduction: every
-//! process runs in its own OS thread, exchanging **binary-encoded** wire messages over
-//! crossbeam channels that play the role of authenticated point-to-point links.
+//! container and communicates over TCP sockets acting as authenticated channels. Here
+//! every process runs the shared [`brb_transport::NodeDriver`] in its own OS thread,
+//! exchanging **binary-encoded** wire messages over authenticated point-to-point links,
+//! with the engines the deterministic simulator (`brb-sim`) drives — which is what lets
+//! the integration tests compare the backends event for event.
 //!
-//! The deployment is **stack-generic** and **transport-generic**: [`Deployment::start`]
-//! takes a [`brb_core::stack::StackSpec`] and spawns one shared
-//! [`brb_transport::NodeDriver`] per process over a
-//! [`brb_transport::ChannelTransport`] — the exact same event loop the TCP deployment
-//! (`brb-net`) runs over real sockets, and the exact same engines the deterministic
-//! simulator (`brb-sim`) drives, which is what lets the integration tests compare the
-//! backends event for event. Byzantine fault injection and the paper's delay regimes are
-//! configured through [`brb_transport::DriverOptions`] (per-process
-//! [`brb_sim::Behavior`]s, wall-clock-scaled [`brb_sim::DelayModel`]s) and applied as
-//! transport decorators; see `brb_transport::policy`.
+//! There is one [`Deployment`]; a backend only wires its [`Links`]. [`Links::channels`]
+//! wires crossbeam channels (what [`Deployment::start`] uses); `brb-net` wires loopback
+//! TCP sockets. [`run_broadcast`], [`run_workload`] and [`run_consensus`] run one
+//! scenario on a deployment over the links they are given.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +21,8 @@ pub mod workload;
 
 pub use brb_transport::link;
 pub use brb_transport::DriverOptions;
-pub use consensus::{
-    build_consensus_engines, drive_consensus, receiving_processes, run_threaded_consensus,
-    ConsensusRun,
+pub use consensus::{drive_consensus, run_consensus, ConsensusRun};
+pub use deployment::{
+    run_broadcast, run_workload, Deployment, DeploymentReport, Links, NodeReport,
 };
-pub use deployment::{Deployment, DeploymentReport, NodeReport};
 pub use workload::{drive_workload, Pacing, WorkloadRun};

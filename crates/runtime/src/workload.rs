@@ -9,9 +9,8 @@
 //! closes the loop: in closed-loop mode the generator blocks whenever
 //! `injected - completed` reaches the window, exactly like a bounded client pool.
 //!
-//! The driver is shared by the channel runtime ([`crate::Deployment::run_workload`]) and
-//! the TCP deployment (`brb_net::TcpDeployment::run_workload`), so "the same spec on
-//! every backend" is one code path, not three.
+//! [`crate::Deployment::run_workload`] runs it on a deployment over any backend's links,
+//! so "the same spec on every backend" is one code path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -202,8 +202,8 @@ where
 
     /// The tracer shared with every process (disabled unless
     /// [`Simulation::set_trace_sink`] was called). A restart builder can clone this to
-    /// re-install tracing on freshly built engines — [`Simulation::restart_process`]
-    /// already does so automatically.
+    /// re-install tracing on freshly built engines — the simulator's own restarts
+    /// already do so automatically.
     pub fn tracer(&self) -> &brb_trace::Tracer {
         &self.tracer
     }

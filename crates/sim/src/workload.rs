@@ -1,4 +1,5 @@
-//! Driving a [`WorkloadSpec`] schedule through the discrete-event simulator.
+//! Driving a [`WorkloadSpec`](brb_workload::WorkloadSpec) schedule through the
+//! discrete-event simulator.
 //!
 //! The workload crate (`brb-workload`) expands a spec into a backend-agnostic schedule
 //! of [`Injection`]s; this module is the simulator-side driver. Open-loop schedules are

@@ -273,8 +273,8 @@ impl DriverOptions {
     }
 }
 
-/// Final report of one node driver.
-#[derive(Debug, Clone)]
+/// Final report of one node driver (the default is an empty report of process 0).
+#[derive(Debug, Clone, Default)]
 pub struct NodeReport {
     /// Identifier of the process.
     pub id: ProcessId,

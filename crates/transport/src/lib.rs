@@ -17,8 +17,8 @@
 //!   length-prefixed frames. The default trait implementation simply loops
 //!   [`Transport::send`], so decorators that need per-frame semantics (delay sampling)
 //!   inherit correctness for free;
-//! * [`NodeDriver`] — the *single* node event loop both `brb_runtime::Deployment` and
-//!   `brb_net::TcpDeployment` spawn per process; it drives exactly one boxed
+//! * [`NodeDriver`] — the *single* node event loop the one `brb_runtime::Deployment`
+//!   spawns per process, over any backend's links; it drives exactly one boxed
 //!   [`brb_core::stack::DynEngine`] and performs the Table 3 byte accounting. Batching
 //!   is how it works, not an option: every wake drains the inbound backlog into the
 //!   engine and sends the resulting frames as one [`Transport::send_batch`] burst per
@@ -34,8 +34,9 @@
 //!
 //! # Quickstart: a two-node deployment from the driver alone
 //!
-//! The deployments in `brb-runtime` / `brb-net` are thin constructors over exactly this
-//! sequence — wire links, build engines, spawn drivers, collect reports:
+//! `brb_runtime::Deployment` is a thin constructor over exactly this sequence — wire
+//! links (crossbeam channels here, TCP sockets in `brb-net`), build engines, spawn
+//! drivers, collect reports:
 //!
 //! ```
 //! use std::time::Duration;

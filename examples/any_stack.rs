@@ -13,8 +13,8 @@ use brb_core::config::Config;
 use brb_core::stack::{DynStack, StackSpec};
 use brb_core::types::Payload;
 use brb_graph::generate;
-use brb_net::run_tcp_broadcast;
-use brb_runtime::deployment::run_threaded_broadcast;
+use brb_net::BACKENDS;
+use brb_runtime::run_broadcast;
 use brb_sim::{DelayModel, Simulation};
 
 fn main() -> std::io::Result<()> {
@@ -67,51 +67,31 @@ fn main() -> std::io::Result<()> {
             sim.metrics().bytes_sent
         );
 
-        // Channel runtime: one OS thread per process.
-        let report = run_threaded_broadcast(
-            &graph,
-            config,
-            stack,
-            payload.clone(),
-            0,
-            &[],
-            Duration::from_secs(20),
-        );
-        println!(
-            "{:<21} {:<9} {:>9}   {:>8} {:>10}",
-            stack.name(),
-            "runtime",
-            report
-                .nodes
-                .iter()
-                .filter(|node| !node.deliveries.is_empty())
-                .count(),
-            report.total_messages(),
-            report.total_bytes()
-        );
-
-        // TCP deployment: real loopback sockets.
-        let report = run_tcp_broadcast(
-            &graph,
-            config,
-            stack,
-            payload.clone(),
-            0,
-            &[],
-            Duration::from_secs(20),
-        )?;
-        println!(
-            "{:<21} {:<9} {:>9}   {:>8} {:>10}",
-            stack.name(),
-            "tcp",
-            report
-                .nodes
-                .iter()
-                .filter(|node| !node.deliveries.is_empty())
-                .count(),
-            report.total_messages(),
-            report.total_bytes()
-        );
+        // Channel runtime and TCP deployment: one OS thread per process, over
+        // crossbeam channels or real loopback sockets.
+        for (backend, wire) in BACKENDS {
+            let report = run_broadcast(
+                wire(&graph, &[])?,
+                &graph,
+                config,
+                stack,
+                payload.clone(),
+                0,
+                Duration::from_secs(20),
+            );
+            println!(
+                "{:<21} {:<9} {:>9}   {:>8} {:>10}",
+                stack.name(),
+                backend,
+                report
+                    .nodes
+                    .iter()
+                    .filter(|node| !node.deliveries.is_empty())
+                    .count(),
+                report.total_messages(),
+                report.total_bytes()
+            );
+        }
     }
     println!("\nOne engine API, three backends: every stack is one flag away.");
     Ok(())

@@ -19,8 +19,7 @@ use brb_consensus::{ConsensusSpec, Decision, ProposalPattern};
 use brb_core::config::Config;
 use brb_core::gc::GcPolicy;
 use brb_core::stack::StackSpec;
-use brb_net::run_tcp_consensus;
-use brb_runtime::run_threaded_consensus;
+use brb_net::BACKENDS;
 use brb_sim::experiment::experiment_graph;
 use brb_sim::{build_consensus_sim, honest_decisions, run_consensus, ExperimentParams};
 use brb_transport::DriverOptions;
@@ -52,46 +51,29 @@ fn main() -> std::io::Result<()> {
     verify(&spec, &sim_decisions);
     let reference = sim_decisions[0].1.expect("simulator decided");
 
-    // Channel runtime: real threads, crossbeam links, wall-clock quiescence grace.
+    // Channel runtime and TCP: real threads over crossbeam links or loopback sockets,
+    // wall-clock quiescence grace.
     let options = DriverOptions::default().with_gc(GcPolicy::after_events(64));
-    let (_, run) = run_threaded_consensus(
-        &graph,
-        config,
-        stack,
-        &spec,
-        f,
-        options.clone(),
-        &[],
-        Duration::from_secs(120),
-    );
-    print_row(
-        "threads",
-        decided_count(&run.decisions),
-        honest.len(),
-        &run.decisions,
-    );
-    verify(&spec, &run.decisions);
-    assert_lockstep("threads", reference, &run.decisions);
-
-    // TCP: the same engines behind real sockets on loopback.
-    let (_, run) = run_tcp_consensus(
-        &graph,
-        config,
-        stack,
-        &spec,
-        f,
-        options,
-        &[],
-        Duration::from_secs(120),
-    )?;
-    print_row(
-        "tcp",
-        decided_count(&run.decisions),
-        honest.len(),
-        &run.decisions,
-    );
-    verify(&spec, &run.decisions);
-    assert_lockstep("tcp", reference, &run.decisions);
+    for (backend, wire) in BACKENDS {
+        let (_, run) = brb_runtime::run_consensus(
+            wire(&graph, &[])?,
+            &graph,
+            config,
+            stack,
+            &spec,
+            f,
+            options.clone(),
+            Duration::from_secs(120),
+        );
+        print_row(
+            backend,
+            decided_count(&run.decisions),
+            honest.len(),
+            &run.decisions,
+        );
+        verify(&spec, &run.decisions);
+        assert_lockstep(backend, reference, &run.decisions);
+    }
 
     println!();
     println!(

@@ -13,8 +13,7 @@ use std::time::Duration;
 use brb_core::config::Config;
 use brb_core::stack::{DynStack, StackSpec};
 use brb_graph::generate;
-use brb_net::run_tcp_workload;
-use brb_runtime::deployment::run_threaded_workload;
+use brb_net::BACKENDS;
 use brb_sim::workload::{run_workload, workload_stats};
 use brb_sim::{DelayModel, Simulation};
 use brb_workload::{SourceSelection, WorkloadSpec};
@@ -54,48 +53,31 @@ fn main() -> std::io::Result<()> {
         stats.p99_ms(),
     );
 
-    // 2. Channel runtime: real threads, same schedule via the generator driver.
-    let (threaded, run) = run_threaded_workload(
-        &graph,
-        config,
-        stack,
-        &spec,
-        seed,
-        &[],
-        Duration::from_secs(60),
-    );
-    assert!(run.all_completed(), "runtime must complete: {run:?}");
-    println!(
-        "runtime  : {}/{} broadcasts completed, {} deliveries, {} messages",
-        run.completed,
-        run.effective,
-        run.deliveries_seen,
-        threaded.total_messages()
-    );
-
-    // 3. TCP sockets over loopback: same schedule again.
-    let (tcp, run) = run_tcp_workload(
-        &graph,
-        config,
-        stack,
-        &spec,
-        seed,
-        &[],
-        Duration::from_secs(60),
-    )?;
-    assert!(run.all_completed(), "tcp must complete: {run:?}");
-    println!(
-        "tcp      : {}/{} broadcasts completed, {} deliveries, {} bytes on the wire",
-        run.completed,
-        run.effective,
-        run.deliveries_seen,
-        tcp.total_bytes()
-    );
-
-    // The three backends delivered the same broadcasts everywhere.
-    for p in 0..n {
-        assert_eq!(threaded.nodes[p].deliveries.len(), expected);
-        assert_eq!(tcp.nodes[p].deliveries.len(), expected);
+    // 2. and 3. Channel runtime and TCP sockets over loopback: real threads, the same
+    //    schedule via the generator driver.
+    for (backend, wire) in BACKENDS {
+        let (report, run) = brb_runtime::run_workload(
+            wire(&graph, &[])?,
+            &graph,
+            config,
+            stack,
+            &spec,
+            seed,
+            Duration::from_secs(60),
+        );
+        assert!(run.all_completed(), "{backend} must complete: {run:?}");
+        println!(
+            "{backend:<9}: {}/{} broadcasts completed, {} deliveries, {} messages, {} bytes",
+            run.completed,
+            run.effective,
+            run.deliveries_seen,
+            report.total_messages(),
+            report.total_bytes()
+        );
+        // Every backend delivered the same broadcasts everywhere.
+        for node in &report.nodes {
+            assert_eq!(node.deliveries.len(), expected);
+        }
     }
     println!();
     println!("all three backends delivered all {expected} broadcasts at every process");

@@ -23,8 +23,7 @@ use brb_core::gc::GcPolicy;
 use brb_core::stack::{DynStack, StackSpec};
 use brb_core::Protocol;
 use brb_graph::generate;
-use brb_net::run_tcp_workload;
-use brb_runtime::deployment::run_threaded_workload;
+use brb_net::BACKENDS;
 use brb_sim::workload::run_workload;
 use brb_sim::{DelayModel, Simulation};
 use brb_workload::WorkloadSpec;
@@ -82,33 +81,28 @@ fn main() -> std::io::Result<()> {
                 gc_retired: sim.processes().iter().map(|p| p.gc_retired()).sum(),
             });
 
-            // 2. Channel runtime.
-            let start = Instant::now();
-            let (report, run) =
-                run_threaded_workload(&graph, config, StackSpec::Bd, &spec, seed, &[], timeout);
-            assert!(run.all_completed(), "runtime incomplete: {run:?}");
-            samples.push(Sample {
-                backend: "runtime",
-                gc,
-                broadcasts,
-                secs: start.elapsed().as_secs_f64(),
-                state_bytes: report.nodes.iter().map(|node| node.state_bytes).sum(),
-                gc_retired: report.nodes.iter().map(|node| node.gc_retired).sum(),
-            });
-
-            // 3. TCP sockets over loopback.
-            let start = Instant::now();
-            let (report, run) =
-                run_tcp_workload(&graph, config, StackSpec::Bd, &spec, seed, &[], timeout)?;
-            assert!(run.all_completed(), "tcp incomplete: {run:?}");
-            samples.push(Sample {
-                backend: "tcp",
-                gc,
-                broadcasts,
-                secs: start.elapsed().as_secs_f64(),
-                state_bytes: report.nodes.iter().map(|node| node.state_bytes).sum(),
-                gc_retired: report.nodes.iter().map(|node| node.gc_retired).sum(),
-            });
+            // 2. and 3. Channel runtime and TCP sockets over loopback.
+            for (backend, wire) in BACKENDS {
+                let start = Instant::now();
+                let (report, run) = brb_runtime::run_workload(
+                    wire(&graph, &[])?,
+                    &graph,
+                    config,
+                    StackSpec::Bd,
+                    &spec,
+                    seed,
+                    timeout,
+                );
+                assert!(run.all_completed(), "{backend} incomplete: {run:?}");
+                samples.push(Sample {
+                    backend,
+                    gc,
+                    broadcasts,
+                    secs: start.elapsed().as_secs_f64(),
+                    state_bytes: report.nodes.iter().map(|node| node.state_bytes).sum(),
+                    gc_retired: report.nodes.iter().map(|node| node.gc_retired).sum(),
+                });
+            }
         }
     }
 
@@ -127,7 +121,7 @@ fn main() -> std::io::Result<()> {
 
     // The claim, checked per backend: GC off doubles residual state when the broadcast
     // count doubles; GC on keeps it flat (and strictly below the GC-off endpoint).
-    for backend in ["sim", "runtime", "tcp"] {
+    for backend in ["sim", "channel", "tcp"] {
         let grab = |gc: bool, b: u32| {
             samples
                 .iter()

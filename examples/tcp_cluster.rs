@@ -14,7 +14,8 @@ use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_core::types::Payload;
 use brb_graph::{connectivity, generate};
-use brb_net::{run_tcp_broadcast, DriverOptions, TcpDeployment};
+use brb_net::{tcp_links, DriverOptions, TcpDeployment};
+use brb_runtime::run_broadcast;
 use brb_transport::LinkDelay;
 
 fn main() -> std::io::Result<()> {
@@ -30,15 +31,15 @@ fn main() -> std::io::Result<()> {
     let crashed = [7usize];
     println!("\n[1] One broadcast with a crashed node (process 7), immediate links:");
     let start = Instant::now();
-    let report = run_tcp_broadcast(
+    let report = run_broadcast(
+        tcp_links(&graph, &crashed)?,
         &graph,
         Config::bandwidth_preset(n, f),
         StackSpec::Bd,
         Payload::filled(0xAB, 1024),
         0,
-        &crashed,
         Duration::from_secs(30),
-    )?;
+    );
     let elapsed = start.elapsed();
     let delivered = report
         .nodes

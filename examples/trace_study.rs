@@ -21,7 +21,7 @@ use std::time::Duration;
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_core::types::{Payload, ProcessId};
-use brb_net::TcpDeployment;
+use brb_net::{Wiring, BACKENDS};
 use brb_runtime::Deployment;
 use brb_sim::experiment::{experiment_graph, ExperimentParams};
 use brb_sim::{run_experiment_traced, Behavior, DelayModel};
@@ -70,39 +70,21 @@ fn sim_events() -> Vec<TraceEvent> {
     traced.events
 }
 
-fn runtime_events() -> Vec<TraceEvent> {
+/// The same scenario on a live backend, its trace events tagged with `backend`.
+fn live_events(wire: Wiring, backend: Backend) -> Vec<TraceEvent> {
     let graph = experiment_graph(N, K, GRAPH_SEED);
     let sink = Arc::new(VecSink::new());
     let options = DriverOptions::default()
         .with_behaviors(behaviors())
-        .with_trace(TraceConfig::new(Backend::Runtime, sink.clone()));
-    let deployment = Deployment::start(
+        .with_trace(TraceConfig::new(backend, sink.clone()));
+    let links = wire(&graph, &[]).expect("links wire on loopback");
+    let deployment = Deployment::start_on(
+        links,
         &graph,
         Config::bdopt_mbd1(N, F),
         StackSpec::Bd,
         options,
-        &[],
     );
-    deployment.broadcast(0, Payload::filled(0xAB, PAYLOAD));
-    deployment.await_deliveries(N, Duration::from_secs(30));
-    deployment.shutdown();
-    sink.take()
-}
-
-fn tcp_events() -> Vec<TraceEvent> {
-    let graph = experiment_graph(N, K, GRAPH_SEED);
-    let sink = Arc::new(VecSink::new());
-    let options = DriverOptions::default()
-        .with_behaviors(behaviors())
-        .with_trace(TraceConfig::new(Backend::Tcp, sink.clone()));
-    let deployment = TcpDeployment::start(
-        &graph,
-        Config::bdopt_mbd1(N, F),
-        StackSpec::Bd,
-        options,
-        &[],
-    )
-    .expect("TCP deployment starts on loopback");
     deployment.broadcast(0, Payload::filled(0xAB, PAYLOAD));
     deployment.await_deliveries(N, Duration::from_secs(30));
     deployment.shutdown();
@@ -118,27 +100,18 @@ fn main() {
     println!("# trace_study — N={N}, k={K}, f={F}, stack=bd, adversaries=silent+replayer");
 
     let sim = sim_events();
-    let runtime = runtime_events();
-    let tcp = tcp_events();
-    println!(
-        "events: sim={}, runtime={}, tcp={}",
-        sim.len(),
-        runtime.len(),
-        tcp.len()
-    );
-
     let sim_seq: CausalSeq = causal_sequence(&sim);
-    let runtime_seq: CausalSeq = causal_sequence(&runtime);
-    let tcp_seq: CausalSeq = causal_sequence(&tcp);
     assert!(!sim_seq.is_empty(), "the causal sequence must be non-empty");
-    assert_eq!(
-        sim_seq, runtime_seq,
-        "sim and channel-runtime causal sequences must be identical"
-    );
-    assert_eq!(
-        sim_seq, tcp_seq,
-        "sim and TCP causal sequences must be identical"
-    );
+    println!("events: sim={}", sim.len());
+    for ((name, wire), backend) in BACKENDS.into_iter().zip([Backend::Runtime, Backend::Tcp]) {
+        let events = live_events(wire, backend);
+        println!("events: {name}={}", events.len());
+        let seq: CausalSeq = causal_sequence(&events);
+        assert_eq!(
+            sim_seq, seq,
+            "sim and {name} causal sequences must be identical"
+        );
+    }
     println!(
         "OK: identical order-normalized causal sequence on all three backends \
          ({} causal events):",

@@ -36,8 +36,9 @@
 #
 # Before any of that it runs the host-independent gates: the
 # allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing),
-# and the two lint steps of the CI `build-and-test` job, verbatim: `cargo fmt --all
-# --check` and workspace-wide `clippy -D warnings`.
+# and the three lint steps of the CI `build-and-test` job, verbatim: `cargo fmt --all
+# --check`, workspace-wide `clippy -D warnings` and `RUSTDOCFLAGS="-D warnings" cargo
+# doc --workspace --no-deps`.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
@@ -48,8 +49,9 @@ mkdir -p "$out"
 timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
 timeout 300 cargo fmt --all --check
 timeout 900 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" timeout 900 cargo doc --workspace --no-deps
 
-echo "OK: allocations per handled event within budget; workspace rustfmt-clean and clippy-clean"
+echo "OK: allocations per handled event within budget; workspace rustfmt-clean, clippy-clean and rustdoc-clean"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.

@@ -32,7 +32,7 @@ use brb_core::stack::{DynStack, StackSpec};
 use brb_core::types::{BroadcastId, Delivery, Payload, ProcessId};
 use brb_core::Protocol;
 use brb_graph::generate;
-use brb_net::TcpDeployment;
+use brb_net::BACKENDS;
 use brb_runtime::{Deployment, DriverOptions};
 use brb_sim::churn::{ChurnAction, ChurnSpec};
 use brb_sim::experiment::experiment_graph;
@@ -150,33 +150,31 @@ fn seeded_churn_schedule_agrees_across_all_three_backends() {
     );
     let sim_logs: Vec<Vec<Delivery>> = (0..N).map(|p| sim.full_deliveries(p)).collect();
 
-    // 2. Channel runtime: the pacer thread replays the same compiled schedule against
-    //    the shared link state, and routes the restart command to the node driver.
-    let options =
-        DriverOptions::default().with_churn(ChurnHandle::new(&spec, SEED, 1.0, &graph.edges()));
-    let deployment = Deployment::start(&graph, config, StackSpec::Bd, options, &[]);
-    run_live_waves(
-        "runtime",
-        |source, payload| deployment.broadcast(source, payload),
-        |expected, timeout| deployment.await_deliveries(expected, timeout),
-    );
-    let threaded = deployment.shutdown();
+    for (p, sim_log) in sim_logs.iter().enumerate() {
+        assert_eq!(
+            delivery_set(sim_log).len(),
+            broadcasts.len(),
+            "process {p} must deliver all {} broadcasts in the simulator",
+            broadcasts.len()
+        );
+    }
+    let slices: Vec<&[Delivery]> = sim_logs.iter().map(|l| l.as_slice()).collect();
+    check_brb(&slices, &everyone, &broadcasts)
+        .unwrap_or_else(|v| panic!("churn schedule on sim: {v}"));
 
-    // 3. TCP sockets over loopback, same pacer, fresh handle (each deployment's churn
-    //    clock starts at its own start time).
-    let options =
-        DriverOptions::default().with_churn(ChurnHandle::new(&spec, SEED, 1.0, &graph.edges()));
-    let deployment =
-        TcpDeployment::start(&graph, config, StackSpec::Bd, options, &[]).expect("TCP starts");
-    run_live_waves(
-        "tcp",
-        |source, payload| deployment.broadcast(source, payload),
-        |expected, timeout| deployment.await_deliveries(expected, timeout),
-    );
-    let tcp = deployment.shutdown();
+    // 2. and 3. Channel runtime and TCP sockets over loopback: the pacer thread replays
+    //    the same compiled schedule against the shared link state, and routes the
+    //    restart command to the node driver. Each deployment gets a fresh handle (its
+    //    churn clock starts at its own start time).
+    for (backend, wire) in BACKENDS {
+        let options =
+            DriverOptions::default().with_churn(ChurnHandle::new(&spec, SEED, 1.0, &graph.edges()));
+        let links = wire(&graph, &[]).expect("links wire");
+        let deployment = Deployment::start_on(links, &graph, config, StackSpec::Bd, options);
+        run_live_waves(backend, &deployment);
+        let report = deployment.shutdown();
 
-    // The restart really ran on both live backends, exactly once, and only there.
-    for (backend, report) in [("runtime", &threaded), ("tcp", &tcp)] {
+        // The restart really ran, exactly once, and only there.
         assert_eq!(
             report.nodes[RESTARTED].restarts, 1,
             "{backend}: process {RESTARTED} must restart exactly once"
@@ -184,72 +182,39 @@ fn seeded_churn_schedule_agrees_across_all_three_backends() {
         for p in (0..N).filter(|&p| p != RESTARTED) {
             assert_eq!(report.nodes[p].restarts, 0, "{backend}: process {p}");
         }
-    }
 
-    // Identical, complete per-process delivery sets on every backend.
-    for (p, sim_log) in sim_logs.iter().enumerate() {
-        let sim_set = delivery_set(sim_log);
-        assert_eq!(
-            sim_set.len(),
-            broadcasts.len(),
-            "process {p} must deliver all {} broadcasts in the simulator",
-            broadcasts.len()
-        );
-        assert_eq!(
-            sim_set,
-            delivery_set(&threaded.nodes[p].deliveries),
-            "sim and channel runtime disagree at process {p}"
-        );
-        assert_eq!(
-            sim_set,
-            delivery_set(&tcp.nodes[p].deliveries),
-            "sim and TCP disagree at process {p}"
-        );
-    }
+        // Identical, complete per-process delivery sets.
+        for (p, sim_log) in sim_logs.iter().enumerate() {
+            assert_eq!(
+                delivery_set(sim_log),
+                delivery_set(&report.nodes[p].deliveries),
+                "sim and {backend} disagree at process {p}"
+            );
+        }
 
-    // All four BRB properties hold per broadcast on every backend's logs — including
-    // No duplication at the restarted process, the property a resurrected instance
-    // would break.
-    for (backend, logs) in [
-        ("sim", sim_logs.clone()),
-        (
-            "runtime",
-            threaded
-                .nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-        (
-            "tcp",
-            tcp.nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-    ] {
-        let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
+        // All four BRB properties hold per broadcast — including No duplication at the
+        // restarted process, the property a resurrected instance would break.
+        let slices: Vec<&[Delivery]> = report
+            .nodes
+            .iter()
+            .map(|node| node.deliveries.as_slice())
+            .collect();
         check_brb(&slices, &everyone, &broadcasts)
             .unwrap_or_else(|v| panic!("churn schedule on {backend}: {v}"));
     }
 }
 
-/// Drives the two-wave broadcast schedule against a live deployment (the channel
-/// runtime and the TCP deployment expose the same broadcast/await surface, threaded in
-/// here as closures). Wall-clock placement mirrors the virtual-time schedule: wave one
-/// immediately, wave two after the pacer has replayed the partition, heal and restart.
-fn run_live_waves(
-    backend: &str,
-    broadcast: impl Fn(ProcessId, Payload),
-    await_deliveries: impl Fn(usize, Duration) -> usize,
-) {
+/// Drives the two-wave broadcast schedule against a live deployment. Wall-clock
+/// placement mirrors the virtual-time schedule: wave one immediately, wave two after the
+/// pacer has replayed the partition, heal and restart.
+fn run_live_waves(backend: &str, deployment: &Deployment) {
     let start = Instant::now();
     // Wave one, racing the flap: completeness is topology-guaranteed (see module docs).
     for (slot, &source) in WAVE1_SOURCES.iter().enumerate() {
-        broadcast(source, payload_of(1, slot));
+        deployment.broadcast(source, payload_of(1, slot));
     }
     let expected = N * WAVE1_SOURCES.len();
-    let got = await_deliveries(expected, Duration::from_secs(60));
+    let got = deployment.await_deliveries(expected, Duration::from_secs(60));
     assert_eq!(
         got, expected,
         "{backend}: wave one must complete everywhere"
@@ -266,9 +231,9 @@ fn run_live_waves(
     let wave2_at = Duration::from_micros(WAVE2_AT_US);
     std::thread::sleep(wave2_at.saturating_sub(start.elapsed()));
     for (slot, &source) in WAVE2_SOURCES.iter().enumerate() {
-        broadcast(source, payload_of(2, slot));
+        deployment.broadcast(source, payload_of(2, slot));
     }
-    let got = await_deliveries(expected, Duration::from_secs(60));
+    let got = deployment.await_deliveries(expected, Duration::from_secs(60));
     assert_eq!(
         got, expected,
         "{backend}: wave two must complete everywhere"

@@ -37,8 +37,7 @@ use brb_core::types::{
     seq_namespace, BroadcastId, Delivery, Payload, ProcessId, NAMESPACE_CONSENSUS,
 };
 use brb_core::Protocol;
-use brb_net::run_tcp_consensus;
-use brb_runtime::run_threaded_consensus;
+use brb_net::BACKENDS;
 use brb_sim::churn::ChurnSpec;
 use brb_sim::experiment::experiment_graph;
 use brb_sim::invariants::{check_brb, BroadcastRecord};
@@ -153,82 +152,51 @@ fn seeded_consensus_decides_identically_on_all_three_backends() {
 
     let options = DriverOptions::default().with_gc(GcPolicy::after_events(GC_WINDOW));
 
-    // 2. Thread-per-process channel runtime.
-    let (report, run) = run_threaded_consensus(
-        &graph,
-        config,
-        StackSpec::Bd,
-        &spec,
-        F,
-        options.clone(),
-        &[],
-        Duration::from_secs(120),
-    );
-    assert!(run.all_decided(), "runtime: {:?}", run.decisions);
-    assert_eq!(run.instances, stats.instances, "runtime instance count");
-    assert_decisions("runtime", &spec, reference, &run.decisions);
-    let runtime_logs: Vec<Vec<Delivery>> = report
-        .nodes
-        .iter()
-        .map(|node| node.deliveries.clone())
-        .collect();
-    assert_brb_under_consensus("runtime", &runtime_logs);
-    assert!(
-        report.nodes.iter().map(|n| n.gc_retired).sum::<u64>() > 0,
-        "runtime: the retention window must retire closed-round instances"
-    );
-    // The patched per-node report carries the same decisions the handles report.
-    for &(p, d) in &run.decisions {
-        assert_eq!(report.nodes[p].decision, d, "runtime report at {p}");
-    }
-
-    // 3. TCP sockets over loopback.
-    let (report, run) = run_tcp_consensus(
-        &graph,
-        config,
-        StackSpec::Bd,
-        &spec,
-        F,
-        options,
-        &[],
-        Duration::from_secs(120),
-    )
-    .expect("TCP deployment starts");
-    assert!(run.all_decided(), "tcp: {:?}", run.decisions);
-    assert_eq!(run.instances, stats.instances, "tcp instance count");
-    assert_decisions("tcp", &spec, reference, &run.decisions);
-    let tcp_logs: Vec<Vec<Delivery>> = report
-        .nodes
-        .iter()
-        .map(|node| node.deliveries.clone())
-        .collect();
-    assert_brb_under_consensus("tcp", &tcp_logs);
-    assert!(
-        report.nodes.iter().map(|n| n.gc_retired).sum::<u64>() > 0,
-        "tcp: the retention window must retire closed-round instances"
-    );
-    for &(p, d) in &run.decisions {
-        assert_eq!(report.nodes[p].decision, d, "tcp report at {p}");
-    }
-
-    // The three backends delivered identical round-message instance *sets* process by
-    // process, not merely equivalent decisions. (Order differs: within a phase the
-    // live backends interleave concurrent instances nondeterministically.)
     let delivery_set = |log: &[Delivery]| -> std::collections::BTreeSet<(BroadcastId, Payload)> {
         log.iter().map(|d| (d.id, d.payload.clone())).collect()
     };
-    for (p, sim_log) in sim_logs.iter().enumerate() {
-        let reference_set = delivery_set(sim_log);
-        assert_eq!(
-            reference_set,
-            delivery_set(&runtime_logs[p]),
-            "sim vs runtime at process {p}"
+
+    // 2. and 3. Thread-per-process deployments over crossbeam channels and over TCP
+    //    sockets on loopback.
+    for (backend, wire) in BACKENDS {
+        let (report, run) = brb_runtime::run_consensus(
+            wire(&graph, &[]).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bd,
+            &spec,
+            F,
+            options.clone(),
+            Duration::from_secs(120),
         );
-        assert_eq!(
-            reference_set,
-            delivery_set(&tcp_logs[p]),
-            "sim vs tcp at process {p}"
+        assert!(run.all_decided(), "{backend}: {:?}", run.decisions);
+        assert_eq!(run.instances, stats.instances, "{backend} instance count");
+        assert_decisions(backend, &spec, reference, &run.decisions);
+        let logs: Vec<Vec<Delivery>> = report
+            .nodes
+            .iter()
+            .map(|node| node.deliveries.clone())
+            .collect();
+        assert_brb_under_consensus(backend, &logs);
+        assert!(
+            report.nodes.iter().map(|n| n.gc_retired).sum::<u64>() > 0,
+            "{backend}: the retention window must retire closed-round instances"
         );
+        // The patched per-node report carries the same decisions the handles report.
+        for &(p, d) in &run.decisions {
+            assert_eq!(report.nodes[p].decision, d, "{backend} report at {p}");
+        }
+
+        // The backends delivered identical round-message instance *sets* process by
+        // process, not merely equivalent decisions. (Order differs: within a phase the
+        // live backends interleave concurrent instances nondeterministically.)
+        for (p, sim_log) in sim_logs.iter().enumerate() {
+            assert_eq!(
+                delivery_set(sim_log),
+                delivery_set(&logs[p]),
+                "sim vs {backend} at process {p}"
+            );
+        }
     }
 }
 

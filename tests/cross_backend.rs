@@ -19,9 +19,8 @@ use brb_core::stack::{DynEngine, DynStack, StackSpec, WireActionBuf};
 use brb_core::types::{BroadcastId, BroadcastSeq, Delivery, Payload, ProcessId};
 use brb_core::{BdProcess, Protocol};
 use brb_graph::{generate, Graph};
-use brb_net::{run_tcp_broadcast, TcpDeployment};
-use brb_runtime::deployment::run_threaded_broadcast;
-use brb_runtime::{Deployment, DriverOptions};
+use brb_net::{tcp_links, Wiring, BACKENDS};
+use brb_runtime::{run_broadcast, Deployment, DriverOptions};
 use brb_sim::invariants::{check_brb, BroadcastRecord};
 use brb_sim::{DelayModel, Simulation};
 use rand::rngs::StdRng;
@@ -83,71 +82,44 @@ fn every_stack_agrees_across_all_three_backends_on_figure1() {
         // 1. Discrete-event simulator (encoded frames through DynStack).
         let sim_logs = simulate(stack, &graph, &config, &payload);
 
-        // 2. Thread-per-process runtime over crossbeam channels.
-        let threaded = run_threaded_broadcast(
-            &graph,
-            config,
-            stack,
-            payload.clone(),
-            0,
-            &[],
-            Duration::from_secs(20),
-        );
+        // All four BRB properties hold on the simulator's logs.
+        let slices: Vec<&[Delivery]> = sim_logs.iter().map(|l| l.as_slice()).collect();
+        check_brb(&slices, &everyone, &broadcasts)
+            .unwrap_or_else(|v| panic!("{stack} on sim: {v}"));
 
-        // 3. TCP sockets over loopback.
-        let tcp = run_tcp_broadcast(
-            &graph,
-            config,
-            stack,
-            payload.clone(),
-            0,
-            &[],
-            Duration::from_secs(20),
-        )
-        .expect("TCP deployment starts");
-
-        // Identical delivery sets across the three backends, process by process.
-        for (p, sim_log) in sim_logs.iter().enumerate() {
-            assert_eq!(
-                *sim_log, threaded.nodes[p].deliveries,
-                "{stack}: sim and channel runtime disagree at process {p}"
+        // 2. and 3. Thread-per-process deployments over crossbeam channels and over TCP
+        //    sockets on loopback.
+        for (backend, wire) in BACKENDS {
+            let report = run_broadcast(
+                wire(&graph, &[]).expect("links wire"),
+                &graph,
+                config,
+                stack,
+                payload.clone(),
+                0,
+                Duration::from_secs(20),
             );
-            assert_eq!(
-                *sim_log, tcp.nodes[p].deliveries,
-                "{stack}: sim and TCP disagree at process {p}"
-            );
-        }
-
-        // All four BRB properties hold on each backend's logs. (For the RC-only stacks
-        // the source is correct, so the BRB properties reduce to the RC guarantees and
-        // must hold as well.)
-        for (backend, logs) in [
-            ("sim", &sim_logs),
-            (
-                "runtime",
-                &threaded
-                    .nodes
-                    .iter()
-                    .map(|node| node.deliveries.clone())
-                    .collect::<Vec<_>>(),
-            ),
-            (
-                "tcp",
-                &tcp.nodes
-                    .iter()
-                    .map(|node| node.deliveries.clone())
-                    .collect::<Vec<_>>(),
-            ),
-        ] {
-            let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
+            // Identical delivery sets across the backends, process by process.
+            for (p, sim_log) in sim_logs.iter().enumerate() {
+                assert_eq!(
+                    *sim_log, report.nodes[p].deliveries,
+                    "{stack}: sim and {backend} disagree at process {p}"
+                );
+            }
+            // All four BRB properties hold on each backend's logs. (For the RC-only
+            // stacks the source is correct, so the BRB properties reduce to the RC
+            // guarantees and must hold as well.)
+            let slices: Vec<&[Delivery]> = report
+                .nodes
+                .iter()
+                .map(|node| node.deliveries.as_slice())
+                .collect();
             check_brb(&slices, &everyone, &broadcasts)
                 .unwrap_or_else(|v| panic!("{stack} on {backend}: {v}"));
+            // Sanity: every process delivered exactly the broadcast payload once.
+            assert!(report.all_delivered(&everyone, 1), "{stack} {backend}");
+            assert!(report.total_bytes() > 0, "{stack} {backend}");
         }
-
-        // Sanity: every process delivered exactly the broadcast payload once.
-        assert!(threaded.all_delivered(&everyone, 1), "{stack} runtime");
-        assert!(tcp.all_delivered(&everyone, 1), "{stack} tcp");
-        assert!(threaded.total_bytes() > 0 && tcp.total_bytes() > 0);
     }
 }
 
@@ -171,36 +143,26 @@ fn all_three_backends_deliver_the_same_broadcast() {
     let correct = sim.correct_processes();
     assert_eq!(sim.metrics().delivered_count(id, &correct), n);
 
-    // 2. Thread-per-process runtime over crossbeam channels.
-    let threaded = run_threaded_broadcast(
-        &graph,
-        config,
-        StackSpec::Bd,
-        payload.clone(),
-        source,
-        &[],
-        Duration::from_secs(20),
-    );
+    // 2. and 3. Thread-per-process deployments over crossbeam channels and over TCP
+    //    sockets on loopback.
     let everyone: Vec<usize> = (0..n).collect();
-    assert!(threaded.all_delivered(&everyone, 1));
-
-    // 3. TCP sockets over loopback.
-    let tcp = run_tcp_broadcast(
-        &graph,
-        config,
-        StackSpec::Bd,
-        payload.clone(),
-        source,
-        &[],
-        Duration::from_secs(20),
-    )
-    .expect("TCP deployment starts");
-    assert!(tcp.all_delivered(&everyone, 1));
-
-    // Every backend attributes the delivery to the same broadcast identifier and payload.
-    for node in threaded.nodes.iter().chain(tcp.nodes.iter()) {
-        assert_eq!(node.deliveries[0].id, id);
-        assert_eq!(node.deliveries[0].payload, payload);
+    for (backend, wire) in BACKENDS {
+        let report = run_broadcast(
+            wire(&graph, &[]).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bd,
+            payload.clone(),
+            source,
+            Duration::from_secs(20),
+        );
+        assert!(report.all_delivered(&everyone, 1), "{backend}");
+        // Every backend attributes the delivery to the same broadcast identifier and
+        // payload.
+        for node in &report.nodes {
+            assert_eq!(node.deliveries[0].id, id, "{backend}");
+            assert_eq!(node.deliveries[0].payload, payload, "{backend}");
+        }
     }
 }
 
@@ -228,16 +190,15 @@ fn tcp_backend_tolerates_a_crashed_process_like_the_simulator() {
     );
 
     // TCP deployment observation.
-    let report = run_tcp_broadcast(
+    let report = run_broadcast(
+        tcp_links(&graph, &crashed).expect("TCP links wire"),
         &graph,
         config,
         StackSpec::Bd,
         payload.clone(),
         0,
-        &crashed,
         Duration::from_secs(20),
-    )
-    .expect("TCP deployment starts");
+    );
     let correct: Vec<usize> = (0..n).filter(|p| !crashed.contains(p)).collect();
     assert!(report.all_delivered(&correct, 1));
     assert!(report.nodes[6].deliveries.is_empty());
@@ -288,15 +249,14 @@ fn panicking_engines(graph: &Graph) -> Vec<Box<dyn DynEngine>> {
         .collect()
 }
 
-#[test]
-#[should_panic(expected = "engine bug in broadcast_wire")]
-fn channel_shutdown_reraises_a_node_panic() {
+/// Starts panicking engines on `wire`'s links, broadcasts, and shuts down: the
+/// shutdown must re-raise the node's panic.
+fn shutdown_reraises_a_node_panic(wire: Wiring) {
     let graph = generate::figure1_example();
-    let deployment = Deployment::start_with_engines(
-        &graph,
+    let deployment = Deployment::start_with_engines_on(
+        wire(&graph, &[]).expect("links wire"),
         panicking_engines(&graph),
         DriverOptions::default(),
-        &[],
     );
     deployment.broadcast(0, Payload::from("m"));
     deployment.shutdown();
@@ -304,15 +264,12 @@ fn channel_shutdown_reraises_a_node_panic() {
 
 #[test]
 #[should_panic(expected = "engine bug in broadcast_wire")]
+fn channel_shutdown_reraises_a_node_panic() {
+    shutdown_reraises_a_node_panic(BACKENDS[0].1);
+}
+
+#[test]
+#[should_panic(expected = "engine bug in broadcast_wire")]
 fn tcp_shutdown_reraises_a_node_panic() {
-    let graph = generate::figure1_example();
-    let deployment = TcpDeployment::start_with_engines(
-        &graph,
-        panicking_engines(&graph),
-        DriverOptions::default(),
-        &[],
-    )
-    .expect("TCP deployment starts");
-    deployment.broadcast(0, Payload::from("m"));
-    deployment.shutdown();
+    shutdown_reraises_a_node_panic(BACKENDS[1].1);
 }

@@ -8,7 +8,7 @@ use brb_core::stack::StackSpec;
 use brb_core::types::{BroadcastId, Payload};
 use brb_core::BdProcess;
 use brb_graph::generate;
-use brb_runtime::deployment::run_threaded_broadcast;
+use brb_runtime::{run_broadcast, Links};
 use brb_sim::{DelayModel, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,13 +36,13 @@ fn simulator_and_threaded_runtime_agree_on_delivery() {
     );
 
     // Threaded deployment (same engine, real concurrency).
-    let report = run_threaded_broadcast(
+    let report = run_broadcast(
+        Links::channels(&graph, &[]),
         &graph,
         config,
         StackSpec::Bd,
         payload.clone(),
         3,
-        &[],
         Duration::from_secs(20),
     );
     let everyone: Vec<usize> = (0..n).collect();
@@ -62,13 +62,13 @@ fn threaded_runtime_tolerates_crashes_like_the_simulator() {
     let payload = Payload::filled(0x42, 256);
     let crashed = vec![5usize, 11];
 
-    let report = run_threaded_broadcast(
+    let report = run_broadcast(
+        Links::channels(&graph, &crashed),
         &graph,
         config,
         StackSpec::Bd,
         payload.clone(),
         0,
-        &crashed,
         Duration::from_secs(20),
     );
     let correct: Vec<usize> = (0..n).filter(|p| !crashed.contains(p)).collect();

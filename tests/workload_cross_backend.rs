@@ -16,9 +16,8 @@ use brb_core::stack::{DynStack, StackSpec};
 use brb_core::types::{BroadcastId, Delivery, Payload, ProcessId};
 use brb_core::Protocol;
 use brb_graph::generate;
-use brb_net::{run_tcp_workload, TcpDeployment};
-use brb_runtime::deployment::run_threaded_workload;
-use brb_runtime::{Deployment, DriverOptions, Pacing};
+use brb_net::BACKENDS;
+use brb_runtime::{Deployment, DeploymentReport, DriverOptions, Pacing};
 use brb_sim::invariants::{check_brb, BroadcastRecord};
 use brb_sim::workload::run_workload;
 use brb_sim::{Behavior, DelayModel, Simulation};
@@ -27,6 +26,42 @@ use brb_workload::{predicted_ids, SourceSelection, WorkloadSpec};
 /// Normalizes a delivery log into the set the backends must agree on.
 fn delivery_set(log: &[Delivery]) -> BTreeSet<(BroadcastId, Payload)> {
     log.iter().map(|d| (d.id, d.payload.clone())).collect()
+}
+
+/// A live deployment's per-process delivery logs.
+fn logs_of(report: &DeploymentReport) -> Vec<Vec<Delivery>> {
+    report
+        .nodes
+        .iter()
+        .map(|node| node.deliveries.clone())
+        .collect()
+}
+
+/// Asserts that `logs` delivers the same set as `reference` at each of `processes`.
+fn assert_same_sets(
+    what: &str,
+    reference: &[Vec<Delivery>],
+    logs: &[Vec<Delivery>],
+    processes: &[ProcessId],
+) {
+    for &p in processes {
+        assert_eq!(
+            delivery_set(&reference[p]),
+            delivery_set(&logs[p]),
+            "{what} disagree at process {p}"
+        );
+    }
+}
+
+/// Asserts all four BRB properties per broadcast on `logs`.
+fn assert_brb(
+    what: &str,
+    logs: &[Vec<Delivery>],
+    correct: &[ProcessId],
+    broadcasts: &[BroadcastRecord],
+) {
+    let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
+    check_brb(&slices, correct, broadcasts).unwrap_or_else(|v| panic!("{what}: {v}"));
 }
 
 /// Runs the workload schedule of `spec` under the simulator (through the encoded-frame
@@ -81,70 +116,44 @@ fn same_workload_spec_agrees_across_all_three_backends() {
         // 1. Discrete-event simulator.
         let sim_logs = simulate_workload(stack, &spec, seed);
 
-        // 2. Channel runtime, driven by the generator thread.
-        let (threaded, threaded_run) = run_threaded_workload(
-            &graph,
-            config,
-            stack,
-            &spec,
-            seed,
-            &[],
-            Duration::from_secs(60),
-        );
-        assert!(threaded_run.all_completed(), "{case}: {threaded_run:?}");
-
-        // 3. TCP sockets over loopback, same driver.
-        let (tcp, tcp_run) = run_tcp_workload(
-            &graph,
-            config,
-            stack,
-            &spec,
-            seed,
-            &[],
-            Duration::from_secs(60),
-        )
-        .expect("TCP deployment starts");
-        assert!(tcp_run.all_completed(), "{case}: {tcp_run:?}");
-
-        // Identical per-process delivery sets, backend by backend.
+        // Every process delivers every broadcast in the simulator, and all four BRB
+        // properties hold per broadcast on its logs.
         for (p, sim_log) in sim_logs.iter().enumerate() {
-            let sim_set = delivery_set(sim_log);
             assert_eq!(
-                sim_set.len(),
+                delivery_set(sim_log).len(),
                 schedule.len(),
                 "{case}: process {p} must deliver every broadcast in the simulator"
             );
-            assert_eq!(
-                sim_set,
-                delivery_set(&threaded.nodes[p].deliveries),
-                "{case}: sim and channel runtime disagree at process {p}"
-            );
-            assert_eq!(
-                sim_set,
-                delivery_set(&tcp.nodes[p].deliveries),
-                "{case}: sim and TCP disagree at process {p}"
-            );
         }
+        assert_brb(&format!("{case} on sim"), &sim_logs, &everyone, &broadcasts);
 
-        // All four BRB properties hold per broadcast on every backend's logs.
-        for (backend, logs) in [
-            ("sim", sim_logs.clone()),
-            (
-                "runtime",
-                threaded
-                    .nodes
-                    .iter()
-                    .map(|n| n.deliveries.clone())
-                    .collect(),
-            ),
-            (
-                "tcp",
-                tcp.nodes.iter().map(|n| n.deliveries.clone()).collect(),
-            ),
-        ] {
-            let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
-            check_brb(&slices, &everyone, &broadcasts)
-                .unwrap_or_else(|v| panic!("{case} on {backend}: {v}"));
+        // 2. and 3. Channel runtime and TCP sockets over loopback, driven by the same
+        //    generator thread.
+        for (backend, wire) in BACKENDS {
+            let (report, run) = brb_runtime::run_workload(
+                wire(&graph, &[]).expect("links wire"),
+                &graph,
+                config,
+                stack,
+                &spec,
+                seed,
+                Duration::from_secs(60),
+            );
+            assert!(run.all_completed(), "{case} on {backend}: {run:?}");
+            let logs = logs_of(&report);
+            // Identical per-process delivery sets, backend by backend.
+            assert_same_sets(
+                &format!("{case}: sim and {backend}"),
+                &sim_logs,
+                &logs,
+                &everyone,
+            );
+            assert_brb(
+                &format!("{case} on {backend}"),
+                &logs,
+                &everyone,
+                &broadcasts,
+            );
         }
     }
 }
@@ -200,75 +209,50 @@ fn adversarial_workload_agrees_across_all_three_backends() {
         .map(|p| p.deliveries().to_vec())
         .collect();
 
-    // 2. Channel runtime with the behaviors as transport decorators.
-    let options = DriverOptions::default().with_behaviors(behaviors.clone());
-    let deployment = Deployment::start(&graph, config, StackSpec::Bd, options.clone(), &[]);
-    let threaded_run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        Pacing::Unpaced,
-        &correct,
-        Duration::from_secs(60),
-    );
-    let threaded = deployment.shutdown();
-    assert!(threaded_run.all_completed(), "{threaded_run:?}");
-
-    // 3. TCP sockets over loopback, same decorators on real links.
-    let deployment =
-        TcpDeployment::start(&graph, config, StackSpec::Bd, options, &[]).expect("TCP starts");
-    let tcp_run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        Pacing::Unpaced,
-        &correct,
-        Duration::from_secs(60),
-    );
-    let tcp = deployment.shutdown();
-    assert!(tcp_run.all_completed(), "{tcp_run:?}");
-
-    // Identical per-process delivery sets on every backend, and complete ones: the
-    // Byzantine pair cannot starve anyone of the f+1 disjoint paths / 2f+1 READYs.
+    // Complete delivery sets in the simulator: the Byzantine pair cannot starve anyone
+    // of the f+1 disjoint paths / 2f+1 READYs.
     for &p in &correct {
-        let sim_set = delivery_set(&sim_logs[p]);
         assert_eq!(
-            sim_set.len(),
+            delivery_set(&sim_logs[p]).len(),
             12,
             "process {p} must deliver all 12 broadcasts in the simulator"
         );
-        assert_eq!(
-            sim_set,
-            delivery_set(&threaded.nodes[p].deliveries),
-            "sim and channel runtime disagree at process {p}"
-        );
-        assert_eq!(
-            sim_set,
-            delivery_set(&tcp.nodes[p].deliveries),
-            "sim and TCP disagree at process {p}"
-        );
     }
+    assert_brb(
+        "adversarial workload on sim",
+        &sim_logs,
+        &correct,
+        &broadcasts,
+    );
 
-    // All four BRB properties hold per broadcast on every backend's logs.
-    for (backend, logs) in [
-        ("sim", sim_logs.clone()),
-        (
-            "runtime",
-            threaded
-                .nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-        (
-            "tcp",
-            tcp.nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-    ] {
-        let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
-        check_brb(&slices, &correct, &broadcasts)
-            .unwrap_or_else(|v| panic!("adversarial workload on {backend}: {v}"));
+    // 2. and 3. Channel runtime and TCP sockets over loopback, with the behaviors as
+    //    transport decorators on their links.
+    let options = DriverOptions::default().with_behaviors(behaviors);
+    for (backend, wire) in BACKENDS {
+        let deployment = Deployment::start_on(
+            wire(&graph, &[]).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bd,
+            options.clone(),
+        );
+        let run = deployment.run_workload(
+            &schedule,
+            spec.mode,
+            Pacing::Unpaced,
+            &correct,
+            Duration::from_secs(60),
+        );
+        let logs = logs_of(&deployment.shutdown());
+        assert!(run.all_completed(), "{backend}: {run:?}");
+        // Identical per-process delivery sets on every backend.
+        assert_same_sets(&format!("sim and {backend}"), &sim_logs, &logs, &correct);
+        assert_brb(
+            &format!("adversarial workload on {backend}"),
+            &logs,
+            &correct,
+            &broadcasts,
+        );
     }
 }
 
@@ -301,27 +285,25 @@ fn closed_loop_workload_agrees_across_backends_with_a_crash() {
         .map(|p| p.deliveries().to_vec())
         .collect();
 
-    let (threaded, run) = run_threaded_workload(
-        &graph,
-        config,
-        StackSpec::Bd,
-        &spec,
-        seed,
-        &crashed,
-        Duration::from_secs(60),
-    );
-    assert!(run.all_completed(), "{run:?}");
-    assert_eq!(run.effective, 18, "two of the 20 injections hit the crash");
-
     for &p in &correct {
-        assert_eq!(
-            delivery_set(&sim_logs[p]),
-            delivery_set(&threaded.nodes[p].deliveries),
-            "sim and runtime disagree at process {p}"
-        );
         assert_eq!(delivery_set(&sim_logs[p]).len(), 18);
     }
-    assert!(threaded.nodes[7].deliveries.is_empty());
+    for (backend, wire) in BACKENDS {
+        let (report, run) = brb_runtime::run_workload(
+            wire(&graph, &crashed).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bd,
+            &spec,
+            seed,
+            Duration::from_secs(60),
+        );
+        assert!(run.all_completed(), "{backend}: {run:?}");
+        assert_eq!(run.effective, 18, "two of the 20 injections hit the crash");
+        let logs = logs_of(&report);
+        assert_same_sets(&format!("sim and {backend}"), &sim_logs, &logs, &correct);
+        assert!(report.nodes[7].deliveries.is_empty(), "{backend}");
+    }
 }
 
 #[test]
@@ -396,42 +378,39 @@ fn replayed_frames_of_retired_instances_agree_and_stay_bounded_across_backends()
             .expect("a live backend delivers no more than the simulator")
     };
 
-    // 2. Channel runtime, GC flowing through the same `Config`.
-    let options = DriverOptions::default().with_behaviors(behaviors.clone());
-    let deployment = Deployment::start(&graph, config_gc, StackSpec::Bd, options.clone(), &[]);
-    let threaded_run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        Pacing::Unpaced,
-        &correct,
-        Duration::from_secs(60),
-    );
-    let rest = rest_of(&threaded_run);
-    let threaded_rest = deployment.await_deliveries(rest, Duration::from_secs(60));
-    let threaded = deployment.shutdown();
-    assert!(threaded_run.all_completed(), "{threaded_run:?}");
-    assert_eq!(
-        threaded_rest, rest,
-        "channel runtime: deliveries after the workload"
-    );
+    for &p in &correct {
+        assert_eq!(
+            delivery_set(&sim_logs[p]).len(),
+            16,
+            "process {p} must deliver all 16 broadcasts"
+        );
+    }
+    assert_brb("GC + replayer on sim", &sim_logs, &correct, &broadcasts);
 
-    // 3. TCP sockets over loopback.
-    let deployment = TcpDeployment::start(&graph, config_gc, StackSpec::Bd, options, &[])
-        .expect("TCP deployment starts");
-    let tcp_run = deployment.run_workload(
-        &schedule,
-        spec.mode,
-        Pacing::Unpaced,
-        &correct,
-        Duration::from_secs(60),
-    );
-    let rest = rest_of(&tcp_run);
-    let tcp_rest = deployment.await_deliveries(rest, Duration::from_secs(60));
-    let tcp = deployment.shutdown();
-    assert!(tcp_run.all_completed(), "{tcp_run:?}");
-    assert_eq!(tcp_rest, rest, "TCP: deliveries after the workload");
+    // 2. and 3. Channel runtime and TCP sockets over loopback, GC flowing through the
+    //    same `Config`.
+    let options = DriverOptions::default().with_behaviors(behaviors);
+    for (backend, wire) in BACKENDS {
+        let deployment = Deployment::start_on(
+            wire(&graph, &[]).expect("links wire"),
+            &graph,
+            config_gc,
+            StackSpec::Bd,
+            options.clone(),
+        );
+        let run = deployment.run_workload(
+            &schedule,
+            spec.mode,
+            Pacing::Unpaced,
+            &correct,
+            Duration::from_secs(60),
+        );
+        let rest = rest_of(&run);
+        let streamed = deployment.await_deliveries(rest, Duration::from_secs(60));
+        let report = deployment.shutdown();
+        assert!(run.all_completed(), "{backend}: {run:?}");
+        assert_eq!(streamed, rest, "{backend}: deliveries after the workload");
 
-    for (backend, report) in [("runtime", &threaded), ("tcp", &tcp)] {
         let retired: u64 = report.nodes.iter().map(|node| node.gc_retired).sum();
         assert!(retired > 0, "{backend}: live engines must retire instances");
         let retained: usize = report.nodes.iter().map(|node| node.state_bytes).sum();
@@ -440,49 +419,16 @@ fn replayed_frames_of_retired_instances_agree_and_stay_bounded_across_backends()
             "{backend}: retained state must stay under the keep-everything \
              baseline: {retained} vs {nogc_retained}"
         );
-    }
 
-    for &p in &correct {
-        let sim_set = delivery_set(&sim_logs[p]);
-        assert_eq!(
-            sim_set.len(),
-            16,
-            "process {p} must deliver all 16 broadcasts"
+        let logs = logs_of(&report);
+        assert_same_sets(&format!("sim and {backend}"), &sim_logs, &logs, &correct);
+        // All four BRB properties — including No duplication, the one a resurrected
+        // instance would break.
+        assert_brb(
+            &format!("GC + replayer on {backend}"),
+            &logs,
+            &correct,
+            &broadcasts,
         );
-        assert_eq!(
-            sim_set,
-            delivery_set(&threaded.nodes[p].deliveries),
-            "sim and channel runtime disagree at process {p}"
-        );
-        assert_eq!(
-            sim_set,
-            delivery_set(&tcp.nodes[p].deliveries),
-            "sim and TCP disagree at process {p}"
-        );
-    }
-
-    // All four BRB properties — including No duplication, the one a resurrected
-    // instance would break — on every backend's logs.
-    for (backend, logs) in [
-        ("sim", sim_logs.clone()),
-        (
-            "runtime",
-            threaded
-                .nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-        (
-            "tcp",
-            tcp.nodes
-                .iter()
-                .map(|node| node.deliveries.clone())
-                .collect(),
-        ),
-    ] {
-        let slices: Vec<&[Delivery]> = logs.iter().map(|l| l.as_slice()).collect();
-        check_brb(&slices, &correct, &broadcasts)
-            .unwrap_or_else(|v| panic!("GC + replayer on {backend}: {v}"));
     }
 }

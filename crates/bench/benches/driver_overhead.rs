@@ -4,7 +4,8 @@
 //! its own `select!` + dispatch code) with one transport-generic driver plus decorator
 //! layers. These benches quantify what that indirection costs on the channel backend:
 //!
-//! * `transport_channel_send_1k` — the raw `ChannelTransport` send path (the floor);
+//! * `transport_channel_send_1k` — the raw `ChannelTransport` one-frame `send_batch`
+//!   path (the floor);
 //! * `transport_decorated_send_1k` — the same sends through a `FaultyLink` decorator
 //!   whose behavior passes everything (the per-frame decorator tax);
 //! * `driver_broadcast_fig1_channel` — a full ten-node deployment broadcast through
@@ -23,7 +24,7 @@ use brb_core::types::{Payload, ProcessId};
 use brb_graph::generate;
 use brb_runtime::{Deployment, DriverOptions};
 use brb_sim::Behavior;
-use brb_transport::{build_links, ChannelTransport, FaultyLink, Transport};
+use brb_transport::{build_links, ChannelTransport, FaultyLink, OutFrame, Transport};
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -43,12 +44,12 @@ fn drain(receiver: &ChannelTransport, expected: usize) {
 }
 
 fn bench_transport_send(c: &mut Criterion) {
-    let frame = Bytes::from_static(&[0u8; 128]);
+    let frame = [OutFrame::new(Bytes::from_static(&[0u8; 128]), 128)];
     c.bench_function("transport_channel_send_1k", |b| {
         let (mut sender, receiver) = link_pair();
         b.iter(|| {
             for _ in 0..1_000 {
-                black_box(sender.send(1, &frame, 128));
+                black_box(sender.send_batch(1, &frame));
             }
             drain(&receiver, 1_000);
         })
@@ -60,7 +61,7 @@ fn bench_transport_send(c: &mut Criterion) {
         let mut sender = FaultyLink::new(sender, Behavior::SilentTowards(Vec::new()), 1);
         b.iter(|| {
             for _ in 0..1_000 {
-                black_box(sender.send(1, &frame, 128));
+                black_box(sender.send_batch(1, &frame));
             }
             drain(&receiver, 1_000);
         })

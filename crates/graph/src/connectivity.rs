@@ -100,8 +100,9 @@ fn witness_pairs(g: &Graph, witnesses: usize) -> impl Iterator<Item = (ProcessId
 ///
 /// The network does not depend on the pair it is queried for, so one network serves
 /// every pair of a connectivity check: [`FlowNetwork::max_flow`] resets the capacities and
-/// reuses the search buffers instead of rebuilding.
-struct FlowNetwork {
+/// reuses the search buffers instead of rebuilding. [`FlowNetwork::decompose`] turns the
+/// last flow into explicit paths ([`crate::paths::vertex_disjoint_paths`]).
+pub(crate) struct FlowNetwork {
     /// `edges[i] = (to, cap)`; the reverse edge is at `i ^ 1`.
     edges: Vec<(usize, u32)>,
     /// Adjacency: indices into `edges` per node.
@@ -117,7 +118,7 @@ impl FlowNetwork {
     /// and `v_out -> u_in` with capacity 1. A query from `s_out` to `t_in` never crosses
     /// `s`'s or `t`'s own split edge (it leaves the source side into `s_out`, or the sink
     /// side out of `t_in`), so the endpoints need no special capacity.
-    fn node_split(g: &Graph) -> Self {
+    pub(crate) fn node_split(g: &Graph) -> Self {
         let n = g.node_count();
         let mut net = FlowNetwork {
             edges: Vec::new(),
@@ -145,7 +146,7 @@ impl FlowNetwork {
 
     /// Edmonds–Karp max flow from `s_out` to `t_in` — the number of internally
     /// node-disjoint `s`-`t` paths — stopping once it reaches `limit`.
-    fn max_flow(&mut self, s: ProcessId, t: ProcessId, limit: usize) -> usize {
+    pub(crate) fn max_flow(&mut self, s: ProcessId, t: ProcessId, limit: usize) -> usize {
         for (i, edge) in self.edges.iter_mut().enumerate() {
             edge.1 = u32::from(i % 2 == 0);
         }
@@ -184,6 +185,54 @@ impl FlowNetwork {
             total += 1;
         }
         total
+    }
+
+    /// Follows the saturated inter-node edges of the last [`FlowNetwork::max_flow`]`(s,
+    /// t, ..)` from `s_out`, yielding one node path per unit of flow. Cancelling flows
+    /// cannot appear because every internal node has capacity 1.
+    pub(crate) fn decompose(&self, s: ProcessId, t: ProcessId) -> Vec<Vec<ProcessId>> {
+        // used[ei] marks forward inter-node edges already claimed by a path.
+        let mut used = vec![false; self.edges.len()];
+        let mut paths = Vec::new();
+        loop {
+            // Start a new path from the source if an unused saturated edge leaves it.
+            let mut path = vec![s];
+            let mut current = 2 * s + 1; // s_out
+            let mut advanced = false;
+            'walk: loop {
+                for &ei in &self.adj[current] {
+                    // Forward edges have even index; a saturated unit edge now has cap 0
+                    // and its reverse has cap 1.
+                    if ei % 2 != 0 || used[ei] {
+                        continue;
+                    }
+                    let (to, cap) = self.edges[ei];
+                    let reverse_cap = self.edges[ei ^ 1].1;
+                    if cap == 0 && reverse_cap > 0 {
+                        used[ei] = true;
+                        let node = to / 2;
+                        if node != *path.last().expect("path starts non-empty") {
+                            path.push(node);
+                        }
+                        if node == t {
+                            advanced = true;
+                            break 'walk;
+                        }
+                        // Continue from node_out.
+                        current = 2 * node + 1;
+                        advanced = true;
+                        continue 'walk;
+                    }
+                }
+                break;
+            }
+            if !advanced || *path.last().expect("non-empty") != t {
+                break;
+            }
+            debug_assert!(path.len() <= self.adj.len() / 2);
+            paths.push(path);
+        }
+        paths
     }
 }
 

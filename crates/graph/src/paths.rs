@@ -7,8 +7,7 @@
 //! internally node-disjoint `s → t` paths by decomposing a unit-capacity node-split
 //! max-flow.
 
-use std::collections::VecDeque;
-
+use crate::connectivity::FlowNetwork;
 use crate::graph::{Graph, ProcessId};
 
 /// Returns a maximum-cardinality set of internally node-disjoint paths from `s` to `t`.
@@ -29,9 +28,9 @@ pub fn vertex_disjoint_paths(g: &Graph, s: ProcessId, t: ProcessId) -> Vec<Vec<P
         s < g.node_count() && t < g.node_count(),
         "node out of range"
     );
-    let mut net = SplitFlow::new(g, s, t);
-    net.run();
-    let mut paths = net.decompose(g.node_count(), s, t);
+    let mut net = FlowNetwork::node_split(g);
+    net.max_flow(s, t, usize::MAX);
+    let mut paths = net.decompose(s, t);
     paths.sort();
     paths
 }
@@ -48,127 +47,6 @@ pub fn k_disjoint_routes(g: &Graph, s: ProcessId, t: ProcessId, k: usize) -> Vec
     all.sort_by_key(|p| (p.len(), p.clone()));
     all.truncate(k);
     all
-}
-
-/// Unit-capacity node-split flow network that also supports decomposing the final flow
-/// into explicit paths.
-struct SplitFlow {
-    /// `edges[i] = (to, cap)`; reverse edge at `i ^ 1`. Original forward edges keep their
-    /// index parity (even = forward).
-    edges: Vec<(usize, u32)>,
-    adj: Vec<Vec<usize>>,
-    source: usize,
-    sink: usize,
-}
-
-impl SplitFlow {
-    fn new(g: &Graph, s: ProcessId, t: ProcessId) -> Self {
-        let n = g.node_count();
-        let mut net = SplitFlow {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); 2 * n],
-            source: 2 * s + 1,
-            sink: 2 * t,
-        };
-        const INF: u32 = u32::MAX / 2;
-        for v in 0..n {
-            let cap = if v == s || v == t { INF } else { 1 };
-            net.add_edge(2 * v, 2 * v + 1, cap);
-        }
-        for (u, v) in g.edges() {
-            net.add_edge(2 * u + 1, 2 * v, 1);
-            net.add_edge(2 * v + 1, 2 * u, 1);
-        }
-        net
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize, cap: u32) {
-        let idx = self.edges.len();
-        self.edges.push((to, cap));
-        self.edges.push((from, 0));
-        self.adj[from].push(idx);
-        self.adj[to].push(idx + 1);
-    }
-
-    /// Edmonds–Karp augmentation until no augmenting path remains.
-    fn run(&mut self) {
-        loop {
-            let mut prev: Vec<Option<usize>> = vec![None; self.adj.len()];
-            let mut reached = vec![false; self.adj.len()];
-            reached[self.source] = true;
-            let mut queue = VecDeque::from([self.source]);
-            while let Some(u) = queue.pop_front() {
-                if u == self.sink {
-                    break;
-                }
-                for &ei in &self.adj[u] {
-                    let (to, cap) = self.edges[ei];
-                    if cap > 0 && !reached[to] {
-                        reached[to] = true;
-                        prev[to] = Some(ei);
-                        queue.push_back(to);
-                    }
-                }
-            }
-            if !reached[self.sink] {
-                return;
-            }
-            let mut v = self.sink;
-            while v != self.source {
-                let ei = prev[v].expect("path reconstructed from reached sink");
-                self.edges[ei].1 -= 1;
-                self.edges[ei ^ 1].1 += 1;
-                v = self.edges[ei ^ 1].0;
-            }
-        }
-    }
-
-    /// Follows saturated inter-node edges from the source, yielding one node path per unit
-    /// of flow. Cancelling flows cannot appear because every internal node has capacity 1.
-    fn decompose(&self, n: usize, s: ProcessId, t: ProcessId) -> Vec<Vec<ProcessId>> {
-        // used[ei] marks forward inter-node edges already claimed by a path.
-        let mut used = vec![false; self.edges.len()];
-        let mut paths = Vec::new();
-        loop {
-            // Start a new path from the source if an unused saturated edge leaves it.
-            let mut path = vec![s];
-            let mut current = self.source; // s_out
-            let mut advanced = false;
-            'walk: loop {
-                for &ei in &self.adj[current] {
-                    // Forward edges have even index; a saturated unit edge now has cap 0
-                    // and its reverse has cap 1.
-                    if ei % 2 != 0 || used[ei] {
-                        continue;
-                    }
-                    let (to, cap) = self.edges[ei];
-                    let reverse_cap = self.edges[ei ^ 1].1;
-                    if cap == 0 && reverse_cap > 0 {
-                        used[ei] = true;
-                        let node = to / 2;
-                        if node != *path.last().expect("path starts non-empty") {
-                            path.push(node);
-                        }
-                        if node == t {
-                            advanced = true;
-                            break 'walk;
-                        }
-                        // Continue from node_out.
-                        current = 2 * node + 1;
-                        advanced = true;
-                        continue 'walk;
-                    }
-                }
-                break;
-            }
-            if !advanced || *path.last().expect("non-empty") != t {
-                break;
-            }
-            debug_assert!(path.len() <= n);
-            paths.push(path);
-        }
-        paths
-    }
 }
 
 #[cfg(test)]

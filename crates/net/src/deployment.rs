@@ -16,7 +16,6 @@ use brb_core::types::ProcessId;
 use brb_graph::Graph;
 use brb_runtime::{Deployment, DeploymentReport, Links};
 use brb_transport::{DriverOptions, Frame, OutFrame, SendReceipt, Transport};
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver};
 
 use crate::endpoint::{bind_endpoints, connect_mesh, spawn_link_reader};
@@ -56,22 +55,13 @@ impl Transport for TcpTransport {
         peers
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, _wire_size: usize) -> usize {
-        if let Some(stream) = self.writers.get_mut(&to) {
-            // A failed write means the peer crashed or shut down, which the protocols
-            // tolerate; the frame still counts as transmitted.
-            let _ = write_frame(stream, frame);
-            1
-        } else {
-            0
-        }
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
         let mut receipt = SendReceipt::default();
         let Some(stream) = self.writers.get_mut(&to) else {
             return receipt;
         };
+        // A failed write means the peer crashed or shut down, which the protocols
+        // tolerate; the frames still count as transmitted.
         match frames {
             [] => {}
             [only] => {
@@ -213,6 +203,7 @@ mod tests {
     use brb_runtime::{run_broadcast, run_workload};
     use brb_sim::Behavior;
     use brb_transport::LinkDelay;
+    use bytes::Bytes;
     use std::time::Duration;
 
     /// Wires `graph` on `backend`.
@@ -486,7 +477,7 @@ mod tests {
     #[test]
     fn tcp_batched_send_accounts_identically_and_arrives_intact() {
         // A burst through TcpTransport::send_batch (one write syscall) must report the
-        // same copy/byte totals as frame-at-a-time sends and deliver the same frames,
+        // same copy/byte totals as one-frame bursts and deliver the same frames,
         // in order, through the standard length-prefixed reader.
         let graph = generate::complete(2);
         let endpoints = crate::endpoint::bind_endpoints(2).unwrap();
@@ -503,7 +494,7 @@ mod tests {
             .collect();
         let mut per_frame = SendReceipt::default();
         for f in &frames {
-            per_frame.record(1, f.wire_size); // send() returns 1 per linked neighbor
+            per_frame.record(1, f.wire_size); // one copy per frame to a linked neighbor
         }
         let receipt = t0.send_batch(1, &frames);
         assert_eq!(
@@ -516,7 +507,7 @@ mod tests {
             assert_eq!(got.bytes, f.frame);
             assert!(!got.batch, "TCP bursts reframe as standard single frames");
         }
-        // And a batch to a process without a link accounts zero, like send().
+        // And a batch to a process without a link accounts zero.
         assert_eq!(t0.send_batch(7, &frames), SendReceipt::default());
     }
 }

@@ -176,7 +176,7 @@ pub fn run_consensus(
     let receiving: Vec<ProcessId> = links
         .running()
         .into_iter()
-        .filter(|&p| options.policy_of(p).behavior.receives())
+        .filter(|&p| options.behavior_of(p).receives())
         .collect();
     let honest = brb_sim::honest_processes(&receiving, spec);
     let grace = options.idle_shutdown;

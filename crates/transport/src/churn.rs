@@ -11,9 +11,9 @@
 //! * [`ChurnLink`] — the outermost transport decorator: a synchronous gate that drops
 //!   frames on downed links (not counted as sent, like the simulator) and applies the
 //!   per-directed-link loss overrides. The per-link *delay* overrides ride on the
-//!   existing [`crate::policy::DelayedLink`] delay line (see
-//!   [`crate::policy::DelayedLink::with_churn`]), which adds the scaled extra delay to
-//!   each copy's own sampled delay — again matching the simulator's per-copy arithmetic;
+//!   [`crate::policy::DelayedLink`] delay line (built with the handle by
+//!   [`crate::DriverOptions::decorate`]), which adds the scaled extra delay to each
+//!   copy's own sampled delay — again matching the simulator's per-copy arithmetic;
 //! * [`ChurnHandle::spawn_pacer`] — a detached scheduler thread that sleeps to each
 //!   event's scaled deadline, mutates the shared link state, and routes
 //!   [`ChurnAction::NodeRestart`] to the affected node's command channel as
@@ -25,13 +25,14 @@ use std::time::{Duration, Instant};
 
 use brb_core::types::ProcessId;
 use brb_sim::churn::{ChurnAction, ChurnEvent, ChurnSpec, LinkState};
-use bytes::Bytes;
+use brb_trace::DropCause;
 use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::driver::Command;
 use crate::link::Frame;
+use crate::policy::LinkObserver;
 use crate::transport::{OutFrame, SendReceipt, Transport};
 
 /// The deployment-wide churn state every decorated transport consults.
@@ -169,32 +170,25 @@ impl ChurnHandle {
 pub struct ChurnLink<T> {
     inner: T,
     handle: ChurnHandle,
-    /// The sending process (the `from` side of every gating decision).
-    id: ProcessId,
     rng: StdRng,
-    /// Drop accounting ([`brb_trace::DropCause::ChurnGate`] / `Loss`); `None` leaves
-    /// drops unobserved.
-    observer: Option<crate::policy::LinkObserver>,
+    /// The sending process (the `from` side of every gating decision) and its drop
+    /// accounting ([`DropCause::ChurnGate`] / `Loss`).
+    observer: LinkObserver,
+    /// The frames of one burst that pass the gate, reused across bursts.
+    surviving: Vec<OutFrame>,
 }
 
 impl<T: Transport> ChurnLink<T> {
-    /// Wraps `inner` as process `id`'s outbound gate; `seed` fixes the loss-override
-    /// draws.
-    pub fn new(inner: T, handle: ChurnHandle, id: ProcessId, seed: u64) -> Self {
+    /// Wraps `inner` as the outbound gate of the process `observer` names, which also
+    /// takes the gate's drops; `seed` fixes the loss-override draws.
+    pub fn new(inner: T, handle: ChurnHandle, seed: u64, observer: LinkObserver) -> Self {
         Self {
             inner,
             handle,
-            id,
             rng: StdRng::seed_from_u64(seed),
-            observer: None,
+            observer,
+            surviving: Vec::new(),
         }
-    }
-
-    /// Routes this gate's drops into `observer`'s counter registry.
-    #[must_use]
-    pub fn with_observer(mut self, observer: crate::policy::LinkObserver) -> Self {
-        self.observer = Some(observer);
-        self
     }
 }
 
@@ -207,50 +201,31 @@ impl<T: Transport> Transport for ChurnLink<T> {
         self.inner.peers()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
-        if !self.handle.allows(self.id, to) {
-            if let Some(observer) = &self.observer {
-                observer.frame_dropped(to, brb_trace::DropCause::ChurnGate);
-            }
-            return 0;
-        }
-        if let Some(p) = self.handle.loss_probability(self.id, to) {
-            if self.rng.gen_bool(p) {
-                if let Some(observer) = &self.observer {
-                    observer.frame_dropped(to, brb_trace::DropCause::Loss);
-                }
-                return 0;
-            }
-        }
-        self.inner.send(to, frame, wire_size)
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        // Per-frame semantics inside the batch: the gate is consulted and the loss
-        // override drawn for each frame in burst order (same RNG stream as the
-        // frame-at-a-time path); only the survivors travel on, still as one batch.
-        let mut surviving: Vec<OutFrame> = Vec::with_capacity(frames.len());
+        // The gate is consulted and the loss override drawn for each frame in burst
+        // order; only the survivors travel on, still as one batch.
+        let from = self.observer.node;
         for f in frames {
-            if !self.handle.allows(self.id, to) {
-                if let Some(observer) = &self.observer {
-                    observer.frame_dropped(to, brb_trace::DropCause::ChurnGate);
-                }
+            let cause = if !self.handle.allows(from, to) {
+                DropCause::ChurnGate
+            } else if self
+                .handle
+                .loss_probability(from, to)
+                .is_some_and(|p| self.rng.gen_bool(p))
+            {
+                DropCause::Loss
+            } else {
+                self.surviving.push(f.clone());
                 continue;
-            }
-            if let Some(p) = self.handle.loss_probability(self.id, to) {
-                if self.rng.gen_bool(p) {
-                    if let Some(observer) = &self.observer {
-                        observer.frame_dropped(to, brb_trace::DropCause::Loss);
-                    }
-                    continue;
-                }
-            }
-            surviving.push(f.clone());
+            };
+            self.observer.frame_dropped(to, cause);
         }
-        if surviving.is_empty() {
+        if self.surviving.is_empty() {
             return SendReceipt::default();
         }
-        self.inner.send_batch(to, &surviving)
+        let receipt = self.inner.send_batch(to, &self.surviving);
+        self.surviving.clear();
+        receipt
     }
 }
 
@@ -258,6 +233,7 @@ impl<T: Transport> Transport for ChurnLink<T> {
 mod tests {
     use super::*;
     use crate::link::build_links;
+    use crate::transport::tests::send_one;
     use crate::transport::ChannelTransport;
 
     fn pair() -> (ChannelTransport, ChannelTransport) {
@@ -271,12 +247,12 @@ mod tests {
     fn churn_link_drops_frames_on_downed_links_without_counting_them() {
         let (t0, t1) = pair();
         let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
-        let mut link = ChurnLink::new(t0, handle.clone(), 0, 1);
-        assert_eq!(link.send(1, &Bytes::from_static(b"up"), 2), 1);
+        let mut link = ChurnLink::new(t0, handle.clone(), 1, LinkObserver::detached(0));
+        assert_eq!(send_one(&mut link, 1, b"up"), 1);
         handle.apply(&ChurnAction::LinkDown { a: 0, b: 1 });
-        assert_eq!(link.send(1, &Bytes::from_static(b"down"), 4), 0);
+        assert_eq!(send_one(&mut link, 1, b"down"), 0);
         handle.apply(&ChurnAction::LinkUp { a: 0, b: 1 });
-        assert_eq!(link.send(1, &Bytes::from_static(b"back"), 4), 1);
+        assert_eq!(send_one(&mut link, 1, b"back"), 1);
         let mut frames: Vec<Frame> = Vec::new();
         while let Ok(frame) = t1.inbound().try_recv() {
             frames.push(frame);
@@ -295,10 +271,8 @@ mod tests {
             to: 1,
             probability: 0.5,
         });
-        let mut link = ChurnLink::new(t0, handle, 0, 7);
-        let sent: usize = (0..1000)
-            .map(|_| link.send(1, &Bytes::from_static(b"x"), 1))
-            .sum();
+        let mut link = ChurnLink::new(t0, handle, 7, LinkObserver::detached(0));
+        let sent: usize = (0..1000).map(|_| send_one(&mut link, 1, b"x")).sum();
         assert!((300..700).contains(&sent), "sent {sent} of 1000");
         assert_eq!(t1.inbound().len(), sent);
     }

@@ -21,7 +21,7 @@ use crossbeam::channel::{Receiver, Sender};
 
 use crate::churn::{ChurnHandle, ChurnLink};
 use crate::link::Frame;
-use crate::policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver, LinkPolicy};
+use crate::policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver};
 use crate::transport::{OutFrame, Transport};
 
 /// Structured-trace configuration of a live deployment: one shared sink and one shared
@@ -86,7 +86,7 @@ pub enum Command {
 
 /// Options of a live deployment, shared by the channel runtime and the TCP backend.
 ///
-/// They say *what* a deployment runs — idle shutdown, seeds, the [`LinkPolicy`]
+/// They say *what* a deployment runs — idle shutdown, seeds, the link decorators'
 /// vocabulary (per-process Byzantine [`Behavior`]s and a wall-clock-scaled
 /// [`brb_sim::DelayModel`], so the simulator's scenario configurations run identically
 /// on the live backends), churn, GC and tracing — never *how* the driver moves frames:
@@ -200,76 +200,57 @@ impl DriverOptions {
             .unwrap_or_default()
     }
 
-    /// The [`LinkPolicy`] this options set resolves to for `process`: its assigned
-    /// behavior plus the deployment-wide [`DriverOptions::link_delay`].
-    pub fn policy_of(&self, process: ProcessId) -> LinkPolicy {
-        LinkPolicy {
-            behavior: self.behavior_of(process),
-            delay: self.link_delay.clone(),
-        }
-    }
-
-    /// Decorates `base` with the fault/delay policy resolved for `process`
-    /// (see [`LinkPolicy::decorate`]), plus the churn gate when a schedule is set.
+    /// Wraps process `process`'s `base` transport in the decorators these options call
+    /// for — the one place a decorator stack is composed. Outermost first:
     ///
-    /// With churn the composition is, outermost first: [`ChurnLink`] (downed-link gate
-    /// and loss overrides), the behavior ([`FaultyLink`]), the delay line
-    /// ([`DelayedLink`], always present so the per-link delay overrides have a line to
-    /// ride even under [`LinkDelay::None`]) — the exact order the simulator applies per
-    /// `Send` action, so a gated frame advances no behavior counter and samples no
-    /// delay. An observed stack also taps the delay line's input, emitting one
-    /// `FrameSent` per transmitted copy.
-    pub fn decorate(&self, process: ProcessId, base: Box<dyn Transport>) -> Box<dyn Transport> {
-        self.decorate_observed(process, base, None)
-    }
-
-    /// [`DriverOptions::decorate`] with every decorator's drop/occupancy accounting
-    /// routed into `observer` (what [`NodeDriver::new`] installs).
-    pub fn decorate_observed(
+    /// 1. [`ChurnLink`], when a churn schedule is set: the downed-link gate and the
+    ///    per-link loss overrides;
+    /// 2. [`FaultyLink`], when the process's behavior is Byzantine;
+    /// 3. the `FrameSent` tap, emitting one trace event per transmitted copy;
+    /// 4. [`DelayedLink`], when a link delay or a churn schedule is set (the per-link
+    ///    delay overrides need a line to ride even under [`LinkDelay::None`]);
+    /// 5. `base`.
+    ///
+    /// That is the order the simulator applies per `Send` action, so a gated frame
+    /// advances no behavior counter and samples no delay, a dropped frame pays no
+    /// delay, and amplified copies are delayed independently. Process `p` seeds the
+    /// delay line with `seed + p` and derives distinct streams from it for the behavior
+    /// and the loss overrides, so enabling one decorator shifts no other's draws.
+    /// `observer` takes every decorator's drop and occupancy accounting.
+    pub fn decorate(
         &self,
         process: ProcessId,
         base: Box<dyn Transport>,
-        observer: Option<LinkObserver>,
+        observer: LinkObserver,
     ) -> Box<dyn Transport> {
         let seed = self.seed.wrapping_add(process as u64);
-        let Some(handle) = &self.churn else {
-            return self
-                .policy_of(process)
-                .decorate_observed(base, seed, observer);
-        };
-        let policy = self.policy_of(process);
-        let mut transport: Box<dyn Transport> = match &observer {
-            Some(obs) => obs.traced(Box::new(
-                DelayedLink::observed(base, policy.delay.clone(), seed, obs.clone())
-                    .churned(handle.clone(), process),
-            )),
-            None => Box::new(
-                DelayedLink::new(base, policy.delay.clone(), seed).churned(handle.clone(), process),
-            ),
-        };
-        if policy.behavior.is_byzantine() {
-            // The same distinct stream LinkPolicy::decorate derives, so a behavior's
-            // drop decisions do not move when churn is enabled.
-            let mut faulty = FaultyLink::new(
+        let mut transport = base;
+        if !self.link_delay.is_none() || self.churn.is_some() {
+            transport = Box::new(DelayedLink::new(
                 transport,
-                policy.behavior.clone(),
-                seed ^ 0x5EED_B44A_D001_CAFE,
+                self.link_delay.clone(),
+                seed,
+                self.churn.clone(),
+                observer.clone(),
+            ));
+        }
+        transport = observer.traced(transport);
+        let behavior = self.behavior_of(process);
+        if behavior.is_byzantine() {
+            transport = Box::new(
+                FaultyLink::new(transport, behavior, seed ^ 0x5EED_B44A_D001_CAFE)
+                    .with_observer(observer.clone()),
             );
-            if let Some(obs) = &observer {
-                faulty = faulty.with_observer(obs.clone());
-            }
-            transport = Box::new(faulty);
         }
-        let mut gate = ChurnLink::new(
-            transport,
-            handle.clone(),
-            process,
-            seed ^ 0xC4C4_D70B_1055_CAFE,
-        );
-        if let Some(obs) = observer {
-            gate = gate.with_observer(obs);
+        if let Some(handle) = &self.churn {
+            transport = Box::new(ChurnLink::new(
+                transport,
+                handle.clone(),
+                seed ^ 0xC4C4_D70B_1055_CAFE,
+                observer,
+            ));
         }
-        Box::new(gate)
+        transport
     }
 }
 
@@ -393,8 +374,8 @@ pub struct NodeDriver {
 const DRAIN_BUDGET: usize = 128;
 
 impl NodeDriver {
-    /// Builds the driver for `process`: decorates `transport` with the fault/delay
-    /// policy `options` resolves for this process and wires the channels.
+    /// Builds the driver for the engine's process: decorates `transport` as
+    /// [`DriverOptions::decorate`] composes it and wires the channels.
     pub fn new(
         engine: Box<dyn DynEngine>,
         transport: Box<dyn Transport>,
@@ -403,8 +384,7 @@ impl NodeDriver {
         options: &DriverOptions,
     ) -> Self {
         let id = engine.process_id();
-        let policy = options.policy_of(id);
-        let receives = policy.behavior.receives();
+        let receives = options.behavior_of(id).receives();
         let mut engine = engine;
         if let Some(gc) = options.gc {
             engine.set_gc_policy(gc);
@@ -416,7 +396,7 @@ impl NodeDriver {
         Self {
             engine,
             actions: WireActionBuf::new(),
-            transport: options.decorate_observed(id, transport, Some(observer)),
+            transport: options.decorate(id, transport, observer),
             commands,
             deliveries,
             idle_shutdown: options.idle_shutdown,

@@ -9,14 +9,13 @@
 //!   the common inbound currency of every transport;
 //! * [`Transport`] — send/receive encoded frames: implemented by the in-process
 //!   [`ChannelTransport`] here and by the TCP endpoints in `brb-net`.
-//!   [`Transport::send_batch`] takes a same-destination burst of [`OutFrame`]s and
-//!   returns a [`SendReceipt`] whose copy/byte accounting is *identical* to sending
-//!   the frames one at a time with [`Transport::send`] — the channel backend forwards
-//!   the burst as one channel operation (batch framing, split zero-copy by the
-//!   receiving driver), the TCP backend as one `write_all` + flush of standard
-//!   length-prefixed frames. The default trait implementation simply loops
-//!   [`Transport::send`], so decorators that need per-frame semantics (delay sampling)
-//!   inherit correctness for free;
+//!   [`Transport::send_batch`] is the one send path every transport and decorator
+//!   writes: it takes a same-destination burst of [`OutFrame`]s and returns a
+//!   [`SendReceipt`] whose copy/byte accounting is *identical* to sending the frames as
+//!   one-frame bursts — the channel backend forwards the burst as one channel operation
+//!   (batch framing, split zero-copy by the receiving driver), the TCP backend as one
+//!   `write_all` + flush of standard length-prefixed frames, and decorators decide each
+//!   frame's fate in burst order;
 //! * [`NodeDriver`] — the *single* node event loop the one `brb_runtime::Deployment`
 //!   spawns per process, over any backend's links; it drives exactly one boxed
 //!   [`brb_core::stack::DynEngine`] and performs the Table 3 byte accounting. Batching
@@ -27,10 +26,12 @@
 //! * [`policy`] — composable transport decorators bringing the simulator's scenario
 //!   vocabulary to live backends: frame-level [`brb_sim::Behavior`] injection
 //!   ([`policy::FaultyLink`]) and wall-clock-scaled [`brb_sim::DelayModel`]s
-//!   ([`policy::DelayedLink`], [`LinkDelay::Scaled`]);
+//!   ([`policy::DelayedLink`], [`LinkDelay::Scaled`]), next to [`churn`]'s
+//!   [`ChurnLink`] gate;
 //! * [`DriverOptions`] — the one options struct of every live deployment (it replaced
-//!   the former `RuntimeOptions` / `TcpOptions` pair), which resolves a per-process
-//!   [`LinkPolicy`] and decorates the transport accordingly.
+//!   the former `RuntimeOptions` / `TcpOptions` pair); [`DriverOptions::decorate`] is
+//!   the one place a process's decorator stack is composed from it (churn gate,
+//!   behavior, `FrameSent` tap, delay line, in the simulator's order).
 //!
 //! # Quickstart: a two-node deployment from the driver alone
 //!
@@ -96,5 +97,5 @@ pub mod transport;
 pub use churn::{ChurnHandle, ChurnLink};
 pub use driver::{Command, DeploymentReport, DriverOptions, NodeDriver, NodeReport, TraceConfig};
 pub use link::{build_links, AuthenticatedSender, Frame, Mailbox};
-pub use policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver, LinkPolicy};
+pub use policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver};
 pub use transport::{ChannelTransport, OutFrame, SendReceipt, Transport};

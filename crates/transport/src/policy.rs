@@ -17,9 +17,10 @@
 //!   parallel, as in the simulator).
 //!
 //! Decorators wrap any [`Transport`], so every future live-backend scenario is a
-//! one-line wrap instead of a forked node loop. [`crate::DriverOptions::decorate`]
-//! composes them in the canonical order (behavior outermost, so dropped frames incur no
-//! delay and amplified copies are delayed independently, matching the simulator).
+//! one-line wrap instead of a forked node loop. [`crate::DriverOptions::decorate`] is the
+//! one place that composes them, in the simulator's frame-fate order (behavior outside
+//! the delay line, so dropped frames incur no delay and amplified copies are delayed
+//! independently).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,7 +30,6 @@ use std::time::{Duration, Instant};
 use brb_core::types::ProcessId;
 use brb_sim::{Behavior, DelayModel};
 use brb_trace::{DropCause, NodeCounters, TraceEventKind, Tracer};
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +46,8 @@ use crate::transport::{OutFrame, SendReceipt, Transport};
 /// node's stack shares the same registry.
 #[derive(Debug, Clone)]
 pub struct LinkObserver {
-    node: ProcessId,
+    /// The observed node: the sending process of every decorator it is handed to.
+    pub(crate) node: ProcessId,
     counters: Arc<NodeCounters>,
     tracer: Tracer,
 }
@@ -61,8 +62,8 @@ impl LinkObserver {
         }
     }
 
-    /// A free-standing observer for `node`: fresh counters, tracing disabled (what a
-    /// decorator built outside a [`crate::NodeDriver`] gets).
+    /// A free-standing observer for `node`: fresh counters, tracing disabled (for a
+    /// decorator built outside a [`crate::NodeDriver`]).
     pub fn detached(node: ProcessId) -> Self {
         Self::new(node, Arc::new(NodeCounters::default()), Tracer::disabled())
     }
@@ -128,12 +129,6 @@ impl Transport for TracedLink {
         self.inner.peers()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
-        let copies = self.inner.send(to, frame, wire_size);
-        self.sent(to, std::iter::repeat_n(wire_size, copies));
-        copies
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
         // The layers below take or refuse a burst whole (a destination has a link or not),
         // so the frames sent are the burst's first `copies`.
@@ -175,71 +170,6 @@ impl LinkDelay {
     }
 }
 
-/// The frame-level fault and delay policy of one process's links: which [`Behavior`] its
-/// outbound frames are subjected to and which [`LinkDelay`] paces them.
-///
-/// This is the unit [`crate::DriverOptions`] resolves per process and
-/// [`LinkPolicy::decorate`] turns into a decorated [`Transport`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LinkPolicy {
-    /// Byzantine behavior applied at the frame level ([`Behavior::Correct`] is a no-op
-    /// and adds no decorator).
-    pub behavior: Behavior,
-    /// Transmission delay applied per frame ([`LinkDelay::None`] adds no decorator).
-    pub delay: LinkDelay,
-}
-
-impl LinkPolicy {
-    /// Wraps `base` in the decorators this policy calls for, innermost first: the delay
-    /// line (each transmitted copy samples its own delay), then the behavior (dropped
-    /// frames never enter the line), mirroring the simulator's per-copy delay sampling.
-    ///
-    /// `seed` derives the decorators' RNG streams; give each process a distinct seed
-    /// (the driver uses `options.seed + process id`) so jitter and drop decisions are
-    /// uncorrelated across processes but reproducible per deployment.
-    pub fn decorate(&self, base: Box<dyn Transport>, seed: u64) -> Box<dyn Transport> {
-        self.decorate_observed(base, seed, None)
-    }
-
-    /// [`LinkPolicy::decorate`] with the decorators' drop/occupancy accounting routed
-    /// into `observer` (what [`crate::NodeDriver`] installs, so a `NodeReport` can
-    /// break drops down by cause), plus a tap between the delay line and the behavior
-    /// that emits one `FrameSent` per transmitted copy.
-    pub fn decorate_observed(
-        &self,
-        base: Box<dyn Transport>,
-        seed: u64,
-        observer: Option<LinkObserver>,
-    ) -> Box<dyn Transport> {
-        let mut transport = base;
-        if !self.delay.is_none() {
-            transport = Box::new(match &observer {
-                Some(obs) => {
-                    DelayedLink::observed(transport, self.delay.clone(), seed, obs.clone())
-                }
-                None => DelayedLink::new(transport, self.delay.clone(), seed),
-            });
-        }
-        if let Some(obs) = &observer {
-            transport = obs.traced(transport);
-        }
-        if self.behavior.is_byzantine() {
-            // A distinct stream from the jitter RNG, so enabling a delay model does not
-            // shift which frames a Lossy behavior drops.
-            let mut faulty = FaultyLink::new(
-                transport,
-                self.behavior.clone(),
-                seed ^ 0x5EED_B44A_D001_CAFE,
-            );
-            if let Some(obs) = &observer {
-                faulty = faulty.with_observer(obs.clone());
-            }
-            transport = Box::new(faulty);
-        }
-        transport
-    }
-}
-
 /// Frame-level [`Behavior`] injection: decides per outbound frame how many copies reach
 /// the inner transport, with the same [`Behavior::outbound_copies`] procedure the
 /// simulator applies per message.
@@ -252,6 +182,8 @@ pub struct FaultyLink<T> {
     rng: StdRng,
     /// Drop accounting ([`DropCause::Behavior`]); `None` leaves drops unobserved.
     observer: Option<LinkObserver>,
+    /// The copies of one burst that go on, reused across bursts.
+    surviving: Vec<OutFrame>,
 }
 
 impl<T: Transport> FaultyLink<T> {
@@ -263,6 +195,7 @@ impl<T: Transport> FaultyLink<T> {
             attempted: 0,
             rng: StdRng::seed_from_u64(seed),
             observer: None,
+            surviving: Vec::new(),
         }
     }
 
@@ -283,30 +216,10 @@ impl<T: Transport> Transport for FaultyLink<T> {
         self.inner.peers()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
-        let copies = self
-            .behavior
-            .outbound_copies(to, self.attempted, &mut self.rng);
-        self.attempted += 1;
-        if copies == 0 {
-            if let Some(observer) = &self.observer {
-                observer.frame_dropped(to, DropCause::Behavior);
-            }
-            return 0;
-        }
-        let mut transmitted = 0;
-        for _ in 0..copies {
-            transmitted += self.inner.send(to, frame, wire_size);
-        }
-        transmitted
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        // Per-frame semantics inside the batch: each frame draws its own behavior
-        // decision in burst order (same RNG stream and `attempted` progression as the
-        // frame-at-a-time path), dropped frames leave the burst, amplified frames
-        // contribute extra copies — and the surviving copies go down as one batch.
-        let mut surviving: Vec<OutFrame> = Vec::with_capacity(frames.len());
+        // Each frame draws its own behavior decision in burst order, dropped frames
+        // leave the burst, amplified frames contribute extra copies — and the surviving
+        // copies go down as one batch.
         for f in frames {
             let copies = self
                 .behavior
@@ -319,13 +232,15 @@ impl<T: Transport> Transport for FaultyLink<T> {
                 continue;
             }
             for _ in 0..copies {
-                surviving.push(f.clone());
+                self.surviving.push(f.clone());
             }
         }
-        if surviving.is_empty() {
+        if self.surviving.is_empty() {
             return SendReceipt::default();
         }
-        self.inner.send_batch(to, &surviving)
+        let receipt = self.inner.send_batch(to, &self.surviving);
+        self.surviving.clear();
+        receipt
     }
 }
 
@@ -347,8 +262,8 @@ pub struct DelayedLink {
     /// Clone of the inner transport's inbound stream (the inner transport itself moves
     /// into the forwarder thread).
     inbound: Receiver<Frame>,
-    /// Snapshot of the inner transport's peer set, so `send` can report the copy count
-    /// exactly (the forwarder's own return value arrives too late to count).
+    /// Snapshot of the inner transport's peer set, so `send_batch` can report the copy
+    /// count exactly (the forwarder's own receipt arrives too late to count).
     peers: Vec<ProcessId>,
     line: Sender<Queued>,
     delay: LinkDelay,
@@ -356,14 +271,14 @@ pub struct DelayedLink {
     /// Monotone enqueue counter: the stable tie-break for frames due at the same
     /// instant, so equal-deadline frames transmit in send order.
     next_seq: u64,
-    /// When the deployment runs a churn schedule: the shared handle and this link's
-    /// sending process, consulted per frame for the per-directed-link delay override
-    /// (added on top of the sampled delay, exactly like the simulator adds the override
-    /// to each copy's sampled delay).
-    churn: Option<(ChurnHandle, ProcessId)>,
-    /// Drop accounting for non-neighbor sends ([`DropCause::NonNeighbor`]); the
-    /// forwarder thread holds its own clone for the occupancy peaks.
-    observer: Option<LinkObserver>,
+    /// When the deployment runs a churn schedule: the shared handle, consulted per frame
+    /// for the per-directed-link delay override (added on top of the sampled delay,
+    /// exactly like the simulator adds the override to each copy's sampled delay).
+    churn: Option<ChurnHandle>,
+    /// The sending process and its drop accounting for non-neighbor sends
+    /// ([`DropCause::NonNeighbor`]); the forwarder thread holds its own clone for the
+    /// occupancy peaks.
+    observer: LinkObserver,
 }
 
 /// One frame in flight on the delay line, ordered by `(due, seq)`.
@@ -372,8 +287,7 @@ struct Queued {
     due: Instant,
     seq: u64,
     to: ProcessId,
-    frame: Bytes,
-    wire_size: usize,
+    frame: OutFrame,
 }
 
 impl PartialEq for Queued {
@@ -397,28 +311,18 @@ impl PartialOrd for Queued {
 }
 
 impl DelayedLink {
-    /// Wraps `inner` with the given delay; `seed` fixes the jitter stream (the old node
-    /// loops seeded it with `options.seed + process id`, and so does the driver).
-    pub fn new<T: Transport + 'static>(inner: T, delay: LinkDelay, seed: u64) -> Self {
-        Self::build(inner, delay, seed, None)
-    }
-
-    /// Like [`DelayedLink::new`], but with non-neighbor drops and delay-line occupancy
-    /// routed into `observer`'s counter registry.
-    pub fn observed<T: Transport + 'static>(
-        inner: T,
-        delay: LinkDelay,
-        seed: u64,
-        observer: LinkObserver,
-    ) -> Self {
-        Self::build(inner, delay, seed, Some(observer))
-    }
-
-    fn build<T: Transport + 'static>(
+    /// Wraps `inner` in a delay line for the process `observer` names, which also takes
+    /// the line's non-neighbor drops and occupancy peaks. `seed` fixes the jitter stream
+    /// (the driver uses `options.seed + process id`). With a churn `handle`, each frame
+    /// additionally incurs the schedule's per-directed-link delay override (scaled to
+    /// wall-clock time by the handle) on top of its sampled delay; with
+    /// [`LinkDelay::None`] the line then carries *only* the overrides.
+    pub fn new<T: Transport + 'static>(
         mut inner: T,
         delay: LinkDelay,
         seed: u64,
-        observer: Option<LinkObserver>,
+        churn: Option<ChurnHandle>,
+        observer: LinkObserver,
     ) -> Self {
         let inbound = inner.inbound().clone();
         let peers = inner.peers();
@@ -429,12 +333,11 @@ impl DelayedLink {
             // until the *earliest* pending deadline, so a short-sampled frame never
             // waits behind a long-sampled one that entered the line before it.
             let mut pending: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
-            // Peak occupancy of the line (Sec. satellite accounting): measured on every
-            // enqueue, where the heap is at its largest.
-            let note_depth = |pending: &BinaryHeap<Reverse<Queued>>| {
-                if let Some(observer) = &line_observer {
-                    observer.queue_depth(pending.len());
-                }
+            // Peak occupancy of the line: measured on every enqueue, where the heap is
+            // at its largest.
+            let enqueue = |pending: &mut BinaryHeap<Reverse<Queued>>, item: Queued| {
+                pending.push(Reverse(item));
+                line_observer.queue_depth(pending.len());
             };
             loop {
                 match pending.peek() {
@@ -442,23 +345,17 @@ impl DelayedLink {
                         let now = Instant::now();
                         if next.due <= now {
                             let Reverse(item) = pending.pop().expect("peeked item exists");
-                            inner.send(item.to, &item.frame, item.wire_size);
+                            inner.send_batch(item.to, std::slice::from_ref(&item.frame));
                             continue;
                         }
                         match queue.recv_timeout(next.due - now) {
-                            Ok(item) => {
-                                pending.push(Reverse(item));
-                                note_depth(&pending);
-                            }
+                            Ok(item) => enqueue(&mut pending, item),
                             Err(RecvTimeoutError::Timeout) => {}
                             Err(RecvTimeoutError::Disconnected) => break,
                         }
                     }
                     None => match queue.recv() {
-                        Ok(item) => {
-                            pending.push(Reverse(item));
-                            note_depth(&pending);
-                        }
+                        Ok(item) => enqueue(&mut pending, item),
                         Err(_) => break,
                     },
                 }
@@ -470,7 +367,7 @@ impl DelayedLink {
                 if item.due > now {
                     std::thread::sleep(item.due - now);
                 }
-                inner.send(item.to, &item.frame, item.wire_size);
+                inner.send_batch(item.to, std::slice::from_ref(&item.frame));
             }
         });
         Self {
@@ -480,32 +377,9 @@ impl DelayedLink {
             delay,
             rng: StdRng::seed_from_u64(seed),
             next_seq: 0,
-            churn: None,
+            churn,
             observer,
         }
-    }
-
-    /// Like [`DelayedLink::new`], but each outbound frame additionally incurs the
-    /// churn schedule's per-directed-link delay override for `id -> to` (scaled to
-    /// wall-clock time by the handle), on top of its sampled delay. With
-    /// [`LinkDelay::None`] the line carries *only* the overrides — the form a churned
-    /// deployment uses when no background delay model is configured.
-    pub fn with_churn<T: Transport + 'static>(
-        inner: T,
-        delay: LinkDelay,
-        seed: u64,
-        handle: ChurnHandle,
-        id: ProcessId,
-    ) -> Self {
-        Self::new(inner, delay, seed).churned(handle, id)
-    }
-
-    /// Adds the churn schedule's per-directed-link delay overrides to an already built
-    /// line (composes with [`DelayedLink::observed`]).
-    #[must_use]
-    pub fn churned(mut self, handle: ChurnHandle, id: ProcessId) -> Self {
-        self.churn = Some((handle, id));
-        self
     }
 
     /// Samples one transmission delay.
@@ -537,41 +411,48 @@ impl Transport for DelayedLink {
         self.peers.clone()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
+    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
+        let mut receipt = SendReceipt::default();
         // Frames to non-neighbors are dropped (and not counted) here rather than in the
-        // forwarder, whose return value would arrive too late for the accounting — so a
+        // forwarder, whose receipt would arrive too late for the accounting — so a
         // delayed transport reports the same copy counts as an undelayed one.
         if !self.peers.contains(&to) {
-            if let Some(observer) = &self.observer {
-                observer.frame_dropped(to, DropCause::NonNeighbor);
+            for _ in frames {
+                self.observer.frame_dropped(to, DropCause::NonNeighbor);
             }
-            return 0;
+            return receipt;
         }
-        let extra = match &self.churn {
-            Some((handle, id)) => handle.extra_delay(*id, to),
-            None => Duration::ZERO,
-        };
-        let item = Queued {
-            due: Instant::now() + self.sample() + extra,
-            seq: self.next_seq,
-            to,
-            frame: frame.clone(),
-            wire_size,
-        };
-        self.next_seq += 1;
-        if self.line.send(item).is_ok() {
-            1
-        } else {
-            0
+        // Each frame samples its own deadline, in burst order.
+        for f in frames {
+            let extra = match &self.churn {
+                Some(handle) => handle.extra_delay(self.observer.node, to),
+                None => Duration::ZERO,
+            };
+            let item = Queued {
+                due: Instant::now() + self.sample() + extra,
+                seq: self.next_seq,
+                to,
+                frame: f.clone(),
+            };
+            self.next_seq += 1;
+            if self.line.send(item).is_ok() {
+                receipt.record(1, f.wire_size);
+            }
         }
+        receipt
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnHandle;
     use crate::link::build_links;
+    use crate::transport::tests::send_one;
     use crate::transport::ChannelTransport;
+    use crate::DriverOptions;
+    use brb_sim::churn::{ChurnAction, ChurnSpec};
+    use bytes::Bytes;
 
     fn pair() -> (ChannelTransport, ChannelTransport) {
         let (mut mailboxes, mut senders) = build_links(2, &[(0, 1)]);
@@ -580,11 +461,24 @@ mod tests {
         (t0, t1)
     }
 
+    /// Every message waiting in `t`'s mailbox, batches split into their messages.
+    fn received(t: &ChannelTransport) -> Vec<Bytes> {
+        let mut messages = Vec::new();
+        while let Ok(frame) = t.inbound().try_recv() {
+            if frame.batch {
+                messages.extend(brb_core::wire::split_batch(&frame.bytes).expect("valid batch"));
+            } else {
+                messages.push(frame.bytes);
+            }
+        }
+        messages
+    }
+
     #[test]
     fn faulty_link_batch_matches_frame_at_a_time_accounting() {
-        // Same behavior, same seed: a burst through send_batch must draw the exact
-        // per-frame decisions the frame-at-a-time path draws, so receipts and the
-        // surviving message sequences are identical.
+        // Same behavior, same seed: one burst must draw the exact per-frame decisions a
+        // run of one-frame bursts draws, so receipts and the surviving message
+        // sequences are identical.
         let frames: Vec<OutFrame> = (0..16)
             .map(|i| OutFrame::new(Bytes::from(vec![i as u8; 4]), 50 + i as usize))
             .collect();
@@ -599,25 +493,14 @@ mod tests {
             let mut reference = FaultyLink::new(t0, behavior.clone(), 99);
             let mut per_frame = SendReceipt::default();
             for f in &frames {
-                per_frame.record(reference.send(1, &f.frame, f.wire_size), f.wire_size);
+                per_frame.merge(reference.send_batch(1, std::slice::from_ref(f)));
             }
-            let mut survived_ref: Vec<Bytes> = Vec::new();
-            while let Ok(frame) = t1.inbound().try_recv() {
-                survived_ref.push(frame.bytes);
-            }
+            let survived_ref = received(&t1);
 
             let (t0, t1) = pair();
             let mut batched = FaultyLink::new(t0, behavior.clone(), 99);
             let receipt = batched.send_batch(1, &frames);
-            let mut survived: Vec<Bytes> = Vec::new();
-            while let Ok(frame) = t1.inbound().try_recv() {
-                if frame.batch {
-                    survived
-                        .extend(brb_core::wire::split_batch(&frame.bytes).expect("valid batch"));
-                } else {
-                    survived.push(frame.bytes);
-                }
-            }
+            let survived = received(&t1);
             assert_eq!(receipt, per_frame, "{behavior:?} receipt identity");
             assert_eq!(survived, survived_ref, "{behavior:?} surviving frames");
         }
@@ -627,7 +510,7 @@ mod tests {
     fn faulty_link_with_crash_sends_nothing() {
         let (t0, t1) = pair();
         let mut faulty = FaultyLink::new(t0, Behavior::Crash, 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"x"), 1), 0);
+        assert_eq!(send_one(&mut faulty, 1, b"x"), 0);
         assert!(t1.inbound().is_empty());
     }
 
@@ -635,17 +518,17 @@ mod tests {
     fn faulty_link_with_replayer_duplicates_frames() {
         let (t0, t1) = pair();
         let mut faulty = FaultyLink::new(t0, Behavior::Replayer, 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"x"), 1), 2);
-        assert_eq!(t1.inbound().len(), 2);
+        assert_eq!(send_one(&mut faulty, 1, b"x"), 2);
+        assert_eq!(received(&t1), vec![Bytes::from_static(b"x"); 2]);
     }
 
     #[test]
     fn faulty_link_fails_after_the_configured_count() {
         let (t0, t1) = pair();
         let mut faulty = FaultyLink::new(t0, Behavior::FailsAfter(2), 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"a"), 1), 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"b"), 1), 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"c"), 1), 0);
+        assert_eq!(send_one(&mut faulty, 1, b"a"), 1);
+        assert_eq!(send_one(&mut faulty, 1, b"b"), 1);
+        assert_eq!(send_one(&mut faulty, 1, b"c"), 0);
         assert_eq!(t1.inbound().len(), 2);
     }
 
@@ -656,8 +539,8 @@ mod tests {
         let mailbox1 = mailboxes.pop().unwrap();
         let t0 = ChannelTransport::new(mailboxes.pop().unwrap(), senders.swap_remove(0));
         let mut faulty = FaultyLink::new(t0, Behavior::SilentTowards(vec![1]), 1);
-        assert_eq!(faulty.send(1, &Bytes::from_static(b"x"), 1), 0);
-        assert_eq!(faulty.send(2, &Bytes::from_static(b"y"), 1), 1);
+        assert_eq!(send_one(&mut faulty, 1, b"x"), 0);
+        assert_eq!(send_one(&mut faulty, 2, b"y"), 1);
         assert!(mailbox1.receiver().is_empty());
         assert_eq!(mailbox2.receiver().len(), 1);
     }
@@ -666,9 +549,7 @@ mod tests {
     fn lossy_link_drops_roughly_the_requested_fraction() {
         let (t0, t1) = pair();
         let mut faulty = FaultyLink::new(t0, Behavior::Lossy(0.5), 7);
-        let sent: usize = (0..1000)
-            .map(|_| faulty.send(1, &Bytes::from_static(b"x"), 1))
-            .sum();
+        let sent: usize = (0..1000).map(|_| send_one(&mut faulty, 1, b"x")).sum();
         assert!((300..700).contains(&sent), "sent {sent} of 1000");
         assert_eq!(t1.inbound().len(), sent);
     }
@@ -681,10 +562,10 @@ mod tests {
             model: DelayModel::Constant { micros: 100_000 },
             scale: 0.2,
         };
-        let mut delayed = DelayedLink::new(t0, delay, 3);
+        let mut delayed = DelayedLink::new(t0, delay, 3, None, LinkObserver::detached(0));
         let start = Instant::now();
         for _ in 0..3 {
-            assert_eq!(delayed.send(1, &Bytes::from_static(b"x"), 1), 1);
+            assert_eq!(send_one(&mut delayed, 1, b"x"), 1);
         }
         assert!(
             start.elapsed() < Duration::from_millis(20),
@@ -706,11 +587,11 @@ mod tests {
             model: DelayModel::Constant { micros: 100 },
             scale: 1.0,
         };
-        let mut delayed = DelayedLink::new(t0, delay, 3);
+        let mut delayed = DelayedLink::new(t0, delay, 3, None, LinkObserver::detached(0));
         assert_eq!(delayed.peers(), vec![1]);
         // Same accounting as the undelayed transport: a non-neighbor send is 0 copies.
-        assert_eq!(delayed.send(9, &Bytes::from_static(b"nobody"), 6), 0);
-        assert_eq!(delayed.send(1, &Bytes::from_static(b"neighbor"), 8), 1);
+        assert_eq!(send_one(&mut delayed, 9, b"nobody"), 0);
+        assert_eq!(send_one(&mut delayed, 1, b"neighbor"), 1);
         assert_eq!(
             t1.inbound()
                 .recv_timeout(Duration::from_secs(5))
@@ -724,7 +605,7 @@ mod tests {
     #[test]
     fn delay_line_reorders_by_deadline_not_enqueue_order() {
         let (t0, t1) = pair();
-        let delayed = DelayedLink::new(t0, LinkDelay::None, 1);
+        let delayed = DelayedLink::new(t0, LinkDelay::None, 1, None, LinkObserver::detached(0));
         // Feed the line directly with explicit deadlines: a frame enqueued *first* with
         // a long delay must be overtaken by a later frame with a short delay.
         let now = Instant::now();
@@ -734,8 +615,7 @@ mod tests {
                 due: now + Duration::from_millis(150),
                 seq: 0,
                 to: 1,
-                frame: Bytes::from_static(b"slow"),
-                wire_size: 4,
+                frame: OutFrame::new(Bytes::from_static(b"slow"), 4),
             })
             .unwrap();
         delayed
@@ -744,8 +624,7 @@ mod tests {
                 due: now + Duration::from_millis(20),
                 seq: 1,
                 to: 1,
-                frame: Bytes::from_static(b"fast"),
-                wire_size: 4,
+                frame: OutFrame::new(Bytes::from_static(b"fast"), 4),
             })
             .unwrap();
         let first = t1.inbound().recv_timeout(Duration::from_secs(5)).unwrap();
@@ -765,8 +644,7 @@ mod tests {
             due,
             seq,
             to: 1,
-            frame: Bytes::from_static(b"x"),
-            wire_size: 1,
+            frame: OutFrame::new(Bytes::from_static(b"x"), 1),
         };
         let early = base + Duration::from_millis(10);
         let late = base + Duration::from_millis(50);
@@ -780,25 +658,59 @@ mod tests {
     #[test]
     fn policy_composition_drops_before_delaying() {
         let (t0, _t1) = pair();
-        let policy = LinkPolicy {
-            behavior: Behavior::Crash,
-            delay: LinkDelay::Scaled {
+        let options = DriverOptions::default()
+            .with_behaviors(vec![(0, Behavior::Crash)])
+            .with_link_delay(LinkDelay::Scaled {
                 model: DelayModel::Constant { micros: 500_000 },
                 scale: 1.0,
-            },
-        };
-        let mut decorated = policy.decorate(Box::new(t0), 9);
+            });
+        let mut decorated = options.decorate(0, Box::new(t0), LinkObserver::detached(0));
         // A dropped frame must not pay the 500 ms delay: the behavior sits outside.
         let start = std::time::Instant::now();
-        assert_eq!(decorated.send(1, &Bytes::from_static(b"x"), 1), 0);
+        assert_eq!(send_one(&mut decorated, 1, b"x"), 0);
         assert!(start.elapsed() < Duration::from_millis(100));
     }
 
     #[test]
     fn correct_policy_adds_no_decorators_but_still_routes() {
         let (t0, t1) = pair();
-        let mut decorated = LinkPolicy::default().decorate(Box::new(t0), 4);
-        assert_eq!(decorated.send(1, &Bytes::from_static(b"plain"), 5), 1);
+        let mut decorated =
+            DriverOptions::default().decorate(0, Box::new(t0), LinkObserver::detached(0));
+        assert_eq!(send_one(&mut decorated, 1, b"plain"), 1);
         assert_eq!(t1.inbound().recv().unwrap().from, 0);
+    }
+
+    #[test]
+    fn churn_gate_sits_outside_the_behavior() {
+        // Link 0 -> 1 is down and process 0 fails after two frames. The frames sent
+        // while the link is down are churn-gate drops that never reach the behavior, so
+        // its attempt counter starts at the heal: the first two frames after it arrive.
+        let (t0, t1) = pair();
+        let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
+        let options = DriverOptions::default()
+            .with_behaviors(vec![(0, Behavior::FailsAfter(2))])
+            .with_churn(handle.clone());
+        let observer = LinkObserver::detached(0);
+        let counters = observer.counters().clone();
+        let mut decorated = options.decorate(0, Box::new(t0), observer);
+        handle.apply(&ChurnAction::LinkDown { a: 0, b: 1 });
+        for _ in 0..3 {
+            assert_eq!(send_one(&mut decorated, 1, b"down"), 0);
+        }
+        assert_eq!(counters.drops().get(DropCause::ChurnGate), 3);
+        assert_eq!(counters.drops().get(DropCause::Behavior), 0);
+        handle.apply(&ChurnAction::LinkUp { a: 0, b: 1 });
+        assert_eq!(send_one(&mut decorated, 1, b"a"), 1);
+        assert_eq!(send_one(&mut decorated, 1, b"b"), 1);
+        assert_eq!(send_one(&mut decorated, 1, b"c"), 0);
+        assert_eq!(counters.drops().get(DropCause::Behavior), 1);
+        for expected in [b"a", b"b"] {
+            let frame = t1.inbound().recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(frame.bytes.as_ref(), expected);
+        }
+        assert!(t1
+            .inbound()
+            .recv_timeout(Duration::from_millis(50))
+            .is_err());
     }
 }

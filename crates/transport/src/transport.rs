@@ -34,9 +34,8 @@ impl OutFrame {
 
 /// What a [`Transport::send_batch`] call actually put on the wire: the total copy count
 /// across the burst's frames and the total accounted bytes (each transmitted copy
-/// contributes its own frame's `wire_size`). Identical to what summing the per-frame
-/// [`Transport::send`] results would report — batching changes the op count, never the
-/// accounting.
+/// contributes its own frame's `wire_size`). Batching changes the op count, never the
+/// accounting: a burst reports what sending its frames one at a time would.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendReceipt {
     /// Number of frame copies put on the wire.
@@ -61,12 +60,12 @@ impl SendReceipt {
 
 /// An authenticated point-to-point transport between one process and its neighbors.
 ///
-/// `send` returns the number of frames actually put on the wire for this request:
-/// `1` for a plain transport with a link to `to`, `0` when no such link exists (the
-/// engine addressed a non-neighbor, which the deployments tolerate silently, exactly as
-/// the old per-backend node loops did), and any other count when a
-/// [`crate::policy`] decorator drops or amplifies the frame. Drivers multiply
-/// `wire_size` by the returned count for the paper's Table 3 byte accounting.
+/// [`Transport::send_batch`] is the one send path every implementation writes. A
+/// receipt's copy count is the number of frames actually put on the wire: one per frame
+/// for a plain transport with a link to `to`, zero when no such link exists (the engine
+/// addressed a non-neighbor, which the deployments tolerate silently), and any other
+/// count when a [`crate::policy`] decorator drops or amplifies frames. Drivers take
+/// the receipt's bytes as the paper's Table 3 accounting.
 pub trait Transport: Send {
     /// The multiplexed inbound frame stream (every neighbor's traffic, tagged with the
     /// authenticated sender identity by trusted infrastructure).
@@ -75,30 +74,24 @@ pub trait Transport: Send {
     /// The neighbors this transport holds an outbound link to, in ascending order.
     /// Static for the lifetime of a deployment; decorators forward to the transport
     /// they wrap (asynchronous ones snapshot it at construction), so the accounting of
-    /// [`Transport::send`] stays exact through any decorator stack.
+    /// [`Transport::send_batch`] stays exact through any decorator stack.
     fn peers(&self) -> Vec<ProcessId>;
-
-    /// Transmits one encoded frame to direct neighbor `to`; returns how many copies were
-    /// put on the wire. `wire_size` is the Table 3 size of the frame (decorators may use
-    /// it; plain transports ignore it).
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize;
 
     /// Transmits a burst of frames to the same neighbor, coalescing the burst into as
     /// few channel ops / syscalls as the backend allows.
     ///
-    /// Semantics are **per-frame**: each frame of the burst is subject to exactly the
-    /// decisions [`Transport::send`] would make for it, in burst order (decorators
-    /// apply loss, gating, behavior copies and delay sampling frame by frame, drawing
-    /// from the same RNG streams in the same order), and the returned receipt reports
-    /// the same copy/byte totals the frame-at-a-time path would. The default
-    /// implementation simply loops `send`; backends override it to batch the channel
-    /// op or syscall.
-    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        let mut receipt = SendReceipt::default();
-        for f in frames {
-            receipt.record(self.send(to, &f.frame, f.wire_size), f.wire_size);
-        }
-        receipt
+    /// Semantics are **per-frame**: decorators apply loss, gating, behavior copies and
+    /// delay sampling frame by frame in burst order, drawing from the same RNG streams
+    /// in the same order as a run of one-frame bursts would, and the returned receipt
+    /// reports the same copy/byte totals.
+    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt;
+
+    /// Transmits one encoded frame to `to` as a one-frame burst; returns how many
+    /// copies were put on the wire. A shim over [`Transport::send_batch`], kept only for
+    /// the out-of-workspace benchmark package, which overrides and calls it.
+    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
+        self.send_batch(to, &[OutFrame::new(frame.clone(), wire_size)])
+            .copies
     }
 }
 
@@ -111,12 +104,12 @@ impl Transport for Box<dyn Transport> {
         (**self).peers()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
-        (**self).send(to, frame, wire_size)
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
         (**self).send_batch(to, frames)
+    }
+
+    fn send(&mut self, to: ProcessId, frame: &Bytes, wire_size: usize) -> usize {
+        (**self).send(to, frame, wire_size)
     }
 }
 
@@ -144,22 +137,13 @@ impl Transport for ChannelTransport {
         self.links.iter().map(|l| l.peer()).collect()
     }
 
-    fn send(&mut self, to: ProcessId, frame: &Bytes, _wire_size: usize) -> usize {
-        if let Some(link) = self.links.iter().find(|l| l.peer() == to) {
-            // A failed send means the peer has shut down, which the protocols tolerate;
-            // the frame still counts as transmitted (it left this process).
-            let _ = link.send(frame.clone());
-            1
-        } else {
-            0
-        }
-    }
-
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
         let mut receipt = SendReceipt::default();
         let Some(link) = self.links.iter().find(|l| l.peer() == to) else {
             return receipt;
         };
+        // A failed send means the peer has shut down, which the protocols tolerate; the
+        // frames still count as transmitted (they left this process).
         match frames {
             [] => {}
             [only] => {
@@ -181,13 +165,24 @@ impl Transport for ChannelTransport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::link::build_links;
 
+    /// Sends `bytes` to `to` as a one-frame burst of wire size `bytes.len()`; returns
+    /// the copies put on the wire.
+    pub(crate) fn send_one(
+        transport: &mut impl Transport,
+        to: ProcessId,
+        bytes: &'static [u8],
+    ) -> usize {
+        let frame = OutFrame::new(Bytes::from_static(bytes), bytes.len());
+        transport.send_batch(to, &[frame]).copies
+    }
+
     #[test]
     fn batched_send_accounts_identically_to_frame_at_a_time() {
-        // The same burst through send() and through send_batch() must report the same
+        // The same frames as one-frame bursts and as one burst must report the same
         // copy and byte totals, and the receiver must see the same messages.
         let frames: Vec<OutFrame> = (0..5)
             .map(|i| {
@@ -201,7 +196,7 @@ mod tests {
         let mut unbatched = ChannelTransport::new(mailboxes.pop().unwrap(), senders.remove(0));
         let mut per_frame = SendReceipt::default();
         for f in &frames {
-            per_frame.record(unbatched.send(1, &f.frame, f.wire_size), f.wire_size);
+            per_frame.merge(unbatched.send_batch(1, std::slice::from_ref(f)));
         }
 
         let (mut mailboxes, mut senders) = build_links(2, &[(0, 1)]);
@@ -241,7 +236,7 @@ mod tests {
         let frame = sink.receiver().recv().unwrap();
         assert!(!frame.batch, "a one-frame burst travels as a plain frame");
         assert_eq!(&frame.bytes[..], b"solo");
-        // A batch to a non-neighbor is silently accounted as zero, like send().
+        // A batch to a non-neighbor is silently accounted as zero.
         assert_eq!(t0.send_batch(9, &one), SendReceipt::default());
     }
 
@@ -250,11 +245,27 @@ mod tests {
         let (mut mailboxes, mut senders) = build_links(3, &[(0, 1), (0, 2)]);
         let mailbox2 = mailboxes.pop().unwrap();
         let mut t0 = ChannelTransport::new(mailboxes.swap_remove(0), senders.swap_remove(0));
-        assert_eq!(t0.send(2, &Bytes::from_static(b"to two"), 6), 1);
-        assert_eq!(t0.send(9, &Bytes::from_static(b"nobody"), 6), 0);
+        assert_eq!(send_one(&mut t0, 2, b"to two"), 1);
+        assert_eq!(send_one(&mut t0, 9, b"nobody"), 0);
         let frame = mailbox2.receiver().recv().unwrap();
         assert_eq!(frame.from, 0);
         assert_eq!(&frame.bytes[..], b"to two");
         assert!(t0.inbound().is_empty());
+    }
+
+    #[test]
+    fn send_shim_is_a_one_frame_burst() {
+        let (mut mailboxes, mut senders) = build_links(2, &[(0, 1)]);
+        let sink = mailboxes.pop().unwrap();
+        let mut t0: Box<dyn Transport> = Box::new(ChannelTransport::new(
+            mailboxes.pop().unwrap(),
+            senders.remove(0),
+        ));
+        assert_eq!(t0.send(1, &Bytes::from_static(b"shim"), 4), 1);
+        assert_eq!(t0.send(9, &Bytes::from_static(b"nobody"), 6), 0);
+        let frame = sink.receiver().recv().unwrap();
+        assert!(!frame.batch);
+        assert_eq!(&frame.bytes[..], b"shim");
+        assert!(sink.receiver().is_empty());
     }
 }

@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# Production lines per crate, counted the way ROADMAP.md counts them: every `.rs` file
+# under `crates/<name>/src` contributes the lines before its first column-0
+# `#[cfg(test)]` (all of its lines when it has none); `crates/core/src/bd/tests.rs`, a
+# test module in a file of its own, is excluded. It then prints the plain line totals of
+# the `.rs` files under `tests/`, `examples/` and `benchmark/src`.
+#
+# Usage: scripts/prod_lines.sh [repo-root]   (default: the repository this script is in)
+set -euo pipefail
+
+root="${1:-$(dirname "$0")/..}"
+cd "$root"
+
+# Lines before the first column-0 `#[cfg(test)]` of each file, summed.
+production() {
+    find "$1" -name '*.rs' ! -path '*/bd/tests.rs' -print0 \
+        | xargs -0 -r awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }'
+}
+
+# Every line of every `.rs` file.
+total() {
+    find "$1" -name '*.rs' -print0 | xargs -0 -r cat | wc -l
+}
+
+sum=0
+for dir in crates/*/; do
+    name=$(basename "$dir")
+    lines=$(production "$dir/src")
+    sum=$((sum + lines))
+    printf '%-12s %6d\n' "$name" "$lines"
+done
+printf '%-12s %6d\n' "crates" "$sum"
+echo
+for dir in tests examples benchmark/src; do
+    printf '%-14s %6d\n' "$dir" "$(total "$dir")"
+done

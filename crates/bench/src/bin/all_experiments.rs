@@ -1,5 +1,7 @@
 //! Runs every experiment harness in sequence (Table 1, Figs. 4–10, memory) and prints all
-//! results — the one-stop reproduction of the paper's evaluation section.
+//! results — the one way to reproduce the paper's evaluation section. Each harness's
+//! rows carry its name in the first (`section`) CSV column: `table1`, `fig4`, `fig5`,
+//! `fig6`, `fig7_to_10` and `memory`.
 //!
 //! Usage: `cargo run --release -p brb-bench --bin all_experiments [-- --quick] [-- --async]
 //! [-- --workers N] [-- --stack NAME] [-- --csv PATH] [-- --workload] [-- --behaviors]

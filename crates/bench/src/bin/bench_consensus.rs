@@ -16,13 +16,12 @@
 
 use std::time::Instant;
 
-use brb_bench::json::{out_path_from_args, write_and_echo, JsonObject};
+use brb_bench::json::{host, out_path_from_args, write_and_echo, JsonObject};
 use brb_consensus::{ConsensusSpec, ProposalPattern};
 use brb_core::config::Config;
 use brb_core::gc::GcPolicy;
 use brb_core::stack::StackSpec;
-use brb_sim::experiment::{experiment_graph, ExperimentParams};
-use brb_sim::run_consensus_recorded;
+use brb_sim::experiment::{experiment_graph, run_experiment, ExperimentParams};
 
 /// Iterations per scenario averaged into `mean_ms`.
 const ITERS: u32 = 3;
@@ -56,7 +55,7 @@ fn run_scenario(name: &'static str, spec: ConsensusSpec) -> ScenarioResult {
     let mut last = None;
     for _ in 0..ITERS {
         let start = Instant::now();
-        let record = run_consensus_recorded(&params, &graph);
+        let record = run_experiment(&params, &graph);
         total_ms += start.elapsed().as_secs_f64() * 1_000.0;
         last = Some(record);
     }
@@ -113,6 +112,7 @@ fn main() {
     }
     let mut doc = JsonObject::new();
     doc.str("bench", &format!("consensus_over_brb_n{N}_k{K}"))
+        .obj("host", host())
         .u64("iters", u64::from(ITERS))
         .u64("window_events", GC_WINDOW)
         .obj("scenarios", scenarios);

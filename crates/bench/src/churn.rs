@@ -10,7 +10,7 @@
 //! Every row runs on the discrete-event simulator: the scenario rows go through the
 //! parallel sweep engine (so they are worker-count invariant and the CI smoke job can
 //! byte-diff the CSV between 1 and 4 workers), the family rows through
-//! [`run_experiment_recorded`] on deterministically generated graphs. The schedules are
+//! [`run_experiment`] on deterministically generated graphs. The schedules are
 //! placed so that completeness is topology-guaranteed — a downed edge always leaves the
 //! `f + 1` disjoint paths the Dolev layer needs — which is what makes `delivered` a
 //! deterministic column rather than a race.
@@ -19,7 +19,7 @@ use brb_core::stack::StackSpec;
 use brb_graph::connectivity::is_k_connected;
 use brb_graph::{families, Graph};
 use brb_sim::churn::{ChurnAction, ChurnSpec};
-use brb_sim::experiment::{experiment_graph, run_experiment_recorded};
+use brb_sim::experiment::{experiment_graph, run_experiment};
 use brb_sim::{run_sweep, DelayModel, ExperimentSpec};
 
 use crate::{experiment, Scale};
@@ -188,7 +188,7 @@ pub fn run_churn_matrix(
         let params = experiment(fn_, 3, 1, payload, fconfig, delay, 1)
             .with_stack(stack)
             .with_churn(mixed_spec(fflaky, fn_));
-        let record = run_experiment_recorded(&params, &graph);
+        let record = run_experiment(&params, &graph);
         let r = &record.result;
         points.push(ChurnPoint {
             scenario: "mixed".to_string(),

@@ -1,16 +1,17 @@
 //! Experiment harnesses reproducing the paper's evaluation (Sec. 7).
 //!
 //! Every table and figure of the paper has a corresponding harness function in this crate
-//! and a binary under `src/bin/` that prints the same rows/series the paper reports:
+//! that prints the same rows/series the paper reports. The `all_experiments` binary runs
+//! them all and tags each row of its CSV output with the harness's `section` name:
 //!
-//! | paper artifact | harness | binary |
-//! |---|---|---|
-//! | Table 1 (+ Sec. 7.6 asynchronous variant) — per-modification impact | [`table1::run_table1`] | `table1` |
-//! | Fig. 4a/4b — latency & bandwidth vs connectivity, MBD.1/7/8/9/11 | [`figures::run_fig4`] | `fig4` |
-//! | Fig. 5a/5b — latency & bandwidth vs connectivity, lat./bdw./lat.&bdw. | [`figures::run_fig5`] | `fig5` |
-//! | Fig. 6a/6b — relative improvement vs connectivity, N = 30/50 | [`figures::run_fig6`] | `fig6` |
-//! | Figs. 7–10 — per-modification impact distributions (box plots) | [`figures::run_fig7_to_10`] | `fig7_to_10` |
-//! | Sec. 7.3 — memory consumption | [`figures::run_memory`] | `memory` |
+//! | paper artifact | harness |
+//! |---|---|
+//! | Table 1 (+ Sec. 7.6 asynchronous variant) — per-modification impact | [`table1::run_table1`] |
+//! | Fig. 4a/4b — latency & bandwidth vs connectivity, MBD.1/7/8/9/11 | [`figures::run_fig4`] |
+//! | Fig. 5a/5b — latency & bandwidth vs connectivity, lat./bdw./lat.&bdw. | [`figures::run_fig5`] |
+//! | Fig. 6a/6b — relative improvement vs connectivity, N = 30/50 | [`figures::run_fig6`] |
+//! | Figs. 7–10 — per-modification impact distributions (box plots) | [`figures::run_fig7_to_10`] |
+//! | Sec. 7.3 — memory consumption | [`figures::run_memory`] |
 //!
 //! The absolute numbers differ from the paper (different implementation language, machine
 //! and network substrate), but the harnesses reproduce the *shape* of the results: which
@@ -18,8 +19,8 @@
 //! the payload size and the synchrony assumption.
 //!
 //! Because a single paper-scale sweep involves hundreds of simulated broadcasts, every
-//! harness takes a [`Scale`] parameter: [`Scale::Quick`] runs a reduced sweep suitable for
-//! `cargo bench` / CI, [`Scale::Paper`] runs dimensions close to the paper's
+//! harness takes a [`Scale`] parameter: [`Scale::Quick`] (`--quick`) runs a reduced sweep
+//! suitable for CI, [`Scale::Paper`] runs dimensions close to the paper's
 //! (N = 50, connectivity sweeps, several seeds per point).
 
 #![forbid(unsafe_code)]
@@ -38,15 +39,13 @@ pub mod workload;
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_graph::Graph;
-use brb_sim::{
-    run_experiment_on_graph, DelayModel, ExperimentParams, ExperimentSpec, SweepOutcome,
-};
+use brb_sim::{run_experiment, DelayModel, ExperimentParams, ExperimentSpec, SweepOutcome};
 use brb_stats::Accumulator;
 
 /// Sweep size of a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Reduced dimensions (small N, few seeds) for CI and `cargo bench`.
+    /// Reduced dimensions (small N, few seeds) for CI.
     Quick,
     /// Dimensions close to the paper's evaluation.
     Paper,
@@ -227,21 +226,6 @@ pub struct AveragedResult {
     pub peak_stored_paths: f64,
 }
 
-/// Runs `runs` seeds of the given configuration, generating one random regular graph per
-/// seed (shared across configurations through [`averaged_on_graphs`]).
-pub fn averaged(params: &ExperimentParams, runs: usize) -> AveragedResult {
-    let graphs: Vec<Graph> = (0..runs)
-        .map(|i| {
-            brb_sim::experiment::experiment_graph(
-                params.n,
-                params.connectivity,
-                params.seed.wrapping_add(i as u64),
-            )
-        })
-        .collect();
-    averaged_on_graphs(params, &graphs)
-}
-
 /// Runs the configuration once per provided graph and averages the metrics. Using the same
 /// graphs for every configuration compared in a table/figure removes topology noise from
 /// the comparison, as the paper does by reusing one generated graph per `(N, k, f)` tuple.
@@ -255,7 +239,7 @@ pub fn averaged_on_graphs(params: &ExperimentParams, graphs: &[Graph]) -> Averag
     for (i, graph) in graphs.iter().enumerate() {
         let mut p = params.clone();
         p.seed = params.seed.wrapping_add(i as u64);
-        let r = run_experiment_on_graph(&p, graph);
+        let r = run_experiment(&p, graph).result;
         if let Some(l) = r.latency_ms {
             latency += l;
             completed += 1;
@@ -356,7 +340,10 @@ mod tests {
             DelayModel::synchronous(),
             3,
         );
-        let avg = averaged(&params, 2);
+        let graphs: Vec<Graph> = (0..2)
+            .map(|i| brb_sim::experiment::experiment_graph(12, 4, 3 + i))
+            .collect();
+        let avg = averaged_on_graphs(&params, &graphs);
         assert!(avg.latency_ms.is_finite());
         assert!(avg.bytes > 0.0);
         assert!(avg.messages > 0.0);

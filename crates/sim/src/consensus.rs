@@ -172,17 +172,14 @@ pub fn run_consensus(
     }
 }
 
-/// Runs one consensus experiment end to end on a caller-provided topology: builds the
-/// wrapped engines, phase-steps to termination and returns the usual
-/// [`ExperimentRecord`] with [`ExperimentResult::consensus`] filled.
-pub fn run_consensus_recorded(params: &ExperimentParams, graph: &Graph) -> ExperimentRecord {
-    run_consensus_sink(params, graph, None).record
-}
-
-/// [`run_consensus_recorded`] with an optional trace sink attached before the phases
-/// start, returning the record plus the per-process drop accounting (the events end up
-/// in the caller's sink; [`crate::experiment::run_experiment_traced`] drains them).
-pub fn run_consensus_sink(
+/// Runs one consensus experiment end to end on a caller-provided topology, with an
+/// optional trace sink attached before the phases start: builds the wrapped engines,
+/// phase-steps to termination and returns the usual [`ExperimentRecord`] with
+/// [`ExperimentResult::consensus`] filled, plus the per-process drop accounting (the
+/// events end up in the caller's sink). [`crate::experiment::run_experiment`] and
+/// [`crate::experiment::run_experiment_traced`] route here when
+/// [`ExperimentParams::consensus`] is set.
+pub(crate) fn run_consensus_sink(
     params: &ExperimentParams,
     graph: &Graph,
     sink: Option<std::sync::Arc<dyn brb_trace::TraceSink>>,
@@ -190,7 +187,7 @@ pub fn run_consensus_sink(
     let spec = params
         .consensus
         .as_ref()
-        .expect("run_consensus_recorded requires ExperimentParams::consensus");
+        .expect("run_consensus_sink requires ExperimentParams::consensus");
     let (mut sim, handles) = build_consensus_sim(params, graph, spec);
     if let Some(sink) = sink {
         sim.set_trace_sink(sink);
@@ -229,7 +226,7 @@ mod tests {
     use brb_core::config::Config;
     use brb_core::stack::StackSpec;
 
-    use crate::experiment::experiment_graph;
+    use crate::experiment::{experiment_graph, run_experiment};
 
     fn consensus_params(stack: StackSpec, spec: ConsensusSpec) -> ExperimentParams {
         ExperimentParams::new(14, 5, 2, Config::bdopt_mbd1(14, 2))
@@ -242,7 +239,7 @@ mod tests {
         let spec = ConsensusSpec::default().with_proposals(ProposalPattern::Unanimous(0));
         let params = consensus_params(StackSpec::Bd, spec.clone());
         let graph = experiment_graph(params.n, params.connectivity, params.seed);
-        let record = run_consensus_recorded(&params, &graph);
+        let record = run_experiment(&params, &graph);
         let stats = record.result.consensus.expect("consensus stats");
         assert!(stats.all_decided(), "{stats:?}");
         assert_eq!(stats.decision_value, Some(0), "validity");
@@ -275,8 +272,8 @@ mod tests {
         let spec = ConsensusSpec::default().with_proposals(ProposalPattern::Random(5));
         let params = consensus_params(StackSpec::BrachaRoutedDolev, spec);
         let graph = experiment_graph(params.n, params.connectivity, params.seed);
-        let a = run_consensus_recorded(&params, &graph);
-        let b = run_consensus_recorded(&params, &graph);
+        let a = run_experiment(&params, &graph);
+        let b = run_experiment(&params, &graph);
         assert_eq!(a.metrics.canonical_text(), b.metrics.canonical_text());
         assert_eq!(a.result.consensus, b.result.consensus);
     }

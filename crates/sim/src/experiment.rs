@@ -75,7 +75,7 @@ pub struct ExperimentParams {
     pub churn: Option<ChurnSpec>,
     /// Binary consensus instance to run **instead of** broadcast traffic: the engines
     /// are wrapped in [`brb_consensus::ConsensusEngine`] and the run phase-steps
-    /// proposals to decisions (see [`crate::consensus::run_consensus_recorded`]).
+    /// proposals to decisions (see [`run_experiment`]).
     /// `None` — the default — keeps the broadcast experiments exactly as before.
     #[serde(default)]
     pub consensus: Option<brb_consensus::ConsensusSpec>,
@@ -195,7 +195,7 @@ pub fn experiment_graph(n: usize, connectivity: usize, seed: u64) -> Graph {
 }
 
 /// An [`ExperimentResult`] together with the full [`RunMetrics`] of the underlying
-/// simulation run, as returned by [`run_experiment_recorded`].
+/// simulation run, as returned by [`run_experiment`].
 ///
 /// The determinism harness compares the canonical rendering of `metrics` against golden
 /// snapshots, which would be impossible from the aggregated [`ExperimentResult`] alone.
@@ -207,24 +207,14 @@ pub struct ExperimentRecord {
     pub metrics: RunMetrics,
 }
 
-/// Runs one experiment and returns its metrics.
+/// Runs one experiment on a caller-provided topology and returns both the aggregated
+/// result and the full run metrics. Several configurations compared on the *same* graph
+/// (Table 1, Figs. 4–10) share one [`experiment_graph`].
 ///
 /// The source is process 0; the `crashed` Byzantine processes are chosen among the highest
-/// identifiers so that the source itself stays correct.
-pub fn run_experiment(params: &ExperimentParams) -> ExperimentResult {
-    let graph = experiment_graph(params.n, params.connectivity, params.seed);
-    run_experiment_on_graph(params, &graph)
-}
-
-/// Runs one experiment on a caller-provided topology (used when several configurations
-/// must be compared on the *same* graph, as in Table 1 and Figs. 4–10).
-pub fn run_experiment_on_graph(params: &ExperimentParams, graph: &Graph) -> ExperimentResult {
-    run_experiment_recorded(params, graph).result
-}
-
-/// Runs one experiment on a caller-provided topology and returns both the aggregated
-/// result and the full run metrics.
-pub fn run_experiment_recorded(params: &ExperimentParams, graph: &Graph) -> ExperimentRecord {
+/// identifiers so that the source itself stays correct. A run with
+/// [`ExperimentParams::consensus`] set phase-steps one consensus instance instead.
+pub fn run_experiment(params: &ExperimentParams, graph: &Graph) -> ExperimentRecord {
     run_experiment_sink(params, graph, None).record
 }
 
@@ -241,7 +231,7 @@ pub struct TracedRecord {
     pub drop_counts: Vec<brb_trace::DropCounts>,
 }
 
-/// [`run_experiment_recorded`] with a [`brb_trace::VecSink`] attached: same metrics,
+/// [`run_experiment`] with a [`brb_trace::VecSink`] attached: same metrics,
 /// plus the full event trace and the per-process drop counters.
 pub fn run_experiment_traced(params: &ExperimentParams, graph: &Graph) -> TracedRecord {
     let sink = std::sync::Arc::new(brb_trace::VecSink::new());
@@ -250,7 +240,7 @@ pub fn run_experiment_traced(params: &ExperimentParams, graph: &Graph) -> Traced
     traced
 }
 
-/// Shared body of [`run_experiment_recorded`] / [`run_experiment_traced`]: runs the
+/// Shared body of [`run_experiment`] / [`run_experiment_traced`]: runs the
 /// experiment with an optional trace sink attached to the simulation.
 fn run_experiment_sink(
     params: &ExperimentParams,
@@ -398,18 +388,6 @@ where
     }
 }
 
-/// Runs the same experiment over several seeds and returns every result (the paper reports
-/// averages of at least 5 runs per point).
-pub fn run_experiment_repeated(params: &ExperimentParams, runs: usize) -> Vec<ExperimentResult> {
-    (0..runs)
-        .map(|i| {
-            let mut p = params.clone();
-            p.seed = params.seed.wrapping_add(i as u64);
-            run_experiment(&p)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,9 +410,14 @@ mod tests {
         }
     }
 
+    /// One run on the experiment's own seeded graph.
+    fn run(p: &ExperimentParams) -> ExperimentResult {
+        run_experiment(p, &experiment_graph(p.n, p.connectivity, p.seed)).result
+    }
+
     #[test]
     fn experiment_delivers_everywhere() {
-        let r = run_experiment(&params(Config::bdopt_mbd1(16, 2)));
+        let r = run(&params(Config::bdopt_mbd1(16, 2)));
         assert!(r.complete());
         assert_eq!(r.correct, 16);
         assert!(r.latency_ms.unwrap() >= 100.0);
@@ -447,7 +430,7 @@ mod tests {
     fn experiment_with_crashes_still_delivers_to_correct_processes() {
         let mut p = params(Config::bdopt_mbd1(16, 2));
         p.crashed = 2;
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert_eq!(r.correct, 14);
         assert!(
             r.complete(),
@@ -459,9 +442,9 @@ mod tests {
     fn bandwidth_preset_reduces_bytes_on_same_graph() {
         let p_base = params(Config::bdopt_mbd1(16, 2));
         let graph = experiment_graph(16, 5, 3);
-        let base = run_experiment_on_graph(&p_base, &graph);
+        let base = run_experiment(&p_base, &graph).result;
         let p_bdw = params(Config::bandwidth_preset(16, 2));
-        let bdw = run_experiment_on_graph(&p_bdw, &graph);
+        let bdw = run_experiment(&p_bdw, &graph).result;
         assert!(base.complete() && bdw.complete());
         assert!(
             bdw.bytes <= base.bytes,
@@ -478,8 +461,8 @@ mod tests {
         p0.payload_size = 1024;
         let mut p1 = params(Config::bdopt_mbd1(16, 2));
         p1.payload_size = 1024;
-        let base = run_experiment_on_graph(&p0, &graph);
-        let opt = run_experiment_on_graph(&p1, &graph);
+        let base = run_experiment(&p0, &graph).result;
+        let opt = run_experiment(&p1, &graph).result;
         assert!(base.complete() && opt.complete());
         assert!(
             (opt.bytes as f64) < 0.5 * base.bytes as f64,
@@ -490,18 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_runs_use_distinct_seeds() {
-        let results = run_experiment_repeated(&params(Config::bdopt_mbd1(16, 2)), 3);
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(ExperimentResult::complete));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot crash")]
     fn too_many_crashes_are_rejected() {
         let mut p = params(Config::bdopt_mbd1(16, 2));
         p.crashed = 3;
-        run_experiment(&p);
+        run(&p);
     }
 
     #[test]
@@ -511,7 +487,7 @@ mod tests {
             (3, Behavior::Lossy(0.3)),
             (9, Behavior::SilentTowards(vec![1])),
         ];
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert_eq!(r.correct, 14, "byzantine processes leave the correct set");
         assert!(r.complete(), "correct processes deliver despite the faults");
         assert!(r.bytes > 0);
@@ -521,7 +497,7 @@ mod tests {
     fn asynchronous_experiment_completes() {
         let mut p = params(Config::latency_preset(16, 2));
         p.delay = DelayModel::asynchronous();
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert!(r.complete());
     }
 
@@ -538,7 +514,7 @@ mod tests {
             StackSpec::Bracha,
         ] {
             let p = params(Config::bdopt_mbd1(16, 2)).with_stack(stack);
-            let r = run_experiment(&p);
+            let r = run(&p);
             assert!(r.complete(), "{stack} must deliver everywhere");
             assert!(r.bytes > 0, "{stack} reports Table 3 bytes");
             assert!(r.latency_ms.unwrap() > 0.0, "{stack} reports latency");
@@ -548,11 +524,12 @@ mod tests {
     #[test]
     fn stack_choice_changes_the_traffic_profile() {
         let graph = experiment_graph(16, 5, 3);
-        let bd = run_experiment_on_graph(&params(Config::bdopt_mbd1(16, 2)), &graph);
-        let routed = run_experiment_on_graph(
+        let bd = run_experiment(&params(Config::bdopt_mbd1(16, 2)), &graph).result;
+        let routed = run_experiment(
             &params(Config::bdopt_mbd1(16, 2)).with_stack(StackSpec::BrachaRoutedDolev),
             &graph,
-        );
+        )
+        .result;
         assert!(bd.complete() && routed.complete());
         assert_ne!(
             bd.messages, routed.messages,
@@ -564,7 +541,7 @@ mod tests {
     fn workload_experiments_fill_workload_stats() {
         let mut p = params(Config::bdopt_mbd1(16, 2));
         p.workload = Some(brb_workload::WorkloadSpec::constant_rate(10_000, 8));
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert!(r.complete(), "all 8 broadcasts reach all 16 processes");
         let stats = r.workload.expect("workload runs fill stats");
         assert_eq!(stats.injected, 8);
@@ -583,7 +560,7 @@ mod tests {
             brb_workload::WorkloadSpec::constant_rate(1_000, 4)
                 .with_sources(brb_workload::SourceSelection::Single { source: 15 }),
         );
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert_eq!(r.delivered, 0);
         assert_eq!(r.correct, 15);
         assert!(!r.complete());
@@ -595,7 +572,7 @@ mod tests {
     #[test]
     fn rc_only_stacks_report_their_memory_proxies() {
         let p = params(Config::bdopt(16, 2)).with_stack(StackSpec::Dolev);
-        let r = run_experiment(&p);
+        let r = run(&p);
         assert!(r.complete());
         assert!(r.peak_state_bytes > 0, "Dolev tracks per-content state");
     }

@@ -28,12 +28,12 @@
 //!
 //! ```
 //! use brb_core::config::Config;
-//! use brb_sim::experiment::{run_experiment, ExperimentParams};
+//! use brb_sim::experiment::{experiment_graph, run_experiment, ExperimentParams};
 //!
 //! let mut params = ExperimentParams::new(16, 5, 2, Config::bdopt_mbd1(16, 2));
 //! params.crashed = 1;
 //! params.seed = 42;
-//! let result = run_experiment(&params);
+//! let result = run_experiment(&params, &experiment_graph(16, 5, params.seed)).result;
 //! assert!(result.complete());
 //! println!("latency = {:?} ms, bytes = {}", result.latency_ms, result.bytes);
 //! ```
@@ -46,11 +46,12 @@
 //!
 //! ```
 //! use brb_core::{config::Config, stack::StackSpec};
-//! use brb_sim::experiment::{run_experiment, ExperimentParams};
+//! use brb_sim::experiment::{experiment_graph, run_experiment, ExperimentParams};
 //!
 //! let params = ExperimentParams::new(16, 5, 2, Config::bdopt_mbd1(16, 2))
 //!     .with_stack(StackSpec::BrachaRoutedDolev);
-//! assert!(run_experiment(&params).complete());
+//! let graph = experiment_graph(16, 5, params.seed);
+//! assert!(run_experiment(&params, &graph).result.complete());
 //! ```
 //!
 //! # Example: a parallel sweep
@@ -98,13 +99,12 @@ pub mod workload;
 pub use behavior::Behavior;
 pub use churn::{ChurnAction, ChurnClause, ChurnEvent, ChurnSpec, LinkState, RestartMemory};
 pub use consensus::{
-    build_consensus_sim, honest_decisions, honest_processes, run_consensus, run_consensus_recorded,
-    ConsensusStats,
+    build_consensus_sim, honest_decisions, honest_processes, run_consensus, ConsensusStats,
 };
 pub use delay::DelayModel;
 pub use experiment::{
-    run_experiment, run_experiment_on_graph, run_experiment_recorded, run_experiment_traced,
-    ExperimentParams, ExperimentRecord, ExperimentResult, TracedRecord,
+    run_experiment, run_experiment_traced, ExperimentParams, ExperimentRecord, ExperimentResult,
+    TracedRecord,
 };
 pub use invariants::{check_brb, check_brb_processes, BroadcastRecord, Violation};
 pub use metrics::RunMetrics;

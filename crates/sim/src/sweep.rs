@@ -30,9 +30,7 @@ use serde::{Deserialize, Serialize};
 use brb_graph::Graph;
 use brb_stats::Accumulator;
 
-use crate::experiment::{
-    experiment_graph, run_experiment_recorded, ExperimentParams, ExperimentRecord,
-};
+use crate::experiment::{experiment_graph, run_experiment, ExperimentParams, ExperimentRecord};
 
 /// One sweep point: a labelled experiment plus the seed of the topology it runs on.
 ///
@@ -79,7 +77,7 @@ fn run_one(spec: &ExperimentSpec, cache: &mut GraphCache) -> SweepOutcome {
     });
     SweepOutcome {
         label: spec.label.clone(),
-        record: run_experiment_recorded(&spec.params, graph),
+        record: run_experiment(&spec.params, graph),
     }
 }
 

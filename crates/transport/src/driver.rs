@@ -106,8 +106,8 @@ pub struct DriverOptions {
     /// crashed at start-up.
     pub behaviors: Vec<(ProcessId, Behavior)>,
     /// Per-frame transmission delay applied on every node's outbound links
-    /// ([`LinkDelay::MeanJitter`] for a fixed `mean + uniform(0..=jitter)`,
-    /// [`LinkDelay::Scaled`] for the paper's distributions).
+    /// ([`LinkDelay::Scaled`] samples a simulator delay model, the paper's
+    /// distributions included).
     pub link_delay: LinkDelay,
     /// Instance-GC retention policy installed on every node's engine. `None` (the
     /// default) leaves whatever the engine's [`brb_core::config::Config`] seeded —

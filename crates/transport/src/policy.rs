@@ -32,7 +32,7 @@ use brb_sim::{Behavior, DelayModel};
 use brb_trace::{DropCause, NodeCounters, TraceEventKind, Tracer};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::churn::ChurnHandle;
 use crate::link::Frame;
@@ -144,13 +144,6 @@ pub enum LinkDelay {
     /// Transmit immediately (the usual setting for tests).
     #[default]
     None,
-    /// Delay each outbound frame by `mean + uniform(0..=jitter)`.
-    MeanJitter {
-        /// Mean transmission delay.
-        mean: Duration,
-        /// Upper bound of the uniform jitter added to the mean.
-        jitter: Duration,
-    },
     /// Sample a [`DelayModel`] per transmitted copy and sleep for the sampled virtual
     /// duration multiplied by `scale` — `1.0` replays the paper's regimes in real time,
     /// smaller factors compress them so CI-sized runs stay fast while keeping the
@@ -386,14 +379,6 @@ impl DelayedLink {
     fn sample(&mut self) -> Duration {
         match &self.delay {
             LinkDelay::None => Duration::ZERO,
-            LinkDelay::MeanJitter { mean, jitter } => {
-                let jitter_micros = if jitter.as_micros() > 0 {
-                    self.rng.gen_range(0..=jitter.as_micros() as u64)
-                } else {
-                    0
-                };
-                *mean + Duration::from_micros(jitter_micros)
-            }
             LinkDelay::Scaled { model, scale } => {
                 let sampled = model.sample(&mut self.rng);
                 Duration::from_micros(sampled.as_micros()).mul_f64(*scale)
@@ -556,28 +541,34 @@ mod tests {
 
     #[test]
     fn scaled_delay_model_delays_frames_without_blocking_the_sender() {
-        let (t0, t1) = pair();
-        // 100 ms constant virtual delay at scale 0.2 => 20 ms wall-clock per frame.
-        let delay = LinkDelay::Scaled {
-            model: DelayModel::Constant { micros: 100_000 },
-            scale: 0.2,
-        };
-        let mut delayed = DelayedLink::new(t0, delay, 3, None, LinkObserver::detached(0));
-        let start = Instant::now();
-        for _ in 0..3 {
-            assert_eq!(send_one(&mut delayed, 1, b"x"), 1);
+        // 100 ms constant and 100-140 ms uniform virtual delays at scale 0.2 => at least
+        // 20 ms wall-clock per frame.
+        for model in [
+            DelayModel::Constant { micros: 100_000 },
+            DelayModel::Uniform {
+                min_micros: 100_000,
+                max_micros: 140_000,
+            },
+        ] {
+            let (t0, t1) = pair();
+            let delay = LinkDelay::Scaled { model, scale: 0.2 };
+            let mut delayed = DelayedLink::new(t0, delay, 3, None, LinkObserver::detached(0));
+            let start = Instant::now();
+            for _ in 0..3 {
+                assert_eq!(send_one(&mut delayed, 1, b"x"), 1);
+            }
+            assert!(
+                start.elapsed() < Duration::from_millis(20),
+                "{model:?}: the delay line must not block the sender"
+            );
+            for _ in 0..3 {
+                t1.inbound().recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(
+                    start.elapsed() >= Duration::from_millis(20),
+                    "{model:?}: frames arrive no earlier than their sampled delay"
+                );
+            }
         }
-        assert!(
-            start.elapsed() < Duration::from_millis(20),
-            "the delay line must not block the sender"
-        );
-        for _ in 0..3 {
-            t1.inbound().recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(20),
-            "frames arrive no earlier than their sampled delay"
-        );
     }
 
     #[test]

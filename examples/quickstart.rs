@@ -10,7 +10,7 @@
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_graph::{connectivity, generate};
-use brb_sim::{run_experiment_on_graph, DelayModel, ExperimentParams};
+use brb_sim::{run_experiment, DelayModel, ExperimentParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,7 +53,7 @@ fn main() {
             churn: None,
             consensus: None,
         };
-        let result = run_experiment_on_graph(&params, &graph);
+        let result = run_experiment(&params, &graph).result;
         println!(
             "{label}: latency = {:>8.1} ms | network = {:>9.1} kB | messages = {:>6} | delivered {}/{}",
             result.latency_ms.unwrap_or(f64::NAN),

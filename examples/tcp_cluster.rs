@@ -16,6 +16,7 @@ use brb_core::types::Payload;
 use brb_graph::{connectivity, generate};
 use brb_net::{tcp_links, DriverOptions, TcpDeployment};
 use brb_runtime::run_broadcast;
+use brb_sim::DelayModel;
 use brb_transport::LinkDelay;
 
 fn main() -> std::io::Result<()> {
@@ -58,12 +59,15 @@ fn main() -> std::io::Result<()> {
     );
 
     // Long-lived deployment: several broadcasts from different sources over the same
-    // sockets, with an artificial 5 ms per-message delay to make the wall-clock latency
-    // visible (the paper uses 50 ms; scaled down to keep the example fast).
-    println!("\n[2] Long-lived deployment, three broadcasts, 5 ms per-message delay:");
-    let options = DriverOptions::default().with_link_delay(LinkDelay::MeanJitter {
-        mean: Duration::from_millis(5),
-        jitter: Duration::from_millis(2),
+    // sockets, with an artificial uniform 5-7 ms per-message delay to make the wall-clock
+    // latency visible (the paper uses 50 ms; scaled down to keep the example fast).
+    println!("\n[2] Long-lived deployment, three broadcasts, 5-7 ms per-message delay:");
+    let options = DriverOptions::default().with_link_delay(LinkDelay::Scaled {
+        model: DelayModel::Uniform {
+            min_micros: 5_000,
+            max_micros: 7_000,
+        },
+        scale: 1.0,
     });
     let deployment = TcpDeployment::start(
         &graph,

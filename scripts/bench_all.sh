@@ -5,9 +5,8 @@
 # GC-curve boundedness, consensus termination/agreement) and exits non-zero on
 # regression, so this script is the one command CI or a developer runs to refresh
 # all snapshots: the artifacts land in the output directory (default the repo root,
-# where the nightly comparison jobs expect them). BENCH_quiescence.json (records the
-# host's nproc / CPU model) and BENCH_saturation.json are committed; refresh them from
-# the reference host only. BENCH_consensus.json is git-ignored.
+# where the nightly comparison jobs expect them). All three are committed and record the
+# host's nproc / CPU model; refresh them from the reference host only.
 #
 # Usage: scripts/bench_all.sh [output-dir]
 set -euo pipefail

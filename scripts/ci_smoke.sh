@@ -205,14 +205,15 @@ done
 
 echo "OK: BENCH_quiescence.json written (boundedness asserted by the benchmark binary)"
 
-# Consensus-over-BRB benchmark: mean wall-clock decision latency, decided round and
-# BRB-instance/GC counts per proposal scenario at a fixed seed. The binary asserts the
-# termination/agreement/GC invariants itself and exits non-zero on regression; here we
-# only check the JSON artifact exists and carries the expected fields.
+# Consensus-over-BRB benchmark: mean wall-clock decision latency (with the host it was
+# taken on), decided round and BRB-instance/GC counts per proposal scenario at a fixed
+# seed. The binary asserts the termination/agreement/GC invariants itself and exits
+# non-zero on regression; here we only check the JSON artifact exists and carries the
+# expected fields.
 timeout 600 cargo run --release -p brb-bench --bin bench_consensus -- \
     --out "$out/BENCH_consensus.json" > "$out/stdout_bench_consensus.txt"
-for field in mean_ms decision_value decision_round rounds_driven instances gc_retired \
-    unanimous1 split split_flip; do
+for field in host nproc mean_ms decision_value decision_round rounds_driven instances \
+    gc_retired unanimous1 split split_flip; do
     if ! grep -q "\"$field\"" "$out/BENCH_consensus.json"; then
         echo "FAIL: BENCH_consensus.json is missing field \"$field\"" >&2
         exit 1

@@ -3,7 +3,7 @@
 # under `crates/<name>/src` contributes the lines before its first column-0
 # `#[cfg(test)]` (all of its lines when it has none); `crates/core/src/bd/tests.rs`, a
 # test module in a file of its own, is excluded. It then prints the plain line totals of
-# the `.rs` files under `tests/`, `examples/` and `benchmark/src`.
+# the `.rs` files under `crates/*/benches`, `tests/`, `examples/` and `benchmark/src`.
 #
 # Usage: scripts/prod_lines.sh [repo-root]   (default: the repository this script is in)
 set -euo pipefail
@@ -17,9 +17,9 @@ production() {
         | xargs -0 -r awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 } !test { n++ } END { print n + 0 }'
 }
 
-# Every line of every `.rs` file.
+# Every line of every `.rs` file under the given directories.
 total() {
-    find "$1" -name '*.rs' -print0 | xargs -0 -r cat | wc -l
+    find "$@" -name '*.rs' -print0 | xargs -0 -r cat | wc -l
 }
 
 sum=0
@@ -31,6 +31,7 @@ for dir in crates/*/; do
 done
 printf '%-12s %6d\n' "crates" "$sum"
 echo
+printf '%-16s %6d\n' "crates/*/benches" "$(total crates/*/benches)"
 for dir in tests examples benchmark/src; do
-    printf '%-14s %6d\n' "$dir" "$(total "$dir")"
+    printf '%-16s %6d\n' "$dir" "$(total "$dir")"
 done

@@ -42,7 +42,7 @@ use brb_sim::churn::ChurnSpec;
 use brb_sim::experiment::experiment_graph;
 use brb_sim::invariants::{check_brb, BroadcastRecord};
 use brb_sim::{
-    build_consensus_sim, honest_decisions, honest_processes, run_consensus, run_consensus_recorded,
+    build_consensus_sim, honest_decisions, honest_processes, run_consensus, run_experiment,
     ExperimentParams,
 };
 use brb_transport::DriverOptions;
@@ -232,7 +232,7 @@ proptest! {
             .with_proposals(ProposalPattern::Random(pattern_seed))
             .with_flippers(vec![flipper]);
         let (params, graph) = prop_params(spec.clone());
-        let record = run_consensus_recorded(&params, &graph);
+        let record = run_experiment(&params, &graph);
         let stats = record.result.consensus.as_ref().expect("consensus stats");
         prop_assert!(stats.all_decided(), "{stats:?}");
         let honest: Vec<ProcessId> = (0..params.n).filter(|&p| p != flipper).collect();
@@ -253,14 +253,14 @@ proptest! {
     ) {
         let spec = ConsensusSpec::default().with_proposals(ProposalPattern::Split);
         let (params, graph) = prop_params(spec.clone());
-        let baseline = run_consensus_recorded(&params, &graph);
+        let baseline = run_experiment(&params, &graph);
         let base = baseline.result.consensus.as_ref().expect("consensus stats");
         prop_assert!(base.all_decided(), "{base:?}");
 
         let edges = graph.edges();
         let (a, b) = edges[edge_choice % edges.len()];
         let churn = ChurnSpec::new().flap(a, b, 500, 2_000, 2_000, cycles);
-        let flapped = run_consensus_recorded(&params.clone().with_churn(churn), &graph);
+        let flapped = run_experiment(&params.clone().with_churn(churn), &graph);
         let flap = flapped.result.consensus.as_ref().expect("consensus stats");
         prop_assert!(flap.all_decided(), "{flap:?}");
         prop_assert_eq!(flap.decision_value, base.decision_value);

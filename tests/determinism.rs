@@ -30,8 +30,7 @@ use brb_graph::{generate, NeighborIndex};
 use brb_sim::experiment::experiment_graph;
 use brb_sim::workload::run_workload;
 use brb_sim::{
-    run_experiment_recorded, run_sweep, Behavior, DelayModel, ExperimentParams, ExperimentSpec,
-    Simulation,
+    run_experiment, run_sweep, Behavior, DelayModel, ExperimentParams, ExperimentSpec, Simulation,
 };
 use brb_workload::{SourceSelection, WorkloadSpec};
 
@@ -158,7 +157,7 @@ fn determinism_bd_with_crashes_matches_golden() {
         consensus: None,
     };
     let graph = experiment_graph(16, 5, 33);
-    let record = run_experiment_recorded(&params, &graph);
+    let record = run_experiment(&params, &graph);
     assert!(record.result.complete());
     check_golden("bd_random_n16_crashed", &record.metrics.canonical_text());
 }
@@ -204,7 +203,7 @@ fn determinism_churn_planar_grid_matches_golden() {
         churn: Some(churn),
         consensus: None,
     };
-    let record = run_experiment_recorded(&params, &graph);
+    let record = run_experiment(&params, &graph);
     assert!(
         record.result.complete(),
         "the 3-connected grid rides out the flap"

@@ -7,7 +7,7 @@ use brb_core::stack::StackSpec;
 use brb_core::types::{BroadcastId, Payload};
 use brb_core::BdProcess;
 use brb_graph::generate;
-use brb_sim::{run_experiment_on_graph, DelayModel, ExperimentParams, Simulation};
+use brb_sim::{run_experiment, DelayModel, ExperimentParams, Simulation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +37,7 @@ fn run(
         churn: None,
         consensus: None,
     };
-    run_experiment_on_graph(&params, graph)
+    run_experiment(&params, graph).result
 }
 
 #[test]

@@ -30,8 +30,7 @@ use brb_graph::{generate, NeighborIndex};
 use brb_sim::experiment::experiment_graph;
 use brb_sim::workload::run_workload;
 use brb_sim::{
-    run_experiment_recorded, run_experiment_traced, Behavior, DelayModel, ExperimentParams,
-    Simulation,
+    run_experiment, run_experiment_traced, Behavior, DelayModel, ExperimentParams, Simulation,
 };
 use brb_trace::{causal_sequence, render_causal_sequence, TraceSink, VecSink};
 use brb_workload::{SourceSelection, WorkloadSpec};
@@ -325,7 +324,7 @@ proptest! {
         params.crashed = crashed;
         params.payload_size = payload;
         let graph = experiment_graph(n, k, seed.wrapping_add(9_999));
-        let plain = run_experiment_recorded(&params, &graph);
+        let plain = run_experiment(&params, &graph);
         let traced = run_experiment_traced(&params, &graph);
         prop_assert_eq!(
             plain.metrics.canonical_text(),

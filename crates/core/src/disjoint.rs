@@ -592,6 +592,108 @@ mod tests {
         }
     }
 
+    /// Every `size`-subset of `0..len` as a bit mask, in increasing order (Gosper's hack).
+    fn subsets(len: usize, size: usize) -> impl Iterator<Item = u64> {
+        std::iter::successors(Some((1u64 << size) - 1), |&set| {
+            let low = set & set.wrapping_neg();
+            let ripple = set + low;
+            (set != 0).then(|| (((ripple ^ set) >> 2) / low) | ripple)
+        })
+        .take_while(move |&set| set < 1 << len)
+    }
+
+    /// The fewest processes that hit every path, by exhaustive search over the subsets of
+    /// the union of the paths' members, smallest first. A direct reception is the path
+    /// `{source}`, which only the source hits and no relayed path contains, so it adds
+    /// one. `None` when an empty path is stored: nothing hits it.
+    fn min_cover(paths: &[PathSet], direct: bool) -> Option<usize> {
+        if paths.iter().any(PathSet::is_empty) {
+            return None;
+        }
+        let mut members: Vec<ProcessId> = paths.iter().flat_map(PathSet::iter).collect();
+        members.sort_unstable();
+        members.dedup();
+        let masks: Vec<u64> = paths
+            .iter()
+            .map(|path| {
+                let bits = members
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &id)| path.contains(id));
+                bits.fold(0, |mask, (bit, _)| mask | 1 << bit)
+            })
+            .collect();
+        let relayed = (0..=members.len())
+            .find(|&size| {
+                subsets(members.len(), size).any(|set| masks.iter().all(|mask| mask & set != 0))
+            })
+            .expect("all the members together hit every path");
+        Some(relayed + usize::from(direct))
+    }
+
+    /// The cover half of the oracle, checked after an `add_path`: weak duality (no
+    /// packing of the distinct paths `seen` is larger than a cover of them), and the
+    /// delivery rule's safety (when `tracker` reaches `t`, no fewer than `t` processes
+    /// hit every stored path, so `t - 1` Byzantine processes cannot have forged them all).
+    fn assert_no_cover_below_reach(tracker: &DisjointPathTracker, seen: &[PathSet], direct: bool) {
+        let Some(cover) = min_cover(seen, direct) else {
+            return;
+        };
+        let packing = max_packing(seen, &PathSet::new()) + usize::from(direct);
+        assert!(
+            packing <= cover,
+            "packing {packing} > cover {cover}: {seen:?}"
+        );
+        assert!(
+            !tracker.reaches(cover + 1),
+            "reaches {} with a cover of {cover}: {seen:?}",
+            tracker.best_disjoint()
+        );
+    }
+
+    #[test]
+    fn min_cover_of_known_path_sets() {
+        assert_eq!(min_cover(&[], false), Some(0));
+        assert_eq!(min_cover(&[], true), Some(1));
+        assert_eq!(min_cover(&[ps(&[1, 2]), ps(&[2, 3])], false), Some(1));
+        // The two-path packing {1,2} + {3,4} needs two hits; a triangle of pairs needs two
+        // hits too, but packs only one path.
+        assert_eq!(min_cover(&[ps(&[1, 2]), ps(&[3, 4])], true), Some(3));
+        let triangle = [ps(&[1, 2]), ps(&[2, 3]), ps(&[1, 3])];
+        assert_eq!(min_cover(&triangle, false), Some(2));
+        assert_eq!(max_packing(&triangle, &PathSet::new()), 1);
+        assert_eq!(min_cover(&[ps(&[1]), PathSet::new()], false), None);
+    }
+
+    #[test]
+    fn forged_flood_through_one_neighbor_stays_below_its_cover() {
+        // The flood of `dolev::tests::forged_path_flood_through_one_neighbor_cannot_block_delivery`
+        // at F = 92: every path forged behind neighbor 1 carries 1, so one process hits
+        // them all. Five honest pairs then need five more hits.
+        let pool: Vec<ProcessId> = (12..20).collect();
+        let mut tracker = DisjointPathTracker::new();
+        let mut seen = Vec::new();
+        for subset in subsets(pool.len(), 1)
+            .chain(subsets(pool.len(), 2))
+            .chain(subsets(pool.len(), 3))
+        {
+            let members = (0..pool.len()).filter(|&bit| subset & 1 << bit != 0);
+            let path = PathSet::from_iter_ids(std::iter::once(1).chain(members.map(|b| pool[b])));
+            seen.push(path.clone());
+            tracker.add_path(path, 1);
+            assert_no_cover_below_reach(&tracker, &seen, false);
+        }
+        assert_eq!(seen.len(), 92);
+        assert_eq!(min_cover(&seen, false), Some(1));
+        for (via, next) in [(2, 3), (4, 5), (6, 7), (8, 9), (10, 11)] {
+            seen.push(ps(&[via, next]));
+            tracker.add_path(ps(&[via, next]), via);
+            assert_no_cover_below_reach(&tracker, &seen, false);
+        }
+        assert_eq!(min_cover(&seen, false), Some(6));
+        assert!(tracker.reaches(5), "five disjoint honest paths");
+    }
+
     #[test]
     fn memo_matches_the_hash_map_formulation_below_saturation() {
         // Ids up to 139 mix one-, two- and three-word sets.
@@ -654,20 +756,26 @@ mod tests {
             .with_failure_persistence(FileFailurePersistence::SourceParallel("proptest-regressions")))]
 
         /// After every `add_path` the unbounded memo holds exactly the hash-map
-        /// formulation's unions and counts, and its best count is the exhaustive maximum
-        /// packing of the distinct paths seen so far.
+        /// formulation's unions and counts, its best count is the exhaustive maximum
+        /// packing of the distinct paths seen so far, and no cover of them is smaller
+        /// than what it reaches, with and without a direct reception.
         #[test]
         fn memo_is_exact_against_brute_force_packing(steps in path_sequences()) {
             let mut tracker = DisjointPathTracker::new();
+            let mut direct = DisjointPathTracker::new();
+            direct.record_direct();
             let mut reference = MapReference::new();
             for path in paths_of(steps) {
                 reference.add(&path);
+                direct.add_path(path.clone(), 0);
                 let best = tracker.add_path(path, 0);
                 prop_assert!(!tracker.is_saturated());
                 prop_assert_eq!(tracker.path_count(), reference.seen.len());
                 prop_assert_eq!(best, max_packing(&reference.seen, &PathSet::new()));
                 prop_assert_eq!(best, reference.best());
                 reference.assert_matches(&tracker);
+                assert_no_cover_below_reach(&tracker, &reference.seen, false);
+                assert_no_cover_below_reach(&direct, &reference.seen, true);
             }
         }
 

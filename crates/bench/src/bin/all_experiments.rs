@@ -52,7 +52,14 @@
 //! `--stack NAME` selects the protocol stack every harness sweeps (default `bd`, the
 //! paper's Bracha–Dolev combination; see `brb_core::stack::StackSpec` for the other
 //! names), so table/figure baselines can be regenerated per stack. The chosen stack is
-//! recorded in the `stack` column of the CSV output.
+//! recorded in the `stack` column of the CSV output. The MD/MBD ablation axes only move
+//! the stacks that read those flags (`bd`, `dolev`); for the others the configuration
+//! rows coincide. A `--stack` without a value, or with an unknown name, panics rather
+//! than mislabel a whole sweep.
+//!
+//! `--workers N` sets the sweep's worker threads (default: the host parallelism).
+//! Results are bit-identical for every worker count (see `brb_sim::sweep`), so the flag
+//! only trades wall-clock time for CPU.
 //!
 //! With `--csv PATH` every data point is also written to a CSV file with fixed formatting.
 //! Because the sweep engine is deterministic regardless of the worker count, the CSV
@@ -62,10 +69,10 @@
 use std::fmt::Write as _;
 
 use brb_bench::{
-    async_from_args, behaviors, behaviors_from_args, churn, churn_from_args, consensus,
-    consensus_from_args, figures, saturation, saturation_from_args, stack_from_args, table1, trace,
-    trace_from_args, workers_from_args, workload, workload_from_args, Scale,
+    behaviors, churn, consensus, figures, flag, flag_value, saturation, table1, trace, workload,
+    Scale,
 };
+use brb_core::stack::StackSpec;
 
 /// Fixed-format float rendering used for every CSV cell, so the file is a pure function
 /// of the computed values.
@@ -80,17 +87,11 @@ fn cell(value: f64) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_args(&args);
-    let asynchronous = async_from_args(&args);
-    let workers = workers_from_args(&args);
-    let stack = stack_from_args(&args);
-    let csv_path = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix("--csv=").map(str::to_string))
-        });
+    let asynchronous = flag(&args, "--async");
+    let workers = flag_value(&args, "--workers")
+        .map_or_else(brb_sim::sweep::default_workers, |n: usize| n.max(1));
+    let stack = flag_value(&args, "--stack").unwrap_or(StackSpec::Bd);
+    let csv_path: Option<String> = flag_value(&args, "--csv");
 
     let mut csv = String::from("section,stack,behavior,label,x,v1,v2,v3,v4,v5,v6,v7\n");
 
@@ -178,7 +179,7 @@ fn main() {
             p.f
         );
     }
-    if workload_from_args(&args) {
+    if flag(&args, "--workload") {
         println!("==============================================================");
         for p in workload::run_workload_sweep(scale, asynchronous, workers, stack) {
             let _ = writeln!(
@@ -197,7 +198,7 @@ fn main() {
         }
     }
 
-    if saturation_from_args(&args) {
+    if flag(&args, "--saturation") {
         println!("==============================================================");
         for p in saturation::run_saturation_sweep(scale, asynchronous, workers, stack) {
             let _ = writeln!(
@@ -216,7 +217,7 @@ fn main() {
         }
     }
 
-    if behaviors_from_args(&args) {
+    if flag(&args, "--behaviors") {
         println!("==============================================================");
         let fmt_opt = |v: Option<usize>| v.map_or(String::new(), |v| v.to_string());
         for p in behaviors::run_behavior_matrix(scale, asynchronous, workers, stack) {
@@ -234,7 +235,7 @@ fn main() {
         }
     }
 
-    if churn_from_args(&args) {
+    if flag(&args, "--churn") {
         println!("==============================================================");
         for p in churn::run_churn_matrix(scale, asynchronous, workers, stack) {
             let _ = writeln!(
@@ -252,7 +253,7 @@ fn main() {
         }
     }
 
-    if consensus_from_args(&args) {
+    if flag(&args, "--consensus") {
         println!("==============================================================");
         for p in consensus::run_consensus_matrix(scale, asynchronous, workers, stack) {
             let _ = writeln!(
@@ -274,7 +275,7 @@ fn main() {
         }
     }
 
-    if trace_from_args(&args) {
+    if flag(&args, "--trace") {
         println!("==============================================================");
         let fmt_us = |v: Option<u64>| v.map_or(String::new(), |v| v.to_string());
         let (breakdowns, drops) = trace::run_trace_matrix(scale, asynchronous, stack);

@@ -9,19 +9,20 @@
 //!
 //! The termination/agreement/GC invariants are asserted here (exit code 1 on
 //! regression), so the smoke script only has to check the file exists and carries the
-//! expected fields. The JSON is emitted through [`brb_bench::json`]: the workspace
-//! deliberately has no JSON dependency.
+//! expected fields. The JSON is a [`brb_trace::JsonValue`], the workspace's one JSON
+//! type, written by [`brb_bench::write_json`].
 //!
 //! Usage: `cargo run --release -p brb-bench --bin bench_consensus [-- --out PATH]`
 
 use std::time::Instant;
 
-use brb_bench::json::{host, out_path_from_args, write_and_echo, JsonObject};
+use brb_bench::{host, object, rounded, write_json};
 use brb_consensus::{ConsensusSpec, ProposalPattern};
 use brb_core::config::Config;
 use brb_core::gc::GcPolicy;
 use brb_core::stack::StackSpec;
 use brb_sim::experiment::{experiment_graph, run_experiment, ExperimentParams};
+use brb_trace::JsonValue;
 
 /// Iterations per scenario averaged into `mean_ms`.
 const ITERS: u32 = 3;
@@ -79,9 +80,6 @@ fn run_scenario(name: &'static str, spec: ConsensusSpec) -> ScenarioResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = out_path_from_args(&args, "BENCH_consensus.json");
-
     let results = [
         run_scenario(
             "unanimous1",
@@ -99,24 +97,30 @@ fn main() {
         ),
     ];
 
-    let mut scenarios = JsonObject::new();
-    for r in &results {
-        let mut obj = JsonObject::new();
-        obj.f64("mean_ms", r.mean_ms, 3)
-            .u64("decision_value", u64::from(r.decision_value))
-            .u64("decision_round", u64::from(r.decision_round))
-            .u64("rounds_driven", u64::from(r.rounds_driven))
-            .u64("instances", r.instances as u64)
-            .u64("gc_retired", r.gc_retired);
-        scenarios.obj(r.name, obj);
-    }
-    let mut doc = JsonObject::new();
-    doc.str("bench", &format!("consensus_over_brb_n{N}_k{K}"))
-        .obj("host", host())
-        .u64("iters", u64::from(ITERS))
-        .u64("window_events", GC_WINDOW)
-        .obj("scenarios", scenarios);
-    write_and_echo(&out_path, &doc.render());
+    let count = |n: u64| JsonValue::Number(n as f64);
+    let scenarios = results.iter().map(|r| {
+        let scenario = object([
+            ("mean_ms", rounded(r.mean_ms, 3)),
+            ("decision_value", count(r.decision_value.into())),
+            ("decision_round", count(r.decision_round.into())),
+            ("rounds_driven", count(r.rounds_driven.into())),
+            ("instances", count(r.instances as u64)),
+            ("gc_retired", count(r.gc_retired)),
+        ]);
+        (r.name.to_string(), scenario)
+    });
+    let doc = object([
+        (
+            "bench",
+            JsonValue::String(format!("consensus_over_brb_n{N}_k{K}")),
+        ),
+        ("host", host()),
+        ("iters", count(ITERS.into())),
+        ("window_events", count(GC_WINDOW)),
+        ("scenarios", JsonValue::Object(scenarios.collect())),
+    ]);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    write_json(&args, "BENCH_consensus.json", &doc);
 
     // The invariants CI relies on: unanimous proposals decide their value in round 0
     // (pinned coin), every scenario spawns BRB instances, and the retention window

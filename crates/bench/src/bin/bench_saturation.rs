@@ -18,22 +18,23 @@
 //! * backends — the in-process channel runtime and the TCP socket deployment.
 //!
 //! Emits `BENCH_saturation.json` with the host it ran on and one
-//! `knee_offered_per_sec` per combination, plus the per-point curves. Wall-clock
-//! results vary with the host, so nothing here participates in byte-equality diffs;
-//! the CI smoke job only greps the expected fields.
+//! `knee_offered_per_sec` per combination, plus the per-point curves (a point with no
+//! completed broadcast has `null` percentiles). Wall-clock results vary with the host,
+//! so nothing here participates in byte-equality diffs; the CI smoke job only greps the
+//! expected fields.
 //!
 //! Usage: `cargo run --release -p brb-bench --bin bench_saturation [-- --quick] [-- --out PATH]`
 
 use std::time::{Duration, Instant};
 
-use brb_bench::json::{host, out_path_from_args, write_and_echo, JsonObject};
 use brb_bench::saturation::{knee_index, KneeObservation};
-use brb_bench::Scale;
+use brb_bench::{host, object, rounded, write_json, Scale};
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_graph::{generate, Graph};
 use brb_net::{Wiring, BACKENDS};
 use brb_runtime::{Deployment, DriverOptions, Pacing};
+use brb_trace::JsonValue;
 use brb_workload::WorkloadSpec;
 
 /// Knee rule: a point collapses when its p99 exceeds this multiple of the baseline p99.
@@ -155,44 +156,45 @@ fn run_ramp(combo: &Combo, intervals: &[u64], broadcasts: u32) -> (Vec<Point>, O
 }
 
 /// Renders one ramp as a JSON object: the knee summary plus the per-point curve.
-fn ramp_json(points: &[Point], knee: Option<usize>, cap: f64) -> JsonObject {
-    let mut obj = JsonObject::new();
-    obj.f64("p99_cap_ms", cap, 3);
-    match knee {
-        Some(i) => {
-            obj.f64("knee_offered_per_sec", points[i].offered_per_sec, 1)
-                .f64("knee_throughput_per_sec", points[i].throughput_per_sec, 1)
-                .f64("knee_p99_ms", points[i].p99_ms, 3);
-        }
-        None => {
-            obj.f64("knee_offered_per_sec", 0.0, 1);
-        }
-    }
+fn ramp_json(points: &[Point], knee: Option<usize>, cap: f64) -> JsonValue {
+    let count = |n: usize| JsonValue::Number(n as f64);
+    let curve = points.iter().map(|p| {
+        object([
+            ("interval_us", JsonValue::Number(p.interval_micros as f64)),
+            ("offered_per_sec", rounded(p.offered_per_sec, 1)),
+            ("throughput_per_sec", rounded(p.throughput_per_sec, 1)),
+            ("p50_ms", rounded(p.p50_ms, 3)),
+            ("p99_ms", rounded(p.p99_ms, 3)),
+            ("completed", count(p.completed)),
+            ("effective", count(p.effective)),
+        ])
+    });
     // The ramp stops at the first collapsed point, so the ramp collapsed exactly when
     // the knee is not its last point.
     let collapsed = knee.map_or(!points.is_empty(), |i| i + 1 < points.len());
-    obj.u64("points", points.len() as u64)
-        .u64("collapsed", u64::from(collapsed));
-    let mut curve = JsonObject::new();
-    for p in points {
-        let mut entry = JsonObject::new();
-        entry
-            .f64("offered_per_sec", p.offered_per_sec, 1)
-            .f64("throughput_per_sec", p.throughput_per_sec, 1)
-            .f64("p50_ms", p.p50_ms, 3)
-            .f64("p99_ms", p.p99_ms, 3)
-            .u64("completed", p.completed as u64)
-            .u64("effective", p.effective as u64);
-        curve.obj(&format!("interval_{}us", p.interval_micros), entry);
-    }
-    obj.obj("curve", curve);
-    obj
+    let knee = match knee.map(|i| &points[i]) {
+        Some(p) => vec![
+            ("knee_offered_per_sec", rounded(p.offered_per_sec, 1)),
+            ("knee_throughput_per_sec", rounded(p.throughput_per_sec, 1)),
+            ("knee_p99_ms", rounded(p.p99_ms, 3)),
+        ],
+        None => vec![("knee_offered_per_sec", rounded(0.0, 1))],
+    };
+    object(
+        [
+            ("p99_cap_ms", rounded(cap, 3)),
+            ("points", count(points.len())),
+            ("collapsed", count(collapsed.into())),
+            ("curve", JsonValue::Array(curve.collect())),
+        ]
+        .into_iter()
+        .chain(knee),
+    )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_args(&args);
-    let out_path = out_path_from_args(&args, "BENCH_saturation.json");
 
     // Every ramp opens at 20 ms inter-arrival (50/s) — the unloaded baseline the p99
     // cap anchors to — then tightens with sub-2x steps so the knee lands within ~30%
@@ -227,19 +229,9 @@ fn main() {
         ),
     ];
 
-    let mut doc = JsonObject::new();
-    doc.str("bench", "saturation").obj("host", host()).str(
-        "scale",
-        if scale == Scale::Quick {
-            "quick"
-        } else {
-            "paper"
-        },
-    );
-    doc.u64("broadcasts_per_point", u64::from(broadcasts));
-
+    let mut ramps = Vec::new();
     for (stack_name, stack, graph, config) in &stacks {
-        let mut stack_obj = JsonObject::new();
+        let mut backends = Vec::new();
         for (backend, wire) in BACKENDS {
             println!("# saturation: stack={stack_name} backend={backend}");
             let combo = Combo {
@@ -256,10 +248,23 @@ fn main() {
                 ),
                 None => println!("#   knee: none (collapsed at the lowest rate)"),
             }
-            stack_obj.obj(backend, ramp_json(&points, knee, cap));
+            backends.push((backend, ramp_json(&points, knee, cap)));
         }
-        doc.obj(stack_name, stack_obj);
+        ramps.push((*stack_name, object(backends)));
     }
 
-    write_and_echo(&out_path, &doc.render());
+    let doc = object(
+        [
+            ("bench", JsonValue::String("saturation".to_string())),
+            ("host", host()),
+            (
+                "scale",
+                JsonValue::String(format!("{scale:?}").to_lowercase()),
+            ),
+            ("broadcasts_per_point", JsonValue::Number(broadcasts.into())),
+        ]
+        .into_iter()
+        .chain(ramps),
+    );
+    write_json(&args, "BENCH_saturation.json", &doc);
 }

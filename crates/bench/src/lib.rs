@@ -30,17 +30,20 @@ pub mod behaviors;
 pub mod churn;
 pub mod consensus;
 pub mod figures;
-pub mod json;
 pub mod saturation;
 pub mod table1;
 pub mod trace;
 pub mod workload;
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use brb_core::config::Config;
 use brb_core::stack::StackSpec;
 use brb_graph::Graph;
 use brb_sim::{run_experiment, DelayModel, ExperimentParams, ExperimentSpec, SweepOutcome};
 use brb_stats::Accumulator;
+use brb_trace::JsonValue;
 
 /// Sweep size of a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,9 +55,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--quick` / `--paper` style command-line arguments (defaults to `Paper`).
+    /// Parses the `--quick` flag (defaults to `Paper`).
     pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--quick") {
+        if flag(args, "--quick") {
             Scale::Quick
         } else {
             Scale::Paper
@@ -70,96 +73,83 @@ impl Scale {
     }
 }
 
-/// Whether the asynchronous delay model was requested on the command line.
-pub fn async_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--async")
+/// Whether the bare flag `name` (such as `--async`) is on the command line.
+pub fn flag(args: &[String], name: &str) -> bool {
+    args.iter().any(|a| a == name)
 }
 
-/// Whether the multi-broadcast workload sweep was requested on the command line
-/// (`--workload`; see [`workload::run_workload_sweep`]).
-pub fn workload_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--workload")
-}
-
-/// Whether the Byzantine behavior matrix was requested on the command line
-/// (`--behaviors`; see [`behaviors::run_behavior_matrix`]).
-pub fn behaviors_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--behaviors")
-}
-
-/// Whether the churn scenario matrix was requested on the command line
-/// (`--churn`; see [`churn::run_churn_matrix`]).
-pub fn churn_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--churn")
-}
-
-/// Whether the consensus-over-BRB matrix was requested on the command line
-/// (`--consensus`; see [`consensus::run_consensus_matrix`]).
-pub fn consensus_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--consensus")
-}
-
-/// Whether the structured-trace matrix was requested on the command line
-/// (`--trace`; see [`trace::run_trace_matrix`]).
-pub fn trace_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--trace")
-}
-
-/// Whether the saturation ramp was requested on the command line
-/// (`--saturation`; see [`saturation::run_saturation_sweep`]).
-pub fn saturation_from_args(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--saturation")
-}
-
-/// Parses the `--stack NAME` / `--stack=NAME` command-line option (defaults to the
-/// paper's Bracha–Dolev stack).
-///
-/// Every harness threads the chosen [`StackSpec`] into its sweep specs, so table/figure
-/// baselines can be regenerated per stack. Note that the MD/MBD ablation axes only move
-/// the needle for the stacks that read those flags (`bd`, `dolev`); for the other stacks
-/// the harnesses still sweep `(N, k, f, payload)` but the configuration rows coincide.
+/// The value of the first `name VALUE` or `name=VALUE` on the command line, parsed.
 ///
 /// # Panics
 ///
-/// Panics with the list of known stacks if the name does not parse, or if `--stack` is
-/// given without a value (a silent fallback to `bd` would mislabel a whole sweep).
-pub fn stack_from_args(args: &[String]) -> StackSpec {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let value = if arg == "--stack" {
+/// Panics when `name` ends the command line or its value does not parse: a silent
+/// default (say, `bd` for a misspelt `--stack`) would mislabel a whole run.
+pub fn flag_value<T: FromStr>(args: &[String], name: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let value = args.iter().enumerate().find_map(|(i, arg)| {
+        if arg == name {
+            let value = args.get(i + 1);
             Some(
-                iter.next()
-                    .unwrap_or_else(|| panic!("--stack requires a value"))
-                    .clone(),
+                value
+                    .unwrap_or_else(|| panic!("{name} requires a value"))
+                    .as_str(),
             )
         } else {
-            arg.strip_prefix("--stack=").map(str::to_string)
-        };
-        if let Some(name) = value {
-            return name.parse::<StackSpec>().unwrap_or_else(|e| panic!("{e}"));
+            arg.strip_prefix(name)?.strip_prefix('=')
         }
-    }
-    StackSpec::Bd
+    })?;
+    Some(value.parse().unwrap_or_else(|e| panic!("{name}: {e}")))
 }
 
-/// Parses the `--workers N` / `--workers=N` command-line option.
+/// The host a snapshot was taken on — available cores and CPU model — so a committed
+/// `BENCH_*.json` says what its wall-clock numbers are relative to.
+pub fn host() -> JsonValue {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    object([
+        ("nproc", JsonValue::Number(nproc as f64)),
+        ("cpu_model", JsonValue::String(cpu_model)),
+    ])
+}
+
+/// A JSON object of the given members.
+pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(
+        members
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+}
+
+/// `value` rounded to `places` decimals, so a snapshot does not claim digits of noise.
+pub fn rounded(value: f64, places: i32) -> JsonValue {
+    let scale = 10f64.powi(places);
+    JsonValue::Number((value * scale).round() / scale)
+}
+
+/// Writes `doc` to `path` (the `--out` value, else `default`), echoes it to stdout and
+/// prints the `# written to` marker the smoke script greps for.
 ///
-/// Defaults to the host parallelism. Results are bit-identical for every worker count
-/// (see `brb_sim::sweep`), so the flag only trades wall-clock time for CPU.
-pub fn workers_from_args(args: &[String]) -> usize {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--workers" {
-            if let Some(n) = iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = arg.strip_prefix("--workers=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    brb_sim::sweep::default_workers()
+/// # Panics
+///
+/// Panics when the path is not writable — benchmark binaries want the hard failure.
+pub fn write_json(args: &[String], default: &str, doc: &JsonValue) {
+    let path = flag_value(args, "--out").unwrap_or_else(|| default.to_string());
+    let json = doc.pretty() + "\n";
+    std::fs::write(&path, &json).expect("JSON output path must be writable");
+    print!("{json}");
+    println!("# written to {path}");
 }
 
 /// Builds the `runs` sweep specs of one data point: run `i` uses topology seed
@@ -300,33 +290,75 @@ pub fn variation_pct(baseline: f64, value: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn scale_parsing() {
-        assert_eq!(Scale::from_args(&["--quick".to_string()]), Scale::Quick);
+        assert_eq!(Scale::from_args(&args(&["--quick"])), Scale::Quick);
         assert_eq!(Scale::from_args(&[]), Scale::Paper);
         assert_eq!(Scale::Quick.runs(), 1);
         assert!(Scale::Paper.runs() >= 2);
-        assert!(async_from_args(&["--async".to_string()]));
-        assert!(!async_from_args(&[]));
+        assert!(flag(&args(&["--async"]), "--async"));
+        assert!(!flag(&args(&["--async=1"]), "--async"));
+        assert!(!flag(&[], "--async"));
     }
 
     #[test]
     fn stack_parsing() {
-        assert_eq!(stack_from_args(&[]), StackSpec::Bd);
+        assert_eq!(flag_value::<StackSpec>(&[], "--stack"), None);
         assert_eq!(
-            stack_from_args(&["--stack".to_string(), "bracha-cpa".to_string()]),
-            StackSpec::BrachaCpa
+            flag_value(&args(&["--stack", "bracha-cpa"]), "--stack"),
+            Some(StackSpec::BrachaCpa)
         );
         assert_eq!(
-            stack_from_args(&["--stack=routed-dolev".to_string()]),
-            StackSpec::RoutedDolev
+            flag_value(&args(&["--stacks=bd", "--stack=routed-dolev"]), "--stack"),
+            Some(StackSpec::RoutedDolev)
         );
+        assert_eq!(flag_value(&args(&["--workers", "4"]), "--workers"), Some(4));
     }
 
     #[test]
     #[should_panic(expected = "unknown stack")]
     fn stack_parsing_rejects_unknown_names() {
-        stack_from_args(&["--stack=quantum".to_string()]);
+        flag_value::<StackSpec>(&args(&["--stack=quantum"]), "--stack");
+    }
+
+    #[test]
+    #[should_panic(expected = "--stack requires a value")]
+    fn stack_parsing_rejects_a_missing_value() {
+        flag_value::<StackSpec>(&args(&["--quick", "--stack"]), "--stack");
+    }
+
+    #[test]
+    fn out_path_parsing() {
+        let out = |v: &[&str]| flag_value::<String>(&args(v), "--out");
+        assert_eq!(out(&[]), None);
+        assert_eq!(out(&["--out", "a.json"]).as_deref(), Some("a.json"));
+        assert_eq!(out(&["--out=b.json"]).as_deref(), Some("b.json"));
+    }
+
+    #[test]
+    fn host_records_cores_and_cpu_model() {
+        let parsed = brb_trace::parse_json(&host().pretty()).expect("parses");
+        assert!(parsed.get("nproc").and_then(|v| v.as_u64()).is_some());
+        assert!(parsed
+            .get("cpu_model")
+            .and_then(|v| v.as_str())
+            .is_some_and(|model| !model.is_empty()));
+    }
+
+    #[test]
+    fn rounded_numbers_print_their_decimals_only() {
+        let doc = object([
+            ("mean_ms", rounded(84.529_6, 3)),
+            ("p99_ms", rounded(f64::NAN, 3)),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"mean_ms\": 84.53,\n  \"p99_ms\": null\n}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Minimal hand-rolled JSON: escaping for the emitters and a recursive-descent
-//! parser used to validate emitted output. The workspace deliberately carries
-//! no JSON dependency, so this is the one shared implementation.
+//! Minimal hand-rolled JSON: escaping for the emitters, a pretty renderer and a
+//! recursive-descent parser used to validate emitted output. The workspace
+//! deliberately carries no JSON dependency, so this is the one shared implementation.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -64,6 +64,48 @@ impl JsonValue {
             JsonValue::Array(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// Renders the value as JSON with a two-space indent, object members in key order.
+    /// A number prints as its shortest round-trip decimal, and a non-finite one, which
+    /// JSON cannot express, as `null`.
+    ///
+    /// ```
+    /// use brb_trace::{parse_json, JsonValue};
+    ///
+    /// let doc = JsonValue::Object([("p99_ms".to_string(), JsonValue::Number(f64::NAN))].into());
+    /// assert_eq!(doc.pretty(), "{\n  \"p99_ms\": null\n}");
+    /// assert_eq!(parse_json(&doc.pretty()).unwrap().get("p99_ms"), Some(&JsonValue::Null));
+    /// ```
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, depth: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&String>, &JsonValue)>) = match self {
+            JsonValue::Array(items) => ('[', ']', items.iter().map(|item| (None, item)).collect()),
+            JsonValue::Object(map) => ('{', '}', map.iter().map(|(k, v)| (Some(k), v)).collect()),
+            JsonValue::Number(n) if n.is_finite() => return out.push_str(&n.to_string()),
+            JsonValue::String(s) => return out.push_str(&format!("\"{}\"", escape_json(s))),
+            JsonValue::Bool(b) => return out.push_str(&b.to_string()),
+            JsonValue::Null | JsonValue::Number(_) => return out.push_str("null"),
+        };
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&"  ".repeat(depth + 1));
+            if let Some(key) = key {
+                let _ = write!(out, "\"{}\": ", escape_json(key));
+            }
+            value.write_pretty(out, depth + 1);
+        }
+        if !members.is_empty() {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
     }
 }
 
@@ -336,5 +378,59 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|e| e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn renders_parseable_nested_json() {
+        let object = |fields: Vec<(&str, JsonValue)>| {
+            JsonValue::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        };
+        let doc = object(vec![
+            ("bench", JsonValue::String("demo \"quoted\"\n".to_string())),
+            ("iters", JsonValue::Number(3.0)),
+            (
+                "mean_ms",
+                JsonValue::Number((12.3456_f64 * 1e3).round() / 1e3),
+            ),
+            ("p99_ms", JsonValue::Number(f64::NAN)),
+            (
+                "points",
+                JsonValue::Array(vec![JsonValue::Bool(true), object(vec![])]),
+            ),
+            (
+                "curve",
+                object(vec![("last_bytes", JsonValue::Number(400.0))]),
+            ),
+            ("empty", JsonValue::Array(Vec::new())),
+        ]);
+        let rendered = doc.pretty();
+        assert!(rendered.contains("\"iters\": 3,"), "{rendered}");
+        assert!(rendered.contains("\"mean_ms\": 12.346,"), "{rendered}");
+        assert!(rendered.contains("\"p99_ms\": null,"), "{rendered}");
+        assert!(
+            rendered.contains("\n    \"last_bytes\": 400\n  },"),
+            "{rendered}"
+        );
+        let parsed = parse_json(&rendered).expect("round-trips");
+        let JsonValue::Object(mut fields) = doc else {
+            unreachable!()
+        };
+        fields.insert("p99_ms".to_string(), JsonValue::Null);
+        assert_eq!(parsed, JsonValue::Object(fields));
+        assert_eq!(
+            parsed.get("bench").and_then(JsonValue::as_str),
+            Some("demo \"quoted\"\n")
+        );
+        assert_eq!(parsed.get("iters").and_then(JsonValue::as_u64), Some(3));
     }
 }

@@ -12,7 +12,9 @@
 //!
 //! The numbers in the README's "Bounded memory" section come from `--full` (under two
 //! minutes of wall clock, most of it the TCP backend); the default scale finishes in
-//! seconds and shows the same shape.
+//! seconds and shows the same shape. Either way the run exits non-zero when GC off
+//! retires an instance or lets the state stay flat, or GC on retires nothing or lets
+//! the state grow; CI runs the default scale.
 //!
 //! Run with: `cargo run --release --example gc_memory_study [-- --full]`
 
@@ -119,13 +121,26 @@ fn main() -> std::io::Result<()> {
         );
     }
 
-    // The claim, checked per backend: GC off doubles residual state when the broadcast
-    // count doubles; GC on keeps it flat (and strictly below the GC-off endpoint).
+    // The claim, checked per backend: GC off retires nothing and doubles residual state
+    // when the broadcast count doubles; GC on retires instances and keeps the state flat
+    // (and strictly below the GC-off endpoint).
     for backend in ["sim", "channel", "tcp"] {
-        let grab = |gc: bool, b: u32| {
+        let run = |gc: bool| {
             samples
                 .iter()
-                .find(|s| s.backend == backend && s.gc == gc && s.broadcasts == b)
+                .filter(move |s| s.backend == backend && s.gc == gc)
+        };
+        assert!(
+            run(false).all(|s| s.gc_retired == 0),
+            "{backend}: GC off retired"
+        );
+        assert!(
+            run(true).all(|s| s.gc_retired > 0),
+            "{backend}: GC on retired nothing"
+        );
+        let grab = |gc: bool, b: u32| {
+            run(gc)
+                .find(|s| s.broadcasts == b)
                 .map(|s| s.state_bytes)
                 .unwrap()
         };

@@ -8,7 +8,8 @@
 //! prints for each one the structural metrics that drive protocol cost (degrees, density,
 //! path lengths, clustering), its vertex connectivity, the largest fault budget it
 //! supports, and a sample of the disjoint routes the known-topology Dolev variant would
-//! precompute.
+//! precompute. It exits non-zero if a sampled pair has fewer than `k` disjoint routes
+//! (Menger's theorem says it has at least `k`).
 //!
 //! Run with: `cargo run --release --example topology_explorer`
 
@@ -41,6 +42,8 @@ fn report(label: &str, graph: &Graph) {
     }
     if graph.node_count() >= 2 && kappa > 0 {
         let routes = k_disjoint_routes(graph, 0, graph.node_count() - 1, kappa);
+        // Menger: a k-connected graph joins every pair by k internally disjoint paths.
+        assert_eq!(routes.len(), kappa, "{label}: fewer disjoint routes than k");
         println!(
             "   disjoint routes 0 -> {}: {:?}",
             graph.node_count() - 1,

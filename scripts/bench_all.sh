@@ -1,22 +1,19 @@
 #!/usr/bin/env bash
 # Emits every machine-readable BENCH_*.json snapshot in one invocation.
 #
-# Each benchmark binary asserts its own invariants (quiescence guard band inputs,
-# GC-curve boundedness, consensus termination/agreement) and exits non-zero on
-# regression, so this script is the one command CI or a developer runs to refresh
-# all snapshots: the artifacts land in the output directory (default the repo root,
-# where the nightly comparison jobs expect them). All three are committed and record the
-# host's nproc / CPU model; refresh them from the reference host only.
+# bench_consensus asserts consensus termination, agreement and GC retirement and exits
+# non-zero on a regression; bench_saturation records the live knee of both backends.
+# This script is the one command that refreshes both snapshots: the artifacts land in
+# the output directory (default the repo root). Both are committed and record the
+# host's nproc / CPU model; refresh them from the reference host only. (The engine's
+# quiescence time is the benchmark ledger's `sim_bd_n100_k12_1k` workload, and the GC
+# memory curve is asserted by `examples/gc_memory_study.rs`.)
 #
 # Usage: scripts/bench_all.sh [output-dir]
 set -euo pipefail
 
 out="${1:-.}"
 mkdir -p "$out"
-
-echo "== bench_quiescence -> $out/BENCH_quiescence.json"
-cargo run --release -p brb-bench --bin bench_quiescence -- \
-    --out "$out/BENCH_quiescence.json"
 
 echo "== bench_consensus -> $out/BENCH_consensus.json"
 cargo run --release -p brb-bench --bin bench_consensus -- \

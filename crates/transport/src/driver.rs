@@ -89,7 +89,7 @@ pub enum Command {
 /// They say *what* a deployment runs — idle shutdown, seeds, the link decorators'
 /// vocabulary (per-process Byzantine [`Behavior`]s and a wall-clock-scaled
 /// [`brb_sim::DelayModel`], so the simulator's scenario configurations run identically
-/// on the live backends), churn, GC and tracing — never *how* the driver moves frames:
+/// on the live backends), churn and tracing — never *how* the driver moves frames:
 /// every node runs one engine, drains its inbound backlog into it and sends each engine
 /// event's frames as one [`Transport::send_batch`] burst per destination, traced or not.
 #[derive(Debug, Clone)]
@@ -109,10 +109,6 @@ pub struct DriverOptions {
     /// ([`LinkDelay::Scaled`] samples a simulator delay model, the paper's
     /// distributions included).
     pub link_delay: LinkDelay,
-    /// Instance-GC retention policy installed on every node's engine. `None` (the
-    /// default) leaves whatever the engine's [`brb_core::config::Config`] seeded —
-    /// usually disabled — so per-broadcast state is kept forever, the pre-GC behavior.
-    pub gc: Option<brb_core::gc::GcPolicy>,
     /// Churn schedule of the deployment, when one is set: every node's transport is
     /// gated by the handle's shared link state ([`ChurnLink`] outermost, so a frame on
     /// a downed link never reaches a behavior or delay decorator — the simulator's
@@ -135,7 +131,6 @@ impl Default for DriverOptions {
             seed: 1,
             behaviors: Vec::new(),
             link_delay: LinkDelay::None,
-            gc: None,
             churn: None,
             trace: None,
         }
@@ -158,13 +153,6 @@ impl DriverOptions {
     /// Returns a copy with the given link delay installed.
     pub fn with_link_delay(mut self, link_delay: LinkDelay) -> Self {
         self.link_delay = link_delay;
-        self
-    }
-
-    /// Returns a copy with the given instance-GC retention policy installed on every
-    /// node's engine.
-    pub fn with_gc(mut self, gc: brb_core::gc::GcPolicy) -> Self {
-        self.gc = Some(gc);
         self
     }
 
@@ -352,9 +340,6 @@ pub struct NodeDriver {
     memory: RestartMemory,
     /// ... and those deliveries themselves, in order, for the final report.
     durable: Vec<Delivery>,
-    /// The GC policy to re-install on a rebuilt engine (the factory builds from the
-    /// raw config, which usually has GC disabled).
-    gc: Option<brb_core::gc::GcPolicy>,
     /// GC retirements of discarded engines, carried into the final report.
     retired_before: u64,
     /// Number of restarts carried out.
@@ -386,9 +371,6 @@ impl NodeDriver {
         let id = engine.process_id();
         let receives = options.behavior_of(id).receives();
         let mut engine = engine;
-        if let Some(gc) = options.gc {
-            engine.set_gc_policy(gc);
-        }
         let tracer = options.tracer();
         let counters = Arc::new(NodeCounters::default());
         engine.set_tracer(tracer.clone().with_counters(counters.clone()));
@@ -404,7 +386,6 @@ impl NodeDriver {
             engine_factory: None,
             memory: RestartMemory::new(),
             durable: Vec::new(),
-            gc: options.gc,
             retired_before: 0,
             restarts: 0,
             counters,
@@ -428,8 +409,9 @@ impl NodeDriver {
     }
 
     /// Carries out a [`Command::Restart`]: absorbs the doomed engine's delivered log
-    /// into the durable state, then swaps in a freshly built engine (with the GC policy
-    /// re-applied). A no-op without an engine factory.
+    /// into the durable state, then swaps in a freshly built engine (the factory builds
+    /// through [`brb_core::stack::StackSpec`], which applies the config's GC policy). A
+    /// no-op without an engine factory.
     fn restart(&mut self) {
         if self.engine_factory.is_none() {
             return;
@@ -442,9 +424,6 @@ impl NodeDriver {
         self.retired_before += self.engine.gc_retired();
         let factory = self.engine_factory.as_mut().expect("checked above");
         let mut fresh = factory();
-        if let Some(gc) = self.gc {
-            fresh.set_gc_policy(gc);
-        }
         fresh.set_tracer(self.tracer.clone().with_counters(self.counters.clone()));
         self.actions.clear();
         self.engine = fresh;

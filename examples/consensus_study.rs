@@ -53,7 +53,6 @@ fn main() -> std::io::Result<()> {
 
     // Channel runtime and TCP: real threads over crossbeam links or loopback sockets,
     // wall-clock quiescence grace.
-    let options = DriverOptions::default().with_gc(GcPolicy::after_events(64));
     for (backend, wire) in BACKENDS {
         let (_, run) = brb_runtime::run_consensus(
             wire(&graph, &[])?,
@@ -62,7 +61,7 @@ fn main() -> std::io::Result<()> {
             stack,
             &spec,
             f,
-            options.clone(),
+            DriverOptions::default(),
             Duration::from_secs(120),
         );
         print_row(

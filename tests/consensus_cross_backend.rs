@@ -150,8 +150,6 @@ fn seeded_consensus_decides_identically_on_all_three_backends() {
         .collect();
     assert_brb_under_consensus("sim", &sim_logs);
 
-    let options = DriverOptions::default().with_gc(GcPolicy::after_events(GC_WINDOW));
-
     let delivery_set = |log: &[Delivery]| -> std::collections::BTreeSet<(BroadcastId, Payload)> {
         log.iter().map(|d| (d.id, d.payload.clone())).collect()
     };
@@ -166,7 +164,7 @@ fn seeded_consensus_decides_identically_on_all_three_backends() {
             StackSpec::Bd,
             &spec,
             F,
-            options.clone(),
+            DriverOptions::default(),
             Duration::from_secs(120),
         );
         assert!(run.all_decided(), "{backend}: {:?}", run.decisions);

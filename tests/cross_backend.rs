@@ -19,7 +19,7 @@ use brb_core::stack::{DynEngine, DynStack, StackSpec, WireActionBuf};
 use brb_core::types::{BroadcastId, BroadcastSeq, Delivery, Payload, ProcessId};
 use brb_core::{BdProcess, Protocol};
 use brb_graph::{generate, Graph};
-use brb_net::{tcp_links, Wiring, BACKENDS};
+use brb_net::{Wiring, BACKENDS};
 use brb_runtime::{run_broadcast, Deployment, DriverOptions};
 use brb_sim::invariants::{check_brb, BroadcastRecord};
 use brb_sim::{DelayModel, Simulation};
@@ -167,42 +167,64 @@ fn all_three_backends_deliver_the_same_broadcast() {
 }
 
 #[test]
-fn tcp_backend_tolerates_a_crashed_process_like_the_simulator() {
-    let (n, f) = (10, 1);
-    let graph = generate::figure1_example();
-    let config = Config::latency_preset(n, f);
-    let payload = Payload::filled(0x7E, 512);
-    let crashed = vec![6usize];
+fn live_backends_tolerate_crashed_processes_like_the_simulator() {
+    // Figure 1 with one crash, and a 5-connected 14-node graph with two.
+    let mut rng = StdRng::seed_from_u64(8);
+    let regular = generate::random_regular_connected(14, 5, 5, &mut rng).unwrap();
+    let cases = [
+        (
+            generate::figure1_example(),
+            Config::latency_preset(10, 1),
+            Payload::filled(0x7E, 512),
+            vec![6usize],
+        ),
+        (
+            regular,
+            Config::bdopt_mbd1(14, 2),
+            Payload::filled(0x42, 256),
+            vec![5, 11],
+        ),
+    ];
+    for (graph, config, payload, crashed) in cases {
+        let n = graph.node_count();
+        let correct: Vec<usize> = (0..n).filter(|p| !crashed.contains(p)).collect();
 
-    // Simulator prediction: all correct processes deliver.
-    let processes: Vec<BdProcess> = (0..n)
-        .map(|i| BdProcess::new(i, config, graph.neighbors_vec(i)))
-        .collect();
-    let mut sim = Simulation::new(processes, DelayModel::synchronous(), 4);
-    sim.set_behavior(6, brb_sim::Behavior::Crash);
-    sim.broadcast(0, payload.clone());
-    sim.run_to_quiescence();
-    let sim_correct = sim.correct_processes();
-    assert_eq!(
-        sim.metrics()
-            .delivered_count(BroadcastId::new(0, 0), &sim_correct),
-        n - 1
-    );
+        // Simulator prediction: all correct processes deliver.
+        let processes: Vec<BdProcess> = (0..n)
+            .map(|i| BdProcess::new(i, config, graph.neighbors_vec(i)))
+            .collect();
+        let mut sim = Simulation::new(processes, DelayModel::synchronous(), 4);
+        for &c in &crashed {
+            sim.set_behavior(c, brb_sim::Behavior::Crash);
+        }
+        sim.broadcast(0, payload.clone());
+        sim.run_to_quiescence();
+        let delivered = sim
+            .metrics()
+            .delivered_count(BroadcastId::new(0, 0), &correct);
+        assert_eq!(delivered, correct.len(), "sim, crashed {crashed:?}");
 
-    // TCP deployment observation.
-    let report = run_broadcast(
-        tcp_links(&graph, &crashed).expect("TCP links wire"),
-        &graph,
-        config,
-        StackSpec::Bd,
-        payload.clone(),
-        0,
-        Duration::from_secs(20),
-    );
-    let correct: Vec<usize> = (0..n).filter(|p| !crashed.contains(p)).collect();
-    assert!(report.all_delivered(&correct, 1));
-    assert!(report.nodes[6].deliveries.is_empty());
-    assert!(report.total_bytes() > 0);
+        // Live observation on each backend.
+        for (backend, wire) in BACKENDS {
+            let report = run_broadcast(
+                wire(&graph, &crashed).expect("links wire"),
+                &graph,
+                config,
+                StackSpec::Bd,
+                payload.clone(),
+                0,
+                Duration::from_secs(20),
+            );
+            assert!(
+                report.all_delivered(&correct, 1),
+                "{backend}, crashed {crashed:?}"
+            );
+            for &c in &crashed {
+                assert!(report.nodes[c].deliveries.is_empty(), "{backend}: {c}");
+            }
+            assert!(report.total_bytes() > 0, "{backend}");
+        }
+    }
 }
 
 /// An engine whose broadcast panics, standing in for an engine bug.

@@ -88,18 +88,16 @@ pub fn flag_value<T: FromStr>(args: &[String], name: &str) -> Option<T>
 where
     T::Err: Display,
 {
-    let value = args.iter().enumerate().find_map(|(i, arg)| {
-        if arg == name {
-            let value = args.get(i + 1);
-            Some(
-                value
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-                    .as_str(),
-            )
-        } else {
-            arg.strip_prefix(name)?.strip_prefix('=')
-        }
-    })?;
+    let value = args
+        .iter()
+        .enumerate()
+        .find_map(|(i, arg)| match arg.strip_prefix(name)? {
+            "" => args
+                .get(i + 1)
+                .map(String::as_str)
+                .or_else(|| panic!("{name} requires a value")),
+            rest => rest.strip_prefix('='),
+        })?;
     Some(value.parse().unwrap_or_else(|e| panic!("{name}: {e}")))
 }
 
@@ -138,7 +136,7 @@ pub fn rounded(value: f64, places: i32) -> JsonValue {
     JsonValue::Number((value * scale).round() / scale)
 }
 
-/// Writes `doc` to `path` (the `--out` value, else `default`), echoes it to stdout and
+/// Writes `doc` to the `--out` path in `args` (else `default`), echoes it to stdout and
 /// prints the `# written to` marker the smoke script greps for.
 ///
 /// # Panics

@@ -166,9 +166,10 @@ fn all_three_backends_deliver_the_same_broadcast() {
     }
 }
 
-#[test]
-fn live_backends_tolerate_crashed_processes_like_the_simulator() {
-    // Figure 1 with one crash, and a 5-connected 14-node graph with two.
+/// Runs the simulator and `wire`'s deployment on Figure 1 with one crash, and on a
+/// 5-connected 14-node graph with two: every correct process delivers on both, and no
+/// crashed one does on the deployment.
+fn crashed_processes_agree_with_the_simulator((backend, wire): (&str, Wiring)) {
     let mut rng = StdRng::seed_from_u64(8);
     let regular = generate::random_regular_connected(14, 5, 5, &mut rng).unwrap();
     let cases = [
@@ -204,27 +205,35 @@ fn live_backends_tolerate_crashed_processes_like_the_simulator() {
             .delivered_count(BroadcastId::new(0, 0), &correct);
         assert_eq!(delivered, correct.len(), "sim, crashed {crashed:?}");
 
-        // Live observation on each backend.
-        for (backend, wire) in BACKENDS {
-            let report = run_broadcast(
-                wire(&graph, &crashed).expect("links wire"),
-                &graph,
-                config,
-                StackSpec::Bd,
-                payload.clone(),
-                0,
-                Duration::from_secs(20),
-            );
-            assert!(
-                report.all_delivered(&correct, 1),
-                "{backend}, crashed {crashed:?}"
-            );
-            for &c in &crashed {
-                assert!(report.nodes[c].deliveries.is_empty(), "{backend}: {c}");
-            }
-            assert!(report.total_bytes() > 0, "{backend}");
+        // Live observation on the backend.
+        let report = run_broadcast(
+            wire(&graph, &crashed).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bd,
+            payload.clone(),
+            0,
+            Duration::from_secs(20),
+        );
+        assert!(
+            report.all_delivered(&correct, 1),
+            "{backend}, crashed {crashed:?}"
+        );
+        for &c in &crashed {
+            assert!(report.nodes[c].deliveries.is_empty(), "{backend}: {c}");
         }
+        assert!(report.total_bytes() > 0, "{backend}");
     }
+}
+
+#[test]
+fn threaded_runtime_tolerates_crashes_like_the_simulator() {
+    crashed_processes_agree_with_the_simulator(BACKENDS[0]);
+}
+
+#[test]
+fn tcp_backend_tolerates_a_crashed_process_like_the_simulator() {
+    crashed_processes_agree_with_the_simulator(BACKENDS[1]);
 }
 
 /// An engine whose broadcast panics, standing in for an engine bug.

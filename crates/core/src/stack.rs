@@ -1200,39 +1200,72 @@ mod tests {
         assert_eq!(DolevMessage::decode_wire(&empty.encode_wire()), Some(empty));
     }
 
+    /// Every strict prefix of `message`'s frame and the frame plus one trailing byte fail
+    /// to decode (the frame length is part of the contract), while the frame itself
+    /// round-trips.
+    fn assert_rejects_cuts_and_padding<M: WireCodec + PartialEq + fmt::Debug>(message: M) {
+        let frame = message.encode_wire();
+        assert_eq!(M::decode_wire(&frame).as_ref(), Some(&message));
+        for cut in 0..frame.len() {
+            assert!(
+                M::decode_wire(&frame[..cut]).is_none(),
+                "{message:?} cut at {cut}"
+            );
+        }
+        let mut padded = frame.to_vec();
+        padded.push(0);
+        assert!(M::decode_wire(&padded).is_none(), "{message:?} padded");
+    }
+
     #[test]
     fn codecs_reject_malformed_frames() {
-        let dolev = DolevMessage {
+        assert_rejects_cuts_and_padding(DolevMessage {
             content: Content::new(BroadcastId::new(3, 7), Payload::from("dolev")),
             path: vec![1, 2],
-        }
-        .encode_wire();
-        for cut in [0, 5, 11, dolev.len() - 1] {
-            assert!(DolevMessage::decode_wire(&dolev[..cut]).is_none(), "{cut}");
-        }
-        // Trailing garbage is rejected too (the frame length is part of the contract).
-        let mut padded = dolev.to_vec();
-        padded.push(0);
-        assert!(DolevMessage::decode_wire(&padded).is_none());
-
+        });
+        assert_rejects_cuts_and_padding(CpaMessage {
+            content: Content::new(BroadcastId::new(4, 1), Payload::from("cpa")),
+        });
+        assert_rejects_cuts_and_padding(BrachaMessage {
+            kind: BrachaKind::Echo,
+            id: BroadcastId::new(1, 2),
+            payload: Payload::from("bracha"),
+        });
+        assert_rejects_cuts_and_padding(WireMessage {
+            kind: crate::wire::MessageKind::EchoEcho,
+            id: BroadcastId::new(3, 7),
+            originator: 5,
+            originator2: Some(6),
+            payload: crate::wire::PayloadRef::Inline(Payload::from("bd")),
+            path: vec![2, 9],
+            fields: crate::wire::FieldPresence::full(),
+        });
         let routed = RoutedDolevMessage {
             origin: 2,
             seq: 5,
             payload: Payload::from("r"),
             route: vec![2, 4],
             position: 1,
-        }
-        .encode_wire();
-        assert!(RoutedDolevMessage::decode_wire(&routed[..7]).is_none());
+        };
+        assert_rejects_cuts_and_padding(routed.clone());
+
         // An out-of-range position is rejected at decode time.
+        let routed = routed.encode_wire();
         let mut bad = routed.to_vec();
         let pos_at = 4 + 4 + 4 + 1 + 2; // origin, seq, len, payload "r", route_len
         bad[pos_at] = 0;
         bad[pos_at + 1] = 9;
         assert!(RoutedDolevMessage::decode_wire(&bad).is_none());
-
-        assert!(CpaMessage::decode_wire(&[1, 2, 3]).is_none());
-        assert!(BrachaMessage::decode_wire(&[9; 4]).is_none());
+        // So is an unknown Bracha kind.
+        let mut bad = BrachaMessage {
+            kind: BrachaKind::Send,
+            id: BroadcastId::new(1, 2),
+            payload: Payload::from("b"),
+        }
+        .encode_wire()
+        .to_vec();
+        bad[0] = 3;
+        assert!(BrachaMessage::decode_wire(&bad).is_none());
 
         // A malformed frame fed to an engine is dropped without output.
         let graph = generate::figure1_example();

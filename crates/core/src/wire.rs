@@ -307,7 +307,7 @@ impl WireMessage {
             return None;
         }
         let path_len = frame.get_u16() as usize;
-        if frame.remaining() < 4 * path_len {
+        if frame.remaining() != 4 * path_len {
             return None;
         }
         let mut path = Vec::with_capacity(path_len);

@@ -9,7 +9,10 @@
 //! `payloadSize` 4 B, `erId1`/`erId2` 4 B, `pathLen` 2 B, 4 B per path entry.
 
 use brb_core::bracha::{BrachaKind, BrachaMessage};
+use brb_core::cpa::CpaMessage;
 use brb_core::dolev::DolevMessage;
+use brb_core::dolev_routed::RoutedDolevMessage;
+use brb_core::stack::WireCodec;
 use brb_core::types::{BroadcastId, Content, Payload};
 use brb_core::wire::{FieldPresence, MessageKind, PayloadRef, WireMessage};
 
@@ -199,5 +202,74 @@ fn bd_wire_size_survives_the_codec_at_the_edges() {
     ] {
         let decoded = WireMessage::decode(&m.encode()).expect("edge-case message decodes");
         assert_eq!(decoded.wire_size(), m.wire_size());
+    }
+}
+
+/// The four content-carrying codecs' frames, pinned byte for byte (`WireMessage`'s are
+/// pinned in `brb_core::wire`'s unit tests). Every integer is big-endian; all four open
+/// with the same `source | seq | payloadSize | payload` head, behind Bracha's kind byte.
+#[test]
+fn content_frame_layouts_are_pinned_byte_for_byte() {
+    let cpa = CpaMessage {
+        content: Content::new(BroadcastId::new(3, 9), Payload::from("ab")),
+    };
+    #[rustfmt::skip]
+    let expected: &[u8] = &[
+        0, 0, 0, 3, // source
+        0, 0, 0, 9, // seq
+        0, 0, 0, 2, b'a', b'b', // payloadSize, payload
+    ];
+    assert_eq!(&cpa.encode_wire()[..], expected);
+
+    let dolev = DolevMessage {
+        content: Content::new(BroadcastId::new(3, 7), Payload::from("d")),
+        path: vec![1, 258],
+    };
+    #[rustfmt::skip]
+    let expected: &[u8] = &[
+        0, 0, 0, 3, // source
+        0, 0, 0, 7, // seq
+        0, 0, 0, 1, b'd', // payloadSize, payload
+        0, 2, // pathLen
+        0, 0, 0, 1, 0, 0, 1, 2, // path
+    ];
+    assert_eq!(&dolev.encode_wire()[..], expected);
+
+    let routed = RoutedDolevMessage {
+        origin: 2,
+        seq: 5,
+        payload: Payload::from("r"),
+        route: vec![2, 4, 6],
+        position: 1,
+    };
+    #[rustfmt::skip]
+    let expected: &[u8] = &[
+        0, 0, 0, 2, // origin
+        0, 0, 0, 5, // seq
+        0, 0, 0, 1, b'r', // payloadSize, payload
+        0, 3, // route length
+        0, 1, // position
+        0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 6, // route
+    ];
+    assert_eq!(&routed.encode_wire()[..], expected);
+
+    for (kind, tag) in [
+        (BrachaKind::Send, 0u8),
+        (BrachaKind::Echo, 1),
+        (BrachaKind::Ready, 2),
+    ] {
+        let bracha = BrachaMessage {
+            kind,
+            id: BroadcastId::new(1, 0x0102_0304),
+            payload: Payload::from("xy"),
+        };
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            tag, // mtype
+            0, 0, 0, 1, // source
+            1, 2, 3, 4, // bid
+            0, 0, 0, 2, b'x', b'y', // payloadSize, payload
+        ];
+        assert_eq!(&bracha.encode_wire()[..], expected, "{kind:?}");
     }
 }

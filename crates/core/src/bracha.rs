@@ -47,18 +47,22 @@ use crate::hash::WordMap;
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
 use crate::quorum;
+use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
-use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
+use crate::wire::{
+    put_content_head, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PAYLOAD_SIZE,
+    FIELD_PROCESS_ID,
+};
 
 /// Phase of a Bracha message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BrachaKind {
     /// Phase 1: the source disseminates the payload.
-    Send,
+    Send = 0,
     /// Phase 2: witnesses echo the payload.
-    Echo,
+    Echo = 1,
     /// Phase 3: processes announce they are ready to deliver.
-    Ready,
+    Ready = 2,
 }
 
 /// A message of Bracha's protocol.
@@ -76,6 +80,30 @@ impl BrachaMessage {
     /// Wire size following Table 3: `mtype + s + bid + payloadSize + payload`.
     pub fn wire_size(&self) -> usize {
         FIELD_MTYPE + FIELD_PROCESS_ID + FIELD_BID + FIELD_PAYLOAD_SIZE + self.payload.len()
+    }
+}
+
+/// Frame: `mtype (1 B)` (the kind's discriminant), then the content head. The same bytes
+/// are the RC payload of [`crate::bracha_rc::BrachaOverRc`].
+impl WireCodec for BrachaMessage {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.push(self.kind as u8);
+        put_content_head(buf, self.id, &self.payload);
+    }
+
+    fn decode_wire(frame: &[u8]) -> Option<Self> {
+        let (&tag, head) = frame.split_first()?;
+        let kind = *[BrachaKind::Send, BrachaKind::Echo, BrachaKind::Ready].get(tag as usize)?;
+        let (id, payload, rest) = split_content_head(head)?;
+        rest.is_empty().then(|| BrachaMessage {
+            kind,
+            id,
+            payload: Payload::new(payload),
+        })
+    }
+
+    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
+        Some(split_content_head(frame.get(1..)?)?.0)
     }
 }
 

@@ -32,7 +32,9 @@ use crate::cpa::CpaProcess;
 use crate::dolev_routed::RoutedDolev;
 use crate::gc::GcPolicy;
 use crate::protocol::{ActionBuf, Protocol};
+use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
+use crate::wire::split_content_head;
 
 /// BRB on a known partially connected topology: Bracha over routed Dolev.
 pub type BrachaRoutedDolev = BrachaOverRc<RoutedDolev>;
@@ -125,7 +127,7 @@ impl<T: Protocol> Protocol for BrachaOverRc<T> {
         let start = out.len();
         self.transport.handle_message_into(from, message, out);
         for delivery in take_deliveries(out, start).into_iter().rev() {
-            if let Some(decoded) = decode_bracha(&delivery.payload) {
+            if let Some(decoded) = BrachaMessage::decode_wire(delivery.payload.as_bytes()) {
                 self.receive(delivery.id.source, decoded, out);
             }
         }
@@ -175,9 +177,19 @@ fn originate_bracha<T: Protocol>(
     message: &BrachaMessage,
     out: &mut ActionBuf<T::Message>,
 ) {
+    let mut frame = Vec::new();
+    message.encode_into(&mut frame);
     let start = out.len();
-    transport.broadcast_into(encode_bracha(message), out);
+    transport.broadcast_into(Payload::new(frame), out);
     take_deliveries(out, start);
+}
+
+/// Peeks the *Bracha-level* (client) broadcast id out of a substrate frame whose inline
+/// payload is an encoded Bracha message. Both substrates the crate composes under Bracha
+/// ([`CpaProcess`], [`RoutedDolev`]) open their frames with the content head.
+pub(crate) fn peek_bracha_over_rc(frame: &[u8]) -> Option<BroadcastId> {
+    let (_, inner, _) = split_content_head(frame)?;
+    BrachaMessage::peek_broadcast_id(inner)
 }
 
 /// Takes the deliveries pushed at or after `start` out of `out`, in push order; the
@@ -192,70 +204,15 @@ fn take_deliveries<M>(out: &mut ActionBuf<M>, start: usize) -> Vec<Delivery> {
         .collect()
 }
 
-/// Encodes a Bracha message as an opaque RC payload:
-/// `kind (1 B) | source (4 B) | bid (4 B) | payloadSize (4 B) | payload`, mirroring the
-/// Table 3 field sizes so that wire accounting stays comparable across stacks.
-pub fn encode_bracha(message: &BrachaMessage) -> Payload {
-    Payload::new(encode_bracha_frame(message))
-}
-
-/// Byte-level form of [`encode_bracha`], shared with the `BrachaMessage` wire codec in
-/// [`crate::stack`] so neither path pays a second copy.
-pub(crate) fn encode_bracha_frame(message: &BrachaMessage) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(13 + message.payload.len());
-    encode_bracha_frame_into(message, &mut bytes);
-    bytes
-}
-
-/// Appends the frame encoding to an existing buffer — the arena-backed encode path of
-/// the `BrachaMessage` wire codec, which stages a whole burst of frames in one
-/// allocation instead of one `Vec` per frame.
-pub(crate) fn encode_bracha_frame_into(message: &BrachaMessage, bytes: &mut Vec<u8>) {
-    bytes.push(match message.kind {
-        BrachaKind::Send => 0u8,
-        BrachaKind::Echo => 1,
-        BrachaKind::Ready => 2,
-    });
-    bytes.extend_from_slice(&(message.id.source as u32).to_be_bytes());
-    bytes.extend_from_slice(&message.id.seq.to_be_bytes());
-    bytes.extend_from_slice(&(message.payload.len() as u32).to_be_bytes());
-    bytes.extend_from_slice(message.payload.as_bytes());
-}
-
-/// Decodes an RC payload produced by [`encode_bracha`]. Returns `None` on any malformed
-/// input (a Byzantine origin may RC-broadcast arbitrary bytes).
-pub fn decode_bracha(payload: &Payload) -> Option<BrachaMessage> {
-    decode_bracha_frame(payload.as_bytes())
-}
-
-/// Byte-level form of [`decode_bracha`], shared with the `BrachaMessage` wire codec.
-pub(crate) fn decode_bracha_frame(bytes: &[u8]) -> Option<BrachaMessage> {
-    if bytes.len() < 13 {
-        return None;
-    }
-    let kind = match bytes[0] {
-        0 => BrachaKind::Send,
-        1 => BrachaKind::Echo,
-        2 => BrachaKind::Ready,
-        _ => return None,
-    };
-    let source = u32::from_be_bytes(bytes[1..5].try_into().ok()?) as ProcessId;
-    let seq = u32::from_be_bytes(bytes[5..9].try_into().ok()?);
-    let len = u32::from_be_bytes(bytes[9..13].try_into().ok()?) as usize;
-    if bytes.len() != 13 + len {
-        return None;
-    }
-    Some(BrachaMessage {
-        kind,
-        id: BroadcastId::new(source, seq),
-        payload: Payload::new(bytes[13..].to_vec()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::footprint::check::{Checked, WalkState};
+
+    /// A Bracha message as the RC payload its origin broadcasts.
+    fn rc_payload(message: &BrachaMessage) -> Payload {
+        Payload::new(message.encode_wire().to_vec())
+    }
 
     /// The walk the running total replaced: every content the Bracha layer tracks, on
     /// top of the substrate's own walk (whose totals are checked on the way). Paths are
@@ -367,7 +324,7 @@ mod tests {
         let msg = crate::dolev_routed::RoutedDolevMessage {
             origin: 2,
             seq: 0,
-            payload: encode_bracha(&forged),
+            payload: rc_payload(&forged),
             route: vec![2, 1],
             position: 1,
         };
@@ -431,7 +388,7 @@ mod tests {
         let ready = |origin: ProcessId, seq: u32| crate::dolev_routed::RoutedDolevMessage {
             origin,
             seq,
-            payload: encode_bracha(&BrachaMessage {
+            payload: rc_payload(&BrachaMessage {
                 kind: BrachaKind::Ready,
                 id,
                 payload: Payload::from("m"),
@@ -488,15 +445,16 @@ mod tests {
                 id: BroadcastId::new(7, 42),
                 payload: Payload::filled(0xAC, 100),
             };
-            assert_eq!(decode_bracha(&encode_bracha(&m)), Some(m));
+            let payload = rc_payload(&m);
+            assert_eq!(BrachaMessage::decode_wire(payload.as_bytes()), Some(m));
         }
     }
 
     #[test]
     fn bracha_codec_rejects_malformed_inputs() {
-        assert_eq!(decode_bracha(&Payload::from("short")), None);
+        assert_eq!(BrachaMessage::decode_wire(b"short"), None);
         // Wrong kind byte.
-        let mut bytes = encode_bracha(&BrachaMessage {
+        let mut bytes = rc_payload(&BrachaMessage {
             kind: BrachaKind::Send,
             id: BroadcastId::new(0, 0),
             payload: Payload::from("x"),
@@ -504,9 +462,9 @@ mod tests {
         .as_bytes()
         .to_vec();
         bytes[0] = 9;
-        assert_eq!(decode_bracha(&Payload::new(bytes)), None);
+        assert_eq!(BrachaMessage::decode_wire(&bytes), None);
         // Truncated payload.
-        let mut bytes = encode_bracha(&BrachaMessage {
+        let mut bytes = rc_payload(&BrachaMessage {
             kind: BrachaKind::Echo,
             id: BroadcastId::new(0, 0),
             payload: Payload::filled(0, 10),
@@ -514,7 +472,7 @@ mod tests {
         .as_bytes()
         .to_vec();
         bytes.pop();
-        assert_eq!(decode_bracha(&Payload::new(bytes)), None);
+        assert_eq!(BrachaMessage::decode_wire(&bytes), None);
     }
 
     #[test]
@@ -526,7 +484,7 @@ mod tests {
         let echo_for = |source: ProcessId| crate::dolev_routed::RoutedDolevMessage {
             origin: 2,
             seq: source as u32,
-            payload: encode_bracha(&BrachaMessage {
+            payload: rc_payload(&BrachaMessage {
                 kind: BrachaKind::Echo,
                 id: BroadcastId::new(source, 0),
                 payload: Payload::from("m"),

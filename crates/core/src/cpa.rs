@@ -25,8 +25,12 @@ use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::hash::WordMap;
 use crate::protocol::{ActionBuf, Protocol};
+use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
-use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
+use crate::wire::{
+    put_content_head, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PAYLOAD_SIZE,
+    FIELD_PROCESS_ID,
+};
 
 /// A CPA message: just the content, no path (CPA never needs paths, which is what makes it
 /// cheap when its fault model applies).
@@ -40,6 +44,24 @@ impl CpaMessage {
     /// Wire size following Table 3: `mtype + s + bid + payloadSize + payload`.
     pub fn wire_size(&self) -> usize {
         FIELD_MTYPE + FIELD_PROCESS_ID + FIELD_BID + FIELD_PAYLOAD_SIZE + self.content.payload.len()
+    }
+}
+
+/// Frame: the content head alone, `s | bid | payloadSize | payload`.
+impl WireCodec for CpaMessage {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_content_head(buf, self.content.id, &self.content.payload);
+    }
+
+    fn decode_wire(frame: &[u8]) -> Option<Self> {
+        let (id, payload, rest) = split_content_head(frame)?;
+        rest.is_empty().then(|| CpaMessage {
+            content: Content::new(id, Payload::new(payload)),
+        })
+    }
+
+    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
+        Some(split_content_head(frame)?.0)
     }
 }
 

@@ -17,6 +17,7 @@
 //!   differences as arguments: direct delivery for single-hop Sends (MBD.2), the MBD.10
 //!   superpath filter, and the MBD.8/9 destination exclusions.
 
+use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Config;
@@ -26,8 +27,12 @@ use crate::gc::{GcPolicy, GcState};
 use crate::hash::WordMap;
 use crate::pathset::PathSet;
 use crate::protocol::{ActionBuf, Protocol};
+use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
-use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
+use crate::wire::{
+    put_content_head, read_ids, split_content_head, split_u16, FIELD_BID, FIELD_MTYPE,
+    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+};
 
 /// A message of Dolev's protocol: a content and the path of process labels it traversed
 /// (excluding the current sender, which the receiver learns from the authenticated link).
@@ -50,6 +55,31 @@ impl DolevMessage {
             + self.content.payload.len()
             + FIELD_PATH_LEN
             + FIELD_PROCESS_ID * self.path.len()
+    }
+}
+
+/// Frame: the content head, then `pathLen (2 B) | path (4 B per id)`.
+impl WireCodec for DolevMessage {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_content_head(buf, self.content.id, &self.content.payload);
+        buf.put_u16(self.path.len() as u16);
+        for &p in &self.path {
+            buf.put_u32(p as u32);
+        }
+    }
+
+    fn decode_wire(frame: &[u8]) -> Option<Self> {
+        let (id, payload, rest) = split_content_head(frame)?;
+        let (path_len, ids) = split_u16(rest)?;
+        let path = read_ids(ids, path_len)?;
+        Some(DolevMessage {
+            content: Content::new(id, Payload::new(payload)),
+            path,
+        })
+    }
+
+    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
+        Some(split_content_head(frame)?.0)
     }
 }
 

@@ -27,13 +27,18 @@ use std::sync::Arc;
 
 use brb_graph::paths::k_disjoint_routes;
 use brb_graph::Graph;
+use bytes::BufMut;
 
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::hash::WordMap;
 use crate::protocol::{ActionBuf, Protocol};
+use crate::stack::WireCodec;
 use crate::types::{BroadcastId, Delivery, Payload, ProcessId};
-use crate::wire::{FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID};
+use crate::wire::{
+    put_content_head, read_ids, split_content_head, split_u16, FIELD_BID, FIELD_MTYPE,
+    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+};
 
 /// A message of the routed Dolev protocol.
 ///
@@ -70,6 +75,37 @@ impl RoutedDolevMessage {
     /// Whether the process at `position` is the final destination of the route.
     pub fn at_destination(&self) -> bool {
         self.position + 1 == self.route.len()
+    }
+}
+
+/// Frame: the content head (`origin` as `s`, `seq` as `bid`), then `routeLen (2 B) |
+/// position (2 B) | route (4 B per id)`. A position off the route is malformed.
+impl WireCodec for RoutedDolevMessage {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        put_content_head(buf, BroadcastId::new(self.origin, self.seq), &self.payload);
+        buf.put_u16(self.route.len() as u16);
+        buf.put_u16(self.position as u16);
+        for &p in &self.route {
+            buf.put_u32(p as u32);
+        }
+    }
+
+    fn decode_wire(frame: &[u8]) -> Option<Self> {
+        let (id, payload, rest) = split_content_head(frame)?;
+        let (route_len, rest) = split_u16(rest)?;
+        let (position, ids) = split_u16(rest)?;
+        let route = read_ids(ids, route_len).filter(|_| position < route_len)?;
+        Some(RoutedDolevMessage {
+            origin: id.source,
+            seq: id.seq,
+            payload: Payload::new(payload),
+            route,
+            position,
+        })
+    }
+
+    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
+        Some(split_content_head(frame)?.0)
     }
 }
 

@@ -30,11 +30,12 @@
 #[cfg(test)]
 mod tests {
     use crate::bd::BdProcess;
-    use crate::bracha::BrachaKind;
-    use crate::bracha_rc::{decode_bracha, BrachaOverRc};
+    use crate::bracha::{BrachaKind, BrachaMessage};
+    use crate::bracha_rc::BrachaOverRc;
     use crate::config::{Config, MdFlags};
     use crate::dolev::{DolevMessage, DolevProcess};
     use crate::protocol::Protocol;
+    use crate::stack::WireCodec;
     use crate::types::{Action, Delivery, Payload, ProcessId};
     use crate::wire::{MessageKind, WireMessage};
     use brb_graph::{generate, Graph};
@@ -115,7 +116,8 @@ mod tests {
     }
 
     fn rc_key(message: &DolevMessage) -> FrameKey {
-        let bracha = decode_bracha(&message.content.payload).expect("a Bracha message");
+        let bracha = BrachaMessage::decode_wire(message.content.payload.as_bytes())
+            .expect("a Bracha message");
         let phase = match bracha.kind {
             BrachaKind::Send => 0,
             BrachaKind::Echo => 1,

@@ -7,9 +7,11 @@
 //! so every driver had to be hard-wired to one concrete engine. This module closes that
 //! gap with three pieces:
 //!
-//! * [`WireCodec`] — a binary encoding for each protocol's link-level message type,
-//!   extending the framing that [`crate::wire::WireMessage`] already provided for the
-//!   Bracha–Dolev combination to every stack in the crate;
+//! * [`WireCodec`] — the interface of a protocol's binary framing. Each message type
+//!   implements it in the module that defines the message (`WireMessage` in
+//!   [`crate::wire`], `CpaMessage` in [`crate::cpa`], `DolevMessage` in [`crate::dolev`],
+//!   `RoutedDolevMessage` in [`crate::dolev_routed`], `BrachaMessage` in
+//!   [`crate::bracha`]), so a layout sits next to its Table 3 size;
 //! * [`DynEngine`] — an **object-safe** engine interface that speaks encoded wire bytes
 //!   in and out (plus deliveries and the Sec. 7.3 memory proxies);
 //! * [`StackSpec`] — a serializable name for each protocol stack of the crate, with a
@@ -55,24 +57,23 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::bd::BdProcess;
-use crate::bracha::BrachaMessage;
 use crate::bracha::BrachaProcess;
-use crate::bracha_rc::{decode_bracha_frame, encode_bracha_frame, BrachaOverRc};
+use crate::bracha_rc::{peek_bracha_over_rc, BrachaOverRc};
 use crate::config::Config;
-use crate::cpa::{CpaMessage, CpaProcess};
-use crate::dolev::{DolevMessage, DolevProcess};
-use crate::dolev_routed::{RoutedDolev, RoutedDolevMessage};
+use crate::cpa::CpaProcess;
+use crate::dolev::DolevProcess;
+use crate::dolev_routed::RoutedDolev;
 use crate::protocol::{ActionBuf, Protocol};
-use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
-use crate::wire::{WireArena, WireMessage};
+use crate::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
+use crate::wire::WireArena;
 use brb_graph::Graph;
 
 // ---------------------------------------------------------------------------
-// Wire codecs
+// Wire codec interface
 // ---------------------------------------------------------------------------
 
 /// A binary framing for a protocol's link-level message type.
@@ -103,190 +104,10 @@ pub trait WireCodec: Sized {
     fn decode_wire(frame: &[u8]) -> Option<Self>;
 
     /// Reads just the [`BroadcastId`] an encoded frame refers to, without a full
-    /// decode — what the benchmark's codec replay times per frame. Returns `None` for
-    /// frames too short to carry the identifier (a full decode would reject them anyway).
+    /// decode — what the benchmark's codec replay times per frame. Returns `None` when
+    /// the frame ends inside the fixed header or content head that carries the identifier
+    /// (a full decode would reject it anyway).
     fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId>;
-}
-
-/// Reads a big-endian `u32` at byte offset `at`, if the frame is long enough.
-fn peek_u32(frame: &[u8], at: usize) -> Option<u32> {
-    frame
-        .get(at..at + 4)
-        .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))
-}
-
-impl WireCodec for WireMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        WireMessage::encode_into(self, buf)
-    }
-
-    fn encode_wire(&self) -> Bytes {
-        self.encode()
-    }
-
-    fn decode_wire(frame: &[u8]) -> Option<Self> {
-        WireMessage::decode(frame)
-    }
-
-    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        // Layout: tag (1 B), presence mask (1 B), then the always-encoded identifiers.
-        let source = peek_u32(frame, 2)? as ProcessId;
-        Some(BroadcastId::new(source, peek_u32(frame, 6)?))
-    }
-}
-
-impl WireCodec for BrachaMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        // Reuses the RC-payload framing of `bracha_rc`: kind, source, bid, size, payload.
-        crate::bracha_rc::encode_bracha_frame_into(self, buf)
-    }
-
-    fn encode_wire(&self) -> Bytes {
-        Bytes::from(encode_bracha_frame(self))
-    }
-
-    fn decode_wire(frame: &[u8]) -> Option<Self> {
-        decode_bracha_frame(frame)
-    }
-
-    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        // Layout: kind (1 B), source, bid.
-        let source = peek_u32(frame, 1)? as ProcessId;
-        Some(BroadcastId::new(source, peek_u32(frame, 5)?))
-    }
-}
-
-impl WireCodec for CpaMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        let payload = &self.content.payload;
-        buf.put_u32(self.content.id.source as u32);
-        buf.put_u32(self.content.id.seq);
-        buf.put_u32(payload.len() as u32);
-        buf.put_slice(payload.as_bytes());
-    }
-
-    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        let source = peek_u32(frame, 0)? as ProcessId;
-        Some(BroadcastId::new(source, peek_u32(frame, 4)?))
-    }
-
-    fn decode_wire(mut frame: &[u8]) -> Option<Self> {
-        if frame.remaining() < 12 {
-            return None;
-        }
-        let source = frame.get_u32() as ProcessId;
-        let seq = frame.get_u32();
-        let len = frame.get_u32() as usize;
-        if frame.remaining() != len {
-            return None;
-        }
-        Some(CpaMessage {
-            content: Content::new(
-                BroadcastId::new(source, seq),
-                Payload::new(frame.chunk().to_vec()),
-            ),
-        })
-    }
-}
-
-impl WireCodec for DolevMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        let payload = &self.content.payload;
-        buf.put_u32(self.content.id.source as u32);
-        buf.put_u32(self.content.id.seq);
-        buf.put_u32(payload.len() as u32);
-        buf.put_slice(payload.as_bytes());
-        buf.put_u16(self.path.len() as u16);
-        for &p in &self.path {
-            buf.put_u32(p as u32);
-        }
-    }
-
-    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        let source = peek_u32(frame, 0)? as ProcessId;
-        Some(BroadcastId::new(source, peek_u32(frame, 4)?))
-    }
-
-    fn decode_wire(mut frame: &[u8]) -> Option<Self> {
-        if frame.remaining() < 12 {
-            return None;
-        }
-        let source = frame.get_u32() as ProcessId;
-        let seq = frame.get_u32();
-        let len = frame.get_u32() as usize;
-        if frame.remaining() < len {
-            return None;
-        }
-        let payload = Payload::new(frame.chunk()[..len].to_vec());
-        frame.advance(len);
-        if frame.remaining() < 2 {
-            return None;
-        }
-        let path_len = frame.get_u16() as usize;
-        if frame.remaining() != 4 * path_len {
-            return None;
-        }
-        let mut path = Vec::with_capacity(path_len);
-        for _ in 0..path_len {
-            path.push(frame.get_u32() as ProcessId);
-        }
-        Some(DolevMessage {
-            content: Content::new(BroadcastId::new(source, seq), payload),
-            path,
-        })
-    }
-}
-
-impl WireCodec for RoutedDolevMessage {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.put_u32(self.origin as u32);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.payload.len() as u32);
-        buf.put_slice(self.payload.as_bytes());
-        buf.put_u16(self.route.len() as u16);
-        buf.put_u16(self.position as u16);
-        for &p in &self.route {
-            buf.put_u32(p as u32);
-        }
-    }
-
-    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        let origin = peek_u32(frame, 0)? as ProcessId;
-        Some(BroadcastId::new(origin, peek_u32(frame, 4)?))
-    }
-
-    fn decode_wire(mut frame: &[u8]) -> Option<Self> {
-        if frame.remaining() < 12 {
-            return None;
-        }
-        let origin = frame.get_u32() as ProcessId;
-        let seq = frame.get_u32();
-        let len = frame.get_u32() as usize;
-        if frame.remaining() < len {
-            return None;
-        }
-        let payload = Payload::new(frame.chunk()[..len].to_vec());
-        frame.advance(len);
-        if frame.remaining() < 4 {
-            return None;
-        }
-        let route_len = frame.get_u16() as usize;
-        let position = frame.get_u16() as usize;
-        if frame.remaining() != 4 * route_len || position >= route_len {
-            return None;
-        }
-        let mut route = Vec::with_capacity(route_len);
-        for _ in 0..route_len {
-            route.push(frame.get_u32() as ProcessId);
-        }
-        Some(RoutedDolevMessage {
-            origin,
-            seq,
-            payload,
-            route,
-            position,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -576,18 +397,6 @@ where
     fn frame_broadcast_id(&self, frame: &[u8]) -> Option<BroadcastId> {
         (self.peek)(frame)
     }
-}
-
-/// Peeks the *Bracha-level* (client) broadcast id out of an RC frame whose inline
-/// payload is an encoded Bracha message.
-///
-/// Both RC substrates the crate composes under Bracha ([`CpaMessage`],
-/// [`RoutedDolevMessage`]) open with `source/origin (4 B) | seq (4 B) | payloadSize
-/// (4 B) | payload`, so the embedded Bracha frame starts at byte 12.
-fn peek_bracha_over_rc(frame: &[u8]) -> Option<BroadcastId> {
-    let len = peek_u32(frame, 8)? as usize;
-    let inner = frame.get(12..12usize.checked_add(len)?)?;
-    BrachaMessage::peek_broadcast_id(inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -974,7 +783,12 @@ impl Protocol for DynStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bracha::BrachaKind;
+    use crate::bracha::{BrachaKind, BrachaMessage};
+    use crate::cpa::CpaMessage;
+    use crate::dolev::DolevMessage;
+    use crate::dolev_routed::RoutedDolevMessage;
+    use crate::types::Content;
+    use crate::wire::WireMessage;
     use brb_graph::generate;
 
     fn stack_config(stack: StackSpec, n: usize) -> Config {

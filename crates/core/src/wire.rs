@@ -18,13 +18,19 @@
 //!
 //! [`WireMessage::wire_size`] reproduces exactly this accounting, taking into account which
 //! optional fields are present (modifications MBD.1 and MBD.5 elide fields). The crate also
-//! provides a real binary encoding ([`WireMessage::encode`] / [`WireMessage::decode`]) used
-//! by the threaded runtime; the binary encoding adds one presence-bitmask byte per message
-//! so that decoding is unambiguous, which is excluded from the Table 3 accounting.
+//! provides a real binary encoding ([`WireMessage::encode`] / [`WireMessage::decode`], and
+//! its [`WireCodec`] impl) used by every deployment; the binary encoding adds one
+//! presence-bitmask byte per message so that decoding is unambiguous, which is excluded
+//! from the Table 3 accounting.
+//!
+//! The other stacks' messages (CPA, Dolev, routed Dolev, Bracha) carry their content as the
+//! same `s | bid | payloadSize | payload` run of fields; [`put_content_head`] and
+//! [`split_content_head`] write and parse it once for all four codecs.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
+use crate::stack::WireCodec;
 use crate::types::{BroadcastId, LocalPayloadId, Payload, ProcessId};
 
 /// Size in bytes of the `mtype` field.
@@ -43,6 +49,51 @@ pub const FIELD_PATH_LEN: usize = 2;
 /// Length of a binary frame's fixed header: tag and presence bytes, then `s`, `bid`,
 /// `erId1`, `erId2`, the local payload ID and `payloadSize`, four bytes each.
 const HEADER_LEN: usize = 2 + 6 * 4;
+
+/// Length of the content head before its payload: `s`, `bid` and `payloadSize`.
+const CONTENT_HEAD_LEN: usize = FIELD_PROCESS_ID + FIELD_BID + FIELD_PAYLOAD_SIZE;
+
+/// Appends the content head the CPA, Dolev, routed-Dolev and Bracha frames share:
+/// `s | bid | payloadSize | payload`, integers big-endian.
+pub(crate) fn put_content_head(buf: &mut Vec<u8>, id: BroadcastId, payload: &Payload) {
+    buf.reserve(CONTENT_HEAD_LEN + payload.len());
+    buf.put_u32(id.source as u32);
+    buf.put_u32(id.seq);
+    buf.put_u32(payload.len() as u32);
+    buf.put_slice(payload.as_bytes());
+}
+
+/// Parses the head [`put_content_head`] writes without copying: the broadcast id, the
+/// payload bytes and the rest of the frame. `None` if the frame ends inside the head.
+pub(crate) fn split_content_head(frame: &[u8]) -> Option<(BroadcastId, &[u8], &[u8])> {
+    let (mut head, rest) = frame.split_at_checked(CONTENT_HEAD_LEN)?;
+    let id = BroadcastId::new(head.get_u32() as ProcessId, head.get_u32());
+    let (payload, rest) = rest.split_at_checked(head.get_u32() as usize)?;
+    Some((id, payload, rest))
+}
+
+/// Splits a big-endian `u16` (a length or position field) off the front of `bytes`.
+pub(crate) fn split_u16(bytes: &[u8]) -> Option<(usize, &[u8])> {
+    let (value, rest) = bytes.split_first_chunk::<2>()?;
+    Some((u16::from_be_bytes(*value) as usize, rest))
+}
+
+/// Reads `bytes` as exactly `count` big-endian process ids (a `path` field); `None` if
+/// its length is anything else.
+pub(crate) fn read_ids(bytes: &[u8], count: usize) -> Option<Vec<ProcessId>> {
+    (bytes.len() == FIELD_PROCESS_ID * count).then(|| {
+        bytes
+            .chunks_exact(FIELD_PROCESS_ID)
+            .map(|id| u32::from_be_bytes(id.try_into().expect("4 bytes")) as ProcessId)
+            .collect()
+    })
+}
+
+/// Reads the `i`-th four-byte field of a [`WireMessage`] frame's fixed header.
+fn header_field(header: &[u8; HEADER_LEN], i: usize) -> u32 {
+    let at = 2 + 4 * i;
+    u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+}
 
 /// Message types exchanged by the Bracha–Dolev combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -288,10 +339,7 @@ impl WireMessage {
         let (header, mut frame) = frame.split_first_chunk::<HEADER_LEN>()?;
         let kind = MessageKind::from_tag(header[0])?;
         let mask = header[1];
-        let field = |i: usize| {
-            let at = 2 + 4 * i;
-            u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
-        };
+        let field = |i| header_field(header, i);
         let source = field(0) as ProcessId;
         let seq = field(1);
         let originator = field(2) as ProcessId;
@@ -344,6 +392,26 @@ impl WireMessage {
                 path: mask & (1 << 4) != 0,
             },
         })
+    }
+}
+
+impl WireCodec for WireMessage {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        WireMessage::encode_into(self, buf)
+    }
+
+    fn encode_wire(&self) -> Bytes {
+        self.encode()
+    }
+
+    fn decode_wire(frame: &[u8]) -> Option<Self> {
+        WireMessage::decode(frame)
+    }
+
+    fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
+        let header = frame.first_chunk::<HEADER_LEN>()?;
+        let source = header_field(header, 0) as ProcessId;
+        Some(BroadcastId::new(source, header_field(header, 1)))
     }
 }
 

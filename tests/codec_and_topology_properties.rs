@@ -8,7 +8,7 @@
 //!   graphs, and disjoint-path extraction consistent with Menger's bound.
 
 use brb_core::bracha::{BrachaKind, BrachaMessage};
-use brb_core::bracha_rc::{decode_bracha, encode_bracha};
+use brb_core::stack::WireCodec;
 use brb_core::types::{BroadcastId, Payload};
 use brb_core::wire::WireMessage;
 use brb_graph::connectivity::{is_k_connected, local_connectivity, vertex_connectivity};
@@ -92,12 +92,12 @@ proptest! {
             id: BroadcastId::new(source, seq),
             payload: Payload::new(payload),
         };
-        prop_assert_eq!(decode_bracha(&encode_bracha(&message)), Some(message));
+        prop_assert_eq!(BrachaMessage::decode_wire(&message.encode_wire()), Some(message));
     }
 
     #[test]
     fn bracha_rc_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = decode_bracha(&Payload::new(bytes));
+        let _ = BrachaMessage::decode_wire(&bytes);
     }
 
     /// Harary graphs are exactly k-connected with ⌈k·n/2⌉ edges, for every feasible (k, n).

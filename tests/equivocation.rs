@@ -12,11 +12,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use brb_core::bracha::BrachaProcess;
-use brb_core::bracha_rc::{decode_bracha, BrachaOverRc};
+use brb_core::bracha::{BrachaMessage, BrachaProcess};
+use brb_core::bracha_rc::BrachaOverRc;
 use brb_core::config::Config;
 use brb_core::dolev_routed::RoutedDolev;
 use brb_core::protocol::Protocol;
+use brb_core::stack::WireCodec;
 use brb_core::types::{Action, BroadcastId, LocalPayloadId, Payload, ProcessId};
 use brb_core::wire::{PayloadRef, WireMessage};
 use brb_core::BdProcess;
@@ -148,7 +149,9 @@ fn equivocating_source_cannot_split_bracha_over_routed_dolev() {
     let graph = generate::complete(N);
     let delivered = run(
         |i| BrachaOverRc::new(N, F, RoutedDolev::new(i, F, graph.clone())),
-        |_, _, message, _| decode_bracha(&message.payload).map(|bracha| bracha.payload),
+        |_, _, message, _| {
+            BrachaMessage::decode_wire(message.payload.as_bytes()).map(|bracha| bracha.payload)
+        },
     );
     assert_eq!(disagreement("bracha-routed-dolev", &delivered), None);
 }

@@ -19,7 +19,7 @@ use brb_transport::{DriverOptions, Frame, OutFrame, SendReceipt, Transport};
 use crossbeam::channel::{unbounded, Receiver};
 
 use crate::endpoint::{bind_endpoints, connect_mesh, spawn_link_reader};
-use crate::frame::{write_frame, MAX_FRAME_BYTES};
+use crate::frame::MAX_FRAME_BYTES;
 
 /// The loopback-socket transport of one process: TCP write halves keyed by neighbor,
 /// plus the mailbox its per-link reader threads feed ([`spawn_link_reader`]).
@@ -60,36 +60,26 @@ impl Transport for TcpTransport {
         let Some(stream) = self.writers.get_mut(&to) else {
             return receipt;
         };
-        // A failed write means the peer crashed or shut down, which the protocols
-        // tolerate; the frames still count as transmitted.
-        match frames {
-            [] => {}
-            [only] => {
-                let _ = write_frame(stream, &only.frame);
-                receipt.record(1, only.wire_size);
+        // One syscall per burst, one-frame bursts included: concatenate the standard
+        // length-prefixed frames into the reusable staging buffer and write it in one go.
+        // The wire format is unchanged — the peer's reader splits the stream back frame
+        // by frame (and `read_frame_burst` drains the whole burst into one pooled
+        // allocation). A failed write means the peer crashed or shut down, which the
+        // protocols tolerate; the frames still count as transmitted.
+        self.staging.clear();
+        for f in frames {
+            receipt.record(1, f.wire_size);
+            if f.frame.len() > MAX_FRAME_BYTES {
+                // `write_frame` would refuse it; account it like a failed write.
+                continue;
             }
-            burst => {
-                // One syscall for the whole burst: concatenate the standard
-                // length-prefixed frames into the reusable staging buffer and write it
-                // in one go. The wire format is unchanged — the peer's reader splits
-                // the stream back frame by frame (and `read_frame_burst` drains the
-                // whole burst into one pooled allocation).
-                self.staging.clear();
-                for f in burst {
-                    receipt.record(1, f.wire_size);
-                    if f.frame.len() > MAX_FRAME_BYTES {
-                        // write_frame would refuse it; account it like a failed write.
-                        continue;
-                    }
-                    self.staging
-                        .extend_from_slice(&(f.frame.len() as u32).to_be_bytes());
-                    self.staging.extend_from_slice(&f.frame);
-                }
-                let _ = stream
-                    .write_all(&self.staging)
-                    .and_then(|()| stream.flush());
-            }
+            self.staging
+                .extend_from_slice(&(f.frame.len() as u32).to_be_bytes());
+            self.staging.extend_from_slice(&f.frame);
         }
+        let _ = stream
+            .write_all(&self.staging)
+            .and_then(|()| stream.flush());
         receipt
     }
 }

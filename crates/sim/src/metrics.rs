@@ -9,7 +9,7 @@
 //!   verification (Sec. 7.3), which the simulator tracks as a peak value, sampled after
 //!   every handled event.
 //!
-//! All per-kind and per-process tables are ordered maps, so two [`RunMetrics`] values that
+//! All per-broadcast and per-process tables are ordered maps, so two [`RunMetrics`] values that
 //! compare equal also render to identical [`RunMetrics::canonical_text`] snapshots — the
 //! property the golden-file determinism suite (`tests/determinism.rs`) is built on.
 
@@ -28,9 +28,6 @@ pub struct RunMetrics {
     pub messages_sent: usize,
     /// Total bytes transmitted (per the paper's Table 3 accounting).
     pub bytes_sent: usize,
-    /// Messages per wire kind (diagnostic; keys are debug-formatted kinds). Ordered so
-    /// that iteration — and therefore serialization — is deterministic.
-    pub messages_per_kind: BTreeMap<String, usize>,
     /// Delivery time of each broadcast at each process, ordered by `(process, id)`.
     pub delivery_times: BTreeMap<(ProcessId, BroadcastId), SimTime>,
     /// Injection time of each broadcast: when its (non-crashed) source was asked to
@@ -70,16 +67,9 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Records a message transmission.
-    pub fn record_send(&mut self, kind: &str, bytes: usize) {
+    pub fn record_send(&mut self, bytes: usize) {
         self.messages_sent += 1;
         self.bytes_sent += bytes;
-        // Hot path: only allocate the key string the first time a kind is seen.
-        match self.messages_per_kind.get_mut(kind) {
-            Some(count) => *count += 1,
-            None => {
-                self.messages_per_kind.insert(kind.to_string(), 1);
-            }
-        }
     }
 
     /// Records a delivery.
@@ -152,9 +142,6 @@ impl RunMetrics {
         let _ = writeln!(out, "peak_state_bytes={}", self.peak_state_bytes);
         let _ = writeln!(out, "gc_retired={}", self.gc_retired);
         let _ = writeln!(out, "retained_bytes={}", self.retained_bytes);
-        for (kind, count) in &self.messages_per_kind {
-            let _ = writeln!(out, "kind {kind}={count}");
-        }
         for (&id, &at) in &self.injection_times {
             let _ = writeln!(
                 out,
@@ -196,12 +183,11 @@ mod tests {
     #[test]
     fn record_send_accumulates() {
         let mut m = RunMetrics::default();
-        m.record_send("Echo", 100);
-        m.record_send("Echo", 50);
-        m.record_send("Ready", 10);
+        m.record_send(100);
+        m.record_send(50);
+        m.record_send(10);
         assert_eq!(m.messages_sent, 3);
         assert_eq!(m.bytes_sent, 160);
-        assert_eq!(m.messages_per_kind["Echo"], 2);
         assert_eq!(m.kilobytes_sent(), 0.16);
     }
 
@@ -229,16 +215,16 @@ mod tests {
     #[test]
     fn canonical_text_is_stable_and_discriminating() {
         let mut a = RunMetrics::default();
-        a.record_send("Echo", 10);
-        a.record_send("Send", 5);
+        a.record_send(10);
+        a.record_send(5);
         a.record_delivery(2, BroadcastId::new(0, 1), SimTime::from_micros(1_500));
         a.record_delivery(1, BroadcastId::new(0, 1), SimTime::from_micros(999));
         let b = a.clone();
         assert_eq!(a.canonical_text(), b.canonical_text());
-        assert!(a.canonical_text().contains("kind Echo=1"));
+        assert!(a.canonical_text().contains("messages_sent=2"));
         assert!(a.canonical_text().contains("delivery p1 (0, 1) at_us=999"));
         let mut c = a.clone();
-        c.record_send("Echo", 1);
+        c.record_send(1);
         assert_ne!(a.canonical_text(), c.canonical_text());
     }
 

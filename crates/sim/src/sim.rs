@@ -34,8 +34,7 @@
 //! it to a committed budget.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::mem::{discriminant, Discriminant};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,9 +103,6 @@ where
     delay: DelayModel,
     rng: StdRng,
     metrics: RunMetrics,
-    /// Interned per-kind labels: one `Debug`-derived string per message discriminant,
-    /// computed lazily so the hot send path never re-formats a message.
-    kind_labels: HashMap<Discriminant<P::Message>, String>,
     /// Safety bound on processed events (guards against configuration mistakes that would
     /// otherwise loop forever, e.g. the unoptimized protocol on large dense graphs).
     max_events: usize,
@@ -168,7 +164,6 @@ where
             delay,
             rng: StdRng::seed_from_u64(seed),
             metrics: RunMetrics::default(),
-            kind_labels: HashMap::new(),
             max_events: 50_000_000,
             churn_events: Vec::new(),
             next_churn: 0,
@@ -625,17 +620,13 @@ where
                         continue;
                     }
                     let bytes = P::message_size(&message);
-                    let label = self
-                        .kind_labels
-                        .entry(discriminant(&message))
-                        .or_insert_with(|| kind_label(&message));
                     // Per-directed-link delay override: the extra rides on top of every
                     // sampled copy delay, matching the live ChurnLink's extra delay line.
                     let extra = SimTime::from_micros(self.link_state.extra_delay_micros(from, to));
                     // The last copy is the message itself: only a duplicating behaviour's
                     // extra copies clone it.
                     for message in std::iter::repeat_n(message, copies) {
-                        self.metrics.record_send(label, bytes);
+                        self.metrics.record_send(bytes);
                         self.tracer
                             .emit_frame(from, brb_trace::TraceEventKind::FrameSent { to, bytes });
                         let delay = self.delay.sample(&mut self.rng);
@@ -671,17 +662,6 @@ where
         self.metrics.peak_state_bytes = self.metrics.peak_state_bytes.max(process.state_bytes());
         self.metrics.peak_stored_paths = self.metrics.peak_stored_paths.max(process.stored_paths());
     }
-}
-
-/// A short label for the message kind, derived from its `Debug` representation (the first
-/// identifier), used only for diagnostic per-kind counters. Called at most once per
-/// message discriminant thanks to the interning cache.
-fn kind_label<M: std::fmt::Debug>(message: &M) -> String {
-    let repr = format!("{message:?}");
-    repr.split(|c: char| !c.is_alphanumeric())
-        .find(|s| !s.is_empty())
-        .unwrap_or("Message")
-        .to_string()
 }
 
 #[cfg(test)]
@@ -886,16 +866,6 @@ mod tests {
                 .delivered_count(BroadcastId::new(0, 0), &correct),
             10
         );
-    }
-
-    #[test]
-    fn kind_labels_are_extracted_from_debug() {
-        let config = Config::bdopt_mbd1(10, 1);
-        let mut sim = bd_simulation(10, 1, config, DelayModel::synchronous(), 1);
-        sim.broadcast(0, Payload::filled(1, 16));
-        sim.run_to_quiescence();
-        let kinds = &sim.metrics().messages_per_kind;
-        assert!(kinds.keys().any(|k| k == "WireMessage"));
     }
 
     #[test]

@@ -87,6 +87,7 @@ impl BrachaMessage {
 /// are the RC payload of [`crate::bracha_rc::BrachaOverRc`].
 impl WireCodec for BrachaMessage {
     fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.wire_size()); // the whole frame: Table 3 counts each of its bytes
         buf.push(self.kind as u8);
         put_content_head(buf, self.id, &self.payload);
     }
@@ -103,7 +104,7 @@ impl WireCodec for BrachaMessage {
     }
 
     fn peek_broadcast_id(frame: &[u8]) -> Option<BroadcastId> {
-        Some(split_content_head(frame.get(1..)?)?.0)
+        Some(split_content_head(frame.get(FIELD_MTYPE..)?)?.0)
     }
 }
 

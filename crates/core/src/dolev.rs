@@ -30,8 +30,8 @@ use crate::protocol::{ActionBuf, Protocol};
 use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
 use crate::wire::{
-    put_content_head, read_ids, split_content_head, split_u16, FIELD_BID, FIELD_MTYPE,
-    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+    put_content_head, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN,
+    FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
 };
 
 /// A message of Dolev's protocol: a content and the path of process labels it traversed
@@ -70,8 +70,8 @@ impl WireCodec for DolevMessage {
 
     fn decode_wire(frame: &[u8]) -> Option<Self> {
         let (id, payload, rest) = split_content_head(frame)?;
-        let (path_len, ids) = split_u16(rest)?;
-        let path = read_ids(ids, path_len)?;
+        let (path_len, ids) = rest.split_first_chunk::<2>()?;
+        let path = read_ids(ids, u16::from_be_bytes(*path_len) as usize)?;
         Some(DolevMessage {
             content: Content::new(id, Payload::new(payload)),
             path,

@@ -36,8 +36,8 @@ use crate::protocol::{ActionBuf, Protocol};
 use crate::stack::WireCodec;
 use crate::types::{BroadcastId, Delivery, Payload, ProcessId};
 use crate::wire::{
-    put_content_head, read_ids, split_content_head, split_u16, FIELD_BID, FIELD_MTYPE,
-    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+    put_content_head, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN,
+    FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
 };
 
 /// A message of the routed Dolev protocol.
@@ -92,8 +92,9 @@ impl WireCodec for RoutedDolevMessage {
 
     fn decode_wire(frame: &[u8]) -> Option<Self> {
         let (id, payload, rest) = split_content_head(frame)?;
-        let (route_len, rest) = split_u16(rest)?;
-        let (position, ids) = split_u16(rest)?;
+        let (&[r0, r1, p0, p1], ids) = rest.split_first_chunk::<4>()?;
+        let route_len = u16::from_be_bytes([r0, r1]) as usize;
+        let position = u16::from_be_bytes([p0, p1]) as usize;
         let route = read_ids(ids, route_len).filter(|_| position < route_len)?;
         Some(RoutedDolevMessage {
             origin: id.source,

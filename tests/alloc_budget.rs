@@ -97,8 +97,9 @@ fn assert_budget(name: &str, run: impl Fn() -> (u64, u64), budget_per_event: f64
 
 /// The paper's headline point: N = 31, k = 10, f = 4, 16 B, `lat. & bdw.` preset —
 /// 39 428 events. It made 92 001 allocations (2.33 per event) while in-flight frames
-/// were reference-counted and the disjoint-path memo was a vector of sets, and makes
-/// 44 835 (1.14 per event) with frames held by value and the memo in one flat array.
+/// were reference-counted and the disjoint-path memo was a vector of sets, 44 835
+/// (1.14 per event) with frames held by value and the memo in one flat array, and
+/// makes 44 825 without the per-kind send counter.
 #[test]
 fn headline_point_allocations_per_event_stay_within_budget() {
     assert_budget(
@@ -112,7 +113,8 @@ fn headline_point_allocations_per_event_stay_within_budget() {
 /// `bdw.` preset, graph seed 424 242 — 591 134 events. The parent of the change that
 /// added this test made 5 015 426 allocations here (8.5 per event); reference-counted
 /// frames and the vector memo made 1 336 129 (2.26 per event), frames by value and the
-/// flat memo make 633 036 (1.07 per event).
+/// flat memo 633 036 (1.07 per event), and it makes 633 026 without the per-kind send
+/// counter.
 #[test]
 fn flagship_allocations_per_event_stay_within_budget() {
     let events = assert_budget(

@@ -667,6 +667,16 @@ mod tests {
         }
         expected.extend([0, 0]);
         assert_eq!(local.encode().to_vec(), expected);
+        // A long path whose first id has four distinct bytes pins the entries' byte order.
+        let mut long = sample_message();
+        long.path = std::iter::once(0x0102_0304).chain(0..19).collect();
+        let mut expected = sample_message().encode()[..HEADER_LEN + 16].to_vec();
+        expected.extend([0, 20, 1, 2, 3, 4]);
+        for id in 0..19u8 {
+            expected.extend([0, 0, 0, id]);
+        }
+        assert_eq!(long.encode().to_vec(), expected);
+        assert_eq!(WireMessage::decode(&long.encode()), Some(long));
     }
 
     #[test]

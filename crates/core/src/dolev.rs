@@ -17,7 +17,6 @@
 //!   differences as arguments: direct delivery for single-hop Sends (MBD.2), the MBD.10
 //!   superpath filter, and the MBD.8/9 destination exclusions.
 
-use bytes::BufMut;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Config;
@@ -30,8 +29,8 @@ use crate::protocol::{ActionBuf, Protocol};
 use crate::stack::WireCodec;
 use crate::types::{Action, BroadcastId, Content, Delivery, Payload, ProcessId};
 use crate::wire::{
-    put_content_head, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN,
-    FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+    put_content_head, put_ids, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE,
+    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
 };
 
 /// A message of Dolev's protocol: a content and the path of process labels it traversed
@@ -62,10 +61,8 @@ impl DolevMessage {
 impl WireCodec for DolevMessage {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         put_content_head(buf, self.content.id, &self.content.payload);
-        buf.put_u16(self.path.len() as u16);
-        for &p in &self.path {
-            buf.put_u32(p as u32);
-        }
+        buf.extend_from_slice(&(self.path.len() as u16).to_be_bytes());
+        put_ids(buf, &self.path);
     }
 
     fn decode_wire(frame: &[u8]) -> Option<Self> {

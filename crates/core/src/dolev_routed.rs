@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use brb_graph::paths::k_disjoint_routes;
 use brb_graph::Graph;
-use bytes::BufMut;
 
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
@@ -36,8 +35,8 @@ use crate::protocol::{ActionBuf, Protocol};
 use crate::stack::WireCodec;
 use crate::types::{BroadcastId, Delivery, Payload, ProcessId};
 use crate::wire::{
-    put_content_head, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE, FIELD_PATH_LEN,
-    FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
+    put_content_head, put_ids, read_ids, split_content_head, FIELD_BID, FIELD_MTYPE,
+    FIELD_PATH_LEN, FIELD_PAYLOAD_SIZE, FIELD_PROCESS_ID,
 };
 
 /// A message of the routed Dolev protocol.
@@ -83,11 +82,9 @@ impl RoutedDolevMessage {
 impl WireCodec for RoutedDolevMessage {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         put_content_head(buf, BroadcastId::new(self.origin, self.seq), &self.payload);
-        buf.put_u16(self.route.len() as u16);
-        buf.put_u16(self.position as u16);
-        for &p in &self.route {
-            buf.put_u32(p as u32);
-        }
+        buf.extend_from_slice(&(self.route.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.position as u16).to_be_bytes());
+        put_ids(buf, &self.route);
     }
 
     fn decode_wire(frame: &[u8]) -> Option<Self> {

@@ -273,16 +273,21 @@ struct SinkEngine<P: Protocol> {
     peek: fn(&[u8]) -> Option<BroadcastId>,
 }
 
-/// One action of a burst with its frame bytes still in the arena: sends reference their
-/// staged frame by push order, deliveries pass through.
+/// One action of a burst with its frame bytes still in the arena: sends take the next
+/// staged frame in push order, or with `repeat` the previous send's frame again;
+/// deliveries pass through.
 enum StagedAction {
-    Send { to: ProcessId, wire_size: usize },
+    Send {
+        to: ProcessId,
+        wire_size: usize,
+        repeat: bool,
+    },
     Deliver(Delivery),
 }
 
 impl<P: Protocol> SinkEngine<P>
 where
-    P::Message: WireCodec,
+    P::Message: WireCodec + PartialEq,
 {
     fn new(inner: P) -> Self {
         Self {
@@ -301,28 +306,58 @@ where
     }
 
     /// Drains the typed scratch buffer into `out`: pass 1 encodes every send into the
-    /// arena's staging buffer, pass 2 seals the burst (one allocation) and emits the
-    /// actions in their original order with zero-copy frame slices.
+    /// arena's staging buffer, pass 2 seals the burst and emits the actions in their
+    /// original order with zero-copy frame slices. A send whose message equals the
+    /// previous send's (a relay to every neighbor, an all-peer Echo) is not encoded
+    /// again: it shares that send's frame and size. A step without actions returns at
+    /// once and allocates nothing.
     fn flush(&mut self, out: &mut WireActionBuf) {
-        self.staged.clear();
+        if self.scratch.is_empty() {
+            return;
+        }
+        let mut previous: Option<(P::Message, usize)> = None;
         for action in self.scratch.drain() {
             match action {
-                Action::Send { to, message } => {
-                    let wire_size = P::message_size(&message);
-                    self.arena.push_with(|buf| message.encode_into(buf));
-                    self.staged.push(StagedAction::Send { to, wire_size });
-                }
+                Action::Send { to, message } => match &previous {
+                    Some((sent, wire_size)) if *sent == message => {
+                        self.staged.push(StagedAction::Send {
+                            to,
+                            wire_size: *wire_size,
+                            repeat: true,
+                        });
+                    }
+                    _ => {
+                        let wire_size = P::message_size(&message);
+                        self.arena.push_with(|buf| message.encode_into(buf));
+                        self.staged.push(StagedAction::Send {
+                            to,
+                            wire_size,
+                            repeat: false,
+                        });
+                        previous = Some((message, wire_size));
+                    }
+                },
                 Action::Deliver(delivery) => self.staged.push(StagedAction::Deliver(delivery)),
             }
         }
-        let mut frames = self.arena.seal().into_iter();
+        let mut frames = self.arena.seal();
+        let mut frame = None;
         for staged in self.staged.drain(..) {
             out.push(match staged {
-                StagedAction::Send { to, wire_size } => WireAction::Send {
+                StagedAction::Send {
                     to,
-                    frame: frames.next().expect("one staged frame per send"),
                     wire_size,
-                },
+                    repeat,
+                } => {
+                    if !repeat {
+                        frame = frames.next();
+                    }
+                    WireAction::Send {
+                        to,
+                        frame: frame.clone().expect("one staged frame per distinct send"),
+                        wire_size,
+                    }
+                }
                 StagedAction::Deliver(delivery) => WireAction::Deliver(delivery),
             });
         }
@@ -332,7 +367,7 @@ where
 impl<P> DynEngine for SinkEngine<P>
 where
     P: Protocol + Send,
-    P::Message: WireCodec + Send,
+    P::Message: WireCodec + PartialEq + Send,
 {
     fn process_id(&self) -> ProcessId {
         Protocol::process_id(&self.inner)
@@ -1173,5 +1208,95 @@ mod tests {
             }
         }
         assert!(saw_send);
+    }
+
+    /// A protocol whose every handled message emits one fixed script of actions and
+    /// whose broadcasts emit none.
+    struct Scripted(Vec<Action<DolevMessage>>);
+
+    impl Protocol for Scripted {
+        type Message = DolevMessage;
+
+        fn process_id(&self) -> ProcessId {
+            0
+        }
+
+        fn broadcast_into(&mut self, _: Payload, _: &mut ActionBuf<DolevMessage>) {}
+
+        fn handle_message_into(
+            &mut self,
+            _: ProcessId,
+            _: DolevMessage,
+            out: &mut ActionBuf<DolevMessage>,
+        ) {
+            out.extend(self.0.iter().cloned());
+        }
+
+        fn deliveries(&self) -> &[Delivery] {
+            &[]
+        }
+
+        fn message_size(message: &DolevMessage) -> usize {
+            message.wire_size()
+        }
+    }
+
+    #[test]
+    fn sink_engine_encodes_each_run_of_equal_sends_once() {
+        let content = Content::new(BroadcastId::new(0, 1), Payload::from("m"));
+        let m = DolevMessage {
+            content: content.clone(),
+            path: vec![4],
+        };
+        let m2 = DolevMessage {
+            content: content.clone(),
+            path: vec![4, 5],
+        };
+        let delivery = Delivery {
+            id: content.id,
+            payload: content.payload,
+        };
+        let mut engine = SinkEngine::new(Scripted(vec![
+            Action::send(1, m.clone()),
+            Action::send(2, m.clone()),
+            Action::send(2, m2.clone()),
+            Action::Deliver(delivery.clone()),
+            Action::send(3, m.clone()),
+        ]));
+        let mut out = WireActionBuf::new();
+        engine.broadcast_wire(Payload::from("x"), &mut out);
+        assert!(out.is_empty(), "a step without actions pushes nothing");
+
+        engine.handle_frame(1, &m.encode_wire(), &mut out);
+        let send = |to, message: &DolevMessage| WireAction::Send {
+            to,
+            frame: message.encode_wire(),
+            wire_size: message.wire_size(),
+        };
+        let expected = [
+            send(1, &m),
+            send(2, &m),
+            send(2, &m2),
+            WireAction::Deliver(delivery),
+            send(3, &m),
+        ];
+        assert_eq!(out.as_slice(), expected);
+        let frames: Vec<&Bytes> = out
+            .as_slice()
+            .iter()
+            .filter_map(|action| match action {
+                WireAction::Send { frame, .. } => Some(frame),
+                WireAction::Deliver(_) => None,
+            })
+            .collect();
+        assert_eq!(
+            frames[0].as_ptr(),
+            frames[1].as_ptr(),
+            "m -> 1, 2 share one frame"
+        );
+        assert_ne!(frames[1].as_ptr(), frames[2].as_ptr());
+        // `m -> 3` follows `m'`, not `m`: it is encoded again.
+        assert_ne!(frames[2].as_ptr(), frames[3].as_ptr());
+        assert_ne!(frames[0].as_ptr(), frames[3].as_ptr());
     }
 }

@@ -27,7 +27,7 @@
 //! same `s | bid | payloadSize | payload` run of fields; `put_content_head` and
 //! `split_content_head` write and parse it once for all four codecs.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use serde::{Deserialize, Serialize};
 
 use crate::stack::WireCodec;
@@ -75,6 +75,15 @@ pub(crate) fn split_content_head(frame: &[u8]) -> Option<(BroadcastId, &[u8], &[
     let id = BroadcastId::new(be_u32(head, 0) as ProcessId, be_u32(head, 4));
     let (payload, rest) = rest.split_at_checked(be_u32(head, 8) as usize)?;
     Some((id, payload, rest))
+}
+
+/// Appends `ids` as big-endian process ids (a `path` field), the inverse of [`read_ids`].
+#[inline]
+pub(crate) fn put_ids(buf: &mut Vec<u8>, ids: &[ProcessId]) {
+    buf.reserve(FIELD_PROCESS_ID * ids.len());
+    for &id in ids {
+        buf.extend_from_slice(&(id as u32).to_be_bytes());
+    }
 }
 
 /// Reads `bytes` as exactly `count` big-endian process ids (a `path` field); `None` if
@@ -271,14 +280,17 @@ impl WireMessage {
     /// The frame layout is: tag byte, presence bitmask byte, then the present fields in
     /// Table 3 order, all integers big-endian.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_size() + 2);
+        let payload_len = self.payload.payload().map_or(0, Payload::len);
+        let mut buf = Vec::with_capacity(
+            HEADER_LEN + payload_len + FIELD_PATH_LEN + FIELD_PROCESS_ID * self.path.len(),
+        );
         self.encode_into(&mut buf);
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Appends the frame encoding of [`WireMessage::encode`] to an existing buffer —
-    /// the arena-backed path, staging a whole burst of frames in one allocation.
-    pub fn encode_into(&self, buf: &mut impl BufMut) {
+    /// the arena-backed path, staging a whole burst of frames in one reused buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let mut mask = 0u8;
         if self.fields.source {
             mask |= 1;
@@ -312,7 +324,8 @@ impl WireMessage {
         let payload = payload.map(Payload::as_bytes).unwrap_or_default();
         // The logical identifiers are always encoded so that decoding does not need any
         // out-of-band context; `wire_size` (not the encoded length) is what the experiment
-        // harness accounts. The fixed header goes out as one block.
+        // harness accounts. The fixed header goes out as one block, the path as plain
+        // slice appends.
         let mut header = [0u8; HEADER_LEN];
         header[0] = self.kind.tag();
         header[1] = mask;
@@ -327,19 +340,17 @@ impl WireMessage {
         for (slot, field) in header[2..].chunks_exact_mut(4).zip(fields) {
             slot.copy_from_slice(&field.to_be_bytes());
         }
-        buf.put_slice(&header);
-        buf.put_slice(payload);
-        buf.put_u16(self.path.len() as u16);
-        for &p in &self.path {
-            buf.put_u32(p as u32);
-        }
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(payload);
+        buf.extend_from_slice(&(self.path.len() as u16).to_be_bytes());
+        put_ids(buf, &self.path);
     }
 
     /// Decodes a frame produced by [`WireMessage::encode`].
     ///
     /// Returns `None` if the frame is malformed.
     pub fn decode(frame: &[u8]) -> Option<Self> {
-        let (header, mut frame) = frame.split_first_chunk::<HEADER_LEN>()?;
+        let (header, frame) = frame.split_first_chunk::<HEADER_LEN>()?;
         let kind = MessageKind::from_tag(header[0])?;
         let mask = header[1];
         let field = |i| header_field(header, i);
@@ -348,23 +359,9 @@ impl WireMessage {
         let originator = field(2) as ProcessId;
         let originator2_raw = field(3);
         let local_id = field(4);
-        let payload_len = field(5) as usize;
-        if frame.remaining() < payload_len {
-            return None;
-        }
-        let payload_bytes = frame[..payload_len].to_vec();
-        frame.advance(payload_len);
-        if frame.remaining() < 2 {
-            return None;
-        }
-        let path_len = frame.get_u16() as usize;
-        if frame.remaining() != 4 * path_len {
-            return None;
-        }
-        let mut path = Vec::with_capacity(path_len);
-        for _ in 0..path_len {
-            path.push(frame.get_u32() as ProcessId);
-        }
+        let (payload_bytes, rest) = frame.split_at_checked(field(5) as usize)?;
+        let (path_len, ids) = rest.split_first_chunk::<2>()?;
+        let path = read_ids(ids, u16::from_be_bytes(*path_len) as usize)?;
         let payload = if mask & (1 << 5) != 0 {
             PayloadRef::Inline(Payload::new(payload_bytes))
         } else if mask & (1 << 6) != 0 {
@@ -474,14 +471,18 @@ pub fn split_batch(batch: &Bytes) -> Option<Vec<Bytes>> {
 ///
 /// Protocol engines produce *bursts* of outbound frames (one engine step emits many
 /// sends). Instead of allocating one `Vec` per frame, callers write every frame of a
-/// burst into the arena's single staging buffer ([`WireArena::push_with`]) and then
-/// [`WireArena::seal`] the burst: the staging buffer is frozen into one shared [`Bytes`]
-/// allocation and each frame comes back as a zero-copy slice of it. Per frame the steady
-/// state allocates nothing; per burst it allocates once.
+/// burst into the arena's staging buffer ([`WireArena::push_with`]) and then
+/// [`WireArena::seal`] the burst: the staged bytes are copied into one exact-size shared
+/// [`Bytes`] and each frame comes back as a zero-copy slice of it. The staging buffer and
+/// the list of slices keep their capacity across bursts, so once they have grown to the
+/// largest burst, sealing a burst allocates only its shared buffer (with the vendored
+/// `bytes` stand-in, the bytes and their reference count: two allocations), and sealing an
+/// empty burst allocates nothing.
 #[derive(Debug, Default)]
 pub struct WireArena {
     staging: Vec<u8>,
     marks: Vec<usize>,
+    sealed: Vec<Bytes>,
 }
 
 impl WireArena {
@@ -503,18 +504,20 @@ impl WireArena {
         self.marks.len()
     }
 
-    /// Freezes the current burst into one shared allocation and returns the staged
-    /// frames as zero-copy views of it, in push order. The arena is left empty, ready
-    /// for the next burst.
-    pub fn seal(&mut self) -> Vec<Bytes> {
-        let data = Bytes::from(std::mem::take(&mut self.staging));
-        let mut frames = Vec::with_capacity(self.marks.len());
-        for (i, &start) in self.marks.iter().enumerate() {
-            let end = self.marks.get(i + 1).copied().unwrap_or_else(|| data.len());
-            frames.push(data.slice(start..end));
+    /// Copies the current burst into one shared allocation and yields the staged frames
+    /// as zero-copy views of it, in push order. The arena is left empty, ready for the
+    /// next burst, with every buffer's capacity kept.
+    pub fn seal(&mut self) -> std::vec::Drain<'_, Bytes> {
+        if !self.marks.is_empty() {
+            let data = Bytes::copy_from_slice(&self.staging);
+            let ends = self.marks[1..].iter().copied().chain([data.len()]);
+            let frames = self.marks.iter().zip(ends);
+            self.sealed
+                .extend(frames.map(|(&start, end)| data.slice(start..end)));
+            self.staging.clear();
+            self.marks.clear();
         }
-        self.marks.clear();
-        frames
+        self.sealed.drain(..)
     }
 }
 
@@ -761,15 +764,21 @@ mod tests {
         arena.push_with(|_| {});
         arena.push_with(|buf| buf.put_slice(b"third"));
         assert_eq!(arena.frames(), 3);
-        let frames = arena.seal();
+        let frames: Vec<Bytes> = arena.seal().collect();
         assert_eq!(frames.len(), 3);
         assert_eq!(&frames[0][..], b"first");
         assert!(frames[1].is_empty());
         assert_eq!(&frames[2][..], b"third");
-        // The arena resets for the next burst.
+        // One shared buffer, sliced in push order.
+        assert_eq!(frames[2].as_ptr(), frames[0].as_ptr().wrapping_add(5));
+        // The arena resets for the next burst, and an empty burst seals to nothing.
         assert_eq!(arena.frames(), 0);
+        assert_eq!(arena.seal().count(), 0);
         arena.push_with(|buf| buf.put_slice(b"next"));
-        assert_eq!(&arena.seal()[0][..], b"next");
+        assert_eq!(
+            arena.seal().collect::<Vec<_>>(),
+            [Bytes::from_static(b"next")]
+        );
     }
 
     #[test]
@@ -778,7 +787,7 @@ mod tests {
         let encoded = sample_message().encode();
         arena.push_with(|buf| buf.put_slice(&encoded));
         arena.push_with(|buf| buf.put_slice(&encoded));
-        let frames = arena.seal();
+        let frames: Vec<Bytes> = arena.seal().collect();
         let batch = encode_batch(&frames);
         for frame in split_batch(&batch).unwrap() {
             assert_eq!(WireMessage::decode(&frame).unwrap(), sample_message());

@@ -88,12 +88,13 @@ use brb_graph::Graph;
 /// `encode_wire().len()`.
 pub trait WireCodec: Sized {
     /// Appends the message's self-contained binary frame to `buf` — the arena-backed
-    /// encode path: a whole burst of frames stages into one buffer, so the steady state
-    /// allocates nothing per frame (see [`crate::wire::WireArena`]).
+    /// encode path: a whole burst of frames stages into one reused buffer and is copied
+    /// out once, so a burst allocates one shared buffer however many frames it holds (see
+    /// [`crate::wire::WireArena`]).
     fn encode_into(&self, buf: &mut Vec<u8>);
 
-    /// Encodes the message into a self-contained binary frame (one fresh allocation;
-    /// hosts on the hot path use [`WireCodec::encode_into`] through an arena instead).
+    /// Encodes the message into a self-contained binary frame in a fresh buffer (hosts
+    /// on the hot path use [`WireCodec::encode_into`] through an arena instead).
     fn encode_wire(&self) -> Bytes {
         let mut buf = Vec::new();
         self.encode_into(&mut buf);
@@ -136,7 +137,8 @@ pub enum WireAction {
 /// [`crate::protocol::ActionBuf`]. Drivers keep one alive across events; together with
 /// the persistent typed sink inside the engines built by [`StackSpec::build`], the
 /// steady-state event path reuses its buffers instead of allocating output vectors per
-/// event (the frames themselves are freshly encoded, as they must be).
+/// event (a step's frames are encoded into one fresh shared buffer, each run of equal
+/// sends once).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireActionBuf {
     actions: Vec<WireAction>,
@@ -256,8 +258,9 @@ pub trait DynEngine: Send {
 /// steady-state event path reuses one buffer across events.
 ///
 /// Outbound frames are staged through a persistent [`WireArena`]: one engine step's
-/// burst of sends encodes into a single shared allocation, and each [`WireAction::Send`]
-/// carries a zero-copy slice of it — the buffer-pool discipline of the encode path.
+/// burst of sends encodes into a single shared buffer, each run of equal consecutive
+/// sends encodes once, and each [`WireAction::Send`] carries a zero-copy slice of the
+/// buffer. A step that sends nothing allocates nothing.
 struct SinkEngine<P: Protocol> {
     inner: P,
     scratch: ActionBuf<P::Message>,

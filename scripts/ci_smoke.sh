@@ -34,11 +34,13 @@
 # and then runs both simulated workloads at their historical seeds, which fail on a
 # drift of the flagship's pinned counts or on a BRB violation.
 #
-# Before any of that it runs the host-independent gates: the
-# allocations-per-event budget (tests/alloc_budget.rs, a count, not a timing),
-# and the three lint steps of the CI `build-and-test` job, verbatim: `cargo fmt --all
-# --check`, workspace-wide `clippy -D warnings` and `RUSTDOCFLAGS="-D warnings" cargo
-# doc --workspace --no-deps`.
+# Before any of that it runs the host-independent gates: the allocations-per-event
+# budgets (tests/alloc_budget.rs, a count, not a timing) of the typed engine at the
+# headline point and on the flagship, and of the codec path (DynStack engines under the
+# 24-broadcast headline workload), with the per-scenario counts in
+# stdout_alloc_budget.txt; and the three lint steps of the CI `build-and-test` job,
+# verbatim: `cargo fmt --all --check`, workspace-wide `clippy -D warnings` and
+# `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
 set -euo pipefail
@@ -46,7 +48,7 @@ set -euo pipefail
 out="${1:-target/smoke}"
 mkdir -p "$out"
 
-timeout 600 cargo test -q -p brb --test alloc_budget > "$out/stdout_alloc_budget.txt"
+timeout 600 cargo test -q -p brb --test alloc_budget -- --nocapture > "$out/stdout_alloc_budget.txt"
 timeout 300 cargo fmt --all --check
 timeout 900 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" timeout 900 cargo doc --workspace --no-deps

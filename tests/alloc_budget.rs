@@ -134,7 +134,9 @@ fn flagship_allocations_per_event_stay_within_budget() {
 /// broadcasts through `DynStack` engines built by `StackSpec::Bd`, so every frame is
 /// encoded and decoded — 1 029 768 events. It made 3.78 allocations per event while
 /// every engine step sealed a burst (an empty one included) into a freshly grown
-/// buffer and every send was encoded anew.
+/// buffer and every send was encoded anew, 2.23 while a sealed burst's `Bytes` took two
+/// heap blocks (its bytes and their reference count), and makes about 2 127 270 (2.07
+/// per event) with one.
 ///
 /// Unlike the typed runs this one does not repeat exactly: GC removals leave hash-map
 /// tombstones whose number depends on each map's randomly seeded hasher, so rehashes,
@@ -165,7 +167,7 @@ fn codec_path_allocations_per_event_stay_within_budget() {
     );
     assert_eq!(events, 1_029_768, "the codec path's known event count");
     assert!(
-        per_event <= 2.5,
-        "codec path: {per_event:.3} allocations per handled event exceed the budget of 2.5"
+        per_event <= 2.2,
+        "codec path: {per_event:.3} allocations per handled event exceed the budget of 2.2"
     );
 }

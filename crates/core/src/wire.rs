@@ -418,20 +418,31 @@ impl WireCodec for WireMessage {
 /// Coalesces a burst of encoded frames into one length-prefixed batch buffer.
 ///
 /// Layout: `count: u32`, then per frame `len: u32` followed by the frame bytes, all
-/// big-endian. One allocation for the whole batch; [`split_batch`] recovers the
-/// individual frames as zero-copy [`Bytes::slice`] views of the batch buffer.
+/// big-endian. [`split_batch`] recovers the individual frames as zero-copy
+/// [`Bytes::slice`] views of the batch buffer. A hot path writes the layout into reused
+/// scratch space with [`encode_batch_into`] instead.
 ///
 /// An empty slice encodes to the 4-byte `count = 0` batch, and a single-frame batch is
 /// a valid (if pointless) degenerate case — both round-trip through [`split_batch`].
 pub fn encode_batch(frames: &[Bytes]) -> Bytes {
     let total = 4 + frames.iter().map(|frame| 4 + frame.len()).sum::<usize>();
     let mut buf = Vec::with_capacity(total);
-    buf.put_u32(frames.len() as u32);
+    encode_batch_into(frames.iter().map(|frame| &frame[..]), &mut buf);
+    Bytes::from(buf)
+}
+
+/// Clears `buf` and writes `frames` into it in the [`encode_batch`] layout. A `buf`
+/// reused across bursts keeps its capacity, so a burst costs no allocation here.
+pub fn encode_batch_into<'a>(frames: impl IntoIterator<Item = &'a [u8]>, buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.put_u32(0); // the frame count, written last
+    let mut count = 0u32;
     for frame in frames {
         buf.put_u32(frame.len() as u32);
         buf.put_slice(frame);
+        count += 1;
     }
-    Bytes::from(buf)
+    buf[..4].copy_from_slice(&count.to_be_bytes());
 }
 
 /// Splits a batch buffer produced by [`encode_batch`] back into its frames.
@@ -440,30 +451,41 @@ pub fn encode_batch(frames: &[Bytes]) -> Bytes {
 /// `None` on any framing violation: a truncated header, a frame length running past the
 /// end of the buffer, or trailing bytes after the last frame.
 pub fn split_batch(batch: &Bytes) -> Option<Vec<Bytes>> {
+    let mut frames = Vec::new();
+    split_batch_into(batch, &mut frames).then_some(frames)
+}
+
+/// [`split_batch`] into a caller's vector: appends the batch's frames to `frames` and
+/// returns `true`, or, on a framing violation, leaves `frames` as it was and returns
+/// `false`. A vector reused across batches keeps its capacity, so splitting allocates
+/// nothing.
+pub fn split_batch_into(batch: &Bytes, frames: &mut Vec<Bytes>) -> bool {
+    let before = frames.len();
     let mut cursor: &[u8] = batch;
     if cursor.remaining() < 4 {
-        return None;
+        return false;
     }
     let count = cursor.get_u32() as usize;
-    let mut frames = Vec::with_capacity(count.min(1024));
+    frames.reserve(count.min(1024));
     let mut offset = 4usize;
     for _ in 0..count {
         if cursor.remaining() < 4 {
-            return None;
+            break;
         }
         let len = cursor.get_u32() as usize;
         offset += 4;
         if cursor.remaining() < len {
-            return None;
+            break;
         }
         frames.push(batch.slice(offset..offset + len));
         cursor.advance(len);
         offset += len;
     }
-    if cursor.remaining() != 0 {
-        return None;
+    let whole = frames.len() - before == count && cursor.remaining() == 0;
+    if !whole {
+        frames.truncate(before);
     }
-    Some(frames)
+    whole
 }
 
 /// A burst-granularity frame arena: the buffer-pool discipline of the steady-state
@@ -475,9 +497,8 @@ pub fn split_batch(batch: &Bytes) -> Option<Vec<Bytes>> {
 /// [`WireArena::seal`] the burst: the staged bytes are copied into one exact-size shared
 /// [`Bytes`] and each frame comes back as a zero-copy slice of it. The staging buffer and
 /// the list of slices keep their capacity across bursts, so once they have grown to the
-/// largest burst, sealing a burst allocates only its shared buffer (with the vendored
-/// `bytes` stand-in, the bytes and their reference count: two allocations), and sealing an
-/// empty burst allocates nothing.
+/// largest burst, sealing a burst allocates only its shared buffer (one block, bytes and
+/// reference count together), and sealing an empty burst allocates nothing.
 #[derive(Debug, Default)]
 pub struct WireArena {
     staging: Vec<u8>,

@@ -62,10 +62,10 @@ impl Transport for TcpTransport {
         };
         // One syscall per burst, one-frame bursts included: concatenate the standard
         // length-prefixed frames into the reusable staging buffer and write it in one go.
-        // The wire format is unchanged — the peer's reader splits the stream back frame
-        // by frame (and `read_frame_burst` drains the whole burst into one pooled
-        // allocation). A failed write means the peer crashed or shut down, which the
-        // protocols tolerate; the frames still count as transmitted.
+        // The wire format is unchanged — the peer's reader (`spawn_link_reader`) hands
+        // what one read brings in to its node as one batch message. A failed write means
+        // the peer crashed or shut down, which the protocols tolerate; the frames still
+        // count as transmitted.
         self.staging.clear();
         for f in frames {
             receipt.record(1, f.wire_size);
@@ -189,6 +189,7 @@ impl Deref for TcpDeployment {
 mod tests {
     use super::*;
     use brb_core::types::Payload;
+    use brb_core::wire::split_batch;
     use brb_graph::generate;
     use brb_runtime::{run_broadcast, run_workload};
     use brb_sim::Behavior;
@@ -467,8 +468,8 @@ mod tests {
     #[test]
     fn tcp_batched_send_accounts_identically_and_arrives_intact() {
         // A burst through TcpTransport::send_batch (one write syscall) must report the
-        // same copy/byte totals as one-frame bursts and deliver the same frames,
-        // in order, through the standard length-prefixed reader.
+        // same copy/byte totals as one-frame bursts and deliver the same frames, in
+        // order, through the standard length-prefixed reader.
         let graph = generate::complete(2);
         let endpoints = crate::endpoint::bind_endpoints(2).unwrap();
         let mut links = crate::endpoint::connect_mesh(&graph, &endpoints).unwrap();
@@ -491,12 +492,20 @@ mod tests {
             receipt, per_frame,
             "batched receipt equals per-frame totals"
         );
-        for f in &frames {
+        // The reader hands each read's burst on as one message (a batch, or a single
+        // frame); split, the messages carry the same frames in the same order.
+        let mut received = Vec::new();
+        while received.len() < frames.len() {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(got.from, 0);
-            assert_eq!(got.bytes, f.frame);
-            assert!(!got.batch, "TCP bursts reframe as standard single frames");
+            if got.batch {
+                received.extend(split_batch(&got.bytes).expect("valid batch framing"));
+            } else {
+                received.push(got.bytes);
+            }
         }
+        let sent: Vec<Bytes> = frames.iter().map(|f| f.frame.clone()).collect();
+        assert_eq!(received, sent);
         // And a batch to a process without a link accounts zero.
         assert_eq!(t0.send_batch(7, &frames), SendReceipt::default());
     }

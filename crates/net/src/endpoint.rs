@@ -17,9 +17,10 @@ use std::time::Duration;
 use brb_core::types::ProcessId;
 use brb_graph::Graph;
 use brb_transport::Frame;
+use bytes::Bytes;
 use crossbeam::channel::Sender;
 
-use crate::frame::{read_frame_burst, read_handshake, write_handshake};
+use crate::frame::{read_batch_into, read_handshake, write_handshake};
 
 /// How long either side of a link waits for the other's handshake, so a stray or
 /// silent connection to a listener fails [`connect_mesh`] instead of hanging it.
@@ -154,10 +155,14 @@ pub fn connect_mesh(graph: &Graph, endpoints: &[Endpoint]) -> io::Result<Vec<Nod
     Ok(links)
 }
 
-/// Spawns a reader thread for one inbound link: every decoded frame is forwarded to the
-/// node's mailbox as an authenticated [`Frame`] tagged with the peer identity (the
-/// common inbound currency of every [`brb_transport::Transport`]). The thread exits when
-/// the peer closes or the stream is shut down.
+/// Spawns a reader thread for one inbound link: every burst of frames one read brings
+/// in ([`read_batch_into`]) goes to the node's mailbox as **one** authenticated [`Frame`]
+/// tagged with the peer identity (the common inbound currency of every
+/// [`brb_transport::Transport`]) — [`Frame::batched`] in the
+/// [`brb_core::wire::encode_batch`] layout, or [`Frame::single`] for a lone frame. The
+/// burst is staged in one buffer reused across reads and frozen with one allocation, so
+/// a burst costs one channel send and one allocation however many frames it holds. The
+/// thread exits when the peer closes or the stream is shut down.
 pub fn spawn_link_reader(
     peer: ProcessId,
     stream: TcpStream,
@@ -165,16 +170,15 @@ pub fn spawn_link_reader(
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut reader = BufReader::new(stream);
-        loop {
-            match read_frame_burst(&mut reader) {
-                Ok(burst) => {
-                    for bytes in burst {
-                        if mailbox.send(Frame::single(peer, bytes)).is_err() {
-                            return;
-                        }
-                    }
-                }
-                Err(_) => return,
+        let mut batch = Vec::new();
+        while let Ok(frames) = read_batch_into(&mut reader, &mut batch) {
+            let frame = match frames {
+                // A one-frame batch is its count and the frame's length, then the frame.
+                1 => Frame::single(peer, Bytes::copy_from_slice(&batch[8..])),
+                _ => Frame::batched(peer, Bytes::copy_from_slice(&batch)),
+            };
+            if mailbox.send(frame).is_err() {
+                return;
             }
         }
     })

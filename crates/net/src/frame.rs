@@ -4,10 +4,13 @@
 //! authenticated channels (Sec. 7.1). Framing is therefore deliberately minimal: every
 //! protocol message travels as a 4-byte big-endian length followed by the encoded
 //! [`brb_core::wire::WireMessage`] bytes, and every connection starts with a fixed-size
-//! handshake that announces the connecting process's identifier.
+//! handshake that announces the connecting process's identifier. A length-prefixed run
+//! of frames is the [`brb_core::wire::encode_batch`] layout without its leading count,
+//! which is how [`read_batch_into`] turns a read's worth of frames into one batch.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
+use brb_core::wire::split_batch;
 use bytes::Bytes;
 
 /// Maximum accepted frame size, in bytes.
@@ -41,6 +44,22 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
+/// The length a frame header announces.
+///
+/// # Errors
+///
+/// Returns [`io::ErrorKind::InvalidData`] when the length exceeds [`MAX_FRAME_BYTES`].
+fn frame_len(header: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("peer announced a {len} byte frame, above the {MAX_FRAME_BYTES} byte cap"),
+        ));
+    }
+    Ok(len)
+}
+
 /// Reads one length-prefixed frame.
 ///
 /// # Errors
@@ -48,62 +67,74 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
 /// Returns [`io::ErrorKind::UnexpectedEof`] when the peer closed the connection, and
 /// [`io::ErrorKind::InvalidData`] when the announced length exceeds [`MAX_FRAME_BYTES`].
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len} byte frame, above the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
+    let mut header = [0u8; 4];
+    reader.read_exact(&mut header)?;
+    let mut buf = vec![0u8; frame_len(header)?];
     reader.read_exact(&mut buf)?;
     Ok(buf)
 }
 
-/// Reads one length-prefixed frame, then drains every *complete* frame already sitting in
-/// the reader's buffer — without blocking for more network data — into a single pooled
-/// allocation. The returned [`Bytes`] are zero-copy slices of that one buffer, so a burst
-/// of `k` frames costs one `Vec` allocation instead of `k`.
+/// Reads one length-prefixed frame, then every *complete* frame already sitting in the
+/// reader's buffer — without blocking for more network data — into `batch`, which is
+/// cleared first and left in the [`brb_core::wire::encode_batch`] layout: a `u32` frame
+/// count, then each frame as it came off the wire (`u32` length, bytes). Returns the
+/// frame count, at least 1.
 ///
-/// Under load (a peer's batched write landing as one TCP segment) this turns per-frame
-/// heap traffic into per-burst heap traffic; when traffic is sparse it degenerates to
-/// exactly [`read_frame`] (a one-frame burst).
+/// The TCP framing is the batch framing without its count, so the buffered frames are
+/// copied in one piece. Reusing `batch` across calls makes a burst cost no allocation
+/// here; the caller freezes it once ([`bytes::Bytes::copy_from_slice`]) and hands the
+/// whole burst on as one message. When traffic is sparse a burst is one frame.
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::UnexpectedEof`] when the peer closed the connection, and
 /// [`io::ErrorKind::InvalidData`] when an announced length exceeds [`MAX_FRAME_BYTES`].
 /// An oversized length seen mid-drain is left unconsumed and surfaces on the next call.
-pub fn read_frame_burst<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<Bytes>> {
+pub fn read_batch_into<R: Read>(
+    reader: &mut BufReader<R>,
+    batch: &mut Vec<u8>,
+) -> io::Result<usize> {
+    // The frame count comes first and is written last.
+    batch.clear();
+    batch.extend_from_slice(&[0; 4]);
     // First frame: block until it arrives.
-    let mut staging = read_frame(reader)?;
-    let mut marks = vec![(0, staging.len())];
+    let mut header = [0u8; 4];
+    reader.read_exact(&mut header)?;
+    let len = frame_len(header)?;
+    batch.extend_from_slice(&header);
+    let body = batch.len();
+    batch.resize(body + len, 0);
+    reader.read_exact(&mut batch[body..])?;
 
     // Drain: take every complete frame already buffered, never touching the socket.
-    loop {
-        let buffered = reader.buffer();
-        if buffered.len() < 4 {
-            break;
-        }
-        let next =
-            u32::from_be_bytes([buffered[0], buffered[1], buffered[2], buffered[3]]) as usize;
-        if next > MAX_FRAME_BYTES || buffered.len() < 4 + next {
+    let buffered = reader.buffer();
+    let (mut taken, mut count) = (0, 1u32);
+    while let Some(&header) = buffered[taken..].first_chunk::<4>() {
+        let next = u32::from_be_bytes(header) as usize;
+        if next > MAX_FRAME_BYTES || buffered.len() - taken - 4 < next {
             // Oversized or incomplete: leave it for the next (blocking) call.
             break;
         }
-        let start = staging.len();
-        staging.extend_from_slice(&buffered[4..4 + next]);
-        marks.push((start, staging.len()));
-        reader.consume(4 + next);
+        taken += 4 + next;
+        count += 1;
     }
+    batch.extend_from_slice(&buffered[..taken]);
+    reader.consume(taken);
+    batch[..4].copy_from_slice(&count.to_be_bytes());
+    Ok(count as usize)
+}
 
-    let pooled = Bytes::from(staging);
-    Ok(marks
-        .into_iter()
-        .map(|(start, end)| pooled.slice(start..end))
-        .collect())
+/// [`read_batch_into`] a fresh buffer, split back into its frames
+/// ([`brb_core::wire::split_batch`]): zero-copy views of one allocation, so a burst of
+/// `k` frames costs one buffer instead of `k`.
+///
+/// # Errors
+///
+/// As [`read_batch_into`].
+pub fn read_frame_burst<R: Read>(reader: &mut BufReader<R>) -> io::Result<Vec<Bytes>> {
+    let mut batch = Vec::new();
+    read_batch_into(reader, &mut batch)?;
+    Ok(split_batch(&Bytes::from(batch)).expect("read_batch_into writes the batch layout"))
 }
 
 /// Writes the connection handshake: magic byte plus the connecting process's identifier.
@@ -217,6 +248,36 @@ mod tests {
         // The truncated frame surfaces as EOF on the next blocking read.
         assert_eq!(
             read_frame_burst(&mut reader).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn batch_read_writes_the_batch_layout_into_a_reused_buffer() {
+        let frames = [b"one".as_slice(), b"", b"three"].map(Bytes::from_static);
+        let mut wire = Vec::new();
+        for frame in &frames {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        let mut reader = BufReader::new(Cursor::new(wire));
+        let mut batch = Vec::new();
+        // Everything is buffered after the first read, so one call takes every frame.
+        assert_eq!(read_batch_into(&mut reader, &mut batch).unwrap(), 3);
+        assert_eq!(batch, &brb_core::wire::encode_batch(&frames)[..]);
+
+        // A shorter burst reuses the buffer and leaves no trace of the last one.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"solo").unwrap();
+        let mut reader = BufReader::new(Cursor::new(wire));
+        let (capacity, ptr) = (batch.capacity(), batch.as_ptr());
+        assert_eq!(read_batch_into(&mut reader, &mut batch).unwrap(), 1);
+        assert_eq!((batch.capacity(), batch.as_ptr()), (capacity, ptr));
+        assert_eq!(
+            batch,
+            &brb_core::wire::encode_batch(&[Bytes::from_static(b"solo")])[..]
+        );
+        assert_eq!(
+            read_batch_into(&mut reader, &mut batch).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }

@@ -13,10 +13,11 @@ use std::time::Duration;
 
 use brb_core::stack::{DynEngine, WireAction, WireActionBuf};
 use brb_core::types::{Delivery, Payload, ProcessId};
-use brb_core::wire::split_batch;
+use brb_core::wire::split_batch_into;
 use brb_sim::churn::RestartMemory;
 use brb_sim::Behavior;
 use brb_trace::{DropCounts, NodeCounters, TraceEventKind, TraceSink, Tracer};
+use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 
 use crate::churn::{ChurnHandle, ChurnLink};
@@ -313,12 +314,12 @@ enum Wake {
 /// reusable action sink, and the command/delivery channels back to the deployment.
 ///
 /// The event loop wakes on a command or an inbound frame, drains the inbound backlog
-/// (up to `DRAIN_BUDGET` frames) into the engine, dispatches the resulting
-/// [`WireAction`]s — frames to the transport as one [`Transport::send_batch`] burst per
-/// destination, deliveries to the shared channel — and shuts down once the shutdown
-/// command arrived and the inbound stream drained, with the idle timeout bounding how
-/// long quiescence detection waits. A burst of one frame is the frame-at-a-time case;
-/// there is no other send path, traced or not.
+/// (up to `DRAIN_BUDGET` channel messages, a batch counting as one) into the engine,
+/// dispatches the resulting [`WireAction`]s — frames to the transport as one
+/// [`Transport::send_batch`] burst per destination, deliveries to the shared channel —
+/// and shuts down once the shutdown command arrived and the inbound stream drained, with
+/// the idle timeout bounding how long quiescence detection waits. A burst of one frame
+/// is the frame-at-a-time case; there is no other send path, traced or not.
 pub struct NodeDriver {
     engine: Box<dyn DynEngine>,
     actions: WireActionBuf,
@@ -352,10 +353,14 @@ pub struct NodeDriver {
     /// on first use and their `Vec` capacity is retained across dispatches, so the
     /// steady-state loop allocates nothing per event.
     out_batches: Vec<(ProcessId, Vec<OutFrame>)>,
+    /// Reusable landing space for the frames of one inbound batch, so splitting a batch
+    /// allocates nothing.
+    inbound_parts: Vec<Bytes>,
 }
 
-/// Inbound frames (channel messages, not batch parts) one ingest cycle consumes, so a
-/// saturated queue cannot starve command processing or delay deliveries unboundedly.
+/// Inbound channel messages one ingest cycle consumes, so a saturated queue cannot
+/// starve command processing or delay deliveries unboundedly. A batch counts as one
+/// message, whether a channel link's burst or what one read of a TCP link brought in.
 const DRAIN_BUDGET: usize = 128;
 
 impl NodeDriver {
@@ -391,6 +396,7 @@ impl NodeDriver {
             counters,
             tracer,
             out_batches: Vec::new(),
+            inbound_parts: Vec::new(),
         }
     }
 
@@ -506,14 +512,16 @@ impl NodeDriver {
     }
 
     /// Starting from the frame that woke the loop, drains the inbound queue (up to
-    /// `DRAIN_BUDGET` frames) into **one** ingest/dispatch cycle, so outbound bursts
-    /// scale with the backlog and the per-op cost amortizes exactly when the node is
-    /// loaded. Under light load the queue is empty and the cycle handles one frame.
+    /// `DRAIN_BUDGET` channel messages) into **one** ingest/dispatch cycle, so outbound
+    /// bursts scale with the backlog and the per-op cost amortizes exactly when the node
+    /// is loaded. Under light load the queue is empty and the cycle handles one frame.
     fn ingest_drained(&mut self, first: Frame) {
         let mut frame = first;
         for drained in 1.. {
             if frame.batch {
-                for bytes in split_batch(&frame.bytes).unwrap_or_default() {
+                // A malformed batch splits into nothing and is dropped whole.
+                split_batch_into(&frame.bytes, &mut self.inbound_parts);
+                for bytes in self.inbound_parts.drain(..) {
                     self.engine
                         .handle_frame(frame.from, &bytes, &mut self.actions);
                 }

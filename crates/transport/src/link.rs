@@ -26,9 +26,10 @@ pub struct Frame {
     /// when [`Frame::batch`] is set — a coalesced burst of such messages.
     pub bytes: Bytes,
     /// Whether [`Frame::bytes`] is a coalesced batch in the
-    /// [`brb_core::wire::encode_batch`] framing (one channel op carrying a whole
-    /// same-destination burst) rather than a single encoded message. Receivers split
-    /// batches back into messages with [`brb_core::wire::split_batch`].
+    /// [`brb_core::wire::encode_batch`] framing rather than a single encoded message:
+    /// one channel op carrying a whole same-destination burst of the channel backend,
+    /// or every frame one read of a TCP link brought in. Receivers split batches back
+    /// into messages with [`brb_core::wire::split_batch`].
     pub batch: bool,
 }
 
@@ -42,8 +43,8 @@ impl Frame {
         }
     }
 
-    /// A frame carrying a coalesced batch buffer produced by
-    /// [`brb_core::wire::encode_batch`].
+    /// A frame carrying a coalesced batch buffer in the
+    /// [`brb_core::wire::encode_batch`] layout.
     pub fn batched(from: ProcessId, bytes: Bytes) -> Self {
         Self {
             from,
@@ -72,8 +73,8 @@ impl AuthenticatedSender {
         self.tx.send(Frame::single(self.from, bytes)).is_ok()
     }
 
-    /// Sends a coalesced batch buffer ([`brb_core::wire::encode_batch`]) as **one**
-    /// channel op; the receiver splits it back into messages. Returns `false` if the
+    /// Sends a coalesced batch buffer (the [`brb_core::wire::encode_batch`] layout) as
+    /// **one** channel op; the receiver splits it back into messages. Returns `false` if the
     /// peer has shut down.
     pub fn send_batch(&self, bytes: Bytes) -> bool {
         self.tx.send(Frame::batched(self.from, bytes)).is_ok()

@@ -8,7 +8,7 @@
 //! differ and where the [`crate::policy`] decorators interpose faults and delays.
 
 use brb_core::types::ProcessId;
-use brb_core::wire::encode_batch;
+use brb_core::wire::encode_batch_into;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 
@@ -118,12 +118,19 @@ impl Transport for Box<dyn Transport> {
 pub struct ChannelTransport {
     mailbox: Mailbox,
     links: Vec<AuthenticatedSender>,
+    /// Reusable batch buffer of [`Transport::send_batch`]: a burst is written here in the
+    /// batch layout and frozen with one allocation.
+    staging: Vec<u8>,
 }
 
 impl ChannelTransport {
     /// Wraps one process's mailbox and outgoing links.
     pub fn new(mailbox: Mailbox, links: Vec<AuthenticatedSender>) -> Self {
-        Self { mailbox, links }
+        Self {
+            mailbox,
+            links,
+            staging: Vec::new(),
+        }
     }
 }
 
@@ -151,10 +158,11 @@ impl Transport for ChannelTransport {
                 receipt.record(1, only.wire_size);
             }
             burst => {
-                // One channel op for the whole burst: coalesce into the length-prefixed
-                // batch framing; the receiving driver splits it back into messages.
-                let bytes: Vec<Bytes> = burst.iter().map(|f| f.frame.clone()).collect();
-                let _ = link.send_batch(encode_batch(&bytes));
+                // One channel op and one allocation for the whole burst: coalesce into
+                // the length-prefixed batch framing; the receiving driver splits it back
+                // into messages.
+                encode_batch_into(burst.iter().map(|f| &f.frame[..]), &mut self.staging);
+                let _ = link.send_batch(Bytes::copy_from_slice(&self.staging));
                 for f in burst {
                     receipt.record(1, f.wire_size);
                 }

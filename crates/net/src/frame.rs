@@ -44,36 +44,6 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
-/// The length a frame header announces.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] when the length exceeds [`MAX_FRAME_BYTES`].
-fn frame_len(header: [u8; 4]) -> io::Result<usize> {
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len} byte frame, above the {MAX_FRAME_BYTES} byte cap"),
-        ));
-    }
-    Ok(len)
-}
-
-/// Reads one length-prefixed frame.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::UnexpectedEof`] when the peer closed the connection, and
-/// [`io::ErrorKind::InvalidData`] when the announced length exceeds [`MAX_FRAME_BYTES`].
-pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    reader.read_exact(&mut header)?;
-    let mut buf = vec![0u8; frame_len(header)?];
-    reader.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 /// Reads one length-prefixed frame, then every *complete* frame already sitting in the
 /// reader's buffer — without blocking for more network data — into `batch`, which is
 /// cleared first and left in the [`brb_core::wire::encode_batch`] layout: a `u32` frame
@@ -100,7 +70,13 @@ pub fn read_batch_into<R: Read>(
     // First frame: block until it arrives.
     let mut header = [0u8; 4];
     reader.read_exact(&mut header)?;
-    let len = frame_len(header)?;
+    let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("peer announced a {len} byte frame, above the {MAX_FRAME_BYTES} byte cap"),
+        ));
+    }
     batch.extend_from_slice(&header);
     let body = batch.len();
     batch.resize(body + len, 0);
@@ -178,11 +154,11 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello frame").unwrap();
         write_frame(&mut buf, b"").unwrap();
-        let mut cursor = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello frame");
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
+        let mut reader = BufReader::new(Cursor::new(buf));
+        let burst = read_frame_burst(&mut reader).unwrap();
+        assert_eq!(burst, [Bytes::from_static(b"hello frame"), Bytes::new()]);
         assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
+            read_frame_burst(&mut reader).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }
@@ -198,9 +174,9 @@ mod tests {
         // A peer announcing an oversized length is rejected before allocation.
         let mut forged = Vec::new();
         forged.extend_from_slice(&(u32::MAX).to_be_bytes());
-        let mut cursor = Cursor::new(forged);
+        let mut reader = BufReader::new(Cursor::new(forged));
         assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
+            read_frame_burst(&mut reader).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
@@ -210,9 +186,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"full message").unwrap();
         buf.truncate(buf.len() - 3);
-        let mut cursor = Cursor::new(buf);
+        let mut reader = BufReader::new(Cursor::new(buf));
         assert_eq!(
-            read_frame(&mut cursor).unwrap_err().kind(),
+            read_frame_burst(&mut reader).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }

@@ -74,8 +74,8 @@ impl AuthenticatedSender {
     }
 
     /// Sends a coalesced batch buffer (the [`brb_core::wire::encode_batch`] layout) as
-    /// **one** channel op; the receiver splits it back into messages. Returns `false` if the
-    /// peer has shut down.
+    /// **one** channel op; the receiver splits it back into messages. Returns `false` if
+    /// the peer has shut down.
     pub fn send_batch(&self, bytes: Bytes) -> bool {
         self.tx.send(Frame::batched(self.from, bytes)).is_ok()
     }

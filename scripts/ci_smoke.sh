@@ -38,8 +38,11 @@
 # budgets (tests/alloc_budget.rs, a count, not a timing) of the typed engine at the
 # headline point and on the flagship, and of the codec path (DynStack engines under the
 # 24-broadcast headline workload), with the per-scenario counts in
-# stdout_alloc_budget.txt; and the three lint steps of the CI `build-and-test` job,
-# verbatim: `cargo fmt --all --check`, workspace-wide `clippy -D warnings` and
+# stdout_alloc_budget.txt; the live hand-off bounds (tests/live_budget.rs: allocations
+# per delivered broadcast and frames per transport send of closed-loop bd on Fig. 1 over
+# channels and TCP, frames per channel message out of a TCP link reader), with the
+# counts in stdout_live_budget.txt; and the three lint steps of the CI `build-and-test`
+# job, verbatim: `cargo fmt --all --check`, workspace-wide `clippy -D warnings` and
 # `RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`.
 #
 # Usage: scripts/ci_smoke.sh [output-dir]
@@ -49,11 +52,12 @@ out="${1:-target/smoke}"
 mkdir -p "$out"
 
 timeout 600 cargo test -q -p brb --test alloc_budget -- --nocapture > "$out/stdout_alloc_budget.txt"
+timeout 600 cargo test -q -p brb --test live_budget -- --nocapture > "$out/stdout_live_budget.txt"
 timeout 300 cargo fmt --all --check
 timeout 900 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" timeout 900 cargo doc --workspace --no-deps
 
-echo "OK: allocations per handled event within budget; workspace rustfmt-clean, clippy-clean and rustdoc-clean"
+echo "OK: allocations per handled event and live hand-off counts within bounds; workspace rustfmt-clean, clippy-clean and rustdoc-clean"
 
 # Time-box each run: the quick preset finishes in well under a minute on CI hardware,
 # so ten minutes signals a hang rather than a slow machine.

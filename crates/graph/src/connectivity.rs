@@ -9,8 +9,33 @@
 //! * [`local_connectivity`] — the maximum number of internally node-disjoint paths between
 //!   two given nodes (Menger's local connectivity), computed with unit-capacity max-flow on
 //!   the node-split graph;
-//! * [`vertex_connectivity`] — the global vertex connectivity `κ(G)`;
-//! * [`is_k_connected`] — a convenience predicate used by graph generators and tests.
+//! * [`is_k_connected`] — whether `κ(G) >= k`, by Even's check below; generators and
+//!   experiments certify `k >= 2f+1` with it;
+//! * [`vertex_connectivity`] — the global vertex connectivity `κ(G)`, the largest `k` that
+//!   passes [`is_k_connected`].
+//!
+//! # Even's check
+//!
+//! S. Even (SIAM J. Comput. 1975) decides `κ(G) >= k` for `n > k` with at most
+//! `k(k-1)/2 + (n-k)` max-flows of at most `k` augmentations each, over the vertices in
+//! id order `v_0, v_1, ...`:
+//!
+//! 1. `κ(v_i, v_j) >= k` for every non-adjacent pair among `v_0..v_{k-1}`;
+//! 2. for each `j >= k`, `k` internally disjoint paths lead from `v_j` to the set
+//!    `{v_0..v_{j-1}}`: a flow into one super-sink, joined to `v_i` as `j` passes `i`.
+//!
+//! A `k`-connected graph passes both (Menger; the fan lemma). Conversely, let `S`, with
+//! `|S| < k`, separate `G`, let `A` be the component of `G - S` holding the first vertex
+//! outside `S`, and let `v_j` be the first vertex outside `S ∪ A`. If `j < k`, `S`
+//! separates `v_j` from a vertex of `A` before it, which phase 1 checks. If `j >= k`,
+//! every `v_i` before `v_j` lies in `S ∪ A`, so each path from `v_j` to them meets `S`:
+//! fewer than `k` are disjoint and phase 2 fails at `j`.
+//!
+//! Phase 2 searches from `v_j` towards the sink. Once most of `v_j`'s neighbours come
+//! before it, an augmenting search reaches the sink in three hops (`v_j`, a neighbour,
+//! the sink) instead of scanning the graph, so the late searches, most of them, are short.
+//! The check is exact, so it answers as any other exact check would: the graphs that
+//! generators and experiments accept do not depend on how it is computed.
 
 use crate::graph::{Graph, ProcessId};
 
@@ -32,42 +57,31 @@ pub fn local_connectivity(g: &Graph, s: ProcessId, t: ProcessId) -> usize {
     FlowNetwork::node_split(g).max_flow(s, t, usize::MAX)
 }
 
-/// Global vertex connectivity `κ(G)`.
+/// Global vertex connectivity `κ(G)`: the largest `k` for which [`is_k_connected`] holds.
 ///
 /// Conventions: graphs with at most one node have connectivity 0, the complete graph `K_n`
 /// has connectivity `n - 1`, and disconnected graphs have connectivity 0.
 ///
-/// The implementation uses the classic witness-set argument: since `κ(G) <= δ(G)` (the
-/// minimum degree), any set of `δ(G) + 1` vertices contains at least one vertex that is
-/// outside some minimum separator, so taking the minimum of `κ(v, u)` over those witnesses
-/// `v` and all vertices `u` non-adjacent to them yields `κ(G)`.
+/// `κ(G) <= δ(G)` and [`is_k_connected`] is monotone in `k`, so a binary search over
+/// `0..=δ(G)` finds it.
 pub fn vertex_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n <= 1 {
-        return 0;
+    let (mut lo, mut hi) = (0, g.min_degree());
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if is_k_connected(g, mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
     }
-    // Complete graph: κ = n - 1.
-    if g.edge_count() == n * (n - 1) / 2 {
-        return n - 1;
-    }
-    if !crate::traversal::is_connected(g) {
-        return 0;
-    }
-    let delta = g.min_degree();
-    let mut net = FlowNetwork::node_split(g);
-    witness_pairs(g, delta + 1)
-        .map(|(v, u)| net.max_flow(v, u, delta))
-        .min()
-        .unwrap_or(delta)
-        .min(delta)
+    lo
 }
 
-/// Returns whether the graph is at least `k`-vertex-connected.
-///
-/// Equivalent to `vertex_connectivity(g) >= k`, but cheaper. If `κ(G) < k`, a minimum
-/// separator has fewer than `k` vertices, so the first `k` vertices (not `δ + 1`) already
-/// contain a witness outside it, with a non-adjacent vertex across it; and each pair's
-/// max-flow stops once `k` disjoint paths are found.
+/// Returns whether the graph is at least `k`-vertex-connected, by Even's check (see the
+/// [module docs](crate::connectivity)): phase 1 checks each non-adjacent pair among the
+/// first `k` vertices, phase 2 the fan from each later vertex to a super-sink joined to
+/// the vertices before it, which a late vertex reaches in a few hops. Each max-flow stops
+/// at `k` paths. The answer is exactly `κ(G) >= k`.
 pub fn is_k_connected(g: &Graph, k: usize) -> bool {
     let n = g.node_count();
     if k == 0 {
@@ -81,17 +95,19 @@ pub fn is_k_connected(g: &Graph, k: usize) -> bool {
         return true;
     }
     let mut net = FlowNetwork::node_split(g);
-    witness_pairs(g, k).all(|(v, u)| net.max_flow(v, u, k) >= k)
-}
-
-/// The pairs `(v, u)` the witness-set argument checks: each of the first `witnesses`
-/// vertices `v` with every non-adjacent `u`, each unordered pair once (`κ(v, u)` is
-/// symmetric), in id order for determinism.
-fn witness_pairs(g: &Graph, witnesses: usize) -> impl Iterator<Item = (ProcessId, ProcessId)> + '_ {
-    let n = g.node_count();
-    (0..witnesses.min(n))
-        .flat_map(move |v| (v + 1..n).map(move |u| (v, u)))
-        .filter(|&(v, u)| !g.has_edge(u, v))
+    let phase1 = (0..k).all(|j| (0..j).all(|i| g.has_edge(i, j) || net.max_flow(i, j, k) >= k));
+    if !phase1 {
+        return false;
+    }
+    // The super-sink is a vertex `n` past the graph's, joined by `v_i_out -> sink_in`.
+    net.adj.resize(2 * n + 2, Vec::new());
+    net.prev_edge.resize(2 * n + 2, None);
+    (0..k).for_each(|i| net.add_edge(2 * i + 1, 2 * n));
+    (k..n).all(|j| {
+        let fan = net.max_flow(j, n, k);
+        net.add_edge(2 * j + 1, 2 * n);
+        fan >= k
+    })
 }
 
 /// Unit-capacity flow network obtained by node-splitting, used to compute node-disjoint
@@ -150,6 +166,8 @@ impl FlowNetwork {
         for (i, edge) in self.edges.iter_mut().enumerate() {
             edge.1 = u32::from(i % 2 == 0);
         }
+        #[cfg(test)]
+        tests::count_work(1, 0);
         let (source, sink) = (2 * s + 1, 2 * t);
         let mut total = 0usize;
         while total < limit {
@@ -160,6 +178,8 @@ impl FlowNetwork {
             self.queue.clear();
             self.queue.push_back(source);
             while let Some(u) = self.queue.pop_front() {
+                #[cfg(test)]
+                tests::count_work(0, 1);
                 if u == sink {
                     break;
                 }
@@ -240,6 +260,10 @@ impl FlowNetwork {
 mod tests {
     use super::*;
     use crate::generate;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
 
     #[test]
     fn complete_graph_connectivity() {
@@ -340,27 +364,57 @@ mod tests {
         assert_eq!(vertex_connectivity(&g), 2);
     }
 
+    thread_local! {
+        /// `(max_flow calls, BFS pops)` made on this thread.
+        static WORK: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count_work(flows: usize, pops: usize) {
+        WORK.with(|w| {
+            let (f, p) = w.get();
+            w.set((f + flows, p + pops));
+        });
+    }
+
+    /// `check`'s answer with the `(max_flow calls, BFS pops)` it made.
+    fn counted(check: impl FnOnce() -> bool) -> (bool, usize, usize) {
+        WORK.with(|w| w.set((0, 0)));
+        let answer = check();
+        let (flows, pops) = WORK.with(Cell::get);
+        (answer, flows, pops)
+    }
+
     /// κ by definition, by exhaustive search: the size of the smallest vertex set whose
-    /// removal leaves the remaining vertices disconnected (`n - 1` when none does).
+    /// removal leaves the remaining vertices disconnected. Only sets smaller than `δ` are
+    /// tried: `κ <= δ`, as removing a vertex's neighbours cuts it off unless the graph is
+    /// complete, where `κ = n - 1 = δ`.
     fn connectivity_by_exhaustion(g: &Graph) -> usize {
         let n = g.node_count();
+        assert!(n < 32, "vertex sets are u32 masks");
+        let delta = g.min_degree();
+        let adj: Vec<u32> = (0..n)
+            .map(|v| g.neighbors(v).fold(0, |m, w| m | 1 << w))
+            .collect();
         let splits = |removed: u32| {
-            let first = (0..n).find(|v| removed & (1 << v) == 0).expect("two kept");
-            let mut seen = removed | (1 << first);
-            let mut stack = vec![first];
-            while let Some(u) = stack.pop() {
-                for w in g.neighbors(u) {
-                    if seen & (1 << w) == 0 {
-                        seen |= 1 << w;
-                        stack.push(w);
-                    }
+            let mut reach = 1u32 << (!removed).trailing_zeros();
+            loop {
+                let (mut next, mut frontier) = (reach, reach);
+                while frontier != 0 {
+                    next |= adj[frontier.trailing_zeros() as usize];
+                    frontier &= frontier - 1;
                 }
+                next &= !removed;
+                if next == reach {
+                    return reach | removed != (1u32 << n) - 1;
+                }
+                reach = next;
             }
-            seen != (1u32 << n) - 1
         };
-        (0..n.saturating_sub(1))
-            .find(|&size| (0u32..1 << n).any(|m| m.count_ones() as usize == size && splits(m)))
-            .unwrap_or(n.saturating_sub(1))
+        (0u32..1 << n)
+            .filter(|m| (m.count_ones() as usize) < delta && splits(*m))
+            .map(|m| m.count_ones() as usize)
+            .min()
+            .unwrap_or(delta)
     }
 
     fn family_graphs() -> Vec<(String, Graph)> {
@@ -395,8 +449,6 @@ mod tests {
 
     #[test]
     fn vertex_connectivity_is_the_minimum_separator_size() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut graphs = vec![
             generate::ring(8),
             generate::circulant(12, 2),
@@ -450,10 +502,123 @@ mod tests {
 
     #[test]
     fn random_regular_graphs_are_usually_degree_connected() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(123);
         let g = generate::random_regular_connected(20, 6, 6, &mut rng).unwrap();
         assert!(vertex_connectivity(&g) >= 6);
+    }
+
+    /// `g` with vertex `v` renamed `perm[v]`.
+    fn relabel(g: &Graph, perm: &[ProcessId]) -> Graph {
+        Graph::from_edges(
+            g.node_count(),
+            g.edges().into_iter().map(|(u, v)| (perm[u], perm[v])),
+        )
+    }
+
+    /// Cliques `A` (the first `a` of `ids`) and `B` (the rest after `S`) joined through a
+    /// clique `S` of the next `k - 1` ids, adjacent to all: `κ = k - 1`, by `S` alone.
+    fn two_cliques_through(k: usize, a: usize, ids: &[ProcessId]) -> Graph {
+        let (a, rest) = ids.split_at(a);
+        let (sep, b) = rest.split_at(k - 1);
+        let mut g = Graph::new(ids.len());
+        for part in [a, b] {
+            for (i, &u) in part.iter().enumerate() {
+                part[i + 1..].iter().for_each(|&v| g.add_edge(u, v));
+                sep.iter().for_each(|&v| g.add_edge(u, v));
+            }
+        }
+        for (i, &u) in sep.iter().enumerate() {
+            sep[i + 1..].iter().for_each(|&v| g.add_edge(u, v));
+        }
+        g
+    }
+
+    #[test]
+    fn is_k_connected_matches_exhaustion_under_any_labelling() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut graphs = Vec::new();
+        for n in 10..=14 {
+            for p in [0.3, 0.45, 0.6, 0.75] {
+                graphs.extend((0..14).map(|_| generate::gnp(n, p, &mut rng)));
+            }
+        }
+        for d in 3..=6 {
+            for _ in 0..40 {
+                graphs.push(generate::random_regular_graph(16, d, &mut rng).unwrap());
+            }
+        }
+        // Disjoint unions of two dense random graphs.
+        for _ in 0..60 {
+            let (left, right): (usize, usize) = (rng.gen_range(4..8), rng.gen_range(4..8));
+            let mut g = generate::gnp(left + right, 0.8, &mut rng);
+            for u in 0..left {
+                for v in left..left + right {
+                    g.remove_edge(u, v);
+                }
+            }
+            graphs.push(g);
+        }
+        for k in 2..=5 {
+            for side in 2..=4 {
+                let n = 2 * side + k - 1;
+                // Only phase 1 sees this `S`: `v_0` is in `A`, `v_1` in `B`, then comes
+                // `S`, so each later vertex has direct edges to `v_0` or `v_1` and to all
+                // of `S`, `k` disjoint paths in phase 2.
+                let mut ids: Vec<ProcessId> = vec![0];
+                ids.extend(k + 1..k + side);
+                ids.extend(2..=k);
+                ids.push(1);
+                ids.extend(k + side..n);
+                graphs.push(two_cliques_through(k, side, &ids));
+                // Only phase 2 sees this `S`: it cuts off the highest ids, and the first
+                // `k` ids form the clique `A`.
+                let ids: Vec<ProcessId> = (0..2 * k - 1 + side).collect();
+                graphs.push(two_cliques_through(k, k, &ids));
+            }
+        }
+        assert!(graphs.len() >= 500, "{} graphs", graphs.len());
+        for g in &graphs {
+            let kappa = connectivity_by_exhaustion(g);
+            assert_eq!(vertex_connectivity(g), kappa, "{:?}", g.edges());
+            let mut perm: Vec<ProcessId> = (0..g.node_count()).collect();
+            perm.shuffle(&mut rng);
+            for h in [g.clone(), relabel(g, &perm)] {
+                for k in 0..=h.min_degree() + 1 {
+                    assert_eq!(
+                        is_k_connected(&h, k),
+                        kappa >= k,
+                        "k = {k}: {:?}",
+                        h.edges()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn even_check_work_is_bounded_on_the_flagship_graph() {
+        // The flagship benchmark graph: 12-regular on 100 nodes from its historical graph
+        // seed, certified 11-connected (f = 5).
+        let g =
+            generate::random_regular_graph(100, 12, &mut StdRng::seed_from_u64(424_242)).unwrap();
+        let (n, k) = (100, 11);
+        let (connected, flows, pops) = counted(|| is_k_connected(&g, k));
+        assert!(connected);
+        // Even's check makes 136 max-flows and 140 166 pops here.
+        assert!(flows <= k * (k - 1) / 2 + (n - k), "{flows} max-flows");
+        assert!(pops <= 150_000, "{pops} BFS pops");
+    }
+
+    #[test]
+    fn even_check_work_is_bounded_at_a_thousand_nodes() {
+        // A sparse graph ten times the flagship's size: 10-regular, certified 9-connected.
+        let g =
+            generate::random_regular_graph(1_000, 10, &mut StdRng::seed_from_u64(1_000)).unwrap();
+        let (n, k) = (1_000, 9);
+        let (connected, flows, pops) = counted(|| is_k_connected(&g, k));
+        assert!(connected);
+        // Even's check makes 1 027 max-flows and 1 569 593 pops here.
+        assert!(flows <= k * (k - 1) / 2 + (n - k), "{flows} max-flows");
+        assert!(pops <= 1_700_000, "{pops} BFS pops");
     }
 }

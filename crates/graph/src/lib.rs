@@ -13,9 +13,9 @@
 //! * [`families`] — additional deterministic and random topology families (Harary graphs,
 //!   grids/tori, generalized wheels, small-world and preferential-attachment graphs) used
 //!   by the robustness tests and ablation benchmarks;
-//! * [`connectivity`] — vertex-connectivity computation based on Menger's theorem and
-//!   unit-capacity max-flow, used to validate that generated topologies satisfy the
-//!   `k >= 2f+1` requirement of Dolev's protocol;
+//! * [`connectivity`] — Menger's local connectivity by unit-capacity max-flow, and Even's
+//!   `k`-connectivity check, which certifies that generated topologies satisfy the
+//!   `k >= 2f+1` requirement of Dolev's protocol in `O(k² + n)` short max-flows;
 //! * [`paths`] — extraction of explicit internally node-disjoint paths, the route-planning
 //!   step of the known-topology variant of Dolev's protocol;
 //! * [`analysis`] — structural metrics (degree statistics, clustering, path lengths,

@@ -1,16 +1,37 @@
-//! Criterion microbenchmarks of the topology substrate: vertex-connectivity verification
-//! (run once per generated experiment graph to certify `k >= 2f+1`), disjoint-route
-//! extraction (the planning step of the known-topology Dolev variant), and the additional
-//! graph families used by the robustness tests.
+//! Criterion microbenchmarks of the topology substrate: the `k`-connectivity check (run
+//! once per generated experiment graph to certify `k >= 2f+1`), vertex connectivity,
+//! disjoint-route extraction (the planning step of the known-topology Dolev variant), and
+//! the additional graph families used by the robustness tests.
 
-use brb_graph::connectivity::vertex_connectivity;
+use brb_graph::connectivity::{is_k_connected, vertex_connectivity};
 use brb_graph::paths::{k_disjoint_routes, vertex_disjoint_paths};
 use brb_graph::{families, generate};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_connectivity_verification(c: &mut Criterion) {
+/// `is_k_connected(g, k)`, the check that certifies experiment graphs, on the flagship
+/// benchmark graph (100 nodes, 12-regular, `k = 2f + 1 = 11`) and on a sparse graph ten
+/// times larger.
+fn bench_k_connectivity_check(c: &mut Criterion) {
+    let mut group = c.benchmark_group("is_k_connected");
+    for &(n, d, k, seed) in &[
+        (100usize, 12usize, 11usize, 424_242u64),
+        (1_000, 10, 9, 1_000),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = generate::random_regular_graph(n, d, &mut rng).expect("graph exists");
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n{n}_d{d}_k{k}")),
+            &graph,
+            |b, graph| b.iter(|| black_box(is_k_connected(graph, k))),
+        );
+    }
+    group.finish();
+}
+
+/// `vertex_connectivity(g)`, the exact `κ` the examples and tests print.
+fn bench_vertex_connectivity(c: &mut Criterion) {
     let mut group = c.benchmark_group("vertex_connectivity");
     for &(n, d) in &[(20usize, 5usize), (30, 7), (50, 9)] {
         let mut rng = StdRng::seed_from_u64(3);
@@ -102,6 +123,6 @@ fn fast_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast_config();
-    targets = bench_connectivity_verification, bench_disjoint_route_extraction, bench_graph_families
+    targets = bench_k_connectivity_check, bench_vertex_connectivity, bench_disjoint_route_extraction, bench_graph_families
 }
 criterion_main!(benches);

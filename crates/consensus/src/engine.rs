@@ -48,8 +48,6 @@ pub struct ConsensusEngine {
     /// Cursor into `inner.deliveries()`: everything before it has been fed to `node`.
     seen: usize,
     handle: DecisionHandle,
-    /// Number of BRB instances this node has spawned for round-messages.
-    instances: u64,
     /// Structured-trace handle for the consensus layer's own phase events (the inner
     /// engine holds its own copy for the BRB-level events).
     tracer: brb_trace::Tracer,
@@ -67,7 +65,6 @@ impl ConsensusEngine {
             node: ConsensusNode::new(n, f, proposal, flip, spec.coin_seed, spec.max_rounds),
             seen: 0,
             handle: DecisionHandle::default(),
-            instances: 0,
             tracer: brb_trace::Tracer::disabled(),
         }
     }
@@ -87,11 +84,6 @@ impl ConsensusEngine {
         self.node.round()
     }
 
-    /// Number of BRB instances spawned for round-messages so far.
-    pub fn instances_spawned(&self) -> u64 {
-        self.instances
-    }
-
     /// Broadcasts the node's pending round-messages, each on a fresh BRB instance in
     /// the consensus namespace.
     fn send_round_msgs(&mut self, msgs: Vec<RoundMsg>, out: &mut WireActionBuf) {
@@ -109,7 +101,6 @@ impl ConsensusEngine {
                 };
                 self.tracer.emit(id, id, seq, kind);
             }
-            self.instances += 1;
             self.inner.broadcast_wire_seq(seq, msg.encode(), out);
         }
     }

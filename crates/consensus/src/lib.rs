@@ -116,8 +116,6 @@
 
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 use brb_core::types::ProcessId;
 
 pub mod checks;
@@ -132,7 +130,7 @@ pub use engine::{ConsensusEngine, DecisionHandle};
 pub use node::ConsensusNode;
 
 /// A consensus decision: the agreed binary value and the round it was reached in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Decision {
     /// The decided binary value (0 or 1).
     pub value: u8,
@@ -141,7 +139,7 @@ pub struct Decision {
 }
 
 /// How initial proposals are assigned across processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProposalPattern {
     /// Every process proposes the same value.
     Unanimous(u8),
@@ -188,24 +186,17 @@ impl ProposalPattern {
 ///
 /// System-level parameters (`n`, `f`, the stack, the topology) come from the
 /// surrounding experiment configuration; this spec holds the consensus-level knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsensusSpec {
     /// How initial proposals are assigned.
     pub proposals: ProposalPattern,
     /// Processes that run the consensus-level Byzantine value-flipper behaviour
     /// (complement every outgoing round-message, consistently in payload and slot).
-    #[serde(default)]
     pub flippers: Vec<ProcessId>,
     /// Seed of the deterministic common coin.
-    #[serde(default)]
     pub coin_seed: u64,
     /// Safety bound on the number of rounds (the coin decides long before this).
-    #[serde(default = "default_max_rounds")]
     pub max_rounds: u32,
-}
-
-fn default_max_rounds() -> u32 {
-    32
 }
 
 impl Default for ConsensusSpec {
@@ -214,7 +205,7 @@ impl Default for ConsensusSpec {
             proposals: ProposalPattern::Split,
             flippers: Vec::new(),
             coin_seed: 0,
-            max_rounds: default_max_rounds(),
+            max_rounds: 32,
         }
     }
 }

@@ -40,8 +40,6 @@
 //!
 //! `tests/equivocation.rs` runs the attack against every engine.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gc::{GcPolicy, GcState};
 use crate::hash::WordMap;
 use crate::pathset::PathSet;
@@ -55,7 +53,7 @@ use crate::wire::{
 };
 
 /// Phase of a Bracha message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BrachaKind {
     /// Phase 1: the source disseminates the payload.
     Send = 0,
@@ -66,7 +64,7 @@ pub enum BrachaKind {
 }
 
 /// A message of Bracha's protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrachaMessage {
     /// Message phase.
     pub kind: BrachaKind,

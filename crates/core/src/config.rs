@@ -1,12 +1,10 @@
 //! Protocol configuration: system parameters and the MD.1–5 / MBD.1–12 modification flags.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gc::GcPolicy;
 use crate::quorum;
 
 /// Bonomi et al.'s modifications of Dolev's reliable-communication protocol (Sec. 4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MdFlags {
     /// MD.1 — deliver a content received directly from its source.
     pub md1: bool,
@@ -42,7 +40,7 @@ impl MdFlags {
 }
 
 /// The paper's twelve modifications of the Bracha–Dolev combination (Sec. 6, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MbdFlags {
     /// MBD.1 — associate payloads to link-local IDs so that each payload is transmitted at
     /// most once per link.
@@ -150,7 +148,7 @@ impl MbdFlags {
 }
 
 /// Full configuration of a Bracha–Dolev process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Total number of processes `N`.
     pub n: usize,
@@ -166,7 +164,6 @@ pub struct Config {
     /// Instance garbage collection: when a delivered broadcast's per-instance state may
     /// be retired (see [`crate::gc::GcPolicy`]). Defaults to disabled, the historical
     /// keep-everything behavior.
-    #[serde(default)]
     pub gc: GcPolicy,
 }
 

@@ -19,8 +19,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::footprint::Footprint;
 use crate::gc::{GcPolicy, GcState};
 use crate::hash::WordMap;
@@ -34,7 +32,7 @@ use crate::wire::{
 
 /// A CPA message: just the content, no path (CPA never needs paths, which is what makes it
 /// cheap when its fault model applies).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpaMessage {
     /// The broadcast content.
     pub content: Content,

@@ -17,8 +17,6 @@
 //!   differences as arguments: direct delivery for single-hop Sends (MBD.2), the MBD.10
 //!   superpath filter, and the MBD.8/9 destination exclusions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::Config;
 use crate::disjoint::DisjointPathTracker;
 use crate::footprint::Footprint;
@@ -35,7 +33,7 @@ use crate::wire::{
 
 /// A message of Dolev's protocol: a content and the path of process labels it traversed
 /// (excluding the current sender, which the receiver learns from the authenticated link).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DolevMessage {
     /// The broadcast content (source, sequence number and payload).
     pub content: Content,

@@ -48,8 +48,6 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::WordMap;
 use crate::types::{seq_local, seq_namespace, BroadcastId, BroadcastSeq, ProcessId};
 
@@ -59,7 +57,7 @@ use crate::types::{seq_local, seq_namespace, BroadcastId, BroadcastSeq, ProcessI
 /// historical behavior of every engine; enable GC by setting a retention window. Both
 /// windows may be set at once, in which case whichever elapses first retires the
 /// instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GcPolicy {
     /// Retire a delivered instance once the engine has processed this many further
     /// events (broadcasts or inbound messages). Event counts are engine-local and

@@ -14,7 +14,7 @@
 //!   [`crate::bracha`]), so a layout sits next to its Table 3 size;
 //! * [`DynEngine`] — an **object-safe** engine interface that speaks encoded wire bytes
 //!   in and out (plus deliveries and the Sec. 7.3 memory proxies);
-//! * [`StackSpec`] — a serializable name for each protocol stack of the crate, with a
+//! * [`StackSpec`] — a name for each protocol stack of the crate, with a
 //!   builder that constructs a boxed [`DynEngine`] from `(Config, Graph, ProcessId)`.
 //!   Every built engine is one typed [`Protocol`] behind the one adapter that turns its
 //!   sink methods into encoded frames.
@@ -58,7 +58,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::bd::BdProcess;
 use crate::bracha::BrachaProcess;
@@ -441,14 +440,14 @@ where
 // Stack specification
 // ---------------------------------------------------------------------------
 
-/// A serializable name for each protocol stack of this crate.
+/// A name for each protocol stack of this crate.
 ///
 /// A `StackSpec` is what experiment sweeps, CSV outputs and command-line flags use to
 /// identify a stack; [`StackSpec::build`] turns it into a running boxed engine. The CPA
 /// variants reuse [`Config::f`] as the `t`-locally-bounded threshold (the two fault
 /// models parameterize their protocols with one integer each, and sharing the field keeps
 /// `(Config, Graph, ProcessId)` sufficient to build every stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StackSpec {
     /// The paper's Bracha–Dolev combination with the MD/MBD modifications of the
     /// [`Config`] ([`BdProcess`]).

@@ -4,8 +4,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a process. Re-exported from [`brb_graph`] so that protocol and topology
 /// layers agree on the node namespace.
 pub use brb_graph::ProcessId;
@@ -70,7 +68,7 @@ pub fn seq_local(seq: BroadcastSeq) -> u32 {
 /// If the source is correct, `(source, seq)` uniquely identifies a payload. A Byzantine
 /// source may reuse a sequence number for several payloads, in which case the protocol
 /// guarantees that correct processes deliver at most one of them (BRB-Agreement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BroadcastId {
     /// Source process that initiated the broadcast.
     pub source: ProcessId,
@@ -104,8 +102,7 @@ impl fmt::Display for BroadcastId {
 /// bytes. A lookup costs the same for a 16 B and a 1 KiB payload, and the payloads an
 /// equivocating source attaches to one [`BroadcastId`] still spread over hash buckets.
 /// The digest is a lookup accelerator only: equality is always decided by the bytes.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(from = "Vec<u8>", into = "Vec<u8>")]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Payload {
     digest: u64,
     bytes: Arc<Vec<u8>>,
@@ -187,7 +184,7 @@ impl From<&str> for Payload {
 ///
 /// Bracha's quorums are counted per content (a Byzantine source may attach different
 /// payloads to the same [`BroadcastId`], and those are tracked independently).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Content {
     /// Broadcast identifier `(s, bid)`.
     pub id: BroadcastId,
@@ -204,7 +201,7 @@ impl Content {
 
 /// A delivery event produced by a protocol: the BRB (or RC) layer hands the payload of a
 /// given broadcast to the application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
     /// Broadcast identifier of the delivered message.
     pub id: BroadcastId,

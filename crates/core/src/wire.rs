@@ -28,7 +28,6 @@
 //! `split_content_head` write and parse it once for all four codecs.
 
 use bytes::{Buf, BufMut, Bytes};
-use serde::{Deserialize, Serialize};
 
 use crate::stack::WireCodec;
 use crate::types::{BroadcastId, LocalPayloadId, Payload, ProcessId};
@@ -108,7 +107,7 @@ fn header_field(header: &[u8; HEADER_LEN], i: usize) -> u32 {
 }
 
 /// Message types exchanged by the Bracha–Dolev combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MessageKind {
     /// Bracha SEND message (phase 1).
     Send,
@@ -148,7 +147,7 @@ impl MessageKind {
 }
 
 /// How the payload data is referenced by a message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PayloadRef {
     /// The full payload data is carried inline (`payloadSize` + `payload` fields).
     Inline(Payload),
@@ -191,7 +190,7 @@ impl PayloadRef {
 /// modifications (MBD.5 elides the source ID of single-hop Send messages and the sender
 /// field of newly created Echo/Ready messages; MBD.1 elides `s`/`bid` when a local payload
 /// ID is used).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldPresence {
     /// Whether the source process ID `s` is carried.
     pub source: bool,
@@ -226,7 +225,7 @@ impl Default for FieldPresence {
 /// The struct always carries the full logical information (so that the protocol logic never
 /// depends on which fields were elided); [`FieldPresence`] records which fields are counted
 /// by [`WireMessage::wire_size`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMessage {
     /// Message type.
     pub kind: MessageKind,

@@ -3,8 +3,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a process (a node of the communication graph).
 ///
 /// Processes are identified by dense indices `0..N`, mirroring the paper's
@@ -19,7 +17,7 @@ pub type ProcessId = usize;
 ///
 /// The representation keeps a sorted adjacency set per node so that neighbor iteration is
 /// deterministic, which keeps the discrete-event simulation reproducible for a fixed seed.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<BTreeSet<ProcessId>>,
 }

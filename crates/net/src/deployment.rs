@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::ops::Deref;
 
 use brb_core::config::Config;
-use brb_core::stack::{DynEngine, StackSpec};
+use brb_core::stack::StackSpec;
 use brb_core::types::ProcessId;
 use brb_graph::Graph;
 use brb_runtime::{Deployment, DeploymentReport, Links};
@@ -152,22 +152,6 @@ impl TcpDeployment {
     ) -> io::Result<Self> {
         let links = tcp_links(graph, crashed)?;
         let deployment = Deployment::start_on(links, graph, config, stack, options);
-        Ok(Self(deployment))
-    }
-
-    /// [`Deployment::start_with_engines_on`] over [`tcp_links`]`(graph, crashed)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error raised while binding or connecting.
-    pub fn start_with_engines(
-        graph: &Graph,
-        engines: Vec<Box<dyn DynEngine>>,
-        options: DriverOptions,
-        crashed: &[ProcessId],
-    ) -> io::Result<Self> {
-        let links = tcp_links(graph, crashed)?;
-        let deployment = Deployment::start_with_engines_on(links, engines, options);
         Ok(Self(deployment))
     }
 

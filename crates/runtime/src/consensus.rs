@@ -53,16 +53,6 @@ impl ConsensusRun {
     pub fn all_decided(&self) -> bool {
         self.decisions.iter().all(|(_, d)| d.is_some())
     }
-
-    /// The unique decision, when every honest process decided the same `(value,
-    /// round)` pair — `None` under disagreement or non-termination.
-    pub fn unanimous_decision(&self) -> Option<Decision> {
-        let first = self.decisions.first().and_then(|&(_, d)| d)?;
-        self.decisions
-            .iter()
-            .all(|&(_, d)| d == Some(first))
-            .then_some(first)
-    }
 }
 
 /// Replays the consensus phase schedule against a live deployment: `inject` fires one

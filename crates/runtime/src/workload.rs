@@ -14,12 +14,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use brb_core::types::{BroadcastId, Delivery, Payload, ProcessId};
 use brb_workload::{predicted_ids, Injection, LoopMode};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use parking_lot::Mutex;
 
 /// How the generator thread maps the schedule's virtual arrival times to wall-clock
 /// injection times.
@@ -122,7 +122,10 @@ where
                         std::thread::sleep(Duration::from_micros(200));
                     }
                 }
-                injection_instants.lock().insert(id, Instant::now());
+                injection_instants
+                    .lock()
+                    .unwrap()
+                    .insert(id, Instant::now());
                 inject(injection.source, injection.payload.clone());
                 injected.fetch_add(1, Ordering::Release);
                 if counts {
@@ -151,7 +154,9 @@ where
                     if *count == correct.len() && effective_ids.contains(&delivery.id) {
                         done += 1;
                         completed.fetch_add(1, Ordering::Release);
-                        if let Some(injected_at) = injection_instants.lock().get(&delivery.id) {
+                        if let Some(injected_at) =
+                            injection_instants.lock().unwrap().get(&delivery.id)
+                        {
                             let micros = injected_at.elapsed().as_micros() as u64;
                             broadcast_latencies.push((delivery.id, micros));
                         }

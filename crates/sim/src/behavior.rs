@@ -8,12 +8,11 @@
 //! directly.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use brb_core::types::ProcessId;
 
 /// Behaviour of a process inside a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Behavior {
     /// Follows the protocol faithfully.
     #[default]

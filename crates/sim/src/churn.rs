@@ -1,7 +1,7 @@
 //! Deterministic churn schedules: scheduled link, partition and restart events.
 //!
 //! Every scenario axis so far — behaviors, delays, topology — is fixed at `t = 0`. This
-//! module opens the *time* axis: a serializable [`ChurnSpec`] describes a seeded timeline
+//! module opens the *time* axis: a [`ChurnSpec`] describes a seeded timeline
 //! of link failures ([`ChurnAction::LinkDown`] / [`ChurnAction::LinkUp`]), partitions
 //! over node sets ([`ChurnAction::Partition`] / [`ChurnAction::Heal`]), node restarts
 //! with state loss ([`ChurnAction::NodeRestart`]) and **per-link** (not per-node)
@@ -9,11 +9,11 @@
 //! ordered [`ChurnEvent`] list — a pure function of `(spec, seed)` — which the
 //! discrete-event simulator interleaves into its virtual-time heaps
 //! ([`crate::Simulation::set_churn`]) and the live backends replay at wall-clock-scaled
-//! times through a `ChurnLink` transport decorator (`brb_transport`), so one schedule
+//! times through the `FaultyLink` transport decorator (`brb_transport`), so one schedule
 //! drives every backend.
 //!
 //! The shared [`LinkState`] applier is what makes the two sides agree: both consult it at
-//! *send time* (a frame on a downed link is dropped before it enters the network;
+//! *send time*, through the one [`crate::fate::outbound`] (a frame on a downed link is dropped before it enters the network;
 //! messages already in flight still arrive, like real packets), both add the per-link
 //! delay override on top of the background delay model, and both restore a healed
 //! partition to the exact edge set the partition cut — never more, never less.
@@ -41,10 +41,9 @@ use std::fmt;
 use brb_core::types::{BroadcastId, Delivery, ProcessId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled network reconfiguration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChurnAction {
     /// Takes the undirected link `a — b` down: frames sent on it (either direction) from
     /// now on are dropped at send time. Messages already in flight still arrive.
@@ -135,7 +134,7 @@ impl fmt::Display for ChurnAction {
 }
 
 /// One clause of a [`ChurnSpec`]: either a fixed event or a seeded generative pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChurnClause {
     /// One action at a fixed virtual time.
     At {
@@ -170,7 +169,7 @@ pub enum ChurnClause {
 /// `seq` is the event's rank in the compiled schedule; events sharing a timestamp apply
 /// in `seq` order (which preserves clause order, the stable-sort guarantee of
 /// [`ChurnSpec::compile`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnEvent {
     /// Virtual time of the event, in microseconds.
     pub at_micros: u64,
@@ -180,13 +179,13 @@ pub struct ChurnEvent {
     pub action: ChurnAction,
 }
 
-/// A serializable, seeded timeline of churn events.
+/// A seeded timeline of churn events.
 ///
 /// A spec is a list of [`ChurnClause`]s; [`ChurnSpec::compile`] expands the clauses in
 /// order (drawing any jitter from one `StdRng` seeded by the compile seed), then stably
 /// sorts by time — so the compiled schedule is a pure function of `(spec, seed)` on
 /// every platform, exactly like a workload schedule.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChurnSpec {
     /// The clauses, expanded in order by [`ChurnSpec::compile`].
     pub clauses: Vec<ChurnClause>,
@@ -301,8 +300,8 @@ impl ChurnSpec {
     }
 }
 
-/// The current link-level state of a churned network, applied identically by the
-/// simulator and the live `ChurnLink` decorator.
+/// The current link-level state of a churned network, read by [`crate::fate::outbound`]
+/// on the simulator and on every live `FaultyLink` decorator alike.
 ///
 /// Tracks which **directed** links are down, the edge sets cut by active partitions
 /// (so [`ChurnAction::Heal`] restores exactly them), and the per-directed-link delay and

@@ -19,14 +19,13 @@ use brb_consensus::{
 use brb_core::stack::DynStack;
 use brb_core::types::{seq_namespace, ProcessId, NAMESPACE_CONSENSUS};
 use brb_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::Behavior;
 use crate::experiment::{ExperimentParams, ExperimentRecord, ExperimentResult};
 use crate::sim::Simulation;
 
 /// Aggregated outcome of one consensus run (what the sweep CSV rows report).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsensusStats {
     /// Number of honest processes (correct at the transport level and not flippers).
     pub honest: usize,

@@ -7,12 +7,11 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Per-message transmission delay model of an authenticated link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayModel {
     /// Every message takes exactly the given delay (in microseconds).
     Constant {

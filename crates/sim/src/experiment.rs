@@ -22,7 +22,6 @@ use brb_graph::{generate, Graph, NeighborIndex};
 use brb_workload::{WorkloadSpec, WorkloadStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::behavior::Behavior;
 use crate::churn::ChurnSpec;
@@ -32,7 +31,7 @@ use crate::sim::Simulation;
 use crate::workload::{run_workload, workload_stats};
 
 /// Parameters of one experiment (one data point of a figure or table).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentParams {
     /// Number of processes `N`.
     pub n: usize,
@@ -56,14 +55,12 @@ pub struct ExperimentParams {
     /// `None` reproduces the paper: process 0 broadcasts once at time 0. `Some(spec)`
     /// expands the spec into a seeded schedule and drives it through the simulation
     /// (open or closed loop), filling [`ExperimentResult::workload`].
-    #[serde(default)]
     pub workload: Option<WorkloadSpec>,
     /// Byzantine behaviour assignments, `(process, behavior)`, applied on top of the
     /// `crashed` count (and overriding it where they collide). The empty default
     /// reproduces the paper's all-correct-but-crashed runs; the live deployments accept
     /// the same assignments through `brb_transport::DriverOptions::behaviors`, so one
     /// scenario description drives every backend.
-    #[serde(default)]
     pub behaviors: Vec<(ProcessId, Behavior)>,
     /// Churn schedule (link flaps, partitions, node restarts, per-link overrides)
     /// applied during the run. `None` — the default — reproduces the static networks of
@@ -71,13 +68,11 @@ pub struct ExperimentParams {
     /// events into the simulation ([`crate::Simulation::set_churn`]). The live
     /// deployments replay the same compiled schedule through
     /// `brb_transport::ChurnHandle`, so one scenario description drives every backend.
-    #[serde(default)]
     pub churn: Option<ChurnSpec>,
     /// Binary consensus instance to run **instead of** broadcast traffic: the engines
     /// are wrapped in [`brb_consensus::ConsensusEngine`] and the run phase-steps
     /// proposals to decisions (see [`run_experiment`]).
     /// `None` — the default — keeps the broadcast experiments exactly as before.
-    #[serde(default)]
     pub consensus: Option<brb_consensus::ConsensusSpec>,
 }
 
@@ -134,7 +129,7 @@ impl ExperimentParams {
 }
 
 /// Result of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Time in milliseconds from the first injection until **all correct processes
     /// delivered every injected broadcast** (for the paper's single-broadcast runs this
@@ -155,19 +150,15 @@ pub struct ExperimentResult {
     pub peak_stored_paths: usize,
     /// Multi-broadcast measurements (throughput, latency percentiles) when the
     /// experiment ran a [`WorkloadSpec`]; `None` for the paper's single-broadcast runs.
-    #[serde(default)]
     pub workload: Option<WorkloadStats>,
     /// Broadcast instances retired through watermark GC across all processes (0 when
     /// [`Config::gc`](brb_core::config::Config) is disabled).
-    #[serde(default)]
     pub gc_retired: u64,
     /// Protocol-state bytes still held across all processes at the end of the run.
-    #[serde(default)]
     pub retained_bytes: usize,
     /// Consensus outcome (decision value/round, rounds driven, instances spawned)
     /// when the experiment ran a [`brb_consensus::ConsensusSpec`]; `None` for
     /// broadcast experiments.
-    #[serde(default)]
     pub consensus: Option<crate::consensus::ConsensusStats>,
 }
 
@@ -199,7 +190,7 @@ pub fn experiment_graph(n: usize, connectivity: usize, seed: u64) -> Graph {
 ///
 /// The determinism harness compares the canonical rendering of `metrics` against golden
 /// snapshots, which would be impossible from the aggregated [`ExperimentResult`] alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// The aggregated per-run result (what the figures and tables consume).
     pub result: ExperimentResult,

@@ -11,7 +11,9 @@
 //!   normal) link regimes;
 //! * [`behavior::Behavior`] — node-level Byzantine behaviours (crash, message dropping,
 //!   replay, mid-broadcast failure, targeted silence, flooding);
-//! * [`churn::ChurnSpec`] — seeded, serializable churn timelines (link flaps,
+//! * [`fate::outbound`] — the send-time fate of one frame (churn gate, loss override,
+//!   behavior copies), shared with the live links of `brb-transport`;
+//! * [`churn::ChurnSpec`] — seeded churn timelines (link flaps,
 //!   partition/heal, node restart with state loss, per-link asymmetric delay and loss
 //!   overrides) compiled to ordered event lists shared with the live backends;
 //! * [`metrics::RunMetrics`] — latency, network consumption and memory proxies (the
@@ -88,6 +90,7 @@ pub mod churn;
 pub mod consensus;
 pub mod delay;
 pub mod experiment;
+pub mod fate;
 pub mod invariants;
 pub mod metrics;
 mod queue;

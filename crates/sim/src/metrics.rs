@@ -17,12 +17,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use brb_core::types::{BroadcastId, ProcessId};
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Counters accumulated while a simulation runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Number of messages transmitted on the links.
     pub messages_sent: usize,
@@ -34,7 +33,6 @@ pub struct RunMetrics {
     /// broadcast. Single-broadcast runs have exactly one entry at time 0; workload runs
     /// have one entry per effective injection. Per-broadcast delivery latency is the
     /// delivery time minus this time ([`RunMetrics::broadcast_latency`]).
-    #[serde(default)]
     pub injection_times: BTreeMap<BroadcastId, SimTime>,
     /// Peak number of transmission paths stored by any single process.
     pub peak_stored_paths: usize,
@@ -44,24 +42,19 @@ pub struct RunMetrics {
     pub events_processed: usize,
     /// Total broadcast instances retired through watermark GC, summed over all
     /// processes (0 when GC is disabled).
-    #[serde(default)]
     pub gc_retired: u64,
     /// Protocol-state bytes still held across all processes when the run ended —
     /// the quantity that stays flat under GC and grows without it.
-    #[serde(default)]
     pub retained_bytes: usize,
     /// Churn events applied during the run, in application order: `(virtual time in
     /// microseconds, rendered action)`. Empty for churn-free runs, so the existing
     /// golden snapshots are unaffected.
-    #[serde(default)]
     pub churn_events: Vec<(u64, String)>,
     /// Consensus decisions reached during the run: `(process, decided value, decision
     /// round)`, ordered by process. Empty for non-consensus runs, so the existing
     /// golden snapshots are unaffected.
-    #[serde(default)]
     pub decisions: Vec<(ProcessId, u8, u32)>,
     /// Number of consensus rounds the harness drove (0 for non-consensus runs).
-    #[serde(default)]
     pub consensus_rounds: u32,
 }
 

@@ -41,11 +41,12 @@ use std::sync::Arc;
 use brb_core::protocol::{ActionBuf, Protocol};
 use brb_core::types::{Action, BroadcastId, Delivery, Payload, ProcessId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::behavior::Behavior;
 use crate::churn::{ChurnAction, ChurnEvent, LinkState};
 use crate::delay::DelayModel;
+use crate::fate;
 use crate::metrics::RunMetrics;
 use crate::queue::{Event, EventQueue};
 use crate::time::SimTime;
@@ -114,7 +115,7 @@ where
     /// Index of the next unapplied churn event.
     next_churn: usize,
     /// Current link-level churn state; consulted at send time by
-    /// [`Simulation::schedule_actions`], exactly like the live `ChurnLink` decorator.
+    /// [`Simulation::schedule_actions`] through [`fate::outbound`].
     link_state: LinkState,
     /// Undirected edge list of the topology (needed to expand `Partition` actions).
     churn_edges: Vec<(ProcessId, ProcessId)>,
@@ -241,11 +242,6 @@ where
         &self.link_state
     }
 
-    /// Number of churn events not yet applied.
-    pub fn pending_churn(&self) -> usize {
-        self.churn_events.len() - self.next_churn
-    }
-
     /// Number of node restarts executed so far.
     pub fn restarts(&self) -> u64 {
         self.restarts
@@ -316,12 +312,6 @@ where
     /// Immutable access to the protocol instances.
     pub fn processes(&self) -> &[P] {
         &self.processes
-    }
-
-    /// Mutable access to the protocol instances (used by tests to inspect or perturb
-    /// protocol state between runs).
-    pub fn processes_mut(&mut self) -> &mut [P] {
-        &mut self.processes
     }
 
     /// Number of events currently in flight.
@@ -576,52 +566,29 @@ where
         for action in actions.drain() {
             match action {
                 Action::Send { to, message } => {
-                    // Send-time churn gating, exactly like the live ChurnLink decorator
-                    // (outermost: a downed link drops the frame before the behavior's
-                    // attempted-send accounting, and it is not counted as sent).
-                    // Messages already in flight still arrive.
-                    if !self.link_state.allows(from, to) {
-                        self.drop_counts[from].record(brb_trace::DropCause::ChurnGate);
-                        self.tracer.emit_frame(
-                            from,
-                            brb_trace::TraceEventKind::FrameDropped {
-                                to,
-                                cause: brb_trace::DropCause::ChurnGate,
-                            },
-                        );
-                        continue;
-                    }
-                    if let Some(p) = self.link_state.loss_probability(from, to) {
-                        if self.rng.gen_bool(p) {
-                            self.drop_counts[from].record(brb_trace::DropCause::Loss);
+                    // Messages already in flight still arrive: the gate acts at send time.
+                    let fate = fate::outbound(
+                        Some(&self.link_state),
+                        &self.behaviors[from],
+                        &mut self.sent_per_process[from],
+                        from,
+                        to,
+                        &mut self.rng,
+                    );
+                    let copies = match fate {
+                        Ok(copies) => copies,
+                        Err(cause) => {
+                            self.drop_counts[from].record(cause);
                             self.tracer.emit_frame(
                                 from,
-                                brb_trace::TraceEventKind::FrameDropped {
-                                    to,
-                                    cause: brb_trace::DropCause::Loss,
-                                },
+                                brb_trace::TraceEventKind::FrameDropped { to, cause },
                             );
                             continue;
                         }
-                    }
-                    let behavior = self.behaviors[from].clone();
-                    let copies =
-                        behavior.outbound_copies(to, self.sent_per_process[from], &mut self.rng);
-                    self.sent_per_process[from] += 1;
-                    if copies == 0 {
-                        self.drop_counts[from].record(brb_trace::DropCause::Behavior);
-                        self.tracer.emit_frame(
-                            from,
-                            brb_trace::TraceEventKind::FrameDropped {
-                                to,
-                                cause: brb_trace::DropCause::Behavior,
-                            },
-                        );
-                        continue;
-                    }
+                    };
                     let bytes = P::message_size(&message);
                     // Per-directed-link delay override: the extra rides on top of every
-                    // sampled copy delay, matching the live ChurnLink's extra delay line.
+                    // sampled copy delay, as it does on the live delay line.
                     let extra = SimTime::from_micros(self.link_state.extra_delay_micros(from, to));
                     // The last copy is the message itself: only a duplicating behaviour's
                     // extra copies clone it.

@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::thread;
 
 use crossbeam::channel;
-use serde::{Deserialize, Serialize};
 
 use brb_graph::Graph;
 use brb_stats::Accumulator;
@@ -37,7 +36,7 @@ use crate::experiment::{experiment_graph, run_experiment, ExperimentParams, Expe
 /// Two specs with the same `(n, connectivity, graph_seed)` run on the *same* generated
 /// graph (workers cache generated topologies), which is how ablation sweeps compare
 /// several configurations on one topology without shipping `Graph` values around.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Free-form label used to group and report outcomes (e.g. `"fig4/BDopt+MBD.1/k=7"`).
     pub label: String,
@@ -59,7 +58,7 @@ impl ExperimentSpec {
 }
 
 /// The outcome of one sweep point, in the order the specs were submitted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// Label of the spec that produced this outcome.
     pub label: String,
@@ -143,7 +142,7 @@ pub fn run_sweep(specs: &[ExperimentSpec], workers: usize) -> Vec<SweepOutcome> 
 }
 
 /// Aggregate view of a sweep, built with the `brb-stats` accumulators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepSummary {
     /// Number of sweep points.
     pub total: usize,

@@ -20,10 +20,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 /// Basic summary of a sample: count, mean, min, max and standard deviation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,
@@ -70,7 +68,7 @@ impl Summary {
 /// merges the partials in a deterministic order; `Accumulator` is the merge-friendly
 /// counterpart of [`Summary`]: it carries count, mean, the centered second moment, min and
 /// max, and two accumulators can be [`Accumulator::merge`]d without revisiting samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accumulator {
     count: usize,
     mean: f64,
@@ -200,7 +198,7 @@ const HISTOGRAM_SUB_BUCKET_BITS: u32 = 4;
 /// commutative** — the property the parallel sweep aggregation relies on: folding any
 /// partition of the observations in any grouping yields byte-identical histograms.
 /// (`tests/histogram_properties.rs` pins this with a proptest suite.)
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LogHistogram {
     /// `counts[i]` is the number of observations in bucket `i`; trailing zero buckets are
     /// never stored, so equal distributions compare equal structurally.
@@ -324,7 +322,7 @@ impl LogHistogram {
 
 /// The five numbers reported by the paper's box plots (Figs. 7–10): the 95% interval
 /// bounds, the quartiles, and the median.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNumber {
     /// 2.5th percentile (lower bound of the 95% interval).
     pub p2_5: f64,

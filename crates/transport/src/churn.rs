@@ -1,44 +1,38 @@
 //! Live-backend replay of a [`ChurnSpec`]: the simulator's churn schedule on real links.
 //!
 //! The simulator interleaves compiled [`ChurnEvent`]s into its virtual-time heaps; the
-//! live backends replay the *same* compiled schedule at wall-clock-scaled times. Three
-//! pieces make the two sides agree:
+//! live backends replay the *same* compiled schedule at wall-clock-scaled times. Two
+//! pieces here and two decorators make the two sides agree:
 //!
 //! * [`ChurnHandle`] — one shared, thread-safe [`LinkState`] per deployment plus the
-//!   compiled event list. Every node's decorated transport consults it at **send time**
-//!   (exactly where the simulator consults its own copy), so a frame on a downed link is
-//!   dropped before it enters the network while frames already in flight still arrive;
-//! * [`ChurnLink`] — the outermost transport decorator: a synchronous gate that drops
-//!   frames on downed links (not counted as sent, like the simulator) and applies the
-//!   per-directed-link loss overrides. The per-link *delay* overrides ride on the
-//!   [`crate::policy::DelayedLink`] delay line (built with the handle by
+//!   compiled event list. Every node's [`crate::FaultyLink`] passes it, locked once per
+//!   frame, to `brb_sim::fate::outbound`, the send-time decision the simulator makes per
+//!   message: a frame on a downed link is dropped before it enters the network (not
+//!   counted as sent), a per-link loss override draws from the node's one RNG stream,
+//!   and frames already in flight still arrive. The per-link *delay* overrides ride on
+//!   the [`crate::policy::DelayedLink`] delay line (built with the handle by
 //!   [`crate::DriverOptions::decorate`]), which adds the scaled extra delay to each
-//!   copy's own sampled delay — again matching the simulator's per-copy arithmetic;
+//!   copy's own sampled delay, as the simulator does;
 //! * [`ChurnHandle::spawn_pacer`] — a detached scheduler thread that sleeps to each
 //!   event's scaled deadline, mutates the shared link state, and routes
 //!   [`ChurnAction::NodeRestart`] to the affected node's command channel as
 //!   [`Command::Restart`] (the driver rebuilds its engine; see
 //!   [`crate::NodeDriver::with_engine_factory`]).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use brb_core::types::ProcessId;
 use brb_sim::churn::{ChurnAction, ChurnEvent, ChurnSpec, LinkState};
-use brb_trace::DropCause;
-use crossbeam::channel::{Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crossbeam::channel::Sender;
 
 use crate::driver::Command;
-use crate::link::Frame;
-use crate::policy::LinkObserver;
-use crate::transport::{OutFrame, SendReceipt, Transport};
 
 /// The deployment-wide churn state every decorated transport consults.
 #[derive(Debug)]
 struct LiveChurn {
-    /// The mutable link state, advanced by the pacer and read by every [`ChurnLink`].
+    /// The mutable link state, advanced by the pacer and read by every node's
+    /// [`crate::FaultyLink`].
     state: Mutex<LinkState>,
     /// The topology's undirected edge list (needed to expand a partition into its cut).
     edges: Vec<(ProcessId, ProcessId)>,
@@ -90,14 +84,9 @@ impl ChurnHandle {
             .any(|e| matches!(e.action, ChurnAction::NodeRestart { .. }))
     }
 
-    /// Whether a frame `from -> to` may enter the network right now.
-    pub fn allows(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.shared.state.lock().unwrap().allows(from, to)
-    }
-
-    /// The loss-probability override of the directed link `from -> to`, when set.
-    pub fn loss_probability(&self, from: ProcessId, to: ProcessId) -> Option<f64> {
-        self.shared.state.lock().unwrap().loss_probability(from, to)
+    /// The shared link state, locked: what [`crate::FaultyLink`] consults per frame.
+    pub(crate) fn link_state(&self) -> MutexGuard<'_, LinkState> {
+        self.shared.state.lock().unwrap()
     }
 
     /// The extra one-way delay of the directed link `from -> to` as a wall-clock
@@ -158,124 +147,9 @@ impl ChurnHandle {
     }
 }
 
-/// The outermost link decorator of a churned deployment: consults the shared
-/// [`ChurnHandle`] per outbound frame, exactly like the simulator consults its
-/// [`LinkState`] per `Send` action.
-///
-/// A frame on a downed link is dropped *before* any inner decorator sees it — it is not
-/// counted as sent, does not advance a [`crate::FaultyLink`]'s attempt counter and never
-/// enters a delay line, mirroring the simulator's ordering (churn gate, then loss
-/// override, then behavior, then delay). Loss overrides draw from this decorator's own
-/// seeded RNG stream, so enabling churn does not shift any other decorator's draws.
-pub struct ChurnLink<T> {
-    inner: T,
-    handle: ChurnHandle,
-    rng: StdRng,
-    /// The sending process (the `from` side of every gating decision) and its drop
-    /// accounting ([`DropCause::ChurnGate`] / `Loss`).
-    observer: LinkObserver,
-    /// The frames of one burst that pass the gate, reused across bursts.
-    surviving: Vec<OutFrame>,
-}
-
-impl<T: Transport> ChurnLink<T> {
-    /// Wraps `inner` as the outbound gate of the process `observer` names, which also
-    /// takes the gate's drops; `seed` fixes the loss-override draws.
-    pub fn new(inner: T, handle: ChurnHandle, seed: u64, observer: LinkObserver) -> Self {
-        Self {
-            inner,
-            handle,
-            rng: StdRng::seed_from_u64(seed),
-            observer,
-            surviving: Vec::new(),
-        }
-    }
-}
-
-impl<T: Transport> Transport for ChurnLink<T> {
-    fn inbound(&self) -> &Receiver<Frame> {
-        self.inner.inbound()
-    }
-
-    fn peers(&self) -> Vec<ProcessId> {
-        self.inner.peers()
-    }
-
-    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        // The gate is consulted and the loss override drawn for each frame in burst
-        // order; only the survivors travel on, still as one batch.
-        let from = self.observer.node;
-        for f in frames {
-            let cause = if !self.handle.allows(from, to) {
-                DropCause::ChurnGate
-            } else if self
-                .handle
-                .loss_probability(from, to)
-                .is_some_and(|p| self.rng.gen_bool(p))
-            {
-                DropCause::Loss
-            } else {
-                self.surviving.push(f.clone());
-                continue;
-            };
-            self.observer.frame_dropped(to, cause);
-        }
-        if self.surviving.is_empty() {
-            return SendReceipt::default();
-        }
-        let receipt = self.inner.send_batch(to, &self.surviving);
-        self.surviving.clear();
-        receipt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::build_links;
-    use crate::transport::tests::send_one;
-    use crate::transport::ChannelTransport;
-
-    fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (mut mailboxes, mut senders) = build_links(2, &[(0, 1)]);
-        let t1 = ChannelTransport::new(mailboxes.pop().unwrap(), senders.pop().unwrap());
-        let t0 = ChannelTransport::new(mailboxes.pop().unwrap(), senders.pop().unwrap());
-        (t0, t1)
-    }
-
-    #[test]
-    fn churn_link_drops_frames_on_downed_links_without_counting_them() {
-        let (t0, t1) = pair();
-        let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
-        let mut link = ChurnLink::new(t0, handle.clone(), 1, LinkObserver::detached(0));
-        assert_eq!(send_one(&mut link, 1, b"up"), 1);
-        handle.apply(&ChurnAction::LinkDown { a: 0, b: 1 });
-        assert_eq!(send_one(&mut link, 1, b"down"), 0);
-        handle.apply(&ChurnAction::LinkUp { a: 0, b: 1 });
-        assert_eq!(send_one(&mut link, 1, b"back"), 1);
-        let mut frames: Vec<Frame> = Vec::new();
-        while let Ok(frame) = t1.inbound().try_recv() {
-            frames.push(frame);
-        }
-        assert_eq!(frames.len(), 2, "the downed-link frame never transmitted");
-        assert_eq!(frames[0].bytes.as_ref(), b"up");
-        assert_eq!(frames[1].bytes.as_ref(), b"back");
-    }
-
-    #[test]
-    fn loss_override_drops_roughly_the_requested_fraction() {
-        let (t0, t1) = pair();
-        let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
-        handle.apply(&ChurnAction::SetLinkLoss {
-            from: 0,
-            to: 1,
-            probability: 0.5,
-        });
-        let mut link = ChurnLink::new(t0, handle, 7, LinkObserver::detached(0));
-        let sent: usize = (0..1000).map(|_| send_one(&mut link, 1, b"x")).sum();
-        assert!((300..700).contains(&sent), "sent {sent} of 1000");
-        assert_eq!(t1.inbound().len(), sent);
-    }
 
     #[test]
     fn pacer_replays_the_schedule_and_routes_restarts() {
@@ -294,8 +168,10 @@ mod tests {
             matches!(rx1.try_recv(), Ok(Command::Restart)),
             "the restart event reaches node 1's command channel"
         );
-        assert!(handle.allows(0, 1), "the final LinkUp restored the link");
-        assert!(handle.down_links().is_empty());
+        assert!(
+            handle.down_links().is_empty(),
+            "the final LinkUp restored the link"
+        );
     }
 
     #[test]

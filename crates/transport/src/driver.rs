@@ -20,7 +20,7 @@ use brb_trace::{DropCounts, NodeCounters, TraceEventKind, TraceSink, Tracer};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
 
-use crate::churn::{ChurnHandle, ChurnLink};
+use crate::churn::ChurnHandle;
 use crate::link::Frame;
 use crate::policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver};
 use crate::transport::{OutFrame, Transport};
@@ -98,8 +98,9 @@ pub struct DriverOptions {
     /// How long a node waits without any traffic before it considers the broadcast
     /// quiesced and checks for shutdown. [`DriverOptions::default`] uses 300 ms.
     pub idle_shutdown: Duration,
-    /// Base seed of the per-node RNG streams (delay jitter, behavior drop decisions);
-    /// process `i` derives its streams from `seed + i`.
+    /// Base seed of the per-node RNG streams (delay jitter; frame fates, the loss
+    /// overrides and behavior draws in one stream); process `i` derives its streams
+    /// from `seed + i`.
     pub seed: u64,
     /// Byzantine behavior assignments, `(process, behavior)`. Unlisted processes are
     /// [`Behavior::Correct`]; later entries override earlier ones. [`Behavior::Crash`]
@@ -110,10 +111,10 @@ pub struct DriverOptions {
     /// ([`LinkDelay::Scaled`] samples a simulator delay model, the paper's
     /// distributions included).
     pub link_delay: LinkDelay,
-    /// Churn schedule of the deployment, when one is set: every node's transport is
-    /// gated by the handle's shared link state ([`ChurnLink`] outermost, so a frame on
-    /// a downed link never reaches a behavior or delay decorator — the simulator's
-    /// ordering), and per-link delay overrides ride the delay line. The deployment is
+    /// Churn schedule of the deployment, when one is set: every node's [`FaultyLink`]
+    /// gates its frames by the handle's shared link state before the behavior sees them
+    /// (the simulator's ordering, so a frame on a downed link never reaches a behavior
+    /// or the delay line), and per-link delay overrides ride the delay line. The deployment is
     /// responsible for spawning the pacer ([`ChurnHandle::spawn_pacer`]).
     pub churn: Option<ChurnHandle>,
     /// Structured-trace configuration: when set, every node's engine and link
@@ -192,20 +193,22 @@ impl DriverOptions {
     /// Wraps process `process`'s `base` transport in the decorators these options call
     /// for — the one place a decorator stack is composed. Outermost first:
     ///
-    /// 1. [`ChurnLink`], when a churn schedule is set: the downed-link gate and the
-    ///    per-link loss overrides;
-    /// 2. [`FaultyLink`], when the process's behavior is Byzantine;
-    /// 3. the `FrameSent` tap, emitting one trace event per transmitted copy;
-    /// 4. [`DelayedLink`], when a link delay or a churn schedule is set (the per-link
+    /// 1. [`FaultyLink`], always: each frame's fate ([`brb_sim::fate::outbound`]: the
+    ///    churn gate and the per-link loss overrides when a churn schedule is set, then
+    ///    the process's behavior), drop accounting and the `FrameSent` tap, one trace
+    ///    event per copy the layer below accepted. A correct process without churn
+    ///    passes its bursts straight through;
+    /// 2. [`DelayedLink`], when a link delay or a churn schedule is set (the per-link
     ///    delay overrides need a line to ride even under [`LinkDelay::None`]);
-    /// 5. `base`.
+    /// 3. `base`.
     ///
     /// That is the order the simulator applies per `Send` action, so a gated frame
     /// advances no behavior counter and samples no delay, a dropped frame pays no
     /// delay, and amplified copies are delayed independently. Process `p` seeds the
-    /// delay line with `seed + p` and derives distinct streams from it for the behavior
-    /// and the loss overrides, so enabling one decorator shifts no other's draws.
-    /// `observer` takes every decorator's drop and occupancy accounting.
+    /// delay line with `seed + p` and the fate draws (loss overrides and behavior, one
+    /// stream in the simulator's order) with a stream derived from it, so enabling a
+    /// delay shifts no fate draw. `observer` takes every decorator's drop and occupancy
+    /// accounting.
     pub fn decorate(
         &self,
         process: ProcessId,
@@ -223,23 +226,16 @@ impl DriverOptions {
                 observer.clone(),
             ));
         }
-        transport = observer.traced(transport);
-        let behavior = self.behavior_of(process);
-        if behavior.is_byzantine() {
-            transport = Box::new(
-                FaultyLink::new(transport, behavior, seed ^ 0x5EED_B44A_D001_CAFE)
-                    .with_observer(observer.clone()),
-            );
-        }
+        let mut faulty = FaultyLink::new(
+            transport,
+            self.behavior_of(process),
+            seed ^ 0x5EED_B44A_D001_CAFE,
+        )
+        .with_observer(observer);
         if let Some(handle) = &self.churn {
-            transport = Box::new(ChurnLink::new(
-                transport,
-                handle.clone(),
-                seed ^ 0xC4C4_D70B_1055_CAFE,
-                observer,
-            ));
+            faulty = faulty.with_churn(handle.clone());
         }
-        transport
+        Box::new(faulty)
     }
 }
 

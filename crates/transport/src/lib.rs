@@ -23,15 +23,16 @@
 //!   engine and sends the resulting frames as one [`Transport::send_batch`] burst per
 //!   destination, with tracing on or off (a burst of one frame is the
 //!   frame-at-a-time case);
-//! * [`policy`] — composable transport decorators bringing the simulator's scenario
-//!   vocabulary to live backends: frame-level [`brb_sim::Behavior`] injection
-//!   ([`policy::FaultyLink`]) and wall-clock-scaled [`brb_sim::DelayModel`]s
-//!   ([`policy::DelayedLink`], [`LinkDelay::Scaled`]), next to [`churn`]'s
-//!   [`ChurnLink`] gate;
+//! * [`policy`] — the two transport decorators that bring the simulator's scenario
+//!   vocabulary to live backends: [`policy::FaultyLink`] decides each frame's fate
+//!   with the simulator's own [`brb_sim::fate::outbound`] ([`churn`]'s gate and loss
+//!   overrides, then the [`brb_sim::Behavior`]) and taps `FrameSent`, and
+//!   [`policy::DelayedLink`] is the wall-clock delay line for scaled
+//!   [`brb_sim::DelayModel`]s ([`LinkDelay::Scaled`]);
 //! * [`DriverOptions`] — the one options struct of every live deployment (it replaced
 //!   the former `RuntimeOptions` / `TcpOptions` pair); [`DriverOptions::decorate`] is
-//!   the one place a process's decorator stack is composed from it (churn gate,
-//!   behavior, `FrameSent` tap, delay line, in the simulator's order).
+//!   the one place a process's decorator stack is composed from it (frame fate, then
+//!   delay line, in the simulator's order).
 //!
 //! # Quickstart: a two-node deployment from the driver alone
 //!
@@ -94,7 +95,7 @@ pub mod link;
 pub mod policy;
 pub mod transport;
 
-pub use churn::{ChurnHandle, ChurnLink};
+pub use churn::ChurnHandle;
 pub use driver::{Command, DeploymentReport, DriverOptions, NodeDriver, NodeReport, TraceConfig};
 pub use link::{build_links, AuthenticatedSender, Frame, Mailbox};
 pub use policy::{DelayedLink, FaultyLink, LinkDelay, LinkObserver};

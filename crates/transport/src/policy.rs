@@ -1,26 +1,25 @@
-//! Composable link decorators: the simulator's scenario vocabulary on live transports.
+//! The live link decorators: the simulator's scenario vocabulary on live transports.
 //!
-//! The discrete-event simulator (`brb-sim`) has always been able to run the paper's
-//! evaluation scenarios — Byzantine [`Behavior`]s on chosen processes (Sec. 3's drop /
-//! duplicate / amplify adversaries) and the Sec. 7.1 delay regimes ([`DelayModel`]) —
-//! but the live backends could only run all-correct nodes under a crude `mean ± jitter`
-//! sleep. This module closes that gap with two [`Transport`] decorators:
+//! The discrete-event simulator (`brb-sim`) runs the paper's evaluation scenarios —
+//! Byzantine [`Behavior`]s on chosen processes (Sec. 3's drop / duplicate / amplify
+//! adversaries), churn schedules and the Sec. 7.1 delay regimes ([`DelayModel`]). Two
+//! [`Transport`] decorators run the same scenarios on the live backends:
 //!
-//! * [`FaultyLink`] applies a [`Behavior`] at the frame level: for every outbound frame
-//!   it asks [`Behavior::outbound_copies`] — the *same* decision procedure the simulator
-//!   uses — how many copies to put on the wire (0 drops, 2 replays, `n` floods);
+//! * [`FaultyLink`] decides each outbound frame's fate with [`fate::outbound`], the very
+//!   function the simulator calls per message: the churn gate and the per-link loss
+//!   override of a [`ChurnHandle`], then the behavior's copy count (0 drops, 2 replays,
+//!   `n` floods), all drawn from one RNG stream in the simulator's order. It counts
+//!   each drop by cause and emits one `FrameSent` per copy the layers below accepted;
 //! * [`DelayedLink`] applies a per-frame transmission delay through a background *delay
-//!   line*: either a fixed `mean + uniform(jitter)` regime, or
-//!   a [`DelayModel`] sampled per copy and scaled to wall-clock time —
+//!   line*: a [`DelayModel`] sampled per copy and scaled to wall-clock time —
 //!   `Scaled { model, scale }` with `scale = 1.0` replays the paper's 50 ms / 50 ± 50 ms
 //!   regimes in real time, without blocking the sending node (delays act on the links in
-//!   parallel, as in the simulator).
+//!   parallel, as in the simulator). A wall-clock delay line is the one part of a
+//!   frame's fate that only exists live.
 //!
-//! Decorators wrap any [`Transport`], so every future live-backend scenario is a
-//! one-line wrap instead of a forked node loop. [`crate::DriverOptions::decorate`] is the
-//! one place that composes them, in the simulator's frame-fate order (behavior outside
-//! the delay line, so dropped frames incur no delay and amplified copies are delayed
-//! independently).
+//! [`crate::DriverOptions::decorate`] is the one place that composes them, in the
+//! simulator's frame-fate order (the fate outside the delay line, so dropped frames
+//! incur no delay and amplified copies are delayed independently).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,7 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use brb_core::types::ProcessId;
-use brb_sim::{Behavior, DelayModel};
+use brb_sim::{fate, Behavior, DelayModel};
 use brb_trace::{DropCause, NodeCounters, TraceEventKind, Tracer};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
@@ -89,52 +88,22 @@ impl LinkObserver {
             .emit_frame(self.node, TraceEventKind::QueueDepth { depth });
     }
 
-    /// Wraps the layer that reports copies — the base transport or the delay line, below
-    /// every decorator that drops or amplifies — so each frame copy it accepts emits one
-    /// [`TraceEventKind::FrameSent`] with that copy's wire size. A node's `FrameSent`
-    /// events therefore add up to its `NodeReport::messages_sent` / `bytes_sent` through
-    /// any behavior. The tap sits in every observed stack, traced or not.
-    pub(crate) fn traced(&self, inner: Box<dyn Transport>) -> Box<dyn Transport> {
-        Box::new(TracedLink {
-            inner,
-            observer: self.clone(),
-        })
-    }
-}
-
-/// See [`LinkObserver::traced`].
-struct TracedLink {
-    inner: Box<dyn Transport>,
-    observer: LinkObserver,
-}
-
-impl TracedLink {
-    fn sent(&self, to: ProcessId, wire_sizes: impl Iterator<Item = usize>) {
-        if self.observer.tracer.is_enabled() {
-            for bytes in wire_sizes {
-                self.observer
-                    .tracer
-                    .emit_frame(self.observer.node, TraceEventKind::FrameSent { to, bytes });
+    /// Emits one [`TraceEventKind::FrameSent`] per copy the link below accepted, with
+    /// that copy's wire size, when tracing is attached. A node's `FrameSent` events
+    /// therefore add up to its `NodeReport::messages_sent` / `bytes_sent` through any
+    /// behavior.
+    fn frames_sent<'a>(&self, to: ProcessId, copies: impl Iterator<Item = &'a OutFrame>) {
+        if self.tracer.is_enabled() {
+            for copy in copies {
+                self.tracer.emit_frame(
+                    self.node,
+                    TraceEventKind::FrameSent {
+                        to,
+                        bytes: copy.wire_size,
+                    },
+                );
             }
         }
-    }
-}
-
-impl Transport for TracedLink {
-    fn inbound(&self) -> &Receiver<Frame> {
-        self.inner.inbound()
-    }
-
-    fn peers(&self) -> Vec<ProcessId> {
-        self.inner.peers()
-    }
-
-    fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        // The layers below take or refuse a burst whole (a destination has a link or not),
-        // so the frames sent are the burst's first `copies`.
-        let receipt = self.inner.send_batch(to, frames);
-        self.sent(to, frames.iter().take(receipt.copies).map(|f| f.wire_size));
-        receipt
     }
 }
 
@@ -163,39 +132,58 @@ impl LinkDelay {
     }
 }
 
-/// Frame-level [`Behavior`] injection: decides per outbound frame how many copies reach
-/// the inner transport, with the same [`Behavior::outbound_copies`] procedure the
-/// simulator applies per message.
+/// The live frame-fate decorator: decides per outbound frame, with [`fate::outbound`],
+/// whether the churn gate, a loss override or the process's [`Behavior`] drops it and
+/// how many copies reach the inner transport, in the order and with the draws the
+/// simulator makes per message. It also reports each drop and each accepted copy
+/// (`FrameSent`) to its [`LinkObserver`].
 pub struct FaultyLink<T> {
     inner: T,
     behavior: Behavior,
-    /// Outbound frames this process has attempted so far (the `already_sent` counter of
-    /// [`Behavior::outbound_copies`], driving [`Behavior::FailsAfter`]).
+    /// When the deployment runs a churn schedule: the shared link state that gates
+    /// frames and holds the per-link loss overrides.
+    churn: Option<ChurnHandle>,
+    /// Frames that reached the behavior so far (the `attempted` counter of
+    /// [`fate::outbound`], driving [`Behavior::FailsAfter`]).
     attempted: usize,
+    /// The one stream of the loss-override and behavior draws.
     rng: StdRng,
-    /// Drop accounting ([`DropCause::Behavior`]); `None` leaves drops unobserved.
-    observer: Option<LinkObserver>,
+    /// The sending process (the `from` of every gating decision), its drop accounting
+    /// and its `FrameSent` tap.
+    observer: LinkObserver,
     /// The copies of one burst that go on, reused across bursts.
     surviving: Vec<OutFrame>,
 }
 
 impl<T: Transport> FaultyLink<T> {
     /// Wraps `inner` with the given behavior; `seed` fixes the drop/copy decisions.
+    /// Drops are counted on a detached observer of process 0 until
+    /// [`FaultyLink::with_observer`] names the node.
     pub fn new(inner: T, behavior: Behavior, seed: u64) -> Self {
         Self {
             inner,
             behavior,
+            churn: None,
             attempted: 0,
             rng: StdRng::seed_from_u64(seed),
-            observer: None,
+            observer: LinkObserver::detached(0),
             surviving: Vec::new(),
         }
     }
 
-    /// Routes this link's behaviour-caused drops into `observer`'s counter registry.
+    /// Reports this link's drops and sent copies to `observer`, whose node is the
+    /// sending process.
     #[must_use]
     pub fn with_observer(mut self, observer: LinkObserver) -> Self {
-        self.observer = Some(observer);
+        self.observer = observer;
+        self
+    }
+
+    /// Gates this link's frames by the churn schedule behind `handle`: downed links and
+    /// per-link loss overrides drop frames before the behavior sees them.
+    #[must_use]
+    pub fn with_churn(mut self, handle: ChurnHandle) -> Self {
+        self.churn = Some(handle);
         self
     }
 }
@@ -210,28 +198,42 @@ impl<T: Transport> Transport for FaultyLink<T> {
     }
 
     fn send_batch(&mut self, to: ProcessId, frames: &[OutFrame]) -> SendReceipt {
-        // Each frame draws its own behavior decision in burst order, dropped frames
-        // leave the burst, amplified frames contribute extra copies — and the surviving
-        // copies go down as one batch.
+        // The layers below take or refuse a burst whole (a destination has a link or not),
+        // so the copies sent are the burst's first `receipt.copies`.
+        if self.churn.is_none() && !self.behavior.is_byzantine() {
+            // Every frame's fate is one copy: the burst goes on untouched.
+            let receipt = self.inner.send_batch(to, frames);
+            self.observer
+                .frames_sent(to, frames.iter().take(receipt.copies));
+            return receipt;
+        }
+        // Each frame meets its fate in burst order, dropped frames leave the burst,
+        // amplified frames contribute extra copies, and the surviving copies go down as
+        // one batch.
+        let from = self.observer.node;
         for f in frames {
-            let copies = self
-                .behavior
-                .outbound_copies(to, self.attempted, &mut self.rng);
-            self.attempted += 1;
-            if copies == 0 {
-                if let Some(observer) = &self.observer {
-                    observer.frame_dropped(to, DropCause::Behavior);
-                }
-                continue;
-            }
-            for _ in 0..copies {
-                self.surviving.push(f.clone());
+            // The shared link state stays locked for this one call.
+            let fate = fate::outbound(
+                self.churn.as_ref().map(ChurnHandle::link_state).as_deref(),
+                &self.behavior,
+                &mut self.attempted,
+                from,
+                to,
+                &mut self.rng,
+            );
+            match fate {
+                Ok(copies) => self
+                    .surviving
+                    .extend(std::iter::repeat_n(f, copies).cloned()),
+                Err(cause) => self.observer.frame_dropped(to, cause),
             }
         }
         if self.surviving.is_empty() {
             return SendReceipt::default();
         }
         let receipt = self.inner.send_batch(to, &self.surviving);
+        self.observer
+            .frames_sent(to, self.surviving.iter().take(receipt.copies));
         self.surviving.clear();
         receipt
     }
@@ -535,6 +537,40 @@ mod tests {
         let (t0, t1) = pair();
         let mut faulty = FaultyLink::new(t0, Behavior::Lossy(0.5), 7);
         let sent: usize = (0..1000).map(|_| send_one(&mut faulty, 1, b"x")).sum();
+        assert!((300..700).contains(&sent), "sent {sent} of 1000");
+        assert_eq!(t1.inbound().len(), sent);
+    }
+
+    #[test]
+    fn faulty_link_drops_frames_on_downed_links_without_counting_them() {
+        let (t0, t1) = pair();
+        let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
+        let mut link = FaultyLink::new(t0, Behavior::Correct, 1).with_churn(handle.clone());
+        assert_eq!(send_one(&mut link, 1, b"up"), 1);
+        handle.apply(&ChurnAction::LinkDown { a: 0, b: 1 });
+        assert_eq!(send_one(&mut link, 1, b"down"), 0);
+        handle.apply(&ChurnAction::LinkUp { a: 0, b: 1 });
+        assert_eq!(send_one(&mut link, 1, b"back"), 1);
+        let mut frames: Vec<Frame> = Vec::new();
+        while let Ok(frame) = t1.inbound().try_recv() {
+            frames.push(frame);
+        }
+        assert_eq!(frames.len(), 2, "the downed-link frame never transmitted");
+        assert_eq!(frames[0].bytes.as_ref(), b"up");
+        assert_eq!(frames[1].bytes.as_ref(), b"back");
+    }
+
+    #[test]
+    fn loss_override_drops_roughly_the_requested_fraction() {
+        let (t0, t1) = pair();
+        let handle = ChurnHandle::new(&ChurnSpec::new(), 1, 1.0, &[(0, 1)]);
+        handle.apply(&ChurnAction::SetLinkLoss {
+            from: 0,
+            to: 1,
+            probability: 0.5,
+        });
+        let mut link = FaultyLink::new(t0, Behavior::Correct, 7).with_churn(handle);
+        let sent: usize = (0..1000).map(|_| send_one(&mut link, 1, b"x")).sum();
         assert!((300..700).contains(&sent), "sent {sent} of 1000");
         assert_eq!(t1.inbound().len(), sent);
     }

@@ -1,12 +1,11 @@
-//! The serializable workload specification.
+//! The workload specification.
 
 use brb_core::types::ProcessId;
-use serde::{Deserialize, Serialize};
 
 use crate::gen::{Injection, TrafficGenerator};
 
 /// Inter-arrival structure of the injected broadcasts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Arrival {
     /// One broadcast every `interval_micros` of virtual time, the first at time 0.
     Constant {
@@ -32,7 +31,7 @@ pub enum Arrival {
 }
 
 /// Which process initiates each broadcast.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceSelection {
     /// Every broadcast originates at one fixed process.
     Single {
@@ -52,7 +51,7 @@ pub enum SourceSelection {
 }
 
 /// Distribution of the payload sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadSizes {
     /// Every payload has the same size (the paper's 16 B / 1024 B settings).
     Fixed {
@@ -69,7 +68,7 @@ pub enum PayloadSizes {
 }
 
 /// When the workload stops injecting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Exactly this many broadcasts in total.
     Count {
@@ -94,7 +93,7 @@ impl Bound {
 ///
 /// The schedule of arrival times is the same in both modes; the loop mode tells the
 /// *driver* whether to honor it unconditionally or to gate it on completions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopMode {
     /// Inject each broadcast at its scheduled time, whatever the system's backlog — the
     /// saturation-probing mode.
@@ -119,12 +118,12 @@ impl LoopMode {
     }
 }
 
-/// A complete, serializable description of a multi-broadcast workload.
+/// A complete description of a multi-broadcast workload.
 ///
 /// Together with a process count and a seed, a spec expands deterministically into a
 /// schedule of [`Injection`]s (see [`TrafficGenerator`]); every backend consumes that
 /// same schedule. See the crate docs for a quickstart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Arrival process of the broadcasts.
     pub arrival: Arrival,

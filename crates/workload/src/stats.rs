@@ -1,7 +1,6 @@
 //! Backend-independent workload run statistics.
 
 use brb_stats::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 /// What a workload run measured: completion counts, sustained throughput, and the
 /// per-broadcast delivery-latency distribution.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// broadcasts); a broadcast is *completed* once every correct process delivered it.
 /// Latencies live in a mergeable [`LogHistogram`] (microseconds), so per-seed stats can
 /// be aggregated across sweep points — and across sweep workers — exactly.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadStats {
     /// Number of broadcasts injected (a crashed source's injections are no-ops and are
     /// not counted).
@@ -25,11 +24,9 @@ pub struct WorkloadStats {
     pub latency_histogram: LogHistogram,
     /// Broadcast instances retired through watermark GC, summed over all processes
     /// (0 when GC is disabled or the backend does not report it).
-    #[serde(default)]
     pub gc_retired: u64,
     /// Protocol-state bytes still held across all processes when the run ended. Flat
     /// across consecutive runs under GC; grows with every completed broadcast without.
-    #[serde(default)]
     pub retained_bytes: usize,
 }
 

@@ -11,7 +11,8 @@
 //! graph over the same ten processes), asserts the three delivery sets are identical, and
 //! checks the four BRB properties on every backend's logs.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use brb_core::config::Config;
 use brb_core::gc::GcPolicy;
@@ -22,7 +23,9 @@ use brb_graph::{generate, Graph};
 use brb_net::{Wiring, BACKENDS};
 use brb_runtime::{run_broadcast, Deployment, DriverOptions};
 use brb_sim::invariants::{check_brb, BroadcastRecord};
-use brb_sim::{DelayModel, Simulation};
+use brb_sim::{Behavior, DelayModel, Simulation};
+use brb_trace::{DropCause, DropCounts, TraceEvent, TraceEventKind, VecSink};
+use brb_transport::TraceConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -303,4 +306,111 @@ fn channel_shutdown_reraises_a_node_panic() {
 #[should_panic(expected = "engine bug in broadcast_wire")]
 fn tcp_shutdown_reraises_a_node_panic() {
     shutdown_reraises_a_node_panic(BACKENDS[1].1);
+}
+
+/// Per process: the `FrameSent` copies and the drops by cause of one run.
+type FrameFates = Vec<(usize, DropCounts)>;
+
+/// Tallies `events` per process: `FrameSent` copies and `FrameDropped` causes.
+fn frame_fates(events: &[TraceEvent], n: usize) -> FrameFates {
+    let mut fates = vec![(0, DropCounts::new()); n];
+    for event in events {
+        match event.kind {
+            TraceEventKind::FrameSent { .. } => fates[event.node].0 += 1,
+            TraceEventKind::FrameDropped { cause, .. } => fates[event.node].1.record(cause),
+            _ => {}
+        }
+    }
+    fates
+}
+
+/// The simulator and both live backends decide every frame's fate with the one
+/// `brb_sim::fate::outbound`. Plain Bracha sends a fixed number of frames per process
+/// whatever the arrival order, so under deterministic behaviors (a replayer, a
+/// targeted silence and a mid-run failure on three non-source processes) every backend
+/// must count the same `FrameSent` copies and the same drops by cause per process.
+#[test]
+fn frame_fates_agree_across_all_three_backends() {
+    let n = 10;
+    let graph = generate::complete(n);
+    let config = Config::plain(n, 3);
+    let behaviors = vec![
+        (1, Behavior::Replayer),
+        (2, Behavior::SilentTowards(vec![4, 5])),
+        (3, Behavior::FailsAfter(7)),
+    ];
+    let payload = Payload::from("one frame fate");
+
+    let processes: Vec<DynStack> = (0..n)
+        .map(|i| StackSpec::Bracha.build_protocol(&config, &graph, i))
+        .collect();
+    let mut sim = Simulation::new(processes, DelayModel::asynchronous(), 3);
+    for (process, behavior) in &behaviors {
+        sim.set_behavior(*process, behavior.clone());
+    }
+    let sink = Arc::new(VecSink::new());
+    sim.set_trace_sink(sink.clone());
+    sim.broadcast(0, payload.clone());
+    sim.run_to_quiescence();
+    let expected = frame_fates(&sink.events(), n);
+    for (process, (sent, drops)) in expected.iter().enumerate() {
+        assert_eq!(*drops, sim.drop_counts()[process], "sim {process}");
+        assert!(*sent > 0 || drops.total() > 0, "sim {process} sent nothing");
+    }
+    assert_eq!(expected[1].0, 2 * expected[6].0, "the replayer sends twice");
+    assert_eq!(
+        expected[2].1.get(DropCause::Behavior),
+        2 * 2,
+        "ECHO + READY to 4, 5"
+    );
+    assert_eq!(expected[3].0, 7);
+
+    let decided = |fates: &FrameFates| -> Vec<u64> {
+        fates
+            .iter()
+            .map(|(sent, drops)| *sent as u64 + drops.total())
+            .collect()
+    };
+    for (backend, wire) in BACKENDS {
+        let sink = Arc::new(VecSink::new());
+        let trace_backend = if backend == "tcp" {
+            brb_trace::Backend::Tcp
+        } else {
+            brb_trace::Backend::Runtime
+        };
+        let options = DriverOptions::default()
+            .with_behaviors(behaviors.clone())
+            .with_trace(TraceConfig::new(trace_backend, sink.clone()));
+        let deployment = Deployment::start_on(
+            wire(&graph, &[]).expect("links wire"),
+            &graph,
+            config,
+            StackSpec::Bracha,
+            options,
+        );
+        deployment.broadcast(0, payload.clone());
+        // Wait until every process has decided as many frames as on the simulator.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while decided(&frame_fates(&sink.events(), n)) < decided(&expected) {
+            assert!(
+                Instant::now() < deadline,
+                "{backend}: frame fates still missing after 20 s"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = deployment.shutdown();
+        let observed = frame_fates(&sink.events(), n);
+        for process in 0..n {
+            let node = &report.nodes[process];
+            assert_eq!(observed[process], expected[process], "{backend} {process}");
+            assert_eq!(
+                node.drops_by_cause, expected[process].1,
+                "{backend} {process}"
+            );
+            assert_eq!(
+                node.messages_sent, expected[process].0,
+                "{backend} {process}"
+            );
+        }
+    }
 }

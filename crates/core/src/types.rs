@@ -162,12 +162,6 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
-impl From<Payload> for Vec<u8> {
-    fn from(p: Payload) -> Self {
-        Arc::try_unwrap(p.bytes).unwrap_or_else(|shared| (*shared).clone())
-    }
-}
-
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Self {
         Payload::new(v.to_vec())

@@ -124,7 +124,7 @@ where
                 }
                 injection_instants
                     .lock()
-                    .unwrap()
+                    .expect("no thread panics while holding the injection times")
                     .insert(id, Instant::now());
                 inject(injection.source, injection.payload.clone());
                 injected.fetch_add(1, Ordering::Release);
@@ -154,8 +154,10 @@ where
                     if *count == correct.len() && effective_ids.contains(&delivery.id) {
                         done += 1;
                         completed.fetch_add(1, Ordering::Release);
-                        if let Some(injected_at) =
-                            injection_instants.lock().unwrap().get(&delivery.id)
+                        if let Some(injected_at) = injection_instants
+                            .lock()
+                            .expect("no thread panics while holding the injection times")
+                            .get(&delivery.id)
                         {
                             let micros = injected_at.elapsed().as_micros() as u64;
                             broadcast_latencies.push((delivery.id, micros));

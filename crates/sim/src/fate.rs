@@ -89,34 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn a_certain_loss_override_drops_every_frame_on_its_link_only() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut link = LinkState::new();
-        link.apply(
-            &ChurnAction::SetLinkLoss {
-                from: 0,
-                to: 1,
-                probability: 1.0,
-            },
-            &[],
-        );
-        let mut attempted = 0;
-        let mut fate = |to| {
-            outbound(
-                Some(&link),
-                &Behavior::Replayer,
-                &mut attempted,
-                0,
-                to,
-                &mut rng,
-            )
-        };
-        assert_eq!(fate(1), Err(DropCause::Loss));
-        assert_eq!(fate(2), Ok(2));
-        assert_eq!(attempted, 1);
-    }
-
-    #[test]
     fn the_draws_follow_the_simulators_order() {
         // Loss override first, behavior second, both from the one stream.
         let mut link = LinkState::new();

@@ -86,7 +86,10 @@ impl ChurnHandle {
 
     /// The shared link state, locked: what [`crate::FaultyLink`] consults per frame.
     pub(crate) fn link_state(&self) -> MutexGuard<'_, LinkState> {
-        self.shared.state.lock().unwrap()
+        self.shared
+            .state
+            .lock()
+            .expect("no thread panics while holding the churn link state")
     }
 
     /// The extra one-way delay of the directed link `from -> to` as a wall-clock

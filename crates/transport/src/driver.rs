@@ -114,8 +114,8 @@ pub struct DriverOptions {
     /// Churn schedule of the deployment, when one is set: every node's [`FaultyLink`]
     /// gates its frames by the handle's shared link state before the behavior sees them
     /// (the simulator's ordering, so a frame on a downed link never reaches a behavior
-    /// or the delay line), and per-link delay overrides ride the delay line. The deployment is
-    /// responsible for spawning the pacer ([`ChurnHandle::spawn_pacer`]).
+    /// or the delay line), and per-link delay overrides ride the delay line. The
+    /// deployment is responsible for spawning the pacer ([`ChurnHandle::spawn_pacer`]).
     pub churn: Option<ChurnHandle>,
     /// Structured-trace configuration: when set, every node's engine and link
     /// decorators emit [`brb_trace::TraceEvent`]s into the shared sink, stamped with

@@ -624,7 +624,7 @@ mod tests {
 
     #[test]
     fn plain_dolev_delivers_on_a_ring_with_f0() {
-        let g = generate::ring(5);
+        let g = generate::circulant(5, 1);
         let processes = run_broadcast(&g, 0, MdFlags::none(), 0);
         assert!(everyone_delivered(&processes));
     }

@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn relay_forwards_along_the_fixed_route_only() {
-        let g = generate::ring(6);
+        let g = generate::circulant(6, 1);
         let mut relay = RoutedDolev::new(1, 1, g);
         let msg = RoutedDolevMessage {
             origin: 0,

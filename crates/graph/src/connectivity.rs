@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn ring_connectivity_is_two() {
-        let g = generate::ring(8);
+        let g = generate::circulant(8, 1);
         assert_eq!(vertex_connectivity(&g), 2);
         assert!(is_k_connected(&g, 2));
         assert!(!is_k_connected(&g, 3));
@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn local_connectivity_adjacent_nodes_in_ring() {
-        let g = generate::ring(6);
+        let g = generate::circulant(6, 1);
         // Adjacent nodes on a ring: the direct edge plus the long way round.
         assert_eq!(local_connectivity(&g, 0, 1), 2);
         // Opposite nodes: the two arcs.
@@ -420,7 +420,7 @@ mod tests {
     fn family_graphs() -> Vec<(String, Graph)> {
         use crate::families::{bounded_degree_expander, geometric_random_graph, planar_grid};
         let mut graphs = vec![
-            ("ring(10)".to_string(), generate::ring(10)),
+            ("circulant(10, 1)".to_string(), generate::circulant(10, 1)),
             ("circulant(20, 3)".to_string(), generate::circulant(20, 3)),
             ("complete(7)".to_string(), generate::complete(7)),
             ("planar_grid(4, 5)".to_string(), planar_grid(4, 5)),
@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn vertex_connectivity_is_the_minimum_separator_size() {
         let mut graphs = vec![
-            generate::ring(8),
+            generate::circulant(8, 1),
             generate::circulant(12, 2),
             generate::complete(6),
             generate::figure1_example(),

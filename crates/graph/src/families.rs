@@ -10,9 +10,9 @@
 //! * **Structured deployments**: grids, tori and (generalized) wheels model sensor fields
 //!   and hub-and-spoke overlays, the kinds of deployments the paper's introduction
 //!   motivates (e.g. temperature monitoring).
-//! * **Robustness tests**: small-world (Watts–Strogatz) and preferential-attachment
-//!   (Barabási–Albert) graphs exercise the protocols on irregular degree distributions
-//!   where quorum-based phases and path exploration behave differently.
+//! * **Sparse and loosely connected networks**: planar grids, geometric random graphs and
+//!   bounded-degree expanders are the regimes of Maurer & Tixeuil's planar and loosely
+//!   connected networks (PAPERS.md), where connectivity is local and degrees stay small.
 //!
 //! All generators produce simple undirected [`Graph`]s and are deterministic for a fixed
 //! seed where randomness is involved.
@@ -157,8 +157,7 @@ pub fn planar_grid(rows: usize, cols: usize) -> Graph {
 /// The standard model of ad-hoc wireless / sensor deployments — the "loosely connected
 /// networks" regime of PAPERS.md, where connectivity is local and partitions are a
 /// radius away. Connectivity is *not* guaranteed; callers needing a floor verify with
-/// [`crate::connectivity::is_k_connected`] and re-seed, exactly as with
-/// [`watts_strogatz`].
+/// [`crate::connectivity::is_k_connected`] and re-seed.
 pub fn geometric_random_graph(n: usize, radius: f64, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     // Fixed draw order (x then y per node) makes the embedding part of the function.
@@ -245,121 +244,11 @@ pub fn harary(k: usize, n: usize) -> Result<Graph, GenerateError> {
     Ok(g)
 }
 
-/// Watts–Strogatz small-world graph: a ring lattice where every node is connected to its
-/// `k/2` nearest neighbors on each side, with each edge rewired to a uniformly random
-/// target with probability `beta`.
-///
-/// `beta = 0` gives the circulant lattice, `beta = 1` approaches a random graph. Rewiring
-/// never introduces self-loops or duplicate edges and never disconnects a node entirely,
-/// but the result is not guaranteed to stay `k`-connected — callers that need a
-/// connectivity floor should verify it with [`crate::connectivity::is_k_connected`].
-///
-/// # Errors
-///
-/// Returns [`GenerateError::InfeasibleRegular`] if `k` is odd, `k >= n`, or `k == 0`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    rng: &mut R,
-) -> Result<Graph, GenerateError> {
-    if k == 0 || !k.is_multiple_of(2) || k >= n {
-        return Err(GenerateError::InfeasibleRegular { n, degree: k });
-    }
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for off in 1..=k / 2 {
-            g.add_edge(u, (u + off) % n);
-        }
-    }
-    // Rewire each lattice edge (u, u + off) with probability beta.
-    for u in 0..n {
-        for off in 1..=k / 2 {
-            let v = (u + off) % n;
-            if !g.has_edge(u, v) {
-                continue; // already rewired away
-            }
-            if rng.gen::<f64>() >= beta {
-                continue;
-            }
-            // Pick a new target that is neither u nor already adjacent to u.
-            let candidates: Vec<ProcessId> = (0..n)
-                .filter(|&w| w != u && w != v && !g.has_edge(u, w))
-                .collect();
-            if let Some(&w) = candidates.get(rng.gen_range(0..candidates.len().max(1))) {
-                g.remove_edge(u, v);
-                g.add_edge(u, w);
-            }
-        }
-    }
-    Ok(g)
-}
-
-/// Barabási–Albert preferential-attachment graph: starts from a clique of `m + 1` nodes and
-/// attaches each subsequent node to `m` distinct existing nodes chosen with probability
-/// proportional to their degree.
-///
-/// The resulting degree distribution is heavy-tailed (a few hubs, many low-degree nodes),
-/// the opposite regime from the paper's regular graphs; it is used in robustness tests and
-/// ablation benchmarks.
-///
-/// # Errors
-///
-/// Returns [`GenerateError::InfeasibleConnectivity`] if `m == 0` or `n < m + 1`.
-pub fn barabasi_albert<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Graph, GenerateError> {
-    if m == 0 || n < m + 1 {
-        return Err(GenerateError::InfeasibleConnectivity { n, connectivity: m });
-    }
-    let mut g = Graph::new(n);
-    // Seed clique over the first m + 1 nodes.
-    for u in 0..=m {
-        for v in (u + 1)..=m {
-            g.add_edge(u, v);
-        }
-    }
-    // Repeated-nodes list: each node appears once per incident edge end, so sampling
-    // uniformly from it implements preferential attachment.
-    let mut ends: Vec<ProcessId> = Vec::new();
-    for (u, v) in g.edges() {
-        ends.push(u);
-        ends.push(v);
-    }
-    for new in (m + 1)..n {
-        let mut targets = std::collections::BTreeSet::new();
-        let mut guard = 0usize;
-        while targets.len() < m && guard < 10_000 {
-            let t = ends[rng.gen_range(0..ends.len())];
-            targets.insert(t);
-            guard += 1;
-        }
-        // Extremely defensive fallback: fill deterministically if sampling stalled.
-        let mut fill = 0;
-        while targets.len() < m {
-            if fill != new {
-                targets.insert(fill);
-            }
-            fill += 1;
-        }
-        for &t in &targets {
-            g.add_edge(new, t);
-            ends.push(new);
-            ends.push(t);
-        }
-    }
-    Ok(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::connectivity::{is_k_connected, vertex_connectivity};
     use crate::traversal::is_connected;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn path_and_star_have_connectivity_one() {
@@ -528,61 +417,5 @@ mod tests {
         assert!(harary(0, 5).is_err());
         assert!(harary(5, 5).is_err());
         assert!(harary(6, 5).is_err());
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_the_lattice() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = watts_strogatz(12, 4, 0.0, &mut rng).unwrap();
-        let lattice = crate::generate::circulant(12, 2);
-        assert_eq!(g.edges(), lattice.edges());
-    }
-
-    #[test]
-    fn watts_strogatz_preserves_edge_count_and_connectedness_often() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = watts_strogatz(30, 6, 0.2, &mut rng).unwrap();
-        assert_eq!(g.edge_count(), 30 * 3);
-        assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn watts_strogatz_rejects_odd_or_large_degree() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(watts_strogatz(10, 3, 0.1, &mut rng).is_err());
-        assert!(watts_strogatz(10, 10, 0.1, &mut rng).is_err());
-        assert!(watts_strogatz(10, 0, 0.1, &mut rng).is_err());
-    }
-
-    #[test]
-    fn barabasi_albert_degrees_and_connectivity() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let g = barabasi_albert(40, 3, &mut rng).unwrap();
-        assert_eq!(g.node_count(), 40);
-        assert!(is_connected(&g));
-        // Every node added after the seed clique has degree >= m.
-        assert!(g.nodes().all(|u| g.degree(u) >= 3));
-        // Edge count: seed clique C(4,2)=6 plus 3 per added node.
-        assert_eq!(g.edge_count(), 6 + 3 * (40 - 4));
-    }
-
-    #[test]
-    fn barabasi_albert_rejects_infeasible_parameters() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(barabasi_albert(3, 0, &mut rng).is_err());
-        assert!(barabasi_albert(3, 3, &mut rng).is_err());
-    }
-
-    #[test]
-    fn barabasi_albert_prefers_high_degree_nodes() {
-        // The seed nodes should on average end with higher degree than late arrivals.
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = barabasi_albert(120, 2, &mut rng).unwrap();
-        let early: f64 = (0..3).map(|u| g.degree(u) as f64).sum::<f64>() / 3.0;
-        let late: f64 = (110..120).map(|u| g.degree(u) as f64).sum::<f64>() / 10.0;
-        assert!(
-            early > late,
-            "expected preferential attachment: early {early} vs late {late}"
-        );
     }
 }

@@ -71,21 +71,11 @@ pub fn complete(n: usize) -> Graph {
     g
 }
 
-/// Ring (cycle) over `n` nodes. Vertex connectivity 2 for `n >= 3`.
-pub fn ring(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    if n >= 2 {
-        for u in 0..n {
-            g.add_edge(u, (u + 1) % n);
-        }
-    }
-    g
-}
-
 /// Circulant graph: node `i` is connected to `i ± 1, ..., i ± width (mod n)`.
 ///
 /// For `n > 2 * width` this is a `2*width`-regular, `2*width`-vertex-connected graph, a
-/// convenient deterministic family for tests that need a prescribed connectivity.
+/// convenient deterministic family for tests that need a prescribed connectivity;
+/// `circulant(n, 1)` is the ring (cycle) over `n` nodes.
 pub fn circulant(n: usize, width: usize) -> Graph {
     let mut g = Graph::new(n);
     for u in 0..n {
@@ -259,14 +249,14 @@ mod tests {
 
     #[test]
     fn ring_is_two_regular() {
-        let g = ring(7);
+        let g = circulant(7, 1);
         assert!(g.nodes().all(|u| g.degree(u) == 2));
         assert_eq!(g.edge_count(), 7);
     }
 
     #[test]
     fn ring_of_two_is_single_edge() {
-        let g = ring(2);
+        let g = circulant(2, 1);
         assert_eq!(g.edge_count(), 1);
     }
 

@@ -8,19 +8,18 @@
 //!
 //! * [`Graph`] — a small, dense, undirected graph representation indexed by
 //!   [`ProcessId`]s, with neighborhood queries;
-//! * [`generate`] — graph generators: complete graphs, rings, random regular graphs
-//!   (the family used throughout the paper's evaluation) and k-connected random graphs;
+//! * [`generate`] — graph generators: complete graphs, circulants (rings among them),
+//!   random regular graphs (the family used throughout the paper's evaluation) and
+//!   k-connected random graphs;
 //! * [`families`] — additional deterministic and random topology families (Harary graphs,
-//!   grids/tori, generalized wheels, small-world and preferential-attachment graphs) used
-//!   by the robustness tests and ablation benchmarks;
+//!   grids/tori, generalized wheels, planar grids, geometric random graphs and
+//!   bounded-degree expanders) used by the sparse-graph experiments and the stack tests;
 //! * [`connectivity`] — Menger's local connectivity by unit-capacity max-flow, and Even's
 //!   `k`-connectivity check, which certifies that generated topologies satisfy the
 //!   `k >= 2f+1` requirement of Dolev's protocol in `O(k² + n)` short max-flows;
 //! * [`paths`] — extraction of explicit internally node-disjoint paths, the route-planning
 //!   step of the known-topology variant of Dolev's protocol;
-//! * [`analysis`] — structural metrics (degree statistics, clustering, path lengths,
-//!   articulation points, cores) used to characterise experiment topologies;
-//! * [`traversal`] — BFS distances, connected components, and diameter helpers.
+//! * [`traversal`] — BFS distances and connectedness.
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod connectivity;
 pub mod families;
 pub mod generate;

@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn ring_has_exactly_two_paths() {
-        let g = generate::ring(8);
+        let g = generate::circulant(8, 1);
         let paths = vertex_disjoint_paths(&g, 0, 4);
         assert_eq!(paths.len(), 2);
         assert_valid_disjoint(&g, 0, 4, &paths);

@@ -1,4 +1,4 @@
-//! Breadth-first traversal helpers: distances, components, diameter.
+//! Breadth-first traversal helpers: distances and connectedness.
 
 use std::collections::VecDeque;
 
@@ -37,95 +37,9 @@ pub fn is_connected(g: &Graph) -> bool {
     bfs_distances(g, 0).iter().all(Option::is_some)
 }
 
-/// Connected components, each as a sorted vector of node ids.
-pub fn connected_components(g: &Graph) -> Vec<Vec<ProcessId>> {
-    let mut seen = vec![false; g.node_count()];
-    let mut components = Vec::new();
-    for start in g.nodes() {
-        if seen[start] {
-            continue;
-        }
-        let mut component = Vec::new();
-        let mut queue = VecDeque::from([start]);
-        seen[start] = true;
-        while let Some(u) = queue.pop_front() {
-            component.push(u);
-            for v in g.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        component.sort_unstable();
-        components.push(component);
-    }
-    components
-}
-
-/// Graph diameter in hops (longest shortest path), or `None` if the graph is disconnected
-/// or empty.
-pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.node_count() == 0 {
-        return None;
-    }
-    let mut best = 0;
-    for s in g.nodes() {
-        for d in bfs_distances(g, s) {
-            match d {
-                Some(d) => best = best.max(d),
-                None => return None,
-            }
-        }
-    }
-    Some(best)
-}
-
-/// A shortest path (sequence of nodes, inclusive of endpoints) between `source` and
-/// `target`, or `None` if unreachable.
-pub fn shortest_path(g: &Graph, source: ProcessId, target: ProcessId) -> Option<Vec<ProcessId>> {
-    if source >= g.node_count() || target >= g.node_count() {
-        return None;
-    }
-    let mut parent: Vec<Option<ProcessId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    let mut queue = VecDeque::from([source]);
-    seen[source] = true;
-    while let Some(u) = queue.pop_front() {
-        if u == target {
-            break;
-        }
-        for v in g.neighbors(u) {
-            if !seen[v] {
-                seen[v] = true;
-                parent[v] = Some(u);
-                queue.push_back(v);
-            }
-        }
-    }
-    if !seen[target] {
-        return None;
-    }
-    let mut path = vec![target];
-    let mut cur = target;
-    while let Some(p) = parent[cur] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    if path[0] == source {
-        Some(path)
-    } else if source == target {
-        Some(vec![source])
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
 
     #[test]
     fn distances_on_a_path_graph() {
@@ -146,45 +60,5 @@ mod tests {
     #[test]
     fn empty_graph_is_connected() {
         assert!(is_connected(&Graph::new(0)));
-    }
-
-    #[test]
-    fn components_partition_nodes() {
-        let g = Graph::from_edges(5, [(0, 1), (2, 3)]);
-        let comps = connected_components(&g);
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3], vec![4]]);
-    }
-
-    #[test]
-    fn diameter_of_ring() {
-        let g = generate::ring(6);
-        assert_eq!(diameter(&g), Some(3));
-    }
-
-    #[test]
-    fn diameter_of_disconnected_graph_is_none() {
-        let g = Graph::from_edges(3, [(0, 1)]);
-        assert_eq!(diameter(&g), None);
-    }
-
-    #[test]
-    fn shortest_path_endpoints_and_length() {
-        let g = generate::ring(6);
-        let p = shortest_path(&g, 0, 3).unwrap();
-        assert_eq!(p.first(), Some(&0));
-        assert_eq!(p.last(), Some(&3));
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
-    fn shortest_path_to_self_is_singleton() {
-        let g = generate::ring(4);
-        assert_eq!(shortest_path(&g, 2, 2), Some(vec![2]));
-    }
-
-    #[test]
-    fn shortest_path_unreachable_is_none() {
-        let g = Graph::from_edges(3, [(0, 1)]);
-        assert_eq!(shortest_path(&g, 0, 2), None);
     }
 }

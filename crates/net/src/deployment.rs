@@ -431,7 +431,7 @@ mod tests {
     }
 
     fn shutdown_without_broadcast(backend: Wiring) {
-        let graph = generate::ring(4);
+        let graph = generate::circulant(4, 1);
         let deployment = Deployment::start_on(
             wire(backend, &graph, &[]),
             &graph,

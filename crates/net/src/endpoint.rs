@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn mesh_connects_every_edge_in_both_directions() {
-        let graph = generate::ring(5);
+        let graph = generate::circulant(5, 1);
         let endpoints = bind_endpoints(5).unwrap();
         let links = connect_mesh(&graph, &endpoints).unwrap();
         for (u, node) in links.iter().enumerate() {

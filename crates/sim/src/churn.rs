@@ -342,13 +342,9 @@ impl LinkState {
         self.loss_overrides.get(&(from, to)).copied()
     }
 
-    /// The directed links currently down (for assertions and diagnostics).
-    pub fn down_links(&self) -> Vec<(ProcessId, ProcessId)> {
-        self.down.iter().copied().collect()
-    }
-
     /// Whether any churn effect (down link or override) is currently active.
-    pub fn is_quiet(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_quiet(&self) -> bool {
         self.down.is_empty() && self.delay_overrides.is_empty() && self.loss_overrides.is_empty()
     }
 
@@ -422,8 +418,9 @@ impl LinkState {
 }
 
 /// The durable compact state a [`ChurnAction::NodeRestart`] preserves across the crash:
-/// the set of broadcast instances the node had delivered (and, under GC, possibly
-/// already retired) before going down.
+/// the log of broadcast instances the node had delivered (and, under GC, possibly
+/// already retired) before going down. The simulator keeps one per process and the live
+/// `brb_transport::NodeDriver` one per node.
 ///
 /// Volatile protocol state — quorum counters, stored paths, in-flight instances — is
 /// lost by design; the delivered log is the part a real node persists (it must, to honor
@@ -434,6 +431,9 @@ impl LinkState {
 /// delivery.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RestartMemory {
+    /// Deliveries of discarded engines, in delivery order, one per id.
+    log: Vec<Delivery>,
+    /// The ids in `log`.
     delivered: BTreeSet<BroadcastId>,
 }
 
@@ -443,15 +443,13 @@ impl RestartMemory {
         Self::default()
     }
 
-    /// Records a delivery into the durable log. Returns whether the id was new.
-    pub fn note_delivered(&mut self, id: BroadcastId) -> bool {
-        self.delivered.insert(id)
-    }
-
-    /// Absorbs a whole pre-restart delivery log.
-    pub fn absorb<'a>(&mut self, deliveries: impl IntoIterator<Item = &'a Delivery>) {
+    /// Absorbs the delivery log of an engine about to be discarded: each delivery of an
+    /// id not yet remembered joins the log, in order.
+    pub fn absorb(&mut self, deliveries: &[Delivery]) {
         for delivery in deliveries {
-            self.delivered.insert(delivery.id);
+            if self.delivered.insert(delivery.id) {
+                self.log.push(delivery.clone());
+            }
         }
     }
 
@@ -461,20 +459,19 @@ impl RestartMemory {
         self.delivered.contains(&id)
     }
 
-    /// Number of remembered instances.
-    pub fn len(&self) -> usize {
-        self.delivered.len()
-    }
-
-    /// Whether the memory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.delivered.is_empty()
+    /// The node's complete delivery log across restarts: the remembered deliveries
+    /// first, in their original order, then the `current` engine's deliveries of ids not
+    /// remembered. Equals `current` for a node that never restarted.
+    pub fn full_log(&self, current: &[Delivery]) -> Vec<Delivery> {
+        let fresh = current.iter().filter(|d| !self.suppresses(d.id));
+        self.log.iter().chain(fresh).cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brb_core::types::Payload;
 
     #[test]
     fn compile_is_deterministic_and_ordered() {
@@ -602,13 +599,33 @@ mod tests {
 
     #[test]
     fn restart_memory_suppresses_remembered_instances() {
+        // Delivered in this order across two restarts: early, first, second, fresh.
+        let log: Vec<Delivery> = [(3, 0), (1, 0), (2, 5), (0, 1)]
+            .map(|(source, seq)| Delivery {
+                id: BroadcastId::new(source, seq),
+                payload: Payload::new(vec![source as u8, seq as u8]),
+            })
+            .to_vec();
+        let [early, first, second, fresh] = [&log[0], &log[1], &log[2], &log[3]];
         let mut memory = RestartMemory::new();
-        let retired = BroadcastId::new(3, 0);
-        assert!(memory.note_delivered(retired));
-        assert!(!memory.note_delivered(retired), "idempotent");
-        assert!(memory.suppresses(retired));
-        assert!(!memory.suppresses(BroadcastId::new(3, 1)));
-        assert_eq!(memory.len(), 1);
+        assert_eq!(
+            memory.full_log(&log[..1]),
+            &log[..1],
+            "nothing remembered yet"
+        );
+        // First restart: the discarded engine had delivered `early`, then `first`.
+        memory.absorb(&log[..2]);
+        assert!(memory.suppresses(early.id));
+        assert!(memory.suppresses(first.id));
+        assert!(!memory.suppresses(second.id));
+        // Second restart: the rebuilt engine re-delivered `early` (the duplicate the
+        // suppression hides) and delivered `second`.
+        memory.absorb(&[early.clone(), second.clone()]);
+        assert!(memory.suppresses(second.id));
+        assert!(!memory.suppresses(fresh.id));
+        // The current engine re-delivers `first` and delivers `fresh`: the remembered
+        // entries come first, in their original order, and no id appears twice.
+        assert_eq!(memory.full_log(&[first.clone(), fresh.clone()]), log);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! # Engine internals
 //!
-//! Four structural choices keep the per-event cost low enough for large parameter sweeps:
+//! Three structural choices keep the per-event cost low enough for large parameter sweeps:
 //!
 //! * in-flight messages are held by value: scheduling a send moves the engine's message
 //!   into the queue and dispatching moves it into the destination engine, so a frame
@@ -26,15 +26,13 @@
 //! * same-timestamp events are drained in one pass ([`Simulation::step_batch`]) into a
 //!   reused batch buffer, and drained buckets are kept for later timestamps, so the
 //!   steady state allocates no queue storage, and every handled event writes its actions
-//!   into one reusable sink;
-//! * per-kind diagnostic labels are interned per message discriminant, so the hot send
-//!   path never formats a message's `Debug` representation more than once per kind.
+//!   into one reusable sink.
 //!
 //! What is left per event is whatever the engine allocates; `tests/alloc_budget.rs` holds
 //! it to a committed budget.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +42,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::behavior::Behavior;
-use crate::churn::{ChurnAction, ChurnEvent, LinkState};
+use crate::churn::{ChurnAction, ChurnEvent, LinkState, RestartMemory};
 use crate::delay::DelayModel;
 use crate::fate;
 use crate::metrics::RunMetrics;
@@ -123,11 +121,10 @@ where
     /// state loss + re-join). Required whenever the schedule contains a restart.
     restart_builder: Option<Box<dyn FnMut(ProcessId) -> P>>,
     /// Per-process durable delivery log: everything delivered before the process's
-    /// restarts (the compact state a real node persists across a crash).
-    durable_deliveries: Vec<Vec<Delivery>>,
-    /// Ids in the durable log; post-restart re-deliveries of these are suppressed so
-    /// no-duplication holds across crashes (and no GC-retired instance resurrects).
-    durable_ids: Vec<BTreeSet<BroadcastId>>,
+    /// restarts (the compact state a real node persists across a crash), whose ids are
+    /// suppressed after a restart so no-duplication holds across crashes (and no
+    /// GC-retired instance resurrects).
+    restart_memory: Vec<RestartMemory>,
     /// Number of node restarts executed.
     restarts: u64,
     /// Structured-trace handle shared with every process ([`Simulation::set_trace_sink`]);
@@ -171,8 +168,7 @@ where
             link_state: LinkState::new(),
             churn_edges: Vec::new(),
             restart_builder: None,
-            durable_deliveries: vec![Vec::new(); n],
-            durable_ids: vec![BTreeSet::new(); n],
+            restart_memory: vec![RestartMemory::new(); n],
             restarts: 0,
             tracer: brb_trace::Tracer::disabled(),
             trace_clock: None,
@@ -252,13 +248,7 @@ where
     /// which the dispatch path already suppresses). Equals the engine's own log for a
     /// process that never restarted.
     pub fn full_deliveries(&self, process: ProcessId) -> Vec<Delivery> {
-        let mut log = self.durable_deliveries[process].clone();
-        for delivery in self.processes[process].deliveries() {
-            if !self.durable_ids[process].contains(&delivery.id) {
-                log.push(delivery.clone());
-            }
-        }
-        log
+        self.restart_memory[process].full_log(self.processes[process].deliveries())
     }
 
     /// Overrides the behaviour of one process.
@@ -535,11 +525,7 @@ where
         let mut fresh = builder(process);
         fresh.set_tracer(self.tracer.clone());
         let old = std::mem::replace(&mut self.processes[process], fresh);
-        for delivery in old.deliveries() {
-            if self.durable_ids[process].insert(delivery.id) {
-                self.durable_deliveries[process].push(delivery.clone());
-            }
-        }
+        self.restart_memory[process].absorb(old.deliveries());
         self.restarts += 1;
         self.tracer
             .emit_frame(process, brb_trace::TraceEventKind::Restarted);
@@ -612,7 +598,7 @@ where
                     // An instance delivered before a restart lives in the durable log;
                     // the rebuilt engine re-delivering it is the crash-recover duplicate
                     // this suppression exists for.
-                    if self.durable_ids[from].contains(&delivery.id) {
+                    if self.restart_memory[from].suppresses(delivery.id) {
                         continue;
                     }
                     self.metrics.record_delivery(from, delivery.id, self.now);

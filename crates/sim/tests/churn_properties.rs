@@ -15,7 +15,7 @@
 //!   post-restart re-delivery.
 
 use brb_core::gc::{GcPolicy, GcState};
-use brb_core::types::BroadcastId;
+use brb_core::types::{BroadcastId, Delivery, Payload};
 use brb_sim::churn::{ChurnAction, ChurnSpec, LinkState, RestartMemory};
 use proptest::prelude::*;
 
@@ -142,27 +142,29 @@ proptest! {
         // Deliver a batch of instances under an aggressive watermark policy, driving
         // the GC until some are retired...
         let mut gc = GcState::new(GcPolicy::after_events(1));
-        let mut memory = RestartMemory::new();
+        let mut log = Vec::new();
         for &(source, seq) in &delivered {
             let id = BroadcastId::new(source, seq);
             gc.on_delivered(id);
-            memory.note_delivered(id);
+            log.push(Delivery { id, payload: Payload::new(Vec::new()) });
             gc.on_event();
         }
         for _ in 0..extra_events {
             gc.on_event();
         }
         let retired = gc.due();
-        // ...then crash-recover: the volatile GcState is lost, the durable memory
-        // survives. Every retired instance must be suppressed by the memory — the
-        // watermark only ever retires delivered instances, so none can resurface as a
-        // fresh delivery after the restart.
+        // ...then crash-recover: the volatile GcState is lost, the engine's delivery log
+        // moves into the durable memory. Every retired instance must be suppressed by
+        // the memory — the watermark only ever retires delivered instances, so none can
+        // resurface as a fresh delivery after the restart.
+        let mut memory = RestartMemory::new();
+        memory.absorb(&log);
         for id in &retired {
             prop_assert!(
                 memory.suppresses(*id),
                 "retired instance {id} escaped the durable log"
             );
         }
-        prop_assert!(retired.len() as u64 <= memory.len() as u64);
+        prop_assert!(retired.len() <= memory.full_log(&[]).len());
     }
 }

@@ -75,15 +75,6 @@ impl ChurnHandle {
         &self.shared.events
     }
 
-    /// Whether the schedule contains a [`ChurnAction::NodeRestart`] — deployments use
-    /// this to decide whether the drivers need an engine factory.
-    pub fn has_restarts(&self) -> bool {
-        self.shared
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ChurnAction::NodeRestart { .. }))
-    }
-
     /// The shared link state, locked: what [`crate::FaultyLink`] consults per frame.
     pub(crate) fn link_state(&self) -> MutexGuard<'_, LinkState> {
         self.shared
@@ -107,11 +98,6 @@ impl ChurnHandle {
         } else {
             Duration::from_micros(micros).mul_f64(self.shared.scale)
         }
-    }
-
-    /// The directed links currently down (for assertions and diagnostics).
-    pub fn down_links(&self) -> Vec<(ProcessId, ProcessId)> {
-        self.shared.state.lock().unwrap().down_links()
     }
 
     /// Applies one action to the shared link state; returns the process to restart for
@@ -161,7 +147,6 @@ mod tests {
             .at(20_000, ChurnAction::NodeRestart { process: 1 })
             .at(40_000, ChurnAction::LinkUp { a: 0, b: 1 });
         let handle = ChurnHandle::new(&spec, 9, 1.0, &[(0, 1)]);
-        assert!(handle.has_restarts());
         assert_eq!(handle.events().len(), 3);
         let (tx0, _rx0) = crossbeam::channel::unbounded();
         let (tx1, rx1) = crossbeam::channel::unbounded();
@@ -171,8 +156,9 @@ mod tests {
             matches!(rx1.try_recv(), Ok(Command::Restart)),
             "the restart event reaches node 1's command channel"
         );
+        let state = handle.link_state();
         assert!(
-            handle.down_links().is_empty(),
+            state.allows(0, 1) && state.allows(1, 0),
             "the final LinkUp restored the link"
         );
     }

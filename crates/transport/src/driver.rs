@@ -331,12 +331,10 @@ pub struct NodeDriver {
     /// restarts no-ops — only deployments running a churn schedule with restarts
     /// install one.
     engine_factory: Option<Box<dyn FnMut() -> Box<dyn DynEngine> + Send>>,
-    /// The durable compact state a restart preserves: the ids delivered by discarded
-    /// engines (suppressing post-restart re-deliveries, the no-duplication-across-
-    /// crashes property) ...
+    /// The durable compact state a restart preserves: the deliveries of discarded
+    /// engines, in order, whose ids post-restart re-deliveries may not repeat (the
+    /// no-duplication-across-crashes property).
     memory: RestartMemory,
-    /// ... and those deliveries themselves, in order, for the final report.
-    durable: Vec<Delivery>,
     /// GC retirements of discarded engines, carried into the final report.
     retired_before: u64,
     /// Number of restarts carried out.
@@ -386,7 +384,6 @@ impl NodeDriver {
             receives,
             engine_factory: None,
             memory: RestartMemory::new(),
-            durable: Vec::new(),
             retired_before: 0,
             restarts: 0,
             counters,
@@ -418,11 +415,7 @@ impl NodeDriver {
         if self.engine_factory.is_none() {
             return;
         }
-        for delivery in self.engine.deliveries() {
-            if self.memory.note_delivered(delivery.id) {
-                self.durable.push(delivery.clone());
-            }
-        }
+        self.memory.absorb(self.engine.deliveries());
         self.retired_before += self.engine.gc_retired();
         let factory = self.engine_factory.as_mut().expect("checked above");
         let mut fresh = factory();
@@ -481,18 +474,8 @@ impl NodeDriver {
                 break;
             }
         }
-        // The report's delivery log spans restarts: the durable pre-restart
-        // deliveries first (their original order), then what the current engine
-        // delivered — minus re-deliveries of durable ids, which no-duplication
-        // across crashes suppresses.
-        let mut deliveries = std::mem::take(&mut self.durable);
-        deliveries.extend(
-            self.engine
-                .deliveries()
-                .iter()
-                .filter(|d| !self.memory.suppresses(d.id))
-                .cloned(),
-        );
+        // The report's delivery log spans restarts.
+        let deliveries = self.memory.full_log(self.engine.deliveries());
         NodeReport {
             id,
             deliveries,
@@ -683,7 +666,7 @@ mod tests {
         .encode()
     }
 
-    /// Node 1 of `ring(4)` running `bd` alone: its driver (not yet running), its command
+    /// Node 1 of `circulant(4, 1)` running `bd` alone: its driver (not yet running), its command
     /// sender, the links of every node (`senders[0][0]` is neighbour 0's link into node
     /// 1) and the mailboxes of the other three nodes.
     fn lone_ring_node() -> (
@@ -692,7 +675,7 @@ mod tests {
         Vec<Vec<crate::link::AuthenticatedSender>>,
         Vec<crate::link::Mailbox>,
     ) {
-        let graph = generate::ring(4);
+        let graph = generate::circulant(4, 1);
         let (mut mailboxes, senders) = build_links(4, &graph.edges());
         let (delivery_tx, _delivery_rx) = unbounded();
         let (cmd_tx, cmd_rx) = unbounded();

@@ -4,17 +4,17 @@
 //! Dolev's protocol (and therefore the Bracha–Dolev combination) needs the communication
 //! network to be at least `2f+1`-vertex-connected. This example builds a handful of
 //! topology families — the paper's random regular graphs, minimum-edge Harary graphs,
-//! hub-and-spoke generalized wheels, small-world and preferential-attachment graphs — and
-//! prints for each one the structural metrics that drive protocol cost (degrees, density,
-//! path lengths, clustering), its vertex connectivity, the largest fault budget it
-//! supports, and a sample of the disjoint routes the known-topology Dolev variant would
-//! precompute. It exits non-zero if a sampled pair has fewer than `k` disjoint routes
-//! (Menger's theorem says it has at least `k`).
+//! wheels and hub-and-spoke generalized wheels, tori, planar grids, geometric random
+//! graphs and bounded-degree expanders — and prints for each one its size and degree
+//! range, its vertex connectivity, the largest fault budget it supports, and a sample of
+//! the disjoint routes the known-topology Dolev variant would precompute. It exits
+//! non-zero if a sampled pair has fewer than `k` disjoint routes (Menger's theorem says it
+//! has at least `k`).
 //!
 //! Run with: `cargo run --release --example topology_explorer`
 
 use brb_graph::paths::k_disjoint_routes;
-use brb_graph::{analysis, connectivity, families, generate, Graph};
+use brb_graph::{connectivity, families, generate, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,18 +27,21 @@ fn report(label: &str, graph: &Graph) {
         (graph.node_count() - 1) / 3
     };
     let supported_f = max_f.min(quorum_f);
+    let degrees = || graph.nodes().map(|v| graph.degree(v));
     println!("== {label}");
-    println!("   {}", analysis::describe(graph));
+    println!(
+        "   n = {}, m = {}, degree {}..={}",
+        graph.node_count(),
+        graph.edge_count(),
+        degrees().min().unwrap_or(0),
+        degrees().max().unwrap_or(0)
+    );
     println!(
         "   vertex connectivity k = {kappa}; supports f <= {supported_f} \
          (connectivity allows {max_f}, quorums allow {quorum_f})"
     );
-    let cuts = analysis::articulation_points(graph);
-    if !cuts.is_empty() {
-        println!(
-            "   WARNING: articulation points {cuts:?} — a single Byzantine process can \
-             partition this network"
-        );
+    if kappa <= 1 {
+        println!("   WARNING: k = {kappa} — a single Byzantine process can partition this network");
     }
     if graph.node_count() >= 2 && kappa > 0 {
         let routes = k_disjoint_routes(graph, 0, graph.node_count() - 1, kappa);
@@ -80,16 +83,21 @@ fn main() {
 
     report("4x5 torus (k = 4)", &families::grid(4, 5, true));
 
-    let small_world = families::watts_strogatz(20, 6, 0.15, &mut rng).expect("feasible");
+    report("Wheel W_12 (k = 3)", &families::wheel(12));
+
     report(
-        "Watts-Strogatz small world (N = 20, k = 6, beta = 0.15)",
-        &small_world,
+        "5x5 planar grid (triangulated, k = 3)",
+        &families::planar_grid(5, 5),
     );
 
-    let scale_free = families::barabasi_albert(20, 3, &mut rng).expect("feasible");
     report(
-        "Barabasi-Albert preferential attachment (N = 20, m = 3)",
-        &scale_free,
+        "Geometric random graph (N = 24, radius 0.55)",
+        &families::geometric_random_graph(24, 0.55, 77),
+    );
+
+    report(
+        "Bounded-degree expander (N = 24, d = 4)",
+        &families::bounded_degree_expander(24, 4, 5).expect("feasible"),
     );
 
     report(

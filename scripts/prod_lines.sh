@@ -3,8 +3,8 @@
 # under `crates/<name>/src` contributes the lines before its first column-0
 # `#[cfg(test)]` (all of its lines when it has none); `crates/core/src/bd/tests.rs`, a
 # test module in a file of its own, is excluded. It then prints the plain line totals of
-# the `.rs` files under `crates/*/benches`, `tests/`, `examples/` and `benchmark/src`,
-# and last the number of packages the workspace builds (`cargo metadata`, offline).
+# the `.rs` files under `tests/`, `examples/` and `benchmark/src`, and last the number of
+# packages the workspace builds (`cargo metadata`, offline).
 #
 # Usage: scripts/prod_lines.sh [repo-root]   (default: the repository this script is in)
 set -euo pipefail
@@ -32,7 +32,6 @@ for dir in crates/*/; do
 done
 printf '%-12s %6d\n' "crates" "$sum"
 echo
-printf '%-16s %6d\n' "crates/*/benches" "$(total crates/*/benches)"
 for dir in tests examples benchmark/src; do
     printf '%-16s %6d\n' "$dir" "$(total "$dir")"
 done

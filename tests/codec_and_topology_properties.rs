@@ -13,7 +13,7 @@ use brb_core::types::{BroadcastId, Payload};
 use brb_core::wire::WireMessage;
 use brb_graph::connectivity::{is_k_connected, local_connectivity, vertex_connectivity};
 use brb_graph::paths::vertex_disjoint_paths;
-use brb_graph::{analysis, families, generate};
+use brb_graph::{families, generate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -138,67 +138,4 @@ proptest! {
             }
         }
     }
-
-    /// Watts–Strogatz rewiring preserves the number of edges and node degrees' sum.
-    #[test]
-    fn watts_strogatz_preserves_edge_count(seed in any::<u64>(), beta in 0.0f64..1.0) {
-        let (n, k) = (20usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = families::watts_strogatz(n, k, beta, &mut rng).expect("feasible parameters");
-        prop_assert_eq!(g.edge_count(), n * k / 2);
-    }
-
-    /// Preferential attachment graphs stay connected and respect the minimum degree bound.
-    #[test]
-    fn barabasi_albert_graphs_are_connected(seed in any::<u64>(), m in 2usize..4) {
-        let n = 30;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = families::barabasi_albert(n, m, &mut rng).expect("feasible parameters");
-        prop_assert!(brb_graph::traversal::is_connected(&g));
-        prop_assert!(g.nodes().all(|u| g.degree(u) >= m));
-    }
-
-    /// The articulation-point finder agrees with the brute-force definition on small
-    /// random graphs: removing a reported cut vertex disconnects the graph, and removing a
-    /// non-reported vertex of a connected graph keeps it connected.
-    #[test]
-    fn articulation_points_match_bruteforce(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generate::gnp(12, 0.25, &mut rng);
-        prop_assume!(brb_graph::traversal::is_connected(&g));
-        let cuts = analysis::articulation_points(&g);
-        for v in g.nodes() {
-            let removed: std::collections::BTreeSet<_> = [v].into_iter().collect();
-            let h = g.without_nodes(&removed);
-            let components = brb_graph::traversal::connected_components(&h);
-            let non_trivial: Vec<_> = components
-                .into_iter()
-                .filter(|c| !(c.len() == 1 && c[0] == v))
-                .collect();
-            let disconnects = non_trivial.len() > 1;
-            prop_assert_eq!(
-                cuts.contains(&v),
-                disconnects,
-                "vertex {} misclassified", v
-            );
-        }
-    }
-}
-
-#[test]
-fn analysis_metrics_are_consistent_on_the_papers_example_topology() {
-    let g = generate::figure1_example();
-    let stats = analysis::degree_stats(&g);
-    assert!(stats.regular);
-    assert_eq!(stats.min, 3);
-    // The Petersen graph has girth 5: no triangles, clustering 0.
-    assert_eq!(analysis::average_clustering(&g), 0.0);
-    // Diameter 2, radius 2, average path length 1.666...
-    assert_eq!(analysis::radius(&g), Some(2));
-    let apl = analysis::average_path_length(&g).unwrap();
-    assert!((apl - 5.0 / 3.0).abs() < 1e-9);
-    assert!(analysis::articulation_points(&g).is_empty());
-    assert!(analysis::bridges(&g).is_empty());
-    assert_eq!(analysis::degeneracy(&g), 3);
-    assert_eq!(vertex_connectivity(&g), 3);
 }
